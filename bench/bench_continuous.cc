@@ -2,18 +2,14 @@
 // "processing the continuous queries at the location-based server should
 // be done incrementally") plus the Section 2.1 trajectory-linkage threat.
 //
-// Series: continuous range/NN re-evaluation latency and cache-hit rate vs.
-// slack margin and movement step size, against one-shot re-execution; and
-// the exposure rate of the linkage adversary vs. privacy level k.
+// Series: the per-tick cost of the service's standing-query registry as the
+// number of standing queries grows; and the exposure rate of the linkage
+// adversary vs. privacy level k.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-
 #include "bench_common.h"
 #include "core/linkage.h"
-#include "server/continuous_queries.h"
-#include "server/private_queries.h"
 #include "service/cloak_db_service.h"
 #include "sim/movement.h"
 
@@ -21,126 +17,6 @@ namespace cloakdb {
 namespace {
 
 using bench::kInf;
-
-// Continuous range query under a random walk, incremental vs. one-shot.
-void BM_S53b_ContinuousRange(benchmark::State& state) {
-  const bool incremental = state.range(0) != 0;
-  const double step = static_cast<double>(state.range(1)) / 10.0;
-  auto server = bench::MakeServer(5000);
-  ContinuousOptions options;
-  options.slack_margin = 5.0;
-  ContinuousQueryProcessor cq(&server->store(), options);
-
-  Rect region(40, 40, 46, 46);
-  auto id = cq.RegisterRange(region, 3.0, 1).value();
-  Rng rng(1);
-  size_t results = 0;
-  for (auto _ : state) {
-    region = Rect(
-        std::clamp(region.min_x + rng.Uniform(-step, step), 0.0, 94.0),
-        std::clamp(region.min_y + rng.Uniform(-step, step), 0.0, 94.0), 0,
-        0);
-    region.max_x = region.min_x + 6;
-    region.max_y = region.min_y + 6;
-    if (incremental) {
-      auto out = cq.UpdateRegion(id, region);
-      results += out.value().size();
-    } else {
-      auto out = PrivateRangeQuery(server->store(), region, 3.0, 1);
-      results += out.value().candidates.size();
-    }
-  }
-  benchmark::DoNotOptimize(results);
-  state.counters["incremental"] = incremental ? 1.0 : 0.0;
-  state.counters["step"] = step;
-  if (incremental && cq.stats().region_updates > 0) {
-    state.counters["cache_hit_rate"] =
-        static_cast<double>(cq.stats().incremental_filters) /
-        static_cast<double>(cq.stats().region_updates);
-  }
-}
-BENCHMARK(BM_S53b_ContinuousRange)
-    ->Args({0, 10})->Args({1, 10})   // 1.0-unit steps
-    ->Args({0, 50})->Args({1, 50})   // 5.0-unit steps
-    ->Unit(benchmark::kMicrosecond);
-
-// Continuous NN query under a random walk.
-void BM_S53b_ContinuousNn(benchmark::State& state) {
-  const bool incremental = state.range(0) != 0;
-  auto server = bench::MakeServer(5000);
-  ContinuousQueryProcessor cq(&server->store());
-  Rect region(40, 40, 45, 45);
-  auto id = cq.RegisterNn(region, 1).value();
-  Rng rng(2);
-  size_t results = 0;
-  for (auto _ : state) {
-    region = Rect(
-        std::clamp(region.min_x + rng.Uniform(-1.0, 1.0), 0.0, 95.0),
-        std::clamp(region.min_y + rng.Uniform(-1.0, 1.0), 0.0, 95.0), 0, 0);
-    region.max_x = region.min_x + 5;
-    region.max_y = region.min_y + 5;
-    if (incremental) {
-      auto out = cq.UpdateRegion(id, region);
-      results += out.value().size();
-    } else {
-      auto out = PrivateNnQuery(server->store(), region, 1);
-      results += out.value().candidates.size();
-    }
-  }
-  benchmark::DoNotOptimize(results);
-  state.counters["incremental"] = incremental ? 1.0 : 0.0;
-  if (incremental && cq.stats().region_updates > 0) {
-    state.counters["cache_hit_rate"] =
-        static_cast<double>(cq.stats().incremental_filters) /
-        static_cast<double>(cq.stats().region_updates);
-  }
-}
-BENCHMARK(BM_S53b_ContinuousNn)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-
-// Continuous count maintenance: O(1) delta updates vs. window re-scan.
-void BM_S53b_ContinuousCount(benchmark::State& state) {
-  const bool incremental = state.range(0) != 0;
-  QueryProcessor server(bench::Space());
-  ContinuousQueryProcessor cq(&server.store());
-  Rng rng(3);
-  std::unordered_map<ObjectId, Rect> regions;
-  for (ObjectId id = 1; id <= 20000; ++id) {
-    Point c{rng.Uniform(5, 95), rng.Uniform(5, 95)};
-    Rect r = Rect::CenteredSquare(c, rng.Uniform(1, 6));
-    (void)server.store().UpsertPrivateRegion(id, r);
-    regions[id] = r;
-  }
-  Rect window(30, 30, 70, 70);
-  auto id = cq.RegisterCount(window).value();
-  double checksum = 0.0;
-  for (auto _ : state) {
-    // One user moves, then the current expected count is read.
-    ObjectId user = 1 + rng.NextBelow(20000);
-    Point c{rng.Uniform(5, 95), rng.Uniform(5, 95)};
-    Rect next = Rect::CenteredSquare(c, rng.Uniform(1, 6));
-    (void)server.store().UpsertPrivateRegion(user, next);
-    if (incremental) {
-      (void)cq.NotifyPrivateRegionChanged(user, regions[user], next);
-      regions[user] = next;
-      // Expected value is maintained; read it without rebuilding the PDF.
-      benchmark::DoNotOptimize(cq.stats().count_delta_updates);
-      checksum += 1.0;
-    } else {
-      regions[user] = next;
-      auto out = server.PublicCount(window);
-      checksum += out.value().answer.expected;
-    }
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.counters["incremental"] = incremental ? 1.0 : 0.0;
-  // Final consistency read of the maintained answer.
-  auto final_count = cq.CurrentCount(id);
-  state.counters["final_expected"] =
-      final_count.ok() ? final_count.value().expected : -1.0;
-}
-BENCHMARK(BM_S53b_ContinuousCount)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
 
 // Service-scale standing registry: one full movement tick (every user
 // re-reports through the sharded update path) with N standing queries

@@ -1,16 +1,17 @@
 // Continuous privacy-aware queries (paper Section 5.3): a commuter drives
 // across town with a standing "nearest gas station" subscription. The
-// server re-evaluates the candidate set incrementally from its cached
-// over-fetch instead of walking the index on every movement — while the
-// refined answer stays exact the whole way.
+// service keeps the candidate set current incrementally — each cloaked
+// update re-filters the standing query's cached over-fetch, and only an
+// update that leaves the cached coverage triggers a full re-evaluation —
+// while the refined answer stays exact the whole way.
 //
 // Run: ./continuous_tracking
 
 #include <cstdio>
+#include <limits>
 
-#include "core/anonymizer.h"
-#include "server/continuous_queries.h"
-#include "server/query_processor.h"
+#include "geom/distance.h"
+#include "service/cloak_db_service.h"
 #include "sim/poi.h"
 #include "sim/population.h"
 
@@ -21,34 +22,41 @@ int main() {
   const TimeOfDay now = TimeOfDay::FromHms(8, 0).value();
   Rng rng(314);
 
-  // Server with gas stations; crowd for anonymity.
-  QueryProcessor server(space);
+  CloakDbServiceOptions options;
+  options.space = space;
+  options.num_shards = 4;
+  options.anonymizer.algorithm = CloakingKind::kGrid;
+  auto db_or = CloakDbService::Create(options);
+  if (!db_or.ok()) return 1;
+  CloakDbService& db = *db_or.value();
+
+  // Gas stations, and a crowd for anonymity.
   PoiOptions poi;
   poi.count = 800;
   poi.category = poi_category::kGasStation;
   poi.name_prefix = "gas";
-  (void)server.store().BulkLoadCategory(poi.category,
-                                        GeneratePois(space, poi, &rng)
-                                            .value());
-  AnonymizerOptions anon_options;
-  anon_options.space = space;
-  anon_options.algorithm = CloakingKind::kGrid;
-  auto anonymizer = Anonymizer::Create(anon_options).value();
+  const std::vector<PublicObject> stations =
+      GeneratePois(space, poi, &rng).value();
+  if (!db.BulkLoadCategory(poi.category, stations).ok()) return 1;
   PopulationOptions crowd;
   crowd.num_users = 4000;
   crowd.first_id = 100;
-  auto others = GeneratePopulation(space, crowd, &rng).value();
+  const std::vector<PointEntry> others =
+      GeneratePopulation(space, crowd, &rng).value();
   for (const auto& u : others) {
-    (void)anonymizer->RegisterUser(u.id, PrivacyProfile::Public());
-    (void)anonymizer->UpdateLocation(u.id, u.location, now);
+    (void)db.RegisterUser(u.id, PrivacyProfile::Public());
+    (void)db.EnqueueUpdate(u.id, u.location, now);
   }
+  if (!db.Flush().ok()) return 1;
 
   // The commuter: 30-anonymous, driving west to east.
   auto profile = PrivacyProfile::Uniform(
       {30, 0.0, std::numeric_limits<double>::infinity()}).value();
-  (void)anonymizer->RegisterUser(1, profile);
+  if (!db.RegisterUser(1, profile).ok()) return 1;
 
-  ContinuousQueryProcessor cq(&server.store());
+  const obs::Counter* refilters =
+      db.metrics().counter("cq.incremental_refilters_total");
+  const obs::Counter* reevals = db.metrics().counter("cq.full_reevals_total");
   ContinuousQueryId query_id = 0;
   size_t exact = 0, total = 0;
 
@@ -56,48 +64,50 @@ int main() {
               "candidates", "answer", "evaluation");
   for (int step = 0; step <= 20; ++step) {
     Point me{5.0 + 4.5 * step, 52.0 + 0.3 * step};
-    auto update = anonymizer->UpdateLocation(1, me, now);
+    auto update = db.UpdateLocation(1, me, now);
     if (!update.ok()) return 1;
     const Rect& region = update.value().cloaked.region;
 
-    std::vector<PublicObject> candidates;
-    uint64_t fulls_before = cq.stats().full_evaluations;
+    const uint64_t refilters_before = refilters->Value();
+    const uint64_t reevals_before = reevals->Value();
     if (step == 0) {
-      auto id = cq.RegisterNn(region, poi_category::kGasStation);
+      auto id = db.RegisterContinuousNn(1, poi_category::kGasStation);
       if (!id.ok()) return 1;
       query_id = id.value();
-      candidates = cq.CurrentCandidates(query_id).value();
-    } else {
-      auto out = cq.UpdateRegion(query_id, region);
-      if (!out.ok()) return 1;
-      candidates = std::move(out).value();
     }
-    bool was_full = cq.stats().full_evaluations > fulls_before;
+    // Flush settles any full re-evaluation the update queued.
+    if (!db.Flush().ok()) return 1;
+    const char* evaluation =
+        step == 0                                ? "register"
+        : reevals->Value() > reevals_before      ? "full"
+        : refilters->Value() > refilters_before ? "re-filter"
+                                                 : "cloak kept";
+    auto standing = db.AnswerContinuous(query_id);
+    if (!standing.ok()) return 1;
+    const std::vector<PublicObject>& candidates = standing.value().candidates;
 
     // Client-side refinement against the true location.
     auto answer = RefineNnCandidates(candidates, me);
     if (!answer.ok()) return 1;
-    // Ground truth.
-    auto truth = server.store()
-                     .CategoryIndex(poi_category::kGasStation)
-                     .value()
-                     ->KNearest(me, 1)
-                     .front();
+    // Ground truth: the nearest station over the whole category.
+    const PublicObject* truth = &stations.front();
+    for (const PublicObject& s : stations) {
+      if (Distance(s.location, me) < Distance(truth->location, me))
+        truth = &s;
+    }
     ++total;
-    if (truth.id == answer.value().id) ++exact;
+    if (truth->id == answer.value().id) ++exact;
 
     std::printf("%8.1f %22s %12zu %10s %14s\n", me.x,
                 region.ToString().c_str(), candidates.size(),
-                answer.value().name.c_str(),
-                step == 0 ? "register" : (was_full ? "full" : "cached"));
+                answer.value().name.c_str(), evaluation);
   }
 
-  const auto& stats = cq.stats();
-  std::printf("\n%llu updates: %llu served from cache, %llu full index "
-              "walks. Exact answers: %zu/%zu.\n",
-              static_cast<unsigned long long>(stats.region_updates),
-              static_cast<unsigned long long>(stats.incremental_filters),
-              static_cast<unsigned long long>(stats.full_evaluations - 1),
-              exact, total);
+  std::printf("\n%zu updates: %llu incremental re-filters, %llu full "
+              "re-evaluations. Exact answers: %zu/%zu.\n",
+              total - 1,
+              static_cast<unsigned long long>(refilters->Value()),
+              static_cast<unsigned long long>(reevals->Value()), exact,
+              total);
   return exact == total ? 0 : 1;
 }

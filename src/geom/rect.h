@@ -5,6 +5,7 @@
 #define CLOAKDB_GEOM_RECT_H_
 
 #include <array>
+#include <cmath>
 #include <string>
 
 #include "geom/point.h"
@@ -38,6 +39,13 @@ struct Rect {
 
   /// True iff the bounds are inverted on either axis.
   bool IsEmpty() const { return min_x > max_x || min_y > max_y; }
+
+  /// True iff any bound is NaN. Such a rectangle is neither empty nor a
+  /// region: every comparison against it is false.
+  bool HasNaN() const {
+    return std::isnan(min_x) || std::isnan(min_y) || std::isnan(max_x) ||
+           std::isnan(max_y);
+  }
 
   double Width() const { return IsEmpty() ? 0.0 : max_x - min_x; }
   double Height() const { return IsEmpty() ? 0.0 : max_y - min_y; }

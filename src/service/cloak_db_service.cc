@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "geom/distance.h"
@@ -86,92 +87,97 @@ const char* RootSpanName(QueryKind kind) {
   return "query.unknown";
 }
 
+/// Rejects a request its kind cannot answer, before any shard is probed.
+/// A NaN bound compares false against everything, so such a region would
+/// otherwise read as a valid one that holds nothing.
+Status ValidateQuery(const QueryRequest& request) {
+  if (request.kind == QueryKind::kHeatmap) {
+    if (request.resolution == 0)
+      return Status::InvalidArgument("heatmap resolution must be >= 1");
+    return Status::OK();
+  }
+  if (request.region.HasNaN())
+    return Status::InvalidArgument("query region has a NaN bound");
+  if (request.region.IsEmpty()) {
+    return Status::InvalidArgument(request.kind == QueryKind::kPublicCount
+                                       ? "query window must be non-empty"
+                                       : "cloaked region must be non-empty");
+  }
+  if (request.kind == QueryKind::kPrivateRange && !(request.radius > 0.0))
+    return Status::InvalidArgument("query radius must be positive");
+  if (request.kind == QueryKind::kPrivateKnn && request.k == 0)
+    return Status::InvalidArgument("k must be >= 1");
+  return Status::OK();
+}
+
+/// Result types that carry a candidate list (the private kinds).
+template <typename ResultT>
+constexpr bool kCandidateList =
+    requires(const ResultT& result) { result.candidates; };
+
+/// Length of a result's list: candidates (private kinds), per-user
+/// contributions (count), or cells (heatmap).
+template <typename ResultT>
+uint64_t ItemCount(const ResultT& result) {
+  if constexpr (kCandidateList<ResultT>) {
+    return result.candidates.size();
+  } else if constexpr (std::is_same_v<ResultT, PublicCountResult>) {
+    return result.contributions.size();
+  } else {
+    return result.expected.size();
+  }
+}
+
+/// The NN / k-NN dominance bound: the k-th smallest MaxDist from `region`
+/// over every candidate collected so far (infinity with fewer than k). Any
+/// object farther than it from every point of the region already has k
+/// known candidates strictly closer, for every possible querier position.
+template <typename ResultT>
+double KthMaxDist(const std::vector<ResultT>& parts, const Rect& region,
+                  size_t k) {
+  std::vector<double> max_dists;
+  for (const auto& part : parts) {
+    for (const auto& c : part.candidates)
+      max_dists.push_back(MaxDist(c.location, region));
+  }
+  if (max_dists.size() < k) return std::numeric_limits<double>::infinity();
+  std::nth_element(max_dists.begin(), max_dists.begin() + (k - 1),
+                   max_dists.end());
+  return max_dists[k - 1];
+}
+
 }  // namespace
 
-/// Tracks one fan-out's degradation state. Coverage is a 64-bit bitmap, so
-/// per-shard coverage is reported for the first 64 shards; beyond that the
-/// degraded flag alone is authoritative.
-struct CloakDbService::FanoutGuard {
-  const CloakDbService* service;
-  Deadline deadline;
-  uint32_t budget;  ///< 0 = unlimited.
-  uint32_t probes = 0;
-  uint64_t covered = 0;
-  bool degraded = false;
-  bool deadline_hit = false;
-  Status first_error;  ///< First hard probe error (injected or real).
-
-  FanoutGuard(const CloakDbService* s, Deadline d, uint32_t b)
-      : service(s), deadline(d), budget(b) {}
-
-  /// Gate before each probe: consumes budget, checks the deadline. A false
-  /// return means the shard stays uncovered and the result is degraded.
-  bool AllowProbe() {
-    if (budget > 0 && probes >= budget) {
-      degraded = true;
-      return false;
-    }
-    if (deadline.Expired()) {
-      deadline_hit = true;
-      degraded = true;
-      return false;
-    }
-    ++probes;
-    return true;
-  }
-
-  /// Marks shard `i`'s contribution as fully reflected: it answered, holds
-  /// no qualifying object, or was provably dominance-skipped.
-  void Cover(uint32_t i) {
-    if (i < 64) covered |= uint64_t{1} << i;
-  }
-
-  /// Records a hard probe failure: the shard stays uncovered.
-  void Fail(const Status& status) {
+bool CloakDbService::FanoutGuard::AllowProbe() {
+  if (budget > 0 && probes >= budget) {
     degraded = true;
-    if (first_error.ok()) first_error = status;
+    return false;
   }
+  if (deadline.Expired()) {
+    deadline_hit = true;
+    degraded = true;
+    return false;
+  }
+  ++probes;
+  return true;
+}
 
-  /// Closes the fan-out: span attributes + degradation counters. Call once,
-  /// before the fanout span ends.
-  void Finish(obs::TraceSpan* fanout) {
-    if (!degraded) return;
-    fanout->AddAttr("degraded", 1.0);
-    fanout->AddAttr("covered_shards", static_cast<double>(covered));
-    if (deadline_hit) {
-      service->robustness_obs_.deadline_hits->Increment();
-      service->flight_recorder_.Record(obs::FlightEventKind::kDeadlineHit,
-                                       obs::CurrentTraceContext().trace_id);
-    }
-  }
+void CloakDbService::FanoutGuard::Cover(uint32_t i) {
+  if (i < 64) covered |= uint64_t{1} << i;
+}
 
-  /// Stamps the degradation markers onto a merged result and counts the
-  /// degraded return. `ResultT` is any result struct with the degraded /
-  /// covered_shards pair.
-  template <typename ResultT>
-  void Stamp(ResultT* result) {
-    result->degraded = degraded;
-    result->covered_shards = covered;
-    if (degraded) {
-      service->robustness_obs_.queries_degraded->Increment();
-      service->flight_recorder_.Record(obs::FlightEventKind::kQueryDegraded,
-                                       obs::CurrentTraceContext().trace_id,
-                                       covered);
-    }
-  }
+void CloakDbService::FanoutGuard::Fail(const Status& status) {
+  degraded = true;
+  if (first_error.ok()) first_error = status;
+}
 
-  /// The error to return when the fan-out produced no usable part at all.
-  Status EmptyError(Status fallback) const {
-    if (!first_error.ok()) return first_error;
-    if (deadline_hit)
-      return Status::DeadlineExceeded(
-          "query deadline expired before enough shards answered");
-    if (degraded)
-      return Status::DegradedZeroCoverage(
-          "degraded query produced no candidates");
-    return fallback;
-  }
-};
+Status CloakDbService::FanoutGuard::EmptyError() const {
+  if (!first_error.ok()) return first_error;
+  if (deadline_hit)
+    return Status::DeadlineExceeded(
+        "query deadline expired before enough shards answered");
+  return Status::DegradedZeroCoverage("degraded query produced no candidates");
+}
 
 CloakDbService::CloakDbService(const CloakDbServiceOptions& options)
     : options_(options),
@@ -230,11 +236,8 @@ Status CloakDbService::Start() {
     o->candidates = metrics_.histogram(p + "candidates");
     o->wire_bytes = metrics_.counter(p + "wire_bytes");
   };
-  init_kind(&range_obs_, "private_range");
-  init_kind(&nn_obs_, "private_nn");
-  init_kind(&knn_obs_, "private_knn");
-  init_kind(&count_obs_, "public_count");
-  init_kind(&heatmap_obs_, "heatmap");
+  for (uint8_t kind = 0; IsValidQueryKind(kind); ++kind)
+    init_kind(&kind_obs_[kind], QueryKindName(static_cast<QueryKind>(kind)));
 
   ShardObs shard_obs;
   shard_obs.queue_wait_us = metrics_.histogram("ingest.queue_wait_us");
@@ -850,44 +853,22 @@ QueryResponse CloakDbService::ExecuteQuery(const QueryRequest& request) const {
     trace.AddAttr("shed", 1.0);
     response = MakeErrorResponse(request.kind, admission.status);
   } else {
+    BatchQuery query;
+    query.request = request;
+    query.trace = trace.context();
     // A client budget can only tighten the server's own admission deadline.
-    Deadline deadline = admission.deadline;
+    query.deadline = admission.deadline;
     if (request.deadline_us > 0) {
-      deadline =
-          Deadline::Earliest(deadline, Deadline::After(request.deadline_us));
+      query.deadline = Deadline::Earliest(query.deadline,
+                                          Deadline::After(request.deadline_us));
     }
-    switch (request.kind) {
-      case QueryKind::kPrivateRange:
-      case QueryKind::kPrivateNn:
-      case QueryKind::kPrivateKnn: {
-        BatchQuery query;
-        query.request = request;
-        query.trace = trace.context();
-        query.deadline = deadline;
-        query.shard_budget = admission.shard_budget;
-        response = batcher_ != nullptr
-                       ? batcher_->Submit(query)
-                       : ExecuteOne(query, options_.enable_shared_execution,
-                                    Rect());
-        break;
-      }
-      case QueryKind::kPublicCount: {
-        auto count = PublicCountImpl(request.region, deadline,
-                                     admission.shard_budget);
-        response = count.ok()
-                       ? ResponseFromCount(count.value())
-                       : MakeErrorResponse(request.kind, count.status());
-        break;
-      }
-      case QueryKind::kHeatmap: {
-        auto heat =
-            HeatmapImpl(request.resolution, deadline, admission.shard_budget);
-        response = heat.ok()
-                       ? ResponseFromHeatmap(std::move(heat).value())
-                       : MakeErrorResponse(request.kind, heat.status());
-        break;
-      }
-    }
+    query.shard_budget = admission.shard_budget;
+    // Only private kinds share probes, so only they wait in a batch window.
+    const bool shareable = request.kind == QueryKind::kPrivateRange ||
+                           request.kind == QueryKind::kPrivateNn ||
+                           request.kind == QueryKind::kPrivateKnn;
+    response = batcher_ != nullptr && shareable ? batcher_->Submit(query)
+                                                : ExecuteOne(query);
   }
   response.kind = request.kind;
   response.degraded_admission = admission.degraded_admission;
@@ -918,178 +899,11 @@ Result<PrivateRangeResult> CloakDbService::PrivateRange(
   return RangeFromResponse(std::move(response));
 }
 
-Result<PrivateRangeResult> CloakDbService::PrivateRangeImpl(
-    const Rect& cloaked, double radius, Category category,
-    const PrivateRangeOptions& opts, bool cached, const Rect& cover,
-    Deadline deadline, uint32_t shard_budget) const {
-  if (cloaked.IsEmpty())
-    return Status::InvalidArgument("cloaked region must be non-empty");
-  if (!(radius > 0.0))
-    return Status::InvalidArgument("query radius must be positive");
-  obs::ScopedTimer total(range_obs_.latency_us);
-  const Rect extended = cloaked.Expanded(radius);
-  auto [first, last] = StripeRangeOf(extended);
-
-  std::vector<PrivateRangeResult> parts;
-  bool category_exists = false;
-  uint32_t shards_touched = 0;
-  FanoutGuard guard(this, deadline, shard_budget);
-  obs::TraceSpan fanout(obs::CurrentTraceContext(), "fanout");
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    if (i < first || i > last) {
-      // Stripe cannot contribute candidates (covered without probing), but
-      // its holdings decide whether an all-empty fan-out is "empty answer"
-      // or NotFound.
-      guard.Cover(i);
-      if (!category_exists) category_exists = shards_[i]->HasCategory(category);
-      continue;
-    }
-    if (!guard.AllowProbe()) continue;
-    ++shards_touched;
-    obs::TraceSpan probe_span(fanout.context(), "shard.probe");
-    probe_span.AddAttr("shard", static_cast<double>(i));
-    obs::ScopedTraceContext probe_scope(probe_span.context());
-    if (InjectProbeFault(&probe_span) == ProbeFault::kFail) {
-      guard.Fail(Status::Internal("injected probe failure"));
-      continue;
-    }
-    auto part =
-        cached
-            ? shards_[i]->PrivateRangeCached(cloaked, radius, category, opts,
-                                             cover)
-            : shards_[i]->PrivateRange(cloaked, radius, category, opts);
-    if (part.ok()) {
-      probe_span.AddAttr("candidates",
-                         static_cast<double>(part.value().candidates.size()));
-      category_exists = true;
-      guard.Cover(i);
-      parts.push_back(std::move(part).value());
-    } else if (part.status().code() == StatusCode::kNotFound) {
-      // The category is absent on this shard: nothing it could contribute.
-      guard.Cover(i);
-    } else {
-      // A failed shard no longer aborts the whole query: its stripe is
-      // marked uncovered and the merged remainder ships degraded.
-      guard.Fail(part.status());
-    }
-  }
-  fanout.AddAttr("shards", static_cast<double>(shards_touched));
-  guard.Finish(&fanout);
-  fanout.End();
-  if (parts.empty()) {
-    if (guard.degraded) {
-      total.Cancel();
-      return guard.EmptyError(Status::OK());
-    }
-    if (!category_exists) {
-      total.Cancel();
-      return Status::NotFound("no public objects in category");
-    }
-    PrivateRangeResult empty;
-    empty.extended_region = extended;
-    guard.Stamp(&empty);
-    RecordQuery(range_obs_, "private_range", total.Stop(), cloaked.Area(),
-                shards_touched, 0, 0);
-    return empty;
-  }
-  obs::ScopedTimer merge(range_obs_.merge_us);
-  obs::TraceSpan merge_span(obs::CurrentTraceContext(), "merge");
-  auto merged = MergePrivateRangeResults(std::move(parts));
-  merge_span.End();
-  merge.Stop();
-  guard.Stamp(&merged);
-  const uint64_t candidates = merged.candidates.size();
-  RecordQuery(range_obs_, "private_range", total.Stop(), cloaked.Area(),
-              shards_touched, candidates,
-              candidates * options_.wire_cost.bytes_per_object);
-  return merged;
-}
-
 Result<PrivateNnResult> CloakDbService::PrivateNn(const Rect& cloaked,
                                                   Category category) const {
   QueryResponse response = ExecuteQuery(QueryRequest::Nn(cloaked, category));
   if (!response.ok()) return response.status();
   return NnFromResponse(std::move(response));
-}
-
-Result<PrivateNnResult> CloakDbService::PrivateNnImpl(
-    const Rect& cloaked, Category category, bool cached, const Rect& cover,
-    Deadline deadline, uint32_t shard_budget) const {
-  if (cloaked.IsEmpty())
-    return Status::InvalidArgument("cloaked region must be non-empty");
-  obs::ScopedTimer total(nn_obs_.latency_us);
-  std::vector<PrivateNnResult> parts;
-  uint32_t shards_touched = 0;
-  FanoutGuard guard(this, deadline, shard_budget);
-  obs::TraceSpan fanout(obs::CurrentTraceContext(), "fanout");
-  auto consult = [&](uint32_t i) {
-    if (!guard.AllowProbe()) return;
-    ++shards_touched;
-    obs::TraceSpan probe_span(fanout.context(), "shard.probe");
-    probe_span.AddAttr("shard", static_cast<double>(i));
-    obs::ScopedTraceContext probe_scope(probe_span.context());
-    if (InjectProbeFault(&probe_span) == ProbeFault::kFail) {
-      guard.Fail(Status::Internal("injected probe failure"));
-      return;
-    }
-    auto part = cached ? shards_[i]->PrivateNnCached(cloaked, category, cover)
-                       : shards_[i]->PrivateNn(cloaked, category);
-    if (part.ok()) {
-      probe_span.AddAttr("candidates",
-                         static_cast<double>(part.value().candidates.size()));
-      guard.Cover(i);
-      parts.push_back(std::move(part).value());
-    } else if (part.status().code() == StatusCode::kNotFound) {
-      guard.Cover(i);
-    } else {
-      guard.Fail(part.status());
-    }
-  };
-  // The stripes under the cloak always answer; they set the dominance bound.
-  const auto [first, last] = StripeRangeOf(cloaked);
-  for (uint32_t i = first; i <= last; ++i) consult(i);
-  // An off-stripe shard whose whole stripe lies farther than the best
-  // guaranteed candidate distance can only return objects the cross-shard
-  // dominance prune would drop — skipping it keeps the merged candidate
-  // list bit-identical (every skipped object o has MinDist(o, R) >= the
-  // stripe distance > bound >= the union's min MaxDist). The bound stays
-  // valid under a partial (degraded) home fan-out: it is computed from the
-  // candidates actually collected, and anything it skips is dominated by
-  // one of them — so dominance-skipped stripes count as covered even in a
-  // degraded answer.
-  double bound = std::numeric_limits<double>::infinity();
-  for (const auto& part : parts) {
-    for (const auto& c : part.candidates) {
-      bound = std::min(bound, MaxDist(c.location, cloaked));
-    }
-  }
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    if (i >= first && i <= last) continue;
-    if (StripeMinDist(i, cloaked) > bound) {
-      guard.Cover(i);
-      continue;
-    }
-    consult(i);
-  }
-  fanout.AddAttr("shards", static_cast<double>(shards_touched));
-  guard.Finish(&fanout);
-  fanout.End();
-  if (parts.empty()) {
-    total.Cancel();
-    return guard.EmptyError(
-        Status::NotFound("no public objects in category"));
-  }
-  obs::ScopedTimer merge(nn_obs_.merge_us);
-  obs::TraceSpan merge_span(obs::CurrentTraceContext(), "merge");
-  auto merged = MergePrivateNnResults(cloaked, std::move(parts));
-  merge_span.End();
-  merge.Stop();
-  guard.Stamp(&merged);
-  const uint64_t candidates = merged.candidates.size();
-  RecordQuery(nn_obs_, "private_nn", total.Stop(), cloaked.Area(),
-              shards_touched, candidates,
-              candidates * options_.wire_cost.bytes_per_object);
-  return merged;
 }
 
 Result<PrivateKnnResult> CloakDbService::PrivateKnn(const Rect& cloaked,
@@ -1101,96 +915,11 @@ Result<PrivateKnnResult> CloakDbService::PrivateKnn(const Rect& cloaked,
   return KnnFromResponse(std::move(response));
 }
 
-Result<PrivateKnnResult> CloakDbService::PrivateKnnImpl(
-    const Rect& cloaked, size_t k, Category category, bool cached,
-    const Rect& cover, Deadline deadline, uint32_t shard_budget) const {
-  if (cloaked.IsEmpty())
-    return Status::InvalidArgument("cloaked region must be non-empty");
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  obs::ScopedTimer total(knn_obs_.latency_us);
-  std::vector<PrivateKnnResult> parts;
-  uint32_t shards_touched = 0;
-  FanoutGuard guard(this, deadline, shard_budget);
-  obs::TraceSpan fanout(obs::CurrentTraceContext(), "fanout");
-  auto consult = [&](uint32_t i) {
-    if (!guard.AllowProbe()) return;
-    ++shards_touched;
-    obs::TraceSpan probe_span(fanout.context(), "shard.probe");
-    probe_span.AddAttr("shard", static_cast<double>(i));
-    obs::ScopedTraceContext probe_scope(probe_span.context());
-    if (InjectProbeFault(&probe_span) == ProbeFault::kFail) {
-      guard.Fail(Status::Internal("injected probe failure"));
-      return;
-    }
-    auto part = cached ? shards_[i]->PrivateKnnCached(cloaked, k, category,
-                                                      cover)
-                       : shards_[i]->PrivateKnn(cloaked, k, category);
-    if (part.ok()) {
-      probe_span.AddAttr("candidates",
-                         static_cast<double>(part.value().candidates.size()));
-      guard.Cover(i);
-      parts.push_back(std::move(part).value());
-    } else if (part.status().code() == StatusCode::kNotFound) {
-      guard.Cover(i);
-    } else {
-      guard.Fail(part.status());
-    }
-  };
-  const auto [first, last] = StripeRangeOf(cloaked);
-  for (uint32_t i = first; i <= last; ++i) consult(i);
-  // k-dominance analogue of the NN stripe skip: with >= k home candidates,
-  // the k-th smallest MaxDist bounds what a farther stripe could add — any
-  // of its objects o already has k known candidates strictly closer than o
-  // for every possible querier position, so o is never an answer. Like the
-  // NN bound, this holds for whatever subset of candidates was actually
-  // collected, so the skip stays sound (and counts as coverage) when the
-  // home fan-out was degraded.
-  double bound = std::numeric_limits<double>::infinity();
-  std::vector<double> max_dists;
-  for (const auto& part : parts) {
-    for (const auto& c : part.candidates) {
-      max_dists.push_back(MaxDist(c.location, cloaked));
-    }
-  }
-  if (max_dists.size() >= k) {
-    std::nth_element(max_dists.begin(), max_dists.begin() + (k - 1),
-                     max_dists.end());
-    bound = max_dists[k - 1];
-  }
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    if (i >= first && i <= last) continue;
-    if (StripeMinDist(i, cloaked) > bound) {
-      guard.Cover(i);
-      continue;
-    }
-    consult(i);
-  }
-  fanout.AddAttr("shards", static_cast<double>(shards_touched));
-  guard.Finish(&fanout);
-  fanout.End();
-  if (parts.empty()) {
-    total.Cancel();
-    return guard.EmptyError(
-        Status::NotFound("no public objects in category"));
-  }
-  obs::ScopedTimer merge(knn_obs_.merge_us);
-  obs::TraceSpan merge_span(obs::CurrentTraceContext(), "merge");
-  auto merged = MergePrivateKnnResults(cloaked, k, std::move(parts));
-  merge_span.End();
-  merge.Stop();
-  guard.Stamp(&merged);
-  const uint64_t candidates = merged.candidates.size();
-  RecordQuery(knn_obs_, "private_knn", total.Stop(), cloaked.Area(),
-              shards_touched, candidates,
-              candidates * options_.wire_cost.bytes_per_object);
-  return merged;
-}
-
 Result<PublicCountResult> CloakDbService::PublicCount(
     const Rect& window) const {
   // The rich count result (PMF, per-object contributions) stays a library
   // feature: this method keeps its own admission so those callers do not
-  // pay envelope summarization. The envelope path shares PublicCountImpl.
+  // pay envelope summarization. The envelope path shares CountFanOut.
   RootTrace trace(tracer_.get(), "query.public_count");
   obs::ScopedTraceContext scope(trace.context());
   Admission admission = AdmitQuery();
@@ -1199,63 +928,11 @@ Result<PublicCountResult> CloakDbService::PublicCount(
     trace.AddAttr("shed", 1.0);
     return admission.status;
   }
-  return PublicCountImpl(window, admission.deadline, admission.shard_budget);
-}
-
-Result<PublicCountResult> CloakDbService::PublicCountImpl(
-    const Rect& window, Deadline deadline, uint32_t shard_budget) const {
-  obs::ScopedTimer total(count_obs_.latency_us);
-  std::vector<PublicCountResult> parts;
-  parts.reserve(shards_.size());
-  FanoutGuard guard(this, deadline, shard_budget);
-  obs::TraceSpan fanout(obs::CurrentTraceContext(), "fanout");
-  fanout.AddAttr("shards", static_cast<double>(shards_.size()));
-  for (const auto& shard : shards_) {
-    if (!guard.AllowProbe()) continue;
-    obs::TraceSpan probe_span(fanout.context(), "shard.probe");
-    probe_span.AddAttr("shard", static_cast<double>(shard->index()));
-    obs::ScopedTraceContext probe_scope(probe_span.context());
-    if (InjectProbeFault(&probe_span) == ProbeFault::kFail) {
-      guard.Fail(Status::Internal("injected probe failure"));
-      continue;
-    }
-    auto part = options_.enable_shared_execution
-                    ? shard->PublicCountCached(window)
-                    : shard->PublicCount(window);
-    if (!part.ok()) {
-      // Validation errors (empty window) are identical on every shard, so
-      // they surface directly instead of reading as a shard failure.
-      if (part.status().code() == StatusCode::kInvalidArgument) {
-        total.Cancel();
-        return part.status();
-      }
-      guard.Fail(part.status());
-      continue;
-    }
-    guard.Cover(shard->index());
-    parts.push_back(std::move(part).value());
-  }
-  guard.Finish(&fanout);
-  fanout.End();
-  if (parts.empty()) {
-    total.Cancel();
-    return guard.EmptyError(Status::Internal("no shard answered the count"));
-  }
-  obs::ScopedTimer merge(count_obs_.merge_us);
-  obs::TraceSpan merge_span(obs::CurrentTraceContext(), "merge");
-  auto merged = MergePublicCountResults(std::move(parts));
-  merge_span.End();
-  merge.Stop();
-  if (!merged.ok()) {
-    total.Cancel();
-    return merged.status();
-  }
-  guard.Stamp(&merged.value());
-  // A count ships three scalars, not a candidate list — wire bytes 0; the
-  // contribution-list size still tracks the fan-in work.
-  RecordQuery(count_obs_, "public_count", total.Stop(), window.Area(),
-              guard.probes, merged.value().contributions.size(), 0);
-  return merged;
+  BatchQuery query;
+  query.request = QueryRequest::Count(window);
+  query.deadline = admission.deadline;
+  query.shard_budget = admission.shard_budget;
+  return CountFanOut(query);
 }
 
 Result<HeatmapResult> CloakDbService::Heatmap(uint32_t resolution) const {
@@ -1264,90 +941,231 @@ Result<HeatmapResult> CloakDbService::Heatmap(uint32_t resolution) const {
   return HeatmapFromResponse(std::move(response));
 }
 
-Result<HeatmapResult> CloakDbService::HeatmapImpl(uint32_t resolution,
-                                                  Deadline deadline,
-                                                  uint32_t shard_budget) const {
-  obs::ScopedTimer total(heatmap_obs_.latency_us);
-  std::vector<HeatmapResult> parts;
-  parts.reserve(shards_.size());
-  FanoutGuard guard(this, deadline, shard_budget);
+CloakDbService::FanoutGuard CloakDbService::FanOut(
+    std::pair<uint32_t, uint32_t> home, Deadline deadline,
+    uint32_t shard_budget, const ShardProbe& probe,
+    const std::function<double()>& dominance_bound,
+    const Rect& region) const {
+  FanoutGuard guard{deadline, shard_budget};
   obs::TraceSpan fanout(obs::CurrentTraceContext(), "fanout");
-  fanout.AddAttr("shards", static_cast<double>(shards_.size()));
-  for (const auto& shard : shards_) {
-    if (!guard.AllowProbe()) continue;
+  auto consult = [&](uint32_t i) {
+    if (!guard.AllowProbe()) return;
     obs::TraceSpan probe_span(fanout.context(), "shard.probe");
-    probe_span.AddAttr("shard", static_cast<double>(shard->index()));
+    probe_span.AddAttr("shard", static_cast<double>(i));
     obs::ScopedTraceContext probe_scope(probe_span.context());
     if (InjectProbeFault(&probe_span) == ProbeFault::kFail) {
       guard.Fail(Status::Internal("injected probe failure"));
-      continue;
+      return;
     }
-    auto part = shard->Heatmap(resolution);
-    if (!part.ok()) {
-      if (part.status().code() == StatusCode::kInvalidArgument) {
-        total.Cancel();
-        return part.status();
-      }
-      guard.Fail(part.status());
-      continue;
+    const Status status = probe(i, &probe_span);
+    if (status.ok() || status.code() == StatusCode::kNotFound) {
+      // NotFound: the shard holds nothing the query could use.
+      guard.Cover(i);
+    } else {
+      // A failed shard does not abort the fan-out: its stripe stays
+      // uncovered and the merged remainder ships degraded.
+      guard.Fail(status);
     }
-    guard.Cover(shard->index());
-    parts.push_back(std::move(part).value());
+  };
+  const auto [first, last] = home;
+  for (uint32_t i = first; i <= last; ++i) consult(i);
+  // Off-home stripes cannot contribute to a range-shaped plan. For NN /
+  // k-NN, a stripe lying wholly farther than the bound can only hold
+  // objects the cross-shard dominance prune would drop, so skipping it
+  // keeps the merged candidate list bit-identical. The bound is computed
+  // from the candidates actually collected, so the skip stays sound (and
+  // counts as coverage) when the home pass was degraded.
+  const double bound = dominance_bound ? dominance_bound() : 0.0;
+  for (uint32_t i = 0; i < shards_.size(); ++i) {
+    if (i >= first && i <= last) continue;
+    if (!dominance_bound || StripeMinDist(i, region) > bound) {
+      guard.Cover(i);
+    } else {
+      consult(i);
+    }
   }
-  guard.Finish(&fanout);
-  fanout.End();
-  if (parts.empty()) {
-    total.Cancel();
-    return guard.EmptyError(
-        Status::Internal("no shard answered the heatmap"));
+  fanout.AddAttr("shards", static_cast<double>(guard.probes));
+  if (guard.degraded) {
+    fanout.AddAttr("degraded", 1.0);
+    fanout.AddAttr("covered_shards", static_cast<double>(guard.covered));
+    if (guard.deadline_hit) {
+      robustness_obs_.deadline_hits->Increment();
+      flight_recorder_.Record(obs::FlightEventKind::kDeadlineHit,
+                              obs::CurrentTraceContext().trace_id);
+    }
   }
-  obs::ScopedTimer merge(heatmap_obs_.merge_us);
-  obs::TraceSpan merge_span(obs::CurrentTraceContext(), "merge");
-  auto merged = MergeHeatmapResults(std::move(parts));
-  merge_span.End();
-  merge.Stop();
+  return guard;
+}
+
+template <typename ResultT, typename Probe, typename None, typename Merge>
+Result<ResultT> CloakDbService::RunOneShot(const BatchQuery& query,
+                                           std::pair<uint32_t, uint32_t> home,
+                                           const Probe& probe,
+                                           const None& none,
+                                           const Merge& merge) const {
+  const QueryRequest& request = query.request;
+  CLOAKDB_RETURN_IF_ERROR(ValidateQuery(request));
+  const QueryKindObs& kind_obs = kind_obs_[static_cast<size_t>(request.kind)];
+  obs::ScopedTimer total(kind_obs.latency_us);
+  std::vector<ResultT> parts;
+  std::function<double()> dominance_bound;
+  if constexpr (kCandidateList<ResultT>) {
+    const size_t k = request.kind == QueryKind::kPrivateNn    ? 1
+                     : request.kind == QueryKind::kPrivateKnn ? request.k
+                                                              : 0;
+    if (k > 0) {
+      dominance_bound = [&parts, &request, k] {
+        return KthMaxDist(parts, request.region, k);
+      };
+    }
+  }
+  const FanoutGuard guard = FanOut(
+      home, query.deadline, query.shard_budget,
+      [&](uint32_t i, obs::TraceSpan* probe_span) -> Status {
+        Result<ResultT> part = probe(*shards_[i]);
+        if (!part.ok()) return part.status();
+        if constexpr (kCandidateList<ResultT>) {
+          probe_span->AddAttr(
+              "candidates",
+              static_cast<double>(part.value().candidates.size()));
+        }
+        parts.push_back(std::move(part).value());
+        return Status::OK();
+      },
+      dominance_bound, request.region);
+  Result<ResultT> merged = [&]() -> Result<ResultT> {
+    if (parts.empty()) {
+      if (guard.degraded) return guard.EmptyError();
+      return none();
+    }
+    obs::ScopedTimer merge_timer(kind_obs.merge_us);
+    obs::TraceSpan merge_span(obs::CurrentTraceContext(), "merge");
+    return merge(std::move(parts));
+  }();
   if (!merged.ok()) {
     total.Cancel();
     return merged.status();
   }
-  guard.Stamp(&merged.value());
-  RecordQuery(heatmap_obs_, "heatmap", total.Stop(), options_.space.Area(),
-              guard.probes, merged.value().expected.size(), 0);
+  ResultT& result = merged.value();
+  result.degraded = guard.degraded;
+  result.covered_shards = guard.covered;
+  if (guard.degraded) {
+    robustness_obs_.queries_degraded->Increment();
+    flight_recorder_.Record(obs::FlightEventKind::kQueryDegraded,
+                            obs::CurrentTraceContext().trace_id,
+                            guard.covered);
+  }
+  const uint64_t items = ItemCount(result);
+  const double latency_us = total.Stop();
+  kind_obs.shards_touched->Record(static_cast<double>(guard.probes));
+  kind_obs.candidates->Record(static_cast<double>(items));
+  // Aggregates ship a few scalars, not a candidate list: no wire bytes.
+  if (kCandidateList<ResultT> && items > 0)
+    kind_obs.wire_bytes->Increment(items *
+                                   options_.wire_cost.bytes_per_object);
+  // A slow entry keeps its trace id: slow traces are tail-kept, so the
+  // entry links to a complete span tree in the export.
+  const double area = request.kind == QueryKind::kHeatmap
+                          ? options_.space.Area()
+                          : request.region.Area();
+  slow_log_.Record({QueryKindName(request.kind), latency_us, area,
+                    guard.probes, items,
+                    obs::CurrentTraceContext().trace_id});
   return merged;
 }
 
+Result<PrivateRangeResult> CloakDbService::RangeFanOut(
+    const BatchQuery& query, const Rect& cover) const {
+  const QueryRequest& r = query.request;
+  const Rect extended = r.region.Expanded(r.radius);
+  return RunOneShot<PrivateRangeResult>(
+      query, StripeRangeOf(extended),
+      [&](const Shard& shard) {
+        return shard.PrivateRange(r.region, r.radius, r.category,
+                                  r.range_options(), cover);
+      },
+      [&]() -> Result<PrivateRangeResult> {
+        // No stripe in reach holds the category: an empty answer when it
+        // exists elsewhere, NotFound when it exists nowhere.
+        for (const auto& shard : shards_) {
+          if (!shard->HasCategory(r.category)) continue;
+          PrivateRangeResult empty;
+          empty.extended_region = extended;
+          return empty;
+        }
+        return Status::NotFound("no public objects in category");
+      },
+      MergePrivateRangeResults);
+}
+
+Result<PrivateNnResult> CloakDbService::NnFanOut(const BatchQuery& query,
+                                                 const Rect& cover) const {
+  const QueryRequest& r = query.request;
+  return RunOneShot<PrivateNnResult>(
+      query, StripeRangeOf(r.region),
+      [&](const Shard& shard) {
+        return shard.PrivateNn(r.region, r.category, cover);
+      },
+      [] { return Status::NotFound("no public objects in category"); },
+      [&](std::vector<PrivateNnResult> parts) {
+        return MergePrivateNnResults(r.region, std::move(parts));
+      });
+}
+
+Result<PrivateKnnResult> CloakDbService::KnnFanOut(const BatchQuery& query,
+                                                   const Rect& cover) const {
+  const QueryRequest& r = query.request;
+  return RunOneShot<PrivateKnnResult>(
+      query, StripeRangeOf(r.region),
+      [&](const Shard& shard) {
+        return shard.PrivateKnn(r.region, r.k, r.category, cover);
+      },
+      [] { return Status::NotFound("no public objects in category"); },
+      [&](std::vector<PrivateKnnResult> parts) {
+        return MergePrivateKnnResults(r.region, r.k, std::move(parts));
+      });
+}
+
+Result<PublicCountResult> CloakDbService::CountFanOut(
+    const BatchQuery& query) const {
+  const Rect& window = query.request.region;
+  return RunOneShot<PublicCountResult>(
+      query, {0, num_shards() - 1},
+      [&](const Shard& shard) { return shard.PublicCount(window); },
+      [] { return Status::Internal("no shard answered the count"); },
+      MergePublicCountResults);
+}
+
+Result<HeatmapResult> CloakDbService::HeatmapFanOut(
+    const BatchQuery& query) const {
+  const uint32_t resolution = query.request.resolution;
+  return RunOneShot<HeatmapResult>(
+      query, {0, num_shards() - 1},
+      [&](const Shard& shard) { return shard.Heatmap(resolution); },
+      [] { return Status::Internal("no shard answered the heatmap"); },
+      MergeHeatmapResults);
+}
+
 BatchQueryResult CloakDbService::ExecuteOne(const BatchQuery& query,
-                                            bool cached,
                                             const Rect& cover) const {
-  const QueryRequest& request = query.request;
-  switch (request.kind) {
-    case QueryKind::kPrivateRange: {
-      auto range = PrivateRangeImpl(request.region, request.radius,
-                                    request.category, request.range_options(),
-                                    cached, cover, query.deadline,
-                                    query.shard_budget);
-      return range.ok() ? ResponseFromRange(std::move(range).value())
-                        : MakeErrorResponse(request.kind, range.status());
-    }
-    case QueryKind::kPrivateNn: {
-      auto nn = PrivateNnImpl(request.region, request.category, cached, cover,
-                              query.deadline, query.shard_budget);
-      return nn.ok() ? ResponseFromNn(std::move(nn).value())
-                     : MakeErrorResponse(request.kind, nn.status());
-    }
-    case QueryKind::kPrivateKnn: {
-      auto knn = PrivateKnnImpl(request.region,
-                                static_cast<size_t>(request.k),
-                                request.category, cached, cover,
-                                query.deadline, query.shard_budget);
-      return knn.ok() ? ResponseFromKnn(std::move(knn).value())
-                      : MakeErrorResponse(request.kind, knn.status());
-    }
-    default:
-      return MakeErrorResponse(
-          request.kind,
-          Status::InvalidArgument("only private query kinds are batchable"));
+  const QueryKind kind = query.request.kind;
+  auto respond = [kind](auto result, auto to_response) {
+    return result.ok() ? to_response(std::move(result).value())
+                       : MakeErrorResponse(kind, result.status());
+  };
+  switch (kind) {
+    case QueryKind::kPrivateRange:
+      return respond(RangeFanOut(query, cover), ResponseFromRange);
+    case QueryKind::kPrivateNn:
+      return respond(NnFanOut(query, cover), ResponseFromNn);
+    case QueryKind::kPrivateKnn:
+      return respond(KnnFanOut(query, cover), ResponseFromKnn);
+    case QueryKind::kPublicCount:
+      return respond(CountFanOut(query), ResponseFromCount);
+    case QueryKind::kHeatmap:
+      return respond(HeatmapFanOut(query), ResponseFromHeatmap);
   }
+  return MakeErrorResponse(kind, Status::InvalidArgument("unknown query kind"));
 }
 
 std::vector<BatchQueryResult> CloakDbService::ExecuteBatch(
@@ -1366,17 +1184,16 @@ std::vector<BatchQueryResult> CloakDbService::ExecuteBatch(
   }
   obs::TraceSpan batch_span(lead_ctx, "batch.execute");
   batch_span.AddAttr("width", static_cast<double>(queries.size()));
-  auto run_one = [&](size_t member, bool cached, const Rect& cover) {
+  auto run_one = [&](size_t member, const Rect& cover) {
     obs::TraceSpan adopt(queries[member].trace, "batch.adopt");
     if (adopt.active() && batch_span.active())
       adopt.SetLink(batch_span.span_id());
     obs::ScopedTraceContext scope(adopt.active() ? adopt.context()
                                                  : obs::TraceContext{});
-    results[member] = ExecuteOne(queries[member], cached, cover);
+    results[member] = ExecuteOne(queries[member], cover);
   };
   if (!options_.enable_shared_execution) {
-    for (size_t i = 0; i < queries.size(); ++i)
-      run_one(i, /*cached=*/false, Rect());
+    for (size_t i = 0; i < queries.size(); ++i) run_one(i, Rect());
     return results;
   }
   if (shared_batch_width_ != nullptr)
@@ -1386,8 +1203,7 @@ std::vector<BatchQueryResult> CloakDbService::ExecuteBatch(
     if (shared_cluster_fanin_ != nullptr)
       shared_cluster_fanin_->Record(
           static_cast<double>(cluster.members.size()));
-    for (size_t member : cluster.members)
-      run_one(member, /*cached=*/true, cluster.cover);
+    for (size_t member : cluster.members) run_one(member, cluster.cover);
   }
   return results;
 }
@@ -1395,19 +1211,6 @@ std::vector<BatchQueryResult> CloakDbService::ExecuteBatch(
 std::vector<BatchQueryResult> CloakDbService::ExecuteQueryBatch(
     const std::vector<BatchQuery>& queries) const {
   return ExecuteBatch(queries);
-}
-
-void CloakDbService::RecordQuery(const QueryKindObs& obs, const char* kind,
-                                 double latency_us, double region_area,
-                                 uint32_t shards_touched, uint64_t candidates,
-                                 uint64_t wire_bytes) const {
-  obs.shards_touched->Record(static_cast<double>(shards_touched));
-  obs.candidates->Record(static_cast<double>(candidates));
-  if (wire_bytes > 0) obs.wire_bytes->Increment(wire_bytes);
-  // A slow entry keeps its trace id: slow traces are tail-kept, so the
-  // entry links to a complete span tree in the export.
-  slow_log_.Record({kind, latency_us, region_area, shards_touched, candidates,
-                    obs::CurrentTraceContext().trace_id});
 }
 
 ServiceStats CloakDbService::Stats() const {

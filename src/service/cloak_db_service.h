@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -270,10 +271,12 @@ class CloakDbService {
   Result<PrivateKnnResult> PrivateKnn(const Rect& cloaked, size_t k,
                                       Category category) const;
 
-  /// Executes a batch of private queries with shared execution: the batch
-  /// is clustered by cloaked-region overlap and every cluster shares one
-  /// widened probe per shard, with each member's candidate list refined
-  /// per query (results are identical to issuing the queries one by one).
+  /// Executes a batch of queries with shared execution: the batch is
+  /// clustered by cloaked-region overlap and every cluster of private
+  /// queries shares one widened probe per shard, with each member's
+  /// candidate list refined per query (results are identical to issuing
+  /// the queries one by one). Each member runs under its own deadline and
+  /// shard budget; no admission control applies.
   /// With enable_shared_execution off, the queries run isolated — same
   /// API, no sharing — which is what makes on/off differential testing a
   /// one-flag change. Returns one result per query, in order.
@@ -414,9 +417,36 @@ class CloakDbService {
     bool degraded_admission = false;
   };
 
-  /// Tracks one fan-out's degradation state: which shards are covered, why
-  /// coverage was lost, and the first hard error seen.
-  struct FanoutGuard;
+  /// Degradation state of one fan-out: the probe gate (shard budget and
+  /// deadline), the covered-shard bitmap, and the first hard error.
+  /// Coverage is a 64-bit bitmap, so per-shard coverage is reported for the
+  /// first 64 shards; beyond that the degraded flag alone is authoritative.
+  struct FanoutGuard {
+    Deadline deadline;
+    uint32_t budget = 0;  ///< 0 = unlimited.
+    uint32_t probes = 0;  ///< Shards probed: the fan-out width.
+    uint64_t covered = 0;
+    bool degraded = false;
+    bool deadline_hit = false;
+    Status first_error;  ///< First hard probe error (injected or real).
+
+    /// Gate before each probe: consumes budget, checks the deadline. A
+    /// false return means the shard stays uncovered and the result is
+    /// degraded.
+    bool AllowProbe();
+    /// Marks shard `i`'s contribution as fully reflected: it answered,
+    /// holds nothing for the query, or was provably skipped.
+    void Cover(uint32_t i);
+    /// Records a hard probe failure: the shard stays uncovered.
+    void Fail(const Status& status);
+    /// The error of a degraded fan-out that produced no usable part.
+    Status EmptyError() const;
+  };
+
+  /// Probes shard `shard` and collects its part. NotFound means the shard
+  /// holds nothing for the query; any other error is a probe failure.
+  using ShardProbe = std::function<Status(uint32_t shard,
+                                          obs::TraceSpan* probe_span)>;
 
   explicit CloakDbService(const CloakDbServiceOptions& options);
 
@@ -436,32 +466,46 @@ class CloakDbService {
   /// after applying a delay fault in place (sleep + counters + span attr).
   ProbeFault InjectProbeFault(obs::TraceSpan* probe_span) const;
 
-  /// Fan-out bodies shared by the isolated, cached and batched paths.
-  /// `cached` routes the per-shard call through the candidate cache;
-  /// `cover` is the cluster probe base (empty for single queries);
-  /// `deadline` and `shard_budget` are the admission limits (infinite / 0
-  /// for unconstrained queries).
-  Result<PrivateRangeResult> PrivateRangeImpl(
-      const Rect& cloaked, double radius, Category category,
-      const PrivateRangeOptions& opts, bool cached, const Rect& cover,
-      Deadline deadline, uint32_t shard_budget) const;
-  Result<PrivateNnResult> PrivateNnImpl(const Rect& cloaked,
-                                        Category category, bool cached,
-                                        const Rect& cover, Deadline deadline,
-                                        uint32_t shard_budget) const;
-  Result<PrivateKnnResult> PrivateKnnImpl(const Rect& cloaked, size_t k,
-                                          Category category, bool cached,
-                                          const Rect& cover, Deadline deadline,
-                                          uint32_t shard_budget) const;
-  Result<PublicCountResult> PublicCountImpl(const Rect& window,
-                                            Deadline deadline,
-                                            uint32_t shard_budget) const;
-  Result<HeatmapResult> HeatmapImpl(uint32_t resolution, Deadline deadline,
-                                    uint32_t shard_budget) const;
+  /// The one fan-out executor, shared by every query kind and by standing
+  /// evaluation. Probes the `home` stripes [first, last] in order; every
+  /// other shard is covered without a probe unless `dominance_bound` is set
+  /// (NN / k-NN): it is evaluated after the home pass, and a shard whose
+  /// whole stripe lies farther from `region` than the bound is covered
+  /// unprobed while the rest are probed. Each probe passes the guard, runs
+  /// under a `shard.probe` span, takes injected faults, and is classified:
+  /// ok → covered, NotFound → covered, anything else → failed. Closes the
+  /// `fanout` span with the degradation markers and counts a deadline hit.
+  FanoutGuard FanOut(std::pair<uint32_t, uint32_t> home, Deadline deadline,
+                     uint32_t shard_budget, const ShardProbe& probe,
+                     const std::function<double()>& dominance_bound = {},
+                     const Rect& region = Rect()) const;
 
-  /// Dispatches one batch member to the matching Impl.
-  BatchQueryResult ExecuteOne(const BatchQuery& query, bool cached,
-                              const Rect& cover) const;
+  /// One-shot query on top of FanOut: validates the request, fans out over
+  /// `home` with `probe`, merges the parts (or answers `none()` when no
+  /// shard produced one and the fan-out was not cut short), stamps the
+  /// degradation markers and records the query.* metrics. Defined in
+  /// cloak_db_service.cc, the only place it is instantiated.
+  template <typename ResultT, typename Probe, typename None, typename Merge>
+  Result<ResultT> RunOneShot(const BatchQuery& query,
+                             std::pair<uint32_t, uint32_t> home,
+                             const Probe& probe, const None& none,
+                             const Merge& merge) const;
+
+  /// The five one-shot kinds: each supplies its stripe plan, shard probe,
+  /// no-answer status and merge to RunOneShot. `cover` is the cluster
+  /// probe base of a shared batch (empty for single queries).
+  Result<PrivateRangeResult> RangeFanOut(const BatchQuery& query,
+                                         const Rect& cover) const;
+  Result<PrivateNnResult> NnFanOut(const BatchQuery& query,
+                                   const Rect& cover) const;
+  Result<PrivateKnnResult> KnnFanOut(const BatchQuery& query,
+                                     const Rect& cover) const;
+  Result<PublicCountResult> CountFanOut(const BatchQuery& query) const;
+  Result<HeatmapResult> HeatmapFanOut(const BatchQuery& query) const;
+
+  /// Executes one query of any kind under its own deadline and budget.
+  BatchQueryResult ExecuteOne(const BatchQuery& query,
+                              const Rect& cover = Rect()) const;
   /// Clusters + executes a batch (the executor behind ExecuteQueryBatch
   /// and the batch window).
   std::vector<BatchQueryResult> ExecuteBatch(
@@ -475,13 +519,6 @@ class CloakDbService {
   /// fan-out skip stripes that cannot beat the home-stripe dominance bound.
   double StripeMinDist(uint32_t stripe, const Rect& region) const;
 
-  /// Closes the bookkeeping of one successful query: fan-out width and
-  /// candidate histograms, wire counter, slow-query admission.
-  void RecordQuery(const QueryKindObs& obs, const char* kind,
-                   double latency_us, double region_area,
-                   uint32_t shards_touched, uint64_t candidates,
-                   uint64_t wire_bytes) const;
-
   /// Route of one standing query: its kind plus the home shard (counts are
   /// registered on every shard; the stored index is unused for them).
   struct CqRoute {
@@ -494,9 +531,10 @@ class CloakDbService {
   Result<ContinuousQueryId> RegisterContinuousImpl(const ContinuousSpec& spec);
 
   /// Full standing evaluation: derives the conservative coverage for
-  /// `spec` around `region`, probes the overlapping stripes, and computes
-  /// the answer from the merged fetch (degraded/covered semantics like the
-  /// one-shot fan-outs).
+  /// `spec` around `region`, fans out over the overlapping stripes, and
+  /// computes the answer from the merged fetch. Degraded/covered semantics
+  /// are the one-shot ones: a cut-short fan-out that fetched nothing fails
+  /// with the guard's error.
   Result<StandingSnapshot> EvaluateStanding(const ContinuousSpec& spec,
                                             const Rect& region,
                                             Deadline deadline,
@@ -521,11 +559,8 @@ class CloakDbService {
   /// pointer and record cloak-audit spans into it from the worker pool.
   std::unique_ptr<obs::Tracer> tracer_;
   mutable obs::SlowQueryLog slow_log_;
-  QueryKindObs range_obs_;
-  QueryKindObs nn_obs_;
-  QueryKindObs knn_obs_;
-  QueryKindObs count_obs_;
-  QueryKindObs heatmap_obs_;
+  /// Per-kind query metrics, indexed by QueryKind.
+  QueryKindObs kind_obs_[static_cast<size_t>(QueryKind::kHeatmap) + 1];
   /// Shared-execution instrumentation (batch width / cluster fan-in).
   obs::ShardedHistogram* shared_batch_width_ = nullptr;
   obs::ShardedHistogram* shared_cluster_fanin_ = nullptr;

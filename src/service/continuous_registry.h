@@ -29,11 +29,13 @@
 #include "core/anonymizer.h"
 #include "index/rect_grid.h"
 #include "obs/metrics.h"
-#include "server/continuous_queries.h"
 #include "server/public_queries.h"
 #include "service/api.h"
 
 namespace cloakdb {
+
+/// Identifier of a registered standing query (service-wide, never reused).
+using ContinuousQueryId = uint64_t;
 
 /// Tuning knobs of the service-level continuous-query subsystem.
 struct ContinuousRegistryOptions {

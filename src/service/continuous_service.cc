@@ -210,39 +210,21 @@ Result<StandingSnapshot> CloakDbService::EvaluateStanding(
   // Fan out over the stripes the coverage overlaps; stripes beyond it hold
   // nothing the standing answer can ever need (their x-distance exceeds
   // the fetch reach), so they count as covered.
-  uint64_t covered = 0;
-  bool degraded = false;
   bool any_category = false;
-  uint32_t probes = 0;
-  auto [first, last] = StripeRangeOf(snap.coverage);
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    const uint64_t bit = s < 64 ? (1ULL << s) : 0;
-    if (s < first || s > last) {
-      covered |= bit;
-      continue;
-    }
-    if (deadline.Expired() ||
-        (shard_budget != 0 && probes >= shard_budget)) {
-      degraded = true;
-      continue;
-    }
-    ++probes;
-    auto part = shards_[s]->ProbeRegion(snap.coverage, spec.category);
-    if (!part.ok()) {
-      if (part.status().code() == ErrorCode::kNotFound) {
-        // Category absent on this stripe: nothing to fetch, still covered.
-        covered |= bit;
-      } else {
-        degraded = true;
-      }
-      continue;
-    }
-    any_category = true;
-    covered |= bit;
-    snap.fetched.insert(snap.fetched.end(), part.value().begin(),
-                        part.value().end());
-  }
-  if (!any_category && !degraded) {
+  const FanoutGuard guard = FanOut(
+      StripeRangeOf(snap.coverage), deadline, shard_budget,
+      [&](uint32_t s, obs::TraceSpan* probe_span) -> Status {
+        auto part = shards_[s]->ProbeRegion(snap.coverage, spec.category);
+        if (!part.ok()) return part.status();
+        probe_span->AddAttr("candidates",
+                            static_cast<double>(part.value().size()));
+        any_category = true;
+        snap.fetched.insert(snap.fetched.end(), part.value().begin(),
+                            part.value().end());
+        return Status::OK();
+      });
+  if (!any_category) {
+    if (guard.degraded) return guard.EmptyError();
     // Every probed stripe lacks the category; it may still exist beyond
     // the coverage (range queries with a short radius).
     bool exists_elsewhere = false;
@@ -258,8 +240,8 @@ Result<StandingSnapshot> CloakDbService::EvaluateStanding(
             [](const PublicObject& a, const PublicObject& b) {
               return a.id < b.id;
             });
-  snap.degraded = degraded;
-  snap.covered_shards = covered;
+  snap.degraded = guard.degraded;
+  snap.covered_shards = guard.covered;
   snap.current = ComputeStandingAnswer(spec, region, snap.fetched, nullptr);
   return snap;
 }

@@ -15,7 +15,7 @@ std::vector<QueryCluster> ClusterBatch(const std::vector<BatchQuery>& queries,
   std::map<std::pair<uint8_t, Category>, std::vector<size_t>> groups;
   for (size_t i = 0; i < queries.size(); ++i) {
     const QueryRequest& request = queries[i].request;
-    if (request.region.IsEmpty()) {
+    if (request.region.IsEmpty() || request.region.HasNaN()) {
       // Fails validation downstream; keep it out of every real cluster.
       out.push_back({{i}, Rect()});
       continue;

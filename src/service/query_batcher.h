@@ -32,8 +32,9 @@ namespace cloakdb {
 
 /// One query of a batch: the unified envelope plus the service-internal
 /// carriage (trace adoption, admission limits) the batch leader needs to
-/// execute the member on the submitter's behalf. Only the private-over-
-/// public kinds are batchable; others fail with kInvalidArgument.
+/// execute the member on the submitter's behalf. Every kind executes; only
+/// the private-over-public kinds share probes, the aggregates run as if
+/// isolated.
 struct BatchQuery {
   QueryRequest request;
   /// Trace of the submitting request; the batch leader executes this

@@ -379,30 +379,6 @@ bool Shard::HasCategory(Category category) const {
   return server_.store().CategoryIndex(category).ok();
 }
 
-Result<PrivateRangeResult> Shard::PrivateRange(
-    const Rect& cloaked, double radius, Category category,
-    const PrivateRangeOptions& opts) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return server_.PrivateRange(cloaked, radius, category, opts);
-}
-
-Result<PrivateNnResult> Shard::PrivateNn(const Rect& cloaked,
-                                         Category category) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return server_.PrivateNn(cloaked, category);
-}
-
-Result<PrivateKnnResult> Shard::PrivateKnn(const Rect& cloaked, size_t k,
-                                           Category category) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return server_.PrivateKnn(cloaked, k, category);
-}
-
-Result<PublicCountResult> Shard::PublicCount(const Rect& window) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return server_.PublicCount(window);
-}
-
 Result<HeatmapResult> Shard::Heatmap(uint32_t resolution) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return server_.Heatmap(resolution);
@@ -459,16 +435,13 @@ Result<std::shared_ptr<const CacheEntry>> Shard::ProbeOrLookup(
   return shared;
 }
 
-Result<PrivateRangeResult> Shard::PrivateRangeCached(
+Result<PrivateRangeResult> Shard::PrivateRange(
     const Rect& cloaked, double radius, Category category,
     const PrivateRangeOptions& opts, const Rect& cover) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!cache_.enabled())
+  // Invalid input takes the isolated path too, which rejects it.
+  if (!cache_.enabled() || cloaked.IsEmpty() || !(radius > 0.0))
     return server_.PrivateRange(cloaked, radius, category, opts);
-  if (cloaked.IsEmpty())
-    return Status::InvalidArgument("cloaked region must be non-empty");
-  if (!(radius > 0.0))
-    return Status::InvalidArgument("query radius must be positive");
   CacheKey key = ProbeKey(CacheKind::kRange, category, cloaked, radius, cover);
   const Rect probe = key.region.Expanded(key.reach);
   if (ProbeTooBloated(probe, cloaked.Expanded(radius)))
@@ -479,9 +452,9 @@ Result<PrivateRangeResult> Shard::PrivateRangeCached(
                                     category, opts);
 }
 
-Result<PrivateNnResult> Shard::PrivateNnCached(const Rect& cloaked,
-                                               Category category,
-                                               const Rect& cover) const {
+Result<PrivateNnResult> Shard::PrivateNn(const Rect& cloaked,
+                                         Category category,
+                                         const Rect& cover) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (!cache_.enabled()) return server_.PrivateNn(cloaked, category);
   // The NN reach depends on this shard's data, so the key is computed here
@@ -500,9 +473,9 @@ Result<PrivateNnResult> Shard::PrivateNnCached(const Rect& cloaked,
                                  reach.value());
 }
 
-Result<PrivateKnnResult> Shard::PrivateKnnCached(const Rect& cloaked,
-                                                 size_t k, Category category,
-                                                 const Rect& cover) const {
+Result<PrivateKnnResult> Shard::PrivateKnn(const Rect& cloaked, size_t k,
+                                           Category category,
+                                           const Rect& cover) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (!cache_.enabled()) return server_.PrivateKnn(cloaked, k, category);
   auto reach = server_.KnnFetchReach(cloaked, k, category);
@@ -523,7 +496,7 @@ Result<PrivateKnnResult> Shard::PrivateKnnCached(const Rect& cloaked,
                                   category, reach.value());
 }
 
-Result<PublicCountResult> Shard::PublicCountCached(const Rect& window) const {
+Result<PublicCountResult> Shard::PublicCount(const Rect& window) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (!cache_.enabled()) return server_.PublicCount(window);
   CacheKey key;

@@ -79,8 +79,8 @@ struct ShardConfig {
   /// Probe sinks installed into the shard's QueryProcessor.
   QueryProcessorObs server_obs;
 
-  /// Candidate-cache entries this shard may hold; 0 disables caching (the
-  /// *Cached query variants then forward to the uncached paths).
+  /// Candidate-cache entries this shard may hold; 0 disables caching (every
+  /// query method then probes the index in isolation).
   size_t cache_capacity = 0;
   /// Signature-grid resolution per side used to snap cloaked regions to
   /// cache keys (must match the service's, so cluster covers computed at
@@ -166,38 +166,27 @@ class Shard {
   bool HasCategory(Category category) const;
 
   // --- Queries (shared) --------------------------------------------------
-  Result<PrivateRangeResult> PrivateRange(
-      const Rect& cloaked, double radius, Category category,
-      const PrivateRangeOptions& opts = {}) const;
-  Result<PrivateNnResult> PrivateNn(const Rect& cloaked,
-                                    Category category) const;
-  Result<PrivateKnnResult> PrivateKnn(const Rect& cloaked, size_t k,
-                                      Category category) const;
-  Result<PublicCountResult> PublicCount(const Rect& window) const;
-  Result<HeatmapResult> Heatmap(uint32_t resolution) const;
-
-  // --- Shared execution (shared lock) ------------------------------------
-  // Cached variants: serve the widened probe from the shard's candidate
-  // cache when possible, then refine exactly like the uncached query —
-  // results are identical, only the fetch is shared. `cover` optionally
+  // With the candidate cache enabled, the private kinds serve the widened
+  // probe from the cache when possible and then refine exactly like an
+  // isolated query — results are identical, only the fetch is shared — and
+  // a count is cached whole, keyed by its exact window. `cover` optionally
   // overrides the snapped cloaked region as the probe base (the service
   // passes a cluster's union cover so every member shares one entry); it
-  // must contain the snapped cloaked region; pass an empty Rect for the
-  // single-query default. Probe + cache insert happen under one shared
-  // lock, and writers invalidate under the exclusive lock, so a stale
-  // entry can never be inserted over a concurrent update.
-
-  Result<PrivateRangeResult> PrivateRangeCached(
+  // must contain the snapped cloaked region, and the empty default means a
+  // single query. Probe + cache insert happen under one shared lock, and
+  // writers invalidate under the exclusive lock, so a stale entry can never
+  // be inserted over a concurrent update. With the cache disabled every
+  // call is an isolated probe.
+  Result<PrivateRangeResult> PrivateRange(
       const Rect& cloaked, double radius, Category category,
-      const PrivateRangeOptions& opts, const Rect& cover) const;
-  Result<PrivateNnResult> PrivateNnCached(const Rect& cloaked,
-                                          Category category,
-                                          const Rect& cover) const;
-  Result<PrivateKnnResult> PrivateKnnCached(const Rect& cloaked, size_t k,
-                                            Category category,
-                                            const Rect& cover) const;
-  /// Caches the complete count answer keyed by the exact window.
-  Result<PublicCountResult> PublicCountCached(const Rect& window) const;
+      const PrivateRangeOptions& opts = {}, const Rect& cover = Rect()) const;
+  Result<PrivateNnResult> PrivateNn(const Rect& cloaked, Category category,
+                                    const Rect& cover = Rect()) const;
+  Result<PrivateKnnResult> PrivateKnn(const Rect& cloaked, size_t k,
+                                      Category category,
+                                      const Rect& cover = Rect()) const;
+  Result<PublicCountResult> PublicCount(const Rect& window) const;
+  Result<HeatmapResult> Heatmap(uint32_t resolution) const;
 
   /// The shard's candidate cache (for diagnostics and tests).
   const CandidateCache& cache() const { return cache_; }

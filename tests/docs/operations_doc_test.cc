@@ -240,5 +240,77 @@ TEST(OperationsDocTest, FlagsNamedInNewDocsParseInTheTools) {
   }
 }
 
+/// A `path:line` source anchor: a relative file path, a colon, digits.
+bool IsSourceAnchor(const std::string& token, std::string* path,
+                    int* line) {
+  const size_t colon = token.rfind(':');
+  if (colon == std::string::npos || colon + 1 == token.size() ||
+      token.find('/') == std::string::npos)
+    return false;
+  for (size_t i = colon + 1; i < token.size(); ++i) {
+    if (token[i] < '0' || token[i] > '9') return false;
+  }
+  *path = token.substr(0, colon);
+  *line = std::stoi(token.substr(colon + 1));
+  return true;
+}
+
+/// Line `line` (1-based) of `text`, or "" past the end.
+std::string LineOf(const std::string& text, int line) {
+  std::istringstream in(text);
+  std::string current;
+  for (int i = 1; std::getline(in, current); ++i) {
+    if (i == line) return current;
+  }
+  return "";
+}
+
+TEST(OperationsDocTest, SourceAnchorsPointAtTheirIdentifiers) {
+  // Each backticked `path:line` anchor must cite a line that contains the
+  // identifier backticked just before it, e.g. `Shard::ApplyBatch`
+  // (`src/service/shard.cc:155`). Code moves; this keeps the docs honest.
+  const std::string root(CLOAKDB_SOURCE_DIR);
+  size_t anchors = 0;
+  for (const char* doc :
+       {"/docs/ARCHITECTURE.md", "/docs/INDEXES.md", "/docs/OPERATIONS.md"}) {
+    const std::string markdown = ReadFileOrDie(root + doc);
+    std::string identifier;
+    size_t pos = 0;
+    while (true) {
+      size_t open = markdown.find('`', pos);
+      if (open == std::string::npos) break;
+      if (markdown.compare(open, 3, "```") == 0) {
+        // Skip fenced blocks: diagrams and shell snippets cite nothing.
+        const size_t fence_end = markdown.find("```", open + 3);
+        if (fence_end == std::string::npos) break;
+        pos = fence_end + 3;
+        continue;
+      }
+      size_t close = markdown.find('`', open + 1);
+      if (close == std::string::npos) break;
+      const std::string token = markdown.substr(open + 1, close - open - 1);
+      pos = close + 1;
+      std::string path;
+      int line = 0;
+      if (!IsSourceAnchor(token, &path, &line)) {
+        identifier = token;
+        continue;
+      }
+      ++anchors;
+      ASSERT_FALSE(identifier.empty())
+          << doc << ": anchor `" << token << "` names no identifier";
+      if (identifier.size() > 2 &&
+          identifier.compare(identifier.size() - 2, 2, "()") == 0)
+        identifier.resize(identifier.size() - 2);
+      EXPECT_NE(LineOf(ReadFileOrDie(root + "/" + path), line)
+                    .find(identifier),
+                std::string::npos)
+          << doc << ": `" << token << "` does not point at `" << identifier
+          << "`";
+    }
+  }
+  EXPECT_GT(anchors, 0u) << "expected the docs to cite source lines";
+}
+
 }  // namespace
 }  // namespace cloakdb

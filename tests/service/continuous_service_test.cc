@@ -10,9 +10,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <set>
 #include <vector>
 
+#include "geom/distance.h"
 #include "service/cloak_db_service.h"
 #include "sim/poi.h"
 #include "util/random.h"
@@ -241,6 +243,89 @@ TEST(ContinuousServiceTest, StandingRangeAndCountMatchOneShot) {
             oneshot_count.value().answer.min_count);
   EXPECT_EQ(count.value().count.max_count,
             oneshot_count.value().answer.max_count);
+}
+
+/// A service whose issuer (user 1) walks; everyone else holds still.
+std::unique_ptr<CloakDbService> WalkingIssuerService(
+    CloakDbServiceOptions options, size_t pois, uint64_t seed) {
+  auto db = CloakDbService::Create(options).value();
+  EXPECT_TRUE(
+      db->BulkLoadCategory(poi_category::kGasStation, MakePois(pois, seed))
+          .ok());
+  Rng rng(seed + 1);
+  for (UserId u = 1; u <= 20; ++u) {
+    EXPECT_TRUE(db->RegisterUser(u, u == 1 ? PrivacyProfile::Uniform(
+                                                 {1, 30.0, kInf})
+                                                 .value()
+                                           : KProfile(1))
+                    .ok());
+    EXPECT_TRUE(db->UpdateLocation(
+                      u, {rng.Uniform(5, 95), rng.Uniform(5, 95)}, Noon())
+                    .ok());
+  }
+  EXPECT_TRUE(db->UpdateLocation(1, {40, 40}, Noon()).ok());
+  return db;
+}
+
+TEST(ContinuousServiceTest, StandingNnHoldsEveryInteriorNearest) {
+  const std::vector<PublicObject> pois = MakePois(300, 4);
+  auto db = WalkingIssuerService(DefaultOptions(4), 300, 4);
+  auto id = db->RegisterContinuousNn(1, poi_category::kGasStation);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+
+  // Small steps re-filter the cached fetch; every tenth step jumps far
+  // enough to force a full re-evaluation.
+  Rng rng(5);
+  Point at{40, 40};
+  for (int step = 0; step < 40; ++step) {
+    const double jump = step % 10 == 9 ? 35.0 : 4.0;
+    at = {std::clamp(at.x + rng.Uniform(-jump, jump), 1.0, 99.0),
+          std::clamp(at.y + rng.Uniform(-jump, jump), 1.0, 99.0)};
+    ASSERT_TRUE(db->UpdateLocation(1, at, Noon()).ok());
+    ASSERT_TRUE(db->Flush().ok());
+    auto standing = db->AnswerContinuous(id.value());
+    ASSERT_TRUE(standing.ok());
+    auto info = db->ContinuousInfo(id.value());
+    ASSERT_TRUE(info.ok());
+    const Rect& region = info.value().region;
+    std::set<ObjectId> held;
+    for (const auto& c : standing.value().candidates) held.insert(c.id);
+    // Wherever the issuer really is inside its cloak, its nearest POI is
+    // among the standing candidates.
+    for (int probe = 0; probe < 8; ++probe) {
+      const Point p{rng.Uniform(region.min_x, region.max_x),
+                    rng.Uniform(region.min_y, region.max_y)};
+      const PublicObject* nearest = &pois.front();
+      for (const PublicObject& o : pois) {
+        if (Distance(o.location, p) < Distance(nearest->location, p))
+          nearest = &o;
+      }
+      EXPECT_TRUE(held.count(nearest->id)) << "step " << step;
+    }
+  }
+  EXPECT_GT(db->metrics().CounterValue("cq.incremental_refilters_total"), 0u);
+  EXPECT_GT(db->metrics().CounterValue("cq.full_reevals_total"), 0u);
+}
+
+TEST(ContinuousServiceTest, SlackMarginControlsFullReevaluations) {
+  auto run = [](double slack) {
+    CloakDbServiceOptions options = DefaultOptions(4);
+    options.continuous.slack_margin = slack;
+    auto db = WalkingIssuerService(options, 300, 9);
+    EXPECT_TRUE(
+        db->RegisterContinuousRange(1, 3.0, poi_category::kGasStation).ok());
+    Rng rng(10);
+    Point at{40, 40};
+    for (int step = 0; step < 50; ++step) {
+      at = {std::clamp(at.x + rng.Uniform(-3.0, 3.0), 1.0, 99.0),
+            std::clamp(at.y + rng.Uniform(-3.0, 3.0), 1.0, 99.0)};
+      EXPECT_TRUE(db->UpdateLocation(1, at, Noon()).ok());
+      EXPECT_TRUE(db->Flush().ok());
+    }
+    return db->metrics().CounterValue("cq.full_reevals_total");
+  };
+  // A wider over-fetch absorbs more moves without leaving the coverage.
+  EXPECT_LT(run(10.0), run(0.0));
 }
 
 TEST(ContinuousServiceTest, RegistrationValidationAndLifecycle) {
