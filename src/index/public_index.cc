@@ -12,7 +12,7 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Window that matches every entry — used to enumerate a dynamic tree.
+/// Window that matches every entry — used to enumerate the overlay.
 Rect EverythingWindow() { return Rect(-kInf, -kInf, kInf, kInf); }
 
 void BumpCounter(obs::Counter* c, uint64_t delta = 1) {
@@ -21,25 +21,7 @@ void BumpCounter(obs::Counter* c, uint64_t delta = 1) {
 
 }  // namespace
 
-const char* PublicIndexModeName(PublicIndexMode mode) {
-  switch (mode) {
-    case PublicIndexMode::kDynamic:
-      return "dynamic";
-    case PublicIndexMode::kStatic:
-      return "static";
-  }
-  return "unknown";
-}
-
-Result<PublicIndexMode> PublicIndexModeFromName(const std::string& name) {
-  if (name == "dynamic") return PublicIndexMode::kDynamic;
-  if (name == "static") return PublicIndexMode::kStatic;
-  return Status::InvalidArgument("unknown public index mode '" + name +
-                                 "' (expected dynamic|static)");
-}
-
 Status PublicCategoryIndex::Insert(ObjectId id, const Point& location) {
-  if (!is_static()) return dynamic_.Insert(id, location);
   if (sealed_.ContainsId(id) && tombstones_.count(id) == 0) {
     return Status::AlreadyExists("public object id already stored");
   }
@@ -53,7 +35,6 @@ Status PublicCategoryIndex::Insert(ObjectId id, const Point& location) {
 }
 
 Status PublicCategoryIndex::Remove(ObjectId id) {
-  if (!is_static()) return dynamic_.Remove(id);
   if (overlay_.Locate(id).ok()) return overlay_.Remove(id);
   if (sealed_.ContainsId(id) && tombstones_.count(id) == 0) {
     tombstones_.insert(id);
@@ -69,7 +50,6 @@ Status PublicCategoryIndex::Remove(ObjectId id) {
 }
 
 Status PublicCategoryIndex::BulkLoad(std::vector<PointEntry> entries) {
-  if (!is_static()) return dynamic_.BulkLoad(std::move(entries));
   const uint64_t n = entries.size();
   Result<StaticRTree> built = StaticRTree::Build(std::move(entries));
   if (!built.ok()) return built.status();
@@ -85,12 +65,10 @@ Status PublicCategoryIndex::BulkLoad(std::vector<PointEntry> entries) {
 }
 
 size_t PublicCategoryIndex::size() const {
-  if (!is_static()) return dynamic_.size();
   return sealed_.size() - tombstones_.size() + overlay_.size();
 }
 
 Result<Point> PublicCategoryIndex::Locate(ObjectId id) const {
-  if (!is_static()) return dynamic_.Locate(id);
   Result<Point> in_overlay = overlay_.Locate(id);
   if (in_overlay.ok()) return in_overlay;
   if (tombstones_.count(id) != 0) {
@@ -102,7 +80,6 @@ Result<Point> PublicCategoryIndex::Locate(ObjectId id) const {
 
 std::vector<PointEntry> PublicCategoryIndex::RangeSearch(
     const Rect& window) const {
-  if (!is_static()) return dynamic_.RangeSearch(window);
   std::vector<PointEntry> out;
   sealed_.RangeSearchInto(window, tombstones_.empty() ? nullptr : &tombstones_,
                           &out);
@@ -116,7 +93,6 @@ std::vector<PointEntry> PublicCategoryIndex::RangeSearch(
 }
 
 size_t PublicCategoryIndex::RangeCount(const Rect& window) const {
-  if (!is_static()) return dynamic_.RangeCount(window);
   return sealed_.RangeCount(window,
                             tombstones_.empty() ? nullptr : &tombstones_) +
          overlay_.RangeCount(window);
@@ -124,7 +100,6 @@ size_t PublicCategoryIndex::RangeCount(const Rect& window) const {
 
 std::vector<PointEntry> PublicCategoryIndex::KNearest(const Point& from,
                                                       size_t k) const {
-  if (!is_static()) return dynamic_.KNearest(from, k);
   std::vector<PointEntry> merged = sealed_.KNearest(
       from, k, tombstones_.empty() ? nullptr : &tombstones_);
   std::vector<PointEntry> spill = overlay_.KNearest(from, k);
@@ -139,16 +114,10 @@ std::vector<PointEntry> PublicCategoryIndex::KNearest(const Point& from,
 }
 
 double PublicCategoryIndex::NearestDistance(const Point& from) const {
-  if (!is_static()) return dynamic_.NearestDistance(from);
   return std::min(
       sealed_.NearestDistance(from,
                               tombstones_.empty() ? nullptr : &tombstones_),
       overlay_.NearestDistance(from));
-}
-
-uint32_t PublicCategoryIndex::Height() const {
-  if (!is_static()) return dynamic_.Height();
-  return std::max(sealed_.Height(), overlay_.Height());
 }
 
 std::vector<PointEntry> PublicCategoryIndex::LiveEntries() const {
@@ -164,10 +133,6 @@ std::vector<PointEntry> PublicCategoryIndex::LiveEntries() const {
 
 Status PublicCategoryIndex::AdoptSealed(StaticRTree sealed,
                                         const std::vector<PointEntry>& objects) {
-  if (!is_static()) {
-    return Status::FailedPrecondition(
-        "adopt-sealed requires a static-mode index");
-  }
   std::unordered_map<ObjectId, Point> want;
   want.reserve(objects.size() * 2);
   for (const PointEntry& e : objects) want.emplace(e.id, e.location);
@@ -205,7 +170,6 @@ Status PublicCategoryIndex::AdoptSealed(StaticRTree sealed,
 }
 
 Status PublicCategoryIndex::Compact() {
-  if (!is_static()) return Status::OK();
   const uint64_t n_live = size();
   Result<StaticRTree> built = StaticRTree::Build(LiveEntries());
   if (!built.ok()) return built.status();

@@ -1,11 +1,10 @@
-// Per-category public-data index facade: dynamic R-tree or sealed
-// StaticRTree + spill overlay.
+// Per-category public-data index: a sealed StaticRTree + spill overlay.
 //
-// Public POIs are read-mostly, so the service defaults to the packed
-// StaticRTree (index/static_rtree.h) per category. But the store's write
-// surface (AddPublicObject / RemovePublicObject / MovePublicObject) must
-// keep working after a category is sealed, so the static mode is really a
-// three-part structure:
+// Public POIs are read-mostly, so every category is served by the packed
+// StaticRTree (index/static_rtree.h). But the store's write surface
+// (AddPublicObject / RemovePublicObject / MovePublicObject) must keep
+// working after a category is sealed, so the index is a three-part
+// structure:
 //
 //   sealed     StaticRTree        immutable bulk of the category
 //   overlay    dynamic RTree      objects added (or moved) after sealing
@@ -16,9 +15,8 @@
 // Compaction folds overlay + tombstones back into a fresh sealed tree —
 // triggered inline when the spill grows past `overlay_compact_limit`, and
 // by the service's checkpoint path so the serialized sidecar stays close
-// to the live set. In dynamic mode everything simply delegates to the
-// quadratic-split RTree, which remains the right choice for mutable data
-// and is the oracle the twin tests compare against.
+// to the live set. A category that is never sealed is served by its
+// overlay alone, i.e. by the quadratic-split RTree.
 
 #ifndef CLOAKDB_INDEX_PUBLIC_INDEX_H_
 #define CLOAKDB_INDEX_PUBLIC_INDEX_H_
@@ -35,17 +33,8 @@
 
 namespace cloakdb {
 
-/// Which structure serves a category's public objects.
-enum class PublicIndexMode : uint8_t {
-  kDynamic = 0,  ///< quadratic-split RTree only (pre-PR-10 behavior)
-  kStatic = 1,   ///< sealed StaticRTree + spill overlay (default in service)
-};
-
-/// "dynamic" / "static".
-const char* PublicIndexModeName(PublicIndexMode mode);
-
-/// Parses "dynamic" / "static"; InvalidArgument otherwise.
-Result<PublicIndexMode> PublicIndexModeFromName(const std::string& name);
+/// Single-valued; kept only because perfbench/src/world.cc:199 names it.
+enum class PublicIndexMode : uint8_t { kStatic };
 
 /// Counters for the static index lifecycle (service-owned; all optional).
 struct StaticIndexObs {
@@ -62,7 +51,8 @@ struct StaticIndexObs {
 class PublicCategoryIndex {
  public:
   struct Config {
-    PublicIndexMode mode = PublicIndexMode::kDynamic;
+    /// Unread; assigned by perfbench/src/replay.cc:23.
+    PublicIndexMode mode = PublicIndexMode::kStatic;
     /// Overlay + tombstone count that triggers an inline compaction.
     size_t overlay_compact_limit = 1024;
     /// Optional lifecycle counters (shared across categories).
@@ -85,27 +75,25 @@ class PublicCategoryIndex {
   /// Fails with NotFound when absent.
   Status Remove(ObjectId id);
 
-  /// Replaces the whole content. In static mode this is the seal: one STR
-  /// build, overlay and tombstones cleared.
+  /// Replaces the whole content: one STR build (the seal), overlay and
+  /// tombstones cleared. Fails with InvalidArgument on a duplicate id or a
+  /// non-finite coordinate and leaves the index unchanged.
   Status BulkLoad(std::vector<PointEntry> entries);
 
   // --- Queries (same surface the server code used on RTree) --------------
 
   size_t size() const;
   Result<Point> Locate(ObjectId id) const;
-  /// Sorted by id in static mode; dynamic mode keeps RTree's DFS order.
+  /// Sorted by id.
   std::vector<PointEntry> RangeSearch(const Rect& window) const;
   size_t RangeCount(const Rect& window) const;
-  /// Sorted by distance (static mode: by (distance, id), deterministic).
+  /// Sorted by (distance, id).
   std::vector<PointEntry> KNearest(const Point& from, size_t k) const;
   double NearestDistance(const Point& from) const;
-  uint32_t Height() const;
 
-  // --- Static-mode lifecycle (service/storage layer) ---------------------
+  // --- Seal lifecycle (service/storage layer) ----------------------------
 
-  PublicIndexMode mode() const { return config_.mode; }
-  bool is_static() const { return config_.mode == PublicIndexMode::kStatic; }
-  /// True when a sealed StaticRTree is present (static mode, post-seal).
+  /// True when a sealed StaticRTree is present (post-seal).
   bool HasSealedTree() const { return sealed_.size() > 0; }
   size_t overlay_size() const { return overlay_.size(); }
   size_t tombstone_count() const { return tombstones_.size(); }
@@ -128,20 +116,18 @@ class PublicCategoryIndex {
 
   /// True when overlay + tombstones are worth folding back in.
   bool NeedsCompaction() const {
-    return is_static() && overlay_.size() + tombstones_.size() > 0;
+    return overlay_.size() + tombstones_.size() > 0;
   }
 
   /// Rebuilds the sealed tree from the live set; clears overlay/tombstones.
-  /// No-op in dynamic mode.
   Status Compact();
 
  private:
   std::vector<PointEntry> LiveEntries() const;
 
   Config config_;
-  RTree dynamic_;      // the whole category in dynamic mode; else unused
-  StaticRTree sealed_;  // static mode only
-  RTree overlay_;       // static mode: post-seal inserts
+  StaticRTree sealed_;
+  RTree overlay_;  // post-seal inserts
   std::unordered_set<ObjectId> tombstones_;
   uint64_t seal_generation_ = 0;
 };

@@ -1,8 +1,27 @@
 #include "server/object_store.h"
 
 #include <algorithm>
+#include <cmath>
+#include <unordered_set>
 
 namespace cloakdb {
+
+namespace {
+
+Status CheckFinite(const Point& p) {
+  if (!std::isfinite(p.x) || !std::isfinite(p.y))
+    return Status::InvalidArgument("public object location must be finite");
+  return Status::OK();
+}
+
+std::vector<PointEntry> EntriesOf(const std::vector<PublicObject>& objects) {
+  std::vector<PointEntry> entries;
+  entries.reserve(objects.size());
+  for (const auto& o : objects) entries.push_back({o.id, o.location});
+  return entries;
+}
+
+}  // namespace
 
 ObjectStore::ObjectStore(const Rect& space, uint32_t rect_grid_cells,
                          const PublicCategoryIndex::Config& public_index)
@@ -10,7 +29,19 @@ ObjectStore::ObjectStore(const Rect& space, uint32_t rect_grid_cells,
       public_index_(public_index),
       private_index_(space, rect_grid_cells) {}
 
+Status CheckPublicBatch(const std::vector<PublicObject>& objects) {
+  std::unordered_set<ObjectId> seen;
+  seen.reserve(objects.size() * 2);
+  for (const PublicObject& o : objects) {
+    CLOAKDB_RETURN_IF_ERROR(CheckFinite(o.location));
+    if (!seen.insert(o.id).second)
+      return Status::InvalidArgument("duplicate public object id in batch");
+  }
+  return Status::OK();
+}
+
 Status ObjectStore::AddPublicObject(const PublicObject& object) {
+  CLOAKDB_RETURN_IF_ERROR(CheckFinite(object.location));
   if (public_meta_.count(object.id) > 0)
     return Status::AlreadyExists("public object id already stored");
   auto [it, inserted] = public_indexes_.try_emplace(
@@ -33,6 +64,7 @@ Status ObjectStore::RemovePublicObject(ObjectId id) {
 }
 
 Status ObjectStore::MovePublicObject(ObjectId id, const Point& new_location) {
+  CLOAKDB_RETURN_IF_ERROR(CheckFinite(new_location));
   auto it = public_meta_.find(id);
   if (it == public_meta_.end())
     return Status::NotFound("public object id not stored");
@@ -45,59 +77,29 @@ Status ObjectStore::MovePublicObject(ObjectId id, const Point& new_location) {
 
 Status ObjectStore::BulkLoadCategory(Category category,
                                      std::vector<PublicObject> objects) {
-  // Reject ids that already exist in *other* categories.
-  for (const auto& o : objects) {
-    auto it = public_meta_.find(o.id);
-    if (it != public_meta_.end() && it->second.category != category)
-      return Status::AlreadyExists(
-          "bulk-load id already stored under another category");
-  }
-  // Drop the old category content.
-  for (auto it = public_meta_.begin(); it != public_meta_.end();) {
-    if (it->second.category == category) {
-      it = public_meta_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  std::vector<PointEntry> entries;
-  entries.reserve(objects.size());
-  for (const auto& o : objects) entries.push_back({o.id, o.location});
-  PublicCategoryIndex tree{public_index_};
-  CLOAKDB_RETURN_IF_ERROR(tree.BulkLoad(std::move(entries)));
-  if (tree.size() == 0) {
-    public_indexes_.erase(category);
-  } else {
-    public_indexes_.insert_or_assign(category, std::move(tree));
-  }
-  for (auto& o : objects) {
-    PublicObject copy = std::move(o);
-    copy.category = category;
-    ObjectId id = copy.id;
-    public_meta_.insert_or_assign(id, std::move(copy));
-  }
-  return Status::OK();
+  PublicCategoryIndex index{public_index_};
+  CLOAKDB_RETURN_IF_ERROR(index.BulkLoad(EntriesOf(objects)));
+  return ReplaceCategory(category, std::move(index), std::move(objects));
 }
 
 Status ObjectStore::AdoptCategorySealed(
     Category category, StaticRTree sealed,
     const std::vector<PublicObject>& objects) {
-  if (public_index_.mode != PublicIndexMode::kStatic)
-    return Status::FailedPrecondition(
-        "adoption requires static public-index mode");
+  PublicCategoryIndex index{public_index_};
+  CLOAKDB_RETURN_IF_ERROR(
+      index.AdoptSealed(std::move(sealed), EntriesOf(objects)));
+  return ReplaceCategory(category, std::move(index), objects);
+}
+
+Status ObjectStore::ReplaceCategory(Category category,
+                                    PublicCategoryIndex index,
+                                    std::vector<PublicObject> objects) {
   for (const auto& o : objects) {
     auto it = public_meta_.find(o.id);
     if (it != public_meta_.end() && it->second.category != category)
       return Status::AlreadyExists(
-          "adopted id already stored under another category");
+          "public object id already stored under another category");
   }
-  std::vector<PointEntry> expect;
-  expect.reserve(objects.size());
-  for (const auto& o : objects) expect.push_back({o.id, o.location});
-  PublicCategoryIndex tree{public_index_};
-  // Verify + reconcile before touching the store, so a rejected sidecar
-  // leaves everything as it was.
-  CLOAKDB_RETURN_IF_ERROR(tree.AdoptSealed(std::move(sealed), expect));
   for (auto it = public_meta_.begin(); it != public_meta_.end();) {
     if (it->second.category == category) {
       it = public_meta_.erase(it);
@@ -105,15 +107,15 @@ Status ObjectStore::AdoptCategorySealed(
       ++it;
     }
   }
-  if (tree.size() == 0) {
+  if (index.size() == 0) {
     public_indexes_.erase(category);
   } else {
-    public_indexes_.insert_or_assign(category, std::move(tree));
+    public_indexes_.insert_or_assign(category, std::move(index));
   }
-  for (const auto& o : objects) {
-    PublicObject copy = o;
-    copy.category = category;
-    public_meta_.insert_or_assign(copy.id, std::move(copy));
+  for (auto& o : objects) {
+    o.category = category;
+    const ObjectId id = o.id;
+    public_meta_.insert_or_assign(id, std::move(o));
   }
   return Status::OK();
 }

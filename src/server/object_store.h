@@ -37,29 +37,36 @@ struct PublicObject {
   std::string name;
 };
 
+/// InvalidArgument unless every location is finite and every id appears
+/// once: BulkLoadCategory's batch checks, for callers that split a batch.
+Status CheckPublicBatch(const std::vector<PublicObject>& objects);
+
 /// The server's data storage: public exact objects + private cloaked
 /// regions.
 class ObjectStore {
  public:
   /// `space` bounds the private-region index; public objects may lie
-  /// anywhere. `public_index` selects the per-category structure (dynamic
-  /// R-tree, or sealed StaticRTree + overlay) for public data.
+  /// anywhere (at finite coordinates). `public_index` configures each
+  /// category's sealed StaticRTree + overlay (compaction limit, counters).
   explicit ObjectStore(const Rect& space, uint32_t rect_grid_cells = 64,
                        const PublicCategoryIndex::Config& public_index = {});
 
   // --- Public data -------------------------------------------------------
 
   /// Adds one public object (duplicate ids across *all* categories fail
-  /// with AlreadyExists).
+  /// with AlreadyExists; a non-finite location with InvalidArgument).
   Status AddPublicObject(const PublicObject& object);
 
   /// Removes a public object by id.
   Status RemovePublicObject(ObjectId id);
 
-  /// Moves a public moving object (e.g. a police car).
+  /// Moves a public moving object (e.g. a police car). A non-finite
+  /// location fails with InvalidArgument.
   Status MovePublicObject(ObjectId id, const Point& new_location);
 
-  /// Bulk-loads a category in one STR build (replaces that category).
+  /// Bulk-loads a category in one STR build (replaces that category). A
+  /// batch CheckPublicBatch rejects, or an id stored under another
+  /// category, fails and leaves the store unchanged.
   Status BulkLoadCategory(Category category, std::vector<PublicObject> objects);
 
   /// Replaces a category with a pre-built sealed StaticRTree (recovery
@@ -67,7 +74,7 @@ class ObjectStore {
   /// is verified entry-by-entry against `objects` — the authoritative set
   /// from the checkpoint; divergence that AdoptSealed cannot reconcile
   /// fails and leaves the store unchanged (caller falls back to
-  /// BulkLoadCategory). Requires static public-index mode.
+  /// BulkLoadCategory).
   Status AdoptCategorySealed(Category category, StaticRTree sealed,
                              const std::vector<PublicObject>& objects);
 
@@ -79,9 +86,6 @@ class ObjectStore {
 
   /// Mutable access for the service layer's checkpoint-time compaction.
   PublicCategoryIndex* MutableCategoryIndex(Category category);
-
-  /// The configured public-index mode.
-  PublicIndexMode public_index_mode() const { return public_index_.mode; }
 
   /// All categories currently populated.
   std::vector<Category> Categories() const;
@@ -115,6 +119,12 @@ class ObjectStore {
   const Rect& space() const { return space_; }
 
  private:
+  /// Shared tail of BulkLoadCategory / AdoptCategorySealed, run once
+  /// `index` is built and verified: cross-category id check, then swap in
+  /// the index and the category's metadata.
+  Status ReplaceCategory(Category category, PublicCategoryIndex index,
+                         std::vector<PublicObject> objects);
+
   Rect space_;
   PublicCategoryIndex::Config public_index_;
   std::map<Category, PublicCategoryIndex> public_indexes_;

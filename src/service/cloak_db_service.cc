@@ -285,8 +285,7 @@ Status CloakDbService::Start() {
   // this ring; the counter keeps the metric catalog aware of it.
   flight_recorder_.set_counter(metrics_.counter("recorder.events_total"));
 
-  // Static public-index + sidecar metrics, eager for the doc-drift guard
-  // (registered in both modes so the exported catalog is stable).
+  // Static public index + sidecar metrics, eager for the doc-drift guard.
   static_index_obs_.seals_total = metrics_.counter("index.static.seals_total");
   static_index_obs_.sealed_objects_total =
       metrics_.counter("index.static.sealed_objects_total");
@@ -415,11 +414,10 @@ Status CloakDbService::Start() {
     config.continuous = options_.continuous;
     config.cq_obs = cq_obs_;
     config.durability = durable ? durability_[i].get() : nullptr;
-    config.public_index.mode = options_.public_index;
     config.public_index.overlay_compact_limit =
         options_.static_index_compact_limit;
     config.public_index.obs = &static_index_obs_;
-    if (durable && options_.public_index == PublicIndexMode::kStatic) {
+    if (durable) {
       config.index_blob_path = options_.data_dir + "/shard-" +
                                std::to_string(i) + "/static_index.blob";
     }
@@ -743,6 +741,9 @@ Status CloakDbService::AddPublicObject(const PublicObject& object) {
 
 Status CloakDbService::BulkLoadCategory(Category category,
                                         std::vector<PublicObject> objects) {
+  // Vet the whole batch before any shard logs or applies its slice, so a
+  // bad object cannot leave some stripes reloaded and others not.
+  CLOAKDB_RETURN_IF_ERROR(CheckPublicBatch(objects));
   std::vector<std::vector<PublicObject>> parts(shards_.size());
   for (auto& object : objects) {
     parts[ShardOfX(object.location.x)].push_back(std::move(object));

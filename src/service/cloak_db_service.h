@@ -133,12 +133,7 @@ struct CloakDbServiceOptions {
 
   // --- Public index --------------------------------------------------------
 
-  /// Which structure serves each category's public POIs on every shard
-  /// stripe (index/public_index.h). kStatic (the default) seals bulk
-  /// loads into a packed StaticRTree and spills post-seal writes into a
-  /// small dynamic overlay merged at query time; kDynamic keeps the
-  /// pre-sealing quadratic-split R-tree everywhere (the oracle the twin
-  /// tests compare against).
+  /// Unread; assigned by perfbench/src/world.cc:199.
   PublicIndexMode public_index = PublicIndexMode::kStatic;
 
   /// Per-category overlay + tombstone count that triggers an inline
@@ -208,7 +203,8 @@ class CloakDbService {
   /// Routes the object to the shard owning its stripe.
   Status AddPublicObject(const PublicObject& object);
   /// Partitions `objects` by stripe and bulk-loads every shard (replacing
-  /// the category service-wide).
+  /// the category service-wide). A batch CheckPublicBatch rejects fails
+  /// before any shard logs or applies its slice.
   Status BulkLoadCategory(Category category,
                           std::vector<PublicObject> objects);
 
@@ -567,7 +563,7 @@ class CloakDbService {
   RobustnessObs robustness_obs_;
   /// Continuous-query metric handles, shared with every shard registry.
   ContinuousObs cq_obs_;
-  /// Static public-index + sidecar lifecycle counters, shared by every
+  /// Static public index + sidecar lifecycle counters, shared by every
   /// shard's PublicCategoryIndex instances.
   StaticIndexObs static_index_obs_;
   IndexSidecarObs sidecar_obs_;

@@ -590,8 +590,7 @@ Status Shard::WriteCheckpoint() {
   // not a source of truth: a write failure (e.g. more categories than the
   // directory holds) degrades recovery to an STR rebuild, never fails the
   // checkpoint.
-  if (!config_.index_blob_path.empty() &&
-      server_.store().public_index_mode() == PublicIndexMode::kStatic) {
+  if (!config_.index_blob_path.empty()) {
     std::vector<std::pair<uint32_t, std::string>> blobs;
     for (Category category : server_.store().Categories()) {
       auto index = server_.store().CategoryIndex(category);
@@ -604,8 +603,6 @@ Status Shard::WriteCheckpoint() {
 }
 
 Status Shard::CompactPublicIndex() {
-  if (server_.store().public_index_mode() != PublicIndexMode::kStatic)
-    return Status::OK();
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (Category category : server_.store().Categories()) {
     PublicCategoryIndex* index = server_.store().MutableCategoryIndex(category);
@@ -621,14 +618,13 @@ Status Shard::RestoreSnapshot(const storage::ShardSnapshot& snapshot) {
   std::map<Category, std::vector<PublicObject>> by_category;
   for (const PublicObject& o : snapshot.public_objects)
     by_category[o.category].push_back(o);
-  // In static mode, try to adopt each category's sealed tree straight out
-  // of the mmap'd sidecar. The sidecar is untrusted: open, parse, and
-  // per-entry verification against the snapshot can each fail, and every
-  // failure falls back to the historical STR rebuild below.
+  // Try to adopt each category's sealed tree straight out of the mmap'd
+  // sidecar. The sidecar is untrusted: open, parse, and per-entry
+  // verification against the snapshot can each fail, and every failure
+  // falls back to the historical STR rebuild below.
   std::shared_ptr<util::MmapFile> sidecar;
   std::map<Category, storage::IndexBlobEntry> sidecar_entries;
-  if (!config_.index_blob_path.empty() &&
-      server_.store().public_index_mode() == PublicIndexMode::kStatic) {
+  if (!config_.index_blob_path.empty()) {
     auto opened = storage::OpenIndexBlobFile(
         config_.index_blob_path, config_.index_blob_force_read_fallback);
     if (opened.ok()) {

@@ -103,12 +103,12 @@ struct ShardConfig {
   /// Every durable mutation is WAL-logged through it, under the shard's
   /// exclusive lock and before the in-memory apply (write-ahead).
   storage::ShardDurability* durability = nullptr;
-  /// Per-category public-data index selection (mode, compaction limit,
-  /// lifecycle counters); defaults to the dynamic R-tree.
+  /// Per-category public-data index knobs (compaction limit, lifecycle
+  /// counters).
   PublicCategoryIndex::Config public_index;
   /// Sealed-tree sidecar file of this shard ("" = none). Written after
   /// each checkpoint; mmap-adopted by RestoreSnapshot instead of STR
-  /// rebuilding. Only meaningful in static public-index mode.
+  /// rebuilding.
   std::string index_blob_path;
   /// Testing: force the read() fallback when opening the sidecar.
   bool index_blob_force_read_fallback = false;
@@ -230,8 +230,8 @@ class Shard {
 
   /// Folds each category's spill overlay + tombstones back into its sealed
   /// StaticRTree (exclusive lock). The service calls this before a
-  /// checkpoint so the serialized sidecar matches the live set; no-op in
-  /// dynamic public-index mode or when nothing spilled.
+  /// checkpoint so the serialized sidecar matches the live set; no-op when
+  /// nothing spilled.
   Status CompactPublicIndex();
 
   /// Replaces the shard's state with a decoded checkpoint (exclusive

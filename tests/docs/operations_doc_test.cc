@@ -220,7 +220,7 @@ std::set<std::string> DocumentedToolFlags(const std::string& markdown) {
 TEST(OperationsDocTest, FlagsNamedInNewDocsParseInTheTools) {
   // Every cloaksim/cloakd flag the new docs name must exist in a tool's
   // argument parser — flags appear there as the quoted literal passed to
-  // ParseArg (e.g. "public-index"). A doc naming a dropped or misspelled
+  // ParseArg (e.g. "kill-cycles"). A doc naming a dropped or misspelled
   // flag fails here; CI additionally smoke-runs `--help` on both tools.
   const std::string root(CLOAKDB_SOURCE_DIR);
   const std::string tool_sources =

@@ -1,7 +1,7 @@
-// PublicCategoryIndex facade oracle: a static-mode facade (sealed tree +
-// overlay + tombstones) fed a randomized op stream must answer exactly
-// like a plain dynamic RTree fed the same stream — before and after
-// compactions, and across the AdoptSealed recovery path.
+// PublicCategoryIndex facade oracle: the facade (sealed tree + overlay +
+// tombstones) fed a randomized op stream must answer exactly like a plain
+// dynamic RTree fed the same stream — before and after compactions, and
+// across the AdoptSealed recovery path.
 
 #include "index/public_index.h"
 
@@ -22,7 +22,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 PublicCategoryIndex::Config StaticConfig(size_t compact_limit = 1024) {
   PublicCategoryIndex::Config config;
-  config.mode = PublicIndexMode::kStatic;
   config.overlay_compact_limit = compact_limit;
   return config;
 }
@@ -57,20 +56,8 @@ void ExpectSameAnswers(const PublicCategoryIndex& facade, const RTree& oracle,
   }
 }
 
-TEST(PublicCategoryIndexTest, ModeNamesRoundTrip) {
-  EXPECT_STREQ(PublicIndexModeName(PublicIndexMode::kDynamic), "dynamic");
-  EXPECT_STREQ(PublicIndexModeName(PublicIndexMode::kStatic), "static");
-  EXPECT_EQ(PublicIndexModeFromName("dynamic").value(),
-            PublicIndexMode::kDynamic);
-  EXPECT_EQ(PublicIndexModeFromName("static").value(),
-            PublicIndexMode::kStatic);
-  EXPECT_EQ(PublicIndexModeFromName("hybrid").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(PublicCategoryIndexTest, DynamicModeDelegates) {
-  PublicCategoryIndex facade;  // default config: dynamic
-  EXPECT_FALSE(facade.is_static());
+TEST(PublicCategoryIndexTest, NeverSealedIndexIsItsOverlay) {
+  PublicCategoryIndex facade;  // default config, no bulk load
   ASSERT_TRUE(facade.Insert(1, {1, 1}).ok());
   ASSERT_TRUE(facade.Insert(2, {2, 2}).ok());
   EXPECT_EQ(facade.Insert(1, {3, 3}).code(), StatusCode::kAlreadyExists);

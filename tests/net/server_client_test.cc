@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -374,6 +375,14 @@ TEST(ServerClientTest, NetMetricsAreRegisteredAndCount) {
     ASSERT_TRUE(response.ok());
   }
   auto& metrics = loop.db->metrics();
+  // The server counts written bytes only after send() returns, so the
+  // client can hold the reply before the counter moves; wait (bounded).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (metrics.counter("net.bytes_written_total")->Value() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(metrics.counter("net.connections_opened_total")->Value(), 1u);
   EXPECT_GE(metrics.counter("net.frames_read_total")->Value(), 1u);
   EXPECT_GE(metrics.counter("net.frames_written_total")->Value(), 1u);

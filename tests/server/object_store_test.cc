@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 namespace cloakdb {
 namespace {
 
@@ -91,6 +94,45 @@ TEST(ObjectStoreTest, BulkLoadEmptyClearsCategory) {
   ASSERT_TRUE(store.BulkLoadCategory(1, {}).ok());
   EXPECT_EQ(store.num_public(), 0u);
   EXPECT_EQ(store.CategoryIndex(1).status().code(), StatusCode::kNotFound);
+}
+
+TEST(ObjectStoreTest, NonFinitePublicLocationsAreRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ObjectStore store(Rect(0, 0, 100, 100));
+  std::vector<PublicObject> pois;
+  for (ObjectId id = 1; id <= 100; ++id) pois.push_back(Poi(id, id % 97, id));
+  ASSERT_TRUE(store.BulkLoadCategory(1, pois).ok());
+
+  EXPECT_EQ(store.AddPublicObject(Poi(500, nan, 10)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.AddPublicObject(Poi(501, 10, -inf)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.MovePublicObject(7, {inf, 5}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.GetPublicObject(7).value().location, Point(7, 7));
+  pois.push_back(Poi(502, 5, nan));
+  EXPECT_EQ(store.BulkLoadCategory(1, pois).code(),
+            StatusCode::kInvalidArgument);
+
+  // Nothing was stored, so the index and the metadata still agree — also
+  // after a compaction re-enumerates the index.
+  EXPECT_EQ(store.num_public(), 100u);
+  EXPECT_EQ(store.GetPublicObject(500).status().code(), StatusCode::kNotFound);
+  PublicCategoryIndex* index = store.MutableCategoryIndex(1);
+  ASSERT_NE(index, nullptr);
+  ASSERT_TRUE(index->Compact().ok());
+  EXPECT_EQ(index->size(), store.num_public());
+}
+
+TEST(ObjectStoreTest, CheckPublicBatchRejectsDuplicatesAndNonFinite) {
+  EXPECT_TRUE(CheckPublicBatch({Poi(1, 1, 1), Poi(2, 2, 2)}).ok());
+  EXPECT_EQ(CheckPublicBatch({Poi(1, 1, 1), Poi(1, 2, 2)}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      CheckPublicBatch({Poi(1, std::numeric_limits<double>::infinity(), 1)})
+          .code(),
+      StatusCode::kInvalidArgument);
 }
 
 TEST(ObjectStoreTest, PrivateRegionLifecycle) {

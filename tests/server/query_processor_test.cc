@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "util/random.h"
@@ -20,6 +21,59 @@ void Populate(QueryProcessor* server, size_t pois, uint64_t seed = 41) {
     o.category = 1;
     EXPECT_TRUE(server->store().AddPublicObject(o).ok());
   }
+}
+
+std::vector<PublicObject> MakePois(size_t count, ObjectId first_id,
+                                   uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PublicObject> pois;
+  for (ObjectId id = first_id; id < first_id + count; ++id) {
+    PublicObject o;
+    o.id = id;
+    o.location = {rng.Uniform(0, 100), rng.Uniform(0, 100)};
+    o.category = 1;
+    pois.push_back(o);
+  }
+  return pois;
+}
+
+std::vector<ObjectId> CandidateIds(const PrivateNnResult& answer) {
+  std::vector<ObjectId> ids;
+  for (const auto& o : answer.candidates) ids.push_back(o.id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST(QueryProcessorTest, BulkLoadSealsTheCategory) {
+  // The plain (LbsSystem) server serves public data from the same sealed
+  // StaticRTree as the service shards.
+  QueryProcessor server(Rect(0, 0, 100, 100));
+  ASSERT_TRUE(server.store().BulkLoadCategory(1, MakePois(100, 1, 7)).ok());
+  auto index = server.store().CategoryIndex(1);
+  ASSERT_TRUE(index.ok());
+  EXPECT_TRUE(index.value()->HasSealedTree());
+  EXPECT_EQ(index.value()->size(), 100u);
+}
+
+TEST(QueryProcessorTest, RejectedReloadChangesNothing) {
+  QueryProcessor server(Rect(0, 0, 100, 100));
+  ASSERT_TRUE(server.store().BulkLoadCategory(1, MakePois(100, 1, 7)).ok());
+  const Rect cloaked(40, 40, 50, 50);
+  auto before = server.PrivateNn(cloaked, 1);
+  ASSERT_TRUE(before.ok());
+  ASSERT_FALSE(before.value().candidates.empty());
+
+  // A replacement batch with a duplicate id must fail as a whole.
+  std::vector<PublicObject> reload = MakePois(100, 1000, 8);
+  reload.back().id = reload.front().id;
+  EXPECT_EQ(server.store().BulkLoadCategory(1, reload).code(),
+            StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(server.store().num_public(), 100u);
+  auto after = server.PrivateNn(cloaked, 1);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(CandidateIds(after.value()), CandidateIds(before.value()));
+  EXPECT_EQ(after.value().fetch_radius, before.value().fetch_radius);
 }
 
 TEST(QueryProcessorTest, CloakedUpdateLifecycle) {

@@ -1,12 +1,16 @@
-// Twin-service oracle for the public-index modes: a CloakDbService running
-// the packed StaticRTree (+ overlay) must answer every query bit-identically
-// to a twin running the dynamic R-tree, through bulk loads, post-seal
-// writes, and the whole private-query surface. The static index is an
-// execution detail — never an answer change.
+// Twin-service oracle for the public index: a CloakDbService whose bulk
+// loads seal each stripe's category into a packed StaticRTree (+ overlay)
+// must answer every query bit-identically to a reference twin that never
+// seals — compaction off, POIs fed one AddPublicObject at a time, so every
+// category is served by its overlay alone, i.e. the quadratic-split
+// R-tree. This holds through bulk loads, post-seal writes, and the whole
+// private-query surface. The sealed tree is an execution detail — never
+// an answer change.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <set>
@@ -24,19 +28,40 @@ constexpr Category kCat = poi_category::kGasStation;
 
 TimeOfDay Noon() { return TimeOfDay::FromHms(12, 0).value(); }
 
-std::unique_ptr<CloakDbService> MakeService(PublicIndexMode mode,
-                                            size_t compact_limit = 1024) {
+std::unique_ptr<CloakDbService> MakeService(size_t compact_limit = 1024) {
   CloakDbServiceOptions options;
   options.space = Rect(0, 0, 100, 100);
   options.num_shards = 4;
   // One worker keeps update-processing order (and thus cloaked regions)
   // identical across the twins — cloaking is neighbor-dependent.
   options.worker_threads = 1;
-  options.public_index = mode;
   options.static_index_compact_limit = compact_limit;
   auto service = CloakDbService::Create(options);
   EXPECT_TRUE(service.ok());
   return std::move(service).value();
+}
+
+/// The reference twin: inline compaction can never trigger, and it is only
+/// ever fed through LoadReference, so nothing seals.
+std::unique_ptr<CloakDbService> MakeReference() {
+  return MakeService(SIZE_MAX);
+}
+
+/// Adds `pois` to the reference one at a time (never a bulk load).
+void LoadReference(CloakDbService* reference,
+                   const std::vector<PublicObject>& pois) {
+  for (const PublicObject& o : pois)
+    ASSERT_TRUE(reference->AddPublicObject(o).ok());
+}
+
+/// The reference must still be a pure overlay — no seal, no compaction —
+/// or the twin comparison would silently be static against static.
+void ExpectNeverSealed(CloakDbService* reference) {
+  EXPECT_EQ(reference->metrics().counter("index.static.seals_total")->Value(),
+            0u);
+  EXPECT_EQ(
+      reference->metrics().counter("index.static.compactions_total")->Value(),
+      0u);
 }
 
 std::vector<PublicObject> MakePois(size_t count, uint64_t seed) {
@@ -59,8 +84,11 @@ std::vector<ObjectId> Ids(const std::vector<PublicObject>& objects) {
 }
 
 /// The full query battery, bit-identical across the twins: candidate id
-/// sets, fetch radii (computed from index distances), and counts.
+/// sets, fetch radii (computed from index distances), and counts. `st` is
+/// the sealed service, `dy` the overlay-only reference.
 void ExpectTwinAnswers(CloakDbService* st, CloakDbService* dy, Rng* rng) {
+  EXPECT_GT(st->metrics().counter("index.static.seals_total")->Value(), 0u);
+  ExpectNeverSealed(dy);
   ASSERT_TRUE(st->Flush().ok());
   ASSERT_TRUE(dy->Flush().ok());
   for (int trial = 0; trial < 25; ++trial) {
@@ -112,8 +140,8 @@ void ExpectTwinAnswers(CloakDbService* st, CloakDbService* dy, Rng* rng) {
 class PublicIndexTwinTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    static_db_ = MakeService(PublicIndexMode::kStatic);
-    dynamic_db_ = MakeService(PublicIndexMode::kDynamic);
+    static_db_ = MakeService();
+    reference_db_ = MakeReference();
     PrivacyProfile profile =
         PrivacyProfile::Uniform({4, 0.0, kInf}).value();
     Rng rng(5);
@@ -122,31 +150,31 @@ class PublicIndexTwinTest : public ::testing::Test {
     // twins need width-one batches to land identical regions.
     for (UserId u = 1; u <= 40; ++u) {
       ASSERT_TRUE(static_db_->RegisterUser(u, profile).ok());
-      ASSERT_TRUE(dynamic_db_->RegisterUser(u, profile).ok());
+      ASSERT_TRUE(reference_db_->RegisterUser(u, profile).ok());
       Point p{rng.Uniform(5, 95), rng.Uniform(5, 95)};
       ASSERT_TRUE(static_db_->EnqueueUpdate(u, p, Noon()).ok());
       ASSERT_TRUE(static_db_->Flush().ok());
-      ASSERT_TRUE(dynamic_db_->EnqueueUpdate(u, p, Noon()).ok());
-      ASSERT_TRUE(dynamic_db_->Flush().ok());
+      ASSERT_TRUE(reference_db_->EnqueueUpdate(u, p, Noon()).ok());
+      ASSERT_TRUE(reference_db_->Flush().ok());
     }
   }
 
   std::unique_ptr<CloakDbService> static_db_;
-  std::unique_ptr<CloakDbService> dynamic_db_;
+  std::unique_ptr<CloakDbService> reference_db_;
 };
 
 TEST_F(PublicIndexTwinTest, BulkLoadedWorldAnswersIdentically) {
   auto pois = MakePois(3000, 11);
   ASSERT_TRUE(static_db_->BulkLoadCategory(kCat, pois).ok());
-  ASSERT_TRUE(dynamic_db_->BulkLoadCategory(kCat, pois).ok());
+  LoadReference(reference_db_.get(), pois);
   Rng rng(12);
-  ExpectTwinAnswers(static_db_.get(), dynamic_db_.get(), &rng);
+  ExpectTwinAnswers(static_db_.get(), reference_db_.get(), &rng);
 }
 
 TEST_F(PublicIndexTwinTest, PostSealWritesStayInvisible) {
   auto pois = MakePois(1500, 21);
   ASSERT_TRUE(static_db_->BulkLoadCategory(kCat, pois).ok());
-  ASSERT_TRUE(dynamic_db_->BulkLoadCategory(kCat, pois).ok());
+  LoadReference(reference_db_.get(), pois);
 
   // Post-seal adds land in the static service's spill overlay; the twins
   // must stay identical while it fills.
@@ -158,32 +186,32 @@ TEST_F(PublicIndexTwinTest, PostSealWritesStayInvisible) {
     o.location = Point{rng.Uniform(0, 100), rng.Uniform(0, 100)};
     o.name = "late";
     ASSERT_TRUE(static_db_->AddPublicObject(o).ok());
-    ASSERT_TRUE(dynamic_db_->AddPublicObject(o).ok());
+    ASSERT_TRUE(reference_db_->AddPublicObject(o).ok());
   }
-  ExpectTwinAnswers(static_db_.get(), dynamic_db_.get(), &rng);
+  ExpectTwinAnswers(static_db_.get(), reference_db_.get(), &rng);
 }
 
 TEST_F(PublicIndexTwinTest, AggressiveCompactionChangesNothing) {
   // A tiny compact limit forces many STR rebuilds mid-stream. The twin
   // must share the user population, so both services are seeded from the
   // same stream here.
-  auto aggressive = MakeService(PublicIndexMode::kStatic, 4);
-  auto dynamic = MakeService(PublicIndexMode::kDynamic);
+  auto aggressive = MakeService(4);
+  auto reference = MakeReference();
   PrivacyProfile profile = PrivacyProfile::Uniform({4, 0.0, kInf}).value();
   Rng rng(31);
   for (UserId u = 1; u <= 40; ++u) {
     ASSERT_TRUE(aggressive->RegisterUser(u, profile).ok());
-    ASSERT_TRUE(dynamic->RegisterUser(u, profile).ok());
+    ASSERT_TRUE(reference->RegisterUser(u, profile).ok());
     Point p{rng.Uniform(5, 95), rng.Uniform(5, 95)};
     ASSERT_TRUE(aggressive->EnqueueUpdate(u, p, Noon()).ok());
     ASSERT_TRUE(aggressive->Flush().ok());
-    ASSERT_TRUE(dynamic->EnqueueUpdate(u, p, Noon()).ok());
-    ASSERT_TRUE(dynamic->Flush().ok());
+    ASSERT_TRUE(reference->EnqueueUpdate(u, p, Noon()).ok());
+    ASSERT_TRUE(reference->Flush().ok());
   }
 
   auto pois = MakePois(800, 32);
   ASSERT_TRUE(aggressive->BulkLoadCategory(kCat, pois).ok());
-  ASSERT_TRUE(dynamic->BulkLoadCategory(kCat, pois).ok());
+  LoadReference(reference.get(), pois);
   Rng rng2(33);
   for (ObjectId id = 200000; id < 200100; ++id) {
     PublicObject o;
@@ -192,15 +220,15 @@ TEST_F(PublicIndexTwinTest, AggressiveCompactionChangesNothing) {
     o.location = Point{rng2.Uniform(0, 100), rng2.Uniform(0, 100)};
     o.name = "late";
     ASSERT_TRUE(aggressive->AddPublicObject(o).ok());
-    ASSERT_TRUE(dynamic->AddPublicObject(o).ok());
+    ASSERT_TRUE(reference->AddPublicObject(o).ok());
   }
-  ExpectTwinAnswers(aggressive.get(), dynamic.get(), &rng2);
+  ExpectTwinAnswers(aggressive.get(), reference.get(), &rng2);
 }
 
 TEST_F(PublicIndexTwinTest, SharedExecutionBatchesMatchAcrossModes) {
   auto pois = MakePois(1200, 41);
   ASSERT_TRUE(static_db_->BulkLoadCategory(kCat, pois).ok());
-  ASSERT_TRUE(dynamic_db_->BulkLoadCategory(kCat, pois).ok());
+  LoadReference(reference_db_.get(), pois);
 
   Rng rng(42);
   std::vector<BatchQuery> batch;
@@ -215,7 +243,8 @@ TEST_F(PublicIndexTwinTest, SharedExecutionBatchesMatchAcrossModes) {
     batch.push_back(q);
   }
   auto res_s = static_db_->ExecuteQueryBatch(batch);
-  auto res_d = dynamic_db_->ExecuteQueryBatch(batch);
+  auto res_d = reference_db_->ExecuteQueryBatch(batch);
+  ExpectNeverSealed(reference_db_.get());
   ASSERT_EQ(res_s.size(), res_d.size());
   for (size_t i = 0; i < res_s.size(); ++i) {
     ASSERT_EQ(res_s[i].ok(), res_d[i].ok()) << "query " << i;

@@ -252,6 +252,39 @@ TEST(CloakDbServiceTest, PublicCountAndHeatmapMatchSingleShardOracle) {
   EXPECT_EQ(db->Heatmap(0).status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(CloakDbServiceTest, RejectedReloadTouchesNoShard) {
+  auto db = MakeService(2);  // stripe 0 is x < 50, stripe 1 is x >= 50
+  ASSERT_TRUE(db->BulkLoadCategory(poi_category::kGasStation, MakePois(200))
+                  .ok());
+  const Rect cloaked(10, 10, 20, 20);  // answered from stripe 0 alone
+  auto range_before =
+      db->PrivateRange(cloaked, 5.0, poi_category::kGasStation);
+  auto nn_before = db->PrivateNn(cloaked, poi_category::kGasStation);
+  ASSERT_TRUE(range_before.ok());
+  ASSERT_TRUE(nn_before.ok());
+
+  // A fresh world whose only bad object is a duplicate id in stripe 1.
+  std::vector<PublicObject> reload = MakePois(200, 99);
+  for (auto& o : reload) o.id += 100000;
+  std::vector<PublicObject*> east;
+  for (auto& o : reload)
+    if (o.location.x >= 60) east.push_back(&o);
+  ASSERT_GE(east.size(), 2u);
+  east[1]->id = east[0]->id;
+  EXPECT_EQ(db->BulkLoadCategory(poi_category::kGasStation, reload).code(),
+            StatusCode::kInvalidArgument);
+
+  auto range_after = db->PrivateRange(cloaked, 5.0, poi_category::kGasStation);
+  auto nn_after = db->PrivateNn(cloaked, poi_category::kGasStation);
+  ASSERT_TRUE(range_after.ok());
+  ASSERT_TRUE(nn_after.ok());
+  EXPECT_EQ(SortedIds(range_after.value().candidates),
+            SortedIds(range_before.value().candidates));
+  EXPECT_EQ(SortedIds(nn_after.value().candidates),
+            SortedIds(nn_before.value().candidates));
+  EXPECT_EQ(nn_after.value().fetch_radius, nn_before.value().fetch_radius);
+}
+
 TEST(CloakDbServiceTest, FlushDrainsEveryQueuedUpdate) {
   auto options = DefaultOptions(4);
   options.worker_threads = 1;

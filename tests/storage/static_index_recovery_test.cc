@@ -263,25 +263,5 @@ TEST(StaticIndexRecoveryTest, ReadFallbackAdoptsWithoutMmap) {
   std::filesystem::remove_all(data_dir);
 }
 
-TEST(StaticIndexRecoveryTest, DynamicModeWritesNoSidecar) {
-  const std::string data_dir = TempDataDir("dynmode");
-  {
-    auto options = BaseOptions(data_dir);
-    options.public_index = PublicIndexMode::kDynamic;
-    auto db = MakeService(options);
-    SeedWorld(db.get());
-    ASSERT_TRUE(db->Checkpoint().ok());
-  }
-  EXPECT_TRUE(SidecarPaths(data_dir).empty());
-
-  auto twin = MakeService(BaseOptions(""));
-  SeedWorld(twin.get());
-  auto options = BaseOptions(data_dir);
-  options.public_index = PublicIndexMode::kDynamic;
-  auto recovered = MakeService(options);
-  ExpectSameAnswers(recovered.get(), twin.get());
-  std::filesystem::remove_all(data_dir);
-}
-
 }  // namespace
 }  // namespace cloakdb

@@ -18,8 +18,7 @@
 //          [--durability=off|async|fsync] [--data-dir=DIR]
 //          [--checkpoint-interval=N] [--recover]
 //          [--admin-dump-interval=S] [--recorder-dump=PATH]
-//          [--window-interval-ms=MS]
-//          [--public-index=dynamic|static] [--help]
+//          [--window-interval-ms=MS] [--help]
 //
 // --port=0 (the default) binds an ephemeral port; --port-file writes the
 // chosen port to PATH (atomically, via rename) so scripts and cloakload
@@ -83,8 +82,6 @@ struct Args {
   std::string data_dir;
   uint64_t checkpoint_interval = 4096;
   bool recover = false;
-  // Per-category public-data structure (see index/public_index.h).
-  PublicIndexMode public_index = PublicIndexMode::kStatic;
   bool help = false;
   uint64_t admin_dump_interval_s = 0;  // 0 disables periodic status dumps
   std::string recorder_dump;           // fatal-signal flight-recorder path
@@ -164,10 +161,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
     } else if (ParseArg(argv[i], "window-interval-ms", &value)) {
       args.server.metrics_window_interval_ms =
           static_cast<uint32_t>(std::stoul(value));
-    } else if (ParseArg(argv[i], "public-index", &value)) {
-      auto mode = PublicIndexModeFromName(value);
-      if (!mode.ok()) return mode.status();
-      args.public_index = mode.value();
     } else if (std::strcmp(argv[i], "--help") == 0) {
       args.help = true;
       return args;
@@ -213,7 +206,6 @@ Status Run(const Args& args) {
   options.durability_mode = args.durability;
   options.data_dir = args.data_dir;
   options.checkpoint_interval = args.checkpoint_interval;
-  options.public_index = args.public_index;
   auto db = CloakDbService::Create(options);
   if (!db.ok()) return db.status();
 
@@ -328,7 +320,7 @@ void PrintUsage(std::FILE* out, const char* prog) {
       "[--overload-policy=reject|degrade] [--durability=off|async|fsync] "
       "[--data-dir=DIR] [--checkpoint-interval=N] [--recover] "
       "[--admin-dump-interval=S] [--recorder-dump=PATH] "
-      "[--window-interval-ms=MS] [--public-index=dynamic|static] [--help]\n",
+      "[--window-interval-ms=MS] [--help]\n",
       prog);
 }
 

@@ -21,7 +21,7 @@
 //            [--continuous] [--standing=N] [--verify-sample=N]
 //            [--durability=off|async|fsync] [--data-dir=DIR]
 //            [--checkpoint-interval=N] [--chaos-kill] [--kill-cycles=N]
-//            [--public-index=dynamic|static] [--help]
+//            [--help]
 //
 // --shared-exec turns on the service's shared-execution engine (clustered
 // probes + candidate cache); cloaked regions snap to grid cells, so nearby
@@ -125,9 +125,6 @@ struct Args {
   uint64_t checkpoint_interval = 4096;
   bool chaos_kill = false;
   size_t kill_cycles = 6;
-  // Per-category public-data structure: sealed StaticRTree (+ overlay) or
-  // the dynamic R-tree.
-  PublicIndexMode public_index = PublicIndexMode::kStatic;
   bool help = false;
   // Chaos / overload (see the header comment).
   bool chaos = false;
@@ -245,10 +242,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
       auto kind = CloakingKindFromName(value);
       if (!kind.ok()) return kind.status();
       args.algorithm = kind.value();
-    } else if (ParseArg(argv[i], "public-index", &value)) {
-      auto mode = PublicIndexModeFromName(value);
-      if (!mode.ok()) return mode.status();
-      args.public_index = mode.value();
     } else if (std::strcmp(argv[i], "--help") == 0) {
       args.help = true;
       return args;
@@ -629,7 +622,6 @@ int RunChaosKill(const Args& args) {
   options.durability_mode = args.durability;
   options.data_dir = args.data_dir;
   options.checkpoint_interval = args.checkpoint_interval;
-  options.public_index = args.public_index;
   // Crash points only — the probe/stall probabilities stay zero.
   options.fault_injection.enabled = true;
   options.fault_injection.seed = args.chaos_seed;
@@ -805,7 +797,6 @@ int Run(const Args& args) {
   options.durability_mode = args.durability;
   options.data_dir = args.data_dir;
   options.checkpoint_interval = args.checkpoint_interval;
-  options.public_index = args.public_index;
   if (args.signature_cells > 0)
     options.signature_grid_cells = args.signature_cells;
   const bool tracing = !args.trace_out.empty() || !args.trace_jsonl.empty() ||
@@ -1206,8 +1197,7 @@ void PrintUsage(std::FILE* out, const char* prog) {
       "[--overload-policy=reject|degrade] "
       "[--continuous] [--standing=N] [--verify-sample=N] "
       "[--durability=off|async|fsync] [--data-dir=DIR] "
-      "[--checkpoint-interval=N] [--chaos-kill] [--kill-cycles=N] "
-      "[--public-index=dynamic|static] [--help]\n"
+      "[--checkpoint-interval=N] [--chaos-kill] [--kill-cycles=N] [--help]\n"
       "  KIND: naive | mbr | quadtree | grid | multilevel-grid\n"
       "  SPEC: e.g. \"08:00-17:00 k=1; 17:00-22:00 k=100 amin=1\"\n",
       prog);
