@@ -320,6 +320,14 @@ Result<CloakedUpdate> Shard::UpdateLocation(UserId user,
                                             const Point& location,
                                             TimeOfDay now) {
   std::unique_lock<std::shared_mutex> lock(mu_);
+  if (config_.durability != nullptr) {
+    // A one-entry batch: replay re-applies it through ApplyBatchLocked,
+    // which cloaks a lone entry exactly like the call below.
+    storage::WalRecord rec;
+    rec.type = storage::WalRecordType::kUpdateBatch;
+    rec.updates.push_back({user, location, now.seconds()});
+    CLOAKDB_RETURN_IF_ERROR(LogDurable(std::move(rec)));
+  }
   obs::TraceSpan span(obs::CurrentTraceContext(), "cloak");
   auto update = anonymizer_->UpdateLocation(user, location, now);
   if (!update.ok()) return update.status();

@@ -151,7 +151,8 @@ class Shard {
 
   // --- Synchronous paths (exclusive) -------------------------------------
   /// Anonymizes one update and forwards it to the server immediately,
-  /// bypassing the queue (used by low-rate callers and tests).
+  /// bypassing the queue (used by low-rate callers and tests). Logged
+  /// write-ahead like a drained batch of one.
   Result<CloakedUpdate> UpdateLocation(UserId user, const Point& location,
                                        TimeOfDay now);
 

@@ -1,16 +1,16 @@
 // Byte-level codec helpers for the durable storage layer.
 //
-// Everything the storage engine writes to disk — page payloads, WAL
-// records, checkpoint blobs, file headers — goes through these helpers so
-// the on-disk encoding follows one discipline, mirrored from the wire
+// Everything the storage engine writes to disk — WAL records, checkpoint
+// blobs, file headers — goes through these helpers so the on-disk
+// encoding follows one discipline, mirrored from the wire
 // protocol (src/net/protocol.*): fixed-width little-endian integers,
 // doubles as IEEE-754 bit patterns (bit-exact round trips, no printf
 // lossiness), strings as u32 length + raw bytes, and bounds-checked
 // decoding that fails with a Status instead of reading past the buffer.
 //
 // The CRC32 here (polynomial 0xEDB88320, the zlib/IEEE one) is the only
-// checksum implementation in the repo; both the page store and the WAL
-// frame with it.
+// checksum implementation in the repo; the WAL frames, the checkpoint
+// file and the index sidecar all check with it.
 
 #ifndef CLOAKDB_STORAGE_CODEC_H_
 #define CLOAKDB_STORAGE_CODEC_H_

@@ -10,13 +10,10 @@
 //     24  {u32 category, u32 reserved, u64 offset, u64 length}[num_entries]
 //   then each blob at the next 4096-byte boundary, in directory order.
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstring>
 
 #include "storage/codec.h"
+#include "util/atomic_file.h"
 
 namespace cloakdb {
 namespace storage {
@@ -38,21 +35,6 @@ uint64_t LoadU64(const uint8_t* p) {
   uint64_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
-}
-
-Status WriteAll(int fd, const uint8_t* data, size_t len,
-                const std::string& path) {
-  size_t off = 0;
-  while (off < len) {
-    ssize_t n = ::write(fd, data + off, len - off);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      return Status::Internal("write failed on " + path + ": " +
-                              std::strerror(errno));
-    }
-    off += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -94,30 +76,7 @@ Status WriteIndexBlobFile(
     image.resize((image.size() + kBlock - 1) / kBlock * kBlock, '\0');
   }
 
-  const std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::Internal("cannot create " + tmp + ": " +
-                            std::strerror(errno));
-  }
-  Status st = WriteAll(fd, reinterpret_cast<const uint8_t*>(image.data()),
-                       image.size(), tmp);
-  if (st.ok() && ::fsync(fd) != 0) {
-    st = Status::Internal("fsync failed on " + tmp + ": " +
-                          std::strerror(errno));
-  }
-  ::close(fd);
-  if (!st.ok()) {
-    ::unlink(tmp.c_str());
-    return st;
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status err = Status::Internal("rename " + tmp + " -> " + path +
-                                  " failed: " + std::strerror(errno));
-    ::unlink(tmp.c_str());
-    return err;
-  }
-  return Status::OK();
+  return util::WriteFileAtomic(path, image);
 }
 
 Result<IndexBlobFile> OpenIndexBlobFile(const std::string& path,

@@ -4,15 +4,14 @@
 // *what* objects exist; this file is a pure accelerator holding the packed
 // per-category index bytes so a restarting shard can mmap them instead of
 // re-running STR builds. It lives next to the WAL and checkpoint
-// (`<data_dir>/shard-<i>/static_index.blob`) and is written atomically
-// (tmp + fsync + rename) right after each checkpoint.
+// (`<data_dir>/shard-<i>/static_index.blob`) and is written with
+// util::WriteFileAtomic right after each checkpoint.
 //
-// Why a separate file rather than pages inside the DiskStorageManager:
-// the page store chains fixed 4096-byte pages that are not contiguous on
-// disk, so a tree blob stored there could never be pointed into by a
-// single mapping. Here every embedded blob starts on a 4096-byte boundary,
-// which keeps the tree's 1024-aligned leaf section page-aligned inside the
-// mapping.
+// Why a separate file rather than more bytes in checkpoint.db: the
+// checkpoint is the CRC-checked source of truth and is copied into memory
+// on recovery, while this file is meant to be mapped in place. Here every
+// embedded blob starts on a 4096-byte boundary, which keeps the tree's
+// 1024-aligned leaf section page-aligned inside the mapping.
 //
 // Recovery treats this file as untrusted: a missing, truncated, or
 // corrupt sidecar (or one that disagrees with the checkpoint) must never

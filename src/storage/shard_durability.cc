@@ -8,6 +8,8 @@
 #include <cstring>
 
 #include "storage/codec.h"
+#include "util/atomic_file.h"
+#include "util/mmap_file.h"
 
 namespace cloakdb {
 namespace storage {
@@ -16,6 +18,66 @@ namespace {
 
 constexpr const char* kWalFile = "/wal.log";
 constexpr const char* kCheckpointFile = "/checkpoint.db";
+
+// checkpoint.db layout (little-endian):
+//   0   char[8]  magic "CDBCKPT1"
+//   8   u32      version (1)
+//   12  u64      checkpoint LSN
+//   20  u64      payload length
+//   28  u32      CRC32 of bytes [12, 28) followed by the payload
+//   32  payload  the encoded shard snapshot
+constexpr char kCheckpointMagic[8] = {'C', 'D', 'B', 'C', 'K', 'P', 'T', '1'};
+constexpr uint32_t kCheckpointVersion = 1;
+constexpr size_t kCheckpointHeaderBytes = 32;
+
+std::string EncodeCheckpointFile(uint64_t lsn, const std::string& blob) {
+  std::string out;
+  out.reserve(kCheckpointHeaderBytes + blob.size());
+  BufWriter w(&out);
+  w.PutBytes(kCheckpointMagic, sizeof(kCheckpointMagic));
+  w.PutU32(kCheckpointVersion);
+  w.PutU64(lsn);
+  w.PutU64(blob.size());
+  w.PutU32(Crc32Update(Crc32(out.data() + 12, 16), blob.data(), blob.size()));
+  out += blob;
+  return out;
+}
+
+/// Validates and decodes checkpoint.db. Any mismatch is FailedPrecondition:
+/// the checkpoint is the source of truth, so a damaged one must stop
+/// recovery rather than be skipped.
+Status DecodeCheckpointFile(const util::MmapFile& file,
+                            ShardRecoveredState* out) {
+  const uint8_t* data = file.data();
+  if (file.size() < sizeof(kCheckpointMagic) ||
+      std::memcmp(data, kCheckpointMagic, sizeof(kCheckpointMagic)) != 0) {
+    return Status::FailedPrecondition("not a checkpoint file (bad magic): " +
+                                      file.path());
+  }
+  BufReader r(data + sizeof(kCheckpointMagic),
+              file.size() - sizeof(kCheckpointMagic));
+  uint32_t version = 0, crc = 0;
+  uint64_t lsn = 0, len = 0;
+  if (!r.GetU32(&version).ok() || !r.GetU64(&lsn).ok() ||
+      !r.GetU64(&len).ok() || !r.GetU32(&crc).ok() ||
+      len != r.remaining()) {
+    return Status::FailedPrecondition("checkpoint file truncated: " +
+                                      file.path());
+  }
+  if (version != kCheckpointVersion) {
+    return Status::FailedPrecondition("unsupported checkpoint version: " +
+                                      file.path());
+  }
+  const uint8_t* payload = data + kCheckpointHeaderBytes;
+  if (Crc32Update(Crc32(data + 12, 16), payload, len) != crc) {
+    return Status::FailedPrecondition("checkpoint file checksum mismatch: " +
+                                      file.path());
+  }
+  out->had_checkpoint = true;
+  out->checkpoint_lsn = lsn;
+  out->checkpoint_blob.assign(reinterpret_cast<const char*>(payload), len);
+  return Status::OK();
+}
 
 double MicrosSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
@@ -62,9 +124,13 @@ Result<DurabilityMode> DurabilityModeFromName(const std::string& name) {
   return Status::InvalidArgument("unknown durability mode: " + name);
 }
 
-ShardDurability::ShardDurability(DurabilityMode mode, DurabilityObs obs,
+ShardDurability::ShardDurability(std::string checkpoint_path,
+                                 DurabilityMode mode, DurabilityObs obs,
                                  CrashHook hook)
-    : mode_(mode), obs_(obs), crash_hook_(std::move(hook)) {}
+    : mode_(mode),
+      obs_(obs),
+      crash_hook_(std::move(hook)),
+      checkpoint_path_(std::move(checkpoint_path)) {}
 
 Result<std::unique_ptr<ShardDurability>> ShardDurability::Open(
     const std::string& dir, DurabilityMode mode, const DurabilityObs& obs,
@@ -74,33 +140,19 @@ Result<std::unique_ptr<ShardDurability>> ShardDurability::Open(
         "ShardDurability requires a durable mode (async or fsync)");
   }
   CLOAKDB_RETURN_IF_ERROR(MkdirRecursive(dir));
-  auto engine = std::unique_ptr<ShardDurability>(
-      new ShardDurability(mode, obs, std::move(crash_hook)));
+  auto engine = std::unique_ptr<ShardDurability>(new ShardDurability(
+      dir + kCheckpointFile, mode, obs, std::move(crash_hook)));
 
-  auto store = DiskStorageManager::Open(dir + kCheckpointFile);
-  if (!store.ok()) return store.status();
-  engine->store_ = std::move(store).value();
-
-  // Load the newest checkpoint, if one was ever committed. The header is
-  // the atomic commit point: either it names a fully-fsynced blob or it
-  // does not exist.
-  auto header = engine->store_->ReadHeader();
-  if (header.ok() && !header.value().empty()) {
-    BufReader r(header.value());
-    uint64_t root = 0, lsn = 0;
-    CLOAKDB_RETURN_IF_ERROR(r.GetU64(&root));
-    CLOAKDB_RETURN_IF_ERROR(r.GetU64(&lsn));
-    auto blob = engine->store_->LoadBlob(root);
-    if (!blob.ok()) {
-      return Status::FailedPrecondition(
-          "checkpoint blob unreadable (post-header corruption?): " +
-          blob.status().message());
-    }
-    engine->checkpoint_root_ = root;
-    engine->checkpoint_lsn_ = lsn;
-    engine->recovered_.had_checkpoint = true;
-    engine->recovered_.checkpoint_blob = std::move(blob).value();
-    engine->recovered_.checkpoint_lsn = lsn;
+  // Load the newest checkpoint, if one was ever committed. The rename is
+  // the atomic commit point: checkpoint.db is either a complete checkpoint
+  // or absent (a leftover checkpoint.db.tmp is never read).
+  auto file = util::MmapFile::Open(engine->checkpoint_path_);
+  if (file.ok()) {
+    CLOAKDB_RETURN_IF_ERROR(
+        DecodeCheckpointFile(*file.value(), &engine->recovered_));
+    engine->checkpoint_lsn_ = engine->recovered_.checkpoint_lsn;
+  } else if (file.status().code() != StatusCode::kNotFound) {
+    return file.status();
   }
 
   // Scan the WAL tail. Frame-level validity (length, CRC, LSN sequence) is
@@ -123,7 +175,7 @@ Result<std::unique_ptr<ShardDurability>> ShardDurability::Open(
       break;
     }
     if (record.value().lsn <= engine->checkpoint_lsn_) {
-      // Already covered by the checkpoint (crash between header switch and
+      // Already covered by the checkpoint (crash between its rename and the
       // WAL truncate): skip, never double-apply.
       ++engine->recovered_.skipped_records;
       continue;
@@ -201,39 +253,27 @@ Status ShardDurability::WriteCheckpoint(const std::string& snapshot_blob) {
   std::lock_guard<std::mutex> lock(checkpoint_mu_);
   if (crashed_) return Status::OK();
   const auto t0 = std::chrono::steady_clock::now();
+  const std::string file = EncodeCheckpointFile(last_lsn_, snapshot_blob);
   if (ShouldCrash(CrashPoint::kCheckpointMid)) {
-    // Blob pages reach the disk but the header never switches: on reopen
-    // the pages are unreachable from the old header and get reclaimed.
-    (void)store_->StoreBlob(snapshot_blob);
-    (void)store_->Flush();
+    // The temp file reaches the disk but is never renamed: on reopen the
+    // old checkpoint.db and the full WAL are still what recovery reads.
+    (void)util::WriteFileSynced(checkpoint_path_ + ".tmp", file);
     crashed_ = true;
     return Status::OK();
   }
-  auto root = store_->StoreBlob(snapshot_blob);
-  if (!root.ok()) return root.status();
-  CLOAKDB_RETURN_IF_ERROR(store_->Flush());
-
-  // The atomic commit point: after this header is durable, recovery uses
-  // the new checkpoint no matter what happens to the WAL below.
-  std::string header;
-  BufWriter w(&header);
-  w.PutU64(root.value());
-  w.PutU64(last_lsn_);
-  CLOAKDB_RETURN_IF_ERROR(store_->WriteHeader(header, {root.value()}));
-
-  const PageId old_root = checkpoint_root_;
-  checkpoint_root_ = root.value();
+  // The atomic commit point: once the rename is durable, recovery uses the
+  // new checkpoint no matter what happens to the WAL below.
+  CLOAKDB_RETURN_IF_ERROR(util::WriteFileAtomic(checkpoint_path_, file));
   checkpoint_lsn_ = last_lsn_;
-  if (old_root != kNullPage) (void)store_->DeleteBlob(old_root);
 
   if (ShouldCrash(CrashPoint::kCheckpointPreTruncate)) {
-    // Header switched, WAL still carries covered records — replay must
+    // Checkpoint renamed, WAL still carries covered records — replay must
     // skip them by LSN on reopen.
     crashed_ = true;
     return Status::OK();
   }
   {
-    // The checkpoint header is durable, so it covers any appended records
+    // The checkpoint file is durable, so it covers any appended records
     // still waiting on a deferred fsync — nothing is pending after Reset.
     std::lock_guard<std::mutex> wal_lock(wal_mu_);
     CLOAKDB_RETURN_IF_ERROR(wal_->Reset());

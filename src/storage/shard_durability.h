@@ -1,10 +1,12 @@
-// Per-shard durability engine: WAL + checkpoint page store + recovery.
+// Per-shard durability engine: WAL + checkpoint file + recovery.
 //
 // One ShardDurability instance owns one shard's on-disk state, living in
 // its own directory:
 //
 //   <data_dir>/shard-<i>/wal.log        append-only record log
-//   <data_dir>/shard-<i>/checkpoint.db  paged blob store (DiskStorageManager)
+//   <data_dir>/shard-<i>/checkpoint.db  the latest snapshot, one file:
+//                                       magic, version, LSN, length, CRC32
+//                                       and the snapshot blob
 //
 // Commit protocol (group commit — the drained batch is the group):
 //   1. the shard appends one WAL record per durable mutation, in apply
@@ -15,14 +17,16 @@
 //
 // Checkpoint protocol (callable under the shard's shared lock — appends
 // need the exclusive lock, so none run concurrently):
-//   1. store the snapshot blob into fresh pages, fsync;
-//   2. switch the dual-slot header to {new root, last LSN}, fsync — this
-//      is the atomic commit point;
-//   3. free the old root's pages and truncate the WAL.
-// A crash before 2 leaves the old checkpoint + full WAL (orphan pages are
-// reclaimed on reopen); a crash after 2 but before 3 leaves a WAL whose
+//   1. write the whole file to checkpoint.db.tmp and fsync it;
+//   2. rename it over checkpoint.db and fsync the directory — this is the
+//      atomic commit point (util::WriteFileAtomic);
+//   3. truncate the WAL.
+// A crash before 2 leaves the old checkpoint + full WAL (the stray temp
+// file is never read); a crash after 2 but before 3 leaves a WAL whose
 // prefix is already covered — replay skips records with LSN <= the
-// checkpoint LSN, so nothing is ever applied twice.
+// checkpoint LSN, so nothing is ever applied twice. A checkpoint.db that
+// fails its magic, length or CRC check fails Open closed: recovery never
+// silently comes up with only the WAL.
 //
 // Crash points: the engine consults an injected hook at each step of the
 // append -> fsync -> apply window and, when the hook fires, freezes into a
@@ -49,7 +53,6 @@
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "storage/storage_manager.h"
 #include "storage/wal.h"
 #include "storage/wal_record.h"
 #include "util/status.h"
@@ -74,8 +77,8 @@ enum class CrashPoint : uint8_t {
   kWalPreAppend = 1,     ///< Die before the record is framed: record lost.
   kWalTornTail = 2,      ///< Die mid-write: half a frame reaches the disk.
   kWalPreFsync = 3,      ///< Die after write, before fsync.
-  kCheckpointMid = 4,    ///< Die after blob pages, before the header switch.
-  kCheckpointPreTruncate = 5,  ///< Die after the header, before WAL truncate.
+  kCheckpointMid = 4,    ///< Die with the temp file fsynced, not renamed.
+  kCheckpointPreTruncate = 5,  ///< Die after the rename, before WAL truncate.
 };
 
 /// Fired once per step; returning true means "the process dies here".
@@ -110,7 +113,7 @@ struct ShardRecoveredState {
   /// Torn/corrupt tail occurrences + undecodable payloads dropped.
   uint64_t truncated_records = 0;
   /// Stale WAL records skipped because the checkpoint already covers them
-  /// (a crash between header switch and WAL truncate).
+  /// (a crash between the checkpoint rename and the WAL truncate).
   uint64_t skipped_records = 0;
 };
 
@@ -167,7 +170,8 @@ class ShardDurability {
   DurabilityMode mode() const { return mode_; }
 
  private:
-  ShardDurability(DurabilityMode mode, DurabilityObs obs, CrashHook hook);
+  ShardDurability(std::string checkpoint_path, DurabilityMode mode,
+                  DurabilityObs obs, CrashHook hook);
 
   bool ShouldCrash(CrashPoint point) {
     if (!crash_hook_) return false;
@@ -181,10 +185,9 @@ class ShardDurability {
   /// Leaf lock around WalAppender calls: appends run under the shard's
   /// exclusive lock, but Sync() group-commits without it.
   std::mutex wal_mu_;
-  std::unique_ptr<DiskStorageManager> store_;
+  const std::string checkpoint_path_;
   std::unique_ptr<WalAppender> wal_;
   ShardRecoveredState recovered_;
-  PageId checkpoint_root_ = kNullPage;
   uint64_t checkpoint_lsn_ = 0;
   uint64_t last_lsn_ = 0;
   uint64_t records_since_checkpoint_ = 0;

@@ -14,9 +14,14 @@ namespace util {
 Result<std::shared_ptr<MmapFile>> MmapFile::Open(const std::string& path,
                                                  bool force_read_fallback) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0)
-    return Status::NotFound("cannot open " + path + ": " +
-                            std::strerror(errno));
+  if (fd < 0) {
+    const int err = errno;
+    std::string msg = "cannot open " + path + ": " + std::strerror(err);
+    // Only a missing file is NotFound; callers treat that as "never
+    // written", which must not swallow a permission or I/O error.
+    return err == ENOENT ? Status::NotFound(std::move(msg))
+                         : Status::Internal(std::move(msg));
+  }
 
   struct stat st;
   if (::fstat(fd, &st) != 0) {

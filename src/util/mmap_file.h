@@ -26,9 +26,9 @@ namespace util {
 /// An immutable byte view of one file, mmap-backed when possible.
 class MmapFile {
  public:
-  /// Opens `path` read-only. `force_read_fallback` skips mmap and always
-  /// loads through read() — exercised by tests to cover the fallback path
-  /// deterministically.
+  /// Opens `path` read-only; NotFound only when it does not exist.
+  /// `force_read_fallback` skips mmap and always loads through read() —
+  /// exercised by tests to cover the fallback path deterministically.
   static Result<std::shared_ptr<MmapFile>> Open(
       const std::string& path, bool force_read_fallback = false);
 

@@ -287,7 +287,7 @@ TEST(RecoveryOracleCheckpointTest, CrashMidCheckpointKeepsOldStateAndWal) {
     auto doomed =
         MakeDurable(data_dir, storage::CrashPoint::kCheckpointMid, 1);
     ApplyRange(doomed.get(), ops, 0, before_checkpoint);
-    // Crashes inside: blob pages written, header never switched.
+    // Crashes inside: temp file fsynced, never renamed.
     ASSERT_TRUE(doomed->Checkpoint().ok());
     ASSERT_TRUE(doomed->fault_injector()->crash_fired());
   }
@@ -312,7 +312,7 @@ TEST(RecoveryOracleCheckpointTest, CrashBeforeWalTruncateSkipsStaleRecords) {
     auto doomed = MakeDurable(
         data_dir, storage::CrashPoint::kCheckpointPreTruncate, 1);
     ApplyRange(doomed.get(), ops, 0, before_checkpoint);
-    // Crashes after the header switch: checkpoint committed, stale WAL
+    // Crashes after the rename: checkpoint committed, stale WAL
     // records left behind for replay to skip by LSN.
     ASSERT_TRUE(doomed->Checkpoint().ok());
     ASSERT_TRUE(doomed->fault_injector()->crash_fired());
@@ -354,6 +354,38 @@ TEST(RecoveryOracleCheckpointTest, CheckpointPlusWalSuffixRecoversAll) {
   auto ans_r = recovered->AnswerContinuous(1);
   auto ans_t = twin->AnswerContinuous(1);
   ASSERT_EQ(ans_r.ok(), ans_t.ok());
+}
+
+// The synchronous update path is write-ahead logged like a drained batch:
+// an acknowledged UpdateLocation survives a clean close and reopen with
+// its region reproduced bit for bit.
+TEST(SyncUpdateDurabilityTest, AcknowledgedUpdateSurvivesReopen) {
+  const std::string data_dir = TempDataDir("sync_update");
+  auto twin = MakeTwin();
+  Rect live_region;
+  ObjectId live_pseudonym = 0;
+  {
+    auto durable = MakeDurable(data_dir, storage::CrashPoint::kNone, 0);
+    for (CloakDbService* db : {durable.get(), twin.get()}) {
+      for (UserId u = 1; u <= 20; ++u) {
+        ASSERT_TRUE(db->RegisterUser(u, KProfile(3)).ok());
+        ASSERT_TRUE(db->EnqueueUpdate(u, Point(3.0 * u, 2.5 * u), Noon()).ok());
+        ASSERT_TRUE(db->Flush().ok());  // width-one batches, as above
+      }
+      ASSERT_TRUE(db->UpdateLocation(1, Point(90, 90), Noon()).ok());
+      // Rejected calls still fail, and are not applied on replay either.
+      EXPECT_EQ(db->UpdateLocation(999, Point(5, 5), Noon()).status().code(),
+                StatusCode::kNotFound);
+      EXPECT_EQ(db->UpdateLocation(2, Point(500, 5), Noon()).status().code(),
+                StatusCode::kOutOfRange);
+    }
+    live_region = durable->shard(0).CurrentRegionOfUser(1).value();
+    live_pseudonym = durable->PseudonymOf(1).value();
+  }
+  auto recovered = MakeDurable(data_dir, storage::CrashPoint::kNone, 0);
+  EXPECT_EQ(recovered->shard(0).CurrentRegionOfUser(1).value(), live_region);
+  EXPECT_EQ(recovered->PseudonymOf(1).value(), live_pseudonym);
+  ExpectBitIdentical(recovered.get(), twin.get());
 }
 
 }  // namespace

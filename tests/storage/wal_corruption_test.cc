@@ -1,7 +1,9 @@
 // WAL corruption battery: every way a crash or bit-rot can mangle the log
 // — torn tails, truncation, flipped CRC bytes, duplicated segments, absurd
 // length fields — must shorten the recovered prefix, surface a
-// truncated-records count, and never crash or mis-apply a record.
+// truncated-records count, and never crash or mis-apply a record. A
+// damaged checkpoint.db instead fails Open closed: it is the source of
+// truth, so recovery must never silently fall back to the WAL alone.
 
 #include <unistd.h>
 
@@ -249,6 +251,154 @@ TEST(ShardDurabilityTest, FrameValidButUndecodablePayloadIsTruncated) {
   EXPECT_EQ(engine->last_lsn(), 2u);
   // The poisoned frame was physically dropped at reopen.
   EXPECT_EQ(ScanWal(dir + "/wal.log").value().payloads.size(), 2u);
+}
+
+// --- Checkpoint file --------------------------------------------------------
+
+/// Magic, version, LSN, payload length and CRC precede the payload.
+constexpr uint64_t kCheckpointHeaderBytes = 32;
+
+/// Open without asserting success, for the fail-closed cases.
+Result<std::unique_ptr<ShardDurability>> TryOpenEngine(
+    const std::string& dir) {
+  return ShardDurability::Open(dir, DurabilityMode::kFsync, DurabilityObs{});
+}
+
+/// Logs two records, checkpoints `blob` over them, and closes the engine.
+void WriteOneCheckpoint(const std::string& dir, const std::string& blob) {
+  auto engine = OpenEngine(dir);
+  ASSERT_TRUE(engine->LogAndCommit(UnregisterRecord(1)).ok());
+  ASSERT_TRUE(engine->LogAndCommit(UnregisterRecord(2)).ok());
+  ASSERT_TRUE(engine->WriteCheckpoint(blob).ok());
+}
+
+TEST(ShardDurabilityTest, CheckpointRoundTripsThroughReopen) {
+  const std::string dir = TempDir("ckpt_roundtrip");
+  const std::string blob(10000, 'a');
+  WriteOneCheckpoint(dir, blob);
+  auto engine = OpenEngine(dir);
+  EXPECT_TRUE(engine->recovered().had_checkpoint);
+  EXPECT_EQ(engine->recovered().checkpoint_blob, blob);
+  EXPECT_EQ(engine->recovered().checkpoint_lsn, 2u);
+  EXPECT_TRUE(engine->recovered().records.empty());
+  EXPECT_EQ(engine->last_lsn(), 2u);
+}
+
+TEST(ShardDurabilityTest, EmptyAndBinaryBlobsSurviveReopen) {
+  std::string binary;
+  for (size_t i = 0; i < 3 * 4096 + 17; ++i) {
+    binary.push_back(static_cast<char>(i * 7 % 256));  // every byte value
+  }
+  for (const std::string& blob : {std::string(), binary}) {
+    const std::string dir = TempDir("ckpt_blob_" + std::to_string(blob.size()));
+    WriteOneCheckpoint(dir, blob);
+    auto engine = OpenEngine(dir);
+    EXPECT_TRUE(engine->recovered().had_checkpoint);
+    EXPECT_EQ(engine->recovered().checkpoint_blob, blob);
+    EXPECT_EQ(engine->recovered().checkpoint_lsn, 2u);
+  }
+}
+
+TEST(ShardDurabilityTest, FlippedPayloadByteFailsClosed) {
+  const std::string dir = TempDir("ckpt_flip");
+  WriteOneCheckpoint(dir, std::string(5000, 'b'));
+  const std::string path = dir + "/checkpoint.db";
+  std::string raw = ReadFile(path);
+  raw[kCheckpointHeaderBytes + 4321] ^= 0x10;
+  WriteFile(path, raw);
+  auto engine = TryOpenEngine(dir);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ShardDurabilityTest, TruncatedCheckpointFailsClosed) {
+  const std::string dir = TempDir("ckpt_truncated");
+  WriteOneCheckpoint(dir, std::string(5000, 'c'));
+  const std::string path = dir + "/checkpoint.db";
+  const std::string raw = ReadFile(path);
+  // Cut inside the payload, inside the header, and to nothing at all.
+  for (size_t keep : {raw.size() - 1, size_t{20}, size_t{0}}) {
+    WriteFile(path, raw.substr(0, keep));
+    auto engine = TryOpenEngine(dir);
+    ASSERT_FALSE(engine.ok()) << "kept " << keep << " bytes";
+    EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition);
+  }
+}
+
+TEST(ShardDurabilityTest, ForeignMagicFailsClosed) {
+  const std::string dir = TempDir("ckpt_magic");
+  WriteOneCheckpoint(dir, std::string(100, 'd'));
+  const std::string path = dir + "/checkpoint.db";
+  std::string raw = ReadFile(path);
+  raw.replace(0, 8, "CDBPAGE1");
+  WriteFile(path, raw);
+  auto engine = TryOpenEngine(dir);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(ShardDurabilityTest, LeftoverTempFileIsIgnored) {
+  const std::string dir = TempDir("ckpt_leftover");
+  const std::string blob(3000, 'e');
+  WriteOneCheckpoint(dir, blob);
+  {
+    auto engine = OpenEngine(dir);
+    ASSERT_TRUE(engine->LogAndCommit(UnregisterRecord(3)).ok());
+  }
+  // A checkpoint that died mid-write leaves a partial temp file behind.
+  WriteFile(dir + "/checkpoint.db.tmp", "CDBCKPT1 and then nothing");
+  auto engine = OpenEngine(dir);
+  EXPECT_EQ(engine->recovered().checkpoint_blob, blob);
+  EXPECT_EQ(engine->recovered().checkpoint_lsn, 2u);
+  ASSERT_EQ(engine->recovered().records.size(), 1u);
+  EXPECT_EQ(engine->recovered().records[0].user, 3u);
+  // The next checkpoint simply writes over the stray file.
+  ASSERT_TRUE(engine->WriteCheckpoint(std::string(10, 'f')).ok());
+  EXPECT_FALSE(std::filesystem::exists(dir + "/checkpoint.db.tmp"));
+}
+
+TEST(ShardDurabilityTest, CrashMidCheckpointKeepsPreviousCheckpoint) {
+  const std::string dir = TempDir("ckpt_crash_mid");
+  const std::string first(2000, 'j');
+  WriteOneCheckpoint(dir, first);
+  {
+    auto engine = ShardDurability::Open(dir, DurabilityMode::kFsync,
+                                        DurabilityObs{},
+                                        [](CrashPoint point) {
+                                          return point ==
+                                                 CrashPoint::kCheckpointMid;
+                                        })
+                      .value();
+    ASSERT_TRUE(engine->LogAndCommit(UnregisterRecord(3)).ok());
+    ASSERT_TRUE(engine->WriteCheckpoint(std::string(4000, 'k')).ok());
+    EXPECT_TRUE(engine->crashed());
+  }
+  // The new checkpoint reached only the temp file: reopen reads the
+  // previous checkpoint and replays the WAL record it does not cover.
+  EXPECT_TRUE(std::filesystem::exists(dir + "/checkpoint.db.tmp"));
+  auto engine = OpenEngine(dir);
+  EXPECT_EQ(engine->recovered().checkpoint_blob, first);
+  EXPECT_EQ(engine->recovered().checkpoint_lsn, 2u);
+  ASSERT_EQ(engine->recovered().records.size(), 1u);
+  EXPECT_EQ(engine->recovered().records[0].user, 3u);
+  EXPECT_EQ(engine->last_lsn(), 3u);
+}
+
+TEST(ShardDurabilityTest, RepeatedCheckpointsDoNotGrowTheFile) {
+  const std::string dir = TempDir("ckpt_nogrowth");
+  auto engine = OpenEngine(dir);
+  const std::string last(700, 'i');
+  for (const std::string& blob :
+       {std::string(20000, 'g'), std::string(9000, 'h'), last}) {
+    ASSERT_TRUE(engine->LogAndCommit(UnregisterRecord(1)).ok());
+    ASSERT_TRUE(engine->WriteCheckpoint(blob).ok());
+  }
+  EXPECT_EQ(std::filesystem::file_size(dir + "/checkpoint.db"),
+            last.size() + kCheckpointHeaderBytes);
+  engine.reset();
+  auto reopened = OpenEngine(dir);
+  EXPECT_EQ(reopened->recovered().checkpoint_blob, last);
+  EXPECT_EQ(reopened->recovered().checkpoint_lsn, 3u);
 }
 
 // --- Fuzz ----------------------------------------------------------------

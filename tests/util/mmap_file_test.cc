@@ -38,6 +38,16 @@ TEST(MmapFileTest, MissingFileFails) {
   EXPECT_EQ(file.status().code(), StatusCode::kNotFound);
 }
 
+TEST(MmapFileTest, OtherOpenErrorsAreNotNotFound) {
+  // A path through a regular file fails with ENOTDIR: the file is not
+  // "missing", so callers must not mistake it for one never written.
+  const std::string file = TempPath("notdir");
+  WriteFile(file, "x");
+  auto opened = MmapFile::Open(file + "/child");
+  EXPECT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInternal);
+}
+
 TEST(MmapFileTest, MapsContentReadOnly) {
   const std::string path = TempPath("basic");
   const std::string payload = "cloakdb mmap payload \0 with a nul";

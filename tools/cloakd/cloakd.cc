@@ -55,6 +55,7 @@
 #include "service/cloak_db_service.h"
 #include "service/service_stats.h"
 #include "sim/poi.h"
+#include "util/atomic_file.h"
 #include "util/random.h"
 
 namespace cloakdb {
@@ -177,18 +178,6 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void HandleSignal(int) { g_stop = 1; }
 
-/// Writes `contents` to `path` atomically (temp file + rename).
-Status WriteFileAtomic(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot open " + tmp);
-  std::fwrite(contents.data(), 1, contents.size(), f);
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    return Status::Internal("cannot rename " + tmp);
-  return Status::OK();
-}
-
 Status Run(const Args& args) {
   CloakDbServiceOptions options;
   options.space = Rect(0, 0, 100, 100);
@@ -265,7 +254,7 @@ Status Run(const Args& args) {
                args.server.host.c_str(), server.value()->port(),
                db.value()->Stats().num_users, args.shards);
   if (!args.port_file.empty()) {
-    CLOAKDB_RETURN_IF_ERROR(WriteFileAtomic(
+    CLOAKDB_RETURN_IF_ERROR(util::WriteFileAtomic(
         args.port_file, std::to_string(server.value()->port()) + "\n"));
   }
 
@@ -296,7 +285,7 @@ Status Run(const Args& args) {
   }
 
   if (!args.metrics_json.empty()) {
-    CLOAKDB_RETURN_IF_ERROR(WriteFileAtomic(
+    CLOAKDB_RETURN_IF_ERROR(util::WriteFileAtomic(
         args.metrics_json, db.value()->metrics().ExportJson()));
     std::fprintf(stderr, "cloakd: metrics written to %s\n",
                  args.metrics_json.c_str());

@@ -88,6 +88,7 @@
 #include "sim/movement.h"
 #include "sim/poi.h"
 #include "sim/population.h"
+#include "util/atomic_file.h"
 #include "util/random.h"
 
 namespace cloakdb {
@@ -268,22 +269,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
       args.data_dir.empty())
     return Status::InvalidArgument("--durability requires --data-dir");
   return args;
-}
-
-// Writes `contents` to `path` atomically: readers (cloakmon) either see the
-// previous snapshot or this one, never a torn write.
-bool WriteFileAtomic(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(contents.data(), 1, contents.size(), f) == contents.size();
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 // The per-tick status snapshot cloakmon polls is the shared admin-plane
@@ -1044,8 +1029,9 @@ int Run(const Args& args) {
                 metrics.SnapshotHistogram("query.private_range.latency_us")
                     .p95());
     if (!args.monitor_json.empty() &&
-        !WriteFileAtomic(args.monitor_json,
-                         BuildStatusJson(db, tick, args.ticks))) {
+        !util::WriteFileAtomic(args.monitor_json,
+                               BuildStatusJson(db, tick, args.ticks))
+             .ok()) {
       std::fprintf(stderr, "cannot write %s\n", args.monitor_json.c_str());
       return 1;
     }
@@ -1157,12 +1143,14 @@ int Run(const Args& args) {
     const std::vector<obs::SpanRecord> spans =
         db.tracer()->TakeCompletedSpans();
     if (!args.trace_out.empty() &&
-        !WriteFileAtomic(args.trace_out, obs::ExportChromeTrace(spans))) {
+        !util::WriteFileAtomic(args.trace_out, obs::ExportChromeTrace(spans))
+             .ok()) {
       std::fprintf(stderr, "cannot write %s\n", args.trace_out.c_str());
       return 1;
     }
     if (!args.trace_jsonl.empty() &&
-        !WriteFileAtomic(args.trace_jsonl, obs::ExportJsonl(spans))) {
+        !util::WriteFileAtomic(args.trace_jsonl, obs::ExportJsonl(spans))
+             .ok()) {
       std::fprintf(stderr, "cannot write %s\n", args.trace_jsonl.c_str());
       return 1;
     }
