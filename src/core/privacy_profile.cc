@@ -31,6 +31,10 @@ Status ValidateRequirement(const PrivacyRequirement& req) {
 
 Result<PrivacyProfile> PrivacyProfile::Create(
     std::vector<ProfileEntry> entries) {
+  if (entries.size() > kMaxProfileEntries)
+    return Status::InvalidArgument("profile has more than " +
+                                   std::to_string(kMaxProfileEntries) +
+                                   " entries");
   for (const auto& e : entries) {
     CLOAKDB_RETURN_IF_ERROR(ValidateRequirement(e.requirement));
   }

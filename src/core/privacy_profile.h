@@ -52,6 +52,10 @@ struct ProfileEntry {
   PrivacyRequirement requirement;
 };
 
+/// Most entries one profile may hold: the cap the WAL and checkpoint
+/// readers enforce, so Create refuses a profile they could not read back.
+inline constexpr size_t kMaxProfileEntries = 4096;
+
 /// A mobile user's full privacy profile.
 ///
 /// Entries must be pairwise non-overlapping so resolution is deterministic;
@@ -63,8 +67,8 @@ class PrivacyProfile {
   PrivacyProfile() = default;
 
   /// Validates and builds a profile. Fails with InvalidArgument when an
-  /// entry has k = 0, a negative/NaN area, min_area > max_area, or when two
-  /// entries overlap in time.
+  /// entry has k = 0, a negative/NaN area, min_area > max_area, when two
+  /// entries overlap in time, or past kMaxProfileEntries entries.
   static Result<PrivacyProfile> Create(std::vector<ProfileEntry> entries);
 
   /// A profile with the same requirement at all times.

@@ -1,7 +1,7 @@
 #include "index/static_rtree.h"
 
 // Blob layout (all little-endian, fixed-width; doubles as IEEE-754 bit
-// patterns — the same discipline as storage/codec.h):
+// patterns — written and read with util/byte_codec.h):
 //
 //   offset 0    char[8]  magic "CDBSRT01"
 //   offset 8    u64      count                 (number of entries)
@@ -37,7 +37,7 @@
 #include <unordered_set>
 
 #include "geom/distance.h"
-#include "storage/codec.h"
+#include "util/byte_codec.h"
 
 namespace cloakdb {
 
@@ -47,25 +47,6 @@ constexpr char kMagic[8] = {'C', 'D', 'B', 'S', 'R', 'T', '0', '1'};
 constexpr size_t kHeaderBytes = 128;
 constexpr double kQMaxD = 4294967295.0;  // 2^32 - 1
 constexpr uint32_t kQMax = 0xFFFFFFFFu;
-
-uint64_t LoadU64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-uint32_t LoadU32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-double LoadF64(const uint8_t* p) {
-  double v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-void StoreU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
-void StoreU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
-void StoreF64(uint8_t* p, double v) { std::memcpy(p, &v, sizeof(v)); }
 
 /// Floor-quantization with clamping. Monotone in `v`, so quantizing both a
 /// stored coordinate and a window edge with the same function preserves
@@ -82,8 +63,8 @@ uint64_t RoundUp(uint64_t v, uint64_t align) {
 }
 
 uint32_t BlobCrc(const uint8_t* base, size_t total) {
-  uint32_t crc = storage::Crc32Update(0, base, 28);
-  return storage::Crc32Update(crc, base + 32, total - 32);
+  uint32_t crc = util::Crc32Update(0, base, 28);
+  return util::Crc32Update(crc, base + 32, total - 32);
 }
 
 struct BuildRec {
@@ -174,23 +155,23 @@ Result<StaticRTree> StaticRTree::Build(std::vector<PointEntry> entries) {
   uint8_t* base = reinterpret_cast<uint8_t*>(&blob[0]);
 
   std::memcpy(base, kMagic, 8);
-  StoreU64(base + 8, n);
-  StoreU32(base + 16, static_cast<uint32_t>(num_levels));
-  StoreU32(base + 20, kLeafCapacity);
-  StoreU32(base + 24, kBranching);
-  StoreF64(base + 32, n > 0 ? frame.min_x : 0.0);
-  StoreF64(base + 40, n > 0 ? frame.min_y : 0.0);
-  StoreF64(base + 48, n > 0 ? frame.max_x : 0.0);
-  StoreF64(base + 56, n > 0 ? frame.max_y : 0.0);
-  StoreU64(base + 64, nodes_offset);
-  StoreU64(base + 72, num_nodes_total);
-  StoreU64(base + 80, leaves_offset);
-  StoreU64(base + 88, num_pages);
-  StoreU64(base + 96, exact_offset);
-  StoreU64(base + 104, ids_offset);
-  StoreU64(base + 112, total);
+  util::Store<uint64_t>(base + 8, n);
+  util::Store<uint32_t>(base + 16, static_cast<uint32_t>(num_levels));
+  util::Store<uint32_t>(base + 20, kLeafCapacity);
+  util::Store<uint32_t>(base + 24, kBranching);
+  util::Store<double>(base + 32, n > 0 ? frame.min_x : 0.0);
+  util::Store<double>(base + 40, n > 0 ? frame.min_y : 0.0);
+  util::Store<double>(base + 48, n > 0 ? frame.max_x : 0.0);
+  util::Store<double>(base + 56, n > 0 ? frame.max_y : 0.0);
+  util::Store<uint64_t>(base + 64, nodes_offset);
+  util::Store<uint64_t>(base + 72, num_nodes_total);
+  util::Store<uint64_t>(base + 80, leaves_offset);
+  util::Store<uint64_t>(base + 88, num_pages);
+  util::Store<uint64_t>(base + 96, exact_offset);
+  util::Store<uint64_t>(base + 104, ids_offset);
+  util::Store<uint64_t>(base + 112, total);
   for (uint64_t l = 0; l < num_levels; ++l) {
-    StoreU64(base + kHeaderBytes + 8 * l, level_counts[l]);
+    util::Store<uint64_t>(base + kHeaderBytes + 8 * l, level_counts[l]);
   }
 
   // Leaves + exact coordinates (slot order). The tail of the last page is
@@ -200,11 +181,11 @@ Result<StaticRTree> StaticRTree::Build(std::vector<PointEntry> entries) {
   for (uint64_t slot = 0; slot < n; ++slot) {
     const BuildRec& r = recs[slot];
     uint8_t* e = leaf_bytes + slot * sizeof(LeafEntry);
-    StoreU64(e, r.id);
-    StoreU32(e + 8, r.qx);
-    StoreU32(e + 12, r.qy);
-    StoreF64(exact_bytes + slot * 16, r.x);
-    StoreF64(exact_bytes + slot * 16 + 8, r.y);
+    util::Store<uint64_t>(e, r.id);
+    util::Store<uint32_t>(e + 8, r.qx);
+    util::Store<uint32_t>(e + 12, r.qy);
+    util::Store<double>(exact_bytes + slot * 16, r.x);
+    util::Store<double>(exact_bytes + slot * 16 + 8, r.y);
   }
 
   // Level 0: per-page quantized MBRs. Upper levels: MBRs over kBranching
@@ -253,11 +234,11 @@ Result<StaticRTree> StaticRTree::Build(std::vector<PointEntry> entries) {
             [](const IdSlot& a, const IdSlot& b) { return a.id < b.id; });
   uint8_t* id_bytes = base + ids_offset;
   for (uint64_t i = 0; i < n; ++i) {
-    StoreU64(id_bytes + i * sizeof(IdSlot), ids[i].id);
-    StoreU64(id_bytes + i * sizeof(IdSlot) + 8, ids[i].slot);
+    util::Store<uint64_t>(id_bytes + i * sizeof(IdSlot), ids[i].id);
+    util::Store<uint64_t>(id_bytes + i * sizeof(IdSlot) + 8, ids[i].slot);
   }
 
-  StoreU32(base + 28, BlobCrc(base, total));
+  util::Store<uint32_t>(base + 28, BlobCrc(base, total));
   return FromBlob(std::move(blob));
 }
 
@@ -295,18 +276,19 @@ Status StaticRTree::AttachTo(const uint8_t* base, size_t size) {
   if (std::memcmp(base, kMagic, 8) != 0) {
     return Status::Internal("static r-tree blob: bad magic");
   }
-  const uint64_t count = LoadU64(base + 8);
-  const uint32_t num_levels = LoadU32(base + 16);
-  if (LoadU32(base + 20) != kLeafCapacity || LoadU32(base + 24) != kBranching) {
+  const uint64_t count = util::Load<uint64_t>(base + 8);
+  const uint32_t num_levels = util::Load<uint32_t>(base + 16);
+  if (util::Load<uint32_t>(base + 20) != kLeafCapacity ||
+      util::Load<uint32_t>(base + 24) != kBranching) {
     return Status::Internal("static r-tree blob: geometry mismatch");
   }
-  const uint64_t nodes_offset = LoadU64(base + 64);
-  const uint64_t num_nodes_total = LoadU64(base + 72);
-  const uint64_t leaves_offset = LoadU64(base + 80);
-  const uint64_t num_pages = LoadU64(base + 88);
-  const uint64_t exact_offset = LoadU64(base + 96);
-  const uint64_t ids_offset = LoadU64(base + 104);
-  const uint64_t total = LoadU64(base + 112);
+  const uint64_t nodes_offset = util::Load<uint64_t>(base + 64);
+  const uint64_t num_nodes_total = util::Load<uint64_t>(base + 72);
+  const uint64_t leaves_offset = util::Load<uint64_t>(base + 80);
+  const uint64_t num_pages = util::Load<uint64_t>(base + 88);
+  const uint64_t exact_offset = util::Load<uint64_t>(base + 96);
+  const uint64_t ids_offset = util::Load<uint64_t>(base + 104);
+  const uint64_t total = util::Load<uint64_t>(base + 112);
 
   // Recompute the whole section layout from (count, num_levels) and insist
   // the header agrees — cheaper to reason about than bounds-checking each
@@ -323,7 +305,7 @@ Status StaticRTree::AttachTo(const uint8_t* base, size_t size) {
     if (kHeaderBytes + 8 * (l + 1) > size) {
       return Status::Internal("static r-tree blob: truncated level table");
     }
-    level_counts[l] = LoadU64(base + kHeaderBytes + 8 * l);
+    level_counts[l] = util::Load<uint64_t>(base + kHeaderBytes + 8 * l);
     nodes_sum += level_counts[l];
   }
   const uint64_t want_pages = (count + kLeafCapacity - 1) / kLeafCapacity;
@@ -352,14 +334,14 @@ Status StaticRTree::AttachTo(const uint8_t* base, size_t size) {
       total != want_total || total != size) {
     return Status::Internal("static r-tree blob: section layout mismatch");
   }
-  if (BlobCrc(base, size) != LoadU32(base + 28)) {
+  if (BlobCrc(base, size) != util::Load<uint32_t>(base + 28)) {
     return Status::Internal("static r-tree blob: checksum mismatch");
   }
 
-  const double fx0 = LoadF64(base + 32);
-  const double fy0 = LoadF64(base + 40);
-  const double fx1 = LoadF64(base + 48);
-  const double fy1 = LoadF64(base + 56);
+  const double fx0 = util::Load<double>(base + 32);
+  const double fy0 = util::Load<double>(base + 40);
+  const double fx1 = util::Load<double>(base + 48);
+  const double fy1 = util::Load<double>(base + 56);
   if (count > 0) {
     if (!std::isfinite(fx0) || !std::isfinite(fy0) || !std::isfinite(fx1) ||
         !std::isfinite(fy1) || fx0 > fx1 || fy0 > fy1) {

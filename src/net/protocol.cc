@@ -1,147 +1,33 @@
 #include "net/protocol.h"
 
-#include <bit>
-#include <cstring>
+#include "util/byte_codec.h"
 
 namespace cloakdb::net {
 namespace {
 
-// --- Little-endian append helpers ---------------------------------------
+using util::ByteReader;
+using util::ByteWriter;
 
-void AppendU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
+/// Writes a frame header with a zero payload_len and returns the frame's
+/// start offset for EndFrame, which back-patches the length once the
+/// payload is written — no scratch payload buffer, no copy.
+size_t BeginFrame(ByteWriter* w, FrameType type, uint64_t request_id) {
+  const size_t start = w->size();
+  w->U32(kMagic);
+  w->U16(kProtocolVersion);
+  w->U8(static_cast<uint8_t>(type));
+  w->U8(0);  // reserved
+  w->U64(request_id);
+  w->U32(0);  // payload_len, patched by EndFrame
+  return start;
 }
 
-void AppendU16(std::string* out, uint16_t v) {
-  for (int i = 0; i < 2; ++i)
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+/// Patches the payload_len of the frame begun at `start`; returns it.
+size_t EndFrame(ByteWriter* w, size_t start) {
+  const size_t payload_len = w->size() - start - kFrameHeaderSize;
+  w->PatchU32(start + 16, static_cast<uint32_t>(payload_len));
+  return payload_len;
 }
-
-void AppendU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void AppendF64(std::string* out, double v) {
-  AppendU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void AppendRect(std::string* out, const Rect& r) {
-  AppendF64(out, r.min_x);
-  AppendF64(out, r.min_y);
-  AppendF64(out, r.max_x);
-  AppendF64(out, r.max_y);
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  // Encoders truncate instead of failing: an oversize error message is a
-  // server-side artifact, never worth dropping the frame over.
-  const uint32_t len =
-      static_cast<uint32_t>(s.size() > kMaxStringBytes ? kMaxStringBytes
-                                                       : s.size());
-  AppendU32(out, len);
-  out->append(s.data(), len);
-}
-
-void AppendHeader(std::string* out, FrameType type, uint64_t request_id,
-                  uint32_t payload_len) {
-  AppendU32(out, kMagic);
-  AppendU16(out, kProtocolVersion);
-  AppendU8(out, static_cast<uint8_t>(type));
-  AppendU8(out, 0);  // reserved
-  AppendU64(out, request_id);
-  AppendU32(out, payload_len);
-}
-
-/// Encodes payload-producing frames: body is appended to a scratch string
-/// first so the header can carry the exact payload length.
-void AppendFrame(std::string* out, FrameType type, uint64_t request_id,
-                 const std::string& payload) {
-  AppendHeader(out, type, request_id,
-               static_cast<uint32_t>(payload.size()));
-  out->append(payload);
-}
-
-// --- Bounds-checked reader ----------------------------------------------
-
-/// Sequential reader over one payload. Every Read* checks bounds; after a
-/// failure `ok` latches false and subsequent reads return zero values, so
-/// decode loops can defer the error check to the end.
-struct ByteReader {
-  const uint8_t* data;
-  size_t len;
-  size_t pos = 0;
-  bool ok = true;
-
-  bool Ensure(size_t n) {
-    if (!ok || len - pos < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-
-  uint8_t ReadU8() {
-    if (!Ensure(1)) return 0;
-    return data[pos++];
-  }
-
-  uint16_t ReadU16() {
-    if (!Ensure(2)) return 0;
-    uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-      v = static_cast<uint16_t>(v | (uint16_t{data[pos + i]} << (8 * i)));
-    pos += 2;
-    return v;
-  }
-
-  uint32_t ReadU32() {
-    if (!Ensure(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= uint32_t{data[pos + i]} << (8 * i);
-    pos += 4;
-    return v;
-  }
-
-  uint64_t ReadU64() {
-    if (!Ensure(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= uint64_t{data[pos + i]} << (8 * i);
-    pos += 8;
-    return v;
-  }
-
-  double ReadF64() { return std::bit_cast<double>(ReadU64()); }
-
-  Rect ReadRect() {
-    Rect r{0.0, 0.0, 0.0, 0.0};
-    r.min_x = ReadF64();
-    r.min_y = ReadF64();
-    r.max_x = ReadF64();
-    r.max_y = ReadF64();
-    return r;
-  }
-
-  std::string ReadString() {
-    const uint32_t n = ReadU32();
-    if (n > kMaxStringBytes || !Ensure(n)) {
-      ok = false;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data + pos), n);
-    pos += n;
-    return s;
-  }
-
-  /// True iff everything decoded and the payload was fully consumed
-  /// (trailing bytes mean a framing bug or version skew — reject).
-  bool Done() const { return ok && pos == len; }
-};
 
 Status Malformed(const char* what) {
   return Status::MalformedRequest(what);
@@ -165,87 +51,87 @@ bool IsValidAdminCommand(uint8_t raw) {
 
 void AppendQueryFrame(uint64_t request_id, const QueryRequest& request,
                       std::string* out) {
-  std::string payload;
-  AppendU8(&payload, static_cast<uint8_t>(request.kind));
-  AppendU8(&payload, request.exact_rounded_rect ? 1 : 0);
-  AppendU32(&payload, request.category);
-  AppendU32(&payload, request.resolution);
-  AppendRect(&payload, request.region);
-  AppendF64(&payload, request.radius);
-  AppendU64(&payload, request.k);
-  AppendU64(&payload, static_cast<uint64_t>(request.deadline_us));
-  AppendFrame(out, FrameType::kQuery, request_id, payload);
+  ByteWriter w(out);
+  const size_t frame = BeginFrame(&w, FrameType::kQuery, request_id);
+  w.U8(static_cast<uint8_t>(request.kind));
+  w.Bool(request.exact_rounded_rect);
+  w.U32(request.category);
+  w.U32(request.resolution);
+  WriteRect(&w, request.region);
+  w.F64(request.radius);
+  w.U64(request.k);
+  w.U64(static_cast<uint64_t>(request.deadline_us));
+  EndFrame(&w, frame);
 }
 
 void AppendResponseFrame(uint64_t request_id, const QueryResponse& response,
                          std::string* out) {
-  std::string payload;
-  payload.reserve(96 + response.candidates.size() * 48 +
-                  response.heat.size() * 8);
-  AppendU8(&payload, static_cast<uint8_t>(response.kind));
-  AppendU8(&payload, static_cast<uint8_t>(response.error));
-  uint8_t flags = 0;
-  if (response.degraded) flags |= 1;
-  if (response.degraded_admission) flags |= 2;
-  AppendU8(&payload, flags);
-  AppendU8(&payload, 0);  // reserved
-  AppendString(&payload, response.message);
-  AppendU64(&payload, response.trace_id);
-  AppendU64(&payload, response.server_latency_us);
-  AppendU64(&payload, response.covered_shards);
-  AppendRect(&payload, response.extended_region);
-  AppendF64(&payload, response.fetch_radius);
-  AppendU64(&payload, response.pruned);
-  AppendF64(&payload, response.expected_count);
-  AppendU64(&payload, response.count_min);
-  AppendU64(&payload, response.count_max);
-  AppendU32(&payload, response.resolution);
-  AppendRect(&payload, response.space);
-  AppendU32(&payload, static_cast<uint32_t>(response.candidates.size()));
+  out->reserve(out->size() + kFrameHeaderSize + 96 +
+               response.candidates.size() * 48 + response.heat.size() * 8);
+  ByteWriter w(out);
+  const size_t frame = BeginFrame(&w, FrameType::kResponse, request_id);
+  w.U8(static_cast<uint8_t>(response.kind));
+  w.U8(static_cast<uint8_t>(response.error));
+  w.U8((response.degraded ? 1 : 0) | (response.degraded_admission ? 2 : 0));
+  w.U8(0);  // reserved
+  w.String(response.message);
+  w.U64(response.trace_id);
+  w.U64(response.server_latency_us);
+  w.U64(response.covered_shards);
+  WriteRect(&w, response.extended_region);
+  w.F64(response.fetch_radius);
+  w.U64(response.pruned);
+  w.F64(response.expected_count);
+  w.U64(response.count_min);
+  w.U64(response.count_max);
+  w.U32(response.resolution);
+  WriteRect(&w, response.space);
+  w.U32(static_cast<uint32_t>(response.candidates.size()));
   for (const PublicObject& object : response.candidates) {
-    AppendU64(&payload, object.id);
-    AppendF64(&payload, object.location.x);
-    AppendF64(&payload, object.location.y);
-    AppendU32(&payload, object.category);
-    AppendString(&payload, object.name);
+    WritePublicObject(&w, object);
   }
-  AppendU32(&payload, static_cast<uint32_t>(response.heat.size()));
-  for (double cell : response.heat) AppendF64(&payload, cell);
-  if (payload.size() > kMaxPayloadBytes) {
+  w.U32(static_cast<uint32_t>(response.heat.size()));
+  for (double cell : response.heat) w.F64(cell);
+  if (EndFrame(&w, frame) > kMaxPayloadBytes) {
     // Never emit a frame our own header validation rejects: the receiver
     // would treat it as a corrupt header and kill the connection. A typed
     // error keeps the stream frameable and the request answered.
+    out->resize(frame);
     AppendErrorFrame(request_id, ErrorCode::kResourceExhausted,
                      "response exceeds the frame payload limit", out);
-    return;
   }
-  AppendFrame(out, FrameType::kResponse, request_id, payload);
 }
 
 void AppendErrorFrame(uint64_t request_id, ErrorCode code,
                       const std::string& message, std::string* out) {
-  std::string payload;
-  AppendU8(&payload, static_cast<uint8_t>(code));
-  AppendString(&payload, message);
-  AppendFrame(out, FrameType::kError, request_id, payload);
+  ByteWriter w(out);
+  const size_t frame = BeginFrame(&w, FrameType::kError, request_id);
+  w.U8(static_cast<uint8_t>(code));
+  // Clipped, not refused: an oversize message is a server-side artifact,
+  // never worth dropping the frame over.
+  w.String(message);
+  EndFrame(&w, frame);
 }
 
 void AppendPingFrame(uint64_t request_id, std::string* out) {
-  AppendHeader(out, FrameType::kPing, request_id, 0);
+  ByteWriter w(out);
+  BeginFrame(&w, FrameType::kPing, request_id);
 }
 
 void AppendPongFrame(uint64_t request_id, std::string* out) {
-  AppendHeader(out, FrameType::kPong, request_id, 0);
+  ByteWriter w(out);
+  BeginFrame(&w, FrameType::kPong, request_id);
 }
 
 void AppendAdminRequestFrame(uint64_t request_id, AdminCommand command,
                              uint32_t limit, std::string* out) {
-  std::string payload;
-  AppendU8(&payload, static_cast<uint8_t>(command));
-  AppendU8(&payload, 0);   // reserved
-  AppendU16(&payload, 0);  // reserved
-  AppendU32(&payload, limit > kMaxAdminLimit ? kMaxAdminLimit : limit);
-  AppendFrame(out, FrameType::kAdminRequest, request_id, payload);
+  ByteWriter w(out);
+  const size_t frame = BeginFrame(&w, FrameType::kAdminRequest, request_id);
+  w.U8(static_cast<uint8_t>(command));
+  w.U8(0);   // reserved
+  w.U16(0);  // reserved
+  w.U32(limit > kMaxAdminLimit ? kMaxAdminLimit : limit);
+  EndFrame(&w, frame);
 }
 
 void AppendAdminResponseFrame(uint64_t request_id, AdminCommand command,
@@ -255,30 +141,27 @@ void AppendAdminResponseFrame(uint64_t request_id, AdminCommand command,
                      "admin response exceeds the body limit", out);
     return;
   }
-  std::string payload;
-  payload.reserve(8 + body.size());
-  AppendU8(&payload, static_cast<uint8_t>(command));
-  AppendU8(&payload, 0);   // reserved
-  AppendU16(&payload, 0);  // reserved
-  AppendU32(&payload, static_cast<uint32_t>(body.size()));
-  payload.append(body);
-  AppendFrame(out, FrameType::kAdminResponse, request_id, payload);
+  ByteWriter w(out);
+  const size_t frame = BeginFrame(&w, FrameType::kAdminResponse, request_id);
+  w.U8(static_cast<uint8_t>(command));
+  w.U8(0);   // reserved
+  w.U16(0);  // reserved
+  w.String(body, kMaxAdminBodyBytes);
+  EndFrame(&w, frame);
 }
 
 Status DecodeFrameHeader(const uint8_t* data, size_t len, FrameHeader* out) {
-  ByteReader r{data, len};
   if (len < kFrameHeaderSize) return Malformed("truncated frame header");
-  const uint32_t magic = r.ReadU32();
-  if (magic != kMagic) return Malformed("bad frame magic");
-  const uint16_t version = r.ReadU16();
-  if (version != kProtocolVersion)
+  ByteReader r(data, kFrameHeaderSize);
+  if (r.U32() != kMagic) return Malformed("bad frame magic");
+  if (r.U16() != kProtocolVersion)
     return Malformed("unsupported protocol version");
-  const uint8_t type = r.ReadU8();
+  const uint8_t type = r.U8();
   if (!IsValidFrameType(type)) return Malformed("unknown frame type");
-  r.ReadU8();  // reserved
+  r.U8();  // reserved
   out->type = static_cast<FrameType>(type);
-  out->request_id = r.ReadU64();
-  out->payload_len = r.ReadU32();
+  out->request_id = r.U64();
+  out->payload_len = r.U32();
   if (out->payload_len > kMaxPayloadBytes)
     return Malformed("frame payload exceeds limit");
   return Status::OK();
@@ -286,15 +169,15 @@ Status DecodeFrameHeader(const uint8_t* data, size_t len, FrameHeader* out) {
 
 Status DecodeQueryPayload(const uint8_t* data, size_t len,
                           QueryRequest* out) {
-  ByteReader r{data, len};
-  const uint8_t kind = r.ReadU8();
-  out->exact_rounded_rect = r.ReadU8() != 0;
-  out->category = r.ReadU32();
-  out->resolution = r.ReadU32();
-  out->region = r.ReadRect();
-  out->radius = r.ReadF64();
-  out->k = r.ReadU64();
-  out->deadline_us = static_cast<int64_t>(r.ReadU64());
+  ByteReader r(data, len);
+  const uint8_t kind = r.U8();
+  out->exact_rounded_rect = r.U8() != 0;
+  out->category = r.U32();
+  out->resolution = r.U32();
+  out->region = ReadRect(&r);
+  out->radius = r.F64();
+  out->k = r.U64();
+  out->deadline_us = static_cast<int64_t>(r.U64());
   if (!r.Done()) return Malformed("truncated query payload");
   if (!IsValidQueryKind(kind)) return Malformed("unknown query kind");
   out->kind = static_cast<QueryKind>(kind);
@@ -311,46 +194,28 @@ Status DecodeQueryPayload(const uint8_t* data, size_t len,
 
 Status DecodeResponsePayload(const uint8_t* data, size_t len,
                              QueryResponse* out) {
-  ByteReader r{data, len};
-  const uint8_t kind = r.ReadU8();
-  const uint8_t error = r.ReadU8();
-  const uint8_t flags = r.ReadU8();
-  r.ReadU8();  // reserved
-  out->message = r.ReadString();
-  out->trace_id = r.ReadU64();
-  out->server_latency_us = r.ReadU64();
-  out->covered_shards = r.ReadU64();
-  out->extended_region = r.ReadRect();
-  out->fetch_radius = r.ReadF64();
-  out->pruned = r.ReadU64();
-  out->expected_count = r.ReadF64();
-  out->count_min = r.ReadU64();
-  out->count_max = r.ReadU64();
-  out->resolution = r.ReadU32();
-  out->space = r.ReadRect();
-  const uint32_t candidate_count = r.ReadU32();
-  // Each candidate is at least 8+8+8+4+4 bytes; a count the remaining
-  // payload cannot hold is rejected before the reserve.
-  if (!r.ok || candidate_count > (len - r.pos) / 32)
-    return Malformed("candidate count exceeds payload");
-  out->candidates.clear();
-  out->candidates.reserve(candidate_count);
-  for (uint32_t i = 0; i < candidate_count; ++i) {
-    PublicObject object;
-    object.id = r.ReadU64();
-    object.location.x = r.ReadF64();
-    object.location.y = r.ReadF64();
-    object.category = r.ReadU32();
-    object.name = r.ReadString();
-    if (!r.ok) return Malformed("truncated candidate list");
-    out->candidates.push_back(std::move(object));
-  }
-  const uint32_t heat_count = r.ReadU32();
-  if (!r.ok || heat_count > (len - r.pos) / 8)
-    return Malformed("heatmap cell count exceeds payload");
-  out->heat.clear();
-  out->heat.reserve(heat_count);
-  for (uint32_t i = 0; i < heat_count; ++i) out->heat.push_back(r.ReadF64());
+  ByteReader r(data, len);
+  const uint8_t kind = r.U8();
+  const uint8_t error = r.U8();
+  const uint8_t flags = r.U8();
+  r.U8();  // reserved
+  out->message = r.String();
+  out->trace_id = r.U64();
+  out->server_latency_us = r.U64();
+  out->covered_shards = r.U64();
+  out->extended_region = ReadRect(&r);
+  out->fetch_radius = r.F64();
+  out->pruned = r.U64();
+  out->expected_count = r.F64();
+  out->count_min = r.U64();
+  out->count_max = r.U64();
+  out->resolution = r.U32();
+  out->space = ReadRect(&r);
+  // Counts the remaining payload cannot hold fail before the resize.
+  out->candidates.resize(r.Count(kMinPublicObjectBytes));
+  for (PublicObject& object : out->candidates) object = ReadPublicObject(&r);
+  out->heat.resize(r.Count(sizeof(double)));
+  for (double& cell : out->heat) cell = r.F64();
   if (!r.Done()) return Malformed("truncated response payload");
   if (!IsValidQueryKind(kind)) return Malformed("unknown response kind");
   if (!IsValidErrorCode(error)) return Malformed("unknown error code");
@@ -363,9 +228,9 @@ Status DecodeResponsePayload(const uint8_t* data, size_t len,
 
 Status DecodeErrorPayload(const uint8_t* data, size_t len, ErrorCode* code,
                           std::string* message) {
-  ByteReader r{data, len};
-  const uint8_t raw = r.ReadU8();
-  *message = r.ReadString();
+  ByteReader r(data, len);
+  const uint8_t raw = r.U8();
+  *message = r.String();
   if (!r.Done()) return Malformed("truncated error payload");
   if (!IsValidErrorCode(raw) || raw == 0)
     return Malformed("invalid error code in error frame");
@@ -375,11 +240,11 @@ Status DecodeErrorPayload(const uint8_t* data, size_t len, ErrorCode* code,
 
 Status DecodeAdminRequestPayload(const uint8_t* data, size_t len,
                                  AdminCommand* command, uint32_t* limit) {
-  ByteReader r{data, len};
-  const uint8_t raw = r.ReadU8();
-  r.ReadU8();   // reserved
-  r.ReadU16();  // reserved
-  *limit = r.ReadU32();
+  ByteReader r(data, len);
+  const uint8_t raw = r.U8();
+  r.U8();   // reserved
+  r.U16();  // reserved
+  *limit = r.U32();
   if (!r.Done()) return Malformed("truncated admin request payload");
   if (!IsValidAdminCommand(raw)) return Malformed("unknown admin command");
   if (*limit > kMaxAdminLimit) return Malformed("admin limit exceeds cap");
@@ -389,15 +254,11 @@ Status DecodeAdminRequestPayload(const uint8_t* data, size_t len,
 
 Status DecodeAdminResponsePayload(const uint8_t* data, size_t len,
                                   AdminCommand* command, std::string* body) {
-  ByteReader r{data, len};
-  const uint8_t raw = r.ReadU8();
-  r.ReadU8();   // reserved
-  r.ReadU16();  // reserved
-  const uint32_t n = r.ReadU32();
-  if (n > kMaxAdminBodyBytes || !r.Ensure(n))
-    return Malformed("admin body exceeds payload");
-  body->assign(reinterpret_cast<const char*>(data + r.pos), n);
-  r.pos += n;
+  ByteReader r(data, len);
+  const uint8_t raw = r.U8();
+  r.U8();   // reserved
+  r.U16();  // reserved
+  *body = r.String(kMaxAdminBodyBytes);
   if (!r.Done()) return Malformed("truncated admin response payload");
   if (!IsValidAdminCommand(raw)) return Malformed("unknown admin command");
   *command = static_cast<AdminCommand>(raw);

@@ -12,7 +12,9 @@
 //       16     4  payload_len  payload bytes after the header
 //
 // All integers are little-endian fixed-width; doubles are IEEE-754 bits in
-// a little-endian u64. Strings are a u32 length prefix plus raw bytes.
+// a little-endian u64. Strings are a u32 length prefix plus raw bytes. The
+// one byte codec (util/byte_codec.h) encodes frames and files alike; a
+// candidate is laid out exactly like a public object in the WAL.
 // Frame types: kQuery carries a QueryRequest, kResponse a full
 // QueryResponse (including its in-band ErrorCode — a shed or degraded
 // query is a typed response, not a dropped connection), kError a bare
@@ -35,6 +37,7 @@
 #include <string>
 
 #include "service/api.h"
+#include "util/byte_codec.h"
 #include "util/status.h"
 
 namespace cloakdb::net {
@@ -53,8 +56,9 @@ inline constexpr size_t kFrameHeaderSize = 20;
 /// treated as a corrupt or hostile header.
 inline constexpr uint32_t kMaxPayloadBytes = 4u << 20;
 
-/// Upper bound on one length-prefixed string (object names, messages).
-inline constexpr uint32_t kMaxStringBytes = 64u << 10;
+/// Upper bound on one length-prefixed string (object names, messages):
+/// the one cap the WAL and snapshot readers enforce too.
+inline constexpr uint32_t kMaxStringBytes = util::kMaxStringBytes;
 
 /// Upper bound on a kHeatmap request's per-side grid resolution. The
 /// service allocates resolution^2 * 8 bytes per shard plus the merged

@@ -29,21 +29,80 @@ ObjectStore::ObjectStore(const Rect& space, uint32_t rect_grid_cells,
       public_index_(public_index),
       private_index_(space, rect_grid_cells) {}
 
-Status CheckPublicBatch(const std::vector<PublicObject>& objects) {
+Status CheckPublicObject(const PublicObject& object) {
+  CLOAKDB_RETURN_IF_ERROR(CheckFinite(object.location));
+  if (object.name.size() > util::kMaxStringBytes)
+    return Status::InvalidArgument("public object name exceeds " +
+                                   std::to_string(util::kMaxStringBytes) +
+                                   " bytes");
+  return Status::OK();
+}
+
+Status CheckPublicBatch(const std::vector<PublicObject>& objects,
+                        size_t max_bytes) {
   std::unordered_set<ObjectId> seen;
   seen.reserve(objects.size() * 2);
+  size_t bytes = 0;
   for (const PublicObject& o : objects) {
-    CLOAKDB_RETURN_IF_ERROR(CheckFinite(o.location));
+    CLOAKDB_RETURN_IF_ERROR(CheckPublicObject(o));
     if (!seen.insert(o.id).second)
       return Status::InvalidArgument("duplicate public object id in batch");
+    bytes += PublicObjectBytes(o);
   }
+  if (bytes > max_bytes)
+    return Status::InvalidArgument(
+        "public batch encodes to " + std::to_string(bytes) +
+        " bytes, over the " + std::to_string(max_bytes) + "-byte limit");
+  return Status::OK();
+}
+
+void WriteRect(util::ByteWriter* w, const Rect& rect) {
+  w->F64(rect.min_x);
+  w->F64(rect.min_y);
+  w->F64(rect.max_x);
+  w->F64(rect.max_y);
+}
+
+Rect ReadRect(util::ByteReader* r) {
+  Rect rect;
+  rect.min_x = r->F64();
+  rect.min_y = r->F64();
+  rect.max_x = r->F64();
+  rect.max_y = r->F64();
+  return rect;
+}
+
+void WritePublicObject(util::ByteWriter* w, const PublicObject& object) {
+  w->U64(object.id);
+  w->F64(object.location.x);
+  w->F64(object.location.y);
+  w->U32(object.category);
+  w->String(object.name);
+}
+
+PublicObject ReadPublicObject(util::ByteReader* r) {
+  PublicObject object;
+  object.id = r->U64();
+  object.location.x = r->F64();
+  object.location.y = r->F64();
+  object.category = r->U32();
+  object.name = r->String();
+  return object;
+}
+
+size_t PublicObjectBytes(const PublicObject& object) {
+  return kMinPublicObjectBytes + object.name.size();
+}
+
+Status ObjectStore::CheckAdd(const PublicObject& object) const {
+  CLOAKDB_RETURN_IF_ERROR(CheckPublicObject(object));
+  if (public_meta_.count(object.id) > 0)
+    return Status::AlreadyExists("public object id already stored");
   return Status::OK();
 }
 
 Status ObjectStore::AddPublicObject(const PublicObject& object) {
-  CLOAKDB_RETURN_IF_ERROR(CheckFinite(object.location));
-  if (public_meta_.count(object.id) > 0)
-    return Status::AlreadyExists("public object id already stored");
+  CLOAKDB_RETURN_IF_ERROR(CheckAdd(object));
   auto [it, inserted] = public_indexes_.try_emplace(
       object.category, PublicCategoryIndex(public_index_));
   (void)inserted;
@@ -77,6 +136,10 @@ Status ObjectStore::MovePublicObject(ObjectId id, const Point& new_location) {
 
 Status ObjectStore::BulkLoadCategory(Category category,
                                      std::vector<PublicObject> objects) {
+  // Finiteness and unique ids are BulkLoad's checks; names are checked
+  // here so every stored object passes CheckPublicObject.
+  for (const PublicObject& o : objects)
+    CLOAKDB_RETURN_IF_ERROR(CheckPublicObject(o));
   PublicCategoryIndex index{public_index_};
   CLOAKDB_RETURN_IF_ERROR(index.BulkLoad(EntriesOf(objects)));
   return ReplaceCategory(category, std::move(index), std::move(objects));
@@ -94,12 +157,7 @@ Status ObjectStore::AdoptCategorySealed(
 Status ObjectStore::ReplaceCategory(Category category,
                                     PublicCategoryIndex index,
                                     std::vector<PublicObject> objects) {
-  for (const auto& o : objects) {
-    auto it = public_meta_.find(o.id);
-    if (it != public_meta_.end() && it->second.category != category)
-      return Status::AlreadyExists(
-          "public object id already stored under another category");
-  }
+  CLOAKDB_RETURN_IF_ERROR(CheckCategoryIds(category, objects));
   for (auto it = public_meta_.begin(); it != public_meta_.end();) {
     if (it->second.category == category) {
       it = public_meta_.erase(it);
@@ -116,6 +174,17 @@ Status ObjectStore::ReplaceCategory(Category category,
     o.category = category;
     const ObjectId id = o.id;
     public_meta_.insert_or_assign(id, std::move(o));
+  }
+  return Status::OK();
+}
+
+Status ObjectStore::CheckCategoryIds(
+    Category category, const std::vector<PublicObject>& objects) const {
+  for (const auto& o : objects) {
+    auto it = public_meta_.find(o.id);
+    if (it != public_meta_.end() && it->second.category != category)
+      return Status::AlreadyExists(
+          "public object id already stored under another category");
   }
   return Status::OK();
 }

@@ -22,6 +22,7 @@
 #include "index/public_index.h"
 #include "index/rect_grid.h"
 #include "index/rtree.h"
+#include "util/byte_codec.h"
 #include "util/status.h"
 
 namespace cloakdb {
@@ -37,9 +38,32 @@ struct PublicObject {
   std::string name;
 };
 
-/// InvalidArgument unless every location is finite and every id appears
-/// once: BulkLoadCategory's batch checks, for callers that split a batch.
-Status CheckPublicBatch(const std::vector<PublicObject>& objects);
+/// InvalidArgument unless the location is finite and the name fits
+/// util::kMaxStringBytes (the cap every reader of a name enforces).
+Status CheckPublicObject(const PublicObject& object);
+
+/// InvalidArgument unless every object passes CheckPublicObject, every id
+/// appears once, and the objects encode to at most `max_bytes`
+/// (PublicObjectBytes summed): BulkLoadCategory's batch checks, for
+/// callers that split a batch. The service passes the room one WAL record
+/// leaves, so an accepted batch can always be logged.
+Status CheckPublicBatch(const std::vector<PublicObject>& objects,
+                        size_t max_bytes = SIZE_MAX);
+
+// --- Byte encoding shared by wire candidates, WAL records and snapshots ---
+
+/// Four f64: min_x, min_y, max_x, max_y.
+void WriteRect(util::ByteWriter* w, const Rect& rect);
+Rect ReadRect(util::ByteReader* r);
+
+/// u64 id, f64 x, f64 y, u32 category, u32-length name.
+void WritePublicObject(util::ByteWriter* w, const PublicObject& object);
+PublicObject ReadPublicObject(util::ByteReader* r);
+
+/// Bytes WritePublicObject appends for `object` (at least
+/// kMinPublicObjectBytes: the fixed fields plus the name length).
+size_t PublicObjectBytes(const PublicObject& object);
+inline constexpr size_t kMinPublicObjectBytes = 32;
 
 /// The server's data storage: public exact objects + private cloaked
 /// regions.
@@ -54,8 +78,12 @@ class ObjectStore {
   // --- Public data -------------------------------------------------------
 
   /// Adds one public object (duplicate ids across *all* categories fail
-  /// with AlreadyExists; a non-finite location with InvalidArgument).
+  /// with AlreadyExists; CheckPublicObject failures with InvalidArgument).
   Status AddPublicObject(const PublicObject& object);
+
+  /// The checks AddPublicObject runs before it changes anything — lets a
+  /// durable caller refuse a write before logging it.
+  Status CheckAdd(const PublicObject& object) const;
 
   /// Removes a public object by id.
   Status RemovePublicObject(ObjectId id);
@@ -68,6 +96,12 @@ class ObjectStore {
   /// batch CheckPublicBatch rejects, or an id stored under another
   /// category, fails and leaves the store unchanged.
   Status BulkLoadCategory(Category category, std::vector<PublicObject> objects);
+
+  /// AlreadyExists when an id in `objects` is stored under a category
+  /// other than `category` — the check a category replacement runs before
+  /// it changes anything.
+  Status CheckCategoryIds(Category category,
+                          const std::vector<PublicObject>& objects) const;
 
   /// Replaces a category with a pre-built sealed StaticRTree (recovery
   /// fast path: the tree usually points into an mmap'd sidecar). The tree

@@ -192,8 +192,11 @@ Result<std::unique_ptr<CloakDbService>> CloakDbService::Create(
     return Status::InvalidArgument("service needs at least one shard");
   if (options.queue_capacity == 0)
     return Status::InvalidArgument("queue_capacity must be >= 1");
-  if (options.max_batch == 0)
-    return Status::InvalidArgument("max_batch must be >= 1");
+  if (options.max_batch == 0 || options.max_batch > storage::kMaxBatchUpdates)
+    return Status::InvalidArgument(
+        "max_batch must be in [1, " +
+        std::to_string(storage::kMaxBatchUpdates) +
+        "] (one drained batch is one WAL record)");
   if (options.signature_grid_cells == 0)
     return Status::InvalidArgument("signature_grid_cells must be >= 1");
   if (options.max_batch_width == 0)
@@ -730,6 +733,8 @@ Result<ObjectId> CloakDbService::PseudonymOf(UserId user) const {
 }
 
 Status CloakDbService::AddPublicObject(const PublicObject& object) {
+  // Vetted before routing: a NaN x has no stripe.
+  CLOAKDB_RETURN_IF_ERROR(CheckPublicObject(object));
   CLOAKDB_RETURN_IF_ERROR(
       shards_[ShardOfX(object.location.x)]->AddPublicObject(object));
   // Every shard's registry sees the change: standing private queries home
@@ -742,8 +747,10 @@ Status CloakDbService::AddPublicObject(const PublicObject& object) {
 Status CloakDbService::BulkLoadCategory(Category category,
                                         std::vector<PublicObject> objects) {
   // Vet the whole batch before any shard logs or applies its slice, so a
-  // bad object cannot leave some stripes reloaded and others not.
-  CLOAKDB_RETURN_IF_ERROR(CheckPublicBatch(objects));
+  // bad object cannot leave some stripes reloaded and others not. The byte
+  // cap is what one WAL record can hold, whatever the shard count.
+  CLOAKDB_RETURN_IF_ERROR(
+      CheckPublicBatch(objects, storage::kMaxBulkLoadObjectBytes));
   std::vector<std::vector<PublicObject>> parts(shards_.size());
   for (auto& object : objects) {
     parts[ShardOfX(object.location.x)].push_back(std::move(object));

@@ -200,11 +200,14 @@ class CloakDbService {
   Result<ObjectId> PseudonymOf(UserId user) const;
 
   // --- Public data -------------------------------------------------------
-  /// Routes the object to the shard owning its stripe.
+  /// Routes the object to the shard owning its stripe. An object
+  /// CheckPublicObject or the shard's store rejects is refused before
+  /// anything is logged.
   Status AddPublicObject(const PublicObject& object);
   /// Partitions `objects` by stripe and bulk-loads every shard (replacing
-  /// the category service-wide). A batch CheckPublicBatch rejects fails
-  /// before any shard logs or applies its slice.
+  /// the category service-wide). A batch CheckPublicBatch rejects —
+  /// including one over storage::kMaxBulkLoadObjectBytes — fails before
+  /// any shard logs or applies its slice.
   Status BulkLoadCategory(Category category,
                           std::vector<PublicObject> objects);
 

@@ -356,6 +356,9 @@ Result<CloakedUpdate> Shard::CloakForQuery(UserId user, TimeOfDay now) {
 
 Status Shard::AddPublicObject(const PublicObject& object) {
   std::unique_lock<std::shared_mutex> lock(mu_);
+  // A write the store would reject must not reach the WAL: replay would
+  // count it, and a long name would poison every record after it.
+  CLOAKDB_RETURN_IF_ERROR(server_.store().CheckAdd(object));
   if (config_.durability != nullptr) {
     storage::WalRecord rec;
     rec.type = storage::WalRecordType::kAddPublicObject;
@@ -370,6 +373,7 @@ Status Shard::AddPublicObject(const PublicObject& object) {
 Status Shard::BulkLoadCategory(Category category,
                                std::vector<PublicObject> objects) {
   std::unique_lock<std::shared_mutex> lock(mu_);
+  CLOAKDB_RETURN_IF_ERROR(server_.store().CheckCategoryIds(category, objects));
   if (config_.durability != nullptr) {
     storage::WalRecord rec;
     rec.type = storage::WalRecordType::kBulkLoadCategory;

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -45,10 +46,19 @@ struct IndexBlobEntry {
 /// more simply skip the sidecar (recovery rebuilds, correctness unharmed).
 inline constexpr size_t kMaxIndexBlobEntries = 169;
 
-/// Writes `blobs` (category -> serialized StaticRTree) to `path`
-/// atomically. Empty blob strings are skipped; an empty list still writes
-/// a valid (header-only) file so stale sidecars from older checkpoints
-/// cannot be adopted.
+/// The sidecar file image of `blobs` (category -> serialized StaticRTree;
+/// empty blobs are skipped). At most kMaxIndexBlobEntries non-empty blobs.
+std::string EncodeIndexBlobFile(
+    const std::vector<std::pair<uint32_t, std::string>>& blobs);
+
+/// Validates a sidecar image's header and directory (magic, version,
+/// directory CRC, entry bounds) and returns the directory.
+Result<std::vector<IndexBlobEntry>> DecodeIndexBlobDirectory(
+    std::string_view file);
+
+/// Writes EncodeIndexBlobFile(blobs) to `path` atomically. An empty list
+/// still writes a valid (header-only) file so stale sidecars from older
+/// checkpoints cannot be adopted.
 Status WriteIndexBlobFile(
     const std::string& path,
     const std::vector<std::pair<uint32_t, std::string>>& blobs);

@@ -7,8 +7,8 @@
 #include <chrono>
 #include <cstring>
 
-#include "storage/codec.h"
 #include "util/atomic_file.h"
+#include "util/byte_codec.h"
 #include "util/mmap_file.h"
 
 namespace cloakdb {
@@ -30,53 +30,9 @@ constexpr char kCheckpointMagic[8] = {'C', 'D', 'B', 'C', 'K', 'P', 'T', '1'};
 constexpr uint32_t kCheckpointVersion = 1;
 constexpr size_t kCheckpointHeaderBytes = 32;
 
-std::string EncodeCheckpointFile(uint64_t lsn, const std::string& blob) {
-  std::string out;
-  out.reserve(kCheckpointHeaderBytes + blob.size());
-  BufWriter w(&out);
-  w.PutBytes(kCheckpointMagic, sizeof(kCheckpointMagic));
-  w.PutU32(kCheckpointVersion);
-  w.PutU64(lsn);
-  w.PutU64(blob.size());
-  w.PutU32(Crc32Update(Crc32(out.data() + 12, 16), blob.data(), blob.size()));
-  out += blob;
-  return out;
-}
-
-/// Validates and decodes checkpoint.db. Any mismatch is FailedPrecondition:
-/// the checkpoint is the source of truth, so a damaged one must stop
-/// recovery rather than be skipped.
-Status DecodeCheckpointFile(const util::MmapFile& file,
-                            ShardRecoveredState* out) {
-  const uint8_t* data = file.data();
-  if (file.size() < sizeof(kCheckpointMagic) ||
-      std::memcmp(data, kCheckpointMagic, sizeof(kCheckpointMagic)) != 0) {
-    return Status::FailedPrecondition("not a checkpoint file (bad magic): " +
-                                      file.path());
-  }
-  BufReader r(data + sizeof(kCheckpointMagic),
-              file.size() - sizeof(kCheckpointMagic));
-  uint32_t version = 0, crc = 0;
-  uint64_t lsn = 0, len = 0;
-  if (!r.GetU32(&version).ok() || !r.GetU64(&lsn).ok() ||
-      !r.GetU64(&len).ok() || !r.GetU32(&crc).ok() ||
-      len != r.remaining()) {
-    return Status::FailedPrecondition("checkpoint file truncated: " +
-                                      file.path());
-  }
-  if (version != kCheckpointVersion) {
-    return Status::FailedPrecondition("unsupported checkpoint version: " +
-                                      file.path());
-  }
-  const uint8_t* payload = data + kCheckpointHeaderBytes;
-  if (Crc32Update(Crc32(data + 12, 16), payload, len) != crc) {
-    return Status::FailedPrecondition("checkpoint file checksum mismatch: " +
-                                      file.path());
-  }
-  out->had_checkpoint = true;
-  out->checkpoint_lsn = lsn;
-  out->checkpoint_blob.assign(reinterpret_cast<const char*>(payload), len);
-  return Status::OK();
+uint32_t CheckpointCrc(const char* header, std::string_view payload) {
+  return util::Crc32Update(util::Crc32(header + 12, 16), payload.data(),
+                           payload.size());
 }
 
 double MicrosSince(std::chrono::steady_clock::time_point t0) {
@@ -103,6 +59,44 @@ Status MkdirRecursive(const std::string& dir) {
 }
 
 }  // namespace
+
+std::string EncodeCheckpointFile(uint64_t lsn, std::string_view blob) {
+  std::string out;
+  out.reserve(kCheckpointHeaderBytes + blob.size());
+  util::ByteWriter w(&out);
+  w.Bytes({kCheckpointMagic, sizeof(kCheckpointMagic)});
+  w.U32(kCheckpointVersion);
+  w.U64(lsn);
+  w.U64(blob.size());
+  w.U32(CheckpointCrc(out.data(), blob));
+  w.Bytes(blob);
+  return out;
+}
+
+Result<CheckpointFile> DecodeCheckpointFile(std::string_view bytes) {
+  const std::string_view magic(kCheckpointMagic, sizeof(kCheckpointMagic));
+  if (bytes.substr(0, magic.size()) != magic) {
+    return Status::FailedPrecondition("not a checkpoint file (bad magic)");
+  }
+  util::ByteReader r(bytes.substr(magic.size()));
+  const uint32_t version = r.U32();
+  CheckpointFile out;
+  out.lsn = r.U64();
+  const uint64_t len = r.U64();
+  const uint32_t crc = r.U32();
+  if (!r.ok() || len != r.remaining()) {
+    return Status::FailedPrecondition("checkpoint file truncated");
+  }
+  if (version != kCheckpointVersion) {
+    return Status::FailedPrecondition("unsupported checkpoint version");
+  }
+  const std::string_view payload = bytes.substr(kCheckpointHeaderBytes);
+  if (CheckpointCrc(bytes.data(), payload) != crc) {
+    return Status::FailedPrecondition("checkpoint file checksum mismatch");
+  }
+  out.blob.assign(payload);
+  return out;
+}
 
 const char* DurabilityModeName(DurabilityMode mode) {
   switch (mode) {
@@ -146,11 +140,21 @@ Result<std::unique_ptr<ShardDurability>> ShardDurability::Open(
   // Load the newest checkpoint, if one was ever committed. The rename is
   // the atomic commit point: checkpoint.db is either a complete checkpoint
   // or absent (a leftover checkpoint.db.tmp is never read).
+  // A damaged checkpoint.db fails Open: it is the source of truth, so it
+  // must stop recovery rather than be skipped.
   auto file = util::MmapFile::Open(engine->checkpoint_path_);
   if (file.ok()) {
-    CLOAKDB_RETURN_IF_ERROR(
-        DecodeCheckpointFile(*file.value(), &engine->recovered_));
-    engine->checkpoint_lsn_ = engine->recovered_.checkpoint_lsn;
+    auto checkpoint = DecodeCheckpointFile(
+        {reinterpret_cast<const char*>(file.value()->data()),
+         file.value()->size()});
+    if (!checkpoint.ok()) {
+      return Status::FailedPrecondition(checkpoint.status().message() +
+                                        ": " + engine->checkpoint_path_);
+    }
+    engine->recovered_.had_checkpoint = true;
+    engine->recovered_.checkpoint_lsn = checkpoint.value().lsn;
+    engine->recovered_.checkpoint_blob = std::move(checkpoint.value().blob);
+    engine->checkpoint_lsn_ = checkpoint.value().lsn;
   } else if (file.status().code() != StatusCode::kNotFound) {
     return file.status();
   }
@@ -197,8 +201,16 @@ Status ShardDurability::LogAndCommit(WalRecord record, bool sync_now) {
     crashed_ = true;
     return Status::OK();
   }
-  record.lsn = ++last_lsn_;
+  record.lsn = last_lsn_ + 1;
   const std::string payload = EncodeWalRecord(record);
+  if (payload.size() > kMaxWalRecordBytes) {
+    // The scanner would stop at this frame and drop every later record.
+    return Status::InvalidArgument(
+        "WAL record of " + std::to_string(payload.size()) +
+        " bytes exceeds the " + std::to_string(kMaxWalRecordBytes) +
+        "-byte record cap");
+  }
+  last_lsn_ = record.lsn;
   const uint64_t frame_bytes = payload.size() + 8;
   // The appender buffers in plain strings; this leaf mutex lets Sync() (no
   // shard lock held) group-commit concurrently with appends, which arrive

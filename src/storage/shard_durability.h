@@ -49,6 +49,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/flight_recorder.h"
@@ -116,6 +117,19 @@ struct ShardRecoveredState {
   /// (a crash between the checkpoint rename and the WAL truncate).
   uint64_t skipped_records = 0;
 };
+
+/// The contents of checkpoint.db.
+struct CheckpointFile {
+  uint64_t lsn = 0;  ///< Every record up to this LSN is in `blob`.
+  std::string blob;  ///< The encoded shard snapshot.
+};
+
+/// checkpoint.db bytes: magic, version, LSN, blob length, CRC32, blob.
+std::string EncodeCheckpointFile(uint64_t lsn, std::string_view blob);
+
+/// Inverse of EncodeCheckpointFile. FailedPrecondition on a bad magic,
+/// length, version or CRC.
+Result<CheckpointFile> DecodeCheckpointFile(std::string_view bytes);
 
 class ShardDurability {
  public:

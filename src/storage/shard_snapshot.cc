@@ -1,7 +1,7 @@
 #include "storage/shard_snapshot.h"
 
-#include "storage/codec.h"
 #include "storage/wal_record.h"
+#include "util/byte_codec.h"
 
 namespace cloakdb {
 namespace storage {
@@ -14,173 +14,147 @@ constexpr uint32_t kSnapshotVersion = 1;
 // Caps sized far above any realistic shard, small enough that a corrupted
 // count cannot force a giant allocation.
 constexpr uint32_t kMaxEntities = 64u << 20;
+// Smallest encodings of one element of each counted section.
+constexpr size_t kMinUserBytes = 101;
+constexpr size_t kPseudonymBytes = 8;
+constexpr size_t kPrivateRegionBytes = 40;
+constexpr size_t kCqBytes = 69;
 
-void PutCloakedRegion(BufWriter* w, const CloakedRegion& c) {
-  PutRect(w, c.region);
-  w->PutU32(c.achieved_k);
-  w->PutU32(c.requirement.k);
-  w->PutDouble(c.requirement.min_area);
-  w->PutDouble(c.requirement.max_area);
-  w->PutBool(c.k_satisfied);
-  w->PutBool(c.min_area_satisfied);
-  w->PutBool(c.max_area_satisfied);
+void WriteCloakedRegion(util::ByteWriter* w, const CloakedRegion& c) {
+  WriteRect(w, c.region);
+  w->U32(c.achieved_k);
+  w->U32(c.requirement.k);
+  w->F64(c.requirement.min_area);
+  w->F64(c.requirement.max_area);
+  w->Bool(c.k_satisfied);
+  w->Bool(c.min_area_satisfied);
+  w->Bool(c.max_area_satisfied);
 }
 
-Status GetCloakedRegion(BufReader* r, CloakedRegion* c) {
-  CLOAKDB_RETURN_IF_ERROR(GetRect(r, &c->region));
-  CLOAKDB_RETURN_IF_ERROR(r->GetU32(&c->achieved_k));
-  CLOAKDB_RETURN_IF_ERROR(r->GetU32(&c->requirement.k));
-  CLOAKDB_RETURN_IF_ERROR(r->GetDouble(&c->requirement.min_area));
-  CLOAKDB_RETURN_IF_ERROR(r->GetDouble(&c->requirement.max_area));
-  CLOAKDB_RETURN_IF_ERROR(r->GetBool(&c->k_satisfied));
-  CLOAKDB_RETURN_IF_ERROR(r->GetBool(&c->min_area_satisfied));
-  return r->GetBool(&c->max_area_satisfied);
-}
-
-Status GetCount(BufReader* r, uint32_t* n) {
-  CLOAKDB_RETURN_IF_ERROR(r->GetU32(n));
-  if (*n > kMaxEntities) {
-    return Status::MalformedRequest("snapshot count over cap");
-  }
-  return Status::OK();
+CloakedRegion ReadCloakedRegion(util::ByteReader* r) {
+  CloakedRegion c;
+  c.region = ReadRect(r);
+  c.achieved_k = r->U32();
+  c.requirement.k = r->U32();
+  c.requirement.min_area = r->F64();
+  c.requirement.max_area = r->F64();
+  c.k_satisfied = r->Bool();
+  c.min_area_satisfied = r->Bool();
+  c.max_area_satisfied = r->Bool();
+  return c;
 }
 
 }  // namespace
 
 std::string EncodeShardSnapshot(const ShardSnapshot& snapshot) {
   std::string out;
-  BufWriter w(&out);
-  w.PutU32(kSnapshotMagic);
-  w.PutU32(kSnapshotVersion);
+  util::ByteWriter w(&out);
+  w.U32(kSnapshotMagic);
+  w.U32(kSnapshotVersion);
 
   const AnonymizerState& a = snapshot.anonymizer;
-  w.PutU32(static_cast<uint32_t>(a.users.size()));
+  w.U32(static_cast<uint32_t>(a.users.size()));
   for (const ExportedUserState& u : a.users) {
-    w.PutU64(u.user);
-    PutProfileEntries(&w, u.profile);
-    w.PutU64(u.pseudonym);
-    w.PutBool(u.has_location);
-    w.PutDouble(u.location.x);
-    w.PutDouble(u.location.y);
-    w.PutBool(u.has_cached_region);
-    PutCloakedRegion(&w, u.cached);
-    w.PutU32(u.updates_since_rotation);
+    w.U64(u.user);
+    WriteProfileEntries(&w, u.profile);
+    w.U64(u.pseudonym);
+    w.Bool(u.has_location);
+    w.F64(u.location.x);
+    w.F64(u.location.y);
+    w.Bool(u.has_cached_region);
+    WriteCloakedRegion(&w, u.cached);
+    w.U32(u.updates_since_rotation);
   }
-  w.PutU32(static_cast<uint32_t>(a.used_pseudonyms.size()));
-  for (ObjectId p : a.used_pseudonyms) w.PutU64(p);
-  for (int i = 0; i < 4; ++i) w.PutU64(a.pseudonym_rng.s[i]);
-  w.PutBool(a.pseudonym_rng.have_cached_gaussian);
-  w.PutDouble(a.pseudonym_rng.cached_gaussian);
-  w.PutU64(a.stats.updates);
-  w.PutU64(a.stats.cloaks_computed);
-  w.PutU64(a.stats.incremental_reuses);
-  w.PutU64(a.stats.shared_reuses);
-  w.PutU64(a.stats.unsatisfied);
+  w.U32(static_cast<uint32_t>(a.used_pseudonyms.size()));
+  for (ObjectId p : a.used_pseudonyms) w.U64(p);
+  for (uint64_t s : a.pseudonym_rng.s) w.U64(s);
+  w.Bool(a.pseudonym_rng.have_cached_gaussian);
+  w.F64(a.pseudonym_rng.cached_gaussian);
+  w.U64(a.stats.updates);
+  w.U64(a.stats.cloaks_computed);
+  w.U64(a.stats.incremental_reuses);
+  w.U64(a.stats.shared_reuses);
+  w.U64(a.stats.unsatisfied);
 
-  w.PutU32(static_cast<uint32_t>(snapshot.public_objects.size()));
-  for (const PublicObject& o : snapshot.public_objects) PutPublicObject(&w, o);
+  w.U32(static_cast<uint32_t>(snapshot.public_objects.size()));
+  for (const PublicObject& o : snapshot.public_objects) {
+    WritePublicObject(&w, o);
+  }
 
-  w.PutU32(static_cast<uint32_t>(snapshot.private_regions.size()));
+  w.U32(static_cast<uint32_t>(snapshot.private_regions.size()));
   for (const auto& [pseudonym, region] : snapshot.private_regions) {
-    w.PutU64(pseudonym);
-    PutRect(&w, region);
+    w.U64(pseudonym);
+    WriteRect(&w, region);
   }
 
-  w.PutU32(static_cast<uint32_t>(snapshot.cqs.size()));
+  w.U32(static_cast<uint32_t>(snapshot.cqs.size()));
   for (const SnapshotCq& cq : snapshot.cqs) {
-    w.PutU64(cq.id);
-    w.PutU8(cq.kind);
-    w.PutU64(cq.issuer);
-    w.PutDouble(cq.radius);
-    w.PutU64(cq.k);
-    w.PutU32(cq.category);
-    PutRect(&w, cq.window);
+    w.U64(cq.id);
+    w.U8(cq.kind);
+    w.U64(cq.issuer);
+    w.F64(cq.radius);
+    w.U64(cq.k);
+    w.U32(cq.category);
+    WriteRect(&w, cq.window);
   }
   return out;
 }
 
 Result<ShardSnapshot> DecodeShardSnapshot(const std::string& blob) {
-  ShardSnapshot snap;
-  BufReader r(blob);
-  uint32_t magic = 0, version = 0, n = 0;
-  CLOAKDB_RETURN_IF_ERROR(r.GetU32(&magic));
-  if (magic != kSnapshotMagic) {
+  util::ByteReader r(blob);
+  if (r.U32() != kSnapshotMagic) {
     return Status::MalformedRequest("not a shard snapshot blob");
   }
-  CLOAKDB_RETURN_IF_ERROR(r.GetU32(&version));
-  if (version != kSnapshotVersion) {
+  if (r.U32() != kSnapshotVersion) {
     return Status::MalformedRequest("unsupported shard snapshot version");
   }
 
+  ShardSnapshot snap;
   AnonymizerState& a = snap.anonymizer;
-  CLOAKDB_RETURN_IF_ERROR(GetCount(&r, &n));
-  a.users.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ExportedUserState u;
-    CLOAKDB_RETURN_IF_ERROR(r.GetU64(&u.user));
-    CLOAKDB_RETURN_IF_ERROR(GetProfileEntries(&r, &u.profile));
-    CLOAKDB_RETURN_IF_ERROR(r.GetU64(&u.pseudonym));
-    CLOAKDB_RETURN_IF_ERROR(r.GetBool(&u.has_location));
-    CLOAKDB_RETURN_IF_ERROR(r.GetDouble(&u.location.x));
-    CLOAKDB_RETURN_IF_ERROR(r.GetDouble(&u.location.y));
-    CLOAKDB_RETURN_IF_ERROR(r.GetBool(&u.has_cached_region));
-    CLOAKDB_RETURN_IF_ERROR(GetCloakedRegion(&r, &u.cached));
-    CLOAKDB_RETURN_IF_ERROR(r.GetU32(&u.updates_since_rotation));
-    a.users.push_back(std::move(u));
+  a.users.resize(r.Count(kMinUserBytes, kMaxEntities));
+  for (ExportedUserState& u : a.users) {
+    u.user = r.U64();
+    u.profile = ReadProfileEntries(&r);
+    u.pseudonym = r.U64();
+    u.has_location = r.Bool();
+    u.location.x = r.F64();
+    u.location.y = r.F64();
+    u.has_cached_region = r.Bool();
+    u.cached = ReadCloakedRegion(&r);
+    u.updates_since_rotation = r.U32();
   }
-  CLOAKDB_RETURN_IF_ERROR(GetCount(&r, &n));
-  a.used_pseudonyms.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t p = 0;
-    CLOAKDB_RETURN_IF_ERROR(r.GetU64(&p));
-    a.used_pseudonyms.push_back(p);
-  }
-  for (int i = 0; i < 4; ++i) {
-    CLOAKDB_RETURN_IF_ERROR(r.GetU64(&a.pseudonym_rng.s[i]));
-  }
-  CLOAKDB_RETURN_IF_ERROR(r.GetBool(&a.pseudonym_rng.have_cached_gaussian));
-  CLOAKDB_RETURN_IF_ERROR(r.GetDouble(&a.pseudonym_rng.cached_gaussian));
-  CLOAKDB_RETURN_IF_ERROR(r.GetU64(&a.stats.updates));
-  CLOAKDB_RETURN_IF_ERROR(r.GetU64(&a.stats.cloaks_computed));
-  CLOAKDB_RETURN_IF_ERROR(r.GetU64(&a.stats.incremental_reuses));
-  CLOAKDB_RETURN_IF_ERROR(r.GetU64(&a.stats.shared_reuses));
-  CLOAKDB_RETURN_IF_ERROR(r.GetU64(&a.stats.unsatisfied));
+  a.used_pseudonyms.resize(r.Count(kPseudonymBytes, kMaxEntities));
+  for (ObjectId& p : a.used_pseudonyms) p = r.U64();
+  for (uint64_t& s : a.pseudonym_rng.s) s = r.U64();
+  a.pseudonym_rng.have_cached_gaussian = r.Bool();
+  a.pseudonym_rng.cached_gaussian = r.F64();
+  a.stats.updates = r.U64();
+  a.stats.cloaks_computed = r.U64();
+  a.stats.incremental_reuses = r.U64();
+  a.stats.shared_reuses = r.U64();
+  a.stats.unsatisfied = r.U64();
 
-  CLOAKDB_RETURN_IF_ERROR(GetCount(&r, &n));
-  snap.public_objects.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    PublicObject o;
-    CLOAKDB_RETURN_IF_ERROR(GetPublicObject(&r, &o));
-    snap.public_objects.push_back(std::move(o));
+  snap.public_objects.resize(r.Count(kMinPublicObjectBytes, kMaxEntities));
+  for (PublicObject& o : snap.public_objects) o = ReadPublicObject(&r);
+
+  snap.private_regions.resize(r.Count(kPrivateRegionBytes, kMaxEntities));
+  for (auto& [pseudonym, region] : snap.private_regions) {
+    pseudonym = r.U64();
+    region = ReadRect(&r);
   }
 
-  CLOAKDB_RETURN_IF_ERROR(GetCount(&r, &n));
-  snap.private_regions.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t pseudonym = 0;
-    Rect region;
-    CLOAKDB_RETURN_IF_ERROR(r.GetU64(&pseudonym));
-    CLOAKDB_RETURN_IF_ERROR(GetRect(&r, &region));
-    snap.private_regions.emplace_back(pseudonym, region);
+  snap.cqs.resize(r.Count(kCqBytes, kMaxEntities));
+  for (SnapshotCq& cq : snap.cqs) {
+    cq.id = r.U64();
+    cq.kind = r.U8();
+    cq.issuer = r.U64();
+    cq.radius = r.F64();
+    cq.k = r.U64();
+    cq.category = r.U32();
+    cq.window = ReadRect(&r);
   }
 
-  CLOAKDB_RETURN_IF_ERROR(GetCount(&r, &n));
-  snap.cqs.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    SnapshotCq cq;
-    CLOAKDB_RETURN_IF_ERROR(r.GetU64(&cq.id));
-    CLOAKDB_RETURN_IF_ERROR(r.GetU8(&cq.kind));
-    CLOAKDB_RETURN_IF_ERROR(r.GetU64(&cq.issuer));
-    CLOAKDB_RETURN_IF_ERROR(r.GetDouble(&cq.radius));
-    CLOAKDB_RETURN_IF_ERROR(r.GetU64(&cq.k));
-    CLOAKDB_RETURN_IF_ERROR(r.GetU32(&cq.category));
-    CLOAKDB_RETURN_IF_ERROR(GetRect(&r, &cq.window));
-    snap.cqs.push_back(cq);
-  }
-
-  if (r.remaining() != 0) {
-    return Status::MalformedRequest("trailing bytes after shard snapshot");
-  }
+  if (!r.Done()) return Status::MalformedRequest("malformed shard snapshot");
   return snap;
 }
 

@@ -8,7 +8,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "storage/codec.h"
+#include "util/byte_codec.h"
 
 namespace cloakdb {
 namespace storage {
@@ -26,9 +26,9 @@ std::string ErrnoMessage(const char* op, const std::string& path) {
 
 std::string EncodeWalHeader() {
   std::string out;
-  BufWriter w(&out);
-  w.PutU32(kWalMagic);
-  w.PutU32(kWalVersion);
+  util::ByteWriter w(&out);
+  w.U32(kWalMagic);
+  w.U32(kWalVersion);
   return out;
 }
 
@@ -36,17 +36,18 @@ std::string EncodeWalHeader() {
 
 std::string EncodeWalFrame(const std::string& payload) {
   std::string out;
-  BufWriter w(&out);
-  w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutU32(Crc32(payload.data(), payload.size()));
-  w.PutBytes(payload.data(), payload.size());
+  out.reserve(8 + payload.size());
+  util::ByteWriter w(&out);
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.U32(util::Crc32(payload.data(), payload.size()));
+  w.Bytes(payload);
   return out;
 }
 
 Result<uint64_t> WalPayloadLsn(const std::string& payload) {
-  BufReader r(payload);
-  uint64_t lsn = 0;
-  CLOAKDB_RETURN_IF_ERROR(r.GetU64(&lsn));
+  util::ByteReader r(payload);
+  const uint64_t lsn = r.U64();
+  if (!r.ok()) return Status::MalformedRequest("WAL payload shorter than LSN");
   return lsn;
 }
 
@@ -79,17 +80,11 @@ Result<WalScan> ScanWal(const std::string& path) {
     if (!contents.empty()) scan.truncated_records = 1;
     return scan;
   }
-  {
-    BufReader r(contents);
-    uint32_t magic = 0, version = 0;
-    CLOAKDB_RETURN_IF_ERROR(r.GetU32(&magic));
-    CLOAKDB_RETURN_IF_ERROR(r.GetU32(&version));
-    if (magic != kWalMagic) {
-      return Status::FailedPrecondition(path + " is not a CloakDB WAL");
-    }
-    if (version != kWalVersion) {
-      return Status::FailedPrecondition("unsupported WAL version in " + path);
-    }
+  if (util::Load<uint32_t>(contents.data()) != kWalMagic) {
+    return Status::FailedPrecondition(path + " is not a CloakDB WAL");
+  }
+  if (util::Load<uint32_t>(contents.data() + 4) != kWalVersion) {
+    return Status::FailedPrecondition("unsupported WAL version in " + path);
   }
 
   size_t pos = kWalHeaderBytes;
@@ -98,14 +93,12 @@ Result<WalScan> ScanWal(const std::string& path) {
     // Frame checks, strictly in tear order: header, length cap, body
     // completeness, CRC, LSN sequence. Any failure ends the valid prefix.
     if (contents.size() - pos < 8) break;
-    BufReader r(contents.data() + pos, 8);
-    uint32_t len = 0, crc = 0;
-    (void)r.GetU32(&len);
-    (void)r.GetU32(&crc);
+    const uint32_t len = util::Load<uint32_t>(contents.data() + pos);
+    const uint32_t crc = util::Load<uint32_t>(contents.data() + pos + 4);
     if (len == 0 || len > kMaxWalRecordBytes) break;
     if (contents.size() - pos - 8 < len) break;
     const char* body = contents.data() + pos + 8;
-    if (Crc32(body, len) != crc) break;
+    if (util::Crc32(body, len) != crc) break;
     std::string payload(body, len);
     auto lsn = WalPayloadLsn(payload);
     if (!lsn.ok() || lsn.value() == 0) break;

@@ -1,7 +1,7 @@
 // Write-ahead log: length-prefixed, CRC-framed, LSN-sequenced records in a
 // single append-only file per shard.
 //
-// File layout (mirrors the wire protocol's framing discipline):
+// File layout (encoded with util/byte_codec.h, like the wire frames):
 //
 //   [u32 magic "CWAL"] [u32 version]
 //   repeated records:  [u32 payload_len] [u32 crc32(payload)] [payload]

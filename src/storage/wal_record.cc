@@ -1,6 +1,5 @@
 #include "storage/wal_record.h"
 
-#include "storage/codec.h"
 #include "util/time_of_day.h"
 
 namespace cloakdb {
@@ -8,199 +7,136 @@ namespace storage {
 
 namespace {
 
-// Decode-time caps: a corrupted count field must not commit the decoder to
-// a giant allocation (same discipline as the wire protocol's cost caps).
-constexpr uint32_t kMaxProfileEntries = 4096;
-constexpr uint32_t kMaxBatchUpdates = 1u << 20;
-constexpr uint32_t kMaxBulkObjects = 1u << 20;
-constexpr uint32_t kMaxNameBytes = 64u << 10;
+// Encoded sizes of one counted element. ByteReader::Count rejects a count
+// the remaining bytes cannot hold, so a corrupted count field never
+// commits the decoder to a giant allocation.
+constexpr size_t kProfileEntryBytes = 28;
+constexpr size_t kWalUpdateBytes = 28;
 
 }  // namespace
 
-void PutProfileEntries(BufWriter* w, const std::vector<ProfileEntry>& profile) {
-  w->PutU32(static_cast<uint32_t>(profile.size()));
+void WriteProfileEntries(util::ByteWriter* w,
+                         const std::vector<ProfileEntry>& profile) {
+  w->U32(static_cast<uint32_t>(profile.size()));
   for (const ProfileEntry& e : profile) {
-    w->PutU32(static_cast<uint32_t>(e.interval.start().seconds()));
-    w->PutU32(static_cast<uint32_t>(e.interval.end().seconds()));
-    w->PutU32(e.requirement.k);
-    w->PutDouble(e.requirement.min_area);
-    w->PutDouble(e.requirement.max_area);
+    w->U32(static_cast<uint32_t>(e.interval.start().seconds()));
+    w->U32(static_cast<uint32_t>(e.interval.end().seconds()));
+    w->U32(e.requirement.k);
+    w->F64(e.requirement.min_area);
+    w->F64(e.requirement.max_area);
   }
 }
 
-Status GetProfileEntries(BufReader* r, std::vector<ProfileEntry>* profile) {
-  uint32_t n = 0;
-  CLOAKDB_RETURN_IF_ERROR(r->GetU32(&n));
-  if (n > kMaxProfileEntries) {
-    return Status::MalformedRequest("profile entry count over cap");
-  }
-  profile->clear();
-  profile->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t start = 0, end = 0;
-    ProfileEntry e;
-    CLOAKDB_RETURN_IF_ERROR(r->GetU32(&start));
-    CLOAKDB_RETURN_IF_ERROR(r->GetU32(&end));
-    CLOAKDB_RETURN_IF_ERROR(r->GetU32(&e.requirement.k));
-    CLOAKDB_RETURN_IF_ERROR(r->GetDouble(&e.requirement.min_area));
-    CLOAKDB_RETURN_IF_ERROR(r->GetDouble(&e.requirement.max_area));
+std::vector<ProfileEntry> ReadProfileEntries(util::ByteReader* r) {
+  std::vector<ProfileEntry> profile(
+      r->Count(kProfileEntryBytes, kMaxProfileEntries));
+  for (ProfileEntry& e : profile) {
+    const uint32_t start = r->U32();
+    const uint32_t end = r->U32();
     e.interval = DailyInterval(TimeOfDay::FromSeconds(start),
                                TimeOfDay::FromSeconds(end));
-    profile->push_back(e);
+    e.requirement.k = r->U32();
+    e.requirement.min_area = r->F64();
+    e.requirement.max_area = r->F64();
   }
-  return Status::OK();
-}
-
-void PutPublicObject(BufWriter* w, const PublicObject& o) {
-  w->PutU64(o.id);
-  w->PutDouble(o.location.x);
-  w->PutDouble(o.location.y);
-  w->PutU32(o.category);
-  w->PutString(o.name);
-}
-
-Status GetPublicObject(BufReader* r, PublicObject* o) {
-  CLOAKDB_RETURN_IF_ERROR(r->GetU64(&o->id));
-  CLOAKDB_RETURN_IF_ERROR(r->GetDouble(&o->location.x));
-  CLOAKDB_RETURN_IF_ERROR(r->GetDouble(&o->location.y));
-  CLOAKDB_RETURN_IF_ERROR(r->GetU32(&o->category));
-  return r->GetString(&o->name, kMaxNameBytes);
-}
-
-void PutRect(BufWriter* w, const Rect& rect) {
-  w->PutDouble(rect.min_x);
-  w->PutDouble(rect.min_y);
-  w->PutDouble(rect.max_x);
-  w->PutDouble(rect.max_y);
-}
-
-Status GetRect(BufReader* r, Rect* rect) {
-  CLOAKDB_RETURN_IF_ERROR(r->GetDouble(&rect->min_x));
-  CLOAKDB_RETURN_IF_ERROR(r->GetDouble(&rect->min_y));
-  CLOAKDB_RETURN_IF_ERROR(r->GetDouble(&rect->max_x));
-  return r->GetDouble(&rect->max_y);
+  return profile;
 }
 
 std::string EncodeWalRecord(const WalRecord& record) {
   std::string out;
-  BufWriter w(&out);
-  w.PutU64(record.lsn);
-  w.PutU8(static_cast<uint8_t>(record.type));
+  util::ByteWriter w(&out);
+  w.U64(record.lsn);
+  w.U8(static_cast<uint8_t>(record.type));
   switch (record.type) {
     case WalRecordType::kRegisterUser:
     case WalRecordType::kUpdateProfile:
-      w.PutU64(record.user);
-      PutProfileEntries(&w, record.profile);
+      w.U64(record.user);
+      WriteProfileEntries(&w, record.profile);
       break;
     case WalRecordType::kUnregisterUser:
-      w.PutU64(record.user);
+      w.U64(record.user);
       break;
     case WalRecordType::kUpdateBatch:
-      w.PutU32(static_cast<uint32_t>(record.updates.size()));
+      w.U32(static_cast<uint32_t>(record.updates.size()));
       for (const WalUpdate& u : record.updates) {
-        w.PutU64(u.user);
-        w.PutDouble(u.location.x);
-        w.PutDouble(u.location.y);
-        w.PutU32(static_cast<uint32_t>(u.time_seconds));
+        w.U64(u.user);
+        w.F64(u.location.x);
+        w.F64(u.location.y);
+        w.U32(static_cast<uint32_t>(u.time_seconds));
       }
       break;
     case WalRecordType::kAddPublicObject:
-      PutPublicObject(&w, record.object);
+      WritePublicObject(&w, record.object);
       break;
     case WalRecordType::kBulkLoadCategory:
-      w.PutU32(record.category);
-      w.PutU32(static_cast<uint32_t>(record.objects.size()));
-      for (const PublicObject& o : record.objects) PutPublicObject(&w, o);
+      w.U32(record.category);
+      w.U32(static_cast<uint32_t>(record.objects.size()));
+      for (const PublicObject& o : record.objects) WritePublicObject(&w, o);
       break;
     case WalRecordType::kCqRegister:
-      w.PutU64(record.cq_id);
-      w.PutU8(record.cq_kind);
-      w.PutU64(record.cq_issuer);
-      w.PutDouble(record.cq_radius);
-      w.PutU64(record.cq_k);
-      w.PutU32(record.cq_category);
-      PutRect(&w, record.cq_window);
+      w.U64(record.cq_id);
+      w.U8(record.cq_kind);
+      w.U64(record.cq_issuer);
+      w.F64(record.cq_radius);
+      w.U64(record.cq_k);
+      w.U32(record.cq_category);
+      WriteRect(&w, record.cq_window);
       break;
     case WalRecordType::kCqUnregister:
-      w.PutU64(record.cq_id);
+      w.U64(record.cq_id);
       break;
   }
   return out;
 }
 
 Result<WalRecord> DecodeWalRecord(const std::string& payload) {
+  util::ByteReader r(payload);
   WalRecord rec;
-  BufReader r(payload);
-  uint8_t type = 0;
-  CLOAKDB_RETURN_IF_ERROR(r.GetU64(&rec.lsn));
-  CLOAKDB_RETURN_IF_ERROR(r.GetU8(&type));
-  if (type < static_cast<uint8_t>(WalRecordType::kRegisterUser) ||
-      type > static_cast<uint8_t>(WalRecordType::kCqUnregister)) {
-    return Status::MalformedRequest("unknown WAL record type");
-  }
+  rec.lsn = r.U64();
+  const uint8_t type = r.U8();
   rec.type = static_cast<WalRecordType>(type);
   switch (rec.type) {
     case WalRecordType::kRegisterUser:
     case WalRecordType::kUpdateProfile:
-      CLOAKDB_RETURN_IF_ERROR(r.GetU64(&rec.user));
-      CLOAKDB_RETURN_IF_ERROR(GetProfileEntries(&r, &rec.profile));
+      rec.user = r.U64();
+      rec.profile = ReadProfileEntries(&r);
       break;
     case WalRecordType::kUnregisterUser:
-      CLOAKDB_RETURN_IF_ERROR(r.GetU64(&rec.user));
+      rec.user = r.U64();
       break;
-    case WalRecordType::kUpdateBatch: {
-      uint32_t n = 0;
-      CLOAKDB_RETURN_IF_ERROR(r.GetU32(&n));
-      if (n > kMaxBatchUpdates) {
-        return Status::MalformedRequest("batch update count over cap");
-      }
-      rec.updates.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        WalUpdate u;
-        uint32_t secs = 0;
-        CLOAKDB_RETURN_IF_ERROR(r.GetU64(&u.user));
-        CLOAKDB_RETURN_IF_ERROR(r.GetDouble(&u.location.x));
-        CLOAKDB_RETURN_IF_ERROR(r.GetDouble(&u.location.y));
-        CLOAKDB_RETURN_IF_ERROR(r.GetU32(&secs));
-        u.time_seconds = static_cast<int32_t>(secs);
-        rec.updates.push_back(u);
+    case WalRecordType::kUpdateBatch:
+      rec.updates.resize(r.Count(kWalUpdateBytes, kMaxBatchUpdates));
+      for (WalUpdate& u : rec.updates) {
+        u.user = r.U64();
+        u.location.x = r.F64();
+        u.location.y = r.F64();
+        u.time_seconds = static_cast<int32_t>(r.U32());
       }
       break;
-    }
     case WalRecordType::kAddPublicObject:
-      CLOAKDB_RETURN_IF_ERROR(GetPublicObject(&r, &rec.object));
+      rec.object = ReadPublicObject(&r);
       break;
-    case WalRecordType::kBulkLoadCategory: {
-      uint32_t n = 0;
-      CLOAKDB_RETURN_IF_ERROR(r.GetU32(&rec.category));
-      CLOAKDB_RETURN_IF_ERROR(r.GetU32(&n));
-      if (n > kMaxBulkObjects) {
-        return Status::MalformedRequest("bulk object count over cap");
-      }
-      rec.objects.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        PublicObject o;
-        CLOAKDB_RETURN_IF_ERROR(GetPublicObject(&r, &o));
-        rec.objects.push_back(std::move(o));
-      }
+    case WalRecordType::kBulkLoadCategory:
+      rec.category = r.U32();
+      rec.objects.resize(r.Count(kMinPublicObjectBytes));
+      for (PublicObject& o : rec.objects) o = ReadPublicObject(&r);
       break;
-    }
     case WalRecordType::kCqRegister:
-      CLOAKDB_RETURN_IF_ERROR(r.GetU64(&rec.cq_id));
-      CLOAKDB_RETURN_IF_ERROR(r.GetU8(&rec.cq_kind));
-      CLOAKDB_RETURN_IF_ERROR(r.GetU64(&rec.cq_issuer));
-      CLOAKDB_RETURN_IF_ERROR(r.GetDouble(&rec.cq_radius));
-      CLOAKDB_RETURN_IF_ERROR(r.GetU64(&rec.cq_k));
-      CLOAKDB_RETURN_IF_ERROR(r.GetU32(&rec.cq_category));
-      CLOAKDB_RETURN_IF_ERROR(GetRect(&r, &rec.cq_window));
+      rec.cq_id = r.U64();
+      rec.cq_kind = r.U8();
+      rec.cq_issuer = r.U64();
+      rec.cq_radius = r.F64();
+      rec.cq_k = r.U64();
+      rec.cq_category = r.U32();
+      rec.cq_window = ReadRect(&r);
       break;
     case WalRecordType::kCqUnregister:
-      CLOAKDB_RETURN_IF_ERROR(r.GetU64(&rec.cq_id));
+      rec.cq_id = r.U64();
       break;
+    default:
+      return Status::MalformedRequest("unknown WAL record type");
   }
-  if (r.remaining() != 0) {
-    return Status::MalformedRequest("trailing bytes after WAL record");
-  }
+  if (!r.Done()) return Status::MalformedRequest("malformed WAL record");
   return rec;
 }
 

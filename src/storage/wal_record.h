@@ -23,7 +23,8 @@
 #include "geom/point.h"
 #include "geom/rect.h"
 #include "server/object_store.h"
-#include "storage/codec.h"
+#include "storage/wal.h"
+#include "util/byte_codec.h"
 #include "util/status.h"
 
 namespace cloakdb {
@@ -78,6 +79,17 @@ struct WalRecord {
   Rect cq_window;
 };
 
+/// Most updates one kUpdateBatch record holds inside kMaxWalRecordBytes
+/// (13 bytes of LSN, type and count, then 28 per update). The service
+/// refuses a larger max_batch, and the decoder caps the count here.
+inline constexpr uint32_t kMaxBatchUpdates = (kMaxWalRecordBytes - 13) / 28;
+
+/// Room a kBulkLoadCategory record leaves for its objects inside
+/// kMaxWalRecordBytes: the record spends 17 bytes on LSN, type, category
+/// and object count. The service refuses bulk loads past it, so every
+/// acknowledged batch fits one record the scanner accepts.
+inline constexpr size_t kMaxBulkLoadObjectBytes = kMaxWalRecordBytes - 17;
+
 /// Encodes a record into a WAL payload (u64 LSN, u8 type, body).
 std::string EncodeWalRecord(const WalRecord& record);
 
@@ -85,14 +97,11 @@ std::string EncodeWalRecord(const WalRecord& record);
 /// on any truncation, unknown type, over-cap count, or trailing garbage.
 Result<WalRecord> DecodeWalRecord(const std::string& payload);
 
-// Field-level codecs shared between the WAL record schema and the
-// checkpoint snapshot schema (one encoding discipline on disk).
-void PutProfileEntries(BufWriter* w, const std::vector<ProfileEntry>& profile);
-Status GetProfileEntries(BufReader* r, std::vector<ProfileEntry>* profile);
-void PutPublicObject(BufWriter* w, const PublicObject& o);
-Status GetPublicObject(BufReader* r, PublicObject* o);
-void PutRect(BufWriter* w, const Rect& rect);
-Status GetRect(BufReader* r, Rect* rect);
+// Profile codec shared with the checkpoint snapshot (the public-object and
+// rect codecs live beside PublicObject in server/object_store.h).
+void WriteProfileEntries(util::ByteWriter* w,
+                         const std::vector<ProfileEntry>& profile);
+std::vector<ProfileEntry> ReadProfileEntries(util::ByteReader* r);
 
 }  // namespace storage
 }  // namespace cloakdb
