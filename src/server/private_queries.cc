@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "geom/distance.h"
+#include "server/dominance.h"
 
 namespace cloakdb {
 
@@ -29,54 +30,6 @@ std::vector<PublicObject> Materialize(const ObjectStore& store,
 double HalfDiagonal(const Rect& rect) {
   return 0.5 * std::sqrt(rect.Width() * rect.Width() +
                          rect.Height() * rect.Height());
-}
-
-// Dominance pruning: keep o iff MinDist(o, R) <= min_o' MaxDist(o', R).
-// Survivors are exactly the objects no other object is guaranteed to beat
-// for every possible user position. Shared between the isolated query
-// (PointEntry hits) and superset refinement (PublicObject hits) so both
-// paths apply the same predicate by construction. Returns the prune count.
-template <typename T>
-size_t DominancePrune(std::vector<T>* hits, const Rect& cloaked) {
-  double min_max_dist = std::numeric_limits<double>::infinity();
-  for (const auto& h : *hits) {
-    min_max_dist = std::min(min_max_dist, MaxDist(h.location, cloaked));
-  }
-  size_t before = hits->size();
-  hits->erase(std::remove_if(hits->begin(), hits->end(),
-                             [&](const T& e) {
-                               return MinDist(e.location, cloaked) >
-                                      min_max_dist;
-                             }),
-              hits->end());
-  return before - hits->size();
-}
-
-// k-dominance pruning: o cannot be among any point's k nearest when at
-// least k objects are guaranteed nearer for every possible location, i.e.
-// have MaxDist(o', R) < MinDist(o, R). (o never dominates itself:
-// MaxDist >= MinDist.) Returns the prune count.
-template <typename T>
-size_t KDominancePrune(std::vector<T>* hits, const Rect& cloaked, size_t k) {
-  std::vector<double> max_dists;
-  max_dists.reserve(hits->size());
-  for (const auto& h : *hits) {
-    max_dists.push_back(MaxDist(h.location, cloaked));
-  }
-  std::sort(max_dists.begin(), max_dists.end());
-  size_t before = hits->size();
-  hits->erase(std::remove_if(
-                  hits->begin(), hits->end(),
-                  [&](const T& e) {
-                    double min_d = MinDist(e.location, cloaked);
-                    size_t closer = static_cast<size_t>(
-                        std::lower_bound(max_dists.begin(), max_dists.end(),
-                                         min_d) -
-                        max_dists.begin());
-                    return closer >= k;
-                  }),
-              hits->end());
-  return before - hits->size();
 }
 
 }  // namespace

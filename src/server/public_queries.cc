@@ -20,19 +20,28 @@ double CountContributionOf(const Rect& region, const Rect& window) {
   return strictly_inside ? 1.0 : 0.0;
 }
 
+std::vector<CountContribution> ScanCountContributions(const ObjectStore& store,
+                                                      const Rect& window) {
+  std::vector<CountContribution> contributions;
+  for (const auto& entry : store.private_index().IntersectingRects(window)) {
+    contributions.push_back(
+        {entry.id, CountContributionOf(entry.rect, window)});
+  }
+  return contributions;
+}
+
 Result<PublicCountResult> PublicRangeCountQuery(const ObjectStore& store,
                                                 const Rect& window) {
   if (window.IsEmpty())
     return Status::InvalidArgument("query window must be non-empty");
 
   PublicCountResult result;
+  result.contributions = ScanCountContributions(store, window);
+  result.naive_count = result.contributions.size();
   std::vector<double> probabilities;
-  for (const auto& entry : store.private_index().IntersectingRects(window)) {
-    result.naive_count += 1;
-    double p = CountContributionOf(entry.rect, window);
-    probabilities.push_back(p);
-    result.contributions.push_back({entry.id, p});
-  }
+  probabilities.reserve(result.contributions.size());
+  for (const auto& c : result.contributions)
+    probabilities.push_back(c.probability);
   auto answer = MakeCountAnswer(probabilities);
   if (!answer.ok()) return answer.status();
   result.answer = std::move(answer).value();

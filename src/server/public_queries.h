@@ -47,9 +47,15 @@ struct PublicCountResult {
 /// (zero-area) region pins the user exactly, so it contributes 1.0 only
 /// when strictly inside the window; a boundary touch is a measure-zero
 /// event and contributes 0.0. Shared by the one-shot count, the standing
-/// count registries, and the heatmap-free continuous paths so every layer
+/// count windows, and the heatmap-free continuous paths so every layer
 /// counts identically.
 double CountContributionOf(const Rect& region, const Rect& window);
+
+/// Every private region intersecting `window` with its contribution (0.0
+/// on a measure-zero touch), in index order: the scan behind both the
+/// one-shot count and the standing count windows.
+std::vector<CountContribution> ScanCountContributions(const ObjectStore& store,
+                                                      const Rect& window);
 
 /// Counts mobile users inside `window`. Fails with InvalidArgument on an
 /// empty window.

@@ -536,7 +536,7 @@ Status CloakDbService::RecoverFromDisk() {
     if (spec.kind == QueryKind::kPublicCount) {
       bool ok = true;
       for (uint32_t s = 0; s < shards_.size(); ++s) {
-        if (!shards_[s]->RegisterStandingCount(id, spec.window).ok()) {
+        if (!shards_[s]->continuous().InsertCount(id, spec.window).ok()) {
           for (uint32_t r = 0; r < s; ++r)
             (void)shards_[r]->continuous().Remove(id);
           ok = false;

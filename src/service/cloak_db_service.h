@@ -290,12 +290,14 @@ class CloakDbService {
 
   // --- Continuous queries ------------------------------------------------
   // Standing queries registered once and kept current by the update
-  // drains: each applied cloaked update consults the home registry's
-  // coverage grid so only the standing queries the update can affect
-  // re-filter (delta notification); a query whose cached coverage no
-  // longer bounds the answer is repaired by an asynchronous full
-  // re-evaluation sweep (Flush() waits for it). Registration runs through
-  // the same admission + deadline + trace path as one-shot queries.
+  // drains: each applied cloaked update re-filters only its issuer's
+  // standing private queries (delta notification) and bumps the
+  // generation of the count windows it changed; a private query whose
+  // cached coverage no longer bounds the answer is repaired by an
+  // asynchronous full re-evaluation sweep (Flush() waits for it). Count
+  // answers are scanned from the shards' private indexes when read.
+  // Registration runs through the same admission + deadline + trace path
+  // as one-shot queries.
 
   /// Registers a standing private range query for `user` (who must have a
   /// current cloaked region, i.e. have reported at least once).
@@ -308,14 +310,14 @@ class CloakDbService {
   /// Registers a standing private k-NN query for `user`.
   Result<ContinuousQueryId> RegisterContinuousKnn(UserId user, size_t k,
                                                   Category category);
-  /// Registers a standing public count window (maintained on every shard;
+  /// Registers a standing public count window (registered on every shard;
   /// the window must intersect the service space).
   Result<ContinuousQueryId> RegisterContinuousCount(const Rect& window);
 
   /// The current answer of any standing query. Private kinds carry the
-  /// one-shot candidate-list guarantee; counts merge per-shard
-  /// contributions sorted by pseudonym, bit-identical to a one-shot count
-  /// over the same applied updates.
+  /// one-shot candidate-list guarantee; counts merge each shard's scan of
+  /// its private index (p > 0 contributions sorted by pseudonym), equal to
+  /// a one-shot count over the same applied updates.
   Result<StandingAnswer> AnswerContinuous(ContinuousQueryId id) const;
 
   /// Introspection of one standing query (region, coverage, staleness).

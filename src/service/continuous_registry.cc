@@ -1,12 +1,14 @@
 #include "service/continuous_registry.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "geom/distance.h"
 #include "obs/trace.h"
+#include "server/dominance.h"
 
 namespace cloakdb {
 
@@ -23,21 +25,6 @@ double HalfDiagonal(const Rect& r) {
 bool BallInside(const Point& center, double radius, const Rect& rect) {
   return center.x - radius >= rect.min_x && center.x + radius <= rect.max_x &&
          center.y - radius >= rect.min_y && center.y + radius <= rect.max_y;
-}
-
-/// The k-th smallest distance from `from` to the fetched objects (caller
-/// guarantees fetched.size() >= k >= 1).
-double KthCornerDist(const Point& from, const std::vector<PublicObject>& fetched,
-                     size_t k) {
-  std::vector<double> dists;
-  dists.reserve(fetched.size());
-  for (const auto& o : fetched) {
-    const double dx = o.location.x - from.x;
-    const double dy = o.location.y - from.y;
-    dists.push_back(std::sqrt(dx * dx + dy * dy));
-  }
-  std::nth_element(dists.begin(), dists.begin() + (k - 1), dists.end());
-  return dists[k - 1];
 }
 
 size_t EffectiveK(const ContinuousSpec& spec) {
@@ -65,73 +52,106 @@ uint64_t SymmetricDelta(const std::vector<PublicObject>& a,
   return delta + (a.size() - i) + (b.size() - j);
 }
 
+/// One evaluation of a standing spec at `region` over a fetched superset.
+/// For NN/kNN with more than k objects fetched it computes the k-th nearest
+/// fetched distance from each region corner once, so the coverage gate and
+/// the refilter of one update share them. The k-th order statistic is
+/// taken over squared distances: sqrt is monotone and correctly rounded, so
+/// sqrt(k-th d^2) is bit-identical to the k-th of the square roots.
+class StandingKernel {
+ public:
+  StandingKernel(const ContinuousSpec& spec, const Rect& region,
+                 const std::vector<PublicObject>& fetched)
+      : spec_(spec), region_(region), fetched_(fetched), k_(EffectiveK(spec)) {
+    if (spec.kind == QueryKind::kPrivateRange || fetched.size() <= k_) return;
+    corners_ = region.Corners();
+    double max_kth = 0.0;
+    std::vector<double> sq;
+    if (k_ > 1) sq.resize(fetched.size());
+    for (size_t c = 0; c < corners_.size(); ++c) {
+      const Point& from = corners_[c];
+      auto dist_sq = [&from](const PublicObject& o) {
+        const double dx = o.location.x - from.x;
+        const double dy = o.location.y - from.y;
+        return dx * dx + dy * dy;
+      };
+      double kth_sq = std::numeric_limits<double>::infinity();
+      if (k_ == 1) {
+        for (const auto& o : fetched) kth_sq = std::min(kth_sq, dist_sq(o));
+      } else {
+        for (size_t i = 0; i < fetched.size(); ++i) sq[i] = dist_sq(fetched[i]);
+        std::nth_element(sq.begin(), sq.begin() + (k_ - 1), sq.end());
+        kth_sq = sq[k_ - 1];
+      }
+      kth_[c] = std::sqrt(kth_sq);
+      max_kth = std::max(max_kth, kth_[c]);
+    }
+    reach_ = max_kth + HalfDiagonal(region);
+  }
+
+  /// See StandingCoverageHolds.
+  bool CoverageHolds(const Rect& coverage) const {
+    if (spec_.kind == QueryKind::kPrivateRange)
+      return coverage.Contains(region_.Expanded(spec_.radius));
+    // Pigeonhole snapshot (the fetch holds the whole category): every
+    // object is a candidate for any region the coverage contains.
+    if (fetched_.size() <= k_) return coverage.Contains(region_);
+    // The cached corner distances are exact only when each corner's k-th
+    // candidate ball is fully fetched; the conservative reach built from
+    // them must then also stay inside the coverage.
+    for (size_t c = 0; c < corners_.size(); ++c) {
+      if (!BallInside(corners_[c], kth_[c], coverage)) return false;
+    }
+    return coverage.Contains(region_.Expanded(reach_));
+  }
+
+  /// See ComputeStandingAnswer.
+  std::vector<PublicObject> Answer(double* fetch_radius) const {
+    if (fetch_radius != nullptr) *fetch_radius = 0.0;
+    std::vector<PublicObject> answer;
+    if (spec_.kind == QueryKind::kPrivateRange) {
+      for (const auto& o : fetched_) {
+        if (MinDist(o.location, region_) <= spec_.radius) answer.push_back(o);
+      }
+      return answer;
+    }
+    if (fetched_.size() <= k_) return fetched_;  // Everything is a candidate.
+    if (fetch_radius != nullptr) *fetch_radius = reach_;
+    // Conservative fetch, then the one-shot k-dominance prune. Every
+    // dominator of an in-reach object is itself in reach, so pruning over
+    // the reach-filtered set equals pruning over the whole category.
+    std::vector<const PublicObject*> cand;
+    for (const auto& o : fetched_) {
+      if (MinDist(o.location, region_) <= reach_) cand.push_back(&o);
+    }
+    KDominancePrune(&cand, region_, k_);
+    answer.reserve(cand.size());
+    for (const PublicObject* o : cand) answer.push_back(*o);
+    return answer;
+  }
+
+ private:
+  const ContinuousSpec& spec_;
+  const Rect& region_;
+  const std::vector<PublicObject>& fetched_;
+  const size_t k_;
+  std::array<Point, 4> corners_{};
+  std::array<double, 4> kth_{};
+  double reach_ = 0.0;
+};
+
 }  // namespace
 
 bool StandingCoverageHolds(const ContinuousSpec& spec, const Rect& region,
                            const StandingSnapshot& snap) {
-  if (spec.kind == QueryKind::kPrivateRange) {
-    return snap.coverage.Contains(region.Expanded(spec.radius));
-  }
-  const size_t k = EffectiveK(spec);
-  if (snap.fetched.size() <= k) {
-    // Pigeonhole snapshot (the fetch holds the whole category): every
-    // object is a candidate for any region the coverage contains.
-    return snap.coverage.Contains(region);
-  }
-  // The cached corner distances are exact only when each corner's k-th
-  // candidate ball is fully fetched; the conservative reach built from
-  // them must then also stay inside the coverage.
-  double max_kth = 0.0;
-  for (const Point& corner : region.Corners()) {
-    const double d = KthCornerDist(corner, snap.fetched, k);
-    if (!BallInside(corner, d, snap.coverage)) return false;
-    max_kth = std::max(max_kth, d);
-  }
-  const double reach = max_kth + HalfDiagonal(region);
-  return snap.coverage.Contains(region.Expanded(reach));
+  return StandingKernel(spec, region, snap.fetched)
+      .CoverageHolds(snap.coverage);
 }
 
 std::vector<PublicObject> ComputeStandingAnswer(
     const ContinuousSpec& spec, const Rect& region,
     const std::vector<PublicObject>& fetched, double* fetch_radius) {
-  if (fetch_radius != nullptr) *fetch_radius = 0.0;
-  std::vector<PublicObject> answer;
-  if (spec.kind == QueryKind::kPrivateRange) {
-    for (const auto& o : fetched) {
-      if (MinDist(o.location, region) <= spec.radius) answer.push_back(o);
-    }
-    return answer;
-  }
-  const size_t k = EffectiveK(spec);
-  if (fetched.size() <= k) return fetched;  // Everything is a candidate.
-  double max_kth = 0.0;
-  for (const Point& corner : region.Corners()) {
-    max_kth = std::max(max_kth, KthCornerDist(corner, fetched, k));
-  }
-  const double reach = max_kth + HalfDiagonal(region);
-  if (fetch_radius != nullptr) *fetch_radius = reach;
-  // Conservative fetch, then k-dominance: o survives unless k fetched
-  // objects are guaranteed nearer for every possible issuer location.
-  // Every dominator of an in-reach object is itself in reach, so pruning
-  // over the reach-filtered set equals pruning over the whole category.
-  std::vector<const PublicObject*> cand;
-  std::vector<double> min_dists;
-  std::vector<double> max_dists;
-  for (const auto& o : fetched) {
-    if (MinDist(o.location, region) <= reach) {
-      cand.push_back(&o);
-      min_dists.push_back(MinDist(o.location, region));
-      max_dists.push_back(MaxDist(o.location, region));
-    }
-  }
-  for (size_t i = 0; i < cand.size(); ++i) {
-    size_t dominators = 0;
-    for (size_t j = 0; j < cand.size() && dominators < k; ++j) {
-      if (max_dists[j] < min_dists[i]) ++dominators;
-    }
-    if (dominators < k) answer.push_back(*cand[i]);
-  }
-  return answer;
+  return StandingKernel(spec, region, fetched).Answer(fetch_radius);
 }
 
 ContinuousShardRegistry::ContinuousShardRegistry(
@@ -139,26 +159,16 @@ ContinuousShardRegistry::ContinuousShardRegistry(
     const ContinuousObs& obs)
     : options_(options),
       obs_(obs),
-      coverage_grid_(space, options.grid_cells == 0 ? 1 : options.grid_cells),
       window_grid_(space, options.grid_cells == 0 ? 1 : options.grid_cells) {}
 
 void ContinuousShardRegistry::MarkStaleLocked(ContinuousQueryId id) {
-  if (auto it = private_.find(id); it != private_.end()) {
-    ++it->second.epoch;
-    if (!it->second.stale) {
-      it->second.stale = true;
-      stale_queue_.push_back(id);
-      if (obs_.stale_marked != nullptr) obs_.stale_marked->Increment();
-    }
-    return;
-  }
-  if (auto it = counts_.find(id); it != counts_.end()) {
-    ++it->second.epoch;
-    if (!it->second.stale) {
-      it->second.stale = true;
-      stale_queue_.push_back(id);
-      if (obs_.stale_marked != nullptr) obs_.stale_marked->Increment();
-    }
+  auto it = private_.find(id);
+  if (it == private_.end()) return;
+  ++it->second.epoch;
+  if (!it->second.stale) {
+    it->second.stale = true;
+    stale_queue_.push_back(id);
+    if (obs_.stale_marked != nullptr) obs_.stale_marked->Increment();
   }
 }
 
@@ -179,7 +189,6 @@ Status ContinuousShardRegistry::InsertPrivate(ContinuousQueryId id,
       public_version_.load(std::memory_order_acquire) != expected_version;
   private_.emplace(id, std::move(entry));
   by_user_[spec.issuer].push_back(id);
-  (void)coverage_grid_.Upsert(id, private_[id].snap.coverage);
   total_.fetch_add(1, std::memory_order_relaxed);
   if (obs_.registered != nullptr) obs_.registered->Add(1.0);
   if (needs_repair) MarkStaleLocked(id);
@@ -200,15 +209,13 @@ Status ContinuousShardRegistry::RefreshRegion(ContinuousQueryId id,
   return Status::OK();
 }
 
-Status ContinuousShardRegistry::InsertCount(
-    ContinuousQueryId id, const Rect& window,
-    std::unordered_map<ObjectId, double> contributions) {
+Status ContinuousShardRegistry::InsertCount(ContinuousQueryId id,
+                                            const Rect& window) {
   std::lock_guard<std::mutex> lock(mu_);
   if (private_.count(id) != 0 || counts_.count(id) != 0)
     return Status::AlreadyExists("continuous query id already registered");
   CountEntry entry;
   entry.window = window;
-  entry.contributions = std::move(contributions);
   entry.in_grid = window_grid_.Upsert(id, window).ok();
   counts_.emplace(id, std::move(entry));
   total_.fetch_add(1, std::memory_order_relaxed);
@@ -222,7 +229,6 @@ Status ContinuousShardRegistry::Remove(ContinuousQueryId id) {
     auto& ids = by_user_[it->second.spec.issuer];
     ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
     if (ids.empty()) by_user_.erase(it->second.spec.issuer);
-    (void)coverage_grid_.Remove(id);
     private_.erase(it);
     total_.fetch_sub(1, std::memory_order_relaxed);
     if (obs_.registered != nullptr) obs_.registered->Add(-1.0);
@@ -245,14 +251,18 @@ bool ContinuousShardRegistry::TouchPrivateLocked(ContinuousQueryId id,
   entry->region = new_region;
   ++entry->epoch;
   if (entry->stale) return true;  // Already queued; sweep sees new region.
-  if (options_.force_full_reeval ||
-      !StandingCoverageHolds(entry->spec, new_region, entry->snap)) {
+  if (options_.force_full_reeval) {
     MarkStaleLocked(id);
     return true;
   }
-  auto fresh = ComputeStandingAnswer(entry->spec, new_region,
-                                     entry->snap.fetched,
-                                     &entry->snap.fetch_radius);
+  // One kernel per touch: the gate and the refilter share its corner
+  // distances.
+  const StandingKernel kernel(entry->spec, new_region, entry->snap.fetched);
+  if (!kernel.CoverageHolds(entry->snap.coverage)) {
+    MarkStaleLocked(id);
+    return true;
+  }
+  auto fresh = kernel.Answer(&entry->snap.fetch_radius);
   if (obs_.incremental_refilters != nullptr)
     obs_.incremental_refilters->Increment();
   const uint64_t delta = SymmetricDelta(entry->snap.current, fresh);
@@ -266,7 +276,7 @@ bool ContinuousShardRegistry::TouchPrivateLocked(ContinuousQueryId id,
 }
 
 void ContinuousShardRegistry::OnLocationUpdate(
-    UserId user, ObjectId pseudonym, const std::optional<Rect>& old_region,
+    UserId user, const std::optional<Rect>& old_region,
     const Rect& new_region) {
   std::lock_guard<std::mutex> lock(mu_);
   if (obs_.updates_seen != nullptr) obs_.updates_seen->Increment();
@@ -295,23 +305,17 @@ void ContinuousShardRegistry::OnLocationUpdate(
                   std::max(hull.max_x, old_region->max_x),
                   std::max(hull.max_y, old_region->max_y)};
     }
+    // The server held `old_region` until this update, so its contribution
+    // is what the window's answer held for this record.
     for (const auto& w : window_grid_.IntersectingRects(hull)) {
       auto entry = counts_.find(w.id);
       if (entry == counts_.end()) continue;
-      auto& contrib = entry->second.contributions;
-      const double p = CountContributionOf(new_region, entry->second.window);
-      auto existing = contrib.find(pseudonym);
-      const double old_p =
-          existing != contrib.end() ? existing->second : 0.0;
+      const double p = CountContributionOf(new_region, w.rect);
+      const double old_p = old_region.has_value()
+                               ? CountContributionOf(*old_region, w.rect)
+                               : 0.0;
       if (p == old_p) continue;
-      if (p > 0.0) {
-        if (existing != contrib.end()) existing->second = p;
-        else contrib.emplace(pseudonym, p);
-      } else if (existing != contrib.end()) {
-        contrib.erase(existing);
-      }
       ++entry->second.generation;
-      ++entry->second.epoch;
       ++affected;
       if (obs_.count_delta_updates != nullptr)
         obs_.count_delta_updates->Increment();
@@ -329,16 +333,14 @@ void ContinuousShardRegistry::OnLocationUpdate(
   }
 }
 
-void ContinuousShardRegistry::OnLocationRemoved(ObjectId pseudonym,
-                                                const Rect& old_region) {
+void ContinuousShardRegistry::OnLocationRemoved(const Rect& old_region) {
   std::lock_guard<std::mutex> lock(mu_);
   if (counts_.empty()) return;
   for (const auto& w : window_grid_.IntersectingRects(old_region)) {
     auto entry = counts_.find(w.id);
     if (entry == counts_.end()) continue;
-    if (entry->second.contributions.erase(pseudonym) > 0) {
+    if (CountContributionOf(old_region, w.rect) > 0.0) {
       ++entry->second.generation;
-      ++entry->second.epoch;
       if (obs_.count_delta_updates != nullptr)
         obs_.count_delta_updates->Increment();
     }
@@ -349,12 +351,10 @@ void ContinuousShardRegistry::OnPublicChanged(const Point& location,
                                               Category category) {
   std::lock_guard<std::mutex> lock(mu_);
   public_version_.fetch_add(1, std::memory_order_acq_rel);
-  if (private_.empty()) return;
-  for (const auto& c : coverage_grid_.IntersectingRects(
-           Rect::FromPoint(location))) {
-    auto it = private_.find(c.id);
-    if (it != private_.end() && it->second.spec.category == category)
-      MarkStaleLocked(c.id);
+  for (auto& [id, entry] : private_) {
+    if (entry.spec.category == category &&
+        entry.snap.coverage.Contains(location))
+      MarkStaleLocked(id);
   }
 }
 
@@ -382,25 +382,6 @@ Result<StandingAnswer> ContinuousShardRegistry::Answer(
   return answer;
 }
 
-Result<StandingCountPart> ContinuousShardRegistry::CountContributions(
-    ContinuousQueryId id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counts_.find(id);
-  if (it == counts_.end())
-    return Status::NotFound("unknown continuous query");
-  StandingCountPart part;
-  part.contributions.reserve(it->second.contributions.size());
-  for (const auto& [pseudonym, p] : it->second.contributions)
-    part.contributions.push_back({pseudonym, p});
-  std::sort(part.contributions.begin(), part.contributions.end(),
-            [](const CountContribution& a, const CountContribution& b) {
-              return a.pseudonym < b.pseudonym;
-            });
-  part.generation = it->second.generation;
-  part.stale = it->second.stale;
-  return part;
-}
-
 Result<ContinuousQueryInfo> ContinuousShardRegistry::Info(
     ContinuousQueryId id) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -418,9 +399,7 @@ Result<ContinuousQueryInfo> ContinuousShardRegistry::Info(
   if (auto it = counts_.find(id); it != counts_.end()) {
     info.spec.kind = QueryKind::kPublicCount;
     info.spec.window = it->second.window;
-    info.stale = it->second.stale;
     info.generation = it->second.generation;
-    info.answer_size = it->second.contributions.size();
     return info;
   }
   return Status::NotFound("unknown continuous query");
@@ -458,15 +437,6 @@ std::vector<StaleEntry> ContinuousShardRegistry::TakeStale(size_t max) {
       it->second.stale = false;
       taken.push_back({id, it->second.spec, it->second.region,
                        it->second.epoch});
-    } else if (auto ct = counts_.find(id); ct != counts_.end() &&
-               ct->second.stale) {
-      ct->second.stale = false;
-      StaleEntry entry;
-      entry.id = id;
-      entry.spec.kind = QueryKind::kPublicCount;
-      entry.spec.window = ct->second.window;
-      entry.epoch = ct->second.epoch;
-      taken.push_back(std::move(entry));
     }
   }
   stale_queue_.resize(kept);
@@ -483,18 +453,6 @@ void ContinuousShardRegistry::Restore(ContinuousQueryId id, uint64_t epoch,
   if (SymmetricDelta(it->second.snap.current, snap.current) > 0)
     ++it->second.generation;
   it->second.snap = std::move(snap);
-  (void)coverage_grid_.Upsert(id, it->second.snap.coverage);
-}
-
-void ContinuousShardRegistry::RestoreCount(
-    ContinuousQueryId id, uint64_t epoch,
-    std::unordered_map<ObjectId, double> contributions) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counts_.find(id);
-  if (it == counts_.end()) return;
-  if (it->second.epoch != epoch || it->second.stale) return;
-  it->second.contributions = std::move(contributions);
-  ++it->second.generation;
 }
 
 void ContinuousShardRegistry::RepairFailed(ContinuousQueryId id,

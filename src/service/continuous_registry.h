@@ -3,18 +3,20 @@
 // location-based server should be done incrementally").
 //
 // Each shard owns one registry. Standing private range/NN/kNN queries live
-// on the issuer's home shard (hash-routed like the user); standing public
-// counts are registered on every shard, each holding the contributions of
-// its own users, merged at read time. The registry is driven by the shard's
-// update drain: every applied cloaked update consults a coverage grid so
-// only the standing queries the update can actually affect re-filter — a
-// delta notification, not a re-execution. A query whose cached coverage no
+// on the issuer's home shard (hash-routed like the user) and keep a cached
+// fetch superset; only the issuer's own updates re-filter it — a delta
+// notification, not a re-execution. A query whose cached coverage no
 // longer bounds the answer is marked stale and repaired asynchronously by a
-// service-level full re-evaluation sweep.
+// service-level full re-evaluation sweep. Standing public counts are
+// registered on every shard as a bare window plus a generation: the answer
+// is read from the shard's private index at answer time (the one-shot
+// count's own scan), and a window grid bumps the generation of exactly the
+// windows whose contribution an update changed. Counts never go stale.
 //
 // Locking: the registry has its own mutex, always acquired *after* the
 // owning shard's lock (drain notifications arrive under the shard's
-// exclusive lock; reads take only the registry mutex). The stale sweep
+// exclusive lock, count reads under its shared lock; private reads take
+// only the registry mutex). The stale sweep
 // evaluates with no locks held and restores under an epoch check, so a
 // repair never clobbers state that moved while it was being computed.
 
@@ -42,7 +44,7 @@ struct ContinuousRegistryOptions {
   /// Extra fetch margin added to every standing fetch so small region
   /// movements stay inside the cached coverage.
   double slack_margin = 5.0;
-  /// Coverage/window grid resolution per side (affected-query lookup).
+  /// Count-window grid resolution per side (affected-window lookup).
   uint32_t grid_cells = 64;
   /// Testing twin: disable the incremental gates so every issuer update
   /// marks the query stale and is repaired by a full re-evaluation. The
@@ -96,7 +98,7 @@ struct StandingAnswer {
   /// object id.
   std::vector<PublicObject> candidates;
   /// kPublicCount: the paper's three formats plus per-user contributions
-  /// sorted by pseudonym (only p > 0 entries are maintained).
+  /// sorted by pseudonym (only p > 0 entries are reported).
   CountAnswer count;
   std::vector<CountContribution> contributions;
   /// Bumped whenever the answer changes — clients poll this to detect
@@ -128,11 +130,10 @@ struct StaleEntry {
   uint64_t epoch = 0;
 };
 
-/// Per-shard part of a standing count answer.
+/// Per-shard part of a standing count answer, scanned at answer time.
 struct StandingCountPart {
-  std::vector<CountContribution> contributions;  ///< Sorted by pseudonym.
+  std::vector<CountContribution> contributions;  ///< p > 0, by pseudonym.
   uint64_t generation = 0;
-  bool stale = false;
 };
 
 // --- Shared evaluation kernels --------------------------------------------
@@ -188,11 +189,9 @@ class ContinuousShardRegistry {
   /// notified), the entry adopts it and is marked stale.
   Status RefreshRegion(ContinuousQueryId id, const Rect& region);
 
-  /// Installs a standing count window with its scanned contributions
-  /// (only p > 0 entries). Caller must hold the shard's shared lock across
-  /// scan + insert so no drain interleaves.
-  Status InsertCount(ContinuousQueryId id, const Rect& window,
-                     std::unordered_map<ObjectId, double> contributions);
+  /// Installs a standing count window. It holds no contributions: the
+  /// answer is scanned from the shard's private index when read.
+  Status InsertCount(ContinuousQueryId id, const Rect& window);
 
   /// Drops any standing query homed here.
   Status Remove(ContinuousQueryId id);
@@ -200,16 +199,19 @@ class ContinuousShardRegistry {
   // --- Drain notifications (caller holds the shard's exclusive lock) -----
 
   /// One applied cloaked update: re-filters or stales the issuer's private
-  /// queries and delta-updates every count window the move touches.
-  void OnLocationUpdate(UserId user, ObjectId pseudonym,
-                        const std::optional<Rect>& old_region,
+  /// queries and bumps the generation of every count window whose
+  /// contribution from this record changed (`old_region` is the record's
+  /// server-side region before the update, absent for a new pseudonym).
+  void OnLocationUpdate(UserId user, const std::optional<Rect>& old_region,
                         const Rect& new_region);
 
-  /// A pseudonym's record was dropped (rotation retire / unregister).
-  void OnLocationRemoved(ObjectId pseudonym, const Rect& old_region);
+  /// A pseudonym's record was dropped (rotation retire / unregister):
+  /// bumps the windows its last region contributed to.
+  void OnLocationRemoved(const Rect& old_region);
 
   /// One public object appeared at `location`: stales the standing private
-  /// queries of that category whose coverage the object falls into.
+  /// queries of that category whose coverage holds the object (a scan of
+  /// the private entries; public writes are rare admin operations).
   void OnPublicChanged(const Point& location, Category category);
 
   /// A category was replaced wholesale: stales all its standing queries.
@@ -220,9 +222,9 @@ class ContinuousShardRegistry {
   /// The current answer of a standing private query homed here.
   Result<StandingAnswer> Answer(ContinuousQueryId id) const;
 
-  /// This shard's part of a standing count answer.
-  Result<StandingCountPart> CountContributions(ContinuousQueryId id) const;
-
+  /// Spec, region, coverage and generation of a standing query homed here.
+  /// For a count window `answer_size` is 0: its contributions live in the
+  /// shard's private index (see Shard::StandingCount).
   Result<ContinuousQueryInfo> Info(ContinuousQueryId id) const;
 
   /// Deterministic enumeration of every standing query homed here (private
@@ -240,10 +242,6 @@ class ContinuousShardRegistry {
   /// Installs a repaired snapshot; discarded when the entry mutated since
   /// TakeStale (epoch mismatch) — it is already queued again.
   void Restore(ContinuousQueryId id, uint64_t epoch, StandingSnapshot snap);
-
-  /// Installs rescanned count contributions under the same epoch rule.
-  void RestoreCount(ContinuousQueryId id, uint64_t epoch,
-                    std::unordered_map<ObjectId, double> contributions);
 
   /// Records that a repair could not be evaluated (e.g. the category
   /// vanished): the answer empties and ships degraded until a later
@@ -275,14 +273,11 @@ class ContinuousShardRegistry {
   };
   struct CountEntry {
     Rect window;
-    std::unordered_map<ObjectId, double> contributions;  ///< p > 0 only.
     uint64_t generation = 1;
-    uint64_t epoch = 0;
-    bool stale = false;
     bool in_grid = false;  ///< Window intersects the space (else inert).
   };
 
-  /// Marks a private or count entry stale and queues it (locked).
+  /// Marks a private entry stale and queues it (locked).
   void MarkStaleLocked(ContinuousQueryId id);
   /// Applies one update to a private entry: incremental re-filter when the
   /// coverage gate holds, stale otherwise. Returns true when affected.
@@ -297,9 +292,6 @@ class ContinuousShardRegistry {
   mutable std::mutex mu_;
   std::unordered_map<ContinuousQueryId, PrivateEntry> private_;
   std::unordered_map<UserId, std::vector<ContinuousQueryId>> by_user_;
-  /// Coverage rectangles of the private entries (affected-query lookup for
-  /// public-data changes).
-  RectGrid coverage_grid_;
   std::unordered_map<ContinuousQueryId, CountEntry> counts_;
   /// Count windows (affected-query lookup for location updates).
   RectGrid window_grid_;

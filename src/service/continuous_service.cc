@@ -145,10 +145,10 @@ Result<ContinuousQueryId> CloakDbService::RegisterContinuousCount(
   const ContinuousQueryId id =
       next_cq_id_.fetch_add(1, std::memory_order_relaxed);
   trace.AddAttr("cq_id", static_cast<double>(id));
-  // Users are hash-scattered, so the window is maintained on every shard
-  // and the parts merge exactly at read time.
+  // Users are hash-scattered, so the window is registered on every shard
+  // and each shard's scan merges exactly at read time.
   for (uint32_t s = 0; s < shards_.size(); ++s) {
-    Status status = shards_[s]->RegisterStandingCount(id, window);
+    Status status = shards_[s]->continuous().InsertCount(id, window);
     if (!status.ok()) {
       for (uint32_t r = 0; r < s; ++r)
         (void)shards_[r]->continuous().Remove(id);
@@ -262,13 +262,12 @@ Result<StandingAnswer> CloakDbService::AnswerContinuous(
   StandingAnswer answer;
   answer.kind = QueryKind::kPublicCount;
   for (const auto& shard : shards_) {
-    auto part = shard->continuous().CountContributions(id);
+    auto part = shard->StandingCount(id);
     if (!part.ok()) return part.status();
     answer.contributions.insert(answer.contributions.end(),
                                 part.value().contributions.begin(),
                                 part.value().contributions.end());
     answer.generation += part.value().generation;
-    answer.stale = answer.stale || part.value().stale;
   }
   // Per-shard parts are pseudonym-sorted; the merge re-sorts so the answer
   // is bit-identical to a one-shot count over the same applied updates.
@@ -298,14 +297,16 @@ Result<ContinuousQueryInfo> CloakDbService::ContinuousInfo(
   if (route.kind != QueryKind::kPublicCount)
     return shards_[route.shard]->continuous().Info(id);
   ContinuousQueryInfo merged;
+  merged.spec.kind = QueryKind::kPublicCount;
   for (const auto& shard : shards_) {
-    auto info = shard->continuous().Info(id);
-    if (!info.ok()) return info.status();
-    merged.spec = info.value().spec;
-    merged.stale = merged.stale || info.value().stale;
-    merged.generation += info.value().generation;
-    merged.answer_size += info.value().answer_size;
+    auto part = shard->StandingCount(id);
+    if (!part.ok()) return part.status();
+    merged.generation += part.value().generation;
+    merged.answer_size += part.value().contributions.size();
   }
+  auto window = shards_.front()->continuous().Info(id);
+  if (!window.ok()) return window.status();
+  merged.spec.window = window.value().spec.window;
   return merged;
 }
 
@@ -345,20 +346,14 @@ size_t CloakDbService::SweepShardContinuous(uint32_t shard, size_t max) {
     RootTrace trace(tracer_.get(), "cq.full_reeval");
     obs::ScopedTraceContext scope(trace.context());
     trace.AddAttr("cq_id", static_cast<double>(entry.id));
-    if (entry.spec.kind == QueryKind::kPublicCount) {
-      shards_[shard]->RescanStandingCount(entry.id, entry.spec.window,
-                                          entry.epoch);
+    // No locks held: the evaluation fans out like a registration; a
+    // mutation that lands meanwhile bumps the epoch and the restore is
+    // discarded (the entry is already queued again).
+    auto snap = EvaluateStanding(entry.spec, entry.region, Deadline(), 0);
+    if (snap.ok() && !snap.value().degraded) {
+      registry.Restore(entry.id, entry.epoch, std::move(snap).value());
     } else {
-      // No locks held: the evaluation fans out like a registration; a
-      // mutation that lands meanwhile bumps the epoch and the restore is
-      // discarded (the entry is already queued again).
-      auto snap =
-          EvaluateStanding(entry.spec, entry.region, Deadline(), 0);
-      if (snap.ok() && !snap.value().degraded) {
-        registry.Restore(entry.id, entry.epoch, std::move(snap).value());
-      } else {
-        registry.RepairFailed(entry.id, entry.epoch);
-      }
+      registry.RepairFailed(entry.id, entry.epoch);
     }
     if (cq_obs_.full_reevals != nullptr) cq_obs_.full_reevals->Increment();
     registry.RepairSettled();

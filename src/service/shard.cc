@@ -1,5 +1,6 @@
 #include "service/shard.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <thread>
@@ -282,7 +283,7 @@ void Shard::ForwardCloaked(const CloakedUpdate& update, UserId user) {
     if (config_.obs.rotations != nullptr) config_.obs.rotations->Increment();
   }
   // The old region drives region-precise cache invalidation and the
-  // standing-count delta; read it once when either consumer is live.
+  // standing-count generation; read it once when either consumer is live.
   const bool standing = continuous_.size() > 0;
   std::optional<Rect> old_region;
   if (cache_.enabled() || standing) {
@@ -298,8 +299,7 @@ void Shard::ForwardCloaked(const CloakedUpdate& update, UserId user) {
   }
   (void)server_.ApplyCloakedUpdate(update.pseudonym, update.cloaked.region);
   if (standing)
-    continuous_.OnLocationUpdate(user, update.pseudonym, old_region,
-                                 update.cloaked.region);
+    continuous_.OnLocationUpdate(user, old_region, update.cloaked.region);
 }
 
 void Shard::DropServerRecord(ObjectId pseudonym) {
@@ -313,7 +313,7 @@ void Shard::DropServerRecord(ObjectId pseudonym) {
     cache_.InvalidatePrivateRegion(old_region.value());
   (void)server_.DropPseudonym(pseudonym);
   if (standing && old_region.has_value())
-    continuous_.OnLocationRemoved(pseudonym, old_region.value());
+    continuous_.OnLocationRemoved(old_region.value());
 }
 
 Result<CloakedUpdate> Shard::UpdateLocation(UserId user,
@@ -546,30 +546,23 @@ Result<std::vector<PublicObject>> Shard::ProbeRegion(
   return server_.SharedProbe(probe, category);
 }
 
-Status Shard::RegisterStandingCount(ContinuousQueryId id,
-                                    const Rect& window) {
-  // Shared lock held across scan + insert: drains take the exclusive lock,
-  // so no update can slip between the scan and the registration.
+Result<StandingCountPart> Shard::StandingCount(ContinuousQueryId id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  std::unordered_map<ObjectId, double> contributions;
-  for (const auto& entry :
-       server_.store().private_index().IntersectingRects(window)) {
-    double p = CountContributionOf(entry.rect, window);
-    if (p > 0.0) contributions[entry.id] = p;
+  auto info = continuous_.Info(id);
+  if (!info.ok()) return info.status();
+  if (info.value().spec.kind != QueryKind::kPublicCount)
+    return Status::NotFound("not a standing count");
+  StandingCountPart part;
+  part.generation = info.value().generation;
+  for (const CountContribution& c :
+       ScanCountContributions(server_.store(), info.value().spec.window)) {
+    if (c.probability > 0.0) part.contributions.push_back(c);
   }
-  return continuous_.InsertCount(id, window, std::move(contributions));
-}
-
-void Shard::RescanStandingCount(ContinuousQueryId id, const Rect& window,
-                                uint64_t epoch) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  std::unordered_map<ObjectId, double> contributions;
-  for (const auto& entry :
-       server_.store().private_index().IntersectingRects(window)) {
-    double p = CountContributionOf(entry.rect, window);
-    if (p > 0.0) contributions[entry.id] = p;
-  }
-  continuous_.RestoreCount(id, epoch, std::move(contributions));
+  std::sort(part.contributions.begin(), part.contributions.end(),
+            [](const CountContribution& a, const CountContribution& b) {
+              return a.pseudonym < b.pseudonym;
+            });
+  return part;
 }
 
 Status Shard::WriteCheckpoint() {

@@ -211,15 +211,11 @@ class Shard {
   Result<std::vector<PublicObject>> ProbeRegion(const Rect& probe,
                                                 Category category) const;
 
-  /// Scans the current private regions intersecting `window` and installs
-  /// the standing count under one shared-lock hold, so no drain can
-  /// interleave between scan and registration.
-  Status RegisterStandingCount(ContinuousQueryId id, const Rect& window);
-
-  /// Re-scans a standing count window (sweep repair path); the registry
-  /// discards the result if the entry mutated past `epoch`.
-  void RescanStandingCount(ContinuousQueryId id, const Rect& window,
-                           uint64_t epoch);
+  /// This shard's part of a standing count: the window's generation and
+  /// the one-shot count's scan of the private index (p > 0 entries, sorted
+  /// by pseudonym), read under one shared-lock hold so the generation
+  /// matches the scanned state.
+  Result<StandingCountPart> StandingCount(ContinuousQueryId id) const;
 
   // --- Durability ----------------------------------------------------------
   /// Exports the shard's durable state and writes it as a checkpoint.

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <memory>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "geom/distance.h"
@@ -428,6 +431,244 @@ TEST(ContinuousServiceTest, PublicDataChangesRepairStandingAnswers) {
   auto oneshot_ids = Ids(oneshot.value().candidates);
   std::sort(oneshot_ids.begin(), oneshot_ids.end());
   EXPECT_EQ(ids, oneshot_ids);
+}
+
+/// The standing count must equal the one-shot count over the same applied
+/// updates. The one-shot list also carries measure-zero touches (p = 0),
+/// which the standing answer never reports.
+void ExpectCountMatchesOneShot(const CloakDbService& db, ContinuousQueryId id,
+                               const Rect& window, const std::string& where) {
+  auto standing = db.AnswerContinuous(id);
+  auto oneshot = db.PublicCount(window);
+  ASSERT_TRUE(standing.ok() && oneshot.ok()) << where;
+  EXPECT_FALSE(standing.value().stale) << where;
+  const CountAnswer& a = standing.value().count;
+  const CountAnswer& b = oneshot.value().answer;
+  EXPECT_EQ(a.min_count, b.min_count) << where;
+  EXPECT_EQ(a.max_count, b.max_count) << where;
+  EXPECT_DOUBLE_EQ(a.expected, b.expected) << where;
+  std::vector<CountContribution> want;
+  for (const auto& c : oneshot.value().contributions) {
+    if (c.probability > 0.0) want.push_back(c);
+  }
+  const auto& got = standing.value().contributions;
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].pseudonym, want[i].pseudonym) << where;
+    EXPECT_EQ(got[i].probability, want[i].probability) << where;
+  }
+}
+
+// A count window's generation is its delta signal: it moves exactly when
+// some record's contribution to the window changed, and never otherwise.
+TEST(ContinuousServiceTest, CountGenerationBumpsOnlyWhenAContributionChanges) {
+  auto options = DefaultOptions(1);
+  options.anonymizer.pseudonym_rotation_period = 7;
+  auto db = CloakDbService::Create(options).value();
+  ASSERT_TRUE(db->RegisterUser(1, KProfile(1)).ok());
+  ASSERT_TRUE(db->RegisterUser(2, KProfile(1)).ok());
+  ASSERT_TRUE(db->UpdateLocation(2, {45, 45}, Noon()).ok());  // Bystander.
+  // Edges off every cell boundary, so a region crossing one overlaps it
+  // partially.
+  const Rect window(30.3, 30.3, 69.7, 69.7);
+  auto first = db->UpdateLocation(1, {50, 50}, Noon());  // Update 1.
+  ASSERT_TRUE(first.ok());
+  auto id = db->RegisterContinuousCount(window);
+  ASSERT_TRUE(id.ok());
+  ExpectCountMatchesOneShot(*db, id.value(), window, "registered");
+
+  Rect region = first.value().cloaked.region;
+  auto generation = [&] {
+    return db->AnswerContinuous(id.value()).value().generation;
+  };
+  // Updates 2..7; the seventh rotates the pseudonym.
+  struct Move {
+    Point to;
+    const char* what;
+    double old_p;  ///< Expected contribution before the move.
+    double new_p;  ///< Expected contribution after; -1 = partial.
+    uint64_t bumps;
+  };
+  const std::vector<Move> moves = {
+      {{51, 51}, "inside->inside", 1.0, 1.0, 0},
+      {{30.3, 50}, "inside->partial", 1.0, -1.0, 1},
+      {{5, 50}, "partial->outside", -1.0, 0.0, 1},
+      {{6, 8}, "outside->outside", 0.0, 0.0, 0},
+      {{50, 52}, "outside->inside", 0.0, 1.0, 1},
+      // Rotation: the retired record leaves (one bump), the fresh
+      // pseudonym enters (another).
+      {{52, 50}, "inside->inside with rotation", 1.0, 1.0, 2},
+  };
+  for (const Move& m : moves) {
+    const uint64_t before = generation();
+    auto update = db->UpdateLocation(1, m.to, Noon());
+    ASSERT_TRUE(update.ok()) << m.what;
+    const double old_p = CountContributionOf(region, window);
+    region = update.value().cloaked.region;
+    const double new_p = CountContributionOf(region, window);
+    // The move really is the case it names.
+    if (m.old_p < 0) {
+      EXPECT_TRUE(old_p > 0.0 && old_p < 1.0) << m.what;
+    } else {
+      EXPECT_EQ(old_p, m.old_p) << m.what;
+    }
+    if (m.new_p < 0) {
+      EXPECT_TRUE(new_p > 0.0 && new_p < 1.0) << m.what;
+    } else {
+      EXPECT_EQ(new_p, m.new_p) << m.what;
+    }
+    EXPECT_EQ(update.value().retired_pseudonym != 0, m.bumps == 2) << m.what;
+    EXPECT_EQ(generation() - before, m.bumps) << m.what;
+    ExpectCountMatchesOneShot(*db, id.value(), window, m.what);
+  }
+
+  // Dropping a record that contributed bumps once.
+  const uint64_t before = generation();
+  ASSERT_TRUE(db->UnregisterUser(1).ok());
+  EXPECT_EQ(generation() - before, 1u);
+  ExpectCountMatchesOneShot(*db, id.value(), window, "unregister");
+}
+
+// Public writes stale exactly the same-category standing queries whose
+// cached coverage holds the new object, and the repair converges on the
+// one-shot answer.
+TEST(ContinuousServiceTest, PublicChangesStaleExactlyTheCoveringQueries) {
+  auto db = CloakDbService::Create(DefaultOptions(2)).value();
+  constexpr Category kOther = poi_category::kGasStation + 1;
+  ASSERT_TRUE(
+      db->BulkLoadCategory(poi_category::kGasStation, MakePois(150)).ok());
+  std::vector<PublicObject> others = MakePois(60, 77);
+  for (auto& o : others) {
+    o.id += 100000;
+    o.category = kOther;
+  }
+  ASSERT_TRUE(db->BulkLoadCategory(kOther, others).ok());
+  for (UserId u = 1; u <= 12; ++u)
+    ASSERT_TRUE(db->RegisterUser(u, KProfile(2)).ok());
+  // Two rounds: the first reporters of a shard cloak against a near-empty
+  // crowd; by the second everyone has company.
+  Rng rng(81);
+  for (int round = 0; round < 2; ++round) {
+    for (UserId u = 1; u <= 12; ++u) {
+      ASSERT_TRUE(db->UpdateLocation(
+                        u, {rng.Uniform(10, 50), rng.Uniform(10, 50)}, Noon())
+                      .ok());
+    }
+  }
+  struct Standing {
+    ContinuousQueryId id;
+    Category category;
+    double radius;
+  };
+  std::vector<Standing> queries;
+  for (UserId u = 1; u <= 12; ++u) {
+    const Category category = u % 2 == 0 ? poi_category::kGasStation : kOther;
+    const double radius = 4.0 + static_cast<double>(u % 3);
+    auto id = db->RegisterContinuousRange(u, radius, category);
+    ASSERT_TRUE(id.ok());
+    queries.push_back({id.value(), category, radius});
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  auto coverage_of = [&](const Standing& q) {
+    return db->ContinuousInfo(q.id).value().coverage;
+  };
+  auto stale_marked = [&] {
+    return db->metrics().CounterValue("cq.stale_marked_total");
+  };
+
+  // Outside every coverage: nothing goes stale.
+  const Point far{95, 95};
+  for (const Standing& q : queries) ASSERT_FALSE(coverage_of(q).Contains(far));
+  uint64_t before = stale_marked();
+  PublicObject lone;
+  lone.id = 900001;
+  lone.location = far;
+  lone.category = poi_category::kGasStation;
+  ASSERT_TRUE(db->AddPublicObject(lone).ok());
+  EXPECT_EQ(stale_marked(), before);
+
+  // At the centre of a gas-station query's coverage: exactly the
+  // gas-station queries holding the point go stale, whatever the other
+  // category's coverages hold.
+  const Standing& anchor = queries[1];
+  ASSERT_EQ(anchor.category, poi_category::kGasStation);
+  const Rect c = coverage_of(anchor);
+  const Point at{(c.min_x + c.max_x) / 2, (c.min_y + c.max_y) / 2};
+  uint64_t covering_same = 0;
+  uint64_t covering_other = 0;
+  for (const Standing& q : queries) {
+    if (!coverage_of(q).Contains(at)) continue;
+    ++(q.category == poi_category::kGasStation ? covering_same
+                                               : covering_other);
+  }
+  ASSERT_GE(covering_same, 1u);
+  ASSERT_GE(covering_other, 1u);  // The category filter is exercised.
+  before = stale_marked();
+  PublicObject fresh;
+  fresh.id = 900002;
+  fresh.location = at;
+  fresh.category = poi_category::kGasStation;
+  ASSERT_TRUE(db->AddPublicObject(fresh).ok());
+  EXPECT_EQ(stale_marked() - before, covering_same);
+  for (const Standing& q : queries) {
+    if (q.category == kOther) {
+      EXPECT_FALSE(db->ContinuousInfo(q.id).value().stale) << "cq " << q.id;
+    }
+  }
+
+  // After the repair every standing range equals its one-shot answer.
+  ASSERT_TRUE(db->Flush().ok());
+  for (const Standing& q : queries) {
+    auto standing = db->AnswerContinuous(q.id);
+    ASSERT_TRUE(standing.ok());
+    EXPECT_FALSE(standing.value().stale);
+    auto oneshot = db->PrivateRange(db->ContinuousInfo(q.id).value().region,
+                                    q.radius, q.category);
+    ASSERT_TRUE(oneshot.ok());
+    auto want = Ids(oneshot.value().candidates);
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(Ids(standing.value().candidates), want) << "cq " << q.id;
+  }
+}
+
+// Count windows are read from the shard's private index under its shared
+// lock; concurrent readers and queued drains must not race (run under
+// TSan in CI) and the settled answers equal the one-shot count.
+TEST(ContinuousServiceTest, ConcurrentCountReadsDuringDrains) {
+  auto db = CloakDbService::Create(DefaultOptions(4)).value();
+  constexpr size_t kUsers = 80;
+  for (UserId u = 1; u <= kUsers; ++u)
+    ASSERT_TRUE(db->RegisterUser(u, KProfile(2)).ok());
+  const std::vector<Rect> windows = {Rect(10, 10, 55, 55),
+                                     Rect(40.5, 20.5, 90.5, 70.5)};
+  std::vector<ContinuousQueryId> ids;
+  for (const Rect& w : windows) {
+    auto id = db->RegisterContinuousCount(w);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(id.value());
+  }
+  std::atomic<bool> done{false};
+  auto reader = [&](bool info) {
+    while (!done.load(std::memory_order_acquire)) {
+      for (ContinuousQueryId id : ids) {
+        if (info) {
+          EXPECT_TRUE(db->ContinuousInfo(id).ok());
+        } else {
+          EXPECT_TRUE(db->AnswerContinuous(id).ok());
+        }
+      }
+    }
+  };
+  std::thread answers(reader, false);
+  std::thread infos(reader, true);
+  for (const Step& s : MakeStream(600, kUsers, 91))
+    ASSERT_TRUE(db->EnqueueUpdate(s.user, s.location, Noon()).ok());
+  ASSERT_TRUE(db->Flush().ok());
+  done.store(true, std::memory_order_release);
+  answers.join();
+  infos.join();
+  for (size_t i = 0; i < ids.size(); ++i)
+    ExpectCountMatchesOneShot(*db, ids[i], windows[i], "settled");
 }
 
 TEST(ContinuousServiceTest, MetricsTrackRegistrationsAndAffectedScaling) {
