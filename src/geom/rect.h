@@ -51,6 +51,11 @@ struct Rect {
   double Height() const { return IsEmpty() ? 0.0 : max_y - min_y; }
   double Area() const { return Width() * Height(); }
   double Perimeter() const { return 2.0 * (Width() + Height()); }
+  /// No point inside lies farther than this from its nearest corner (the
+  /// slack term of the private NN/kNN fetch bounds).
+  double HalfDiagonal() const {
+    return 0.5 * std::sqrt(Width() * Width() + Height() * Height());
+  }
   Point Center() const {
     return {(min_x + max_x) / 2.0, (min_y + max_y) / 2.0};
   }

@@ -3,89 +3,23 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "geom/distance.h"
-#include "server/dominance.h"
 
 namespace cloakdb {
 
 namespace {
 
-// Fetches the full PublicObject records for index hits.
-std::vector<PublicObject> Materialize(const ObjectStore& store,
-                                      const std::vector<PointEntry>& hits) {
-  std::vector<PublicObject> out;
-  out.reserve(hits.size());
-  for (const auto& h : hits) {
-    auto obj = store.GetPublicObject(h.id);
-    // Index and metadata are maintained together; a miss is an invariant
-    // violation surfaced loudly in tests.
-    if (obj.ok()) out.push_back(std::move(obj).value());
-  }
-  return out;
-}
-
-// Half the diagonal of a rectangle: the worst-case distance from a point
-// inside to its nearest corner, the slack term of both fetch bounds.
-double HalfDiagonal(const Rect& rect) {
-  return 0.5 * std::sqrt(rect.Width() * rect.Width() +
-                         rect.Height() * rect.Height());
-}
-
-}  // namespace
-
-Result<PrivateRangeResult> PrivateRangeQuery(
-    const ObjectStore& store, const Rect& cloaked, double radius,
-    Category category, const PrivateRangeOptions& options) {
-  if (cloaked.IsEmpty())
-    return Status::InvalidArgument("cloaked region must be non-empty");
-  if (!(radius > 0.0))
-    return Status::InvalidArgument("query radius must be positive");
-  auto index = store.CategoryIndex(category);
-  if (!index.ok()) return index.status();
-
-  PrivateRangeResult result;
-  result.extended_region = cloaked.Expanded(radius);
-  auto hits = index.value()->RangeSearch(result.extended_region);
-
-  if (options.exact_rounded_rect) {
-    // Exact region is the Minkowski sum of R and a radius-r disc (the
-    // paper's rounded rectangle): object qualifies iff MinDist(o, R) <= r.
-    size_t before = hits.size();
-    hits.erase(std::remove_if(hits.begin(), hits.end(),
-                              [&](const PointEntry& e) {
-                                return MinDist(e.location, cloaked) > radius;
-                              }),
-               hits.end());
-    result.rounded_rect_pruned = before - hits.size();
-  }
-  result.candidates = Materialize(store, hits);
-  return result;
-}
-
-Result<double> NnFetchRadius(const ObjectStore& store, const Rect& cloaked,
-                             Category category) {
-  if (cloaked.IsEmpty())
-    return Status::InvalidArgument("cloaked region must be non-empty");
-  auto index_or = store.CategoryIndex(category);
-  if (!index_or.ok()) return index_or.status();
-  const PublicCategoryIndex& index = *index_or.value();
-  if (index.size() == 0)
-    return Status::NotFound("no public objects in category");
-
-  // Conservative fetch radius M: for any p in R, the distance to its NN is
-  // at most d(p, c) + d(c, NN(c)) for p's nearest corner c, and d(p, c) is
-  // at most half the diagonal. Any object that can be an NN therefore has
-  // MinDist(o, R) <= M.
-  double max_corner_nn = 0.0;
-  for (const Point& corner : cloaked.Corners()) {
-    max_corner_nn = std::max(max_corner_nn, index.NearestDistance(corner));
-  }
-  return max_corner_nn + HalfDiagonal(cloaked);
-}
-
-Result<double> KnnFetchRadius(const ObjectStore& store, const Rect& cloaked,
-                              size_t k, Category category) {
+// The conservative fetch radius of a private NN (`nn`, k = 1) or k-NN
+// query: for any p in R and its nearest corner c, the k objects nearest to
+// c all lie within d(p, c) + d(c, kth-NN(c)), and d(p, c) is at most half
+// the diagonal, so every possible answer object o has MinDist(o, R) <=
+// half_diag + max_c d(c, kth-NN(c)). A k-NN query over at most k objects
+// gets +infinity: every object is a candidate by pigeonhole, and no
+// bounded probe can serve it.
+Result<double> FetchReach(const ObjectStore& store, const Rect& cloaked,
+                          size_t k, Category category, bool nn) {
   if (cloaked.IsEmpty())
     return Status::InvalidArgument("cloaked region must be non-empty");
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
@@ -94,166 +28,124 @@ Result<double> KnnFetchRadius(const ObjectStore& store, const Rect& cloaked,
   const PublicCategoryIndex& index = *index_or.value();
   if (index.size() == 0)
     return Status::NotFound("no public objects in category");
-  // Everything is an answer candidate by pigeonhole; no bounded probe can
-  // serve this case, signalled as radius 0.
-  if (index.size() <= k) return 0.0;
-
-  // Fetch bound: for any p in R and its nearest corner c, the k objects
-  // nearest to c all lie within d(p, c) + d(c, kth-NN(c)), so the k-th NN
-  // distance of p is at most half_diag + max_c d(c, kth-NN(c)); every
-  // possible answer object has MinDist(o, R) below that.
+  if (!nn && index.size() <= k) return std::numeric_limits<double>::infinity();
   double max_corner_kth = 0.0;
   for (const Point& corner : cloaked.Corners()) {
-    auto knn = index.KNearest(corner, k);
-    max_corner_kth =
-        std::max(max_corner_kth, Distance(corner, knn.back().location));
+    max_corner_kth = std::max(
+        max_corner_kth,
+        nn ? index.NearestDistance(corner)
+           : Distance(corner, index.KNearest(corner, k).back().location));
   }
-  return max_corner_kth + HalfDiagonal(cloaked);
+  return max_corner_kth + cloaked.HalfDiagonal();
+}
+
+}  // namespace
+
+Result<PrivateFetch<PrivateRangeResult>> PlanPrivateRange(
+    const ObjectStore& store, const Rect& cloaked, double radius,
+    Category category, const PrivateRangeOptions& options) {
+  if (cloaked.IsEmpty())
+    return Status::InvalidArgument("cloaked region must be non-empty");
+  if (!(radius > 0.0))
+    return Status::InvalidArgument("query radius must be positive");
+  auto index = store.CategoryIndex(category);
+  if (!index.ok()) return index.status();
+  return PrivateFetch<PrivateRangeResult>{
+      {.cloaked = cloaked,
+       .reach = radius,
+       .exact_rounded_rect = options.exact_rounded_rect},
+      category};
+}
+
+Result<PrivateFetch<PrivateNnResult>> PlanPrivateNn(const ObjectStore& store,
+                                                    const Rect& cloaked,
+                                                    Category category) {
+  auto reach = FetchReach(store, cloaked, 1, category, /*nn=*/true);
+  if (!reach.ok()) return reach.status();
+  return PrivateFetch<PrivateNnResult>{{.kind = RefineKind::kNearest,
+                                        .cloaked = cloaked,
+                                        .reach = reach.value()},
+                                       category};
+}
+
+Result<PrivateFetch<PrivateKnnResult>> PlanPrivateKnn(
+    const ObjectStore& store, const Rect& cloaked, size_t k,
+    Category category) {
+  auto reach = FetchReach(store, cloaked, k, category, /*nn=*/false);
+  if (!reach.ok()) return reach.status();
+  return PrivateFetch<PrivateKnnResult>{{.kind = RefineKind::kNearest,
+                                         .cloaked = cloaked,
+                                         .reach = reach.value(),
+                                         .k = k},
+                                        category};
+}
+
+Result<double> KnnFetchRadius(const ObjectStore& store, const Rect& cloaked,
+                              size_t k, Category category) {
+  auto reach = FetchReach(store, cloaked, k, category, /*nn=*/false);
+  if (!reach.ok()) return reach.status();
+  return std::isinf(reach.value()) ? 0.0 : reach.value();
+}
+
+template <typename R>
+Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch,
+                        const std::vector<PointEntry>* hits) {
+  std::vector<PointEntry> probed;
+  if (hits == nullptr) {
+    auto index = store.CategoryIndex(fetch.category);
+    if (!index.ok()) return index.status();
+    probed = index.value()->RangeSearch(fetch.Window());
+    hits = &probed;
+  }
+  const Refined<PointEntry> refined = RefineHits(fetch.refine, *hits);
+  auto candidates = Materialize(store, refined.survivors);
+  if (!candidates.ok()) return candidates.status();
+  R result;
+  result.candidates = std::move(candidates).value();
+  if constexpr (std::is_same_v<R, PrivateRangeResult>) {
+    result.extended_region = fetch.Window();
+    result.rounded_rect_pruned = refined.rounded_rect_pruned;
+  } else {
+    // The pigeonhole fetch reports radius 0, as KnnFetchRadius does.
+    if (!std::isinf(fetch.refine.reach))
+      result.fetch_radius = fetch.refine.reach;
+    result.dominance_pruned = refined.dominance_pruned;
+  }
+  return result;
+}
+
+template Result<PrivateRangeResult> AnswerPrivate(
+    const ObjectStore&, const PrivateFetch<PrivateRangeResult>&,
+    const std::vector<PointEntry>*);
+template Result<PrivateNnResult> AnswerPrivate(
+    const ObjectStore&, const PrivateFetch<PrivateNnResult>&,
+    const std::vector<PointEntry>*);
+template Result<PrivateKnnResult> AnswerPrivate(
+    const ObjectStore&, const PrivateFetch<PrivateKnnResult>&,
+    const std::vector<PointEntry>*);
+
+Result<PrivateRangeResult> PrivateRangeQuery(
+    const ObjectStore& store, const Rect& cloaked, double radius,
+    Category category, const PrivateRangeOptions& options) {
+  auto fetch = PlanPrivateRange(store, cloaked, radius, category, options);
+  if (!fetch.ok()) return fetch.status();
+  return AnswerPrivate(store, fetch.value());
 }
 
 Result<PrivateNnResult> PrivateNnQuery(const ObjectStore& store,
                                        const Rect& cloaked,
                                        Category category) {
-  auto fetch = NnFetchRadius(store, cloaked, category);
+  auto fetch = PlanPrivateNn(store, cloaked, category);
   if (!fetch.ok()) return fetch.status();
-  const PublicCategoryIndex& index = *store.CategoryIndex(category).value();
-
-  PrivateNnResult result;
-  result.fetch_radius = fetch.value();
-
-  auto hits = index.RangeSearch(cloaked.Expanded(result.fetch_radius));
-  // The expanded MBR over-approximates the disc sum; drop the corners.
-  hits.erase(std::remove_if(hits.begin(), hits.end(),
-                            [&](const PointEntry& e) {
-                              return MinDist(e.location, cloaked) >
-                                     result.fetch_radius;
-                            }),
-             hits.end());
-  result.dominance_pruned = DominancePrune(&hits, cloaked);
-  result.candidates = Materialize(store, hits);
-  return result;
+  return AnswerPrivate(store, fetch.value());
 }
 
 Result<PrivateKnnResult> PrivateKnnQuery(const ObjectStore& store,
                                          const Rect& cloaked, size_t k,
                                          Category category) {
-  auto fetch = KnnFetchRadius(store, cloaked, k, category);
+  auto fetch = PlanPrivateKnn(store, cloaked, k, category);
   if (!fetch.ok()) return fetch.status();
-  const PublicCategoryIndex& index = *store.CategoryIndex(category).value();
-
-  PrivateKnnResult result;
-  if (index.size() <= k) {
-    // Everything is an answer candidate by pigeonhole.
-    auto hits = index.RangeSearch(
-        Rect(-std::numeric_limits<double>::infinity(),
-             -std::numeric_limits<double>::infinity(),
-             std::numeric_limits<double>::infinity(),
-             std::numeric_limits<double>::infinity()));
-    result.candidates = Materialize(store, hits);
-    return result;
-  }
-  result.fetch_radius = fetch.value();
-
-  auto hits = index.RangeSearch(cloaked.Expanded(result.fetch_radius));
-  hits.erase(std::remove_if(hits.begin(), hits.end(),
-                            [&](const PointEntry& e) {
-                              return MinDist(e.location, cloaked) >
-                                     result.fetch_radius;
-                            }),
-             hits.end());
-  result.dominance_pruned = KDominancePrune(&hits, cloaked, k);
-  result.candidates = Materialize(store, hits);
-  return result;
-}
-
-Result<std::vector<PublicObject>> SharedProbeQuery(const ObjectStore& store,
-                                                   const Rect& probe_region,
-                                                   Category category) {
-  if (probe_region.IsEmpty())
-    return Status::InvalidArgument("probe region must be non-empty");
-  auto index = store.CategoryIndex(category);
-  if (!index.ok()) return index.status();
-  return Materialize(store, index.value()->RangeSearch(probe_region));
-}
-
-Result<PrivateRangeResult> PrivateRangeFromSuperset(
-    const ObjectStore& store, const std::vector<PublicObject>& superset,
-    const Rect& cloaked, double radius, Category category,
-    const PrivateRangeOptions& options) {
-  if (cloaked.IsEmpty())
-    return Status::InvalidArgument("cloaked region must be non-empty");
-  if (!(radius > 0.0))
-    return Status::InvalidArgument("query radius must be positive");
-  // The category check keeps superset refinement status-identical to the
-  // isolated query (NotFound on an absent category even when the shared
-  // probe predates its removal).
-  auto index = store.CategoryIndex(category);
-  if (!index.ok()) return index.status();
-
-  PrivateRangeResult result;
-  result.extended_region = cloaked.Expanded(radius);
-  for (const PublicObject& o : superset) {
-    // Same two-stage filter as the isolated query: extended-MBR fetch,
-    // then the exact rounded-rectangle test — so the prune counter matches
-    // the isolated run even though the superset is wider.
-    if (!result.extended_region.Contains(o.location)) continue;
-    if (options.exact_rounded_rect && MinDist(o.location, cloaked) > radius) {
-      ++result.rounded_rect_pruned;
-      continue;
-    }
-    result.candidates.push_back(o);
-  }
-  return result;
-}
-
-Result<PrivateNnResult> PrivateNnFromSuperset(
-    const ObjectStore& store, const std::vector<PublicObject>& superset,
-    const Rect& cloaked, Category category, double known_fetch_radius) {
-  PrivateNnResult result;
-  if (known_fetch_radius > 0.0) {
-    result.fetch_radius = known_fetch_radius;
-  } else {
-    auto fetch = NnFetchRadius(store, cloaked, category);
-    if (!fetch.ok()) return fetch.status();
-    result.fetch_radius = fetch.value();
-  }
-  // An isolated candidate satisfies MinDist <= fetch_radius, which already
-  // implies membership in the expanded MBR — one predicate suffices here.
-  std::vector<PublicObject> hits;
-  for (const PublicObject& o : superset) {
-    if (MinDist(o.location, cloaked) <= result.fetch_radius)
-      hits.push_back(o);
-  }
-  result.dominance_pruned = DominancePrune(&hits, cloaked);
-  result.candidates = std::move(hits);
-  return result;
-}
-
-Result<PrivateKnnResult> PrivateKnnFromSuperset(
-    const ObjectStore& store, const std::vector<PublicObject>& superset,
-    const Rect& cloaked, size_t k, Category category,
-    double known_fetch_radius) {
-  PrivateKnnResult result;
-  if (known_fetch_radius > 0.0) {
-    result.fetch_radius = known_fetch_radius;
-  } else {
-    auto fetch = KnnFetchRadius(store, cloaked, k, category);
-    if (!fetch.ok()) return fetch.status();
-    if (fetch.value() == 0.0) {
-      // <= k objects in the category: the bounded superset cannot prove
-      // completeness, so take the pigeonhole path against the index itself.
-      return PrivateKnnQuery(store, cloaked, k, category);
-    }
-    result.fetch_radius = fetch.value();
-  }
-  std::vector<PublicObject> hits;
-  for (const PublicObject& o : superset) {
-    if (MinDist(o.location, cloaked) <= result.fetch_radius)
-      hits.push_back(o);
-  }
-  result.dominance_pruned = KDominancePrune(&hits, cloaked, k);
-  result.candidates = std::move(hits);
-  return result;
+  return AnswerPrivate(store, fetch.value());
 }
 
 std::vector<PublicObject> RefineKnnCandidates(

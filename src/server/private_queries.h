@@ -10,8 +10,10 @@
 #ifndef CLOAKDB_SERVER_PRIVATE_QUERIES_H_
 #define CLOAKDB_SERVER_PRIVATE_QUERIES_H_
 
+#include <string>
 #include <vector>
 
+#include "server/dominance.h"
 #include "server/object_store.h"
 #include "util/status.h"
 
@@ -103,63 +105,76 @@ Result<PrivateKnnResult> PrivateKnnQuery(const ObjectStore& store,
                                          const Rect& cloaked, size_t k,
                                          Category category);
 
-// --- Shared execution (one probe serving many queries) --------------------
+// --- One pipeline: plan -> fetch -> refine -> materialize ----------------
 //
-// The service's shared-execution engine runs ONE widened index probe for a
-// cluster of overlapping cloaked queries and refines every member's
-// candidate list from the shared superset with the functions below. They
-// apply the same predicates as the isolated queries, and every isolated
-// candidate o satisfies MinDist(o, R) <= reach — which places o inside
-// R.Expanded(reach) — so whenever the probe rectangle contains
-// R.Expanded(reach), refining from the superset returns exactly the
-// isolated answer. Sharing can only widen what is *fetched*, never shrink
-// what is *kept*: pruning stays per-query, so the paper's candidate-list
-// guarantee is unaffected.
+// Every private range/NN/kNN answer runs the Fig. 5 kernel of
+// server/dominance.h. A Plan* call validates the query and fixes its fetch
+// (NN/kNN probe the cloak's corners for the conservative reach);
+// AnswerPrivate refines hits through the kernel and materializes the
+// survivors. The hits come from one index probe of the fetch window or from
+// a caller holding a superset of it (a cached widened probe). The kernel
+// drops every hit outside the window uncounted, so both sources give the
+// same candidates, prune counts and fetch radius. Sharing can only widen
+// what is *fetched*, never shrink what is *kept*.
 
-/// Fetches every `category` object inside `probe_region`, materialized once
-/// for a cluster of queries. Fails with InvalidArgument on an empty probe
-/// region and NotFound on an absent category.
-Result<std::vector<PublicObject>> SharedProbeQuery(const ObjectStore& store,
-                                                   const Rect& probe_region,
-                                                   Category category);
+/// One planned private query; `R` is the result type it answers with.
+template <typename R>
+struct PrivateFetch {
+  RefineQuery refine;
+  Category category = 0;
+  /// Every candidate lies in here: the cloak expanded by the reach (the
+  /// whole plane in the kNN pigeonhole case).
+  Rect Window() const { return refine.cloaked.Expanded(refine.reach); }
+};
 
-/// The conservative NN fetch radius of `cloaked` (max corner-NN distance
-/// plus half the diagonal): the reach a shared probe must cover for
-/// PrivateNnFromSuperset to be exact. Fails like PrivateNnQuery.
-Result<double> NnFetchRadius(const ObjectStore& store, const Rect& cloaked,
-                             Category category);
+/// Plans a private range query; fails like PrivateRangeQuery.
+Result<PrivateFetch<PrivateRangeResult>> PlanPrivateRange(
+    const ObjectStore& store, const Rect& cloaked, double radius,
+    Category category, const PrivateRangeOptions& options = {});
+
+/// Plans a private NN query; fails like PrivateNnQuery.
+Result<PrivateFetch<PrivateNnResult>> PlanPrivateNn(const ObjectStore& store,
+                                                    const Rect& cloaked,
+                                                    Category category);
+
+/// Plans a private k-NN query; fails like PrivateKnnQuery.
+Result<PrivateFetch<PrivateKnnResult>> PlanPrivateKnn(
+    const ObjectStore& store, const Rect& cloaked, size_t k,
+    Category category);
+
+/// Answers a planned query from `hits`, which must hold every category
+/// object inside fetch.Window(), or, when null, from one index probe of
+/// that window. Fails with Internal when a kept hit is missing from the
+/// store.
+template <typename R>
+Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch,
+                        const std::vector<PointEntry>* hits = nullptr);
 
 /// The conservative k-NN fetch radius; returns 0.0 when the category holds
-/// at most k objects (the probe is bypassed — everything is a candidate).
+/// at most k objects (the probe is bypassed: everything is a candidate).
 /// Fails like PrivateKnnQuery.
 Result<double> KnnFetchRadius(const ObjectStore& store, const Rect& cloaked,
                               size_t k, Category category);
 
-/// PrivateRangeQuery refined from a shared superset. Exact iff `superset`
-/// contains every `category` object inside cloaked.Expanded(radius).
-Result<PrivateRangeResult> PrivateRangeFromSuperset(
-    const ObjectStore& store, const std::vector<PublicObject>& superset,
-    const Rect& cloaked, double radius, Category category,
-    const PrivateRangeOptions& options = {});
-
-/// PrivateNnQuery refined from a shared superset. Exact iff `superset`
-/// contains every `category` object o with MinDist(o, cloaked) <= the
-/// NnFetchRadius of `cloaked`. A caller that already computed that radius
-/// (e.g. to build a cache key) passes it as `known_fetch_radius` to skip
-/// the corner probes; 0.0 means "compute it here".
-Result<PrivateNnResult> PrivateNnFromSuperset(
-    const ObjectStore& store, const std::vector<PublicObject>& superset,
-    const Rect& cloaked, Category category, double known_fetch_radius = 0.0);
-
-/// PrivateKnnQuery refined from a shared superset (same exactness contract
-/// with KnnFetchRadius; the <= k pigeonhole case re-fetches the whole
-/// category from the index and ignores `superset`). `known_fetch_radius`
-/// as in PrivateNnFromSuperset — 0.0 recomputes, which also re-detects the
-/// pigeonhole case.
-Result<PrivateKnnResult> PrivateKnnFromSuperset(
-    const ObjectStore& store, const std::vector<PublicObject>& superset,
-    const Rect& cloaked, size_t k, Category category,
-    double known_fetch_radius = 0.0);
+/// The full records of index hits (held by value or by pointer), in hit
+/// order. Index and metadata are maintained together, so an id the store
+/// lacks is a broken invariant: it fails with Internal rather than return
+/// a shorter list.
+template <typename Hit>
+Result<std::vector<PublicObject>> Materialize(const ObjectStore& store,
+                                              const std::vector<Hit>& hits) {
+  std::vector<PublicObject> out;
+  out.reserve(hits.size());
+  for (const Hit& h : hits) {
+    const ObjectId id = HitOf(h).id;
+    auto obj = store.GetPublicObject(id);
+    if (!obj.ok())
+      return Status::Internal("index hit " + std::to_string(id) +
+                              " has no public object");
+    out.push_back(std::move(obj).value());
+  }
+  return out;
+}
 
 /// Picks the true k nearest neighbors from k-NN candidates, sorted by
 /// distance (ties by id). Returns fewer when the list is shorter than k.

@@ -1,12 +1,10 @@
 #include "server/query_processor.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_set>
 
-#include "geom/distance.h"
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
+#include "server/dominance.h"
 
 namespace cloakdb {
 
@@ -41,127 +39,101 @@ Status QueryProcessor::DropPseudonym(ObjectId pseudonym) {
   return store_.RemovePrivateRegion(pseudonym);
 }
 
-void QueryProcessor::CountPrivateQuery(uint64_t ServerStats::*counter,
-                                       RunningStats ServerStats::*candidates,
-                                       size_t num_candidates) const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++(stats_.*counter);
-  (stats_.*candidates).Add(static_cast<double>(num_candidates));
-  stats_.bytes_to_clients += num_candidates * wire_cost_.bytes_per_object;
+namespace {
+
+// Where an accepted private query of one result type is booked.
+struct PrivateBooking {
+  uint64_t ServerStats::*counter;
+  RunningStats ServerStats::*candidates;
+  obs::ShardedHistogram* QueryProcessorObs::*probe_us;
+};
+
+template <typename R>
+constexpr PrivateBooking kBooking = {};
+template <>
+constexpr PrivateBooking kBooking<PrivateRangeResult> = {
+    &ServerStats::private_range_queries, &ServerStats::range_candidates,
+    &QueryProcessorObs::range_probe_us};
+template <>
+constexpr PrivateBooking kBooking<PrivateNnResult> = {
+    &ServerStats::private_nn_queries, &ServerStats::nn_candidates,
+    &QueryProcessorObs::nn_probe_us};
+template <>
+constexpr PrivateBooking kBooking<PrivateKnnResult> = {
+    &ServerStats::private_knn_queries, &ServerStats::nn_candidates,
+    &QueryProcessorObs::knn_probe_us};
+
+}  // namespace
+
+template <typename R>
+Result<R> QueryProcessor::Answer(const PrivateFetch<R>& fetch,
+                                 const std::vector<PointEntry>* hits) const {
+  constexpr PrivateBooking book = kBooking<R>;
+  auto answer = [&]() -> Result<R> {
+    if (hits != nullptr) return AnswerPrivate(store_, fetch, hits);
+    obs::ScopedTimer probe(obs_.*book.probe_us);
+    obs::TraceSpan span(obs::CurrentTraceContext(), "index.probe");
+    auto result = AnswerPrivate(store_, fetch);
+    if (result.ok())
+      span.AddAttr("candidates",
+                   static_cast<double>(result.value().candidates.size()));
+    return result;
+  };
+  Result<R> result = answer();
+  // Only an accepted query books its kind counter, candidate-count stream
+  // and modeled wire bytes.
+  if (result.ok()) {
+    const size_t n = result.value().candidates.size();
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++(stats_.*book.counter);
+    (stats_.*book.candidates).Add(static_cast<double>(n));
+    stats_.bytes_to_clients += n * wire_cost_.bytes_per_object;
+  }
+  return result;
 }
+
+template Result<PrivateRangeResult> QueryProcessor::Answer(
+    const PrivateFetch<PrivateRangeResult>&,
+    const std::vector<PointEntry>*) const;
+template Result<PrivateNnResult> QueryProcessor::Answer(
+    const PrivateFetch<PrivateNnResult>&, const std::vector<PointEntry>*) const;
+template Result<PrivateKnnResult> QueryProcessor::Answer(
+    const PrivateFetch<PrivateKnnResult>&,
+    const std::vector<PointEntry>*) const;
 
 Result<PrivateRangeResult> QueryProcessor::PrivateRange(
     const Rect& cloaked, double radius, Category category,
     const PrivateRangeOptions& opts) const {
-  obs::ScopedTimer probe(obs_.range_probe_us);
-  obs::TraceSpan span(obs::CurrentTraceContext(), "index.probe");
-  auto result = PrivateRangeQuery(store_, cloaked, radius, category, opts);
-  if (result.ok())
-    span.AddAttr("candidates",
-                 static_cast<double>(result.value().candidates.size()));
-  span.End();
-  probe.Stop();
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_range_queries,
-                      &ServerStats::range_candidates,
-                      result.value().candidates.size());
-  }
-  return result;
+  auto fetch = PlanPrivateRange(store_, cloaked, radius, category, opts);
+  if (!fetch.ok()) return fetch.status();
+  return Answer(fetch.value());
 }
 
 Result<PrivateNnResult> QueryProcessor::PrivateNn(const Rect& cloaked,
                                                   Category category) const {
-  obs::ScopedTimer probe(obs_.nn_probe_us);
-  obs::TraceSpan span(obs::CurrentTraceContext(), "index.probe");
-  auto result = PrivateNnQuery(store_, cloaked, category);
-  if (result.ok())
-    span.AddAttr("candidates",
-                 static_cast<double>(result.value().candidates.size()));
-  span.End();
-  probe.Stop();
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_nn_queries,
-                      &ServerStats::nn_candidates,
-                      result.value().candidates.size());
-  }
-  return result;
+  auto fetch = PlanPrivateNn(store_, cloaked, category);
+  if (!fetch.ok()) return fetch.status();
+  return Answer(fetch.value());
 }
 
 Result<PrivateKnnResult> QueryProcessor::PrivateKnn(const Rect& cloaked,
                                                     size_t k,
                                                     Category category) const {
-  obs::ScopedTimer probe(obs_.knn_probe_us);
-  obs::TraceSpan span(obs::CurrentTraceContext(), "index.probe");
-  auto result = PrivateKnnQuery(store_, cloaked, k, category);
-  if (result.ok())
-    span.AddAttr("candidates",
-                 static_cast<double>(result.value().candidates.size()));
-  span.End();
-  probe.Stop();
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_knn_queries,
-                      &ServerStats::nn_candidates,
-                      result.value().candidates.size());
-  }
-  return result;
+  auto fetch = PlanPrivateKnn(store_, cloaked, k, category);
+  if (!fetch.ok()) return fetch.status();
+  return Answer(fetch.value());
 }
 
-Result<std::vector<PublicObject>> QueryProcessor::SharedProbe(
+Result<std::vector<PointEntry>> QueryProcessor::SharedProbe(
     const Rect& probe_region, Category category) const {
   // Not a client-visible query: no stats. Probe latency is recorded by the
   // service's shared-execution histogram around this call.
   obs::TraceSpan span(obs::CurrentTraceContext(), "index.shared_probe");
-  return SharedProbeQuery(store_, probe_region, category);
-}
-
-Result<double> QueryProcessor::NnFetchReach(const Rect& cloaked,
-                                            Category category) const {
-  return NnFetchRadius(store_, cloaked, category);
-}
-
-Result<double> QueryProcessor::KnnFetchReach(const Rect& cloaked, size_t k,
-                                             Category category) const {
-  return KnnFetchRadius(store_, cloaked, k, category);
-}
-
-Result<PrivateRangeResult> QueryProcessor::PrivateRangeShared(
-    const std::vector<PublicObject>& superset, const Rect& cloaked,
-    double radius, Category category,
-    const PrivateRangeOptions& opts) const {
-  auto result = PrivateRangeFromSuperset(store_, superset, cloaked, radius,
-                                         category, opts);
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_range_queries,
-                      &ServerStats::range_candidates,
-                      result.value().candidates.size());
-  }
-  return result;
-}
-
-Result<PrivateNnResult> QueryProcessor::PrivateNnShared(
-    const std::vector<PublicObject>& superset, const Rect& cloaked,
-    Category category, double known_fetch_radius) const {
-  auto result = PrivateNnFromSuperset(store_, superset, cloaked, category,
-                                      known_fetch_radius);
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_nn_queries,
-                      &ServerStats::nn_candidates,
-                      result.value().candidates.size());
-  }
-  return result;
-}
-
-Result<PrivateKnnResult> QueryProcessor::PrivateKnnShared(
-    const std::vector<PublicObject>& superset, const Rect& cloaked, size_t k,
-    Category category, double known_fetch_radius) const {
-  auto result = PrivateKnnFromSuperset(store_, superset, cloaked, k, category,
-                                       known_fetch_radius);
-  if (result.ok()) {
-    CountPrivateQuery(&ServerStats::private_knn_queries,
-                      &ServerStats::nn_candidates,
-                      result.value().candidates.size());
-  }
-  return result;
+  if (probe_region.IsEmpty())
+    return Status::InvalidArgument("probe region must be non-empty");
+  auto index = store_.CategoryIndex(category);
+  if (!index.ok()) return index.status();
+  return index.value()->RangeSearch(probe_region);
 }
 
 void QueryProcessor::NotePublicCountFromCache() const {
@@ -272,9 +244,14 @@ PrivateRangeResult MergePrivateRangeResults(
   return merged;
 }
 
-PrivateNnResult MergePrivateNnResults(const Rect& cloaked,
-                                      std::vector<PrivateNnResult> parts) {
-  PrivateNnResult merged;
+namespace {
+
+// NN and kNN partials merge alike: candidate union, then the kernel's
+// k-dominance prune over it — a candidate that survived its shard can still
+// be beaten by k objects of other shards for every querier location.
+template <typename R>
+R MergeNearest(const Rect& cloaked, size_t k, std::vector<R> parts) {
+  R merged;
   for (auto& part : parts) {
     merged.fetch_radius = std::max(merged.fetch_radius, part.fetch_radius);
     merged.dominance_pruned += part.dominance_pruned;
@@ -283,58 +260,20 @@ PrivateNnResult MergePrivateNnResults(const Rect& cloaked,
                              std::make_move_iterator(part.candidates.end()));
   }
   SortUniqueById(&merged.candidates);
-
-  // Cross-shard dominance: a candidate that survived its shard can still be
-  // beaten by another shard's object for every possible querier location.
-  double min_max_dist = std::numeric_limits<double>::infinity();
-  for (const auto& c : merged.candidates) {
-    min_max_dist = std::min(min_max_dist, MaxDist(c.location, cloaked));
-  }
-  size_t before = merged.candidates.size();
-  merged.candidates.erase(
-      std::remove_if(merged.candidates.begin(), merged.candidates.end(),
-                     [&](const PublicObject& o) {
-                       return MinDist(o.location, cloaked) > min_max_dist;
-                     }),
-      merged.candidates.end());
-  merged.dominance_pruned += before - merged.candidates.size();
+  merged.dominance_pruned += KDominancePrune(&merged.candidates, cloaked, k);
   return merged;
+}
+
+}  // namespace
+
+PrivateNnResult MergePrivateNnResults(const Rect& cloaked,
+                                      std::vector<PrivateNnResult> parts) {
+  return MergeNearest(cloaked, 1, std::move(parts));
 }
 
 PrivateKnnResult MergePrivateKnnResults(const Rect& cloaked, size_t k,
                                         std::vector<PrivateKnnResult> parts) {
-  PrivateKnnResult merged;
-  for (auto& part : parts) {
-    merged.fetch_radius = std::max(merged.fetch_radius, part.fetch_radius);
-    merged.dominance_pruned += part.dominance_pruned;
-    merged.candidates.insert(merged.candidates.end(),
-                             std::make_move_iterator(part.candidates.begin()),
-                             std::make_move_iterator(part.candidates.end()));
-  }
-  SortUniqueById(&merged.candidates);
-
-  // Cross-shard k-dominance, same rule as PrivateKnnQuery: drop o when at
-  // least k union members satisfy MaxDist(o', R) < MinDist(o, R).
-  std::vector<double> max_dists;
-  max_dists.reserve(merged.candidates.size());
-  for (const auto& c : merged.candidates) {
-    max_dists.push_back(MaxDist(c.location, cloaked));
-  }
-  std::sort(max_dists.begin(), max_dists.end());
-  size_t before = merged.candidates.size();
-  merged.candidates.erase(
-      std::remove_if(merged.candidates.begin(), merged.candidates.end(),
-                     [&](const PublicObject& o) {
-                       double min_d = MinDist(o.location, cloaked);
-                       size_t closer = static_cast<size_t>(
-                           std::lower_bound(max_dists.begin(),
-                                            max_dists.end(), min_d) -
-                           max_dists.begin());
-                       return closer >= k;
-                     }),
-      merged.candidates.end());
-  merged.dominance_pruned += before - merged.candidates.size();
-  return merged;
+  return MergeNearest(cloaked, k, std::move(parts));
 }
 
 Result<PublicCountResult> MergePublicCountResults(

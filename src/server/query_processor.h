@@ -61,9 +61,9 @@ void MergeServerStats(ServerStats* into, const ServerStats& from);
 /// Optional per-query-kind index-probe latency sinks (microseconds). The
 /// sharded service points every shard's processor at one set of shared
 /// histograms from its MetricsRegistry; standalone processors leave them
-/// null and pay nothing. "Probe" covers the full single-processor query —
-/// index lookup plus local dominance pruning — i.e. everything below the
-/// service's fan-in merge.
+/// null and pay nothing. "Probe" covers an index-served private query's
+/// window fetch, refine and materialize (the NN/kNN corner probes belong to
+/// its plan), and the whole of a count or heatmap query.
 struct QueryProcessorObs {
   obs::ShardedHistogram* range_probe_us = nullptr;
   obs::ShardedHistogram* nn_probe_us = nullptr;
@@ -106,41 +106,20 @@ class QueryProcessor {
   Result<PrivateKnnResult> PrivateKnn(const Rect& cloaked, size_t k,
                                       Category category) const;
 
-  // --- Shared execution (src/service/ probe sharing) ----------------------
-  // One widened probe fetched via SharedProbe can serve a whole cluster of
-  // overlapping cloaked queries; the *Shared entry points refine a member's
-  // exact answer from that superset and keep the same per-kind statistics
-  // as the isolated queries (counted only when the query is accepted, so
-  // cached and uncached runs stay comparable).
+  /// Answers a planned private query (server/private_queries.h) from
+  /// `hits`, a superset of the fetch window's category objects such as a
+  /// cached widened probe, or, when null, from one index probe of the
+  /// window. Runs the same kernel and books the same ServerStats as the
+  /// isolated entry points above, which are a plan plus Answer(fetch).
+  /// Only the index probe is timed and traced as `index.probe`.
+  template <typename R>
+  Result<R> Answer(const PrivateFetch<R>& fetch,
+                   const std::vector<PointEntry>* hits = nullptr) const;
 
-  /// Materializes every `category` object inside `probe_region`.
-  Result<std::vector<PublicObject>> SharedProbe(const Rect& probe_region,
-                                                Category category) const;
-
-  /// Conservative NN / k-NN fetch radii (the reach a shared probe must
-  /// cover); thin wrappers over server/private_queries.h, no stats.
-  Result<double> NnFetchReach(const Rect& cloaked, Category category) const;
-  Result<double> KnnFetchReach(const Rect& cloaked, size_t k,
-                               Category category) const;
-
-  /// PrivateRange refined from a shared probe superset.
-  Result<PrivateRangeResult> PrivateRangeShared(
-      const std::vector<PublicObject>& superset, const Rect& cloaked,
-      double radius, Category category,
-      const PrivateRangeOptions& opts = {}) const;
-
-  /// PrivateNn refined from a shared probe superset. `known_fetch_radius`
-  /// (when > 0) is a fetch radius the caller already computed via
-  /// NnFetchReach, skipping a second round of corner probes.
-  Result<PrivateNnResult> PrivateNnShared(
-      const std::vector<PublicObject>& superset, const Rect& cloaked,
-      Category category, double known_fetch_radius = 0.0) const;
-
-  /// PrivateKnn refined from a shared probe superset; `known_fetch_radius`
-  /// as in PrivateNnShared.
-  Result<PrivateKnnResult> PrivateKnnShared(
-      const std::vector<PublicObject>& superset, const Rect& cloaked,
-      size_t k, Category category, double known_fetch_radius = 0.0) const;
+  /// Index hits (id + point) of every `category` object inside
+  /// `probe_region`: one widened probe serving many queries. No stats.
+  Result<std::vector<PointEntry>> SharedProbe(const Rect& probe_region,
+                                              Category category) const;
 
   /// Counts a public-count query served verbatim from the service's
   /// candidate cache, so ServerStats stays comparable with uncached runs.
@@ -177,12 +156,6 @@ class QueryProcessor {
   void SetObs(const QueryProcessorObs& obs) { obs_ = obs; }
 
  private:
-  /// Books one *accepted* private query: kind counter, candidate-count
-  /// stream, modeled wire bytes. Rejected queries must never reach this.
-  void CountPrivateQuery(uint64_t ServerStats::*counter,
-                         RunningStats ServerStats::*candidates,
-                         size_t num_candidates) const;
-
   ObjectStore store_;
   WireCostModel wire_cost_;
   QueryProcessorObs obs_;

@@ -1,6 +1,6 @@
 // Candidate-list caching for the shared-execution engine.
 //
-// A CandidateCache holds the materialized supersets of recent widened
+// A CandidateCache holds the index hits (id + point) of recent widened
 // probes (private-over-public queries) and whole public-count answers,
 // keyed by a *grid-cell signature*: the cloaked region snapped outward to
 // a fixed signature grid plus a power-of-two-quantized reach. Snapping is
@@ -97,13 +97,14 @@ struct CacheKeyHash {
   size_t operator()(const CacheKey& key) const;
 };
 
-/// One cached unit of work. Probe entries carry the materialized superset;
-/// count entries carry the full answer. `coverage` is the region whose
-/// underlying data the entry summarizes — the granule invalidation tests
-/// against.
+/// One cached unit of work. Probe entries carry the probe's index hits,
+/// which a cache hit refines through the isolated query's kernel before
+/// materializing the survivors; count entries carry the full answer.
+/// `coverage` is the region whose underlying data the entry summarizes —
+/// the granule invalidation tests against.
 struct CacheEntry {
-  std::vector<PublicObject> superset;  ///< kRange/kNn/kKnn.
-  PublicCountResult count;             ///< kCount.
+  std::vector<PointEntry> superset;  ///< kRange/kNn/kKnn.
+  PublicCountResult count;           ///< kCount.
   Rect coverage;
 };
 

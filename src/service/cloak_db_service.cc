@@ -10,6 +10,7 @@
 
 #include "geom/distance.h"
 #include "obs/scoped_timer.h"
+#include "service/root_trace.h"
 #include "storage/shard_snapshot.h"
 #include "util/build_info.h"
 
@@ -32,43 +33,6 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
 }
-
-/// One traced request: assigns the trace id at admission, owns the root
-/// span, and completes the trace — also on early error returns, via the
-/// destructor — feeding the root latency into the tail-sampling decision.
-/// Inert (and free) when the service has no tracer.
-class RootTrace {
- public:
-  RootTrace(obs::Tracer* tracer, const char* name) {
-    if (tracer == nullptr) return;
-    begin_ = tracer->BeginTrace(name);
-    span_ = obs::TraceSpan(begin_, name);
-  }
-
-  RootTrace(const RootTrace&) = delete;
-  RootTrace& operator=(const RootTrace&) = delete;
-
-  ~RootTrace() { Finish(); }
-
-  /// Children built from this context parent under the root span.
-  obs::TraceContext context() const { return span_.context(); }
-
-  /// Annotates the root span (shed / degraded-admission markers).
-  void AddAttr(const char* key, double value) { span_.AddAttr(key, value); }
-
-  void Finish() {
-    if (begin_.tracer == nullptr) return;
-    const double latency_us = span_.End();
-    // Audit violations reach the tracer directly (NoteAuditViolation
-    // force-keeps the trace), so only the latency feeds in here.
-    begin_.tracer->FinishTrace(begin_, latency_us, /*audit_violation=*/false);
-    begin_ = obs::TraceContext{};
-  }
-
- private:
-  obs::TraceContext begin_;
-  obs::TraceSpan span_;
-};
 
 /// Root-span / metric-family name of one envelope kind.
 const char* RootSpanName(QueryKind kind) {

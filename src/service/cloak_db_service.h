@@ -127,8 +127,8 @@ struct CloakDbServiceOptions {
 
   // --- Continuous queries --------------------------------------------------
 
-  /// Standing-query subsystem knobs (slack margin, coverage-grid
-  /// resolution, and the force_full_reeval testing twin).
+  /// Standing-query subsystem knobs (slack margin and the
+  /// force_full_reeval testing twin).
   ContinuousRegistryOptions continuous;
 
   // --- Public index --------------------------------------------------------

@@ -6,7 +6,6 @@
 #include <limits>
 #include <utility>
 
-#include "geom/distance.h"
 #include "obs/trace.h"
 #include "server/dominance.h"
 
@@ -14,22 +13,14 @@ namespace cloakdb {
 
 namespace {
 
-/// Half the diagonal of `r`: the farthest any point of the region is from
-/// the nearest corner's perspective bound used by the NN/kNN fetch radius.
-double HalfDiagonal(const Rect& r) {
-  return 0.5 * std::sqrt(r.Width() * r.Width() + r.Height() * r.Height());
-}
+/// Count-window grid resolution per side (affected-window lookup).
+constexpr uint32_t kWindowGridCells = 64;
 
 /// The closed ball around `center` lies inside `rect` (a ball is inside a
 /// rectangle iff its bounding square is).
 bool BallInside(const Point& center, double radius, const Rect& rect) {
   return center.x - radius >= rect.min_x && center.x + radius <= rect.max_x &&
          center.y - radius >= rect.min_y && center.y + radius <= rect.max_y;
-}
-
-size_t EffectiveK(const ContinuousSpec& spec) {
-  if (spec.kind == QueryKind::kPrivateNn) return 1;
-  return spec.k == 0 ? 1 : spec.k;
 }
 
 /// Candidates entering plus leaving between two id-sorted answers.
@@ -62,7 +53,13 @@ class StandingKernel {
  public:
   StandingKernel(const ContinuousSpec& spec, const Rect& region,
                  const std::vector<PublicObject>& fetched)
-      : spec_(spec), region_(region), fetched_(fetched), k_(EffectiveK(spec)) {
+      : spec_(spec),
+        region_(region),
+        fetched_(fetched),
+        k_(StandingK(spec)),
+        reach_(spec.kind == QueryKind::kPrivateRange
+                   ? spec.radius
+                   : std::numeric_limits<double>::infinity()) {
     if (spec.kind == QueryKind::kPrivateRange || fetched.size() <= k_) return;
     corners_ = region.Corners();
     double max_kth = 0.0;
@@ -86,7 +83,7 @@ class StandingKernel {
       kth_[c] = std::sqrt(kth_sq);
       max_kth = std::max(max_kth, kth_[c]);
     }
-    reach_ = max_kth + HalfDiagonal(region);
+    reach_ = max_kth + region.HalfDiagonal();
   }
 
   /// See StandingCoverageHolds.
@@ -107,26 +104,19 @@ class StandingKernel {
 
   /// See ComputeStandingAnswer.
   std::vector<PublicObject> Answer(double* fetch_radius) const {
-    if (fetch_radius != nullptr) *fetch_radius = 0.0;
+    const bool range = spec_.kind == QueryKind::kPrivateRange;
+    // A pigeonhole snapshot keeps everything and reports radius 0.
+    if (fetch_radius != nullptr)
+      *fetch_radius = range || std::isinf(reach_) ? 0.0 : reach_;
+    const Refined<PublicObject> refined =
+        RefineHits({.kind = range ? RefineKind::kRange : RefineKind::kNearest,
+                    .cloaked = region_,
+                    .reach = reach_,
+                    .k = k_},
+                   fetched_);
     std::vector<PublicObject> answer;
-    if (spec_.kind == QueryKind::kPrivateRange) {
-      for (const auto& o : fetched_) {
-        if (MinDist(o.location, region_) <= spec_.radius) answer.push_back(o);
-      }
-      return answer;
-    }
-    if (fetched_.size() <= k_) return fetched_;  // Everything is a candidate.
-    if (fetch_radius != nullptr) *fetch_radius = reach_;
-    // Conservative fetch, then the one-shot k-dominance prune. Every
-    // dominator of an in-reach object is itself in reach, so pruning over
-    // the reach-filtered set equals pruning over the whole category.
-    std::vector<const PublicObject*> cand;
-    for (const auto& o : fetched_) {
-      if (MinDist(o.location, region_) <= reach_) cand.push_back(&o);
-    }
-    KDominancePrune(&cand, region_, k_);
-    answer.reserve(cand.size());
-    for (const PublicObject* o : cand) answer.push_back(*o);
+    answer.reserve(refined.survivors.size());
+    for (const PublicObject* o : refined.survivors) answer.push_back(*o);
     return answer;
   }
 
@@ -137,10 +127,17 @@ class StandingKernel {
   const size_t k_;
   std::array<Point, 4> corners_{};
   std::array<double, 4> kth_{};
-  double reach_ = 0.0;
+  /// Range: the radius. NN/kNN: the conservative fetch radius built from
+  /// the corner distances, +infinity for a pigeonhole snapshot.
+  double reach_;
 };
 
 }  // namespace
+
+size_t StandingK(const ContinuousSpec& spec) {
+  if (spec.kind == QueryKind::kPrivateNn) return 1;
+  return spec.k == 0 ? 1 : spec.k;
+}
 
 bool StandingCoverageHolds(const ContinuousSpec& spec, const Rect& region,
                            const StandingSnapshot& snap) {
@@ -159,7 +156,7 @@ ContinuousShardRegistry::ContinuousShardRegistry(
     const ContinuousObs& obs)
     : options_(options),
       obs_(obs),
-      window_grid_(space, options.grid_cells == 0 ? 1 : options.grid_cells) {}
+      window_grid_(space, kWindowGridCells) {}
 
 void ContinuousShardRegistry::MarkStaleLocked(ContinuousQueryId id) {
   auto it = private_.find(id);

@@ -44,8 +44,6 @@ struct ContinuousRegistryOptions {
   /// Extra fetch margin added to every standing fetch so small region
   /// movements stay inside the cached coverage.
   double slack_margin = 5.0;
-  /// Count-window grid resolution per side (affected-window lookup).
-  uint32_t grid_cells = 64;
   /// Testing twin: disable the incremental gates so every issuer update
   /// marks the query stale and is repaired by a full re-evaluation. The
   /// oracle suite compares a normal service against this twin bit-for-bit.
@@ -140,6 +138,9 @@ struct StandingCountPart {
 // The incremental re-filter and the full re-evaluation both answer from a
 // fetched superset with these functions, which is what makes the two paths
 // bit-identical whenever the coverage gates below hold.
+
+/// The k a standing NN/kNN spec fetches for (NN is k-NN with k = 1).
+size_t StandingK(const ContinuousSpec& spec);
 
 /// True when `snap`'s cached fetch set provably contains everything the
 /// standing answer for `region` needs, so re-filtering from it equals a

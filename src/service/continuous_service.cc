@@ -12,47 +12,10 @@
 
 #include "obs/scoped_timer.h"
 #include "service/cloak_db_service.h"
+#include "service/root_trace.h"
 #include "util/poisson_binomial.h"
 
 namespace cloakdb {
-
-namespace {
-
-/// One traced request (mirror of the root helper in cloak_db_service.cc,
-/// internal to each translation unit): owns the root span and completes
-/// the trace also on early error returns. Inert without a tracer.
-class RootTrace {
- public:
-  RootTrace(obs::Tracer* tracer, const char* name) {
-    if (tracer == nullptr) return;
-    begin_ = tracer->BeginTrace(name);
-    span_ = obs::TraceSpan(begin_, name);
-  }
-
-  RootTrace(const RootTrace&) = delete;
-  RootTrace& operator=(const RootTrace&) = delete;
-
-  ~RootTrace() {
-    if (begin_.tracer == nullptr) return;
-    begin_.tracer->FinishTrace(begin_, span_.End(),
-                               /*audit_violation=*/false);
-  }
-
-  obs::TraceContext context() const { return span_.context(); }
-  void AddAttr(const char* key, double value) { span_.AddAttr(key, value); }
-
- private:
-  obs::TraceContext begin_;
-  obs::TraceSpan span_;
-};
-
-/// The k a standing NN/kNN spec fetches for (NN is k-NN with k = 1).
-size_t StandingK(const ContinuousSpec& spec) {
-  if (spec.kind == QueryKind::kPrivateNn) return 1;
-  return spec.k == 0 ? 1 : spec.k;
-}
-
-}  // namespace
 
 Result<ContinuousQueryId> CloakDbService::RegisterContinuousRange(
     UserId user, double radius, Category category) {

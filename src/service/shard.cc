@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <thread>
 #include <utility>
@@ -401,28 +402,28 @@ namespace {
 // Snapping + reach quantization widen the shared probe beyond what the
 // query alone would fetch. Past this area ratio a cold miss costs more
 // than cache reuse can recover (and the entry crowds out denser keys), so
-// such outliers are served isolated — the answer is identical either way.
+// such outliers are served from the index — the answer is identical
+// either way.
 constexpr double kMaxProbeBloat = 2.5;
-
-bool ProbeTooBloated(const Rect& probe, const Rect& fetch) {
-  return probe.Area() > kMaxProbeBloat * fetch.Area();
-}
 
 }  // namespace
 
-CacheKey Shard::ProbeKey(CacheKind kind, Category category,
-                         const Rect& cloaked, double reach,
-                         const Rect& cover) const {
+Result<std::shared_ptr<const CacheEntry>> Shard::CachedHits(
+    CacheKind kind, const RefineQuery& refine, Category category,
+    const Rect& cover) const {
+  const std::shared_ptr<const CacheEntry> from_index;
+  // No bounded probe covers the whole category of the pigeonhole fetch.
+  if (!cache_.enabled() || std::isinf(refine.reach)) return from_index;
   CacheKey key;
   key.kind = kind;
   key.category = category;
-  key.region = cover.IsEmpty() ? signature_.SnapToCells(cloaked) : cover;
-  key.reach = signature_.QuantizeReach(reach);
-  return key;
-}
+  key.region =
+      cover.IsEmpty() ? signature_.SnapToCells(refine.cloaked) : cover;
+  key.reach = signature_.QuantizeReach(refine.reach);
+  const Rect probe = key.region.Expanded(key.reach);
+  const Rect window = refine.cloaked.Expanded(refine.reach);
+  if (probe.Area() > kMaxProbeBloat * window.Area()) return from_index;
 
-Result<std::shared_ptr<const CacheEntry>> Shard::ProbeOrLookup(
-    const CacheKey& key, const Rect& probe_region) const {
   obs::TraceSpan span(obs::CurrentTraceContext(), "cache.lookup");
   span.AddAttr("shard", static_cast<double>(config_.index));
   if (auto entry = cache_.Lookup(key); entry != nullptr) {
@@ -431,15 +432,15 @@ Result<std::shared_ptr<const CacheEntry>> Shard::ProbeOrLookup(
   }
   span.AddAttr("hit", 0.0);  // Span covers the widened probe below.
   obs::ScopedTimer probe_timer(config_.shared_probe_us);
-  auto superset = server_.SharedProbe(probe_region, key.category);
-  if (!superset.ok()) {
+  auto hits = server_.SharedProbe(probe, category);
+  if (!hits.ok()) {
     probe_timer.Cancel();
-    return superset.status();
+    return hits.status();
   }
   probe_timer.Stop();
   CacheEntry entry;
-  entry.superset = std::move(superset).value();
-  entry.coverage = probe_region;
+  entry.superset = std::move(hits).value();
+  entry.coverage = probe;
   auto shared = std::make_shared<const CacheEntry>(std::move(entry));
   // Still under the caller's shared lock, so no writer can have slipped a
   // conflicting update between the probe and this insert.
@@ -447,65 +448,45 @@ Result<std::shared_ptr<const CacheEntry>> Shard::ProbeOrLookup(
   return shared;
 }
 
+template <typename R>
+Result<R> Shard::Serve(CacheKind kind, const Result<PrivateFetch<R>>& fetch,
+                       const Rect& cover) const {
+  if (!fetch.ok()) return fetch.status();
+  auto entry =
+      CachedHits(kind, fetch.value().refine, fetch.value().category, cover);
+  if (!entry.ok()) return entry.status();
+  return server_.Answer(fetch.value(), entry.value() == nullptr
+                                           ? nullptr
+                                           : &entry.value()->superset);
+}
+
 Result<PrivateRangeResult> Shard::PrivateRange(
     const Rect& cloaked, double radius, Category category,
     const PrivateRangeOptions& opts, const Rect& cover) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  // Invalid input takes the isolated path too, which rejects it.
-  if (!cache_.enabled() || cloaked.IsEmpty() || !(radius > 0.0))
-    return server_.PrivateRange(cloaked, radius, category, opts);
-  CacheKey key = ProbeKey(CacheKind::kRange, category, cloaked, radius, cover);
-  const Rect probe = key.region.Expanded(key.reach);
-  if (ProbeTooBloated(probe, cloaked.Expanded(radius)))
-    return server_.PrivateRange(cloaked, radius, category, opts);
-  auto entry = ProbeOrLookup(key, probe);
-  if (!entry.ok()) return entry.status();
-  return server_.PrivateRangeShared(entry.value()->superset, cloaked, radius,
-                                    category, opts);
+  return Serve(
+      CacheKind::kRange,
+      PlanPrivateRange(server_.store(), cloaked, radius, category, opts),
+      cover);
 }
 
 Result<PrivateNnResult> Shard::PrivateNn(const Rect& cloaked,
                                          Category category,
                                          const Rect& cover) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!cache_.enabled()) return server_.PrivateNn(cloaked, category);
   // The NN reach depends on this shard's data, so the key is computed here
   // under the lock (cluster members with similar regions quantize to the
   // same reach and still share the probe).
-  auto reach = server_.NnFetchReach(cloaked, category);
-  if (!reach.ok()) return reach.status();
-  CacheKey key =
-      ProbeKey(CacheKind::kNn, category, cloaked, reach.value(), cover);
-  const Rect probe = key.region.Expanded(key.reach);
-  if (ProbeTooBloated(probe, cloaked.Expanded(reach.value())))
-    return server_.PrivateNn(cloaked, category);
-  auto entry = ProbeOrLookup(key, probe);
-  if (!entry.ok()) return entry.status();
-  return server_.PrivateNnShared(entry.value()->superset, cloaked, category,
-                                 reach.value());
+  return Serve(CacheKind::kNn,
+               PlanPrivateNn(server_.store(), cloaked, category), cover);
 }
 
 Result<PrivateKnnResult> Shard::PrivateKnn(const Rect& cloaked, size_t k,
                                            Category category,
                                            const Rect& cover) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!cache_.enabled()) return server_.PrivateKnn(cloaked, k, category);
-  auto reach = server_.KnnFetchReach(cloaked, k, category);
-  if (!reach.ok()) return reach.status();
-  if (reach.value() == 0.0) {
-    // <= k objects here: the pigeonhole answer needs the whole category,
-    // which no bounded probe covers — take the isolated path.
-    return server_.PrivateKnn(cloaked, k, category);
-  }
-  CacheKey key =
-      ProbeKey(CacheKind::kKnn, category, cloaked, reach.value(), cover);
-  const Rect probe = key.region.Expanded(key.reach);
-  if (ProbeTooBloated(probe, cloaked.Expanded(reach.value())))
-    return server_.PrivateKnn(cloaked, k, category);
-  auto entry = ProbeOrLookup(key, probe);
-  if (!entry.ok()) return entry.status();
-  return server_.PrivateKnnShared(entry.value()->superset, cloaked, k,
-                                  category, reach.value());
+  return Serve(CacheKind::kKnn,
+               PlanPrivateKnn(server_.store(), cloaked, k, category), cover);
 }
 
 Result<PublicCountResult> Shard::PublicCount(const Rect& window) const {
@@ -537,13 +518,15 @@ Result<Rect> Shard::CurrentRegionOfUser(UserId user) const {
 Result<double> Shard::KnnReach(const Rect& cloaked, size_t k,
                                Category category) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return server_.KnnFetchReach(cloaked, k, category);
+  return KnnFetchRadius(server_.store(), cloaked, k, category);
 }
 
 Result<std::vector<PublicObject>> Shard::ProbeRegion(
     const Rect& probe, Category category) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return server_.SharedProbe(probe, category);
+  auto hits = server_.SharedProbe(probe, category);
+  if (!hits.ok()) return hits.status();
+  return Materialize(server_.store(), hits.value());
 }
 
 Result<StandingCountPart> Shard::StandingCount(ContinuousQueryId id) const {

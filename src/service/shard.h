@@ -287,16 +287,21 @@ class Shard {
   /// entries its last region overlaps. Caller holds the exclusive lock.
   void DropServerRecord(ObjectId pseudonym);
 
-  /// Serves the probe superset for `key` from cache or the index (caller
-  /// holds at least the shared lock; probe_region is the widened rect the
-  /// key stands for).
-  Result<std::shared_ptr<const CacheEntry>> ProbeOrLookup(
-      const CacheKey& key, const Rect& probe_region) const;
+  /// The cached widened probe holding a planned query's fetch window
+  /// (probed and inserted on a miss), or null when the index serves the
+  /// query: cache off, the kNN pigeonhole fetch, or a probe bloated past
+  /// its window. `cover` as in PrivateRange. Caller holds at least the
+  /// shared lock.
+  Result<std::shared_ptr<const CacheEntry>> CachedHits(
+      CacheKind kind, const RefineQuery& refine, Category category,
+      const Rect& cover) const;
 
-  /// The probe cache key of one private query: the cluster `cover` (or the
-  /// snapped cloaked region when cover is empty) plus the quantized reach.
-  CacheKey ProbeKey(CacheKind kind, Category category, const Rect& cloaked,
-                    double reach, const Rect& cover) const;
+  /// One private query: its hits come from CachedHits or the index, then
+  /// one QueryProcessor::Answer call refines them. Caller holds at least
+  /// the shared lock.
+  template <typename R>
+  Result<R> Serve(CacheKind kind, const Result<PrivateFetch<R>>& fetch,
+                  const Rect& cover) const;
 
   /// Builds the privacy-audit payload of one cloak (constraint
   /// satisfaction plus the deterministic center/boundary attack checks

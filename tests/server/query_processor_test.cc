@@ -119,18 +119,24 @@ TEST(QueryProcessorTest, FailedQueriesDoNotCountInStats) {
 }
 
 // Regression: only accepted queries may count, on every entry point —
-// including the shared-execution ones. A rejected query must leave all of
+// including the cache-served one. A rejected query must leave all of
 // query count, candidate moments and wire bytes untouched.
 TEST(QueryProcessorTest, RejectedQueriesLeaveAllStatsUntouched) {
   QueryProcessor server(Rect(0, 0, 100, 100));
   Populate(&server, 50);
-  std::vector<PublicObject> superset;
 
   EXPECT_FALSE(server.PrivateRange(Rect(1, 1, 2, 2), -1.0, 1).ok());
   EXPECT_FALSE(server.PrivateKnn(Rect(1, 1, 2, 2), 0, 1).ok());
-  EXPECT_FALSE(server.PrivateRangeShared(superset, Rect(), 5.0, 1).ok());
-  EXPECT_FALSE(server.PrivateNnShared(superset, Rect(), 1).ok());
-  EXPECT_FALSE(server.PrivateKnnShared(superset, Rect(1, 1, 2, 2), 0, 1).ok());
+  // A cache-served query is planned like an isolated one, so it is
+  // rejected before any hits are refined.
+  EXPECT_FALSE(PlanPrivateRange(server.store(), Rect(), 5.0, 1).ok());
+  EXPECT_FALSE(PlanPrivateNn(server.store(), Rect(), 1).ok());
+  EXPECT_FALSE(PlanPrivateKnn(server.store(), Rect(1, 1, 2, 2), 0, 1).ok());
+  // An answer that fails while refining cached hits books nothing either.
+  auto fetch = PlanPrivateNn(server.store(), Rect(1, 1, 2, 2), 1);
+  ASSERT_TRUE(fetch.ok());
+  const std::vector<PointEntry> unknown = {{999999, {1.5, 1.5}}};
+  EXPECT_FALSE(server.Answer(fetch.value(), &unknown).ok());
   EXPECT_FALSE(server.PublicCount(Rect()).ok());
 
   const ServerStats& stats = server.stats();
@@ -143,22 +149,33 @@ TEST(QueryProcessorTest, RejectedQueriesLeaveAllStatsUntouched) {
   EXPECT_EQ(stats.bytes_to_clients, 0u);
 }
 
-// The shared entry points count through the same counters as the isolated
-// ones, so ServerStats stays comparable whether a query was answered from
-// a shared probe or its own.
+// A query answered from a shared probe's hits counts through the same
+// counters as an isolated one, so ServerStats stays comparable whether a
+// query was answered from the cache or its own probe.
 TEST(QueryProcessorTest, SharedQueriesCountLikeIsolatedOnes) {
   QueryProcessor server(Rect(0, 0, 100, 100));
+  QueryProcessor isolated(Rect(0, 0, 100, 100));
   Populate(&server, 200);
+  Populate(&isolated, 200);
   const Rect cloaked(40, 40, 50, 50);
 
   auto superset = server.SharedProbe(Rect(20, 20, 70, 70), 1);
   ASSERT_TRUE(superset.ok());
-  auto range = server.PrivateRangeShared(superset.value(), cloaked, 5.0, 1);
+  auto range_fetch = PlanPrivateRange(server.store(), cloaked, 5.0, 1);
+  auto nn_fetch = PlanPrivateNn(server.store(), cloaked, 1);
+  auto knn_fetch = PlanPrivateKnn(server.store(), cloaked, 3, 1);
+  ASSERT_TRUE(range_fetch.ok());
+  ASSERT_TRUE(nn_fetch.ok());
+  ASSERT_TRUE(knn_fetch.ok());
+  auto range = server.Answer(range_fetch.value(), &superset.value());
   ASSERT_TRUE(range.ok());
-  auto nn = server.PrivateNnShared(superset.value(), cloaked, 1);
+  auto nn = server.Answer(nn_fetch.value(), &superset.value());
   ASSERT_TRUE(nn.ok());
-  auto knn = server.PrivateKnnShared(superset.value(), cloaked, 3, 1);
+  auto knn = server.Answer(knn_fetch.value(), &superset.value());
   ASSERT_TRUE(knn.ok());
+  ASSERT_TRUE(isolated.PrivateRange(cloaked, 5.0, 1).ok());
+  ASSERT_TRUE(isolated.PrivateNn(cloaked, 1).ok());
+  ASSERT_TRUE(isolated.PrivateKnn(cloaked, 3, 1).ok());
 
   const ServerStats& stats = server.stats();
   EXPECT_EQ(stats.private_range_queries, 1u);
@@ -171,6 +188,51 @@ TEST(QueryProcessorTest, SharedQueriesCountLikeIsolatedOnes) {
                            knn.value().candidates.size()) *
                           server.wire_cost().bytes_per_object;
   EXPECT_EQ(stats.bytes_to_clients, expected_bytes);
+
+  const ServerStats& twin = isolated.stats();
+  EXPECT_EQ(stats.private_range_queries, twin.private_range_queries);
+  EXPECT_EQ(stats.private_nn_queries, twin.private_nn_queries);
+  EXPECT_EQ(stats.private_knn_queries, twin.private_knn_queries);
+  EXPECT_EQ(stats.range_candidates.count(), twin.range_candidates.count());
+  EXPECT_EQ(stats.range_candidates.mean(), twin.range_candidates.mean());
+  EXPECT_EQ(stats.range_candidates.variance(),
+            twin.range_candidates.variance());
+  EXPECT_EQ(stats.nn_candidates.count(), twin.nn_candidates.count());
+  EXPECT_EQ(stats.nn_candidates.mean(), twin.nn_candidates.mean());
+  EXPECT_EQ(stats.nn_candidates.variance(), twin.nn_candidates.variance());
+  EXPECT_EQ(stats.bytes_to_clients, twin.bytes_to_clients);
+}
+
+// Index and metadata are maintained together, so a kept hit whose id the
+// store lacks is a broken invariant: the answer fails with Internal rather
+// than ship a shorter candidate list. A stray hit outside the fetch window
+// is dropped by the kernel and never looked up.
+TEST(QueryProcessorTest, UnknownHitFailsTheAnswerLoudly) {
+  QueryProcessor server(Rect(0, 0, 100, 100));
+  Populate(&server, 50);
+  const Rect cloaked(40, 40, 50, 50);
+  auto fetch = PlanPrivateRange(server.store(), cloaked, 5.0, 1);
+  ASSERT_TRUE(fetch.ok());
+  auto hits = server.SharedProbe(fetch.value().Window(), 1);
+  ASSERT_TRUE(hits.ok());
+  auto baseline = AnswerPrivate(server.store(), fetch.value(), &hits.value());
+  ASSERT_TRUE(baseline.ok());
+
+  std::vector<PointEntry> stray = hits.value();
+  stray.push_back({999999, {99.0, 99.0}});
+  auto outside = AnswerPrivate(server.store(), fetch.value(), &stray);
+  ASSERT_TRUE(outside.ok());
+  EXPECT_EQ(outside.value().candidates.size(),
+            baseline.value().candidates.size());
+
+  std::vector<PointEntry> unknown = hits.value();
+  unknown.push_back({999999, {45.0, 45.0}});
+  auto failed = AnswerPrivate(server.store(), fetch.value(), &unknown);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(server.Answer(fetch.value(), &unknown).status().code(),
+            StatusCode::kInternal);
+  EXPECT_EQ(server.stats().private_range_queries, 0u);
 }
 
 // Regression for the stats miscount: Heatmap used to increment

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <thread>
@@ -84,6 +85,80 @@ std::vector<ObjectId> BruteKnn(const std::vector<PublicObject>& pois,
   return ids;
 }
 
+// Every field of a candidate record, in list order.
+void ExpectSameCandidates(const std::vector<PublicObject>& got,
+                          const std::vector<PublicObject>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "at " << i;
+    EXPECT_EQ(got[i].location, want[i].location) << "at " << i;
+    EXPECT_EQ(got[i].category, want[i].category) << "at " << i;
+    EXPECT_EQ(got[i].name, want[i].name) << "at " << i;
+  }
+}
+
+// A cached answer against its isolated twin, field by field.
+void ExpectSameRange(const PrivateRangeResult& got,
+                     const PrivateRangeResult& want) {
+  ExpectSameCandidates(got.candidates, want.candidates);
+  EXPECT_EQ(got.extended_region, want.extended_region);
+  EXPECT_EQ(got.rounded_rect_pruned, want.rounded_rect_pruned);
+  EXPECT_EQ(got.degraded, want.degraded);
+  EXPECT_EQ(got.covered_shards, want.covered_shards);
+}
+
+template <typename R>  // PrivateNnResult or PrivateKnnResult.
+void ExpectSameNearest(const R& got, const R& want) {
+  ExpectSameCandidates(got.candidates, want.candidates);
+  EXPECT_EQ(got.fetch_radius, want.fetch_radius);
+  EXPECT_EQ(got.dominance_pruned, want.dominance_pruned);
+  EXPECT_EQ(got.degraded, want.degraded);
+  EXPECT_EQ(got.covered_shards, want.covered_shards);
+}
+
+// Extra categories of the twin test: POIs on a coarse lattice (distance
+// ties), a single object, and fewer objects than the largest k.
+constexpr Category kLatticeCat = 201;
+constexpr Category kSoloCat = 202;
+constexpr Category kFewCat = 203;
+
+std::vector<PublicObject> LatticePois(Category category) {
+  std::vector<PublicObject> pois;
+  ObjectId id = 50000 + category * 1000;
+  for (int i = 0; i < 10; ++i) {
+    for (int j = 0; j < 10; ++j) {
+      PublicObject o;
+      o.id = id++;
+      o.location = {5.0 + 10.0 * i, 5.0 + 10.0 * j};
+      o.category = category;
+      o.name = "lattice";
+      pois.push_back(o);
+    }
+  }
+  return pois;
+}
+
+std::vector<PublicObject> FirstPois(const std::vector<PublicObject>& pois,
+                                    size_t count, Category category) {
+  std::vector<PublicObject> out(pois.begin(), pois.begin() + count);
+  for (auto& o : out) {
+    o.id += 90000 + category * 1000;
+    o.category = category;
+  }
+  return out;
+}
+
+/// Point, horizontal and vertical segment cloaks inside `cloaked`, and
+/// `cloaked` snapped outward to the POI lattice.
+std::vector<Rect> DerivedCloaks(const Rect& cloaked) {
+  const double x = cloaked.min_x, y = cloaked.min_y;
+  return {Rect(x, y, x, y), Rect(x, y, cloaked.max_x, y),
+          Rect(x, y, x, cloaked.max_y),
+          Rect(5.0 * std::floor(x / 5.0), 5.0 * std::floor(y / 5.0),
+               5.0 * std::ceil(cloaked.max_x / 5.0),
+               5.0 * std::ceil(cloaked.max_y / 5.0))};
+}
+
 bool ContainsAll(const std::vector<ObjectId>& haystack_sorted,
                  const std::vector<ObjectId>& needles) {
   for (ObjectId id : needles) {
@@ -116,6 +191,15 @@ TEST(SharedExecutionTest, CandidateListsMatchIsolatedOracleAcrossSeeds) {
     ASSERT_TRUE(twin->BulkLoadCategory(kCat, pois).ok());
     QueryProcessor oracle(Rect(0, 0, 100, 100));
     ASSERT_TRUE(oracle.store().BulkLoadCategory(kCat, pois).ok());
+    for (Category cat : {kLatticeCat, kSoloCat, kFewCat}) {
+      const auto extra = cat == kLatticeCat ? LatticePois(cat)
+                                            : FirstPois(pois,
+                                                        cat == kSoloCat ? 1 : 3,
+                                                        cat);
+      ASSERT_TRUE(db->BulkLoadCategory(cat, extra).ok());
+      ASSERT_TRUE(twin->BulkLoadCategory(cat, extra).ok());
+      ASSERT_TRUE(oracle.store().BulkLoadCategory(cat, extra).ok());
+    }
 
     Rng rng(seed * 7919 + 1);
     for (int trial = 0; trial < 12; ++trial) {
@@ -167,6 +251,51 @@ TEST(SharedExecutionTest, CandidateListsMatchIsolatedOracleAcrossSeeds) {
                 SortedIds(RefineKnnCandidates(knn.value().candidates, p, k)),
                 SortedIds(
                     RefineKnnCandidates(knn_truth.value().candidates, p, k)));
+          }
+        }
+
+        // The cached answers equal their isolated twins in every field.
+        auto range_twin = twin->PrivateRange(cloaked, radius, kCat);
+        ASSERT_TRUE(range_twin.ok());
+        ExpectSameRange(range.value(), range_twin.value());
+        ExpectSameNearest(nn.value(), nn_twin.value());
+        ExpectSameNearest(knn.value(), knn_twin.value());
+      }
+
+      // Point and segment cloaks, lattice ties, the one-object and the
+      // pigeonhole (<= k objects) categories, and the MBR-only range
+      // filter, each issued twice so the repeat is a cache hit.
+      for (const Rect& shape : DerivedCloaks(cloaked)) {
+        for (Category cat : {kCat, kLatticeCat, kSoloCat, kFewCat}) {
+          for (int repeat = 0; repeat < 2; ++repeat) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " trial " << trial << " cat "
+                         << cat << " shape " << shape.min_x << ","
+                         << shape.min_y << "," << shape.max_x << ","
+                         << shape.max_y << " repeat " << repeat);
+            for (bool exact : {true, false}) {
+              PrivateRangeOptions opts;
+              opts.exact_rounded_rect = exact;
+              auto r = db->PrivateRange(shape, radius, cat, opts);
+              auto r_twin = twin->PrivateRange(shape, radius, cat, opts);
+              auto r_truth = oracle.PrivateRange(shape, radius, cat, opts);
+              ASSERT_TRUE(r.ok());
+              ASSERT_TRUE(r_twin.ok());
+              ASSERT_TRUE(r_truth.ok());
+              ExpectSameRange(r.value(), r_twin.value());
+              EXPECT_EQ(SortedIds(r.value().candidates),
+                        SortedIds(r_truth.value().candidates));
+            }
+            auto n = db->PrivateNn(shape, cat);
+            auto n_twin = twin->PrivateNn(shape, cat);
+            ASSERT_TRUE(n.ok());
+            ASSERT_TRUE(n_twin.ok());
+            ExpectSameNearest(n.value(), n_twin.value());
+            auto kn = db->PrivateKnn(shape, k, cat);
+            auto kn_twin = twin->PrivateKnn(shape, k, cat);
+            ASSERT_TRUE(kn.ok());
+            ASSERT_TRUE(kn_twin.ok());
+            ExpectSameNearest(kn.value(), kn_twin.value());
           }
         }
       }
