@@ -78,11 +78,6 @@ void TraceSpan::AddAttr(const char* key, double value) {
   record_.attrs[record_.num_attrs++] = SpanAttr{key, value};
 }
 
-void TraceSpan::SetLink(uint64_t span_id) {
-  if (tracer_ == nullptr) return;
-  record_.link_id = span_id;
-}
-
 void TraceSpan::SetAudit(const AuditEvent& event) {
   if (tracer_ == nullptr) return;
   record_.has_audit = true;

@@ -8,10 +8,10 @@
 //     one lock-free SPSC span ring per recording thread: the owning thread
 //     is the only writer (relaxed write + release publish), the collector
 //     the only reader, so recording never takes a lock and never contends;
-//   - a TraceContext travels with the request — explicitly through the
-//     QueryBatcher (leader/follower adoption is recorded as a span link)
-//     and through a thread-local scope for the layers below the service
-//     facade (shard probes, candidate cache, index probes);
+//   - a TraceContext travels with the request through a thread-local
+//     scope, so the layers below the service facade (fan-out, shard
+//     probes, candidate cache, index probes) parent their spans under the
+//     request's root without threading it through every signature;
 //   - sampling is hybrid: a head decision (probabilistic, by trace id) is
 //     made at admission, and a tail decision at completion keeps every
 //     slow or audit-failing trace regardless. All spans are recorded into
@@ -121,7 +121,6 @@ struct SpanRecord {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;
   uint64_t parent_id = 0;  ///< 0 = root of its trace.
-  uint64_t link_id = 0;    ///< Cross-tree causal link (batch adoption); 0 = none.
   const char* name = "";   ///< Static string.
   double start_us = 0.0;   ///< Microseconds since the tracer epoch.
   double dur_us = 0.0;
@@ -162,8 +161,6 @@ class TraceSpan {
 
   /// Attaches a numeric attribute (silently dropped past kMaxSpanAttrs).
   void AddAttr(const char* key, double value);
-  /// Records a causal link to another span (e.g. the batch leader's span).
-  void SetLink(uint64_t span_id);
   /// Attaches the privacy-audit payload.
   void SetAudit(const AuditEvent& event);
 

@@ -52,10 +52,6 @@ void AppendSpanCommonFields(std::string* out, const SpanRecord& span) {
   AppendU64(out, span.span_id);
   *out += ",\"parent_id\":";
   AppendU64(out, span.parent_id);
-  if (span.link_id != 0) {
-    *out += ",\"link_id\":";
-    AppendU64(out, span.link_id);
-  }
   for (uint8_t i = 0; i < span.num_attrs; ++i) {
     *out += ",\"";
     AppendJsonEscaped(out, span.attrs[i].key);

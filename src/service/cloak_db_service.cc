@@ -163,8 +163,6 @@ Result<std::unique_ptr<CloakDbService>> CloakDbService::Create(
         "] (one drained batch is one WAL record)");
   if (options.signature_grid_cells == 0)
     return Status::InvalidArgument("signature_grid_cells must be >= 1");
-  if (options.max_batch_width == 0)
-    return Status::InvalidArgument("max_batch_width must be >= 1");
   if (options.overload.query_deadline_us < 0)
     return Status::InvalidArgument("query_deadline_us must be >= 0");
   if (options.overload.max_queries_per_s < 0.0)
@@ -222,8 +220,6 @@ Status CloakDbService::Start() {
   server_obs.count_probe_us = metrics_.histogram("query.public_count.probe_us");
   server_obs.heatmap_probe_us = metrics_.histogram("query.heatmap.probe_us");
 
-  shared_batch_width_ = metrics_.histogram("query.shared.batch_width");
-  shared_cluster_fanin_ = metrics_.histogram("query.shared.cluster_fanin");
   CandidateCacheObs cache_obs;
   cache_obs.hits = metrics_.counter("cache.hits_total");
   cache_obs.misses = metrics_.counter("cache.misses_total");
@@ -287,8 +283,6 @@ Status CloakDbService::Start() {
   cq_obs_.affected_per_update = metrics_.histogram("cq.affected_per_update");
   cq_obs_.register_latency_us = metrics_.histogram("cq.register_latency_us");
   cq_obs_.registered = metrics_.gauge("cq.registered");
-
-  signature_ = CellSignature(options_.space, options_.signature_grid_cells);
 
   if (options_.trace.enabled) {
     tracer_ = std::make_unique<obs::Tracer>(options_.trace);
@@ -397,13 +391,6 @@ Status CloakDbService::Start() {
   const double stripe_width = options_.space.Width() / n;
   for (uint32_t i = 1; i < n; ++i) {
     stripe_bounds_.push_back(options_.space.min_x + stripe_width * i);
-  }
-  if (options_.enable_shared_execution && options_.batch_window_us > 0) {
-    batcher_ = std::make_unique<QueryBatcher>(
-        options_.batch_window_us, options_.max_batch_width,
-        [this](const std::vector<BatchQuery>& queries) {
-          return ExecuteBatch(queries);
-        });
   }
   if (durable) {
     // Recovery must finish before any worker can drain or checkpoint: the
@@ -827,7 +814,6 @@ QueryResponse CloakDbService::ExecuteQuery(const QueryRequest& request) const {
   } else {
     BatchQuery query;
     query.request = request;
-    query.trace = trace.context();
     // A client budget can only tighten the server's own admission deadline.
     query.deadline = admission.deadline;
     if (request.deadline_us > 0) {
@@ -835,12 +821,7 @@ QueryResponse CloakDbService::ExecuteQuery(const QueryRequest& request) const {
                                           Deadline::After(request.deadline_us));
     }
     query.shard_budget = admission.shard_budget;
-    // Only private kinds share probes, so only they wait in a batch window.
-    const bool shareable = request.kind == QueryKind::kPrivateRange ||
-                           request.kind == QueryKind::kPrivateNn ||
-                           request.kind == QueryKind::kPrivateKnn;
-    response = batcher_ != nullptr && shareable ? batcher_->Submit(query)
-                                                : ExecuteOne(query);
+    response = ExecuteOne(query);
   }
   response.kind = request.kind;
   response.degraded_admission = admission.degraded_admission;
@@ -1047,14 +1028,14 @@ Result<ResultT> CloakDbService::RunOneShot(const BatchQuery& query,
 }
 
 Result<PrivateRangeResult> CloakDbService::RangeFanOut(
-    const BatchQuery& query, const Rect& cover) const {
+    const BatchQuery& query) const {
   const QueryRequest& r = query.request;
   const Rect extended = r.region.Expanded(r.radius);
   return RunOneShot<PrivateRangeResult>(
       query, StripeRangeOf(extended),
       [&](const Shard& shard) {
         return shard.PrivateRange(r.region, r.radius, r.category,
-                                  r.range_options(), cover);
+                                  r.range_options());
       },
       [&]() -> Result<PrivateRangeResult> {
         // No stripe in reach holds the category: an empty answer when it
@@ -1070,13 +1051,13 @@ Result<PrivateRangeResult> CloakDbService::RangeFanOut(
       MergePrivateRangeResults);
 }
 
-Result<PrivateNnResult> CloakDbService::NnFanOut(const BatchQuery& query,
-                                                 const Rect& cover) const {
+Result<PrivateNnResult> CloakDbService::NnFanOut(
+    const BatchQuery& query) const {
   const QueryRequest& r = query.request;
   return RunOneShot<PrivateNnResult>(
       query, StripeRangeOf(r.region),
       [&](const Shard& shard) {
-        return shard.PrivateNn(r.region, r.category, cover);
+        return shard.PrivateNn(r.region, r.category);
       },
       [] { return Status::NotFound("no public objects in category"); },
       [&](std::vector<PrivateNnResult> parts) {
@@ -1084,13 +1065,13 @@ Result<PrivateNnResult> CloakDbService::NnFanOut(const BatchQuery& query,
       });
 }
 
-Result<PrivateKnnResult> CloakDbService::KnnFanOut(const BatchQuery& query,
-                                                   const Rect& cover) const {
+Result<PrivateKnnResult> CloakDbService::KnnFanOut(
+    const BatchQuery& query) const {
   const QueryRequest& r = query.request;
   return RunOneShot<PrivateKnnResult>(
       query, StripeRangeOf(r.region),
       [&](const Shard& shard) {
-        return shard.PrivateKnn(r.region, r.k, r.category, cover);
+        return shard.PrivateKnn(r.region, r.k, r.category);
       },
       [] { return Status::NotFound("no public objects in category"); },
       [&](std::vector<PrivateKnnResult> parts) {
@@ -1118,8 +1099,7 @@ Result<HeatmapResult> CloakDbService::HeatmapFanOut(
       MergeHeatmapResults);
 }
 
-BatchQueryResult CloakDbService::ExecuteOne(const BatchQuery& query,
-                                            const Rect& cover) const {
+QueryResponse CloakDbService::ExecuteOne(const BatchQuery& query) const {
   const QueryKind kind = query.request.kind;
   auto respond = [kind](auto result, auto to_response) {
     return result.ok() ? to_response(std::move(result).value())
@@ -1127,62 +1107,17 @@ BatchQueryResult CloakDbService::ExecuteOne(const BatchQuery& query,
   };
   switch (kind) {
     case QueryKind::kPrivateRange:
-      return respond(RangeFanOut(query, cover), ResponseFromRange);
+      return respond(RangeFanOut(query), ResponseFromRange);
     case QueryKind::kPrivateNn:
-      return respond(NnFanOut(query, cover), ResponseFromNn);
+      return respond(NnFanOut(query), ResponseFromNn);
     case QueryKind::kPrivateKnn:
-      return respond(KnnFanOut(query, cover), ResponseFromKnn);
+      return respond(KnnFanOut(query), ResponseFromKnn);
     case QueryKind::kPublicCount:
       return respond(CountFanOut(query), ResponseFromCount);
     case QueryKind::kHeatmap:
       return respond(HeatmapFanOut(query), ResponseFromHeatmap);
   }
   return MakeErrorResponse(kind, Status::InvalidArgument("unknown query kind"));
-}
-
-std::vector<BatchQueryResult> CloakDbService::ExecuteBatch(
-    const std::vector<BatchQuery>& queries) const {
-  std::vector<BatchQueryResult> results(queries.size());
-  // The leader's execution is one span in the first traced member's trace;
-  // every member (including followers whose submitting threads are parked
-  // in the batcher) executes under a "batch.adopt" span in its *own* trace,
-  // linked to the leader span — the cross-trace record of the adoption.
-  obs::TraceContext lead_ctx;
-  for (const BatchQuery& query : queries) {
-    if (query.trace.active()) {
-      lead_ctx = query.trace;
-      break;
-    }
-  }
-  obs::TraceSpan batch_span(lead_ctx, "batch.execute");
-  batch_span.AddAttr("width", static_cast<double>(queries.size()));
-  auto run_one = [&](size_t member, const Rect& cover) {
-    obs::TraceSpan adopt(queries[member].trace, "batch.adopt");
-    if (adopt.active() && batch_span.active())
-      adopt.SetLink(batch_span.span_id());
-    obs::ScopedTraceContext scope(adopt.active() ? adopt.context()
-                                                 : obs::TraceContext{});
-    results[member] = ExecuteOne(queries[member], cover);
-  };
-  if (!options_.enable_shared_execution) {
-    for (size_t i = 0; i < queries.size(); ++i) run_one(i, Rect());
-    return results;
-  }
-  if (shared_batch_width_ != nullptr)
-    shared_batch_width_->Record(static_cast<double>(queries.size()));
-  const std::vector<QueryCluster> clusters = ClusterBatch(queries, signature_);
-  for (const QueryCluster& cluster : clusters) {
-    if (shared_cluster_fanin_ != nullptr)
-      shared_cluster_fanin_->Record(
-          static_cast<double>(cluster.members.size()));
-    for (size_t member : cluster.members) run_one(member, cluster.cover);
-  }
-  return results;
-}
-
-std::vector<BatchQueryResult> CloakDbService::ExecuteQueryBatch(
-    const std::vector<BatchQuery>& queries) const {
-  return ExecuteBatch(queries);
 }
 
 ServiceStats CloakDbService::Stats() const {

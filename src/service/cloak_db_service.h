@@ -40,7 +40,6 @@
 #include "service/continuous_registry.h"
 #include "service/fault_injector.h"
 #include "service/overload.h"
-#include "service/query_batcher.h"
 #include "service/shard.h"
 #include "util/deadline.h"
 
@@ -81,30 +80,19 @@ struct CloakDbServiceOptions {
   // --- Shared execution --------------------------------------------------
 
   /// Turns on the shared-execution engine: private queries are snapped to
-  /// the signature grid, served from each shard's candidate cache, and —
-  /// through ExecuteQueryBatch or the batch window — clustered so
-  /// overlapping queries share one widened index probe. Off by default:
-  /// every query is planned and probed in isolation, exactly as before.
+  /// the signature grid and served from each shard's candidate cache, so
+  /// overlapping queries share one widened index probe per shard. Off by
+  /// default: every query is planned and probed in isolation.
   bool enable_shared_execution = false;
 
   /// Total candidate-cache entries across the service (split evenly over
-  /// the shards, at least one per shard); 0 disables caching while keeping
-  /// batch clustering. Only meaningful with enable_shared_execution.
+  /// the shards, at least one per shard); 0 disables caching. Only
+  /// meaningful with enable_shared_execution.
   size_t cache_capacity = 4096;
 
   /// Signature-grid resolution per side (>= 1) used to snap cloaked
-  /// regions to cache keys and to cluster batched queries. Coarser grids
-  /// share more but probe wider.
+  /// regions to cache keys. Coarser grids share more but probe wider.
   uint32_t signature_grid_cells = 32;
-
-  /// How long (microseconds) a query submitted through PrivateRange/Nn/Knn
-  /// waits to be batched with concurrent submissions; 0 executes each
-  /// query immediately (ExecuteQueryBatch still clusters explicit
-  /// batches). Only meaningful with enable_shared_execution.
-  uint32_t batch_window_us = 0;
-
-  /// Queries that release a batch window early once collected (>= 1).
-  size_t max_batch_width = 64;
 
   // --- Tracing -----------------------------------------------------------
 
@@ -270,18 +258,6 @@ class CloakDbService {
   Result<PrivateKnnResult> PrivateKnn(const Rect& cloaked, size_t k,
                                       Category category) const;
 
-  /// Executes a batch of queries with shared execution: the batch is
-  /// clustered by cloaked-region overlap and every cluster of private
-  /// queries shares one widened probe per shard, with each member's
-  /// candidate list refined per query (results are identical to issuing
-  /// the queries one by one). Each member runs under its own deadline and
-  /// shard budget; no admission control applies.
-  /// With enable_shared_execution off, the queries run isolated — same
-  /// API, no sharing — which is what makes on/off differential testing a
-  /// one-flag change. Returns one result per query, in order.
-  std::vector<BatchQueryResult> ExecuteQueryBatch(
-      const std::vector<BatchQuery>& queries) const;
-
   /// Public count over private data (every shard; exact merge).
   Result<PublicCountResult> PublicCount(const Rect& window) const;
 
@@ -388,6 +364,10 @@ class CloakDbService {
   const CloakDbServiceOptions& options() const { return options_; }
 
  private:
+  /// Tests run ExecuteOne with a deadline that has already passed, which
+  /// admission (stamping a fresh deadline) cannot produce on cue.
+  friend class CloakDbServiceTestPeer;
+
   /// Metric handles of one query kind, resolved once in Start() so the
   /// query paths record through raw pointers.
   struct QueryKindObs {
@@ -408,6 +388,15 @@ class CloakDbService {
     obs::Counter* probe_failures = nullptr;
     obs::Counter* probe_delays = nullptr;
     obs::Counter* queue_stalls = nullptr;
+  };
+
+  /// One admitted query: the envelope plus the limits admission stamped.
+  struct BatchQuery {
+    QueryRequest request;
+    Deadline deadline;
+    /// Shard fan-out budget: 0 = unlimited; a degraded admission sets the
+    /// configured degrade budget.
+    uint32_t shard_budget = 0;
   };
 
   /// The front-door verdict plus the per-query limits it stamped.
@@ -493,24 +482,15 @@ class CloakDbService {
                              const Merge& merge) const;
 
   /// The five one-shot kinds: each supplies its stripe plan, shard probe,
-  /// no-answer status and merge to RunOneShot. `cover` is the cluster
-  /// probe base of a shared batch (empty for single queries).
-  Result<PrivateRangeResult> RangeFanOut(const BatchQuery& query,
-                                         const Rect& cover) const;
-  Result<PrivateNnResult> NnFanOut(const BatchQuery& query,
-                                   const Rect& cover) const;
-  Result<PrivateKnnResult> KnnFanOut(const BatchQuery& query,
-                                     const Rect& cover) const;
+  /// no-answer status and merge to RunOneShot.
+  Result<PrivateRangeResult> RangeFanOut(const BatchQuery& query) const;
+  Result<PrivateNnResult> NnFanOut(const BatchQuery& query) const;
+  Result<PrivateKnnResult> KnnFanOut(const BatchQuery& query) const;
   Result<PublicCountResult> CountFanOut(const BatchQuery& query) const;
   Result<HeatmapResult> HeatmapFanOut(const BatchQuery& query) const;
 
   /// Executes one query of any kind under its own deadline and budget.
-  BatchQueryResult ExecuteOne(const BatchQuery& query,
-                              const Rect& cover = Rect()) const;
-  /// Clusters + executes a batch (the executor behind ExecuteQueryBatch
-  /// and the batch window).
-  std::vector<BatchQueryResult> ExecuteBatch(
-      const std::vector<BatchQuery>& queries) const;
+  QueryResponse ExecuteOne(const BatchQuery& query) const;
 
   /// [first, last] stripe range overlapping `region` in x.
   std::pair<uint32_t, uint32_t> StripeRangeOf(const Rect& region) const;
@@ -562,9 +542,6 @@ class CloakDbService {
   mutable obs::SlowQueryLog slow_log_;
   /// Per-kind query metrics, indexed by QueryKind.
   QueryKindObs kind_obs_[static_cast<size_t>(QueryKind::kHeatmap) + 1];
-  /// Shared-execution instrumentation (batch width / cluster fan-in).
-  obs::ShardedHistogram* shared_batch_width_ = nullptr;
-  obs::ShardedHistogram* shared_cluster_fanin_ = nullptr;
   RobustnessObs robustness_obs_;
   /// Continuous-query metric handles, shared with every shard registry.
   ContinuousObs cq_obs_;
@@ -585,12 +562,7 @@ class CloakDbService {
   /// before shards_: each shard holds a raw pointer into this vector.
   std::vector<std::unique_ptr<storage::ShardDurability>> durability_;
   RecoveryInfo recovery_info_;
-  /// Snaps cloaked regions for batch clustering (mirrors every shard's).
-  CellSignature signature_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Collects concurrent query submissions into shared batches; non-null
-  /// only with enable_shared_execution and a positive batch window.
-  std::unique_ptr<QueryBatcher> batcher_;
   /// Interior stripe boundaries (num_shards - 1 ascending x values).
   std::vector<double> stripe_bounds_;
   std::vector<std::thread> workers_;

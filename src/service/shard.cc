@@ -9,6 +9,7 @@
 
 #include "core/attack.h"
 #include "obs/scoped_timer.h"
+#include "util/logging.h"
 
 namespace cloakdb {
 
@@ -180,7 +181,20 @@ void Shard::ApplyBatch(const std::vector<PendingUpdate>& batch,
     rec.updates.reserve(batch.size());
     for (const PendingUpdate& u : batch)
       rec.updates.push_back({u.user, u.location, u.time.seconds()});
-    (void)LogDurable(std::move(rec), sync_wal);
+    if (Status logged = LogDurable(std::move(rec), sync_wal); !logged.ok()) {
+      // Write-ahead means no apply without the record: the whole batch is
+      // refused, so what the server shows never outruns what recovery
+      // replays.
+      ingest_.updates_rejected += batch.size();
+      if (config_.obs.rejected != nullptr)
+        config_.obs.rejected->Increment(batch.size());
+      CLOAKDB_LOG(kError) << "shard " << config_.index << ": dropped a batch of "
+                          << batch.size() << " updates: " << logged.ToString();
+      pending_.fetch_sub(batch.size(), std::memory_order_acq_rel);
+      if (config_.tracer != nullptr)
+        config_.tracer->FinishTrace(trace_ctx, root.End(), false);
+      return;
+    }
   }
   const bool any_violation = ApplyBatchLocked(batch, &root, trace_ctx);
   pending_.fetch_sub(batch.size(), std::memory_order_acq_rel);
@@ -409,16 +423,14 @@ constexpr double kMaxProbeBloat = 2.5;
 }  // namespace
 
 Result<std::shared_ptr<const CacheEntry>> Shard::CachedHits(
-    CacheKind kind, const RefineQuery& refine, Category category,
-    const Rect& cover) const {
+    CacheKind kind, const RefineQuery& refine, Category category) const {
   const std::shared_ptr<const CacheEntry> from_index;
   // No bounded probe covers the whole category of the pigeonhole fetch.
   if (!cache_.enabled() || std::isinf(refine.reach)) return from_index;
   CacheKey key;
   key.kind = kind;
   key.category = category;
-  key.region =
-      cover.IsEmpty() ? signature_.SnapToCells(refine.cloaked) : cover;
+  key.region = signature_.SnapToCells(refine.cloaked);
   key.reach = signature_.QuantizeReach(refine.reach);
   const Rect probe = key.region.Expanded(key.reach);
   const Rect window = refine.cloaked.Expanded(refine.reach);
@@ -449,11 +461,10 @@ Result<std::shared_ptr<const CacheEntry>> Shard::CachedHits(
 }
 
 template <typename R>
-Result<R> Shard::Serve(CacheKind kind, const Result<PrivateFetch<R>>& fetch,
-                       const Rect& cover) const {
+Result<R> Shard::Serve(CacheKind kind,
+                       const Result<PrivateFetch<R>>& fetch) const {
   if (!fetch.ok()) return fetch.status();
-  auto entry =
-      CachedHits(kind, fetch.value().refine, fetch.value().category, cover);
+  auto entry = CachedHits(kind, fetch.value().refine, fetch.value().category);
   if (!entry.ok()) return entry.status();
   return server_.Answer(fetch.value(), entry.value() == nullptr
                                            ? nullptr
@@ -462,31 +473,28 @@ Result<R> Shard::Serve(CacheKind kind, const Result<PrivateFetch<R>>& fetch,
 
 Result<PrivateRangeResult> Shard::PrivateRange(
     const Rect& cloaked, double radius, Category category,
-    const PrivateRangeOptions& opts, const Rect& cover) const {
+    const PrivateRangeOptions& opts) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return Serve(
       CacheKind::kRange,
-      PlanPrivateRange(server_.store(), cloaked, radius, category, opts),
-      cover);
+      PlanPrivateRange(server_.store(), cloaked, radius, category, opts));
 }
 
 Result<PrivateNnResult> Shard::PrivateNn(const Rect& cloaked,
-                                         Category category,
-                                         const Rect& cover) const {
+                                         Category category) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   // The NN reach depends on this shard's data, so the key is computed here
-  // under the lock (cluster members with similar regions quantize to the
-  // same reach and still share the probe).
+  // under the lock (queries with similar regions quantize to the same
+  // reach and still share the probe).
   return Serve(CacheKind::kNn,
-               PlanPrivateNn(server_.store(), cloaked, category), cover);
+               PlanPrivateNn(server_.store(), cloaked, category));
 }
 
 Result<PrivateKnnResult> Shard::PrivateKnn(const Rect& cloaked, size_t k,
-                                           Category category,
-                                           const Rect& cover) const {
+                                           Category category) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return Serve(CacheKind::kKnn,
-               PlanPrivateKnn(server_.store(), cloaked, k, category), cover);
+               PlanPrivateKnn(server_.store(), cloaked, k, category));
 }
 
 Result<PublicCountResult> Shard::PublicCount(const Rect& window) const {

@@ -83,12 +83,12 @@ struct ShardConfig {
   /// query method then probes the index in isolation).
   size_t cache_capacity = 0;
   /// Signature-grid resolution per side used to snap cloaked regions to
-  /// cache keys (must match the service's, so cluster covers computed at
-  /// the service level key consistently here).
+  /// cache keys.
   uint32_t signature_cells = 32;
   /// Cache counters (hits/misses/insertions/evictions/invalidations).
   CandidateCacheObs cache_obs;
-  /// Widened shared-probe wall time on a cache miss (microseconds).
+  /// Wall time of the cache-miss probe on the snapped cover
+  /// (microseconds).
   obs::ShardedHistogram* shared_probe_us = nullptr;
   /// Service-wide tracer; null = tracing off. Cloak sites emit audit spans
   /// into it, the ingest drain opens its own per-batch traces.
@@ -170,22 +170,18 @@ class Shard {
   // With the candidate cache enabled, the private kinds serve the widened
   // probe from the cache when possible and then refine exactly like an
   // isolated query — results are identical, only the fetch is shared — and
-  // a count is cached whole, keyed by its exact window. `cover` optionally
-  // overrides the snapped cloaked region as the probe base (the service
-  // passes a cluster's union cover so every member shares one entry); it
-  // must contain the snapped cloaked region, and the empty default means a
-  // single query. Probe + cache insert happen under one shared lock, and
+  // a count is cached whole, keyed by its exact window. Probe + cache
+  // insert happen under one shared lock, and
   // writers invalidate under the exclusive lock, so a stale entry can never
   // be inserted over a concurrent update. With the cache disabled every
   // call is an isolated probe.
   Result<PrivateRangeResult> PrivateRange(
       const Rect& cloaked, double radius, Category category,
-      const PrivateRangeOptions& opts = {}, const Rect& cover = Rect()) const;
-  Result<PrivateNnResult> PrivateNn(const Rect& cloaked, Category category,
-                                    const Rect& cover = Rect()) const;
+      const PrivateRangeOptions& opts = {}) const;
+  Result<PrivateNnResult> PrivateNn(const Rect& cloaked,
+                                    Category category) const;
   Result<PrivateKnnResult> PrivateKnn(const Rect& cloaked, size_t k,
-                                      Category category,
-                                      const Rect& cover = Rect()) const;
+                                      Category category) const;
   Result<PublicCountResult> PublicCount(const Rect& window) const;
   Result<HeatmapResult> Heatmap(uint32_t resolution) const;
 
@@ -257,7 +253,8 @@ class Shard {
                  std::unique_ptr<Anonymizer> anonymizer);
 
   /// Applies one popped batch; takes the exclusive lock itself, WAL-logs
-  /// the raw batch, applies it, then decrements pending_. `sync_wal =
+  /// the raw batch, applies it, then decrements pending_. A batch the WAL
+  /// refuses is not applied: it counts as rejected. `sync_wal =
   /// false` defers the record's fsync to the engine's next group commit
   /// (the drain that empties the queue, or Flush()'s SyncWal barrier).
   void ApplyBatch(const std::vector<PendingUpdate>& batch,
@@ -288,20 +285,18 @@ class Shard {
   void DropServerRecord(ObjectId pseudonym);
 
   /// The cached widened probe holding a planned query's fetch window
-  /// (probed and inserted on a miss), or null when the index serves the
-  /// query: cache off, the kNN pigeonhole fetch, or a probe bloated past
-  /// its window. `cover` as in PrivateRange. Caller holds at least the
+  /// (probed and inserted on a miss), keyed by the snapped cloaked region,
+  /// or null when the index serves the query: cache off, the kNN pigeonhole
+  /// fetch, or a probe bloated past its window. Caller holds at least the
   /// shared lock.
   Result<std::shared_ptr<const CacheEntry>> CachedHits(
-      CacheKind kind, const RefineQuery& refine, Category category,
-      const Rect& cover) const;
+      CacheKind kind, const RefineQuery& refine, Category category) const;
 
   /// One private query: its hits come from CachedHits or the index, then
   /// one QueryProcessor::Answer call refines them. Caller holds at least
   /// the shared lock.
   template <typename R>
-  Result<R> Serve(CacheKind kind, const Result<PrivateFetch<R>>& fetch,
-                  const Rect& cover) const;
+  Result<R> Serve(CacheKind kind, const Result<PrivateFetch<R>>& fetch) const;
 
   /// Builds the privacy-audit payload of one cloak (constraint
   /// satisfaction plus the deterministic center/boundary attack checks

@@ -241,7 +241,13 @@ Status ShardDurability::LogAndCommit(WalRecord record, bool sync_now) {
   const bool force = deferred_records_ >= kMaxDeferredRecords;
   const bool sync = mode_ == DurabilityMode::kFsync && (sync_now || force);
   const auto t0 = std::chrono::steady_clock::now();
-  CLOAKDB_RETURN_IF_ERROR(wal_->Commit(sync));
+  if (Status written = wal_->Commit(/*sync=*/false); !written.ok()) {
+    // The appender dropped the frame, so its LSN is free again: the next
+    // record must follow the last one in the file without a gap.
+    last_lsn_ = record.lsn - 1;
+    return written;
+  }
+  if (sync) CLOAKDB_RETURN_IF_ERROR(wal_->SyncDisk());
   pending_sync_.store(!sync, std::memory_order_release);
   ++appended_seq_;
   deferred_records_ = sync ? 0 : deferred_records_ + 1;

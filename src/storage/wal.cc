@@ -165,7 +165,17 @@ Status WalAppender::Commit(bool sync) {
     ssize_t n = ::pwrite(fd_, buffer_.data(), buffer_.size(),
                          static_cast<off_t>(size_));
     if (n < 0 || static_cast<size_t>(n) != buffer_.size()) {
-      return Status::Internal(ErrnoMessage("pwrite", path_));
+      // The caller sees the error, so the frames must not reach the log
+      // later: drop them and cut any partial bytes off the file.
+      Status failed = Status::Internal(
+          n < 0 ? ErrnoMessage("pwrite", path_)
+                : "short pwrite to " + path_ + ": " + std::to_string(n) +
+                      " of " + std::to_string(buffer_.size()) + " bytes");
+      buffer_.clear();
+      if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
+        return Status::Internal(ErrnoMessage("ftruncate", path_));
+      }
+      return failed;
     }
     size_ += buffer_.size();
     buffer_.clear();

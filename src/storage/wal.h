@@ -94,7 +94,9 @@ class WalAppender {
   void AppendTorn(const std::string& payload, size_t keep_bytes);
 
   /// Writes all buffered frames with a single write(); fsyncs when
-  /// `sync` — the group-commit barrier.
+  /// `sync` — the group-commit barrier. A failed write drops the buffered
+  /// frames and truncates the file back to its last committed size, so a
+  /// frame whose caller saw the error never lands with a later commit.
   Status Commit(bool sync);
 
   /// fsync only, no buffer write. Safe to call without external

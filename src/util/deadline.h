@@ -1,7 +1,7 @@
 // Deadline: a monotonic-clock point in time after which work should stop.
 //
 // Deadlines are carried by value through the query path (admission ->
-// QueryBatcher -> per-shard probes -> merge) so every layer can cheaply ask
+// fan-out -> per-shard probes -> merge) so every layer can cheaply ask
 // "is there still time?" without consulting a wall clock that can jump.
 // A default-constructed Deadline is infinite and never expires, which keeps
 // the common no-deadline path branch-cheap.

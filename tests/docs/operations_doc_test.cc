@@ -5,7 +5,9 @@
 // featured service, runs a small smoke workload, exports the live
 // MetricsRegistry, and requires the documented catalog and the registered
 // metric set to match *exactly* — a new metric without documentation fails,
-// and so does documentation of a metric that no longer exists.
+// and so does documentation of a metric that no longer exists. The span
+// catalog (`<!-- span-catalog:begin/end -->`) is held to the span names a
+// traced smoke run emits the same way.
 //
 // CLOAKDB_SOURCE_DIR is injected by the build so the test can read the
 // checked-in markdown regardless of the build directory.
@@ -19,6 +21,7 @@
 #include <string>
 
 #include "net/server.h"
+#include "obs/trace.h"
 #include "service/cloak_db_service.h"
 #include "sim/poi.h"
 #include "util/minijson.h"
@@ -155,6 +158,97 @@ TEST(OperationsDocTest, MetricsCatalogMatchesRegistryExactly) {
     EXPECT_TRUE(registered.count(name))
         << "docs/OPERATIONS.md documents `" << name
         << "` but no such metric is registered — stale documentation";
+  }
+}
+
+/// First-column span names of the table between the span-catalog markers.
+std::set<std::string> DocumentedSpans(const std::string& markdown) {
+  const std::string begin_marker = "<!-- span-catalog:begin -->";
+  const std::string end_marker = "<!-- span-catalog:end -->";
+  const size_t begin = markdown.find(begin_marker);
+  const size_t end = markdown.find(end_marker);
+  EXPECT_NE(begin, std::string::npos) << "missing " << begin_marker;
+  EXPECT_NE(end, std::string::npos) << "missing " << end_marker;
+  std::set<std::string> names;
+  if (begin == std::string::npos || end == std::string::npos) return names;
+  std::istringstream rows(markdown.substr(begin, end - begin));
+  std::string row;
+  while (std::getline(rows, row)) {
+    if (row.rfind("| `", 0) != 0) continue;
+    const size_t close = row.find('`', 3);
+    if (close != std::string::npos) names.insert(row.substr(3, close - 3));
+  }
+  return names;
+}
+
+TEST(OperationsDocTest, SpanCatalogMatchesEmittedSpansExactly) {
+  const std::string doc_path =
+      std::string(CLOAKDB_SOURCE_DIR) + "/docs/OPERATIONS.md";
+  const std::set<std::string> documented =
+      DocumentedSpans(ReadFileOrDie(doc_path));
+  ASSERT_FALSE(documented.empty());
+
+  // A traced service that keeps every trace, with the candidate cache on
+  // and standing queries forced through full re-evaluation, so one pass
+  // over the request paths reaches every span site.
+  CloakDbServiceOptions options;
+  options.space = Rect(0, 0, 100, 100);
+  options.num_shards = 2;
+  options.enable_shared_execution = true;
+  options.trace.enabled = true;
+  options.trace.sample_probability = 1.0;
+  options.continuous.force_full_reeval = true;
+  auto db = CloakDbService::Create(options).value();
+
+  constexpr Category kGas = poi_category::kGasStation;
+  Rng rng(5);
+  PoiOptions poi_options;
+  poi_options.count = 200;
+  poi_options.category = kGas;
+  poi_options.name_prefix = "gas";
+  ASSERT_TRUE(db->BulkLoadCategory(
+                    kGas, GeneratePois(options.space, poi_options, &rng)
+                              .value())
+                  .ok());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const TimeOfDay noon = TimeOfDay::FromHms(12, 0).value();
+  for (UserId user = 1; user <= 4; ++user) {
+    ASSERT_TRUE(
+        db->RegisterUser(user, PrivacyProfile::Uniform({2, 0.0, kInf}).value())
+            .ok());
+    ASSERT_TRUE(db->EnqueueUpdate(user, Point(10.0 * user, 12.0), noon).ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+  ASSERT_TRUE(db->UpdateLocation(1, Point(11, 13), noon).ok());
+  ASSERT_TRUE(db->CloakForQuery(2, noon).ok());
+  const Rect cloaked(20, 20, 26, 26);
+  for (const QueryRequest& request :
+       {QueryRequest::Range(cloaked, 3, kGas), QueryRequest::Nn(cloaked, kGas),
+        QueryRequest::Knn(cloaked, 3, kGas),
+        QueryRequest::Count(Rect(0, 0, 50, 50)),
+        QueryRequest::HeatmapAt(4)}) {
+    EXPECT_TRUE(db->ExecuteQuery(request).ok());
+  }
+  ASSERT_TRUE(db->RegisterContinuousNn(1, kGas).ok());
+  ASSERT_TRUE(db->EnqueueUpdate(1, Point(85, 70), noon).ok());
+  ASSERT_TRUE(db->Flush().ok());
+
+  std::set<std::string> emitted;
+  for (const obs::SpanRecord& span : db->tracer()->TakeCompletedSpans())
+    emitted.insert(span.name);
+  ASSERT_FALSE(emitted.empty());
+
+  for (const auto& name : emitted) {
+    EXPECT_TRUE(documented.count(name))
+        << "span `" << name
+        << "` is emitted but missing from the docs/OPERATIONS.md span "
+           "catalog";
+  }
+  for (const auto& name : documented) {
+    EXPECT_TRUE(emitted.count(name))
+        << "docs/OPERATIONS.md documents span `" << name
+        << "` but the smoke run never emitted it — stale documentation, or "
+           "a span site this test does not reach yet";
   }
 }
 

@@ -190,9 +190,9 @@ TEST(FuzzTest, RectGridAgainstReference) {
 //
 // Replays one seeded trace of mixed updates and queries against a shared-
 // off baseline service and a sweep of shared-execution configurations
-// (cache capacity including the 0/1 degenerates, batch window on/off) with
-// the same shard count, and diffs every query result. Sharing must be
-// invisible in the answers.
+// (cache capacity including the 0/1 degenerates) with the same shard
+// count, and diffs every query result. Sharing must be invisible in the
+// answers.
 
 std::string QuerySignature(const std::vector<PublicObject>& candidates) {
   std::vector<ObjectId> ids;
@@ -298,21 +298,17 @@ TEST(FuzzTest, SharedExecutionConfigSweepMatchesIsolatedReplay) {
       ASSERT_FALSE(baseline.empty());
 
       for (size_t cache_capacity : {size_t{0}, size_t{1}, size_t{32}}) {
-        for (uint32_t window_us : {0u, 200u}) {
-          auto options = base;
-          options.enable_shared_execution = true;
-          options.cache_capacity = cache_capacity;
-          options.signature_grid_cells = 8;
-          options.batch_window_us = window_us;
-          auto db = CloakDbService::Create(options).value();
-          const std::vector<std::string> got = ReplayTrace(db.get(), seed);
-          ASSERT_EQ(got.size(), baseline.size());
-          for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_EQ(got[i], baseline[i])
-                << "seed " << seed << " shards " << shards << " cache "
-                << cache_capacity << " window " << window_us << " query "
-                << i;
-          }
+        auto options = base;
+        options.enable_shared_execution = true;
+        options.cache_capacity = cache_capacity;
+        options.signature_grid_cells = 8;
+        auto db = CloakDbService::Create(options).value();
+        const std::vector<std::string> got = ReplayTrace(db.get(), seed);
+        ASSERT_EQ(got.size(), baseline.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i], baseline[i])
+              << "seed " << seed << " shards " << shards << " cache "
+              << cache_capacity << " query " << i;
         }
       }
     }

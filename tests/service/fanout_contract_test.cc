@@ -21,6 +21,18 @@
 #include "util/random.h"
 
 namespace cloakdb {
+
+class CloakDbServiceTestPeer {
+ public:
+  static QueryResponse ExecuteExpired(const CloakDbService& db,
+                                      const QueryRequest& request) {
+    CloakDbService::BatchQuery query;
+    query.request = request;
+    query.deadline = Deadline::After(0);
+    return db.ExecuteOne(query);
+  }
+};
+
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -94,7 +106,6 @@ std::vector<InvalidCase> InvalidCases() {
 TEST(QueryValidationTest, InvalidRequestsFailInProcess) {
   CloakDbServiceOptions shared = BaseOptions();
   shared.enable_shared_execution = true;
-  shared.batch_window_us = 200;
   for (const CloakDbServiceOptions& options : {BaseOptions(), shared}) {
     auto db = MakeService(options);
     for (const InvalidCase& c : InvalidCases()) {
@@ -140,20 +151,14 @@ struct Caller {
   std::function<Outcome(CloakDbService& db, bool expired)> run;
 };
 
-/// A one-shot query. An expired run goes through the batch API, whose
-/// members carry their own deadline, so the deadline is already past when
-/// the fan-out starts.
+/// A one-shot query. The expired run hands the executor a deadline that
+/// has already passed: admission's own 1 µs deadline can still be ahead
+/// when a warm service reaches its first probe.
 Outcome RunQuery(CloakDbService& db, const QueryRequest& request,
                  bool expired) {
-  QueryResponse response;
-  if (expired) {
-    BatchQuery query;
-    query.request = request;
-    query.deadline = Deadline::After(0);
-    response = db.ExecuteQueryBatch({query}).front();
-  } else {
-    response = db.ExecuteQuery(request);
-  }
+  const QueryResponse response =
+      expired ? CloakDbServiceTestPeer::ExecuteExpired(db, request)
+              : db.ExecuteQuery(request);
   return {response.status(), response.degraded, response.covered_shards};
 }
 

@@ -231,27 +231,21 @@ TEST_F(PublicIndexTwinTest, SharedExecutionBatchesMatchAcrossModes) {
   LoadReference(reference_db_.get(), pois);
 
   Rng rng(42);
-  std::vector<BatchQuery> batch;
   for (int i = 0; i < 30; ++i) {
-    BatchQuery q;
+    QueryRequest q;
     Point c{rng.Uniform(10, 90), rng.Uniform(10, 90)};
-    q.request.kind = static_cast<QueryKind>(i % 3);
-    q.request.region = Rect::CenteredSquare(c, 3.0);
-    q.request.radius = 12.0;
-    q.request.k = 4;
-    q.request.category = kCat;
-    batch.push_back(q);
+    q.kind = static_cast<QueryKind>(i % 3);
+    q.region = Rect::CenteredSquare(c, 3.0);
+    q.radius = 12.0;
+    q.k = 4;
+    q.category = kCat;
+    const QueryResponse res_s = static_db_->ExecuteQuery(q);
+    const QueryResponse res_d = reference_db_->ExecuteQuery(q);
+    ASSERT_EQ(res_s.ok(), res_d.ok()) << "query " << i;
+    if (!res_s.ok()) continue;
+    EXPECT_EQ(Ids(res_s.candidates), Ids(res_d.candidates)) << "query " << i;
   }
-  auto res_s = static_db_->ExecuteQueryBatch(batch);
-  auto res_d = reference_db_->ExecuteQueryBatch(batch);
   ExpectNeverSealed(reference_db_.get());
-  ASSERT_EQ(res_s.size(), res_d.size());
-  for (size_t i = 0; i < res_s.size(); ++i) {
-    ASSERT_EQ(res_s[i].ok(), res_d[i].ok()) << "query " << i;
-    if (!res_s[i].ok()) continue;
-    EXPECT_EQ(Ids(res_s[i].candidates), Ids(res_d[i].candidates))
-        << "query " << i;
-  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Oracle equivalence suite for the shared-execution engine: across many
 // seeded workloads, the candidate lists produced with shared execution on
-// (cache + clustering + batch window) must be set-equal to the isolated
+// (snapped cache keys + the per-shard candidate cache) must be set-equal to
+// the isolated
 // single-shard QueryProcessor's, and both paths must uphold the paper's
 // containment guarantee (the exact answer for every possible true location
 // inside the cloaked region is in the candidate list).
@@ -16,7 +17,6 @@
 
 #include "server/private_queries.h"
 #include "service/cloak_db_service.h"
-#include "service/query_batcher.h"
 #include "sim/poi.h"
 #include "util/random.h"
 
@@ -25,15 +25,13 @@ namespace {
 
 constexpr Category kCat = poi_category::kGasStation;
 
-CloakDbServiceOptions SharedOptions(uint32_t shards, size_t cache_capacity,
-                                    uint32_t batch_window_us = 0) {
+CloakDbServiceOptions SharedOptions(uint32_t shards, size_t cache_capacity) {
   CloakDbServiceOptions options;
   options.space = Rect(0, 0, 100, 100);
   options.num_shards = shards;
   options.enable_shared_execution = true;
   options.cache_capacity = cache_capacity;
   options.signature_grid_cells = 16;
-  options.batch_window_us = batch_window_us;
   return options;
 }
 
@@ -348,9 +346,10 @@ TEST(SharedExecutionTest, ContainmentGuaranteeHoldsOnBothPaths) {
   }
 }
 
-// Explicit batches: overlapping queries cluster onto one shared probe, and
-// every member's refined result still equals the isolated oracle's.
-TEST(SharedExecutionTest, ExecuteQueryBatchMatchesIsolatedOracle) {
+// Envelope queries one by one: a hot set of overlapping queries around one
+// anchor plus independent singles, of all three private kinds, each
+// through ExecuteQuery; every result still equals the isolated oracle's.
+TEST(SharedExecutionTest, EnvelopeQueriesMatchIsolatedOracle) {
   auto pois = MakePois(200, 77);
   auto shared_opts = SharedOptions(4, 256);
   auto isolated_opts = shared_opts;
@@ -362,60 +361,62 @@ TEST(SharedExecutionTest, ExecuteQueryBatchMatchesIsolatedOracle) {
 
   Rng rng(78);
   for (int round = 0; round < 6; ++round) {
-    std::vector<BatchQuery> batch;
-    // A hot cluster of overlapping queries around one anchor (kept clear of
-    // the space border so jittered copies stay non-empty), plus independent
-    // singles elsewhere, of all three kinds.
+    std::vector<QueryRequest> requests;
+    // Overlapping queries around one anchor (kept clear of the space
+    // border so jittered copies stay non-empty), plus independent singles
+    // elsewhere.
     double ax = rng.Uniform(10, 80), ay = rng.Uniform(10, 80);
     Rect anchor(ax, ay, ax + rng.Uniform(2.0, 8.0),
                 ay + rng.Uniform(2.0, 8.0));
     for (int i = 0; i < 5; ++i) {
-      BatchQuery q;
-      q.request.kind = static_cast<QueryKind>(i % 3);
+      QueryRequest q;
+      q.kind = static_cast<QueryKind>(i % 3);
       double dx = rng.Uniform(-2, 2), dy = rng.Uniform(-2, 2);
-      q.request.region = Rect(anchor.min_x + dx, anchor.min_y + dy,
-                              anchor.max_x + dx, anchor.max_y + dy)
-                             .Intersection(Rect(0, 0, 100, 100));
-      q.request.radius = rng.Uniform(0.5, 5.0);
-      q.request.k = 1 + rng.NextBelow(4);
-      q.request.category = kCat;
-      batch.push_back(q);
+      q.region = Rect(anchor.min_x + dx, anchor.min_y + dy,
+                      anchor.max_x + dx, anchor.max_y + dy)
+                     .Intersection(Rect(0, 0, 100, 100));
+      q.radius = rng.Uniform(0.5, 5.0);
+      q.k = 1 + rng.NextBelow(4);
+      q.category = kCat;
+      requests.push_back(q);
     }
     for (int i = 0; i < 3; ++i) {
-      BatchQuery q;
-      q.request.kind = static_cast<QueryKind>(i % 3);
-      q.request.region = RandomCloak(&rng);
-      q.request.radius = rng.Uniform(0.5, 5.0);
-      q.request.k = 1 + rng.NextBelow(4);
-      q.request.category = kCat;
-      batch.push_back(q);
+      QueryRequest q;
+      q.kind = static_cast<QueryKind>(i % 3);
+      q.region = RandomCloak(&rng);
+      q.radius = rng.Uniform(0.5, 5.0);
+      q.k = 1 + rng.NextBelow(4);
+      q.category = kCat;
+      requests.push_back(q);
     }
+    // Jittered copies need not share a snapped key, so the round's first
+    // query is repeated verbatim: the repeat looks up the key its first
+    // issue cached.
+    requests.push_back(requests.front());
 
-    auto results = db->ExecuteQueryBatch(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const QueryRequest& q = batch[i].request;
-      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-      EXPECT_EQ(results[i].kind, q.kind);
+    for (const QueryRequest& q : requests) {
+      const QueryResponse response = db->ExecuteQuery(q);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_EQ(response.kind, q.kind);
       switch (q.kind) {
         case QueryKind::kPrivateRange: {
           auto truth = twin->PrivateRange(q.region, q.radius, q.category);
           ASSERT_TRUE(truth.ok());
-          EXPECT_EQ(SortedIds(results[i].candidates),
+          EXPECT_EQ(SortedIds(response.candidates),
                     SortedIds(truth.value().candidates));
           break;
         }
         case QueryKind::kPrivateNn: {
           auto truth = twin->PrivateNn(q.region, q.category);
           ASSERT_TRUE(truth.ok());
-          EXPECT_EQ(SortedIds(results[i].candidates),
+          EXPECT_EQ(SortedIds(response.candidates),
                     SortedIds(truth.value().candidates));
           break;
         }
         case QueryKind::kPrivateKnn: {
           auto truth = twin->PrivateKnn(q.region, q.k, q.category);
           ASSERT_TRUE(truth.ok());
-          EXPECT_EQ(SortedIds(results[i].candidates),
+          EXPECT_EQ(SortedIds(response.candidates),
                     SortedIds(truth.value().candidates));
           break;
         }
@@ -424,63 +425,17 @@ TEST(SharedExecutionTest, ExecuteQueryBatchMatchesIsolatedOracle) {
       }
     }
   }
-  // Clustering happened: some cluster had fan-in > 1, and its followers hit
-  // the probe the first member cached.
-  EXPECT_GT(db->metrics().SnapshotHistogram("query.shared.cluster_fanin").max,
-            1.0);
+  // Some query was served from a probe an earlier one cached.
   EXPECT_GT(db->metrics().counter("cache.hits_total")->Value(), 0u);
 }
 
-// Clustering invariants on the raw ClusterBatch function: every query lands
-// in exactly one cluster, members share (kind, category), and the cover
-// contains every member's cloaked region.
-TEST(SharedExecutionTest, ClusterBatchPartitionsAndCovers) {
-  CellSignature signature(Rect(0, 0, 100, 100), 16);
-  Rng rng(11);
-  std::vector<BatchQuery> batch;
-  for (int i = 0; i < 40; ++i) {
-    BatchQuery q;
-    q.request.kind = static_cast<QueryKind>(rng.NextBelow(3));
-    q.request.region = RandomCloak(&rng);
-    q.request.category =
-        rng.NextBelow(2) == 0 ? kCat : poi_category::kRestaurant;
-    batch.push_back(q);
-  }
-  auto clusters = ClusterBatch(batch, signature);
-  std::vector<int> seen(batch.size(), 0);
-  for (const auto& cluster : clusters) {
-    ASSERT_FALSE(cluster.members.empty());
-    const QueryRequest& head = batch[cluster.members.front()].request;
-    for (size_t m : cluster.members) {
-      ASSERT_LT(m, batch.size());
-      ++seen[m];
-      EXPECT_EQ(batch[m].request.kind, head.kind);
-      EXPECT_EQ(batch[m].request.category, head.category);
-      EXPECT_TRUE(cluster.cover.Contains(batch[m].request.region));
-    }
-  }
-  for (int count : seen) EXPECT_EQ(count, 1);
-
-  // Two overlapping queries of the same kind+category share a cluster.
-  std::vector<BatchQuery> pair(2);
-  pair[0].request.kind = pair[1].request.kind = QueryKind::kPrivateNn;
-  pair[0].request.category = pair[1].request.category = kCat;
-  pair[0].request.region = Rect(10, 10, 20, 20);
-  pair[1].request.region = Rect(15, 15, 25, 25);
-  EXPECT_EQ(ClusterBatch(pair, signature).size(), 1u);
-  // Same geometry, different kind: no sharing.
-  pair[1].request.kind = QueryKind::kPrivateRange;
-  EXPECT_EQ(ClusterBatch(pair, signature).size(), 2u);
-}
-
-// The batch window: concurrent submitters through the plain query API get
-// batched by the leader and must all receive the exact oracle answer.
-TEST(SharedExecutionTest, BatchWindowDeliversIdenticalResultsConcurrently) {
+// Concurrent submitters through the plain query API share each shard's
+// candidate cache and must all receive the isolated twin's answer.
+TEST(SharedExecutionTest, ConcurrentQueriesMatchIsolatedTwin) {
   auto pois = MakePois(150, 31);
-  auto shared_opts = SharedOptions(2, 256, /*batch_window_us=*/500);
+  auto shared_opts = SharedOptions(2, 256);
   auto isolated_opts = shared_opts;
   isolated_opts.enable_shared_execution = false;
-  isolated_opts.batch_window_us = 0;
   auto db = CloakDbService::Create(shared_opts).value();
   auto twin = CloakDbService::Create(isolated_opts).value();
   ASSERT_TRUE(db->BulkLoadCategory(kCat, pois).ok());
@@ -514,10 +469,7 @@ TEST(SharedExecutionTest, BatchWindowDeliversIdenticalResultsConcurrently) {
     });
   }
   for (auto& thread : threads) thread.join();
-  // Every query went through a batch (width histogram saw them all).
-  EXPECT_GT(db->metrics().SnapshotHistogram("query.shared.batch_width").count,
-            0u);
-  // Error statuses still round-trip through the batcher.
+  // Error statuses still come back typed on the shared path.
   EXPECT_EQ(db->PrivateRange(Rect(), 1.0, kCat).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(db->PrivateKnn(Rect(1, 1, 2, 2), 0, kCat).status().code(),
@@ -526,9 +478,9 @@ TEST(SharedExecutionTest, BatchWindowDeliversIdenticalResultsConcurrently) {
             StatusCode::kNotFound);
 }
 
-// Degenerate shared configurations stay correct: cache disabled (pure
-// clustering), capacity 1 (constant eviction), and a single signature cell
-// (everything shares one probe cover).
+// Degenerate shared configurations stay correct: cache disabled, capacity 1
+// (constant eviction), and a single signature cell (everything snaps to one
+// probe cover).
 TEST(SharedExecutionTest, DegenerateConfigurationsStayExact) {
   auto pois = MakePois(120, 59);
   auto twin_opts = SharedOptions(3, 0);

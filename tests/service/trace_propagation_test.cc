@@ -1,15 +1,12 @@
 // End-to-end trace propagation through the service: every private query
 // produces a rooted span tree covering admission -> fan-out -> per-shard
-// probe -> merge; cloaks carry privacy-audit events; and batcher adoption
-// lands each member's spans in its own trace with a causal link to the
-// leader's batch span.
+// probe -> merge, and cloaks carry privacy-audit events.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <limits>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "obs/trace.h"
@@ -128,67 +125,6 @@ TEST(TracePropagationTest, CloakSpansCarryAuditEvents) {
   // 8 updates + 1 query-time cloak, every one audited.
   EXPECT_EQ(cloak_spans, 9u);
   EXPECT_EQ(audits, cloak_spans);
-}
-
-TEST(TracePropagationTest, BatchAdoptionLinksMembersToLeaderSpan) {
-  CloakDbServiceOptions options = TracedOptions(2);
-  options.enable_shared_execution = true;
-  options.cache_capacity = 256;
-  options.signature_grid_cells = 16;
-  options.batch_window_us = 20'000;
-  auto db = MakeService(options, 100);
-
-  constexpr size_t kThreads = 4;
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const double x = 10.0 + 2.0 * static_cast<double>(t);
-      ASSERT_TRUE(
-          db->PrivateRange(Rect(x, 10, x + 8, 18), 4.0, kCat).ok());
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  auto spans = db->tracer()->TakeCompletedSpans();
-  SpansByTrace by_trace = GroupByTrace(spans);
-  std::map<uint64_t, const obs::SpanRecord*> execute_spans;  // span_id
-  std::vector<const obs::SpanRecord*> adopt_spans;
-  for (const auto& span : spans) {
-    if (std::strcmp(span.name, "batch.execute") == 0)
-      execute_spans[span.span_id] = &span;
-    if (std::strcmp(span.name, "batch.adopt") == 0)
-      adopt_spans.push_back(&span);
-  }
-  // Every query ran through the batcher, so every one of the four traces
-  // has an adoption span — linked to a recorded batch.execute span.
-  ASSERT_EQ(adopt_spans.size(), kThreads);
-  ASSERT_FALSE(execute_spans.empty());
-  std::map<uint64_t, size_t> adopts_per_trace;
-  for (const obs::SpanRecord* adopt : adopt_spans) {
-    ++adopts_per_trace[adopt->trace_id];
-    ASSERT_NE(adopt->link_id, 0u);
-    ASSERT_TRUE(execute_spans.count(adopt->link_id));
-    // Adoption keeps the member's spans in the member's own trace; the
-    // linked leader span may live in a different trace.
-    const obs::SpanRecord* root =
-        FindByName(by_trace[adopt->trace_id], "query.private_range");
-    ASSERT_NE(root, nullptr);
-    EXPECT_EQ(adopt->parent_id, root->span_id);
-  }
-  EXPECT_EQ(adopts_per_trace.size(), kThreads);  // One trace per query.
-  // The shard probes of a member ran under its adoption span, so the
-  // fan-out spans parent below batch.adopt.
-  for (const obs::SpanRecord* adopt : adopt_spans) {
-    const obs::SpanRecord* fanout = nullptr;
-    for (const auto& span : spans) {
-      if (span.trace_id == adopt->trace_id &&
-          std::strcmp(span.name, "fanout") == 0) {
-        fanout = &span;
-      }
-    }
-    ASSERT_NE(fanout, nullptr);
-    EXPECT_EQ(fanout->parent_id, adopt->span_id);
-  }
 }
 
 TEST(TracePropagationTest, SlowQueryLogLinksTraceIds) {

@@ -12,7 +12,10 @@
 // pre-fsync: in-process simulation keeps the page-cache copy — process
 // crash semantics, see ShardDurability's header).
 
+#include <sys/resource.h>
 #include <unistd.h>
+
+#include <csignal>
 
 #include <gtest/gtest.h>
 
@@ -385,6 +388,74 @@ TEST(SyncUpdateDurabilityTest, AcknowledgedUpdateSurvivesReopen) {
   auto recovered = MakeDurable(data_dir, storage::CrashPoint::kNone, 0);
   EXPECT_EQ(recovered->shard(0).CurrentRegionOfUser(1).value(), live_region);
   EXPECT_EQ(recovered->PseudonymOf(1).value(), live_pseudonym);
+  ExpectBitIdentical(recovered.get(), twin.get());
+}
+
+// A WAL write that fails mid-drain refuses its batch outright: the live
+// server region stays put, the batch counts as rejected, and neither the
+// failed frame nor its LSN resurfaces with the next successful commit, so
+// the reopened service equals the live one bit for bit.
+TEST(WalWriteFailureTest, FailedBatchIsNeitherAppliedNorReplayed) {
+  const std::string data_dir = TempDataDir("wal_write_failure");
+  auto twin = MakeTwin();
+  std::vector<Rect> live_regions;
+  std::vector<ObjectId> live_pseudonyms;
+  {
+    auto durable = MakeDurable(data_dir, storage::CrashPoint::kNone, 0);
+    for (CloakDbService* db : {durable.get(), twin.get()}) {
+      for (UserId u = 1; u <= 8; ++u) {
+        ASSERT_TRUE(db->RegisterUser(u, KProfile(3)).ok());
+        ASSERT_TRUE(db->EnqueueUpdate(u, Point(10.0 * u, 7.0 * u), Noon())
+                        .ok());
+        ASSERT_TRUE(db->Flush().ok());
+      }
+    }
+    const Rect before = durable->shard(0).CurrentRegionOfUser(1).value();
+    const obs::Counter* rejected =
+        durable->metrics().counter("ingest.rejected_total");
+    const uint64_t rejected_before = rejected->Value();
+
+    // Cap this process's file size a few bytes past the WAL's end: the
+    // next frame's write comes up short, the one after fails outright.
+    const uintmax_t wal_bytes =
+        std::filesystem::file_size(data_dir + "/shard-0/wal.log");
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit capped = saved;
+    capped.rlim_cur = static_cast<rlim_t>(wal_bytes + 4);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    const Status enqueued = durable->EnqueueUpdate(1, Point(95, 95), Noon());
+    const Status flushed = durable->Flush();
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, old_handler);
+    ASSERT_TRUE(enqueued.ok());
+    ASSERT_TRUE(flushed.ok()) << flushed.ToString();
+
+    EXPECT_EQ(durable->shard(0).CurrentRegionOfUser(1).value(), before);
+    EXPECT_EQ(rejected->Value(), rejected_before + 1);
+    EXPECT_EQ(std::filesystem::file_size(data_dir + "/shard-0/wal.log"),
+              wal_bytes);
+
+    // The next batch commits normally, after the last durable record.
+    for (CloakDbService* db : {durable.get(), twin.get()}) {
+      ASSERT_TRUE(db->EnqueueUpdate(2, Point(60, 40), Noon()).ok());
+      ASSERT_TRUE(db->Flush().ok());
+    }
+    for (UserId u = 1; u <= 8; ++u) {
+      live_regions.push_back(durable->shard(0).CurrentRegionOfUser(u).value());
+      live_pseudonyms.push_back(durable->PseudonymOf(u).value());
+    }
+  }
+  auto recovered = MakeDurable(data_dir, storage::CrashPoint::kNone, 0);
+  EXPECT_EQ(recovered->recovery_info().truncated_records, 0u);
+  for (UserId u = 1; u <= 8; ++u) {
+    EXPECT_EQ(recovered->shard(0).CurrentRegionOfUser(u).value(),
+              live_regions[u - 1])
+        << "user " << u;
+    EXPECT_EQ(recovered->PseudonymOf(u).value(), live_pseudonyms[u - 1])
+        << "user " << u;
+  }
   ExpectBitIdentical(recovered.get(), twin.get());
 }
 

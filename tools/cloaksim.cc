@@ -11,7 +11,7 @@
 //            multilevel-grid] [--shards=S] [--workers=W] [--ticks=T]
 //            [--queries-per-tick=Q] [--pois=P] [--seed=S]
 //            [--profile="08:00-17:00 k=1; ..."] [--metrics-json=PATH]
-//            [--shared-exec] [--cache-capacity=N] [--batch-window-us=U]
+//            [--shared-exec] [--cache-capacity=N]
 //            [--trace-out=PATH] [--trace-jsonl=PATH] [--trace-sample=P]
 //            [--monitor-json=PATH]
 //            [--chaos] [--chaos-seed=S] [--fail-prob=P] [--delay-prob=P]
@@ -23,8 +23,8 @@
 //            [--checkpoint-interval=N] [--chaos-kill] [--kill-cycles=N]
 //            [--help]
 //
-// --shared-exec turns on the service's shared-execution engine (clustered
-// probes + candidate cache); cloaked regions snap to grid cells, so nearby
+// --shared-exec turns on the service's shared-execution engine (the
+// per-shard candidate cache); cloaked regions snap to grid cells, so nearby
 // users naturally repeat cache keys. Accuracy columns must stay 1.0 either
 // way — sharing is answer-invisible.
 //
@@ -106,7 +106,6 @@ struct Args {
   uint64_t seed = 42;
   bool shared_exec = false;
   size_t cache_capacity = 4096;
-  uint64_t batch_window_us = 0;
   uint32_t signature_cells = 0;  // 0 = service default
   std::string profile;       // optional Parse()-format profile
   std::string metrics_json;  // optional JSON dump path
@@ -175,8 +174,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
       args.shared_exec = true;
     } else if (ParseArg(argv[i], "cache-capacity", &value)) {
       args.cache_capacity = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseArg(argv[i], "batch-window-us", &value)) {
-      args.batch_window_us = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseArg(argv[i], "signature-cells", &value)) {
       args.signature_cells =
           static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
@@ -778,7 +775,6 @@ int Run(const Args& args) {
   options.anonymizer.pseudonym_seed = args.seed;
   options.enable_shared_execution = args.shared_exec;
   options.cache_capacity = args.cache_capacity;
-  options.batch_window_us = args.batch_window_us;
   options.durability_mode = args.durability;
   options.data_dir = args.data_dir;
   options.checkpoint_interval = args.checkpoint_interval;
@@ -1177,7 +1173,7 @@ void PrintUsage(std::FILE* out, const char* prog) {
       "usage: %s [--users=N] [--k=K] [--algorithm=KIND] [--shards=S] "
       "[--workers=W] [--ticks=T] [--queries-per-tick=Q] [--pois=P] "
       "[--seed=S] [--profile=SPEC] [--metrics-json=PATH] "
-      "[--shared-exec] [--cache-capacity=N] [--batch-window-us=U] "
+      "[--shared-exec] [--cache-capacity=N] "
       "[--trace-out=PATH] [--trace-jsonl=PATH] [--trace-sample=P] "
       "[--monitor-json=PATH] [--chaos] [--chaos-seed=S] [--fail-prob=P] "
       "[--delay-prob=P] [--delay-us=U] [--stall-prob=P] [--stall-us=U] "
