@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 namespace cloakdb {
 
@@ -29,19 +28,20 @@ RectGrid::CellRange RectGrid::CellsFor(const Rect& rect) const {
           clamp_cell((r.max_y - bounds_.min_y) / cell_h_)};
 }
 
-void RectGrid::AddToCells(ObjectId id, const Rect& rect) {
-  CellRange cr = CellsFor(rect);
+void RectGrid::AddToCells(uint32_t slot) {
+  CellRange cr = CellsFor(slots_[slot].rect);
+  slots_[slot].cells = cr;
   for (uint32_t cy = cr.y0; cy <= cr.y1; ++cy)
     for (uint32_t cx = cr.x0; cx <= cr.x1; ++cx)
-      cells_[CellIndex(cx, cy)].push_back(id);
+      cells_[CellIndex(cx, cy)].push_back(slot);
 }
 
-void RectGrid::RemoveFromCells(ObjectId id, const Rect& rect) {
-  CellRange cr = CellsFor(rect);
+void RectGrid::RemoveFromCells(uint32_t slot) {
+  const CellRange cr = slots_[slot].cells;
   for (uint32_t cy = cr.y0; cy <= cr.y1; ++cy) {
     for (uint32_t cx = cr.x0; cx <= cr.x1; ++cx) {
       auto& bucket = cells_[CellIndex(cx, cy)];
-      auto it = std::find(bucket.begin(), bucket.end(), id);
+      auto it = std::find(bucket.begin(), bucket.end(), slot);
       assert(it != bucket.end());
       *it = bucket.back();
       bucket.pop_back();
@@ -50,62 +50,77 @@ void RectGrid::RemoveFromCells(ObjectId id, const Rect& rect) {
 }
 
 Status RectGrid::Insert(ObjectId id, const Rect& rect) {
-  if (rects_.count(id) > 0)
+  if (slot_of_.count(id) > 0)
     return Status::AlreadyExists("rect id already in rect grid");
   if (!rect.Intersects(bounds_))
     return Status::OutOfRange("rect outside indexed space: " +
                               rect.ToString());
-  rects_.emplace(id, rect);
-  AddToCells(id, rect);
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].id = id;
+  slots_[slot].rect = rect;
+  slot_of_.emplace(id, slot);
+  AddToCells(slot);
   return Status::OK();
 }
 
 Status RectGrid::Remove(ObjectId id) {
-  auto it = rects_.find(id);
-  if (it == rects_.end())
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end())
     return Status::NotFound("rect id not in rect grid");
-  RemoveFromCells(id, it->second);
-  rects_.erase(it);
+  RemoveFromCells(it->second);
+  free_slots_.push_back(it->second);
+  slot_of_.erase(it);
   return Status::OK();
 }
 
 Status RectGrid::Update(ObjectId id, const Rect& new_rect) {
-  auto it = rects_.find(id);
-  if (it == rects_.end())
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end())
     return Status::NotFound("rect id not in rect grid");
   if (!new_rect.Intersects(bounds_))
     return Status::OutOfRange("rect outside indexed space: " +
                               new_rect.ToString());
-  RemoveFromCells(id, it->second);
-  it->second = new_rect;
-  AddToCells(id, new_rect);
+  RemoveFromCells(it->second);
+  slots_[it->second].rect = new_rect;
+  AddToCells(it->second);
   return Status::OK();
 }
 
 Status RectGrid::Upsert(ObjectId id, const Rect& rect) {
-  if (rects_.count(id) > 0) return Update(id, rect);
+  if (slot_of_.count(id) > 0) return Update(id, rect);
   return Insert(id, rect);
 }
 
 Result<Rect> RectGrid::Get(ObjectId id) const {
-  auto it = rects_.find(id);
-  if (it == rects_.end())
+  auto it = slot_of_.find(id);
+  if (it == slot_of_.end())
     return Status::NotFound("rect id not in rect grid");
-  return it->second;
+  return slots_[it->second].rect;
 }
 
 std::vector<RectEntry> RectGrid::IntersectingRects(const Rect& window) const {
   std::vector<RectEntry> out;
   if (!window.Intersects(bounds_)) return out;
-  CellRange cr = CellsFor(window);
-  std::unordered_set<ObjectId> seen;
-  for (uint32_t cy = cr.y0; cy <= cr.y1; ++cy) {
-    for (uint32_t cx = cr.x0; cx <= cr.x1; ++cx) {
-      for (ObjectId id : cells_[CellIndex(cx, cy)]) {
-        const Rect& rect = rects_.at(id);
-        if (!rect.Intersects(window)) continue;
-        if (!seen.insert(id).second) continue;
-        out.push_back({id, rect});
+  const CellRange wc = CellsFor(window);
+  for (uint32_t cy = wc.y0; cy <= wc.y1; ++cy) {
+    for (uint32_t cx = wc.x0; cx <= wc.x1; ++cx) {
+      for (uint32_t s : cells_[CellIndex(cx, cy)]) {
+        const Slot& slot = slots_[s];
+        // A rect bucketed in several scanned cells is reported only from
+        // the first of them in row-major order: once, and where a
+        // first-seen scan would have reported it.
+        if (cx != std::max(slot.cells.x0, wc.x0) ||
+            cy != std::max(slot.cells.y0, wc.y0))
+          continue;
+        if (!slot.rect.Intersects(window)) continue;
+        out.push_back({slot.id, slot.rect});
       }
     }
   }

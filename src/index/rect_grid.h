@@ -25,6 +25,10 @@ struct RectEntry {
 };
 
 /// Uniform grid where each cell lists the rectangles overlapping it.
+///
+/// Rectangles live in a dense slot table and cells hold slot numbers, so a
+/// scan reads each candidate without hashing; the id -> slot map serves
+/// only writes, Get and ForEach.
 class RectGrid {
  public:
   /// Grid over `bounds` with `cells_per_side` >= 1 cells per axis.
@@ -48,16 +52,19 @@ class RectGrid {
   /// The stored rectangle of an id.
   Result<Rect> Get(ObjectId id) const;
 
-  size_t size() const { return rects_.size(); }
+  size_t size() const { return slot_of_.size(); }
   const Rect& bounds() const { return bounds_; }
 
-  /// All rectangles intersecting `window`, deduplicated.
+  /// All rectangles intersecting `window`, each once, in the order a
+  /// row-major cell scan first meets them.
   std::vector<RectEntry> IntersectingRects(const Rect& window) const;
 
-  /// Visits every stored rectangle once (order unspecified).
+  /// Visits every stored rectangle once (order unspecified, but fixed by
+  /// the sequence of writes).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& [id, rect] : rects_) fn(RectEntry{id, rect});
+    for (const auto& [id, slot] : slot_of_)
+      fn(RectEntry{id, slots_[slot].rect});
   }
 
  private:
@@ -68,15 +75,23 @@ class RectGrid {
   size_t CellIndex(uint32_t cx, uint32_t cy) const {
     return static_cast<size_t>(cy) * cells_per_side_ + cx;
   }
-  void AddToCells(ObjectId id, const Rect& rect);
-  void RemoveFromCells(ObjectId id, const Rect& rect);
+  /// One stored rectangle and the cells it is bucketed in.
+  struct Slot {
+    ObjectId id = 0;
+    Rect rect;
+    CellRange cells{};
+  };
+  void AddToCells(uint32_t slot);
+  void RemoveFromCells(uint32_t slot);
 
   Rect bounds_;
   uint32_t cells_per_side_;
   double cell_w_;
   double cell_h_;
-  std::vector<std::vector<ObjectId>> cells_;
-  std::unordered_map<ObjectId, Rect> rects_;
+  std::vector<std::vector<uint32_t>> cells_;  ///< Slot numbers per cell.
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;  ///< Slots of removed ids, for reuse.
+  std::unordered_map<ObjectId, uint32_t> slot_of_;
 };
 
 }  // namespace cloakdb

@@ -30,22 +30,39 @@ std::vector<CountContribution> ScanCountContributions(const ObjectStore& store,
   return contributions;
 }
 
-Result<PublicCountResult> PublicRangeCountQuery(const ObjectStore& store,
-                                                const Rect& window) {
+std::vector<double> CountProbabilities(
+    const std::vector<CountContribution>& contributions) {
+  std::vector<double> probabilities;
+  probabilities.reserve(contributions.size());
+  for (const auto& c : contributions) probabilities.push_back(c.probability);
+  return probabilities;
+}
+
+Result<PublicCountPart> ScanPublicCount(const ObjectStore& store,
+                                        const Rect& window) {
   if (window.IsEmpty())
     return Status::InvalidArgument("query window must be non-empty");
+  PublicCountPart part;
+  part.contributions = ScanCountContributions(store, window);
+  part.naive_count = part.contributions.size();
+  return part;
+}
 
+Result<PublicCountResult> AnswerPublicCount(PublicCountPart part) {
   PublicCountResult result;
-  result.contributions = ScanCountContributions(store, window);
-  result.naive_count = result.contributions.size();
-  std::vector<double> probabilities;
-  probabilities.reserve(result.contributions.size());
-  for (const auto& c : result.contributions)
-    probabilities.push_back(c.probability);
-  auto answer = MakeCountAnswer(probabilities);
+  result.naive_count = part.naive_count;
+  result.contributions = std::move(part.contributions);
+  auto answer = MakeCountAnswer(CountProbabilities(result.contributions));
   if (!answer.ok()) return answer.status();
   result.answer = std::move(answer).value();
   return result;
+}
+
+Result<PublicCountResult> PublicRangeCountQuery(const ObjectStore& store,
+                                                const Rect& window) {
+  auto part = ScanPublicCount(store, window);
+  if (!part.ok()) return part.status();
+  return AnswerPublicCount(std::move(part).value());
 }
 
 Result<PublicNnResult> PublicNnQuery(const ObjectStore& store,

@@ -57,8 +57,30 @@ double CountContributionOf(const Rect& region, const Rect& window);
 std::vector<CountContribution> ScanCountContributions(const ObjectStore& store,
                                                       const Rect& window);
 
-/// Counts mobile users inside `window`. Fails with InvalidArgument on an
-/// empty window.
+/// The probabilities of `contributions`, in order: the input of the
+/// count answer builders (util/poisson_binomial.h).
+std::vector<double> CountProbabilities(
+    const std::vector<CountContribution>& contributions);
+
+/// One store's part of a public count: the scan, without an answer. A
+/// sharded count merges parts and answers once
+/// (MergePublicCountResults).
+struct PublicCountPart {
+  std::vector<CountContribution> contributions;  ///< In index order.
+  size_t naive_count = 0;  ///< Regions intersecting the window.
+};
+
+/// Scans `window` for a count. Fails with InvalidArgument on an empty
+/// window.
+Result<PublicCountPart> ScanPublicCount(const ObjectStore& store,
+                                        const Rect& window);
+
+/// The count answer over `part`'s contributions, in their order: all
+/// three formats (MakeCountAnswer).
+Result<PublicCountResult> AnswerPublicCount(PublicCountPart part);
+
+/// Counts mobile users inside `window`: ScanPublicCount then
+/// AnswerPublicCount. Fails with InvalidArgument on an empty window.
 Result<PublicCountResult> PublicRangeCountQuery(const ObjectStore& store,
                                                 const Rect& window);
 

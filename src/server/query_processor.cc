@@ -162,18 +162,25 @@ Result<PrivatePrivateNnResult> QueryProcessor::PrivatePrivateNn(
   return result;
 }
 
-Result<PublicCountResult> QueryProcessor::PublicCount(
+Result<PublicCountPart> QueryProcessor::ScanPublicCount(
     const Rect& window) const {
   obs::ScopedTimer probe(obs_.count_probe_us);
   obs::TraceSpan span(obs::CurrentTraceContext(), "index.probe");
-  auto result = PublicRangeCountQuery(store_, window);
+  auto part = cloakdb::ScanPublicCount(store_, window);
   span.End();
   probe.Stop();
-  if (result.ok()) {
+  if (part.ok()) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.public_count_queries;
   }
-  return result;
+  return part;
+}
+
+Result<PublicCountResult> QueryProcessor::PublicCount(
+    const Rect& window) const {
+  auto part = ScanPublicCount(window);
+  if (!part.ok()) return part.status();
+  return AnswerPublicCount(std::move(part).value());
 }
 
 Result<PublicNnResult> QueryProcessor::PublicNn(
@@ -277,7 +284,7 @@ PrivateKnnResult MergePrivateKnnResults(const Rect& cloaked, size_t k,
 }
 
 Result<PublicCountResult> MergePublicCountResults(
-    std::vector<PublicCountResult> parts) {
+    std::vector<PublicCountPart> parts) {
   PublicCountResult merged;
   for (auto& part : parts) {
     merged.naive_count += part.naive_count;
@@ -290,11 +297,7 @@ Result<PublicCountResult> MergePublicCountResults(
             [](const CountContribution& a, const CountContribution& b) {
               return a.pseudonym < b.pseudonym;
             });
-  std::vector<double> probabilities;
-  probabilities.reserve(merged.contributions.size());
-  for (const auto& c : merged.contributions)
-    probabilities.push_back(c.probability);
-  auto answer = MakeCountAnswer(probabilities);
+  auto answer = SummarizeCount(CountProbabilities(merged.contributions));
   if (!answer.ok()) return answer.status();
   merged.answer = std::move(answer).value();
   return merged;

@@ -134,7 +134,13 @@ class QueryProcessor {
   Result<PrivatePrivateNnResult> PrivatePrivateNn(
       const Rect& querier, const PrivatePrivateOptions& opts = {}) const;
 
-  /// Public count query over private data (Fig. 6a).
+  /// The scan of a public count query, without an answer: what a shard
+  /// contributes to a sharded count. Books the count's stats, probe time
+  /// and `index.probe` span.
+  Result<PublicCountPart> ScanPublicCount(const Rect& window) const;
+
+  /// Public count query over private data (Fig. 6a): ScanPublicCount plus
+  /// all three answer formats.
   Result<PublicCountResult> PublicCount(const Rect& window) const;
 
   /// Public NN query over private data (Fig. 6b).
@@ -171,10 +177,11 @@ class QueryProcessor {
 // hash-routes private users, then fans one query out to several
 // QueryProcessors and merges the partial results with these helpers. Merged
 // candidate lists are sorted by object id (deterministic regardless of
-// shard count); merged Range/Count results are *identical* to a
-// single-shard oracle over the union of the data, and merged NN/kNN results
-// preserve the candidate-list guarantee (the true answer for every possible
-// querier location survives the merge).
+// shard count); merged Range results are *identical* to a single-shard
+// oracle over the union of the data, merged Count contributions are the
+// oracle's sorted by pseudonym, and merged NN/kNN results preserve the
+// candidate-list guarantee (the true answer for every possible querier
+// location survives the merge).
 
 /// Merges private-range partials: candidate union (sorted by id), summed
 /// prune counters. `parts` must stem from the same (cloaked, radius) query
@@ -194,11 +201,13 @@ PrivateNnResult MergePrivateNnResults(const Rect& cloaked,
 PrivateKnnResult MergePrivateKnnResults(const Rect& cloaked, size_t k,
                                         std::vector<PrivateKnnResult> parts);
 
-/// Merges public-count partials: contributions concatenated (sorted by
-/// pseudonym) and the three paper answer formats recomputed from the merged
-/// per-object probabilities — bit-identical to the single-shard answer.
+/// Merges public-count parts: contributions concatenated (sorted by
+/// pseudonym) and the O(n) answer formats (expected value, variance,
+/// [min, max]) summarized from them. The PMF is left empty: the wire drops
+/// it, and a caller that returns it builds it with MakeCountAnswer over
+/// the merged contributions.
 Result<PublicCountResult> MergePublicCountResults(
-    std::vector<PublicCountResult> parts);
+    std::vector<PublicCountPart> parts);
 
 /// Merges heatmaps of identical resolution/space by summing expected mass.
 Result<HeatmapResult> MergeHeatmapResults(std::vector<HeatmapResult> parts);

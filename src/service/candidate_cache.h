@@ -1,7 +1,7 @@
 // Candidate-list caching for the shared-execution engine.
 //
 // A CandidateCache holds the index hits (id + point) of recent widened
-// probes (private-over-public queries) and whole public-count answers,
+// probes (private-over-public queries) and per-shard public-count parts,
 // keyed by a *grid-cell signature*: the cloaked region snapped outward to
 // a fixed signature grid plus a power-of-two-quantized reach. Snapping is
 // what makes repeated and drifting queries collide on the same key — any
@@ -43,7 +43,7 @@ enum class CacheKind : uint8_t {
   kRange = 0,  ///< Probe superset for private range queries.
   kNn = 1,     ///< Probe superset for private NN queries.
   kKnn = 2,    ///< Probe superset for private k-NN queries.
-  kCount = 3,  ///< Complete public-count answer for an exact window.
+  kCount = 3,  ///< A shard's count part (scan) for an exact window.
 };
 
 /// Snaps regions to a fixed G x G signature grid over the service space
@@ -99,12 +99,13 @@ struct CacheKeyHash {
 
 /// One cached unit of work. Probe entries carry the probe's index hits,
 /// which a cache hit refines through the isolated query's kernel before
-/// materializing the survivors; count entries carry the full answer.
+/// materializing the survivors; count entries carry the shard's count part
+/// (its scanned contributions), which the service merges and summarizes.
 /// `coverage` is the region whose underlying data the entry summarizes —
 /// the granule invalidation tests against.
 struct CacheEntry {
   std::vector<PointEntry> superset;  ///< kRange/kNn/kKnn.
-  PublicCountResult count;           ///< kCount.
+  PublicCountPart count;             ///< kCount.
   Rect coverage;
 };
 

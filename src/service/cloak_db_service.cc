@@ -872,7 +872,9 @@ Result<PublicCountResult> CloakDbService::PublicCount(
     const Rect& window) const {
   // The rich count result (PMF, per-object contributions) stays a library
   // feature: this method keeps its own admission so those callers do not
-  // pay envelope summarization. The envelope path shares CountFanOut.
+  // pay envelope summarization. The envelope path shares CountFanOut, whose
+  // merge stops at the O(n) formats; the PMF is built here only, over the
+  // merged pseudonym-sorted contributions.
   RootTrace trace(tracer_.get(), "query.public_count");
   obs::ScopedTraceContext scope(trace.context());
   Admission admission = AdmitQuery();
@@ -885,7 +887,13 @@ Result<PublicCountResult> CloakDbService::PublicCount(
   query.request = QueryRequest::Count(window);
   query.deadline = admission.deadline;
   query.shard_budget = admission.shard_budget;
-  return CountFanOut(query);
+  auto merged = CountFanOut(query);
+  if (!merged.ok()) return merged;
+  auto answer =
+      MakeCountAnswer(CountProbabilities(merged.value().contributions));
+  if (!answer.ok()) return answer.status();
+  merged.value().answer = std::move(answer).value();
+  return merged;
 }
 
 Result<HeatmapResult> CloakDbService::Heatmap(uint32_t resolution) const {
@@ -899,7 +907,9 @@ CloakDbService::FanoutGuard CloakDbService::FanOut(
     uint32_t shard_budget, const ShardProbe& probe,
     const std::function<double()>& dominance_bound,
     const Rect& region) const {
-  FanoutGuard guard{deadline, shard_budget};
+  FanoutGuard guard;
+  guard.deadline = deadline;
+  guard.budget = shard_budget;
   obs::TraceSpan fanout(obs::CurrentTraceContext(), "fanout");
   auto consult = [&](uint32_t i) {
     if (!guard.AllowProbe()) return;
@@ -960,7 +970,10 @@ Result<ResultT> CloakDbService::RunOneShot(const BatchQuery& query,
   CLOAKDB_RETURN_IF_ERROR(ValidateQuery(request));
   const QueryKindObs& kind_obs = kind_obs_[static_cast<size_t>(request.kind)];
   obs::ScopedTimer total(kind_obs.latency_us);
-  std::vector<ResultT> parts;
+  // A shard's part: the result type itself, or a count's bare scan.
+  using PartT =
+      std::decay_t<decltype(probe(std::declval<const Shard&>()).value())>;
+  std::vector<PartT> parts;
   std::function<double()> dominance_bound;
   if constexpr (kCandidateList<ResultT>) {
     const size_t k = request.kind == QueryKind::kPrivateNn    ? 1
@@ -975,7 +988,7 @@ Result<ResultT> CloakDbService::RunOneShot(const BatchQuery& query,
   const FanoutGuard guard = FanOut(
       home, query.deadline, query.shard_budget,
       [&](uint32_t i, obs::TraceSpan* probe_span) -> Status {
-        Result<ResultT> part = probe(*shards_[i]);
+        Result<PartT> part = probe(*shards_[i]);
         if (!part.ok()) return part.status();
         if constexpr (kCandidateList<ResultT>) {
           probe_span->AddAttr(

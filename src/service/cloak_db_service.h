@@ -258,7 +258,8 @@ class CloakDbService {
   Result<PrivateKnnResult> PrivateKnn(const Rect& cloaked, size_t k,
                                       Category category) const;
 
-  /// Public count over private data (every shard; exact merge).
+  /// Public count over private data (every shard; exact merge), with all
+  /// three answer formats: the only service call that builds the PMF.
   Result<PublicCountResult> PublicCount(const Rect& window) const;
 
   /// Expected-density heatmap over private data (every shard; exact merge).

@@ -238,10 +238,7 @@ Result<StandingAnswer> CloakDbService::AnswerContinuous(
             [](const CountContribution& a, const CountContribution& b) {
               return a.pseudonym < b.pseudonym;
             });
-  std::vector<double> ps;
-  ps.reserve(answer.contributions.size());
-  for (const auto& c : answer.contributions) ps.push_back(c.probability);
-  auto count = MakeCountAnswer(ps);
+  auto count = MakeCountAnswer(CountProbabilities(answer.contributions));
   if (!count.ok()) return count.status();
   answer.count = std::move(count).value();
   return answer;

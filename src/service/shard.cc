@@ -497,9 +497,9 @@ Result<PrivateKnnResult> Shard::PrivateKnn(const Rect& cloaked, size_t k,
                PlanPrivateKnn(server_.store(), cloaked, k, category));
 }
 
-Result<PublicCountResult> Shard::PublicCount(const Rect& window) const {
+Result<PublicCountPart> Shard::PublicCount(const Rect& window) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!cache_.enabled()) return server_.PublicCount(window);
+  if (!cache_.enabled()) return server_.ScanPublicCount(window);
   CacheKey key;
   key.kind = CacheKind::kCount;
   key.region = window;
@@ -507,13 +507,13 @@ Result<PublicCountResult> Shard::PublicCount(const Rect& window) const {
     server_.NotePublicCountFromCache();
     return entry->count;
   }
-  auto result = server_.PublicCount(window);
-  if (!result.ok()) return result;
+  auto part = server_.ScanPublicCount(window);
+  if (!part.ok()) return part;
   CacheEntry entry;
-  entry.count = result.value();
+  entry.count = part.value();
   entry.coverage = window;
   cache_.Insert(key, std::move(entry));
-  return result;
+  return part;
 }
 
 Result<Rect> Shard::CurrentRegionOfUser(UserId user) const {

@@ -170,7 +170,7 @@ class Shard {
   // With the candidate cache enabled, the private kinds serve the widened
   // probe from the cache when possible and then refine exactly like an
   // isolated query — results are identical, only the fetch is shared — and
-  // a count is cached whole, keyed by its exact window. Probe + cache
+  // a count part is cached whole, keyed by its exact window. Probe + cache
   // insert happen under one shared lock, and
   // writers invalidate under the exclusive lock, so a stale entry can never
   // be inserted over a concurrent update. With the cache disabled every
@@ -182,7 +182,10 @@ class Shard {
                                     Category category) const;
   Result<PrivateKnnResult> PrivateKnn(const Rect& cloaked, size_t k,
                                       Category category) const;
-  Result<PublicCountResult> PublicCount(const Rect& window) const;
+  /// This shard's part of a one-shot count: the scan, no answer (the
+  /// one-shot twin of StandingCount). The service merges the parts and
+  /// summarizes once.
+  Result<PublicCountPart> PublicCount(const Rect& window) const;
   Result<HeatmapResult> Heatmap(uint32_t resolution) const;
 
   /// The shard's candidate cache (for diagnostics and tests).

@@ -30,26 +30,43 @@ int CountAnswer::MostLikely() const {
   return static_cast<int>(it - pmf.begin());
 }
 
-Result<CountAnswer> MakeCountAnswer(const std::vector<double>& ps,
-                                    double certainty_eps) {
-  std::vector<double> snapped;
-  snapped.reserve(ps.size());
+namespace {
+
+// The paper's "100% sure": a probability within `eps` of 0 or 1 is exact.
+double Snapped(double p, double eps) {
+  double q = std::clamp(p, 0.0, 1.0);
+  if (q <= eps) q = 0.0;
+  if (q >= 1.0 - eps) q = 1.0;
+  return q;
+}
+
+}  // namespace
+
+Result<CountAnswer> SummarizeCount(const std::vector<double>& ps,
+                                   double certainty_eps) {
   CountAnswer ans;
   for (double p : ps) {
     if (p < -certainty_eps || p > 1.0 + certainty_eps)
       return Status::InvalidArgument("count probability outside [0, 1]");
-    double q = std::clamp(p, 0.0, 1.0);
-    if (q <= certainty_eps) q = 0.0;
-    if (q >= 1.0 - certainty_eps) q = 1.0;
-    snapped.push_back(q);
+    const double q = Snapped(p, certainty_eps);
     ans.expected += q;
     ans.variance += q * (1.0 - q);
     if (q == 1.0) ++ans.min_count;
     if (q > 0.0) ++ans.max_count;
   }
+  return ans;
+}
+
+Result<CountAnswer> MakeCountAnswer(const std::vector<double>& ps,
+                                    double certainty_eps) {
+  auto ans = SummarizeCount(ps, certainty_eps);
+  if (!ans.ok()) return ans;
+  std::vector<double> snapped;
+  snapped.reserve(ps.size());
+  for (double p : ps) snapped.push_back(Snapped(p, certainty_eps));
   auto pmf = PoissonBinomialPmf(snapped);
   if (!pmf.ok()) return pmf.status();
-  ans.pmf = std::move(pmf).value();
+  ans.value().pmf = std::move(pmf).value();
   return ans;
 }
 

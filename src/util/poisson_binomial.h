@@ -37,9 +37,16 @@ struct CountAnswer {
   double variance = 0.0;
 };
 
-/// Builds all three answer formats from the per-object probabilities.
-/// Probabilities within `certainty_eps` of 0 or 1 are snapped, matching the
-/// paper's "100% sure" reading of fully-contained / disjoint regions.
+/// Builds the O(n) answer formats from the per-object probabilities:
+/// expected value, variance and the [min, max] interval; `pmf` stays
+/// empty. Probabilities within `certainty_eps` of 0 or 1 are snapped,
+/// matching the paper's "100% sure" reading of fully-contained / disjoint
+/// regions.
+Result<CountAnswer> SummarizeCount(const std::vector<double>& ps,
+                                   double certainty_eps = 1e-12);
+
+/// Builds all three answer formats: SummarizeCount plus the O(n^2) PMF
+/// over the same snapped probabilities.
 Result<CountAnswer> MakeCountAnswer(const std::vector<double>& ps,
                                     double certainty_eps = 1e-12);
 

@@ -2,12 +2,73 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
+#include <unordered_set>
+#include <vector>
 
 #include "util/random.h"
 
 namespace cloakdb {
 namespace {
+
+/// The reference layout: cells list ids, removal swaps with the bucket's
+/// back, and a scan dedups through a seen-set. RectGrid must report what
+/// this reports, in the same order.
+class SeenSetGrid {
+ public:
+  SeenSetGrid(const Rect& bounds, uint32_t n)
+      : bounds_(bounds), n_(n), cells_(static_cast<size_t>(n) * n) {}
+
+  void Add(ObjectId id, const Rect& rect) {
+    rects_[id] = rect;
+    ForCells(rect, [&](size_t cell) { cells_[cell].push_back(id); });
+  }
+  void Remove(ObjectId id) {
+    ForCells(rects_.at(id), [&](size_t cell) {
+      auto& bucket = cells_[cell];
+      *std::find(bucket.begin(), bucket.end(), id) = bucket.back();
+      bucket.pop_back();
+    });
+    rects_.erase(id);
+  }
+  std::vector<ObjectId> Scan(const Rect& window) const {
+    std::vector<ObjectId> out;
+    if (!window.Intersects(bounds_)) return out;
+    std::unordered_set<ObjectId> seen;
+    ForCells(window, [&](size_t cell) {
+      for (ObjectId id : cells_[cell]) {
+        if (!rects_.at(id).Intersects(window)) continue;
+        if (seen.insert(id).second) out.push_back(id);
+      }
+    });
+    return out;
+  }
+
+ private:
+  uint32_t Cell(double v, double lo, double step) const {
+    auto c = static_cast<int64_t>(std::floor((v - lo) / step));
+    return static_cast<uint32_t>(std::clamp<int64_t>(c, 0, n_ - 1));
+  }
+  /// Visits the cells `rect` is bucketed in, row-major.
+  template <typename Fn>
+  void ForCells(const Rect& rect, Fn&& fn) const {
+    const double w = bounds_.Width() / n_, h = bounds_.Height() / n_;
+    const Rect r = rect.Intersection(bounds_);
+    for (uint32_t cy = Cell(r.min_y, bounds_.min_y, h);
+         cy <= Cell(r.max_y, bounds_.min_y, h); ++cy)
+      for (uint32_t cx = Cell(r.min_x, bounds_.min_x, w);
+           cx <= Cell(r.max_x, bounds_.min_x, w); ++cx)
+        fn(static_cast<size_t>(cy) * n_ + cx);
+  }
+
+  Rect bounds_;
+  uint32_t n_;
+  std::vector<std::vector<ObjectId>> cells_;
+  std::map<ObjectId, Rect> rects_;
+};
 
 TEST(RectGridTest, InsertGetRemove) {
   RectGrid rg(Rect(0, 0, 10, 10), 4);
@@ -112,6 +173,100 @@ TEST(RectGridTest, DegeneratePointRect) {
   ASSERT_TRUE(rg.Insert(1, Rect::FromPoint({5, 5})).ok());
   EXPECT_EQ(rg.IntersectingRects(Rect(4, 4, 6, 6)).size(), 1u);
   EXPECT_TRUE(rg.IntersectingRects(Rect(6.1, 6.1, 7, 7)).empty());
+}
+
+/// A coordinate that is often a cell edge of an 8-cell grid over [0, 100]
+/// (multiples of 12.5), sometimes outside the space.
+double ChurnCoord(Rng* rng) {
+  switch (rng->UniformInt(0, 2)) {
+    case 0:
+      return 12.5 * static_cast<double>(rng->UniformInt(-1, 9));
+    case 1:
+      return rng->Uniform(-20, 120);
+    default:
+      return rng->Uniform(0, 100);
+  }
+}
+
+/// A rect from churn coordinates: zero width or height a quarter of the
+/// time, partly or wholly outside the space at times.
+Rect ChurnRect(Rng* rng) {
+  double x0 = ChurnCoord(rng), y0 = ChurnCoord(rng);
+  double x1 = rng->UniformInt(0, 3) == 0 ? x0 : ChurnCoord(rng);
+  double y1 = rng->UniformInt(0, 3) == 0 ? y0 : ChurnCoord(rng);
+  return Rect(std::min(x0, x1), std::min(y0, y1), std::max(x0, x1),
+              std::max(y0, y1));
+}
+
+TEST(RectGridTest, ChurnMatchesSeenSetScanAndShadowMap) {
+  const Rect bounds(0, 0, 100, 100);
+  RectGrid rg(bounds, 8);
+  SeenSetGrid reference(bounds, 8);
+  std::map<ObjectId, Rect> shadow;
+  Rng rng(2024);
+  for (int step = 0; step < 3000; ++step) {
+    SCOPED_TRACE(step);
+    // Few ids, so removals free slots that later inserts reuse.
+    const ObjectId id = static_cast<ObjectId>(rng.UniformInt(1, 40));
+    const Rect rect = ChurnRect(&rng);
+    const bool present = shadow.count(id) > 0;
+    const bool in_space = rect.Intersects(bounds);
+    const int op = static_cast<int>(rng.UniformInt(0, 3));
+    Status status;
+    if (op == 0) {
+      status = rg.Insert(id, rect);
+    } else if (op == 1) {
+      status = rg.Update(id, rect);
+    } else if (op == 2) {
+      status = rg.Upsert(id, rect);
+    } else {
+      status = rg.Remove(id);
+    }
+    const bool writes = op == 3 ? present
+                        : op == 0 ? !present && in_space
+                        : op == 1 ? present && in_space
+                                  : in_space;
+    ASSERT_EQ(status.ok(), writes) << status.ToString();
+    if (writes) {
+      if (present) reference.Remove(id);
+      if (op == 3) {
+        shadow.erase(id);
+      } else {
+        reference.Add(id, rect);
+        shadow[id] = rect;
+      }
+    }
+
+    ASSERT_EQ(rg.size(), shadow.size());
+    for (ObjectId probe = 1; probe <= 40; ++probe) {
+      auto got = rg.Get(probe);
+      auto it = shadow.find(probe);
+      ASSERT_EQ(got.ok(), it != shadow.end());
+      if (got.ok()) EXPECT_EQ(got.value(), it->second);
+    }
+    std::map<ObjectId, Rect> visited;
+    rg.ForEach([&](const RectEntry& e) {
+      EXPECT_TRUE(visited.emplace(e.id, e.rect).second) << e.id;
+    });
+    ASSERT_EQ(visited, shadow);
+
+    for (const Rect& window : {ChurnRect(&rng), ChurnRect(&rng), bounds}) {
+      const std::vector<RectEntry> hits = rg.IntersectingRects(window);
+      std::vector<ObjectId> ids;
+      for (const RectEntry& hit : hits) {
+        ids.push_back(hit.id);
+        EXPECT_EQ(hit.rect, shadow.at(hit.id));
+      }
+      ASSERT_EQ(ids, reference.Scan(window)) << window.ToString();
+      std::set<ObjectId> brute;
+      if (window.Intersects(bounds)) {
+        for (const auto& [sid, srect] : shadow)
+          if (srect.Intersects(window)) brute.insert(sid);
+      }
+      EXPECT_EQ(std::set<ObjectId>(ids.begin(), ids.end()), brute);
+      EXPECT_EQ(ids.size(), brute.size());  // each id once
+    }
+  }
 }
 
 }  // namespace
