@@ -19,6 +19,9 @@ Result<CloakedRegion> MbrCloaking::Cloak(ObjectId user, const Point& location,
     auto neighbors =
         snapshot_->grid().KNearest(location, req.k - 1, /*exclude_id=*/user);
     for (const auto& n : neighbors) region = region.Union(n.location);
+    // Fewer than k users in all: best effort is the whole space, as for the
+    // other algorithms (a lone user's MBR would be its exact point).
+    if (neighbors.size() + 1 < req.k) region = snapshot_->space();
   }
 
   // Pad to A_min around the MBR center (not the user), preserving the MBR

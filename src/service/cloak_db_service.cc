@@ -193,16 +193,18 @@ Result<std::unique_ptr<CloakDbService>> CloakDbService::Create(
 Status CloakDbService::Start() {
   // Resolve every metric handle once; shards and query paths record through
   // these raw pointers for the service's lifetime.
-  auto init_kind = [this](QueryKindObs* o, const char* kind) {
-    const std::string p = std::string("query.") + kind + ".";
+  auto init_kind = [this](QueryKindObs* o, QueryKind kind) {
+    const std::string p = std::string("query.") + QueryKindName(kind) + ".";
     o->latency_us = metrics_.histogram(p + "latency_us");
     o->merge_us = metrics_.histogram(p + "merge_us");
     o->shards_touched = metrics_.histogram(p + "shards_touched");
     o->candidates = metrics_.histogram(p + "candidates");
-    o->wire_bytes = metrics_.counter(p + "wire_bytes");
+    // Only candidate lists are priced (RunOneShot); aggregates are not.
+    if (kind != QueryKind::kPublicCount && kind != QueryKind::kHeatmap)
+      o->wire_bytes = metrics_.counter(p + "wire_bytes");
   };
   for (uint8_t kind = 0; IsValidQueryKind(kind); ++kind)
-    init_kind(&kind_obs_[kind], QueryKindName(static_cast<QueryKind>(kind)));
+    init_kind(&kind_obs_[kind], static_cast<QueryKind>(kind));
 
   ShardObs shard_obs;
   shard_obs.queue_wait_us = metrics_.histogram("ingest.queue_wait_us");

@@ -376,7 +376,7 @@ class CloakDbService {
     obs::ShardedHistogram* merge_us = nullptr;    ///< Fan-in merge time.
     obs::ShardedHistogram* shards_touched = nullptr;
     obs::ShardedHistogram* candidates = nullptr;  ///< Result-list size.
-    obs::Counter* wire_bytes = nullptr;  ///< Modeled client payload bytes.
+    obs::Counter* wire_bytes = nullptr;  ///< Candidate-list kinds only.
   };
 
   /// Robustness metric handles, resolved once in Start().

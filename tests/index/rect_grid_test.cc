@@ -242,7 +242,7 @@ TEST(RectGridTest, ChurnMatchesSeenSetScanAndShadowMap) {
       auto got = rg.Get(probe);
       auto it = shadow.find(probe);
       ASSERT_EQ(got.ok(), it != shadow.end());
-      if (got.ok()) EXPECT_EQ(got.value(), it->second);
+      if (got.ok()) { EXPECT_EQ(got.value(), it->second); }
     }
     std::map<ObjectId, Rect> visited;
     rg.ForEach([&](const RectEntry& e) {

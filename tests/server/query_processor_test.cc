@@ -45,7 +45,7 @@ std::vector<ObjectId> CandidateIds(const PrivateNnResult& answer) {
 }
 
 TEST(QueryProcessorTest, BulkLoadSealsTheCategory) {
-  // The plain (LbsSystem) server serves public data from the same sealed
+  // A standalone server serves public data from the same sealed
   // StaticRTree as the service shards.
   QueryProcessor server(Rect(0, 0, 100, 100));
   ASSERT_TRUE(server.store().BulkLoadCategory(1, MakePois(100, 1, 7)).ok());

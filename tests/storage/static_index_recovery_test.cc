@@ -110,8 +110,9 @@ void ExpectSameAnswers(CloakDbService* recovered, CloakDbService* twin) {
     auto r_r = recovered->PrivateRange(cloaked, 8.0, kCat);
     auto r_t = twin->PrivateRange(cloaked, 8.0, kCat);
     ASSERT_EQ(r_r.ok(), r_t.ok());
-    if (r_r.ok())
+    if (r_r.ok()) {
       EXPECT_EQ(ids(r_r.value().candidates), ids(r_t.value().candidates));
+    }
 
     auto nn_r = recovered->PrivateNn(cloaked, kCat);
     auto nn_t = twin->PrivateNn(cloaked, kCat);
@@ -124,8 +125,9 @@ void ExpectSameAnswers(CloakDbService* recovered, CloakDbService* twin) {
     auto knn_r = recovered->PrivateKnn(cloaked, 4, kCat);
     auto knn_t = twin->PrivateKnn(cloaked, 4, kCat);
     ASSERT_EQ(knn_r.ok(), knn_t.ok());
-    if (knn_r.ok())
+    if (knn_r.ok()) {
       EXPECT_EQ(ids(knn_r.value().candidates), ids(knn_t.value().candidates));
+    }
   }
 }
 

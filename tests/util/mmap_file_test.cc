@@ -23,8 +23,9 @@ std::string TempPath(const std::string& tag) {
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  if (!bytes.empty())
+  if (!bytes.empty()) {
     ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   ASSERT_EQ(std::fclose(f), 0);
 }
 
