@@ -59,7 +59,7 @@ void BM_BAS_Landmarks(benchmark::State& state) {
   auto server = bench::MakeServer(2000);
   const PublicCategoryIndex* index = server->store().CategoryIndex(1).value();
   // Landmarks are a separate, fixed public layer.
-  RTree landmarks;
+  PublicCategoryIndex landmarks;
   {
     Rng rng(2);
     std::vector<PointEntry> entries;

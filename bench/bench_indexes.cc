@@ -1,16 +1,16 @@
 // Experiment IDX — substrate ablation: the spatial index structures that
 // everything above is built on (uniform grid, pyramid, PR quadtree,
-// R-tree, rect grid). Not a paper figure; justifies the structure choices
-// recorded in DESIGN.md.
+// static R-tree and its post-seal facade, rect grid). Not a paper figure;
+// justifies the structure choices recorded in DESIGN.md.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
 #include "index/grid_index.h"
+#include "index/public_index.h"
 #include "index/pyramid.h"
 #include "index/quadtree.h"
 #include "index/rect_grid.h"
-#include "index/rtree.h"
 #include "index/static_rtree.h"
 
 namespace cloakdb {
@@ -120,92 +120,63 @@ void BM_IDX_GridKnn(benchmark::State& state) {
 }
 BENCHMARK(BM_IDX_GridKnn)->Arg(1)->Arg(10)->Arg(100);
 
-void BM_IDX_RTreeKnn(benchmark::State& state) {
-  const auto k = static_cast<size_t>(state.range(0));
-  RTree index;
-  (void)index.BulkLoad(bench::MakeUsers(100000));
-  Rng rng(6);
-  for (auto _ : state) {
-    Point q{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    benchmark::DoNotOptimize(index.KNearest(q, k));
-  }
-  state.counters["k"] = static_cast<double>(k);
-}
-BENCHMARK(BM_IDX_RTreeKnn)->Arg(1)->Arg(10)->Arg(100);
-
-void BM_IDX_RTreeBulkLoadVsInsert(benchmark::State& state) {
-  const bool bulk = state.range(0) != 0;
-  auto users = bench::MakeUsers(50000);
-  for (auto _ : state) {
-    RTree index;
-    if (bulk) {
-      benchmark::DoNotOptimize(index.BulkLoad(users));
-    } else {
-      for (const auto& u : users) {
-        benchmark::DoNotOptimize(index.Insert(u.id, u.location));
-      }
-    }
-  }
-  state.counters["bulk"] = bulk ? 1.0 : 0.0;
-}
-BENCHMARK(BM_IDX_RTreeBulkLoadVsInsert)
-    ->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-// --- Static vs dynamic R-tree over the public-POI workload ---------------
-//
-// Arg(0) = dynamic RTree, Arg(1) = packed StaticRTree, same point set and
-// probe stream — the CI perf gate compares the two medians directly.
+// --- Public-POI probes on the packed StaticRTree ---------------------------
 
 void BM_IDX_PoiRangeProbe(benchmark::State& state) {
-  const bool use_static = state.range(0) != 0;
-  auto pois = bench::MakeUsers(100000);
-  RTree dynamic_tree;
-  StaticRTree static_tree;
-  if (use_static) {
-    static_tree = StaticRTree::Build(pois).value();
-  } else {
-    (void)dynamic_tree.BulkLoad(pois);
-  }
+  const StaticRTree tree = StaticRTree::Build(bench::MakeUsers(100000)).value();
   Rng rng(9);
   std::vector<PointEntry> hits;
   for (auto _ : state) {
     Point c{rng.Uniform(10, 90), rng.Uniform(10, 90)};
-    const Rect window = Rect::CenteredSquare(c, 5.0);
-    if (use_static) {
-      hits.clear();
-      static_tree.RangeSearchInto(window, nullptr, &hits);
-      benchmark::DoNotOptimize(hits.data());
-    } else {
-      benchmark::DoNotOptimize(dynamic_tree.RangeSearch(window));
-    }
+    hits.clear();
+    tree.RangeSearchInto(Rect::CenteredSquare(c, 5.0), nullptr, &hits);
+    benchmark::DoNotOptimize(hits.data());
   }
-  state.counters["static"] = use_static ? 1.0 : 0.0;
 }
-BENCHMARK(BM_IDX_PoiRangeProbe)->Arg(0)->Arg(1);
+BENCHMARK(BM_IDX_PoiRangeProbe);
 
 void BM_IDX_PoiKnn(benchmark::State& state) {
-  const bool use_static = state.range(0) != 0;
-  auto pois = bench::MakeUsers(100000);
-  RTree dynamic_tree;
-  StaticRTree static_tree;
-  if (use_static) {
-    static_tree = StaticRTree::Build(pois).value();
-  } else {
-    (void)dynamic_tree.BulkLoad(pois);
-  }
+  const StaticRTree tree = StaticRTree::Build(bench::MakeUsers(100000)).value();
   Rng rng(10);
   for (auto _ : state) {
     Point q{rng.Uniform(0, 100), rng.Uniform(0, 100)};
-    if (use_static) {
-      benchmark::DoNotOptimize(static_tree.KNearest(q, 10, nullptr));
+    benchmark::DoNotOptimize(tree.KNearest(q, 10, nullptr));
+  }
+}
+BENCHMARK(BM_IDX_PoiKnn);
+
+// --- Post-seal probes: sealed POIs plus the spill overlay ------------------
+//
+// 100k POIs sealed by one bulk load, then Arg(0) more added one at a time,
+// which land in the overlay (the default compact limit is 1,024, so none
+// compacts). Arg(1) picks the probe: 0 = range (the 5 x 5 window of
+// BM_IDX_PoiRangeProbe), 1 = kNN with k = 10, 2 = NearestDistance. Only
+// PublicCategoryIndex's public API is used.
+
+void BM_IDX_PostSealProbe(benchmark::State& state) {
+  const auto spill = static_cast<ObjectId>(state.range(0));
+  const int64_t probe = state.range(1);
+  PublicCategoryIndex index;
+  (void)index.BulkLoad(bench::MakeUsers(100000));
+  Rng rng(11);
+  for (ObjectId i = 1; i <= spill; ++i) {
+    (void)index.Insert(1000000 + i, {rng.Uniform(0, 100), rng.Uniform(0, 100)});
+  }
+  for (auto _ : state) {
+    const Point q{rng.Uniform(10, 90), rng.Uniform(10, 90)};
+    if (probe == 0) {
+      benchmark::DoNotOptimize(index.RangeSearch(Rect::CenteredSquare(q, 5.0)));
+    } else if (probe == 1) {
+      benchmark::DoNotOptimize(index.KNearest(q, 10));
     } else {
-      benchmark::DoNotOptimize(dynamic_tree.KNearest(q, 10));
+      benchmark::DoNotOptimize(index.NearestDistance(q));
     }
   }
-  state.counters["static"] = use_static ? 1.0 : 0.0;
+  state.counters["overlay"] = static_cast<double>(index.overlay_size());
 }
-BENCHMARK(BM_IDX_PoiKnn)->Arg(0)->Arg(1);
+BENCHMARK(BM_IDX_PostSealProbe)
+    ->ArgNames({"overlay", "probe"})
+    ->ArgsProduct({{0, 64, 1024}, {0, 1, 2}});
 
 void BM_IDX_StaticRTreeBuild(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));

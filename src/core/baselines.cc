@@ -55,8 +55,8 @@ DummyLeakageReport EvaluateDummyLeakage(
   return report;
 }
 
-Result<LandmarkUpdate> MakeLandmarkUpdate(const Point& true_location,
-                                          const RTree& landmarks) {
+Result<LandmarkUpdate> MakeLandmarkUpdate(
+    const Point& true_location, const PublicCategoryIndex& landmarks) {
   auto nn = landmarks.KNearest(true_location, 1);
   if (nn.empty()) return Status::NotFound("no landmarks available");
   LandmarkUpdate update;
@@ -67,7 +67,7 @@ Result<LandmarkUpdate> MakeLandmarkUpdate(const Point& true_location,
 }
 
 LandmarkReport EvaluateLandmarks(const std::vector<Point>& users,
-                                 const RTree& landmarks) {
+                                 const PublicCategoryIndex& landmarks) {
   LandmarkReport report;
   size_t exposed = 0;
   for (const Point& user : users) {

@@ -21,7 +21,7 @@
 
 #include "geom/point.h"
 #include "geom/rect.h"
-#include "index/rtree.h"
+#include "index/public_index.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -70,7 +70,7 @@ DummyLeakageReport EvaluateDummyLeakage(const std::vector<DummyUpdate>& updates,
 /// Server-side cost model of dummies: a private range query must be
 /// answered for *every* point, so the candidate cost is the union of n
 /// point-query results. Returns the union's object ids (against one
-/// category index — any type with the RTree query surface).
+/// category index — any type with RangeSearch and KNearest).
 template <typename Index>
 std::vector<ObjectId> DummyRangeQuery(const Index& index,
                                       const DummyUpdate& update,
@@ -117,8 +117,8 @@ struct LandmarkUpdate {
 
 /// Reports the nearest landmark from `landmarks` for `true_location`.
 /// Fails with NotFound on an empty landmark index.
-Result<LandmarkUpdate> MakeLandmarkUpdate(const Point& true_location,
-                                          const RTree& landmarks);
+Result<LandmarkUpdate> MakeLandmarkUpdate(
+    const Point& true_location, const PublicCategoryIndex& landmarks);
 
 /// Aggregate quality/privacy trade-off of landmark reporting over a batch
 /// of users: the adversary's best guess is the landmark itself, so the
@@ -133,7 +133,7 @@ struct LandmarkReport {
 };
 
 LandmarkReport EvaluateLandmarks(const std::vector<Point>& users,
-                                 const RTree& landmarks);
+                                 const PublicCategoryIndex& landmarks);
 
 }  // namespace cloakdb
 

@@ -1,50 +1,88 @@
 #include "index/public_index.h"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <limits>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
 
+#include "geom/distance.h"
+
 namespace cloakdb {
 
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Window that matches every entry — used to enumerate the overlay.
-Rect EverythingWindow() { return Rect(-kInf, -kInf, kInf, kInf); }
 
 void BumpCounter(obs::Counter* c, uint64_t delta = 1) {
   if (c != nullptr && delta > 0) c->Increment(delta);
 }
 
+bool ByXThenId(const PointEntry& a, const PointEntry& b) {
+  return std::tie(a.location.x, a.id) < std::tie(b.location.x, b.id);
+}
+
+/// First entry of the x-sorted `overlay` with x >= `x`.
+std::vector<PointEntry>::const_iterator FirstAtX(
+    const std::vector<PointEntry>& overlay, double x) {
+  return std::lower_bound(
+      overlay.begin(), overlay.end(), x,
+      [](const PointEntry& e, double v) { return e.location.x < v; });
+}
+
+/// Calls `fn` on every overlay entry inside `window`: a binary search to
+/// the window's min_x, then a scan that stops past its max_x.
+template <typename Fn>
+void ForEachInWindow(const std::vector<PointEntry>& overlay,
+                     const Rect& window, Fn&& fn) {
+  for (auto it = FirstAtX(overlay, window.min_x);
+       it != overlay.end() && it->location.x <= window.max_x; ++it) {
+    if (window.Contains(it->location)) fn(*it);
+  }
+}
+
 }  // namespace
 
+std::vector<PointEntry>::const_iterator PublicCategoryIndex::OverlayFind(
+    ObjectId id) const {
+  return std::find_if(overlay_.begin(), overlay_.end(),
+                      [id](const PointEntry& e) { return e.id == id; });
+}
+
+Status PublicCategoryIndex::CompactIfOverLimit() {
+  if (overlay_.size() + tombstones_.size() <= config_.overlay_compact_limit) {
+    return Status::OK();
+  }
+  return Compact();
+}
+
 Status PublicCategoryIndex::Insert(ObjectId id, const Point& location) {
-  if (sealed_.ContainsId(id) && tombstones_.count(id) == 0) {
+  if (!std::isfinite(location.x) || !std::isfinite(location.y)) {
+    return Status::InvalidArgument("public object location is not finite");
+  }
+  if (OverlayFind(id) != overlay_.end() ||
+      (sealed_.ContainsId(id) && tombstones_.count(id) == 0)) {
     return Status::AlreadyExists("public object id already stored");
   }
-  CLOAKDB_RETURN_IF_ERROR(overlay_.Insert(id, location));
+  const PointEntry entry{id, location};
+  overlay_.insert(
+      std::upper_bound(overlay_.begin(), overlay_.end(), entry, ByXThenId),
+      entry);
   BumpCounter(config_.obs != nullptr ? config_.obs->overlay_inserts_total
                                      : nullptr);
-  if (overlay_.size() + tombstones_.size() > config_.overlay_compact_limit) {
-    return Compact();
-  }
-  return Status::OK();
+  return CompactIfOverLimit();
 }
 
 Status PublicCategoryIndex::Remove(ObjectId id) {
-  if (overlay_.Locate(id).ok()) return overlay_.Remove(id);
-  if (sealed_.ContainsId(id) && tombstones_.count(id) == 0) {
-    tombstones_.insert(id);
+  auto it = OverlayFind(id);
+  if (it != overlay_.end()) {
+    overlay_.erase(it);
+    return Status::OK();
+  }
+  if (sealed_.ContainsId(id) && tombstones_.insert(id).second) {
     BumpCounter(config_.obs != nullptr ? config_.obs->tombstones_total
                                        : nullptr);
-    if (overlay_.size() + tombstones_.size() >
-        config_.overlay_compact_limit) {
-      return Compact();
-    }
-    return Status::OK();
+    return CompactIfOverLimit();
   }
   return Status::NotFound("public object id not stored");
 }
@@ -54,7 +92,7 @@ Status PublicCategoryIndex::BulkLoad(std::vector<PointEntry> entries) {
   Result<StaticRTree> built = StaticRTree::Build(std::move(entries));
   if (!built.ok()) return built.status();
   sealed_ = std::move(built).value();
-  overlay_ = RTree();
+  overlay_.clear();
   tombstones_.clear();
   ++seal_generation_;
   if (config_.obs != nullptr) {
@@ -69,8 +107,8 @@ size_t PublicCategoryIndex::size() const {
 }
 
 Result<Point> PublicCategoryIndex::Locate(ObjectId id) const {
-  Result<Point> in_overlay = overlay_.Locate(id);
-  if (in_overlay.ok()) return in_overlay;
+  auto it = OverlayFind(id);
+  if (it != overlay_.end()) return it->location;
   if (tombstones_.count(id) != 0) {
     return Status::NotFound("object " + std::to_string(id) +
                             " not in static index");
@@ -81,10 +119,9 @@ Result<Point> PublicCategoryIndex::Locate(ObjectId id) const {
 std::vector<PointEntry> PublicCategoryIndex::RangeSearch(
     const Rect& window) const {
   std::vector<PointEntry> out;
-  sealed_.RangeSearchInto(window, tombstones_.empty() ? nullptr : &tombstones_,
-                          &out);
-  std::vector<PointEntry> spill = overlay_.RangeSearch(window);
-  out.insert(out.end(), spill.begin(), spill.end());
+  sealed_.RangeSearchInto(window, Skip(), &out);
+  ForEachInWindow(overlay_, window,
+                  [&out](const PointEntry& e) { out.push_back(e); });
   std::sort(out.begin(), out.end(),
             [](const PointEntry& a, const PointEntry& b) {
               return a.id < b.id;
@@ -93,31 +130,47 @@ std::vector<PointEntry> PublicCategoryIndex::RangeSearch(
 }
 
 size_t PublicCategoryIndex::RangeCount(const Rect& window) const {
-  return sealed_.RangeCount(window,
-                            tombstones_.empty() ? nullptr : &tombstones_) +
-         overlay_.RangeCount(window);
+  size_t count = sealed_.RangeCount(window, Skip());
+  ForEachInWindow(overlay_, window, [&count](const PointEntry&) { ++count; });
+  return count;
 }
 
 std::vector<PointEntry> PublicCategoryIndex::KNearest(const Point& from,
                                                       size_t k) const {
-  std::vector<PointEntry> merged = sealed_.KNearest(
-      from, k, tombstones_.empty() ? nullptr : &tombstones_);
-  std::vector<PointEntry> spill = overlay_.KNearest(from, k);
-  merged.insert(merged.end(), spill.begin(), spill.end());
-  std::sort(merged.begin(), merged.end(),
-            [&from](const PointEntry& a, const PointEntry& b) {
-              return std::make_pair(Distance(from, a.location), a.id) <
-                     std::make_pair(Distance(from, b.location), b.id);
-            });
-  if (merged.size() > k) merged.resize(k);
-  return merged;
+  std::vector<PointEntry> best = sealed_.KNearest(from, k, Skip());
+  if (k == 0) return best;
+  const auto closer = [&from](const PointEntry& a, const PointEntry& b) {
+    return std::make_pair(Distance(from, a.location), a.id) <
+           std::make_pair(Distance(from, b.location), b.id);
+  };
+  // Folds one overlay entry into `best` (the k smallest (distance, id) so
+  // far, seeded with the sealed tree's answer). Returns false once the x
+  // gap alone exceeds the k-th distance: every entry further out on that
+  // side of the query is then out of reach too.
+  const auto fold = [&](const PointEntry& e) {
+    if (best.size() == k && Distance(from, {e.location.x, from.y}) >
+                                Distance(from, best.back().location)) {
+      return false;
+    }
+    if (best.size() < k || closer(e, best.back())) {
+      best.insert(std::upper_bound(best.begin(), best.end(), e, closer), e);
+      if (best.size() > k) best.pop_back();
+    }
+    return true;
+  };
+  const auto pivot = FirstAtX(overlay_, from.x);
+  for (auto it = pivot; it != overlay_.end() && fold(*it); ++it) {
+  }
+  for (auto it = pivot; it != overlay_.begin() && fold(*std::prev(it));
+       --it) {
+  }
+  return best;
 }
 
 double PublicCategoryIndex::NearestDistance(const Point& from) const {
-  return std::min(
-      sealed_.NearestDistance(from,
-                              tombstones_.empty() ? nullptr : &tombstones_),
-      overlay_.NearestDistance(from));
+  std::vector<PointEntry> nearest = KNearest(from, 1);
+  if (nearest.empty()) return std::numeric_limits<double>::infinity();
+  return Distance(from, nearest.front().location);
 }
 
 std::vector<PointEntry> PublicCategoryIndex::LiveEntries() const {
@@ -126,8 +179,7 @@ std::vector<PointEntry> PublicCategoryIndex::LiveEntries() const {
   sealed_.ForEachEntry([this, &out](ObjectId id, const Point& p) {
     if (tombstones_.count(id) == 0) out.push_back({id, p});
   });
-  std::vector<PointEntry> spill = overlay_.RangeSearch(EverythingWindow());
-  out.insert(out.end(), spill.begin(), spill.end());
+  out.insert(out.end(), overlay_.begin(), overlay_.end());
   return out;
 }
 
@@ -155,18 +207,17 @@ Status PublicCategoryIndex::AdoptSealed(StaticRTree sealed,
   }
 
   sealed_ = std::move(sealed);
-  overlay_ = RTree();
   tombstones_ = std::move(dead);
-  for (const auto& [id, p] : want) {
-    CLOAKDB_RETURN_IF_ERROR(overlay_.Insert(id, p));
-  }
+  overlay_.clear();
+  for (const auto& [id, p] : want) overlay_.push_back({id, p});
+  std::sort(overlay_.begin(), overlay_.end(), ByXThenId);
   ++seal_generation_;
   if (config_.obs != nullptr) {
     BumpCounter(config_.obs->adoptions_total);
     BumpCounter(config_.obs->overlay_inserts_total, want.size());
     BumpCounter(config_.obs->tombstones_total, tombstones_.size());
   }
-  return Status::OK();
+  return CompactIfOverLimit();
 }
 
 Status PublicCategoryIndex::Compact() {
@@ -174,7 +225,7 @@ Status PublicCategoryIndex::Compact() {
   Result<StaticRTree> built = StaticRTree::Build(LiveEntries());
   if (!built.ok()) return built.status();
   sealed_ = std::move(built).value();
-  overlay_ = RTree();
+  overlay_.clear();
   tombstones_.clear();
   ++seal_generation_;
   if (config_.obs != nullptr) {

@@ -1,4 +1,4 @@
-// Per-category public-data index: a sealed StaticRTree + spill overlay.
+// Per-category public-data index: a sealed StaticRTree + a bounded spill.
 //
 // Public POIs are read-mostly, so every category is served by the packed
 // StaticRTree (index/static_rtree.h). But the store's write surface
@@ -6,17 +6,19 @@
 // working after a category is sealed, so the index is a three-part
 // structure:
 //
-//   sealed     StaticRTree        immutable bulk of the category
-//   overlay    dynamic RTree      objects added (or moved) after sealing
-//   tombstones id set             sealed objects since removed/moved
+//   sealed     StaticRTree               immutable bulk of the category
+//   overlay    vector sorted by (x, id)  objects added (or moved) after sealing
+//   tombstones id set                    sealed objects since removed/moved
 //
 // Queries merge sealed (minus tombstones) with the overlay; results are
 // deterministic (range results sorted by id, kNN by (distance, id)).
-// Compaction folds overlay + tombstones back into a fresh sealed tree —
-// triggered inline when the spill grows past `overlay_compact_limit`, and
-// by the service's checkpoint path so the serialized sidecar stays close
-// to the live set. A category that is never sealed is served by its
-// overlay alone, i.e. by the quadratic-split RTree.
+// Overlay + tombstones never exceed `overlay_compact_limit`: a mutation or
+// an adoption that would pass it folds them back into a fresh sealed tree,
+// and the service's checkpoint path compacts too, so the serialized sidecar
+// stays close to the live set. The bound also keeps the overlay short
+// enough that an x-slab scan beats a tree (docs/INDEXES.md, "Spill"). A
+// category that is never sealed is served by its overlay alone until its
+// first compaction seals it.
 
 #ifndef CLOAKDB_INDEX_PUBLIC_INDEX_H_
 #define CLOAKDB_INDEX_PUBLIC_INDEX_H_
@@ -26,7 +28,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "index/rtree.h"
 #include "index/static_rtree.h"
 #include "obs/metrics.h"
 #include "util/status.h"
@@ -47,13 +48,13 @@ struct StaticIndexObs {
   obs::Counter* rebuilds_total = nullptr;        ///< adoption fallbacks
 };
 
-/// One category's public-data index. Move-only, like RTree.
+/// One category's public-data index. Move-only, like StaticRTree.
 class PublicCategoryIndex {
  public:
   struct Config {
     /// Unread; assigned by perfbench/src/replay.cc:23.
     PublicIndexMode mode = PublicIndexMode::kStatic;
-    /// Overlay + tombstone count that triggers an inline compaction.
+    /// Bound on overlay + tombstones; passing it compacts inline.
     size_t overlay_compact_limit = 1024;
     /// Optional lifecycle counters (shared across categories).
     const StaticIndexObs* obs = nullptr;
@@ -67,9 +68,10 @@ class PublicCategoryIndex {
   PublicCategoryIndex(PublicCategoryIndex&&) = default;
   PublicCategoryIndex& operator=(PublicCategoryIndex&&) = default;
 
-  // --- Mutation (mirrors RTree's contract) -------------------------------
+  // --- Mutation ------------------------------------------------------------
 
-  /// Fails with AlreadyExists on a duplicate id.
+  /// Fails with AlreadyExists on a duplicate id and with InvalidArgument on
+  /// a non-finite coordinate.
   Status Insert(ObjectId id, const Point& location);
 
   /// Fails with NotFound when absent.
@@ -80,7 +82,7 @@ class PublicCategoryIndex {
   /// non-finite coordinate and leaves the index unchanged.
   Status BulkLoad(std::vector<PointEntry> entries);
 
-  // --- Queries (same surface the server code used on RTree) --------------
+  // --- Queries -------------------------------------------------------------
 
   size_t size() const;
   Result<Point> Locate(ObjectId id) const;
@@ -108,7 +110,8 @@ class PublicCategoryIndex {
   /// Adopts a deserialized (usually mmap-backed) sealed tree, verifying it
   /// entry-by-entry against `objects` — the authoritative live set from the
   /// snapshot. Sealed entries missing from `objects` become tombstones;
-  /// `objects` entries missing from the sealed tree go to the overlay. Any
+  /// `objects` entries missing from the sealed tree go to the overlay, and
+  /// a spill past `overlay_compact_limit` is compacted at once. Any
   /// id whose stored location disagrees fails with Internal and leaves the
   /// index unchanged (caller falls back to a fresh BulkLoad).
   Status AdoptSealed(StaticRTree sealed,
@@ -124,10 +127,16 @@ class PublicCategoryIndex {
 
  private:
   std::vector<PointEntry> LiveEntries() const;
+  const StaticRTree::IdFilter* Skip() const {
+    return tombstones_.empty() ? nullptr : &tombstones_;
+  }
+  std::vector<PointEntry>::const_iterator OverlayFind(ObjectId id) const;
+  /// Compacts when overlay + tombstones pass `overlay_compact_limit`.
+  Status CompactIfOverLimit();
 
   Config config_;
   StaticRTree sealed_;
-  RTree overlay_;  // post-seal inserts
+  std::vector<PointEntry> overlay_;  // post-seal inserts, sorted by (x, id)
   std::unordered_set<ObjectId> tombstones_;
   uint64_t seal_generation_ = 0;
 };

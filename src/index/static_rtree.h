@@ -1,8 +1,8 @@
 // STR bulk-packed static R-tree over point objects (public POIs).
 //
-// The dynamic quadratic-split RTree (index/rtree.h) earns its keep on
-// mutable private data, but public POIs are read-mostly and the pointer
-// chasing costs cache misses the workload doesn't need. This tree is the
+// Public POIs are read-mostly, so they need no in-place updates and no
+// pointer chasing (private cloaked data, which moves on every update, lives
+// in RectGrid instead). This tree is the only R-tree in the code and the
 // osrm-style answer: Sort-Tile-Recursive bulk packing into an *implicit*
 // array layout with zero pointers, u32 fixed-point coordinates so a leaf
 // entry is 16 bytes and a 64-entry leaf page is exactly 1 KiB (a

@@ -21,7 +21,6 @@
 #include "geom/rect.h"
 #include "index/public_index.h"
 #include "index/rect_grid.h"
-#include "index/rtree.h"
 #include "util/byte_codec.h"
 #include "util/status.h"
 

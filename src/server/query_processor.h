@@ -76,8 +76,9 @@ struct QueryProcessorObs {
 class QueryProcessor {
  public:
   /// `space` bounds the private-region index; `wire_cost` prices the
-  /// candidate lists charged to bytes_to_clients; `public_index` selects
-  /// the per-category public-data structure (index/public_index.h).
+  /// candidate lists charged to bytes_to_clients; `public_index`
+  /// configures every category's sealed tree + spill facade — its compact
+  /// limit and lifecycle counters (index/public_index.h).
   explicit QueryProcessor(const Rect& space, uint32_t rect_grid_cells = 64,
                           const WireCostModel& wire_cost = {},
                           const PublicCategoryIndex::Config& public_index = {});

@@ -11,8 +11,8 @@ namespace {
 
 const Rect kSpace(0, 0, 100, 100);
 
-RTree MakePois(size_t n, uint64_t seed) {
-  RTree tree;
+PublicCategoryIndex MakePois(size_t n, uint64_t seed) {
+  PublicCategoryIndex tree;
   Rng rng(seed);
   std::vector<PointEntry> entries;
   for (ObjectId id = 1; id <= n; ++id) {
@@ -152,7 +152,7 @@ TEST(LandmarkTest, ReportsNearestLandmark) {
 }
 
 TEST(LandmarkTest, EmptyIndexFails) {
-  RTree empty;
+  PublicCategoryIndex empty;
   EXPECT_EQ(MakeLandmarkUpdate({1, 1}, empty).status().code(),
             StatusCode::kNotFound);
 }
@@ -171,7 +171,7 @@ TEST(LandmarkTest, DenserLandmarksMeanLessPrivacy) {
 }
 
 TEST(LandmarkTest, UserAtLandmarkIsExposed) {
-  RTree landmarks;
+  PublicCategoryIndex landmarks;
   ASSERT_TRUE(landmarks.Insert(1, {5, 5}).ok());
   auto report = EvaluateLandmarks({{5, 5}, {50, 50}}, landmarks);
   EXPECT_DOUBLE_EQ(report.exposed_rate, 0.5);

@@ -1,18 +1,20 @@
 // PublicCategoryIndex facade oracle: the facade (sealed tree + overlay +
-// tombstones) fed a randomized op stream must answer exactly like a plain
-// dynamic RTree fed the same stream — before and after compactions, and
-// across the AdoptSealed recovery path.
+// tombstones) fed a randomized op stream must answer exactly like a
+// brute-force scan of the same live set — before and after compactions,
+// and across the AdoptSealed recovery path.
 
 #include "index/public_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <vector>
 
 #include "geom/distance.h"
+#include "point_model.h"
 #include "util/random.h"
 
 namespace cloakdb {
@@ -32,27 +34,29 @@ std::set<ObjectId> Ids(const std::vector<PointEntry>& entries) {
   return out;
 }
 
-/// Compares the whole query surface of `facade` against the RTree oracle.
-void ExpectSameAnswers(const PublicCategoryIndex& facade, const RTree& oracle,
-                       Rng* rng) {
+/// Compares the whole query surface of `facade` against the brute-force
+/// oracle.
+void ExpectSameAnswers(const PublicCategoryIndex& facade,
+                       const testing::PointModel& oracle, Rng* rng) {
   ASSERT_EQ(facade.size(), oracle.size());
   for (int trial = 0; trial < 12; ++trial) {
     Rect w(rng->Uniform(-10, 80), rng->Uniform(-10, 80), 0, 0);
     w.max_x = w.min_x + rng->Uniform(0, 60);
     w.max_y = w.min_y + rng->Uniform(0, 60);
-    EXPECT_EQ(Ids(facade.RangeSearch(w)), Ids(oracle.RangeSearch(w)));
-    EXPECT_EQ(facade.RangeCount(w), oracle.RangeCount(w));
+    EXPECT_EQ(Ids(facade.RangeSearch(w)), testing::ModelRangeIds(oracle, w));
+    EXPECT_EQ(facade.RangeCount(w), testing::ModelCount(oracle, w));
 
     Point q{rng->Uniform(-5, 105), rng->Uniform(-5, 105)};
     for (size_t k : {size_t{1}, size_t{5}}) {
       auto got = facade.KNearest(q, k);
-      auto want = oracle.KNearest(q, k);
+      auto want = testing::ModelKNearest(oracle, q, k);
       ASSERT_EQ(got.size(), want.size());
       for (size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(Distance(got[i].location, q), Distance(want[i].location, q));
       }
     }
-    EXPECT_EQ(facade.NearestDistance(q), oracle.NearestDistance(q));
+    EXPECT_EQ(facade.NearestDistance(q),
+              testing::ModelNearestDistance(oracle, q));
   }
 }
 
@@ -61,6 +65,10 @@ TEST(PublicCategoryIndexTest, NeverSealedIndexIsItsOverlay) {
   ASSERT_TRUE(facade.Insert(1, {1, 1}).ok());
   ASSERT_TRUE(facade.Insert(2, {2, 2}).ok());
   EXPECT_EQ(facade.Insert(1, {3, 3}).code(), StatusCode::kAlreadyExists);
+  // A non-finite x would break the overlay's sort order; BulkLoad rejects
+  // it too.
+  EXPECT_EQ(facade.Insert(3, {std::nan(""), 1}).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(facade.size(), 2u);
   ASSERT_TRUE(facade.Remove(1).ok());
   EXPECT_EQ(facade.Remove(1).code(), StatusCode::kNotFound);
@@ -73,7 +81,7 @@ TEST(PublicCategoryIndexTest, RandomOpStreamMatchesOracle) {
   // compaction, and something in between.
   for (size_t limit : {size_t{100000}, size_t{8}, size_t{64}}) {
     PublicCategoryIndex facade{StaticConfig(limit)};
-    RTree oracle;
+    testing::PointModel oracle;
     Rng rng(1000 + limit);
 
     // Seed with a sealed bulk.
@@ -82,7 +90,8 @@ TEST(PublicCategoryIndexTest, RandomOpStreamMatchesOracle) {
       seed.push_back({id, {rng.Uniform(0, 100), rng.Uniform(0, 100)}});
     }
     ASSERT_TRUE(facade.BulkLoad(seed).ok());
-    ASSERT_TRUE(oracle.BulkLoad(seed).ok());
+    oracle = testing::ModelOf(seed);
+    ASSERT_EQ(oracle.size(), seed.size());
     EXPECT_TRUE(facade.HasSealedTree());
 
     std::vector<ObjectId> live;
@@ -95,13 +104,13 @@ TEST(PublicCategoryIndexTest, RandomOpStreamMatchesOracle) {
         Point p{rng.Uniform(0, 100), rng.Uniform(0, 100)};
         ObjectId id = next_id++;
         ASSERT_TRUE(facade.Insert(id, p).ok());
-        ASSERT_TRUE(oracle.Insert(id, p).ok());
+        ASSERT_TRUE(oracle.emplace(id, p).second);
         live.push_back(id);
       } else if (op < 7) {  // remove (sealed ones become tombstones)
         size_t pick = rng.NextBelow(live.size());
         ObjectId id = live[pick];
         ASSERT_TRUE(facade.Remove(id).ok());
-        ASSERT_TRUE(oracle.Remove(id).ok());
+        ASSERT_EQ(oracle.erase(id), 1u);
         live[pick] = live.back();
         live.pop_back();
       } else if (op < 9) {  // move = remove + insert
@@ -110,8 +119,8 @@ TEST(PublicCategoryIndexTest, RandomOpStreamMatchesOracle) {
         Point p{rng.Uniform(0, 100), rng.Uniform(0, 100)};
         ASSERT_TRUE(facade.Remove(id).ok());
         ASSERT_TRUE(facade.Insert(id, p).ok());
-        ASSERT_TRUE(oracle.Remove(id).ok());
-        ASSERT_TRUE(oracle.Insert(id, p).ok());
+        ASSERT_EQ(oracle.erase(id), 1u);
+        ASSERT_TRUE(oracle.emplace(id, p).second);
       } else {  // explicit compaction
         ASSERT_TRUE(facade.Compact().ok());
         EXPECT_EQ(facade.overlay_size(), 0u);
@@ -121,7 +130,7 @@ TEST(PublicCategoryIndexTest, RandomOpStreamMatchesOracle) {
     }
     ExpectSameAnswers(facade, oracle, &rng);
 
-    // Duplicate / missing ids fail identically to the RTree contract.
+    // Duplicate / missing ids fail with AlreadyExists / NotFound.
     ASSERT_FALSE(live.empty());
     EXPECT_EQ(facade.Insert(live[0], {1, 1}).code(),
               StatusCode::kAlreadyExists);
@@ -170,10 +179,67 @@ TEST(PublicCategoryIndexTest, AdoptSealedReconcilesOverlayAndTombstones) {
   EXPECT_FALSE(facade.Locate(3).ok());
   EXPECT_TRUE(facade.Locate(100).ok());
 
-  RTree oracle;
-  ASSERT_TRUE(oracle.BulkLoad(snapshot).ok());
+  const testing::PointModel oracle = testing::ModelOf(snapshot);
+  ASSERT_EQ(oracle.size(), snapshot.size());
   Rng rng(77);
   ExpectSameAnswers(facade, oracle, &rng);
+}
+
+TEST(PublicCategoryIndexTest, AdoptSealedKeepsSpillBounded) {
+  // A sealed blob of 10 points and a snapshot holding those 10 plus 20 ids
+  // added after the seal: 20 spill entries would pass the limit of 8.
+  std::vector<PointEntry> sealed_set;
+  for (ObjectId id = 1; id <= 10; ++id) {
+    sealed_set.push_back({id, {static_cast<double>(id) * 9.0, 5.0}});
+  }
+  auto sealed = StaticRTree::Build(sealed_set);
+  ASSERT_TRUE(sealed.ok());
+  std::vector<PointEntry> snapshot = sealed_set;
+  for (ObjectId id = 100; id < 120; ++id) {
+    snapshot.push_back({id, {static_cast<double>(id - 100) * 4.5, 60.0}});
+  }
+
+  PublicCategoryIndex facade{StaticConfig(8)};
+  ASSERT_TRUE(facade.AdoptSealed(std::move(sealed).value(), snapshot).ok());
+  EXPECT_LE(facade.overlay_size() + facade.tombstone_count(), 8u);
+  EXPECT_EQ(facade.size(), snapshot.size());
+  EXPECT_TRUE(facade.Locate(100).ok());
+
+  const testing::PointModel oracle = testing::ModelOf(snapshot);
+  Rng rng(78);
+  ExpectSameAnswers(facade, oracle, &rng);
+}
+
+TEST(PublicCategoryIndexTest, HandlesDuplicateLocations) {
+  // Equal x everywhere: the overlay's (x, id) order falls back to ids.
+  PublicCategoryIndex facade;
+  for (ObjectId id = 1; id <= 50; ++id) {
+    ASSERT_TRUE(facade.Insert(id, {5.0, 5.0}).ok());
+  }
+  EXPECT_EQ(facade.RangeCount(Rect(5, 5, 5, 5)), 50u);
+  auto nearest = facade.KNearest({5, 5}, 50);
+  ASSERT_EQ(nearest.size(), 50u);
+  for (size_t i = 0; i < nearest.size(); ++i) {
+    EXPECT_EQ(nearest[i].id, i + 1);  // ties broken by id
+  }
+  for (ObjectId id = 1; id <= 50; ++id) ASSERT_TRUE(facade.Remove(id).ok());
+  EXPECT_EQ(facade.size(), 0u);
+}
+
+TEST(PublicCategoryIndexTest, RemoveAllThenReuse) {
+  PublicCategoryIndex facade;
+  EXPECT_EQ(facade.NearestDistance({0, 0}), kInf);
+  Rng rng(18);
+  for (ObjectId id = 1; id <= 100; ++id) {
+    ASSERT_TRUE(
+        facade.Insert(id, {rng.Uniform(0, 100), rng.Uniform(0, 100)}).ok());
+  }
+  for (ObjectId id = 1; id <= 100; ++id) ASSERT_TRUE(facade.Remove(id).ok());
+  EXPECT_EQ(facade.size(), 0u);
+  EXPECT_EQ(facade.NearestDistance({0, 0}), kInf);
+  ASSERT_TRUE(facade.Insert(7, {3, 4}).ok());
+  EXPECT_EQ(facade.KNearest({0, 0}, 1).front().id, 7u);
+  EXPECT_DOUBLE_EQ(facade.NearestDistance({0, 0}), 5.0);
 }
 
 TEST(PublicCategoryIndexTest, AdoptSealedRejectsDivergedLocations) {

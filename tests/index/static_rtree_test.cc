@@ -1,5 +1,5 @@
 // StaticRTree oracle suite: every query on the packed tree must agree with
-// the dynamic RTree (and with brute force) over randomized worlds, across
+// a brute-force scan of the same points over randomized worlds, across
 // the serialize -> FromBlob -> FromMapped round trips, at sizes that cover
 // the page-boundary edge cases (0, 1, 63, 64, 65, ..., 20k).
 
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "geom/distance.h"
-#include "index/rtree.h"
+#include "point_model.h"
 #include "util/random.h"
 
 namespace cloakdb {
@@ -50,13 +50,13 @@ std::set<ObjectId> Ids(const std::vector<PointEntry>& entries) {
   return out;
 }
 
-/// The full query battery: static answers == dynamic-oracle answers,
-/// bit for bit where the contract promises it.
+/// The full query battery: static answers == brute-force answers, bit for
+/// bit where the contract promises it.
 void ExpectMatchesOracle(const StaticRTree& tree,
                          const std::vector<PointEntry>& points,
                          uint64_t seed) {
-  RTree oracle;
-  ASSERT_TRUE(oracle.BulkLoad(points).ok());
+  const testing::PointModel oracle = testing::ModelOf(points);
+  ASSERT_EQ(oracle.size(), points.size());
   ASSERT_EQ(tree.size(), points.size());
 
   Rng rng(seed);
@@ -65,27 +65,28 @@ void ExpectMatchesOracle(const StaticRTree& tree,
     w.max_x = w.min_x + rng.Uniform(0, 50);
     w.max_y = w.min_y + rng.Uniform(0, 50);
     auto hits = StaticRange(tree, w);
-    EXPECT_EQ(Ids(hits), Ids(oracle.RangeSearch(w)));
-    EXPECT_EQ(tree.RangeCount(w, nullptr), oracle.RangeCount(w));
+    EXPECT_EQ(Ids(hits), testing::ModelRangeIds(oracle, w));
+    EXPECT_EQ(tree.RangeCount(w, nullptr), testing::ModelCount(oracle, w));
     // Exact coordinates must round-trip bit-identically.
     for (const auto& h : hits) {
-      auto loc = oracle.Locate(h.id);
-      ASSERT_TRUE(loc.ok());
-      EXPECT_EQ(h.location.x, loc.value().x);
-      EXPECT_EQ(h.location.y, loc.value().y);
+      auto loc = oracle.find(h.id);
+      ASSERT_TRUE(loc != oracle.end());
+      EXPECT_EQ(h.location.x, loc->second.x);
+      EXPECT_EQ(h.location.y, loc->second.y);
     }
 
     Point q{rng.Uniform(-5, 105), rng.Uniform(-5, 105)};
     for (size_t k : {size_t{1}, size_t{3}, size_t{17}}) {
       auto got = tree.KNearest(q, k, nullptr);
-      auto want = oracle.KNearest(q, k);
+      auto want = testing::ModelKNearest(oracle, q, k);
       ASSERT_EQ(got.size(), want.size());
       // Distances must agree exactly (ids can differ only on exact ties).
       for (size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(Distance(got[i].location, q), Distance(want[i].location, q));
       }
     }
-    EXPECT_EQ(tree.NearestDistance(q, nullptr), oracle.NearestDistance(q));
+    EXPECT_EQ(tree.NearestDistance(q, nullptr),
+              testing::ModelNearestDistance(oracle, q));
   }
 
   // Point lookups.

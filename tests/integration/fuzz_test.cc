@@ -14,12 +14,13 @@
 
 #include "geom/distance.h"
 #include "index/grid_index.h"
+#include "index/public_index.h"
 #include "index/quadtree.h"
 #include "index/rect_grid.h"
-#include "index/rtree.h"
 #include "service/cloak_db_service.h"
 #include "sim/poi.h"
 #include "util/random.h"
+#include "../index/point_model.h"
 
 namespace cloakdb {
 namespace {
@@ -38,15 +39,8 @@ Rect RandomWindow(Rng* rng) {
 }
 
 // Reference model: id -> point, queried by brute force.
-using PointModel = std::map<ObjectId, Point>;
-
-size_t ModelCount(const PointModel& model, const Rect& window) {
-  size_t count = 0;
-  for (const auto& [id, p] : model) {
-    if (window.Contains(p)) ++count;
-  }
-  return count;
-}
+using testing::ModelCount;
+using testing::PointModel;
 
 template <typename Index>
 void RunPointIndexFuzz(Index* index, uint64_t seed, size_t ops) {
@@ -105,43 +99,73 @@ TEST(FuzzTest, QuadtreeAgainstReference) {
   }
 }
 
-TEST(FuzzTest, RTreeAgainstReference) {
-  // RTree has no Move; emulate with Remove+Insert inside a dedicated loop.
+TEST(FuzzTest, PublicIndexAgainstReference) {
+  // A compact limit of 8 keeps the sealed tree, the overlay, tombstones
+  // and inline compactions all in play; every op is followed by a check of
+  // the whole query surface and of the spill bound.
+  constexpr size_t kLimit = 8;
   for (uint64_t seed : {7u, 8u}) {
-    RTree index;
+    PublicCategoryIndex::Config config;
+    config.overlay_compact_limit = kLimit;
+    PublicCategoryIndex index(config);
     Rng rng(seed);
     PointModel model;
     ObjectId next_id = 1;
+    ObjectId removed = 0;  // the last id removed, if any
     for (size_t op = 0; op < 2000; ++op) {
-      double dice = rng.NextDouble();
+      const double dice = rng.NextDouble();
       if (dice < 0.5 || model.empty()) {
         ObjectId id = next_id++;
         Point p = RandomPoint(&rng);
-        ASSERT_TRUE(index.Insert(id, p).ok());
+        ASSERT_TRUE(index.Insert(id, p).ok()) << "op " << op;
         model.emplace(id, p);
-      } else if (dice < 0.8) {
+      } else if (dice < 0.85) {
         auto it = model.begin();
         std::advance(it, rng.NextBelow(model.size()));
-        ASSERT_TRUE(index.Remove(it->first).ok());
+        ASSERT_TRUE(index.Remove(it->first).ok()) << "op " << op;
+        removed = it->first;
         model.erase(it);
-      } else {
-        Rect w = RandomWindow(&rng);
-        ASSERT_EQ(index.RangeCount(w), ModelCount(model, w)) << "op " << op;
+      } else if (dice < 0.87) {
+        std::vector<PointEntry> fresh;
+        for (size_t i = 1 + rng.NextBelow(300); i > 0; --i) {
+          fresh.push_back({next_id++, RandomPoint(&rng)});
+        }
+        model = testing::ModelOf(fresh);
+        ASSERT_TRUE(index.BulkLoad(std::move(fresh)).ok()) << "op " << op;
+      } else if (dice < 0.92) {
+        ASSERT_TRUE(index.Compact().ok()) << "op " << op;
       }
-    }
-    // kNN cross-check at the end.
-    for (int i = 0; i < 10 && !model.empty(); ++i) {
+
+      ASSERT_LE(index.overlay_size() + index.tombstone_count(), kLimit)
+          << "op " << op;
+      ASSERT_EQ(index.size(), model.size()) << "op " << op;
+      Rect w = RandomWindow(&rng);
+      std::set<ObjectId> got_ids;
+      for (const auto& e : index.RangeSearch(w)) got_ids.insert(e.id);
+      ASSERT_EQ(got_ids, testing::ModelRangeIds(model, w)) << "op " << op;
+      ASSERT_EQ(index.RangeCount(w), ModelCount(model, w)) << "op " << op;
       Point q = RandomPoint(&rng);
       size_t k = 1 + rng.NextBelow(5);
-      auto got = index.KNearest(q, std::min(k, model.size()));
-      std::vector<std::pair<double, ObjectId>> brute;
-      for (const auto& [id, p] : model) {
-        brute.push_back({Distance(q, p), id});
-      }
-      std::sort(brute.begin(), brute.end());
-      ASSERT_EQ(got.size(), std::min(k, model.size()));
+      auto got = index.KNearest(q, k);
+      auto want = testing::ModelKNearest(model, q, k);
+      ASSERT_EQ(got.size(), want.size()) << "op " << op;
       for (size_t j = 0; j < got.size(); ++j) {
-        EXPECT_DOUBLE_EQ(Distance(q, got[j].location), brute[j].first);
+        ASSERT_EQ(got[j].id, want[j].id) << "op " << op << " rank " << j;
+      }
+      ASSERT_EQ(index.NearestDistance(q),
+                testing::ModelNearestDistance(model, q))
+          << "op " << op;
+      if (!model.empty()) {
+        auto it = model.begin();
+        std::advance(it, rng.NextBelow(model.size()));
+        auto loc = index.Locate(it->first);
+        ASSERT_TRUE(loc.ok()) << "op " << op;
+        ASSERT_EQ(loc.value(), it->second) << "op " << op;
+      }
+      for (ObjectId gone : {removed, next_id}) {
+        if (model.count(gone) != 0) continue;
+        ASSERT_EQ(index.Locate(gone).status().code(), StatusCode::kNotFound)
+            << "op " << op << " id " << gone;
       }
     }
   }
