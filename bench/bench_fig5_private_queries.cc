@@ -4,9 +4,13 @@
 // candidate-list size, and bytes shipped to the client as functions of the
 // privacy level k (region size) and POI density — against the paper's
 // "send all target objects" naive baseline. Also an ablation of the
-// dominance-pruning step.
+// dominance-pruning step, and one isolated query split into its server
+// parts (probe, refine, materialize).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <chrono>
 
 #include "bench_common.h"
 #include "geom/distance.h"
@@ -164,6 +168,84 @@ void BM_Fig5_DominancePruningAblation(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig5_DominancePruningAblation)
     ->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+// One isolated private query split into the parts the server runs: the
+// window probe (PublicCategoryIndex::RangeSearch), the Fig. 5 kernel
+// (RefineHits plus the id sort of the survivors) and Materialize, which
+// copies the kept records. 100k uniform POIs; 4,000 cloaks of side 1-3
+// (range radius 0.5-2, kNN k = 5), one query per cloak. Before each query
+// an 8 MB sweep evicts the caches, as the server's other work does between
+// two queries of one user. Each part is timed on its own (counters, us per
+// query); the row's time is their sum. The NN/kNN plan's corner probes and
+// the sweep run untimed. Arg: 0 = range, 1 = NN, 2 = kNN.
+void BM_Fig5_QueryParts(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const int64_t kind = state.range(0);
+  auto server = bench::MakeServer(100000);
+  const ObjectStore& store = server->store();
+  const PublicCategoryIndex& index = *store.CategoryIndex(1).value();
+  struct Query {
+    Rect cloaked;
+    double radius;
+  };
+  std::vector<Query> queries;
+  Rng rng(41);
+  for (int i = 0; i < 4000; ++i) {
+    const Point c{rng.Uniform(5, 95), rng.Uniform(5, 95)};
+    queries.push_back({Rect::CenteredSquare(c, rng.Uniform(1.0, 3.0)),
+                       rng.Uniform(0.5, 2.0)});
+  }
+  std::vector<uint64_t> sweep((8u << 20) / sizeof(uint64_t));
+  const auto us = [](Clock::duration d) {
+    return std::chrono::duration<double, std::micro>(d).count();
+  };
+
+  double probe_us = 0.0, refine_us = 0.0, materialize_us = 0.0;
+  double hits = 0.0, kept = 0.0;
+  size_t idx = 0;
+  for (auto _ : state) {
+    const Query& q = queries[idx++ % queries.size()];
+    const RefineQuery refine =
+        kind == 0   ? PlanPrivateRange(store, q.cloaked, q.radius, 1)
+                          .value()
+                          .refine
+        : kind == 1 ? PlanPrivateNn(store, q.cloaked, 1).value().refine
+                    : PlanPrivateKnn(store, q.cloaked, 5, 1).value().refine;
+    for (size_t i = 0; i < sweep.size(); i += 8) ++sweep[i];  // 1 per line
+    benchmark::ClobberMemory();
+
+    const auto t0 = Clock::now();
+    const auto probed =
+        index.RangeSearch(refine.cloaked.Expanded(refine.reach));
+    const auto t1 = Clock::now();
+    auto refined = RefineHits(refine, probed);
+    SortHitsById(&refined.survivors);
+    const auto t2 = Clock::now();
+    auto candidates = Materialize(store, 1, refined.survivors);
+    const auto t3 = Clock::now();
+    benchmark::DoNotOptimize(candidates);
+
+    probe_us += us(t1 - t0);
+    refine_us += us(t2 - t1);
+    materialize_us += us(t3 - t2);
+    hits += static_cast<double>(probed.size());
+    kept += static_cast<double>(candidates.value().size());
+    state.SetIterationTime(std::chrono::duration<double>(t3 - t0).count());
+  }
+  const auto per_query = benchmark::Counter::kAvgIterations;
+  state.counters["probe_us"] = benchmark::Counter(probe_us, per_query);
+  state.counters["refine_us"] = benchmark::Counter(refine_us, per_query);
+  state.counters["materialize_us"] =
+      benchmark::Counter(materialize_us, per_query);
+  state.counters["hits"] = benchmark::Counter(hits, per_query);
+  state.counters["kept"] = benchmark::Counter(kept, per_query);
+  benchmark::DoNotOptimize(sweep.data());
+}
+BENCHMARK(BM_Fig5_QueryParts)
+    ->Arg(0)->Arg(1)->Arg(2)
+    ->Iterations(4000)
+    ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -18,22 +18,22 @@ void BumpCounter(obs::Counter* c, uint64_t delta = 1) {
   if (c != nullptr && delta > 0) c->Increment(delta);
 }
 
-bool ByXThenId(const PointEntry& a, const PointEntry& b) {
+bool ByXThenId(const IndexHit& a, const IndexHit& b) {
   return std::tie(a.location.x, a.id) < std::tie(b.location.x, b.id);
 }
 
 /// First entry of the x-sorted `overlay` with x >= `x`.
-std::vector<PointEntry>::const_iterator FirstAtX(
-    const std::vector<PointEntry>& overlay, double x) {
+std::vector<IndexHit>::const_iterator FirstAtX(
+    const std::vector<IndexHit>& overlay, double x) {
   return std::lower_bound(
       overlay.begin(), overlay.end(), x,
-      [](const PointEntry& e, double v) { return e.location.x < v; });
+      [](const IndexHit& e, double v) { return e.location.x < v; });
 }
 
 /// Calls `fn` on every overlay entry inside `window`: a binary search to
 /// the window's min_x, then a scan that stops past its max_x.
 template <typename Fn>
-void ForEachInWindow(const std::vector<PointEntry>& overlay,
+void ForEachInWindow(const std::vector<IndexHit>& overlay,
                      const Rect& window, Fn&& fn) {
   for (auto it = FirstAtX(overlay, window.min_x);
        it != overlay.end() && it->location.x <= window.max_x; ++it) {
@@ -43,10 +43,19 @@ void ForEachInWindow(const std::vector<PointEntry>& overlay,
 
 }  // namespace
 
-std::vector<PointEntry>::const_iterator PublicCategoryIndex::OverlayFind(
+std::vector<IndexHit>::const_iterator PublicCategoryIndex::OverlayFind(
     ObjectId id) const {
   return std::find_if(overlay_.begin(), overlay_.end(),
-                      [id](const PointEntry& e) { return e.id == id; });
+                      [id](const IndexHit& e) { return e.id == id; });
+}
+
+void PublicCategoryIndex::Reseal(StaticRTree sealed) {
+  sealed_ = std::move(sealed);
+  overlay_.clear();
+  tombstones_.clear();
+  free_rows_.clear();
+  next_row_ = sealed_.size();
+  ++seal_generation_;
 }
 
 Status PublicCategoryIndex::CompactIfOverLimit() {
@@ -60,11 +69,17 @@ Status PublicCategoryIndex::Insert(ObjectId id, const Point& location) {
   if (!std::isfinite(location.x) || !std::isfinite(location.y)) {
     return Status::InvalidArgument("public object location is not finite");
   }
-  if (OverlayFind(id) != overlay_.end() ||
-      (sealed_.ContainsId(id) && tombstones_.count(id) == 0)) {
+  if (RowOf(id).has_value()) {
     return Status::AlreadyExists("public object id already stored");
   }
-  const PointEntry entry{id, location};
+  uint64_t row = next_row_;
+  if (free_rows_.empty()) {
+    ++next_row_;
+  } else {
+    row = free_rows_.back();
+    free_rows_.pop_back();
+  }
+  const IndexHit entry{id, location, row};
   overlay_.insert(
       std::upper_bound(overlay_.begin(), overlay_.end(), entry, ByXThenId),
       entry);
@@ -76,6 +91,7 @@ Status PublicCategoryIndex::Insert(ObjectId id, const Point& location) {
 Status PublicCategoryIndex::Remove(ObjectId id) {
   auto it = OverlayFind(id);
   if (it != overlay_.end()) {
+    free_rows_.push_back(it->row);
     overlay_.erase(it);
     return Status::OK();
   }
@@ -87,14 +103,13 @@ Status PublicCategoryIndex::Remove(ObjectId id) {
   return Status::NotFound("public object id not stored");
 }
 
-Status PublicCategoryIndex::BulkLoad(std::vector<PointEntry> entries) {
+Status PublicCategoryIndex::BulkLoad(std::vector<PointEntry> entries,
+                                     std::vector<uint64_t>* input_of_row) {
   const uint64_t n = entries.size();
-  Result<StaticRTree> built = StaticRTree::Build(std::move(entries));
+  Result<StaticRTree> built =
+      StaticRTree::Build(std::move(entries), input_of_row);
   if (!built.ok()) return built.status();
-  sealed_ = std::move(built).value();
-  overlay_.clear();
-  tombstones_.clear();
-  ++seal_generation_;
+  Reseal(std::move(built).value());
   if (config_.obs != nullptr) {
     BumpCounter(config_.obs->seals_total);
     BumpCounter(config_.obs->sealed_objects_total, n);
@@ -116,22 +131,25 @@ Result<Point> PublicCategoryIndex::Locate(ObjectId id) const {
   return sealed_.Locate(id);
 }
 
-std::vector<PointEntry> PublicCategoryIndex::RangeSearch(
+std::optional<uint64_t> PublicCategoryIndex::RowOf(ObjectId id) const {
+  auto it = OverlayFind(id);
+  if (it != overlay_.end()) return it->row;
+  if (!tombstones_.empty() && tombstones_.count(id) != 0) return std::nullopt;
+  return sealed_.SlotOf(id);
+}
+
+std::vector<IndexHit> PublicCategoryIndex::RangeSearch(
     const Rect& window) const {
-  std::vector<PointEntry> out;
+  std::vector<IndexHit> out;
   sealed_.RangeSearchInto(window, Skip(), &out);
   ForEachInWindow(overlay_, window,
-                  [&out](const PointEntry& e) { out.push_back(e); });
-  std::sort(out.begin(), out.end(),
-            [](const PointEntry& a, const PointEntry& b) {
-              return a.id < b.id;
-            });
+                  [&out](const IndexHit& e) { out.push_back(e); });
   return out;
 }
 
 size_t PublicCategoryIndex::RangeCount(const Rect& window) const {
   size_t count = sealed_.RangeCount(window, Skip());
-  ForEachInWindow(overlay_, window, [&count](const PointEntry&) { ++count; });
+  ForEachInWindow(overlay_, window, [&count](const IndexHit&) { ++count; });
   return count;
 }
 
@@ -147,7 +165,8 @@ std::vector<PointEntry> PublicCategoryIndex::KNearest(const Point& from,
   // far, seeded with the sealed tree's answer). Returns false once the x
   // gap alone exceeds the k-th distance: every entry further out on that
   // side of the query is then out of reach too.
-  const auto fold = [&](const PointEntry& e) {
+  const auto fold = [&](const IndexHit& hit) {
+    const PointEntry e{hit.id, hit.location};
     if (best.size() == k && Distance(from, {e.location.x, from.y}) >
                                 Distance(from, best.back().location)) {
       return false;
@@ -179,7 +198,7 @@ std::vector<PointEntry> PublicCategoryIndex::LiveEntries() const {
   sealed_.ForEachEntry([this, &out](ObjectId id, const Point& p) {
     if (tombstones_.count(id) == 0) out.push_back({id, p});
   });
-  out.insert(out.end(), overlay_.begin(), overlay_.end());
+  for (const IndexHit& e : overlay_) out.push_back({e.id, e.location});
   return out;
 }
 
@@ -206,12 +225,11 @@ Status PublicCategoryIndex::AdoptSealed(StaticRTree sealed,
         "sealed blob disagrees with snapshot on a stored location");
   }
 
-  sealed_ = std::move(sealed);
+  Reseal(std::move(sealed));
   tombstones_ = std::move(dead);
-  overlay_.clear();
   for (const auto& [id, p] : want) overlay_.push_back({id, p});
   std::sort(overlay_.begin(), overlay_.end(), ByXThenId);
-  ++seal_generation_;
+  for (IndexHit& e : overlay_) e.row = next_row_++;
   if (config_.obs != nullptr) {
     BumpCounter(config_.obs->adoptions_total);
     BumpCounter(config_.obs->overlay_inserts_total, want.size());
@@ -224,10 +242,7 @@ Status PublicCategoryIndex::Compact() {
   const uint64_t n_live = size();
   Result<StaticRTree> built = StaticRTree::Build(LiveEntries());
   if (!built.ok()) return built.status();
-  sealed_ = std::move(built).value();
-  overlay_.clear();
-  tombstones_.clear();
-  ++seal_generation_;
+  Reseal(std::move(built).value());
   if (config_.obs != nullptr) {
     BumpCounter(config_.obs->compactions_total);
     BumpCounter(config_.obs->sealed_objects_total, n_live);

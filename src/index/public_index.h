@@ -10,20 +10,29 @@
 //   overlay    vector sorted by (x, id)  objects added (or moved) after sealing
 //   tombstones id set                    sealed objects since removed/moved
 //
-// Queries merge sealed (minus tombstones) with the overlay; results are
-// deterministic (range results sorted by id, kNN by (distance, id)).
-// Overlay + tombstones never exceed `overlay_compact_limit`: a mutation or
-// an adoption that would pass it folds them back into a fresh sealed tree,
-// and the service's checkpoint path compacts too, so the serialized sidecar
-// stays close to the live set. The bound also keeps the overlay short
-// enough that an x-slab scan beats a tree (docs/INDEXES.md, "Spill"). A
-// category that is never sealed is served by its overlay alone until its
-// first compaction seals it.
+// Every live entry has a row: a sealed entry's row is its leaf slot; an
+// overlay entry gets a row past the sealed slots on Insert and keeps it
+// until its Remove (a freed row is reused). The owner keeps its
+// records in a table indexed by row (server/object_store.h), so a hit
+// leads straight to its record. Rows hold between seals; every seal,
+// adoption and compaction (a new seal_generation) renumbers them all.
+//
+// Queries merge sealed (minus tombstones) with the overlay. Range hits come
+// in index order (sealed hits in leaf-slot order, then overlay hits by
+// (x, id)), which is deterministic but not id order; kNN comes by
+// (distance, id). Overlay + tombstones never exceed `overlay_compact_limit`:
+// a mutation or an adoption that would pass it folds them back into a fresh
+// sealed tree, and the service's checkpoint path compacts too, so the
+// serialized sidecar stays close to the live set. The bound also keeps the
+// overlay short enough that an x-slab scan beats a tree (docs/INDEXES.md,
+// "Spill"). A category that is never sealed is served by its overlay alone
+// until its first compaction seals it.
 
 #ifndef CLOAKDB_INDEX_PUBLIC_INDEX_H_
 #define CLOAKDB_INDEX_PUBLIC_INDEX_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -79,15 +88,23 @@ class PublicCategoryIndex {
 
   /// Replaces the whole content: one STR build (the seal), overlay and
   /// tombstones cleared. Fails with InvalidArgument on a duplicate id or a
-  /// non-finite coordinate and leaves the index unchanged.
-  Status BulkLoad(std::vector<PointEntry> entries);
+  /// non-finite coordinate and leaves the index unchanged. When
+  /// `input_of_row` is non-null it receives, for each row, the index in
+  /// `entries` of the entry that row holds (StaticRTree::Build).
+  Status BulkLoad(std::vector<PointEntry> entries,
+                  std::vector<uint64_t>* input_of_row = nullptr);
 
   // --- Queries -------------------------------------------------------------
 
   size_t size() const;
   Result<Point> Locate(ObjectId id) const;
-  /// Sorted by id.
-  std::vector<PointEntry> RangeSearch(const Rect& window) const;
+  /// The row of live entry `id`; nullopt when absent.
+  std::optional<uint64_t> RowOf(ObjectId id) const;
+  /// One past the highest row in use: the size a record table needs.
+  uint64_t row_count() const { return next_row_; }
+  /// Every entry inside `window`, in index order (sealed hits by leaf slot,
+  /// then overlay hits by (x, id)), each with its row.
+  std::vector<IndexHit> RangeSearch(const Rect& window) const;
   size_t RangeCount(const Rect& window) const;
   /// Sorted by (distance, id).
   std::vector<PointEntry> KNearest(const Point& from, size_t k) const;
@@ -99,7 +116,8 @@ class PublicCategoryIndex {
   bool HasSealedTree() const { return sealed_.size() > 0; }
   size_t overlay_size() const { return overlay_.size(); }
   size_t tombstone_count() const { return tombstones_.size(); }
-  /// Bumped on every seal / adoption / compaction.
+  /// Bumped on every seal / adoption / compaction, i.e. whenever rows are
+  /// renumbered.
   uint64_t seal_generation() const { return seal_generation_; }
 
   /// The sealed tree's blob ("" when none) — what the checkpoint sidecar
@@ -130,14 +148,18 @@ class PublicCategoryIndex {
   const StaticRTree::IdFilter* Skip() const {
     return tombstones_.empty() ? nullptr : &tombstones_;
   }
-  std::vector<PointEntry>::const_iterator OverlayFind(ObjectId id) const;
+  std::vector<IndexHit>::const_iterator OverlayFind(ObjectId id) const;
   /// Compacts when overlay + tombstones pass `overlay_compact_limit`.
   Status CompactIfOverLimit();
+  /// Installs `sealed` with an empty spill and renumbers the rows.
+  void Reseal(StaticRTree sealed);
 
   Config config_;
   StaticRTree sealed_;
-  std::vector<PointEntry> overlay_;  // post-seal inserts, sorted by (x, id)
+  std::vector<IndexHit> overlay_;  // post-seal inserts, sorted by (x, id)
   std::unordered_set<ObjectId> tombstones_;
+  std::vector<uint64_t> free_rows_;  // overlay rows freed by Remove
+  uint64_t next_row_ = 0;            // first row never given out
   uint64_t seal_generation_ = 0;
 };
 

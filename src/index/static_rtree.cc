@@ -34,7 +34,6 @@
 #include <limits>
 #include <queue>
 #include <tuple>
-#include <unordered_set>
 
 #include "geom/distance.h"
 #include "util/byte_codec.h"
@@ -73,25 +72,21 @@ struct BuildRec {
   ObjectId id;
   double x;
   double y;
+  uint64_t input;  // index in Build's `entries`
 };
 
 }  // namespace
 
-Result<StaticRTree> StaticRTree::Build(std::vector<PointEntry> entries) {
+Result<StaticRTree> StaticRTree::Build(std::vector<PointEntry> entries,
+                                       std::vector<uint64_t>* input_of_slot) {
   const uint64_t n = entries.size();
 
-  std::unordered_set<ObjectId> seen;
-  seen.reserve(n * 2);
   Rect frame;
   for (const PointEntry& e : entries) {
     if (!std::isfinite(e.location.x) || !std::isfinite(e.location.y)) {
       return Status::InvalidArgument(
           "static r-tree: non-finite coordinate for object " +
           std::to_string(e.id));
-    }
-    if (!seen.insert(e.id).second) {
-      return Status::InvalidArgument("static r-tree: duplicate id " +
-                                     std::to_string(e.id));
     }
     frame = frame.Union(e.location);
   }
@@ -103,10 +98,11 @@ Result<StaticRTree> StaticRTree::Build(std::vector<PointEntry> entries) {
 
   std::vector<BuildRec> recs;
   recs.reserve(n);
-  for (const PointEntry& e : entries) {
+  for (uint64_t i = 0; i < n; ++i) {
+    const PointEntry& e = entries[i];
     recs.push_back({Quantize(e.location.x, frame.min_x, scale_x),
                     Quantize(e.location.y, frame.min_y, scale_y), e.id,
-                    e.location.x, e.location.y});
+                    e.location.x, e.location.y, i});
   }
 
   // STR packing: sort by x into vertical slices of ceil(sqrt(P)) pages,
@@ -128,6 +124,23 @@ Result<StaticRTree> StaticRTree::Build(std::vector<PointEntry> entries) {
                   return std::tie(a.y, a.x, a.id) < std::tie(b.y, b.x, b.id);
                 });
     }
+  }
+
+  // Id directory for Locate/ContainsId; its sort also finds duplicate ids.
+  std::vector<IdSlot> ids(n);
+  for (uint64_t slot = 0; slot < n; ++slot) ids[slot] = {recs[slot].id, slot};
+  std::sort(ids.begin(), ids.end(),
+            [](const IdSlot& a, const IdSlot& b) { return a.id < b.id; });
+  for (uint64_t i = 1; i < n; ++i) {
+    if (ids[i].id == ids[i - 1].id) {
+      return Status::InvalidArgument("static r-tree: duplicate id " +
+                                     std::to_string(ids[i].id));
+    }
+  }
+  if (input_of_slot != nullptr) {
+    input_of_slot->resize(n);
+    for (uint64_t slot = 0; slot < n; ++slot)
+      (*input_of_slot)[slot] = recs[slot].input;
   }
 
   // Implicit level geometry.
@@ -227,11 +240,6 @@ Result<StaticRTree> StaticRTree::Build(std::vector<PointEntry> entries) {
     }
   }
 
-  // Id directory for Locate/ContainsId.
-  std::vector<IdSlot> ids(n);
-  for (uint64_t slot = 0; slot < n; ++slot) ids[slot] = {recs[slot].id, slot};
-  std::sort(ids.begin(), ids.end(),
-            [](const IdSlot& a, const IdSlot& b) { return a.id < b.id; });
   uint8_t* id_bytes = base + ids_offset;
   for (uint64_t i = 0; i < n; ++i) {
     util::Store<uint64_t>(id_bytes + i * sizeof(IdSlot), ids[i].id);
@@ -410,36 +418,9 @@ Rect StaticRTree::DequantRect(const NodeRec& rec) const {
   return Rect(lo_x, lo_y, hi_x, hi_y);
 }
 
-void StaticRTree::ScanLeafPage(uint64_t page, uint32_t lo_qx, uint32_t span_qx,
-                               uint32_t lo_qy, uint32_t span_qy,
-                               const Rect& window, const IdFilter* skip,
-                               std::vector<PointEntry>* out,
-                               size_t* count_only) const {
-  const LeafEntry* entries = leaves_ + page * kLeafCapacity;
-  const uint64_t first_slot = page * kLeafCapacity;
-  const uint64_t in_page = std::min<uint64_t>(kLeafCapacity, count_ - first_slot);
-  for (uint64_t i = 0; i < in_page; ++i) {
-    // Branchless coarse window test over the fixed-point coordinates: the
-    // unsigned subtraction wraps below-range values far above the span.
-    const uint32_t okx =
-        static_cast<uint32_t>(entries[i].qx - lo_qx) <= span_qx;
-    const uint32_t oky =
-        static_cast<uint32_t>(entries[i].qy - lo_qy) <= span_qy;
-    if (okx & oky) {
-      const Point p = ExactLocation(first_slot + i);
-      if (!window.Contains(p)) continue;  // exact refine kills coarse hits
-      if (skip != nullptr && skip->count(entries[i].id) != 0) continue;
-      if (out != nullptr) {
-        out->push_back({entries[i].id, p});
-      } else {
-        ++*count_only;
-      }
-    }
-  }
-}
-
-void StaticRTree::RangeSearchInto(const Rect& window, const IdFilter* skip,
-                                  std::vector<PointEntry>* out) const {
+template <typename Emit>
+void StaticRTree::ForEachInWindow(const Rect& window, const IdFilter* skip,
+                                  Emit&& emit) const {
   if (count_ == 0 || window.IsEmpty() || !window.Intersects(frame_)) return;
   const uint32_t lo_qx = Quantize(window.min_x, frame_.min_x, scale_x_);
   const uint32_t hi_qx = Quantize(window.max_x, frame_.min_x, scale_x_);
@@ -462,52 +443,56 @@ void StaticRTree::RangeSearchInto(const Rect& window, const IdFilter* skip,
         rec.max_qy < lo_qy) {
       continue;
     }
-    if (f.level == 0) {
-      ScanLeafPage(f.idx, lo_qx, span_qx, lo_qy, span_qy, window, skip, out,
-                   nullptr);
+    if (f.level > 0) {
+      const uint64_t begin = f.idx * kBranching;
+      const uint64_t end =
+          std::min(levels_[f.level - 1].count, begin + kBranching);
+      for (uint64_t c = end; c > begin; --c) {  // pop order = ascending
+        stack.push_back({f.level - 1, c - 1});
+      }
       continue;
     }
-    const uint64_t begin = f.idx * kBranching;
-    const uint64_t end =
-        std::min(levels_[f.level - 1].count, begin + kBranching);
-    for (uint64_t c = end; c > begin; --c) {  // pop order = ascending
-      stack.push_back({f.level - 1, c - 1});
+    const uint64_t first_slot = f.idx * kLeafCapacity;
+    const LeafEntry* entries = leaves_ + first_slot;
+    const uint64_t in_page =
+        std::min<uint64_t>(kLeafCapacity, count_ - first_slot);
+    for (uint64_t i = 0; i < in_page; ++i) {
+      // Branchless coarse window test over the fixed-point coordinates:
+      // the unsigned subtraction wraps below-range values far above the
+      // span.
+      const uint32_t okx =
+          static_cast<uint32_t>(entries[i].qx - lo_qx) <= span_qx;
+      const uint32_t oky =
+          static_cast<uint32_t>(entries[i].qy - lo_qy) <= span_qy;
+      if (okx & oky) {
+        const Point p = ExactLocation(first_slot + i);
+        if (!window.Contains(p)) continue;  // exact refine kills coarse hits
+        if (skip != nullptr && skip->count(entries[i].id) != 0) continue;
+        emit(first_slot + i, entries[i].id, p);
+      }
     }
   }
 }
 
-size_t StaticRTree::RangeCount(const Rect& window, const IdFilter* skip) const {
-  if (count_ == 0 || window.IsEmpty() || !window.Intersects(frame_)) return 0;
-  const uint32_t lo_qx = Quantize(window.min_x, frame_.min_x, scale_x_);
-  const uint32_t hi_qx = Quantize(window.max_x, frame_.min_x, scale_x_);
-  const uint32_t lo_qy = Quantize(window.min_y, frame_.min_y, scale_y_);
-  const uint32_t hi_qy = Quantize(window.max_y, frame_.min_y, scale_y_);
-  size_t total = 0;
+void StaticRTree::RangeSearchInto(const Rect& window, const IdFilter* skip,
+                                  std::vector<PointEntry>* out) const {
+  ForEachInWindow(window, skip, [out](uint64_t, ObjectId id, const Point& p) {
+    out->push_back({id, p});
+  });
+}
 
-  struct Frame {
-    uint32_t level;
-    uint64_t idx;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({static_cast<uint32_t>(levels_.size() - 1), 0});
-  while (!stack.empty()) {
-    const Frame f = stack.back();
-    stack.pop_back();
-    const NodeRec& rec = levels_[f.level].nodes[f.idx];
-    if (rec.min_qx > hi_qx || rec.max_qx < lo_qx || rec.min_qy > hi_qy ||
-        rec.max_qy < lo_qy) {
-      continue;
-    }
-    if (f.level == 0) {
-      ScanLeafPage(f.idx, lo_qx, hi_qx - lo_qx, lo_qy, hi_qy - lo_qy, window,
-                   skip, nullptr, &total);
-      continue;
-    }
-    const uint64_t begin = f.idx * kBranching;
-    const uint64_t end =
-        std::min(levels_[f.level - 1].count, begin + kBranching);
-    for (uint64_t c = begin; c < end; ++c) stack.push_back({f.level - 1, c});
-  }
+void StaticRTree::RangeSearchInto(const Rect& window, const IdFilter* skip,
+                                  std::vector<IndexHit>* out) const {
+  ForEachInWindow(window, skip,
+                  [out](uint64_t slot, ObjectId id, const Point& p) {
+                    out->push_back({id, p, slot});
+                  });
+}
+
+size_t StaticRTree::RangeCount(const Rect& window, const IdFilter* skip) const {
+  size_t total = 0;
+  ForEachInWindow(window, skip,
+                  [&total](uint64_t, ObjectId, const Point&) { ++total; });
   return total;
 }
 
@@ -599,22 +584,30 @@ double StaticRTree::NearestDistance(const Point& from,
   return Distance(from, nearest[0].location);
 }
 
-Result<Point> StaticRTree::Locate(ObjectId id) const {
+const StaticRTree::IdSlot* StaticRTree::FindId(ObjectId id) const {
   const IdSlot* end = ids_ + count_;
   const IdSlot* it = std::lower_bound(
       ids_, end, id, [](const IdSlot& s, ObjectId v) { return s.id < v; });
-  if (it == end || it->id != id) {
+  return it != end && it->id == id ? it : nullptr;
+}
+
+Result<Point> StaticRTree::Locate(ObjectId id) const {
+  const IdSlot* found = FindId(id);
+  if (found == nullptr) {
     return Status::NotFound("object " + std::to_string(id) +
                             " not in static index");
   }
-  return ExactLocation(it->slot);
+  return ExactLocation(found->slot);
 }
 
 bool StaticRTree::ContainsId(ObjectId id) const {
-  const IdSlot* end = ids_ + count_;
-  const IdSlot* it = std::lower_bound(
-      ids_, end, id, [](const IdSlot& s, ObjectId v) { return s.id < v; });
-  return it != end && it->id == id;
+  return FindId(id) != nullptr;
+}
+
+std::optional<uint64_t> StaticRTree::SlotOf(ObjectId id) const {
+  const IdSlot* found = FindId(id);
+  if (found == nullptr) return std::nullopt;
+  return found->slot;
 }
 
 }  // namespace cloakdb

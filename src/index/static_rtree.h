@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -39,6 +40,15 @@
 #include "util/status.h"
 
 namespace cloakdb {
+
+/// One index hit: the entry plus its row in the owner's record table. A
+/// sealed tree's rows are its leaf slots, so a record table laid out in
+/// slot order turns a hit into its record with no lookup.
+struct IndexHit {
+  ObjectId id = 0;
+  Point location;
+  uint64_t row = 0;
+};
 
 /// Immutable STR-packed R-tree. Build once (or deserialize), query freely.
 class StaticRTree {
@@ -79,8 +89,13 @@ class StaticRTree {
   StaticRTree& operator=(StaticRTree&&) = default;
 
   /// STR-packs `entries` (fails with InvalidArgument on duplicate ids or
-  /// non-finite coordinates). The result owns its serialized blob.
-  static Result<StaticRTree> Build(std::vector<PointEntry> entries);
+  /// non-finite coordinates). The result owns its serialized blob. When
+  /// `input_of_slot` is non-null it receives, for each leaf slot, the index
+  /// in `entries` of the entry stored there, so a caller can lay its own
+  /// records out in slot order without an id lookup.
+  static Result<StaticRTree> Build(
+      std::vector<PointEntry> entries,
+      std::vector<uint64_t>* input_of_slot = nullptr);
 
   /// The serialized form (a copy when mmap-backed); feed to FromBlob or
   /// FromMapped to reconstruct. Starts with magic "CDBSRT01" and is
@@ -111,6 +126,9 @@ class StaticRTree {
   /// in leaf-slot order. `skip` (optional) hides tombstoned ids.
   void RangeSearchInto(const Rect& window, const IdFilter* skip,
                        std::vector<PointEntry>* out) const;
+  /// The same, each hit carrying its leaf slot as its row.
+  void RangeSearchInto(const Rect& window, const IdFilter* skip,
+                       std::vector<IndexHit>* out) const;
 
   /// Number of objects inside `window` (exact-refined).
   size_t RangeCount(const Rect& window, const IdFilter* skip) const;
@@ -126,6 +144,9 @@ class StaticRTree {
   /// The stored (exact) location of `id`; NotFound when absent.
   Result<Point> Locate(ObjectId id) const;
   bool ContainsId(ObjectId id) const;
+  /// The leaf slot of `id` (binary search of the id directory); nullopt
+  /// when absent.
+  std::optional<uint64_t> SlotOf(ObjectId id) const;
 
   /// Visits every entry (id + exact location) in leaf-slot order —
   /// used by the facade's compaction to re-collect the sealed set.
@@ -153,10 +174,13 @@ class StaticRTree {
   }
   /// Conservative exact-space cover of a quantized node rect.
   Rect DequantRect(const NodeRec& rec) const;
-  void ScanLeafPage(uint64_t page, uint32_t lo_qx, uint32_t span_qx,
-                    uint32_t lo_qy, uint32_t span_qy, const Rect& window,
-                    const IdFilter* skip, std::vector<PointEntry>* out,
-                    size_t* count_only) const;
+  /// Calls `emit(slot, id, exact point)` for every visible object inside
+  /// `window`, in leaf-slot order.
+  template <typename Emit>
+  void ForEachInWindow(const Rect& window, const IdFilter* skip,
+                       Emit&& emit) const;
+  /// The id directory record of `id`, or nullptr when absent.
+  const IdSlot* FindId(ObjectId id) const;
 
   /// Binds the span pointers into `base[0, size)`; validates everything.
   Status AttachTo(const uint8_t* base, size_t size);

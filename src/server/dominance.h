@@ -6,7 +6,7 @@
 // every possible user position inside the cloaked region R.
 //
 // Header-only and templated over the hit type, so the isolated and
-// cache-served queries (PointEntry hits), standing queries (PublicObject
+// cache-served queries (IndexHit hits), standing queries (PublicObject
 // fetches) and the cross-shard merge (PublicObject candidates) all run one
 // predicate by construction rather than by review.
 

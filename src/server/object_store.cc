@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_set>
+#include <utility>
 
 namespace cloakdb {
 
@@ -94,43 +95,92 @@ size_t PublicObjectBytes(const PublicObject& object) {
   return kMinPublicObjectBytes + object.name.size();
 }
 
+std::optional<ObjectStore::StoredRow> ObjectStore::FindRow(ObjectId id) const {
+  for (const auto& [category, table] : public_tables_) {
+    if (auto row = table.index.RowOf(id)) return StoredRow{category, *row};
+  }
+  return std::nullopt;
+}
+
+void ObjectStore::PutRow(PublicTable* table, PublicObject object) {
+  const uint64_t row = table->index.RowOf(object.id).value();
+  if (row >= table->rows.size()) {
+    table->rows.resize(row + 1);
+    table->live.resize(row + 1);
+  }
+  table->rows[row] = std::move(object);
+  table->live[row] = true;
+}
+
+template <typename Mutation>
+Status ObjectStore::MutateIndex(PublicTable* table, Mutation&& mutation) {
+  const uint64_t generation = table->index.seal_generation();
+  CLOAKDB_RETURN_IF_ERROR(mutation(table->index));
+  if (table->index.seal_generation() == generation) return Status::OK();
+  // Every row moved: lay the live records out again by their new rows.
+  std::vector<PublicObject> old_rows = std::move(table->rows);
+  std::vector<bool> old_live = std::move(table->live);
+  table->rows.assign(table->index.row_count(), PublicObject{});
+  table->live.assign(table->index.row_count(), false);
+  for (size_t r = 0; r < old_rows.size(); ++r) {
+    if (old_live[r]) PutRow(table, std::move(old_rows[r]));
+  }
+  return Status::OK();
+}
+
 Status ObjectStore::CheckAdd(const PublicObject& object) const {
   CLOAKDB_RETURN_IF_ERROR(CheckPublicObject(object));
-  if (public_meta_.count(object.id) > 0)
+  if (FindRow(object.id).has_value())
     return Status::AlreadyExists("public object id already stored");
   return Status::OK();
 }
 
 Status ObjectStore::AddPublicObject(const PublicObject& object) {
   CLOAKDB_RETURN_IF_ERROR(CheckAdd(object));
-  auto [it, inserted] = public_indexes_.try_emplace(
-      object.category, PublicCategoryIndex(public_index_));
-  (void)inserted;
-  CLOAKDB_RETURN_IF_ERROR(it->second.Insert(object.id, object.location));
-  public_meta_.emplace(object.id, object);
+  PublicTable* table =
+      &public_tables_.try_emplace(object.category, public_index_)
+           .first->second;
+  CLOAKDB_RETURN_IF_ERROR(MutateIndex(table, [&](PublicCategoryIndex& index) {
+    return index.Insert(object.id, object.location);
+  }));
+  PutRow(table, object);
   return Status::OK();
 }
 
 Status ObjectStore::RemovePublicObject(ObjectId id) {
-  auto it = public_meta_.find(id);
-  if (it == public_meta_.end())
+  const auto found = FindRow(id);
+  if (!found.has_value())
     return Status::NotFound("public object id not stored");
-  PublicCategoryIndex& index = public_indexes_.at(it->second.category);
-  CLOAKDB_RETURN_IF_ERROR(index.Remove(id));
-  if (index.size() == 0) public_indexes_.erase(it->second.category);
-  public_meta_.erase(it);
+  PublicTable* table = &public_tables_.at(found->category);
+  CLOAKDB_RETURN_IF_ERROR(MutateIndex(table, [&](PublicCategoryIndex& index) {
+    CLOAKDB_RETURN_IF_ERROR(index.Remove(id));
+    // Dead before a compaction can re-lay the rows.
+    table->rows[found->row] = PublicObject{};
+    table->live[found->row] = false;
+    return Status::OK();
+  }));
+  if (table->index.size() == 0) public_tables_.erase(found->category);
   return Status::OK();
 }
 
 Status ObjectStore::MovePublicObject(ObjectId id, const Point& new_location) {
   CLOAKDB_RETURN_IF_ERROR(CheckFinite(new_location));
-  auto it = public_meta_.find(id);
-  if (it == public_meta_.end())
+  const auto found = FindRow(id);
+  if (!found.has_value())
     return Status::NotFound("public object id not stored");
-  PublicCategoryIndex& index = public_indexes_.at(it->second.category);
-  CLOAKDB_RETURN_IF_ERROR(index.Remove(id));
-  CLOAKDB_RETURN_IF_ERROR(index.Insert(id, new_location));
-  it->second.location = new_location;
+  PublicTable* table = &public_tables_.at(found->category);
+  PublicObject object;
+  CLOAKDB_RETURN_IF_ERROR(MutateIndex(table, [&](PublicCategoryIndex& index) {
+    CLOAKDB_RETURN_IF_ERROR(index.Remove(id));
+    object = std::exchange(table->rows[found->row], PublicObject{});
+    table->live[found->row] = false;
+    return Status::OK();
+  }));
+  object.location = new_location;
+  CLOAKDB_RETURN_IF_ERROR(MutateIndex(table, [&](PublicCategoryIndex& index) {
+    return index.Insert(id, new_location);
+  }));
+  PutRow(table, std::move(object));
   return Status::OK();
 }
 
@@ -140,80 +190,117 @@ Status ObjectStore::BulkLoadCategory(Category category,
   // here so every stored object passes CheckPublicObject.
   for (const PublicObject& o : objects)
     CLOAKDB_RETURN_IF_ERROR(CheckPublicObject(o));
-  PublicCategoryIndex index{public_index_};
-  CLOAKDB_RETURN_IF_ERROR(index.BulkLoad(EntriesOf(objects)));
-  return ReplaceCategory(category, std::move(index), std::move(objects));
+  PublicTable table(public_index_);
+  std::vector<uint64_t> input_of_row;
+  CLOAKDB_RETURN_IF_ERROR(
+      table.index.BulkLoad(EntriesOf(objects), &input_of_row));
+  CLOAKDB_RETURN_IF_ERROR(CheckCategoryIds(category, objects));
+  // Every row is a leaf slot: put the records in slot order in place,
+  // one permutation cycle at a time (row j takes objects[input_of_row[j]]),
+  // marking each placed row by pointing it at itself.
+  for (uint64_t start = 0; start < objects.size(); ++start) {
+    if (input_of_row[start] == start) continue;
+    PublicObject first = std::move(objects[start]);
+    uint64_t row = start;
+    while (input_of_row[row] != start) {
+      const uint64_t from = input_of_row[row];
+      objects[row] = std::move(objects[from]);
+      input_of_row[row] = row;
+      row = from;
+    }
+    objects[row] = std::move(first);
+    input_of_row[row] = row;
+  }
+  for (PublicObject& o : objects) o.category = category;
+  table.live.assign(objects.size(), true);
+  table.rows = std::move(objects);
+  InstallCategory(category, std::move(table));
+  return Status::OK();
 }
 
 Status ObjectStore::AdoptCategorySealed(
     Category category, StaticRTree sealed,
     const std::vector<PublicObject>& objects) {
-  PublicCategoryIndex index{public_index_};
+  PublicTable table(public_index_);
   CLOAKDB_RETURN_IF_ERROR(
-      index.AdoptSealed(std::move(sealed), EntriesOf(objects)));
-  return ReplaceCategory(category, std::move(index), objects);
+      table.index.AdoptSealed(std::move(sealed), EntriesOf(objects)));
+  CLOAKDB_RETURN_IF_ERROR(CheckCategoryIds(category, objects));
+  // The adopted tree's slots, then the spill's rows; tombstoned slots stay
+  // empty.
+  table.rows.resize(table.index.row_count());
+  table.live.resize(table.index.row_count());
+  for (PublicObject o : objects) {
+    o.category = category;
+    PutRow(&table, std::move(o));
+  }
+  InstallCategory(category, std::move(table));
+  return Status::OK();
 }
 
-Status ObjectStore::ReplaceCategory(Category category,
-                                    PublicCategoryIndex index,
-                                    std::vector<PublicObject> objects) {
-  CLOAKDB_RETURN_IF_ERROR(CheckCategoryIds(category, objects));
-  for (auto it = public_meta_.begin(); it != public_meta_.end();) {
-    if (it->second.category == category) {
-      it = public_meta_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (index.size() == 0) {
-    public_indexes_.erase(category);
+void ObjectStore::InstallCategory(Category category, PublicTable table) {
+  if (table.index.size() == 0) {
+    public_tables_.erase(category);
   } else {
-    public_indexes_.insert_or_assign(category, std::move(index));
+    public_tables_.insert_or_assign(category, std::move(table));
   }
-  for (auto& o : objects) {
-    o.category = category;
-    const ObjectId id = o.id;
-    public_meta_.insert_or_assign(id, std::move(o));
-  }
-  return Status::OK();
 }
 
 Status ObjectStore::CheckCategoryIds(
     Category category, const std::vector<PublicObject>& objects) const {
-  for (const auto& o : objects) {
-    auto it = public_meta_.find(o.id);
-    if (it != public_meta_.end() && it->second.category != category)
-      return Status::AlreadyExists(
-          "public object id already stored under another category");
+  for (const auto& [other, table] : public_tables_) {
+    if (other == category) continue;
+    for (const PublicObject& o : objects) {
+      if (table.index.RowOf(o.id).has_value())
+        return Status::AlreadyExists(
+            "public object id already stored under another category");
+    }
   }
   return Status::OK();
 }
 
 Result<PublicObject> ObjectStore::GetPublicObject(ObjectId id) const {
-  auto it = public_meta_.find(id);
-  if (it == public_meta_.end())
+  const auto found = FindRow(id);
+  if (!found.has_value())
     return Status::NotFound("public object id not stored");
-  return it->second;
+  return public_tables_.at(found->category).rows[found->row];
 }
 
 Result<const PublicCategoryIndex*> ObjectStore::CategoryIndex(
     Category category) const {
-  auto it = public_indexes_.find(category);
-  if (it == public_indexes_.end())
+  auto it = public_tables_.find(category);
+  if (it == public_tables_.end())
     return Status::NotFound("no public objects in category");
-  return &it->second;
+  return &it->second.index;
 }
 
-PublicCategoryIndex* ObjectStore::MutableCategoryIndex(Category category) {
-  auto it = public_indexes_.find(category);
-  return it == public_indexes_.end() ? nullptr : &it->second;
+Result<const std::vector<PublicObject>*> ObjectStore::CategoryRows(
+    Category category) const {
+  auto it = public_tables_.find(category);
+  if (it == public_tables_.end())
+    return Status::NotFound("no public objects in category");
+  return &it->second.rows;
+}
+
+Status ObjectStore::CompactPublicIndexes() {
+  for (auto& [category, table] : public_tables_) {
+    if (!table.index.NeedsCompaction()) continue;
+    CLOAKDB_RETURN_IF_ERROR(MutateIndex(
+        &table, [](PublicCategoryIndex& index) { return index.Compact(); }));
+  }
+  return Status::OK();
 }
 
 std::vector<Category> ObjectStore::Categories() const {
   std::vector<Category> out;
-  out.reserve(public_indexes_.size());
-  for (const auto& [cat, tree] : public_indexes_) out.push_back(cat);
+  out.reserve(public_tables_.size());
+  for (const auto& [category, table] : public_tables_) out.push_back(category);
   return out;
+}
+
+size_t ObjectStore::num_public() const {
+  size_t n = 0;
+  for (const auto& [category, table] : public_tables_) n += table.index.size();
+  return n;
 }
 
 Status ObjectStore::UpsertPrivateRegion(ObjectId pseudonym,
@@ -233,8 +320,12 @@ Result<Rect> ObjectStore::GetPrivateRegion(ObjectId pseudonym) const {
 
 std::vector<PublicObject> ObjectStore::AllPublicObjects() const {
   std::vector<PublicObject> out;
-  out.reserve(public_meta_.size());
-  for (const auto& [id, object] : public_meta_) out.push_back(object);
+  out.reserve(num_public());
+  for (const auto& [category, table] : public_tables_) {
+    for (size_t r = 0; r < table.rows.size(); ++r) {
+      if (table.live[r]) out.push_back(table.rows[r]);
+    }
+  }
   std::sort(out.begin(), out.end(),
             [](const PublicObject& a, const PublicObject& b) {
               return a.id < b.id;

@@ -3,8 +3,13 @@
 //
 // Two tables:
 //   - public data: exact locations of objects that do not hide themselves
-//     (gas stations, restaurants, police cars, ...), organized per category
-//     in R-trees;
+//     (gas stations, restaurants, police cars, ...). Each category has a
+//     PublicCategoryIndex (a sealed StaticRTree plus a bounded spill) and a
+//     record table laid out by the index's rows: row i of the sealed part
+//     is leaf slot i. An index hit carries its row, so the Fig. 5
+//     candidate list copies records with no lookup per candidate. There is
+//     no id map: an id is found through the sealed tree's sorted id
+//     directory or the spill, one category after another;
 //   - private data: mobile users known *only* by pseudonym and cloaked
 //     rectangle — the server never stores an exact private location.
 
@@ -13,8 +18,8 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/point.h"
@@ -78,6 +83,7 @@ class ObjectStore {
 
   /// Adds one public object (duplicate ids across *all* categories fail
   /// with AlreadyExists; CheckPublicObject failures with InvalidArgument).
+  /// Costs one id search per category.
   Status AddPublicObject(const PublicObject& object);
 
   /// The checks AddPublicObject runs before it changes anything — lets a
@@ -111,19 +117,29 @@ class ObjectStore {
   Status AdoptCategorySealed(Category category, StaticRTree sealed,
                              const std::vector<PublicObject>& objects);
 
-  /// Full object record by id.
+  /// Full object record by id: an id search per category (sealed id
+  /// directory, then the spill) until one holds it. Not on the query path,
+  /// which reads records by row (CategoryRows).
   Result<PublicObject> GetPublicObject(ObjectId id) const;
 
   /// The index of one category; fails when the category has no objects.
   Result<const PublicCategoryIndex*> CategoryIndex(Category category) const;
 
-  /// Mutable access for the service layer's checkpoint-time compaction.
-  PublicCategoryIndex* MutableCategoryIndex(Category category);
+  /// The record table of one category: element r is the record of the
+  /// index entry whose hits carry row r (index/public_index.h). Rows hold
+  /// until the index's seal_generation changes. Fails when the category
+  /// has no objects.
+  Result<const std::vector<PublicObject>*> CategoryRows(
+      Category category) const;
+
+  /// Compacts every category whose index has a spill or tombstones (the
+  /// service's checkpoint path), re-laying its record table.
+  Status CompactPublicIndexes();
 
   /// All categories currently populated.
   std::vector<Category> Categories() const;
 
-  size_t num_public() const { return public_meta_.size(); }
+  size_t num_public() const;
 
   /// Every public object across all categories, sorted by id — the
   /// deterministic enumeration the checkpoint writer serializes.
@@ -152,16 +168,35 @@ class ObjectStore {
   const Rect& space() const { return space_; }
 
  private:
-  /// Shared tail of BulkLoadCategory / AdoptCategorySealed, run once
-  /// `index` is built and verified: cross-category id check, then swap in
-  /// the index and the category's metadata.
-  Status ReplaceCategory(Category category, PublicCategoryIndex index,
-                         std::vector<PublicObject> objects);
+  /// One category: its index and the records in index-row order.
+  struct PublicTable {
+    explicit PublicTable(const PublicCategoryIndex::Config& config)
+        : index(config) {}
+    PublicCategoryIndex index;
+    std::vector<PublicObject> rows;  ///< rows[r]: the record of row r
+    std::vector<bool> live;          ///< rows[r] holds a stored object
+  };
+
+  /// Where a stored id lives.
+  struct StoredRow {
+    Category category;
+    uint64_t row;
+  };
+  std::optional<StoredRow> FindRow(ObjectId id) const;
+
+  /// Swaps in a built and checked `table`; an empty one drops the category.
+  void InstallCategory(Category category, PublicTable table);
+
+  /// Runs one index mutation, then re-lays the rows when it renumbered
+  /// them (an inline compaction).
+  template <typename Mutation>
+  static Status MutateIndex(PublicTable* table, Mutation&& mutation);
+  /// Stores `object` at its index row.
+  static void PutRow(PublicTable* table, PublicObject object);
 
   Rect space_;
   PublicCategoryIndex::Config public_index_;
-  std::map<Category, PublicCategoryIndex> public_indexes_;
-  std::unordered_map<ObjectId, PublicObject> public_meta_;
+  std::map<Category, PublicTable> public_tables_;
   RectGrid private_index_;
 };
 

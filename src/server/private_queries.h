@@ -110,12 +110,13 @@ Result<PrivateKnnResult> PrivateKnnQuery(const ObjectStore& store,
 // Every private range/NN/kNN answer runs the Fig. 5 kernel of
 // server/dominance.h. A Plan* call validates the query and fixes its fetch
 // (NN/kNN probe the cloak's corners for the conservative reach);
-// AnswerPrivate refines hits through the kernel and materializes the
-// survivors. The hits come from one index probe of the fetch window or from
-// a caller holding a superset of it (a cached widened probe). The kernel
-// drops every hit outside the window uncounted, so both sources give the
-// same candidates, prune counts and fetch radius. Sharing can only widen
-// what is *fetched*, never shrink what is *kept*.
+// AnswerPrivate refines hits through the kernel, sorts the survivors by id
+// and materializes them from the category's record table by row. The hits
+// come from one index probe of the fetch window or from a caller holding a
+// superset of it (a cached widened probe), in any order. The kernel drops
+// every hit outside the window uncounted, so both sources give the same
+// candidates, prune counts and fetch radius. Sharing can only widen what is
+// *fetched*, never shrink what is *kept*.
 
 /// One planned private query; `R` is the result type it answers with.
 template <typename R>
@@ -143,12 +144,13 @@ Result<PrivateFetch<PrivateKnnResult>> PlanPrivateKnn(
     Category category);
 
 /// Answers a planned query from `hits`, which must hold every category
-/// object inside fetch.Window(), or, when null, from one index probe of
-/// that window. Fails with Internal when a kept hit is missing from the
-/// store.
+/// object inside fetch.Window() with rows of the category's current record
+/// table, or, when null, from one index probe of that window. Candidates
+/// come sorted by id. Fails with Internal when a kept hit's row does not
+/// hold its id.
 template <typename R>
 Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch,
-                        const std::vector<PointEntry>* hits = nullptr);
+                        const std::vector<IndexHit>* hits = nullptr);
 
 /// The conservative k-NN fetch radius; returns 0.0 when the category holds
 /// at most k objects (the probe is bypassed: everything is a candidate).
@@ -156,22 +158,33 @@ Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch,
 Result<double> KnnFetchRadius(const ObjectStore& store, const Rect& cloaked,
                               size_t k, Category category);
 
-/// The full records of index hits (held by value or by pointer), in hit
-/// order. Index and metadata are maintained together, so an id the store
-/// lacks is a broken invariant: it fails with Internal rather than return
-/// a shorter list.
+/// Sorts kept hits by id: an LSD radix sort over the bits where the ids
+/// differ, 8 bits a pass, with no data-dependent branches. On a cold
+/// query of 200 kept hits std::sort took about three times as long
+/// (EXPERIMENTS.md F5).
+void SortHitsById(std::vector<const IndexHit*>* hits);
+
+/// The full records of `category` index hits (held by value or by
+/// pointer), in hit order: each is a copy of the row its hit names, with no
+/// lookup. The index and the record table change together, so a row that
+/// does not hold its hit's id is a broken invariant (or a hit from before
+/// the last seal): it fails with Internal rather than return a shorter or
+/// wrong list.
 template <typename Hit>
 Result<std::vector<PublicObject>> Materialize(const ObjectStore& store,
+                                              Category category,
                                               const std::vector<Hit>& hits) {
+  auto table = store.CategoryRows(category);
+  if (!table.ok()) return table.status();
+  const std::vector<PublicObject>& rows = *table.value();
   std::vector<PublicObject> out;
   out.reserve(hits.size());
   for (const Hit& h : hits) {
-    const ObjectId id = HitOf(h).id;
-    auto obj = store.GetPublicObject(id);
-    if (!obj.ok())
-      return Status::Internal("index hit " + std::to_string(id) +
+    const IndexHit& hit = HitOf(h);
+    if (hit.row >= rows.size() || rows[hit.row].id != hit.id)
+      return Status::Internal("index hit " + std::to_string(hit.id) +
                               " has no public object");
-    out.push_back(std::move(obj).value());
+    out.push_back(rows[hit.row]);
   }
   return out;
 }

@@ -67,7 +67,7 @@ constexpr PrivateBooking kBooking<PrivateKnnResult> = {
 
 template <typename R>
 Result<R> QueryProcessor::Answer(const PrivateFetch<R>& fetch,
-                                 const std::vector<PointEntry>* hits) const {
+                                 const std::vector<IndexHit>* hits) const {
   constexpr PrivateBooking book = kBooking<R>;
   auto answer = [&]() -> Result<R> {
     if (hits != nullptr) return AnswerPrivate(store_, fetch, hits);
@@ -94,12 +94,12 @@ Result<R> QueryProcessor::Answer(const PrivateFetch<R>& fetch,
 
 template Result<PrivateRangeResult> QueryProcessor::Answer(
     const PrivateFetch<PrivateRangeResult>&,
-    const std::vector<PointEntry>*) const;
+    const std::vector<IndexHit>*) const;
 template Result<PrivateNnResult> QueryProcessor::Answer(
-    const PrivateFetch<PrivateNnResult>&, const std::vector<PointEntry>*) const;
+    const PrivateFetch<PrivateNnResult>&, const std::vector<IndexHit>*) const;
 template Result<PrivateKnnResult> QueryProcessor::Answer(
     const PrivateFetch<PrivateKnnResult>&,
-    const std::vector<PointEntry>*) const;
+    const std::vector<IndexHit>*) const;
 
 Result<PrivateRangeResult> QueryProcessor::PrivateRange(
     const Rect& cloaked, double radius, Category category,
@@ -124,7 +124,7 @@ Result<PrivateKnnResult> QueryProcessor::PrivateKnn(const Rect& cloaked,
   return Answer(fetch.value());
 }
 
-Result<std::vector<PointEntry>> QueryProcessor::SharedProbe(
+Result<std::vector<IndexHit>> QueryProcessor::SharedProbe(
     const Rect& probe_region, Category category) const {
   // Not a client-visible query: no stats. Probe latency is recorded by the
   // service's shared-execution histogram around this call.

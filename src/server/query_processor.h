@@ -115,12 +115,13 @@ class QueryProcessor {
   /// Only the index probe is timed and traced as `index.probe`.
   template <typename R>
   Result<R> Answer(const PrivateFetch<R>& fetch,
-                   const std::vector<PointEntry>* hits = nullptr) const;
+                   const std::vector<IndexHit>* hits = nullptr) const;
 
-  /// Index hits (id + point) of every `category` object inside
-  /// `probe_region`: one widened probe serving many queries. No stats.
-  Result<std::vector<PointEntry>> SharedProbe(const Rect& probe_region,
-                                              Category category) const;
+  /// Index hits (id + point + row) of every `category` object inside
+  /// `probe_region`, in index order: one widened probe serving many
+  /// queries. No stats.
+  Result<std::vector<IndexHit>> SharedProbe(const Rect& probe_region,
+                                            Category category) const;
 
   /// Counts a public-count query served verbatim from the service's
   /// candidate cache, so ServerStats stays comparable with uncached runs.

@@ -77,11 +77,12 @@ size_t CandidateCache::size() const {
 }
 
 std::shared_ptr<const CacheEntry> CandidateCache::Lookup(
-    const CacheKey& key) {
+    const CacheKey& key, uint64_t seal_generation) {
   if (!enabled()) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
+  if (it == index_.end() ||
+      it->second->entry->seal_generation != seal_generation) {
     if (obs_.misses != nullptr) obs_.misses->Increment();
     return nullptr;
   }

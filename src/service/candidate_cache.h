@@ -1,20 +1,23 @@
 // Candidate-list caching for the shared-execution engine.
 //
-// A CandidateCache holds the index hits (id + point) of recent widened
-// probes (private-over-public queries) and per-shard public-count parts,
-// keyed by a *grid-cell signature*: the cloaked region snapped outward to
-// a fixed signature grid plus a power-of-two-quantized reach. Snapping is
-// what makes repeated and drifting queries collide on the same key — any
-// two regions covering the same cell block with comparable reach share one
-// probe — while keeping the cached superset a provable superset of every
-// matching query's isolated fetch (the snapped cover contains the region,
-// the quantized reach bounds the radius).
+// A CandidateCache holds the index hits (id + point + record row) of recent
+// widened probes (private-over-public queries) and per-shard public-count
+// parts, keyed by a *grid-cell signature*: the cloaked region snapped
+// outward to a fixed signature grid plus a power-of-two-quantized reach.
+// Snapping is what makes repeated and drifting queries collide on the same
+// key — any two regions covering the same cell block with comparable reach
+// share one probe — while keeping the cached superset a provable superset
+// of every matching query's isolated fetch (the snapped cover contains the
+// region, the quantized reach bounds the radius).
 //
 // Invalidation is incremental and region-precise: a cloaked update only
 // evicts count entries whose coverage intersects the update's (old or new)
 // region, and a public-data mutation only evicts probe entries whose
 // coverage intersects the mutation — entries elsewhere in the space
-// survive the write untouched.
+// survive the write untouched. A write can also re-seal the category's
+// index, which renumbers every record row; a probe entry remembers the
+// seal generation its rows belong to, and a lookup for another generation
+// misses (the fresh probe's Insert then replaces the entry).
 //
 // Thread safety: every method locks the internal mutex, a leaf lock. The
 // owning Shard calls Lookup/Insert under its shared (reader) lock and the
@@ -104,8 +107,11 @@ struct CacheKeyHash {
 /// `coverage` is the region whose underlying data the entry summarizes —
 /// the granule invalidation tests against.
 struct CacheEntry {
-  std::vector<PointEntry> superset;  ///< kRange/kNn/kKnn.
-  PublicCountPart count;             ///< kCount.
+  std::vector<IndexHit> superset;  ///< kRange/kNn/kKnn.
+  /// kRange/kNn/kKnn: the category's seal generation when probed; the
+  /// superset's rows are valid only while it is current.
+  uint64_t seal_generation = 0;
+  PublicCountPart count;  ///< kCount.
   Rect coverage;
 };
 
@@ -133,7 +139,10 @@ class CandidateCache {
   void SetObs(const CandidateCacheObs& obs) { obs_ = obs; }
 
   /// Returns the entry and refreshes its recency, or nullptr on a miss.
-  std::shared_ptr<const CacheEntry> Lookup(const CacheKey& key);
+  /// An entry whose seal_generation differs from `seal_generation` (probe
+  /// entries: the category's current one) is a miss.
+  std::shared_ptr<const CacheEntry> Lookup(const CacheKey& key,
+                                           uint64_t seal_generation = 0);
 
   /// Inserts (or replaces) an entry, evicting the least recently used
   /// entries beyond capacity.

@@ -436,9 +436,14 @@ Result<std::shared_ptr<const CacheEntry>> Shard::CachedHits(
   const Rect window = refine.cloaked.Expanded(refine.reach);
   if (probe.Area() > kMaxProbeBloat * window.Area()) return from_index;
 
+  // The plan found the category under this same shared lock.
+  const uint64_t generation =
+      server_.store().CategoryIndex(category).value()->seal_generation();
   obs::TraceSpan span(obs::CurrentTraceContext(), "cache.lookup");
   span.AddAttr("shard", static_cast<double>(config_.index));
-  if (auto entry = cache_.Lookup(key); entry != nullptr) {
+  // An entry probed before the last seal names rows that have moved since;
+  // it is a miss, and the fresh probe below replaces it.
+  if (auto entry = cache_.Lookup(key, generation); entry != nullptr) {
     span.AddAttr("hit", 1.0);
     return entry;
   }
@@ -452,6 +457,7 @@ Result<std::shared_ptr<const CacheEntry>> Shard::CachedHits(
   probe_timer.Stop();
   CacheEntry entry;
   entry.superset = std::move(hits).value();
+  entry.seal_generation = generation;
   entry.coverage = probe;
   auto shared = std::make_shared<const CacheEntry>(std::move(entry));
   // Still under the caller's shared lock, so no writer can have slipped a
@@ -534,7 +540,7 @@ Result<std::vector<PublicObject>> Shard::ProbeRegion(
   std::shared_lock<std::shared_mutex> lock(mu_);
   auto hits = server_.SharedProbe(probe, category);
   if (!hits.ok()) return hits.status();
-  return Materialize(server_.store(), hits.value());
+  return Materialize(server_.store(), category, hits.value());
 }
 
 Result<StandingCountPart> Shard::StandingCount(ContinuousQueryId id) const {
@@ -600,12 +606,7 @@ Status Shard::WriteCheckpoint() {
 
 Status Shard::CompactPublicIndex() {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  for (Category category : server_.store().Categories()) {
-    PublicCategoryIndex* index = server_.store().MutableCategoryIndex(category);
-    if (index != nullptr && index->NeedsCompaction())
-      CLOAKDB_RETURN_IF_ERROR(index->Compact());
-  }
-  return Status::OK();
+  return server_.store().CompactPublicIndexes();
 }
 
 Status Shard::RestoreSnapshot(const storage::ShardSnapshot& snapshot) {

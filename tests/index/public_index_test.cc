@@ -28,7 +28,7 @@ PublicCategoryIndex::Config StaticConfig(size_t compact_limit = 1024) {
   return config;
 }
 
-std::set<ObjectId> Ids(const std::vector<PointEntry>& entries) {
+std::set<ObjectId> Ids(const std::vector<IndexHit>& entries) {
   std::set<ObjectId> out;
   for (const auto& e : entries) out.insert(e.id);
   return out;

@@ -119,10 +119,11 @@ TEST(ObjectStoreTest, NonFinitePublicLocationsAreRejected) {
   // after a compaction re-enumerates the index.
   EXPECT_EQ(store.num_public(), 100u);
   EXPECT_EQ(store.GetPublicObject(500).status().code(), StatusCode::kNotFound);
-  PublicCategoryIndex* index = store.MutableCategoryIndex(1);
-  ASSERT_NE(index, nullptr);
-  ASSERT_TRUE(index->Compact().ok());
-  EXPECT_EQ(index->size(), store.num_public());
+  ASSERT_TRUE(store.MovePublicObject(7, {7, 7}).ok());  // a spill to fold
+  ASSERT_TRUE(store.CompactPublicIndexes().ok());
+  EXPECT_EQ(store.CategoryIndex(1).value()->size(), store.num_public());
+  EXPECT_EQ(store.CategoryIndex(1).value()->overlay_size(), 0u);
+  EXPECT_EQ(store.GetPublicObject(7).value().location, Point(7, 7));
 }
 
 TEST(ObjectStoreTest, CheckPublicBatchRejectsDuplicatesAndNonFinite) {

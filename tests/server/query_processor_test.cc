@@ -135,7 +135,7 @@ TEST(QueryProcessorTest, RejectedQueriesLeaveAllStatsUntouched) {
   // An answer that fails while refining cached hits books nothing either.
   auto fetch = PlanPrivateNn(server.store(), Rect(1, 1, 2, 2), 1);
   ASSERT_TRUE(fetch.ok());
-  const std::vector<PointEntry> unknown = {{999999, {1.5, 1.5}}};
+  const std::vector<IndexHit> unknown = {{999999, {1.5, 1.5}}};
   EXPECT_FALSE(server.Answer(fetch.value(), &unknown).ok());
   EXPECT_FALSE(server.PublicCount(Rect()).ok());
 
@@ -203,10 +203,10 @@ TEST(QueryProcessorTest, SharedQueriesCountLikeIsolatedOnes) {
   EXPECT_EQ(stats.bytes_to_clients, twin.bytes_to_clients);
 }
 
-// Index and metadata are maintained together, so a kept hit whose id the
-// store lacks is a broken invariant: the answer fails with Internal rather
-// than ship a shorter candidate list. A stray hit outside the fetch window
-// is dropped by the kernel and never looked up.
+// Index and record table are maintained together, so a kept hit whose row
+// does not hold its id is a broken invariant: the answer fails with
+// Internal rather than ship a shorter or wrong candidate list. A stray hit
+// outside the fetch window is dropped by the kernel and never looked up.
 TEST(QueryProcessorTest, UnknownHitFailsTheAnswerLoudly) {
   QueryProcessor server(Rect(0, 0, 100, 100));
   Populate(&server, 50);
@@ -218,19 +218,28 @@ TEST(QueryProcessorTest, UnknownHitFailsTheAnswerLoudly) {
   auto baseline = AnswerPrivate(server.store(), fetch.value(), &hits.value());
   ASSERT_TRUE(baseline.ok());
 
-  std::vector<PointEntry> stray = hits.value();
+  std::vector<IndexHit> stray = hits.value();
   stray.push_back({999999, {99.0, 99.0}});
   auto outside = AnswerPrivate(server.store(), fetch.value(), &stray);
   ASSERT_TRUE(outside.ok());
   EXPECT_EQ(outside.value().candidates.size(),
             baseline.value().candidates.size());
 
-  std::vector<PointEntry> unknown = hits.value();
+  std::vector<IndexHit> unknown = hits.value();
   unknown.push_back({999999, {45.0, 45.0}});
   auto failed = AnswerPrivate(server.store(), fetch.value(), &unknown);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
   EXPECT_EQ(server.Answer(fetch.value(), &unknown).status().code(),
+            StatusCode::kInternal);
+
+  // A stored id read through another object's row.
+  ASSERT_GE(hits.value().size(), 2u);
+  std::vector<IndexHit> misrowed = hits.value();
+  std::swap(misrowed[0].row, misrowed[1].row);
+  EXPECT_EQ(AnswerPrivate(server.store(), fetch.value(), &misrowed)
+                .status()
+                .code(),
             StatusCode::kInternal);
   EXPECT_EQ(server.stats().private_range_queries, 0u);
 }

@@ -2,8 +2,8 @@
 // loads seal each stripe's category into a packed StaticRTree (+ overlay)
 // must answer every query bit-identically to a reference twin that never
 // seals — compaction off, POIs fed one AddPublicObject at a time, so every
-// category is served by its overlay alone, i.e. the quadratic-split
-// R-tree. This holds through bulk loads, post-seal writes, and the whole
+// category is served by its overlay alone, i.e. the (x, id)-sorted spill
+// vector. This holds through bulk loads, post-seal writes, and the whole
 // private-query surface. The sealed tree is an execution detail — never
 // an answer change.
 

@@ -16,8 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "server/private_queries.h"
 #include "service/cloak_db_service.h"
 #include "sim/poi.h"
+#include "util/atomic_file.h"
+#include "util/mmap_file.h"
 #include "util/random.h"
 
 namespace cloakdb {
@@ -262,6 +265,139 @@ TEST(StaticIndexRecoveryTest, ReadFallbackAdoptsWithoutMmap) {
   EXPECT_EQ(recovered->metrics().counter("mmap.bytes_mapped_total")->Value(),
             0u);
   ExpectSameAnswers(recovered.get(), twin.get());
+  std::filesystem::remove_all(data_dir);
+}
+
+// --- Record tables of adopted trees ---------------------------------------
+//
+// A store keeps each category's records in index-row order, and a sealed
+// row is a leaf slot, so adoption must lay the snapshot's records out in
+// the adopted tree's slot order (spill rows after it, tombstoned slots
+// empty). The oracle is a store that bulk-loads the same snapshot.
+
+constexpr Category kOtherCat = poi_category::kRestaurant;
+
+void ExpectSameRecord(const PublicObject& got, const PublicObject& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.location, want.location) << "id " << want.id;
+  EXPECT_EQ(got.category, want.category) << "id " << want.id;
+  EXPECT_EQ(got.name, want.name) << "id " << want.id;
+}
+
+void ExpectSameRecords(const std::vector<PublicObject>& got,
+                       const std::vector<PublicObject>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) ExpectSameRecord(got[i], want[i]);
+}
+
+/// The sealed blob of `store`'s `kCat` tree, written to `path` and mapped.
+StaticRTree MapSealedTree(const ObjectStore& store, const std::string& path) {
+  const std::string blob =
+      store.CategoryIndex(kCat).value()->SerializeSealedBlob();
+  EXPECT_TRUE(util::WriteFileSynced(path, blob).ok());
+  auto file = util::MmapFile::Open(path);
+  EXPECT_TRUE(file.ok());
+  auto tree = StaticRTree::FromMapped(file.value(), 0, blob.size());
+  EXPECT_TRUE(tree.ok()) << tree.status().message();
+  EXPECT_TRUE(tree.value().memory_mapped());
+  return std::move(tree).value();
+}
+
+TEST(StaticIndexRecoveryTest, AdoptionLaysRecordsOutInSlotOrder) {
+  const std::string data_dir = TempDataDir("rows");
+  std::filesystem::create_directories(data_dir);
+  ObjectStore checkpointed(Rect(0, 0, 100, 100));
+  const std::vector<PublicObject> sealed_pois = MakePois(600, 21);
+  ASSERT_TRUE(checkpointed.BulkLoadCategory(kCat, sealed_pois).ok());
+
+  // The snapshot: 40 sealed objects gone (tombstones), the rest renamed,
+  // and 30 objects the blob lacks (overlay spill).
+  std::vector<PublicObject> snapshot;
+  std::vector<ObjectId> gone;
+  for (size_t i = 0; i < sealed_pois.size(); ++i) {
+    if (i % 15 == 7) {
+      gone.push_back(sealed_pois[i].id);
+      continue;
+    }
+    PublicObject o = sealed_pois[i];
+    o.name = "snap" + std::to_string(o.id);
+    snapshot.push_back(o);
+  }
+  Rng rng(22);
+  for (ObjectId id = 70000; id < 70030; ++id) {
+    PublicObject o;
+    o.id = id;
+    o.category = kCat;
+    o.location = Point{rng.Uniform(0, 100), rng.Uniform(0, 100)};
+    o.name = "spill" + std::to_string(id);
+    snapshot.push_back(o);
+  }
+  ASSERT_EQ(gone.size(), 40u);
+
+  ObjectStore adopted(Rect(0, 0, 100, 100));
+  ASSERT_TRUE(adopted
+                  .AdoptCategorySealed(
+                      kCat, MapSealedTree(checkpointed, data_dir + "/a.blob"),
+                      snapshot)
+                  .ok());
+  const PublicCategoryIndex& index = *adopted.CategoryIndex(kCat).value();
+  EXPECT_EQ(index.overlay_size(), 30u);
+  EXPECT_EQ(index.tombstone_count(), 40u);
+
+  ObjectStore rebuilt(Rect(0, 0, 100, 100));
+  ASSERT_TRUE(rebuilt.BulkLoadCategory(kCat, snapshot).ok());
+  EXPECT_EQ(adopted.num_public(), rebuilt.num_public());
+  ExpectSameRecords(adopted.AllPublicObjects(), rebuilt.AllPublicObjects());
+  for (const PublicObject& o : snapshot) {
+    auto got = adopted.GetPublicObject(o.id);
+    ASSERT_TRUE(got.ok()) << "id " << o.id;
+    ExpectSameRecord(got.value(), rebuilt.GetPublicObject(o.id).value());
+  }
+  for (ObjectId id : gone) {
+    EXPECT_EQ(adopted.GetPublicObject(id).status().code(),
+              StatusCode::kNotFound);
+  }
+
+  for (int trial = 0; trial < 40; ++trial) {
+    const Point c{rng.Uniform(5, 95), rng.Uniform(5, 95)};
+    const Rect cloaked = Rect::CenteredSquare(c, rng.Uniform(0.5, 6.0));
+    auto range = PrivateRangeQuery(adopted, cloaked, 6.0, kCat);
+    auto range_want = PrivateRangeQuery(rebuilt, cloaked, 6.0, kCat);
+    ASSERT_TRUE(range.ok() && range_want.ok());
+    ExpectSameRecords(range.value().candidates,
+                      range_want.value().candidates);
+    auto nn = PrivateNnQuery(adopted, cloaked, kCat);
+    auto nn_want = PrivateNnQuery(rebuilt, cloaked, kCat);
+    ASSERT_TRUE(nn.ok() && nn_want.ok());
+    ExpectSameRecords(nn.value().candidates, nn_want.value().candidates);
+    auto knn = PrivateKnnQuery(adopted, cloaked, 5, kCat);
+    auto knn_want = PrivateKnnQuery(rebuilt, cloaked, 5, kCat);
+    ASSERT_TRUE(knn.ok() && knn_want.ok());
+    ExpectSameRecords(knn.value().candidates, knn_want.value().candidates);
+  }
+
+  // An id stored under another category still blocks the adoption, and
+  // the store keeps what it had.
+  PublicObject taken;
+  taken.id = 80000;
+  taken.category = kOtherCat;
+  taken.location = Point{50, 50};
+  taken.name = "taken";
+  ASSERT_TRUE(adopted.AddPublicObject(taken).ok());
+  std::vector<PublicObject> clashing = snapshot;
+  clashing.push_back(taken);
+  clashing.back().category = kCat;
+  EXPECT_EQ(adopted
+                .AdoptCategorySealed(
+                    kCat, MapSealedTree(checkpointed, data_dir + "/b.blob"),
+                    clashing)
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(rebuilt.AddPublicObject(taken).code(), StatusCode::kOk);
+  EXPECT_EQ(rebuilt.BulkLoadCategory(kCat, clashing).code(),
+            StatusCode::kAlreadyExists);
+  ExpectSameRecords(adopted.AllPublicObjects(), rebuilt.AllPublicObjects());
+  ExpectSameRecord(adopted.GetPublicObject(80000).value(), taken);
   std::filesystem::remove_all(data_dir);
 }
 
