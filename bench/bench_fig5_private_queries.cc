@@ -220,7 +220,10 @@ void BM_Fig5_QueryParts(benchmark::State& state) {
         index.RangeSearch(refine.cloaked.Expanded(refine.reach));
     const auto t1 = Clock::now();
     auto refined = RefineHits(refine, probed);
-    SortHitsById(&refined.survivors);
+    std::sort(refined.survivors.begin(), refined.survivors.end(),
+              [](const IndexHit* a, const IndexHit* b) {
+                return a->id < b->id;
+              });
     const auto t2 = Clock::now();
     auto candidates = Materialize(store, 1, refined.survivors);
     const auto t3 = Clock::now();

@@ -138,6 +138,18 @@ std::optional<uint64_t> PublicCategoryIndex::RowOf(ObjectId id) const {
   return sealed_.SlotOf(id);
 }
 
+bool PublicCategoryIndex::HoldsAny(
+    const std::unordered_set<ObjectId>& ids) const {
+  for (const IndexHit& e : overlay_) {
+    if (ids.count(e.id) != 0) return true;
+  }
+  for (ObjectId id : ids) {
+    if (tombstones_.count(id) == 0 && sealed_.SlotOf(id).has_value())
+      return true;
+  }
+  return false;
+}
+
 std::vector<IndexHit> PublicCategoryIndex::RangeSearch(
     const Rect& window) const {
   std::vector<IndexHit> out;

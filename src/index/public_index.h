@@ -100,6 +100,10 @@ class PublicCategoryIndex {
   Result<Point> Locate(ObjectId id) const;
   /// The row of live entry `id`; nullopt when absent.
   std::optional<uint64_t> RowOf(ObjectId id) const;
+  /// True when a live entry's id is in `ids`: one sealed id-directory
+  /// search per id and one pass over the overlay, where RowOf per id
+  /// would scan the overlay once per id.
+  bool HoldsAny(const std::unordered_set<ObjectId>& ids) const;
   /// One past the highest row in use: the size a record table needs.
   uint64_t row_count() const { return next_row_; }
   /// Every entry inside `window`, in index order (sealed hits by leaf slot,

@@ -135,8 +135,10 @@ Status ObjectStore::CheckAdd(const PublicObject& object) const {
   return Status::OK();
 }
 
-Status ObjectStore::AddPublicObject(const PublicObject& object) {
+Status ObjectStore::AddPublicObject(const PublicObject& object,
+                                    const std::function<Status()>& log) {
   CLOAKDB_RETURN_IF_ERROR(CheckAdd(object));
+  if (log) CLOAKDB_RETURN_IF_ERROR(log());
   PublicTable* table =
       &public_tables_.try_emplace(object.category, public_index_)
            .first->second;
@@ -185,7 +187,8 @@ Status ObjectStore::MovePublicObject(ObjectId id, const Point& new_location) {
 }
 
 Status ObjectStore::BulkLoadCategory(Category category,
-                                     std::vector<PublicObject> objects) {
+                                     std::vector<PublicObject> objects,
+                                     const std::function<Status()>& log) {
   // Finiteness and unique ids are BulkLoad's checks; names are checked
   // here so every stored object passes CheckPublicObject.
   for (const PublicObject& o : objects)
@@ -195,6 +198,7 @@ Status ObjectStore::BulkLoadCategory(Category category,
   CLOAKDB_RETURN_IF_ERROR(
       table.index.BulkLoad(EntriesOf(objects), &input_of_row));
   CLOAKDB_RETURN_IF_ERROR(CheckCategoryIds(category, objects));
+  if (log) CLOAKDB_RETURN_IF_ERROR(log());
   // Every row is a leaf slot: put the records in slot order in place,
   // one permutation cycle at a time (row j takes objects[input_of_row[j]]),
   // marking each placed row by pointing it at itself.
@@ -247,13 +251,16 @@ void ObjectStore::InstallCategory(Category category, PublicTable table) {
 
 Status ObjectStore::CheckCategoryIds(
     Category category, const std::vector<PublicObject>& objects) const {
+  std::unordered_set<ObjectId> ids;
   for (const auto& [other, table] : public_tables_) {
     if (other == category) continue;
-    for (const PublicObject& o : objects) {
-      if (table.index.RowOf(o.id).has_value())
-        return Status::AlreadyExists(
-            "public object id already stored under another category");
+    if (ids.empty()) {
+      ids.reserve(objects.size());
+      for (const PublicObject& o : objects) ids.insert(o.id);
     }
+    if (table.index.HoldsAny(ids))
+      return Status::AlreadyExists(
+          "public object id already stored under another category");
   }
   return Status::OK();
 }
@@ -273,12 +280,12 @@ Result<const PublicCategoryIndex*> ObjectStore::CategoryIndex(
   return &it->second.index;
 }
 
-Result<const std::vector<PublicObject>*> ObjectStore::CategoryRows(
+Result<const ObjectStore::PublicTable*> ObjectStore::CategoryTable(
     Category category) const {
   auto it = public_tables_.find(category);
   if (it == public_tables_.end())
     return Status::NotFound("no public objects in category");
-  return &it->second.rows;
+  return &it->second;
 }
 
 Status ObjectStore::CompactPublicIndexes() {

@@ -17,6 +17,7 @@
 #define CLOAKDB_SERVER_OBJECT_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -83,12 +84,12 @@ class ObjectStore {
 
   /// Adds one public object (duplicate ids across *all* categories fail
   /// with AlreadyExists; CheckPublicObject failures with InvalidArgument).
-  /// Costs one id search per category.
-  Status AddPublicObject(const PublicObject& object);
-
-  /// The checks AddPublicObject runs before it changes anything — lets a
-  /// durable caller refuse a write before logging it.
-  Status CheckAdd(const PublicObject& object) const;
+  /// Costs one id search per category. A durable caller passes `log`: it
+  /// runs once the checks pass and before the store changes, so a write the
+  /// store rejects is never logged; when `log` fails the store is unchanged
+  /// and the call returns its status.
+  Status AddPublicObject(const PublicObject& object,
+                         const std::function<Status()>& log = {});
 
   /// Removes a public object by id.
   Status RemovePublicObject(ObjectId id);
@@ -99,14 +100,10 @@ class ObjectStore {
 
   /// Bulk-loads a category in one STR build (replaces that category). A
   /// batch CheckPublicBatch rejects, or an id stored under another
-  /// category, fails and leaves the store unchanged.
-  Status BulkLoadCategory(Category category, std::vector<PublicObject> objects);
-
-  /// AlreadyExists when an id in `objects` is stored under a category
-  /// other than `category` — the check a category replacement runs before
-  /// it changes anything.
-  Status CheckCategoryIds(Category category,
-                          const std::vector<PublicObject>& objects) const;
+  /// category, fails and leaves the store unchanged. `log` runs as in
+  /// AddPublicObject, after the build and every check.
+  Status BulkLoadCategory(Category category, std::vector<PublicObject> objects,
+                          const std::function<Status()>& log = {});
 
   /// Replaces a category with a pre-built sealed StaticRTree (recovery
   /// fast path: the tree usually points into an mmap'd sidecar). The tree
@@ -119,18 +116,26 @@ class ObjectStore {
 
   /// Full object record by id: an id search per category (sealed id
   /// directory, then the spill) until one holds it. Not on the query path,
-  /// which reads records by row (CategoryRows).
+  /// which reads records by row (CategoryTable).
   Result<PublicObject> GetPublicObject(ObjectId id) const;
 
   /// The index of one category; fails when the category has no objects.
   Result<const PublicCategoryIndex*> CategoryIndex(Category category) const;
 
-  /// The record table of one category: element r is the record of the
-  /// index entry whose hits carry row r (index/public_index.h). Rows hold
-  /// until the index's seal_generation changes. Fails when the category
-  /// has no objects.
-  Result<const std::vector<PublicObject>*> CategoryRows(
-      Category category) const;
+  /// One category: its index and the records in index-row order.
+  struct PublicTable {
+    explicit PublicTable(const PublicCategoryIndex::Config& config)
+        : index(config) {}
+    PublicCategoryIndex index;
+    std::vector<PublicObject> rows;  ///< rows[r]: the record of row r
+    std::vector<bool> live;          ///< rows[r] holds a stored object
+  };
+
+  /// The record table of one category: rows[r] is the record of the index
+  /// entry whose hits carry row r (index/public_index.h) when live[r] is
+  /// set. Rows hold until the index's seal_generation changes. Fails when
+  /// the category has no objects.
+  Result<const PublicTable*> CategoryTable(Category category) const;
 
   /// Compacts every category whose index has a spill or tombstones (the
   /// service's checkpoint path), re-laying its record table.
@@ -168,21 +173,20 @@ class ObjectStore {
   const Rect& space() const { return space_; }
 
  private:
-  /// One category: its index and the records in index-row order.
-  struct PublicTable {
-    explicit PublicTable(const PublicCategoryIndex::Config& config)
-        : index(config) {}
-    PublicCategoryIndex index;
-    std::vector<PublicObject> rows;  ///< rows[r]: the record of row r
-    std::vector<bool> live;          ///< rows[r] holds a stored object
-  };
-
   /// Where a stored id lives.
   struct StoredRow {
     Category category;
     uint64_t row;
   };
   std::optional<StoredRow> FindRow(ObjectId id) const;
+
+  /// The checks AddPublicObject runs before it changes anything.
+  Status CheckAdd(const PublicObject& object) const;
+  /// AlreadyExists when an id in `objects` is stored under a category
+  /// other than `category`: one id-directory search per object and one
+  /// pass over the spill, per other category.
+  Status CheckCategoryIds(Category category,
+                          const std::vector<PublicObject>& objects) const;
 
   /// Swaps in a built and checked `table`; an empty one drops the category.
   void InstallCategory(Category category, PublicTable table);

@@ -1,7 +1,6 @@
 #include "server/private_queries.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <type_traits>
@@ -88,28 +87,6 @@ Result<double> KnnFetchRadius(const ObjectStore& store, const Rect& cloaked,
   return std::isinf(reach.value()) ? 0.0 : reach.value();
 }
 
-void SortHitsById(std::vector<const IndexHit*>* hits) {
-  if (hits->size() < 2) return;
-  ObjectId lo = std::numeric_limits<ObjectId>::max();
-  ObjectId hi = 0;
-  for (const IndexHit* h : *hits) {
-    lo = std::min(lo, h->id);
-    hi = std::max(hi, h->id);
-  }
-  const uint64_t span = hi - lo;
-  std::vector<const IndexHit*> buffer(hits->size());
-  for (int shift = 0; shift < 64 && (span >> shift) != 0; shift += 8) {
-    const auto digit = [lo, shift](const IndexHit* h) {
-      return ((h->id - lo) >> shift) & 0xFF;
-    };
-    std::array<size_t, 257> start{};
-    for (const IndexHit* h : *hits) ++start[digit(h) + 1];
-    for (size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
-    for (const IndexHit* h : *hits) buffer[start[digit(h)]++] = h;
-    hits->swap(buffer);
-  }
-}
-
 template <typename R>
 Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch,
                         const std::vector<IndexHit>* hits) {
@@ -122,7 +99,8 @@ Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch,
   }
   Refined<IndexHit> refined = RefineHits(fetch.refine, *hits);
   // Hits come in index order; every answer goes out sorted by id.
-  SortHitsById(&refined.survivors);
+  std::sort(refined.survivors.begin(), refined.survivors.end(),
+            [](const IndexHit* a, const IndexHit* b) { return a->id < b->id; });
   auto candidates = Materialize(store, fetch.category, refined.survivors);
   if (!candidates.ok()) return candidates.status();
   R result;

@@ -158,30 +158,26 @@ Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch,
 Result<double> KnnFetchRadius(const ObjectStore& store, const Rect& cloaked,
                               size_t k, Category category);
 
-/// Sorts kept hits by id: an LSD radix sort over the bits where the ids
-/// differ, 8 bits a pass, with no data-dependent branches. On a cold
-/// query of 200 kept hits std::sort took about three times as long
-/// (EXPERIMENTS.md F5).
-void SortHitsById(std::vector<const IndexHit*>* hits);
-
 /// The full records of `category` index hits (held by value or by
 /// pointer), in hit order: each is a copy of the row its hit names, with no
 /// lookup. The index and the record table change together, so a row that
-/// does not hold its hit's id is a broken invariant (or a hit from before
-/// the last seal): it fails with Internal rather than return a shorter or
-/// wrong list.
+/// is dead or does not hold its hit's id is a broken invariant (or a hit
+/// from before the last seal): it fails with Internal rather than return a
+/// shorter or wrong list.
 template <typename Hit>
 Result<std::vector<PublicObject>> Materialize(const ObjectStore& store,
                                               Category category,
                                               const std::vector<Hit>& hits) {
-  auto table = store.CategoryRows(category);
+  auto table = store.CategoryTable(category);
   if (!table.ok()) return table.status();
-  const std::vector<PublicObject>& rows = *table.value();
+  const std::vector<PublicObject>& rows = table.value()->rows;
+  const std::vector<bool>& live = table.value()->live;
   std::vector<PublicObject> out;
   out.reserve(hits.size());
   for (const Hit& h : hits) {
     const IndexHit& hit = HitOf(h);
-    if (hit.row >= rows.size() || rows[hit.row].id != hit.id)
+    if (hit.row >= rows.size() || !live[hit.row] ||
+        rows[hit.row].id != hit.id)
       return Status::Internal("index hit " + std::to_string(hit.id) +
                               " has no public object");
     out.push_back(rows[hit.row]);

@@ -372,33 +372,39 @@ Result<CloakedUpdate> Shard::CloakForQuery(UserId user, TimeOfDay now) {
 Status Shard::AddPublicObject(const PublicObject& object) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   // A write the store would reject must not reach the WAL: replay would
-  // count it, and a long name would poison every record after it.
-  CLOAKDB_RETURN_IF_ERROR(server_.store().CheckAdd(object));
-  if (config_.durability != nullptr) {
-    storage::WalRecord rec;
-    rec.type = storage::WalRecordType::kAddPublicObject;
-    rec.object = object;
-    CLOAKDB_RETURN_IF_ERROR(LogDurable(std::move(rec)));
-  }
-  // Only probe supersets that could have fetched this point go stale.
-  cache_.InvalidatePublicRegion(Rect::FromPoint(object.location));
-  return server_.store().AddPublicObject(object);
+  // count it, and a long name would poison every record after it. So the
+  // store logs it between its checks and the change.
+  return server_.store().AddPublicObject(object, [&]() -> Status {
+    if (config_.durability != nullptr) {
+      storage::WalRecord rec;
+      rec.type = storage::WalRecordType::kAddPublicObject;
+      rec.object = object;
+      CLOAKDB_RETURN_IF_ERROR(LogDurable(std::move(rec)));
+    }
+    // Only probe supersets that could have fetched this point go stale.
+    cache_.InvalidatePublicRegion(Rect::FromPoint(object.location));
+    return Status::OK();
+  });
 }
 
 Status Shard::BulkLoadCategory(Category category,
                                std::vector<PublicObject> objects) {
   std::unique_lock<std::shared_mutex> lock(mu_);
-  CLOAKDB_RETURN_IF_ERROR(server_.store().CheckCategoryIds(category, objects));
+  storage::WalRecord rec;
   if (config_.durability != nullptr) {
-    storage::WalRecord rec;
     rec.type = storage::WalRecordType::kBulkLoadCategory;
     rec.category = category;
     rec.objects = objects;
-    CLOAKDB_RETURN_IF_ERROR(LogDurable(std::move(rec)));
   }
-  // A bulk load replaces the category wholesale; no probe of it survives.
-  cache_.InvalidateCategory(category);
-  return server_.store().BulkLoadCategory(category, std::move(objects));
+  return server_.store().BulkLoadCategory(
+      category, std::move(objects), [&]() -> Status {
+        if (config_.durability != nullptr)
+          CLOAKDB_RETURN_IF_ERROR(LogDurable(std::move(rec)));
+        // A bulk load replaces the category wholesale; no probe of it
+        // survives.
+        cache_.InvalidateCategory(category);
+        return Status::OK();
+      });
 }
 
 bool Shard::HasCategory(Category category) const {

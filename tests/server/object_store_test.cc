@@ -115,13 +115,14 @@ TEST(ObjectStoreTest, NonFinitePublicLocationsAreRejected) {
   EXPECT_EQ(store.BulkLoadCategory(1, pois).code(),
             StatusCode::kInvalidArgument);
 
-  // Nothing was stored, so the index and the metadata still agree — also
-  // after a compaction re-enumerates the index.
+  // Nothing was stored, so the index and the record table still agree —
+  // also after a compaction re-enumerates the index.
   EXPECT_EQ(store.num_public(), 100u);
   EXPECT_EQ(store.GetPublicObject(500).status().code(), StatusCode::kNotFound);
   ASSERT_TRUE(store.MovePublicObject(7, {7, 7}).ok());  // a spill to fold
   ASSERT_TRUE(store.CompactPublicIndexes().ok());
-  EXPECT_EQ(store.CategoryIndex(1).value()->size(), store.num_public());
+  EXPECT_EQ(store.CategoryIndex(1).value()->size(), 100u);
+  EXPECT_EQ(store.AllPublicObjects().size(), 100u);
   EXPECT_EQ(store.CategoryIndex(1).value()->overlay_size(), 0u);
   EXPECT_EQ(store.GetPublicObject(7).value().location, Point(7, 7));
 }

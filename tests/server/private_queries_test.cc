@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <random>
 #include <set>
 
 #include "geom/distance.h"
@@ -249,33 +248,6 @@ TEST(RefineTest, NnTieBrokenByLowestId) {
   auto best = RefineNnCandidates(candidates, {0, 0});
   ASSERT_TRUE(best.ok());
   EXPECT_EQ(best.value().id, 2u);
-}
-
-// The answer's one id sort: ids within a span of 1,000 (two radix passes),
-// 2^40 (five) and the whole 64-bit range (eight), and the trivial sizes.
-TEST(SortHitsByIdTest, OrdersAnySpanOfIds) {
-  Rng rng(5);
-  for (const uint64_t spread :
-       {uint64_t{1000}, uint64_t{1} << 40, ~uint64_t{0}}) {
-    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{300}}) {
-      std::vector<IndexHit> hits(n);
-      std::set<ObjectId> ids;
-      while (ids.size() < n) ids.insert(1000 + rng.Next() % spread);
-      std::vector<ObjectId> want(ids.begin(), ids.end());
-      size_t row = 0;
-      for (ObjectId id : ids) {
-        hits[row] = {id, {0, 0}, row};
-        ++row;
-      }
-      std::shuffle(hits.begin(), hits.end(), std::mt19937_64(n));
-      std::vector<const IndexHit*> kept;
-      for (const IndexHit& h : hits) kept.push_back(&h);
-      SortHitsById(&kept);
-      std::vector<ObjectId> got;
-      for (const IndexHit* h : kept) got.push_back(h->id);
-      EXPECT_EQ(got, want) << "spread " << spread << " n " << n;
-    }
-  }
 }
 
 }  // namespace

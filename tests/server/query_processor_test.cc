@@ -241,6 +241,15 @@ TEST(QueryProcessorTest, UnknownHitFailsTheAnswerLoudly) {
                 .status()
                 .code(),
             StatusCode::kInternal);
+
+  // Id 0 read through a dead row, which holds an empty record of id 0.
+  const IndexHit gone = hits.value()[0];
+  ASSERT_TRUE(server.store().RemovePublicObject(gone.id).ok());
+  std::vector<IndexHit> dead = {{0, {45.0, 45.0}, gone.row}};
+  EXPECT_EQ(AnswerPrivate(server.store(), fetch.value(), &dead)
+                .status()
+                .code(),
+            StatusCode::kInternal);
   EXPECT_EQ(server.stats().private_range_queries, 0u);
 }
 
