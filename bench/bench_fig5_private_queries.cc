@@ -125,9 +125,12 @@ BENCHMARK(BM_Fig5_PoiDensitySweep)
     ->Arg(100)->Arg(500)->Arg(2000)->Arg(10000)
     ->Unit(benchmark::kMicrosecond);
 
-// Ablation: dominance pruning off (fetch-radius filter only) vs. on.
+// Ablation of the NN dominance prune. Arg: 0 = fetch-radius filter only,
+// 1 = plus whole-cloak dominance (keep o iff MinDist(o, R) <= the smallest
+// MaxDist(o', R)), 2 = the server's kernel (whole cloak, then the union
+// over 4x4 tiles). Arms 0 and 1 run inline here.
 void BM_Fig5_DominancePruningAblation(benchmark::State& state) {
-  const bool prune = state.range(0) != 0;
+  const int64_t arm = state.range(0);
   auto server = bench::MakeServer(2000);
   auto regions = MakeQueryRegions(50, 128);
   const auto* index = server->store().CategoryIndex(1).value();
@@ -137,12 +140,11 @@ void BM_Fig5_DominancePruningAblation(benchmark::State& state) {
   for (auto _ : state) {
     const Rect& cloaked = regions[idx % regions.size()];
     ++idx;
-    if (prune) {
+    if (arm == 2) {
       auto result = PrivateNnQuery(server->store(), cloaked, 1);
       total_candidates +=
           static_cast<double>(result.value().candidates.size());
     } else {
-      // Fetch-radius-only variant (no dominance pruning).
       double max_corner_nn = 0.0;
       for (const Point& corner : cloaked.Corners()) {
         max_corner_nn =
@@ -153,21 +155,31 @@ void BM_Fig5_DominancePruningAblation(benchmark::State& state) {
                           cloaked.Height() * cloaked.Height());
       double radius = max_corner_nn + half_diag;
       auto hits = index->RangeSearch(cloaked.Expanded(radius));
+      hits.erase(std::remove_if(hits.begin(), hits.end(),
+                                [&](const IndexHit& h) {
+                                  return MinDist(h.location, cloaked) > radius;
+                                }),
+                 hits.end());
+      double min_max_dist = kInf;
+      if (arm == 1) {
+        for (const auto& h : hits)
+          min_max_dist = std::min(min_max_dist, MaxDist(h.location, cloaked));
+      }
       size_t kept = 0;
       for (const auto& h : hits) {
-        if (MinDist(h.location, cloaked) <= radius) ++kept;
+        if (MinDist(h.location, cloaked) <= min_max_dist) ++kept;
       }
       benchmark::DoNotOptimize(kept);
       total_candidates += static_cast<double>(kept);
     }
     ++queries;
   }
-  state.counters["pruning"] = prune ? 1.0 : 0.0;
+  state.counters["arm"] = static_cast<double>(arm);
   state.counters["avg_candidates"] =
       total_candidates / static_cast<double>(queries);
 }
 BENCHMARK(BM_Fig5_DominancePruningAblation)
-    ->Arg(0)->Arg(1)
+    ->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 // One isolated private query split into the parts the server runs: the

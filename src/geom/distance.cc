@@ -7,18 +7,6 @@ namespace cloakdb {
 
 namespace {
 
-// Distance from v to interval [lo, hi]; 0 inside.
-double AxisGap(double v, double lo, double hi) {
-  if (v < lo) return lo - v;
-  if (v > hi) return v - hi;
-  return 0.0;
-}
-
-// Farthest end of interval [lo, hi] from v.
-double AxisFar(double v, double lo, double hi) {
-  return std::max(std::abs(v - lo), std::abs(v - hi));
-}
-
 // Nearest end of interval [lo, hi] from v (used by MinMaxDist).
 double AxisNearEnd(double v, double lo, double hi) {
   return std::min(std::abs(v - lo), std::abs(v - hi));
@@ -26,20 +14,8 @@ double AxisNearEnd(double v, double lo, double hi) {
 
 }  // namespace
 
-double MinDistSquared(const Point& p, const Rect& r) {
-  double dx = AxisGap(p.x, r.min_x, r.max_x);
-  double dy = AxisGap(p.y, r.min_y, r.max_y);
-  return dx * dx + dy * dy;
-}
-
 double MinDist(const Point& p, const Rect& r) {
   return std::sqrt(MinDistSquared(p, r));
-}
-
-double MaxDistSquared(const Point& p, const Rect& r) {
-  double dx = AxisFar(p.x, r.min_x, r.max_x);
-  double dy = AxisFar(p.y, r.min_y, r.max_y);
-  return dx * dx + dy * dy;
 }
 
 double MaxDist(const Point& p, const Rect& r) {

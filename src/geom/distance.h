@@ -10,10 +10,25 @@
 #ifndef CLOAKDB_GEOM_DISTANCE_H_
 #define CLOAKDB_GEOM_DISTANCE_H_
 
+#include <algorithm>
+#include <cmath>
+
 #include "geom/point.h"
 #include "geom/rect.h"
 
 namespace cloakdb {
+
+/// Distance from v to the interval [lo, hi]; 0 inside. The per-axis term of
+/// MinDistSquared, inline so that kernels working on sub-rectangles (the
+/// Fig. 5 dominance tiles) run exactly the same arithmetic.
+inline double AxisGap(double v, double lo, double hi) {
+  return std::max(std::max(lo - v, v - hi), 0.0);
+}
+
+/// Distance from v to the farther end of [lo, hi]: MaxDistSquared's term.
+inline double AxisFar(double v, double lo, double hi) {
+  return std::max(std::abs(v - lo), std::abs(v - hi));
+}
 
 /// Smallest distance from `p` to any point of `r` (0 if `p` is inside).
 double MinDist(const Point& p, const Rect& r);
@@ -22,8 +37,16 @@ double MinDist(const Point& p, const Rect& r);
 double MaxDist(const Point& p, const Rect& r);
 
 /// Squared variants (avoid the sqrt in comparison-only code).
-double MinDistSquared(const Point& p, const Rect& r);
-double MaxDistSquared(const Point& p, const Rect& r);
+inline double MinDistSquared(const Point& p, const Rect& r) {
+  const double dx = AxisGap(p.x, r.min_x, r.max_x);
+  const double dy = AxisGap(p.y, r.min_y, r.max_y);
+  return dx * dx + dy * dy;
+}
+inline double MaxDistSquared(const Point& p, const Rect& r) {
+  const double dx = AxisFar(p.x, r.min_x, r.max_x);
+  const double dy = AxisFar(p.y, r.min_y, r.max_y);
+  return dx * dx + dy * dy;
+}
 
 /// Smallest distance between any point of `a` and any point of `b`
 /// (0 if they intersect).

@@ -1,9 +1,30 @@
 // The Fig. 5 refine kernel: every private range, NN and kNN answer keeps
 // exactly the fetched hits this kernel keeps. A fetch filter drops hits
 // outside the query's reach (range: the radius-expanded cloak, then the
-// exact rounded rectangle; NN/kNN: MinDist(o, R) <= reach), and dominance
-// pruning drops an object when at least k others are guaranteed nearer for
-// every possible user position inside the cloaked region R.
+// exact rounded rectangle; NN/kNN: MinDist(o, R) <= reach), and k-dominance
+// pruning drops an NN/kNN object that cannot be among the k nearest of any
+// point of the cloaked region R.
+//
+// The prune keeps o iff, in at least one tile T of a fixed 4x4 grid of
+// closed tiles over R, MinDist(o, T) is at most the k-th smallest
+// MaxDist(o', T) over the hits: fewer than k objects are then nearer than o
+// at every point of T. Every point of R lies in some tile, and its true k
+// nearest survive that tile's test, so the union over tiles is still a
+// candidate superset for every point of R. A tile only shrinks MaxDist and
+// grows MinDist, so the kernel keeps a subset of whole-R k-dominance. It
+// runs over squared distances in two passes:
+// 1. Whole cloak (k > 1): one nth_element finds the k-th smallest
+//    MaxDist(o', R). The objects within it are k objects near every tile,
+//    so they bound each tile's k-th from above, and each tile selects among
+//    the few values under its bound. (k = 1 takes each tile's minimum in
+//    one scan instead.)
+// 2. Tiles: a hit whose MinDist(o, R) exceeds the largest tile threshold
+//    (everything whole-R dominance drops, and more) goes with one test; the
+//    rest take the 16 tile tests, branch-free.
+// The grid is a function of R alone, so the list says nothing about where
+// in R the user is. A union of per-shard lists re-pruned by this kernel
+// equals the one-shard list: a tile's k smallest MaxDist always survive
+// their shard, so the merge sees the same per-tile thresholds.
 //
 // Header-only and templated over the hit type, so the isolated and
 // cache-served queries (IndexHit hits), standing queries (PublicObject
@@ -14,6 +35,7 @@
 #define CLOAKDB_SERVER_DOMINANCE_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -32,47 +54,158 @@ const T& HitOf(const T* hit) {
   return *hit;
 }
 
-/// k-dominance: o cannot be among any point's k nearest when at least k
-/// objects are guaranteed nearer for every possible location, i.e. have
-/// MaxDist(o', R) < MinDist(o, R). (o never dominates itself: MaxDist >=
-/// MinDist.) For k = 1 that is "keep o iff MinDist(o, R) <= min_o'
-/// MaxDist(o', R)", found with one min-scan. Order-preserving; returns the
-/// prune count.
+/// Tiles per side of the grid over the cloak.
+inline constexpr size_t kDominanceTiles = 4;
+
+/// Edge e (0..kDominanceTiles) of the tile grid over [lo, hi]. Edges are
+/// non-decreasing and stay inside [lo, hi], so the closed tiles cover it.
+inline double DominanceTileEdge(double lo, double hi, size_t e) {
+  if (e == kDominanceTiles) return hi;
+  return std::min(hi, lo + (hi - lo) * (static_cast<double>(e) /
+                                        static_cast<double>(kDominanceTiles)));
+}
+
+/// Closed tile (i, j) of the grid over `cloaked`: column i, row j.
+inline Rect DominanceTile(const Rect& cloaked, size_t i, size_t j) {
+  return Rect(DominanceTileEdge(cloaked.min_x, cloaked.max_x, i),
+              DominanceTileEdge(cloaked.min_y, cloaked.max_y, j),
+              DominanceTileEdge(cloaked.min_x, cloaked.max_x, i + 1),
+              DominanceTileEdge(cloaked.min_y, cloaked.max_y, j + 1));
+}
+
+namespace dominance_internal {
+
+inline constexpr size_t kTiles = kDominanceTiles * kDominanceTiles;
+using TileEdges = std::array<double, kDominanceTiles + 1>;
+using AxisTerms = std::array<double, kDominanceTiles>;
+
+inline TileEdges Edges(double lo, double hi) {
+  TileEdges e;
+  for (size_t i = 0; i <= kDominanceTiles; ++i)
+    e[i] = DominanceTileEdge(lo, hi, i);
+  return e;
+}
+
+/// Squared gap (MinDist) or far (MaxDist) term of v against each interval.
+template <double (*Term)(double, double, double)>
+AxisTerms Squares(double v, const TileEdges& e) {
+  AxisTerms out;
+  for (size_t i = 0; i < kDominanceTiles; ++i) {
+    const double d = Term(v, e[i], e[i + 1]);
+    out[i] = d * d;
+  }
+  return out;
+}
+
+/// The k-th smallest of values[0, count), count >= k; reorders them. A
+/// tile's column holds few values beyond k, so small k keeps the k smallest
+/// sorted in the prefix by insertion.
+inline double KthSmallest(double* values, size_t count, size_t k) {
+  constexpr size_t kInsertionMaxK = 8;
+  if (k > kInsertionMaxK) {
+    std::nth_element(values, values + (k - 1), values + count);
+    return values[k - 1];
+  }
+  std::sort(values, values + k);
+  for (size_t c = k; c < count; ++c) {
+    const double v = values[c];
+    if (!(v < values[k - 1])) continue;
+    size_t p = k - 1;
+    for (; p > 0 && values[p - 1] > v; --p) values[p] = values[p - 1];
+    values[p] = v;
+  }
+  return values[k - 1];
+}
+
+/// Per-thread scratch (k > 1): pass 1's MaxDist column, then the per-tile
+/// columns of MaxDist.
+inline std::vector<double>& Scratch() {
+  thread_local std::vector<double> scratch;
+  return scratch;
+}
+
+}  // namespace dominance_internal
+
+/// The tile k-dominance prune (see the file comment). Verdicts equal the
+/// quadratic per-tile test "fewer than k objects o' have MaxDistSquared(o',
+/// T) < MinDistSquared(o, T) for some tile T" bit for bit. Order-preserving;
+/// returns the prune count.
 template <typename T>
 size_t KDominancePrune(std::vector<T>* hits, const Rect& cloaked, size_t k) {
-  const size_t before = hits->size();
+  namespace di = dominance_internal;
+  const size_t n = hits->size();
+  if (n <= k) return 0;
+  std::vector<double>& scratch = di::Scratch();
+  auto point = [](const T& h) -> const Point& { return HitOf(h).location; };
+  const di::TileEdges xe = di::Edges(cloaked.min_x, cloaked.max_x);
+  const di::TileEdges ye = di::Edges(cloaked.min_y, cloaked.max_y);
+  // Tile t = (i, j) adds the x-term of column i to the y-term of row j, as
+  // MinDistSquared and MaxDistSquared do on the tile's Rect.
+  auto for_each_tile = [](const di::AxisTerms& x, const di::AxisTerms& y,
+                          auto&& f) {
+    for (size_t t = 0; t < di::kTiles; ++t)
+      f(t, x[t / kDominanceTiles] + y[t % kDominanceTiles]);
+  };
+
+  // kth[t]: the k-th smallest MaxDist to tile t over the hits.
+  std::array<double, di::kTiles> kth;
   if (k == 1) {
-    double min_max_dist = std::numeric_limits<double>::infinity();
-    for (const auto& h : *hits) {
-      min_max_dist =
-          std::min(min_max_dist, MaxDist(HitOf(h).location, cloaked));
+    kth.fill(std::numeric_limits<double>::infinity());
+    for (const T& h : *hits) {
+      for_each_tile(di::Squares<AxisFar>(point(h).x, xe),
+                    di::Squares<AxisFar>(point(h).y, ye),
+                    [&](size_t t, double v) { kth[t] = std::min(kth[t], v); });
     }
-    hits->erase(std::remove_if(hits->begin(), hits->end(),
-                               [&](const T& e) {
-                                 return MinDist(HitOf(e).location, cloaked) >
-                                        min_max_dist;
-                               }),
-                hits->end());
-    return before - hits->size();
+  } else {
+    // Pass 1: the k-th smallest MaxDist to the whole cloak.
+    scratch.resize(n);
+    for (size_t i = 0; i < n; ++i)
+      scratch[i] = MaxDistSquared(point((*hits)[i]), cloaked);
+    std::nth_element(scratch.begin(), scratch.begin() + (k - 1),
+                     scratch.end());
+    const double whole_kth = scratch[k - 1];
+    // The objects behind whole_kth are at least k, so their largest
+    // MaxDist to a tile bounds that tile's k-th from above.
+    std::array<double, di::kTiles> bound{};
+    for (const T& h : *hits) {
+      if (MaxDistSquared(point(h), cloaked) > whole_kth) continue;
+      for_each_tile(
+          di::Squares<AxisFar>(point(h).x, xe),
+          di::Squares<AxisFar>(point(h).y, ye),
+          [&](size_t t, double v) { bound[t] = std::max(bound[t], v); });
+    }
+    // Per tile, append the values within the bound to the tile's column
+    // (branch-free), then select the k-th among them.
+    scratch.resize(di::kTiles * n);
+    std::array<size_t, di::kTiles> count{};
+    for (const T& h : *hits) {
+      for_each_tile(di::Squares<AxisFar>(point(h).x, xe),
+                    di::Squares<AxisFar>(point(h).y, ye),
+                    [&](size_t t, double v) {
+                      scratch[t * n + count[t]] = v;
+                      count[t] += v <= bound[t];
+                    });
+    }
+    for (size_t t = 0; t < di::kTiles; ++t)
+      kth[t] = di::KthSmallest(scratch.data() + t * n, count[t], k);
   }
-  std::vector<double> max_dists;
-  max_dists.reserve(hits->size());
-  for (const auto& h : *hits) {
-    max_dists.push_back(MaxDist(HitOf(h).location, cloaked));
-  }
-  std::sort(max_dists.begin(), max_dists.end());
-  hits->erase(std::remove_if(
-                  hits->begin(), hits->end(),
-                  [&](const T& e) {
-                    const double min_d = MinDist(HitOf(e).location, cloaked);
-                    const size_t closer = static_cast<size_t>(
-                        std::lower_bound(max_dists.begin(), max_dists.end(),
-                                         min_d) -
-                        max_dists.begin());
-                    return closer >= k;
-                  }),
+
+  // MinDist to a tile is at least MinDist to the cloak, so one test drops
+  // every hit beyond the largest tile threshold. That threshold is at most
+  // the whole-cloak k-th, so this drops all that whole-cloak dominance
+  // would.
+  const double max_kth = *std::max_element(kth.begin(), kth.end());
+  auto pruned_in_every_tile = [&](const T& h) {
+    if (MinDistSquared(point(h), cloaked) > max_kth) return true;
+    bool keep = false;
+    for_each_tile(di::Squares<AxisGap>(point(h).x, xe),
+                  di::Squares<AxisGap>(point(h).y, ye),
+                  [&](size_t t, double v) { keep |= v <= kth[t]; });
+    return !keep;
+  };
+  hits->erase(std::remove_if(hits->begin(), hits->end(), pruned_in_every_tile),
               hits->end());
-  return before - hits->size();
+  return n - hits->size();
 }
 
 /// The two shapes of Fig. 5: a range (5a) or a k-nearest query (5b; NN is

@@ -64,10 +64,11 @@ struct PrivateNnResult {
   std::vector<PublicObject> candidates;
   /// The conservative fetch radius used before pruning.
   double fetch_radius = 0.0;
-  /// Number of fetched objects eliminated by dominance pruning (an object
-  /// o is dominated when some o' satisfies MaxDist(o', R) < MinDist(o, R),
-  /// i.e. o' is guaranteed nearer for every possible user location — the
-  /// paper's "target A is eliminated" argument).
+  /// Number of fetched objects eliminated by dominance pruning: o goes when
+  /// in every tile T of the kernel's grid over R some o' satisfies
+  /// MaxDist(o', T) < MinDist(o, T), i.e. o' is guaranteed nearer for every
+  /// user location in T — the paper's "target A is eliminated" argument,
+  /// tile by tile.
   size_t dominance_pruned = 0;
   /// Degradation markers filled by the service layer; see
   /// PrivateRangeResult::degraded / covered_shards.
@@ -89,8 +90,8 @@ struct PrivateKnnResult {
   /// every point in the cloaked region.
   std::vector<PublicObject> candidates;
   double fetch_radius = 0.0;
-  /// Objects eliminated because at least k others are guaranteed nearer
-  /// for every possible user location.
+  /// Objects eliminated because, in every tile of the kernel's grid over
+  /// R, at least k others are guaranteed nearer for every user location.
   size_t dominance_pruned = 0;
   /// Degradation markers filled by the service layer; see
   /// PrivateRangeResult::degraded / covered_shards.

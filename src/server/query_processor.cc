@@ -255,7 +255,9 @@ namespace {
 
 // NN and kNN partials merge alike: candidate union, then the kernel's
 // k-dominance prune over it — a candidate that survived its shard can still
-// be beaten by k objects of other shards for every querier location.
+// be beaten by k objects of other shards for every querier location. One
+// part is already an id-sorted kernel output, and re-pruning it would
+// change nothing: each tile's threshold comes from objects its shard kept.
 template <typename R>
 R MergeNearest(const Rect& cloaked, size_t k, std::vector<R> parts) {
   R merged;
@@ -266,6 +268,7 @@ R MergeNearest(const Rect& cloaked, size_t k, std::vector<R> parts) {
                              std::make_move_iterator(part.candidates.begin()),
                              std::make_move_iterator(part.candidates.end()));
   }
+  if (parts.size() < 2) return merged;
   SortUniqueById(&merged.candidates);
   merged.dominance_pruned += KDominancePrune(&merged.candidates, cloaked, k);
   return merged;

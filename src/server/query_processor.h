@@ -192,14 +192,13 @@ PrivateRangeResult MergePrivateRangeResults(
     std::vector<PrivateRangeResult> parts);
 
 /// Merges private-NN partials for `cloaked`: candidate union re-pruned by
-/// global dominance (keep o iff MinDist(o, R) <= min over the union of
-/// MaxDist(o', R)).
+/// the tile dominance kernel (server/dominance.h) over the union; a single
+/// part is returned as is. The result equals the one-shard answer.
 PrivateNnResult MergePrivateNnResults(const Rect& cloaked,
                                       std::vector<PrivateNnResult> parts);
 
 /// Merges private-kNN partials for `cloaked`: candidate union re-pruned by
-/// global k-dominance (drop o when at least k union members are guaranteed
-/// nearer for every location in R).
+/// the tile k-dominance kernel, like MergePrivateNnResults.
 PrivateKnnResult MergePrivateKnnResults(const Rect& cloaked, size_t k,
                                         std::vector<PrivateKnnResult> parts);
 

@@ -1,10 +1,10 @@
 // Oracle for the standing-query evaluation kernels: ComputeStandingAnswer
 // and StandingCoverageHolds against a brute-force reference kept here — a
-// quadratic k-dominance loop and a full-sqrt nth_element per corner. The
-// kernels take the k-th corner distance over squared distances and prune
-// with the one-shot sorted-max-dist predicate; ids and fetch radius must
-// still match the reference bit for bit, including on ties, duplicate
-// locations and degenerate regions.
+// quadratic per-tile k-dominance loop over the kernel's tile grid and a
+// full-sqrt nth_element per corner. The kernels take the k-th corner
+// distance over squared distances and prune with the two-pass tile kernel;
+// ids and fetch radius must still match the reference bit for bit,
+// including on ties, duplicate locations and degenerate regions.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "geom/distance.h"
+#include "server/dominance.h"
 #include "service/continuous_registry.h"
 #include "util/random.h"
 
@@ -85,13 +86,23 @@ std::vector<PublicObject> RefAnswer(const ContinuousSpec& spec,
   for (const auto& o : fetched) {
     if (MinDist(o.location, region) <= reach) cand.push_back(&o);
   }
+  // Keep o iff fewer than k objects are nearer for every point of at least
+  // one tile of the grid.
   for (const PublicObject* o : cand) {
-    size_t dominators = 0;
-    for (const PublicObject* d : cand) {
-      if (MaxDist(d->location, region) < MinDist(o->location, region))
-        ++dominators;
+    bool keep = false;
+    for (size_t i = 0; i < kDominanceTiles; ++i) {
+      for (size_t j = 0; j < kDominanceTiles; ++j) {
+        const Rect tile = DominanceTile(region, i, j);
+        size_t dominators = 0;
+        for (const PublicObject* d : cand) {
+          if (MaxDistSquared(d->location, tile) <
+              MinDistSquared(o->location, tile))
+            ++dominators;
+        }
+        keep = keep || dominators < k;
+      }
     }
-    if (dominators < k) answer.push_back(*o);
+    if (keep) answer.push_back(*o);
   }
   return answer;
 }
