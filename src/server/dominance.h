@@ -15,9 +15,9 @@
 // runs over squared distances in two passes:
 // 1. Whole cloak (k > 1): one nth_element finds the k-th smallest
 //    MaxDist(o', R). The objects within it are k objects near every tile,
-//    so they bound each tile's k-th from above, and each tile selects among
-//    the few values under its bound. (k = 1 takes each tile's minimum in
-//    one scan instead.)
+//    so they bound each tile's k-th from above, and each tile selects its
+//    k-th with nth_element among the values under its bound. (k = 1 takes
+//    each tile's minimum in one scan instead.)
 // 2. Tiles: a hit whose MinDist(o, R) exceeds the largest tile threshold
 //    (everything whole-R dominance drops, and more) goes with one test; the
 //    rest take the 16 tile tests, branch-free.
@@ -97,25 +97,10 @@ AxisTerms Squares(double v, const TileEdges& e) {
   return out;
 }
 
-/// The k-th smallest of values[0, count), count >= k; reorders them. A
-/// tile's column holds few values beyond k, so small k keeps the k smallest
-/// sorted in the prefix by insertion.
-inline double KthSmallest(double* values, size_t count, size_t k) {
-  constexpr size_t kInsertionMaxK = 8;
-  if (k > kInsertionMaxK) {
-    std::nth_element(values, values + (k - 1), values + count);
-    return values[k - 1];
-  }
-  std::sort(values, values + k);
-  for (size_t c = k; c < count; ++c) {
-    const double v = values[c];
-    if (!(v < values[k - 1])) continue;
-    size_t p = k - 1;
-    for (; p > 0 && values[p - 1] > v; --p) values[p] = values[p - 1];
-    values[p] = v;
-  }
-  return values[k - 1];
-}
+/// Doubles of scratch a thread keeps between calls: 16 columns of up to
+/// 1,024 hits (128 KB). A call over more hits frees its scratch on return,
+/// so one large cloak does not pin its size on the thread.
+inline constexpr size_t kScratchKeep = size_t{1} << 14;
 
 /// Per-thread scratch (k > 1): pass 1's MaxDist column, then the per-tile
 /// columns of MaxDist.
@@ -157,12 +142,13 @@ size_t KDominancePrune(std::vector<T>* hits, const Rect& cloaked, size_t k) {
                     [&](size_t t, double v) { kth[t] = std::min(kth[t], v); });
     }
   } else {
-    // Pass 1: the k-th smallest MaxDist to the whole cloak.
-    scratch.resize(n);
+    // Pass 1: the k-th smallest MaxDist to the whole cloak, in what is
+    // then tile 0's column.
+    scratch.resize(di::kTiles * n);
     for (size_t i = 0; i < n; ++i)
       scratch[i] = MaxDistSquared(point((*hits)[i]), cloaked);
     std::nth_element(scratch.begin(), scratch.begin() + (k - 1),
-                     scratch.end());
+                     scratch.begin() + n);
     const double whole_kth = scratch[k - 1];
     // The objects behind whole_kth are at least k, so their largest
     // MaxDist to a tile bounds that tile's k-th from above.
@@ -176,7 +162,6 @@ size_t KDominancePrune(std::vector<T>* hits, const Rect& cloaked, size_t k) {
     }
     // Per tile, append the values within the bound to the tile's column
     // (branch-free), then select the k-th among them.
-    scratch.resize(di::kTiles * n);
     std::array<size_t, di::kTiles> count{};
     for (const T& h : *hits) {
       for_each_tile(di::Squares<AxisFar>(point(h).x, xe),
@@ -186,8 +171,13 @@ size_t KDominancePrune(std::vector<T>* hits, const Rect& cloaked, size_t k) {
                       count[t] += v <= bound[t];
                     });
     }
-    for (size_t t = 0; t < di::kTiles; ++t)
-      kth[t] = di::KthSmallest(scratch.data() + t * n, count[t], k);
+    for (size_t t = 0; t < di::kTiles; ++t) {
+      double* column = scratch.data() + t * n;
+      std::nth_element(column, column + (k - 1), column + count[t]);
+      kth[t] = column[k - 1];
+    }
+    if (scratch.capacity() > di::kScratchKeep)
+      std::vector<double>().swap(scratch);
   }
 
   // MinDist to a tile is at least MinDist to the cloak, so one test drops

@@ -7,7 +7,8 @@
 // Inputs mix lattice coordinates (distance ties), duplicate locations,
 // zero-width and zero-height cloaks, hit counts at or below k, and
 // k in {1, 2, 5, 64, 4096}. A service twin holds 1-, 2- and 4-shard NN/kNN
-// answers to each other bit for bit.
+// answers to each other bit for bit, and a large call must not leave its
+// scratch on the thread.
 
 #include "server/dominance.h"
 
@@ -211,6 +212,23 @@ TEST(DominanceKernelTest, LargeKKeepsTrueNearest) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
     CheckProperties(objects, cloaked, k, /*with_reference=*/false);
   }
+}
+
+TEST(DominanceKernelTest, LargeCallDoesNotKeepItsScratch) {
+  Rng rng(1024);
+  std::vector<double>& scratch = dominance_internal::Scratch();
+  // 5,000 hits need 80,000 doubles of tile columns, above what a thread
+  // keeps; 300 hits fit, so their scratch stays for the next call.
+  const auto many = RandomObjects(rng, 5000, 100.0);
+  std::vector<PublicObject> kept = many;
+  KDominancePrune(&kept, Rect(0, 0, 100, 100), 2);
+  EXPECT_LE(scratch.capacity(), dominance_internal::kScratchKeep);
+
+  const auto few = RandomObjects(rng, 300, 100.0);
+  kept = few;
+  KDominancePrune(&kept, Rect(40, 40, 60, 60), 2);
+  EXPECT_GE(scratch.capacity(), dominance_internal::kTiles * few.size());
+  EXPECT_LE(scratch.capacity(), dominance_internal::kScratchKeep);
 }
 
 TEST(DominanceKernelTest, ShardCountsGiveBitIdenticalNearestAnswers) {

@@ -3,14 +3,14 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_record.py --workload wire_read [--seed 1]
-        [--seconds 20] [--commit SHA] [--label TEXT]
-        [--untraced FILE --traced FILE]
+    python3 tools/bench_record.py --workload wire_read [--commit SHA]
+        [--label TEXT] [--untraced FILE --traced FILE]
 
-Without --untraced/--traced it runs perfbench/run.py twice, untraced for
-the five end-to-end metrics and the host CPU steal, traced for the
-per-layer metrics that perfbench tags `exact`. With them it reads two
-saved reports of such runs instead. The commit defaults to `git rev-parse
+Without --untraced/--traced it runs perfbench/run.py twice at seed 1 for
+20 s, untraced for the five end-to-end metrics and the host CPU steal,
+traced for the per-layer metrics that perfbench tags `exact`. With them it
+reads two saved reports of such runs instead. Every entry is at that seed
+and length, so the entries of a file compare with each other. The commit defaults to `git rev-parse
 HEAD`. Each BENCH_<workload>.json is a JSON list, oldest entry first;
 entries marked "backfilled" were copied from medians recorded in
 CHANGES.md, not measured by this script.
@@ -27,20 +27,26 @@ END_TO_END = ("setup_s", "peak_rss_mb", "candidates_per_query",
               "query_cpu_us", "update_cpu_us")
 METRIC_LINE = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\S+)\s+(exact|varying|timing)")
 STEAL_LINE = re.compile(r"host cpu steal during the run: ([0-9.]+)%")
+SEED = 1
+RUN_SECONDS = 20.0
 
 
-def perfbench(workload, seed, seconds, trace):
-    """Runs one perfbench workload; returns its report text."""
+def perfbench(workload, trace):
+    """Runs one perfbench workload; returns its report text. A run whose
+    answer checks fail exits non-zero but still reports, so the exit code
+    is not checked here; parse() fails when the result line is missing."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", "%g" % seconds,
+           "--seed", str(SEED), "--seconds", "%g" % RUN_SECONDS,
            "--trace", str(trace)]
-    return subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                          check=True).stdout
+    return subprocess.run(cmd, stdout=subprocess.PIPE, text=True).stdout
 
 
 def parse(report):
     """Result line, per-kind metrics and steal fraction of one report."""
-    result = json.loads(report.rstrip("\n").split("\n")[-1])
+    try:
+        result = json.loads(report.rstrip("\n").split("\n")[-1])
+    except ValueError:
+        sys.exit("bench_record: the perfbench report has no result line")
     kinds = {}
     steal = None
     for line in report.split("\n"):
@@ -58,8 +64,6 @@ def main():
     parser.add_argument("--workload", required=True,
                         choices=("wire_read", "ingest_durable",
                                  "standing_mixed"))
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--commit")
     parser.add_argument("--label", default="")
     parser.add_argument("--untraced", help="saved untraced report")
@@ -74,8 +78,8 @@ def main():
         with open(args.traced) as f:
             traced = f.read()
     else:
-        untraced = perfbench(args.workload, args.seed, args.seconds, 0)
-        traced = perfbench(args.workload, args.seed, args.seconds, 1)
+        untraced = perfbench(args.workload, 0)
+        traced = perfbench(args.workload, 1)
     e2e, _, steal = parse(untraced)
     layers, kinds, _ = parse(traced)
     commit = args.commit or subprocess.run(
@@ -86,8 +90,8 @@ def main():
         "commit": commit,
         "label": args.label,
         "backfilled": False,
-        "seed": args.seed,
-        "run_seconds": args.seconds,
+        "seed": SEED,
+        "run_seconds": RUN_SECONDS,
         "host_steal_frac": steal,
         "correct": e2e["correct"] and layers["correct"],
         "failed": e2e["failed"] + layers["failed"],
