@@ -181,15 +181,11 @@ BENCHMARK(BM_IDX_PostSealProbe)
 void BM_IDX_StaticRTreeBuild(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   auto pois = bench::MakeUsers(n);
-  size_t blob_bytes = 0;
   for (auto _ : state) {
     auto tree = StaticRTree::Build(pois);
-    blob_bytes = tree.value().blob_bytes();
     benchmark::DoNotOptimize(tree);
   }
   state.counters["n"] = static_cast<double>(n);
-  state.counters["bytes_per_poi"] =
-      static_cast<double>(blob_bytes) / static_cast<double>(n);
 }
 BENCHMARK(BM_IDX_StaticRTreeBuild)
     ->Arg(10000)->Arg(100000)

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "geom/distance.h"
@@ -212,42 +212,6 @@ std::vector<PointEntry> PublicCategoryIndex::LiveEntries() const {
   });
   for (const IndexHit& e : overlay_) out.push_back({e.id, e.location});
   return out;
-}
-
-Status PublicCategoryIndex::AdoptSealed(StaticRTree sealed,
-                                        const std::vector<PointEntry>& objects) {
-  std::unordered_map<ObjectId, Point> want;
-  want.reserve(objects.size() * 2);
-  for (const PointEntry& e : objects) want.emplace(e.id, e.location);
-
-  std::unordered_set<ObjectId> dead;
-  bool mismatch = false;
-  sealed.ForEachEntry([&](ObjectId id, const Point& p) {
-    auto it = want.find(id);
-    if (it == want.end()) {
-      dead.insert(id);
-    } else if (it->second != p) {
-      mismatch = true;
-    } else {
-      want.erase(it);
-    }
-  });
-  if (mismatch) {
-    return Status::Internal(
-        "sealed blob disagrees with snapshot on a stored location");
-  }
-
-  Reseal(std::move(sealed));
-  tombstones_ = std::move(dead);
-  for (const auto& [id, p] : want) overlay_.push_back({id, p});
-  std::sort(overlay_.begin(), overlay_.end(), ByXThenId);
-  for (IndexHit& e : overlay_) e.row = next_row_++;
-  if (config_.obs != nullptr) {
-    BumpCounter(config_.obs->adoptions_total);
-    BumpCounter(config_.obs->overlay_inserts_total, want.size());
-    BumpCounter(config_.obs->tombstones_total, tombstones_.size());
-  }
-  return CompactIfOverLimit();
 }
 
 Status PublicCategoryIndex::Compact() {

@@ -14,26 +14,25 @@
 // overlay entry gets a row past the sealed slots on Insert and keeps it
 // until its Remove (a freed row is reused). The owner keeps its
 // records in a table indexed by row (server/object_store.h), so a hit
-// leads straight to its record. Rows hold between seals; every seal,
-// adoption and compaction (a new seal_generation) renumbers them all.
+// leads straight to its record. Rows hold between seals; every seal or
+// compaction (a new seal_generation) renumbers them all.
 //
 // Queries merge sealed (minus tombstones) with the overlay. Range hits come
 // in index order (sealed hits in leaf-slot order, then overlay hits by
 // (x, id)), which is deterministic but not id order; kNN comes by
 // (distance, id). Overlay + tombstones never exceed `overlay_compact_limit`:
-// a mutation or an adoption that would pass it folds them back into a fresh
-// sealed tree, and the service's checkpoint path compacts too, so the
-// serialized sidecar stays close to the live set. The bound also keeps the
-// overlay short enough that an x-slab scan beats a tree (docs/INDEXES.md,
-// "Spill"). A category that is never sealed is served by its overlay alone
-// until its first compaction seals it.
+// a mutation that would pass it folds them back into a fresh sealed tree.
+// The bound also keeps the overlay short enough that an x-slab scan beats
+// a tree (docs/INDEXES.md, "Spill"). A category that is never sealed is
+// served by its overlay alone until its first compaction seals it. The
+// index has no on-disk form: recovery bulk-loads each category from the
+// checkpoint snapshot.
 
 #ifndef CLOAKDB_INDEX_PUBLIC_INDEX_H_
 #define CLOAKDB_INDEX_PUBLIC_INDEX_H_
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -53,8 +52,6 @@ struct StaticIndexObs {
   obs::Counter* overlay_inserts_total = nullptr;
   obs::Counter* tombstones_total = nullptr;
   obs::Counter* compactions_total = nullptr;
-  obs::Counter* adoptions_total = nullptr;       ///< mmap'd trees adopted
-  obs::Counter* rebuilds_total = nullptr;        ///< adoption fallbacks
 };
 
 /// One category's public-data index. Move-only, like StaticRTree.
@@ -120,29 +117,9 @@ class PublicCategoryIndex {
   bool HasSealedTree() const { return sealed_.size() > 0; }
   size_t overlay_size() const { return overlay_.size(); }
   size_t tombstone_count() const { return tombstones_.size(); }
-  /// Bumped on every seal / adoption / compaction, i.e. whenever rows are
+  /// Bumped on every seal and compaction, i.e. whenever rows are
   /// renumbered.
   uint64_t seal_generation() const { return seal_generation_; }
-
-  /// The sealed tree's blob ("" when none) — what the checkpoint sidecar
-  /// stores. Overlay and tombstones are NOT in the blob; recovery
-  /// reconciles them from the snapshot via AdoptSealed.
-  std::string SerializeSealedBlob() const { return sealed_.SerializeBlob(); }
-
-  /// Adopts a deserialized (usually mmap-backed) sealed tree, verifying it
-  /// entry-by-entry against `objects` — the authoritative live set from the
-  /// snapshot. Sealed entries missing from `objects` become tombstones;
-  /// `objects` entries missing from the sealed tree go to the overlay, and
-  /// a spill past `overlay_compact_limit` is compacted at once. Any
-  /// id whose stored location disagrees fails with Internal and leaves the
-  /// index unchanged (caller falls back to a fresh BulkLoad).
-  Status AdoptSealed(StaticRTree sealed,
-                     const std::vector<PointEntry>& objects);
-
-  /// True when overlay + tombstones are worth folding back in.
-  bool NeedsCompaction() const {
-    return overlay_.size() + tombstones_.size() > 0;
-  }
 
   /// Rebuilds the sealed tree from the live set; clears overlay/tombstones.
   Status Compact();

@@ -7,10 +7,11 @@
 // array layout with zero pointers, u32 fixed-point coordinates so a leaf
 // entry is 16 bytes and a 64-entry leaf page is exactly 1 KiB (a
 // power-of-two multiple of the cache line), and window tests over a whole
-// leaf page as branchless unsigned range checks. The entire tree
-// serializes as one contiguous CRC-framed blob, so a restarting shard can
-// mmap the sidecar file (util/mmap_file.h) and point the node/leaf/exact
-// spans straight into the mapping — no allocation, no STR rebuild.
+// leaf page as branchless unsigned range checks. The tree has no on-disk
+// form: its levels, leaf entries, exact coordinates and id directory are
+// plain arrays that Build fills, and a restarting shard re-seals each
+// category from its checkpoint snapshot (docs/INDEXES.md, "Recovery
+// re-seals").
 //
 // Quantization never changes answers: window endpoints are quantized
 // outward (floor for the low edge, the same floor for the high edge, so a
@@ -27,16 +28,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "geom/point.h"
 #include "geom/rect.h"
 #include "index/grid_index.h"
-#include "util/mmap_file.h"
 #include "util/status.h"
 
 namespace cloakdb {
@@ -50,14 +48,13 @@ struct IndexHit {
   uint64_t row = 0;
 };
 
-/// Immutable STR-packed R-tree. Build once (or deserialize), query freely.
+/// Immutable STR-packed R-tree. Build once, query freely.
 class StaticRTree {
  public:
   /// 64 x 16-byte entries = 1024-byte leaf pages (16 cache lines).
   static constexpr uint32_t kLeafCapacity = 64;
   /// Fan-out of the implicit upper levels.
   static constexpr uint32_t kBranching = 64;
-  static constexpr uint32_t kLeafPageBytes = 1024;
 
   /// One leaf slot: id plus fixed-point coordinates. 16 bytes.
   struct LeafEntry {
@@ -89,38 +86,19 @@ class StaticRTree {
   StaticRTree& operator=(StaticRTree&&) = default;
 
   /// STR-packs `entries` (fails with InvalidArgument on duplicate ids or
-  /// non-finite coordinates). The result owns its serialized blob. When
-  /// `input_of_slot` is non-null it receives, for each leaf slot, the index
-  /// in `entries` of the entry stored there, so a caller can lay its own
-  /// records out in slot order without an id lookup.
+  /// non-finite coordinates). When `input_of_slot` is non-null it
+  /// receives, for each leaf slot, the index in `entries` of the entry
+  /// stored there, so a caller can lay its own records out in slot order
+  /// without an id lookup.
   static Result<StaticRTree> Build(
       std::vector<PointEntry> entries,
       std::vector<uint64_t>* input_of_slot = nullptr);
 
-  /// The serialized form (a copy when mmap-backed); feed to FromBlob or
-  /// FromMapped to reconstruct. Starts with magic "CDBSRT01" and is
-  /// CRC-framed; see static_rtree.cc for the layout. Empty string for a
-  /// default-constructed tree.
-  std::string SerializeBlob() const;
-
-  /// Parses an owned blob (validates magic, geometry, and CRC).
-  static Result<StaticRTree> FromBlob(std::string blob);
-
-  /// Points the tree's spans into `[offset, offset+length)` of a mapped
-  /// file — zero-copy; the tree keeps the file alive. `offset` must be
-  /// 8-byte aligned.
-  static Result<StaticRTree> FromMapped(std::shared_ptr<util::MmapFile> file,
-                                        size_t offset, size_t length);
-
-  size_t size() const { return count_; }
+  size_t size() const { return leaves_.size(); }
   /// Levels in the packed tree (1 = a single leaf-page level; 0 = empty).
   uint32_t Height() const { return static_cast<uint32_t>(levels_.size()); }
-  /// Exact bounding box of the build set (empty Rect when count == 0).
+  /// Exact bounding box of the build set (empty Rect when size() == 0).
   const Rect& frame() const { return frame_; }
-  /// Serialized footprint in bytes.
-  size_t blob_bytes() const { return blob_size_; }
-  /// True when the backing bytes live in an mmap'd file.
-  bool memory_mapped() const { return mapped_file_ != nullptr; }
 
   /// Appends all objects inside `window` (exact-refined) to `out`,
   /// in leaf-slot order. `skip` (optional) hides tombstoned ids.
@@ -152,26 +130,18 @@ class StaticRTree {
   /// used by the facade's compaction to re-collect the sealed set.
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
-    for (uint64_t slot = 0; slot < count_; ++slot) {
-      fn(leaves_[slot].id, ExactLocation(slot));
+    for (uint64_t slot = 0; slot < leaves_.size(); ++slot) {
+      fn(leaves_[slot].id, exact_[slot]);
     }
   }
 
  private:
-  struct Level {
-    const NodeRec* nodes = nullptr;
-    uint64_t count = 0;
-  };
-
   /// Map id -> leaf slot, sorted by id for binary search. 16 bytes.
   struct IdSlot {
     ObjectId id;
     uint64_t slot;
   };
 
-  Point ExactLocation(uint64_t slot) const {
-    return {exact_[2 * slot], exact_[2 * slot + 1]};
-  }
   /// Conservative exact-space cover of a quantized node rect.
   Rect DequantRect(const NodeRec& rec) const;
   /// Calls `emit(slot, id, exact point)` for every visible object inside
@@ -182,26 +152,16 @@ class StaticRTree {
   /// The id directory record of `id`, or nullptr when absent.
   const IdSlot* FindId(ObjectId id) const;
 
-  /// Binds the span pointers into `base[0, size)`; validates everything.
-  Status AttachTo(const uint8_t* base, size_t size);
-
-  // Views into the backing bytes (owned_blob_ or mapped_file_).
-  uint64_t count_ = 0;
-  Rect frame_;                 // exact build frame; empty when count_ == 0
-  double inv_scale_x_ = 0.0;   // frame width / kQMax (0 on degenerate axis)
+  Rect frame_;                // exact build frame; empty when size() == 0
+  double inv_scale_x_ = 0.0;  // frame width / kQMax (0 on degenerate axis)
   double inv_scale_y_ = 0.0;
-  double scale_x_ = 0.0;       // kQMax / frame width (0 on degenerate axis)
+  double scale_x_ = 0.0;      // kQMax / frame width (0 on degenerate axis)
   double scale_y_ = 0.0;
-  std::vector<Level> levels_;  // levels_[0] = leaf-page MBRs; back() = root
-  const uint8_t* base_ = nullptr;  // start of the serialized blob
-  const LeafEntry* leaves_ = nullptr;
-  const double* exact_ = nullptr;  // exact coords, 2 per slot, slot order
-  const IdSlot* ids_ = nullptr;    // count_ records sorted by id
-  uint64_t num_leaf_pages_ = 0;
-  size_t blob_size_ = 0;
-
-  std::string owned_blob_;  // non-empty when self-owned
-  std::shared_ptr<util::MmapFile> mapped_file_;  // non-null when mapped
+  // levels_[0] = leaf-page MBRs; back() = the root.
+  std::vector<std::vector<NodeRec>> levels_;
+  std::vector<LeafEntry> leaves_;  // slot order; page p = slots [64p, 64p+64)
+  std::vector<Point> exact_;       // exact coordinates, slot order
+  std::vector<IdSlot> ids_;        // sorted by id
 };
 
 }  // namespace cloakdb

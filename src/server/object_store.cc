@@ -222,25 +222,6 @@ Status ObjectStore::BulkLoadCategory(Category category,
   return Status::OK();
 }
 
-Status ObjectStore::AdoptCategorySealed(
-    Category category, StaticRTree sealed,
-    const std::vector<PublicObject>& objects) {
-  PublicTable table(public_index_);
-  CLOAKDB_RETURN_IF_ERROR(
-      table.index.AdoptSealed(std::move(sealed), EntriesOf(objects)));
-  CLOAKDB_RETURN_IF_ERROR(CheckCategoryIds(category, objects));
-  // The adopted tree's slots, then the spill's rows; tombstoned slots stay
-  // empty.
-  table.rows.resize(table.index.row_count());
-  table.live.resize(table.index.row_count());
-  for (PublicObject o : objects) {
-    o.category = category;
-    PutRow(&table, std::move(o));
-  }
-  InstallCategory(category, std::move(table));
-  return Status::OK();
-}
-
 void ObjectStore::InstallCategory(Category category, PublicTable table) {
   if (table.index.size() == 0) {
     public_tables_.erase(category);
@@ -286,15 +267,6 @@ Result<const ObjectStore::PublicTable*> ObjectStore::CategoryTable(
   if (it == public_tables_.end())
     return Status::NotFound("no public objects in category");
   return &it->second;
-}
-
-Status ObjectStore::CompactPublicIndexes() {
-  for (auto& [category, table] : public_tables_) {
-    if (!table.index.NeedsCompaction()) continue;
-    CLOAKDB_RETURN_IF_ERROR(MutateIndex(
-        &table, [](PublicCategoryIndex& index) { return index.Compact(); }));
-  }
-  return Status::OK();
 }
 
 std::vector<Category> ObjectStore::Categories() const {

@@ -105,15 +105,6 @@ class ObjectStore {
   Status BulkLoadCategory(Category category, std::vector<PublicObject> objects,
                           const std::function<Status()>& log = {});
 
-  /// Replaces a category with a pre-built sealed StaticRTree (recovery
-  /// fast path: the tree usually points into an mmap'd sidecar). The tree
-  /// is verified entry-by-entry against `objects` — the authoritative set
-  /// from the checkpoint; divergence that AdoptSealed cannot reconcile
-  /// fails and leaves the store unchanged (caller falls back to
-  /// BulkLoadCategory).
-  Status AdoptCategorySealed(Category category, StaticRTree sealed,
-                             const std::vector<PublicObject>& objects);
-
   /// Full object record by id: an id search per category (sealed id
   /// directory, then the spill) until one holds it. Not on the query path,
   /// which reads records by row (CategoryTable).
@@ -136,10 +127,6 @@ class ObjectStore {
   /// set. Rows hold until the index's seal_generation changes. Fails when
   /// the category has no objects.
   Result<const PublicTable*> CategoryTable(Category category) const;
-
-  /// Compacts every category whose index has a spill or tombstones (the
-  /// service's checkpoint path), re-laying its record table.
-  Status CompactPublicIndexes();
 
   /// All categories currently populated.
   std::vector<Category> Categories() const;

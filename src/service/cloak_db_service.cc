@@ -250,7 +250,7 @@ Status CloakDbService::Start() {
   // this ring; the counter keeps the metric catalog aware of it.
   flight_recorder_.set_counter(metrics_.counter("recorder.events_total"));
 
-  // Static public index + sidecar metrics, eager for the doc-drift guard.
+  // Static public index metrics, eager for the doc-drift guard.
   static_index_obs_.seals_total = metrics_.counter("index.static.seals_total");
   static_index_obs_.sealed_objects_total =
       metrics_.counter("index.static.sealed_objects_total");
@@ -260,16 +260,6 @@ Status CloakDbService::Start() {
       metrics_.counter("index.static.tombstones_total");
   static_index_obs_.compactions_total =
       metrics_.counter("index.static.compactions_total");
-  static_index_obs_.adoptions_total =
-      metrics_.counter("index.static.adoptions_total");
-  static_index_obs_.rebuilds_total =
-      metrics_.counter("index.static.rebuilds_total");
-  sidecar_obs_.opens_total = metrics_.counter("mmap.opens_total");
-  sidecar_obs_.read_fallbacks_total =
-      metrics_.counter("mmap.read_fallbacks_total");
-  sidecar_obs_.verify_failures_total =
-      metrics_.counter("mmap.verify_failures_total");
-  sidecar_obs_.bytes_mapped_total = metrics_.counter("mmap.bytes_mapped_total");
 
   // Continuous-query metrics, likewise eager for the doc-drift guard.
   cq_obs_.registrations = metrics_.counter("cq.registrations_total");
@@ -380,12 +370,6 @@ Status CloakDbService::Start() {
     config.public_index.overlay_compact_limit =
         options_.static_index_compact_limit;
     config.public_index.obs = &static_index_obs_;
-    if (durable) {
-      config.index_blob_path = options_.data_dir + "/shard-" +
-                               std::to_string(i) + "/static_index.blob";
-    }
-    config.index_blob_force_read_fallback = options_.index_mmap_read_fallback;
-    config.sidecar_obs = sidecar_obs_;
     auto shard = Shard::Create(config);
     if (!shard.ok()) return shard.status();
     shards_.push_back(std::move(shard).value());
@@ -400,12 +384,6 @@ Status CloakDbService::Start() {
     // use, and interleaving live traffic would reorder the log.
     const auto recovery_start = std::chrono::steady_clock::now();
     CLOAKDB_RETURN_IF_ERROR(RecoverFromDisk());
-    // No traffic has run yet, so the lifecycle counters hold exactly what
-    // recovery did.
-    recovery_info_.static_indexes_adopted =
-        static_index_obs_.adoptions_total->Value();
-    recovery_info_.static_indexes_rebuilt =
-        static_index_obs_.rebuilds_total->Value();
     recovery_replayed->Increment(recovery_info_.replayed_records);
     recovery_truncated->Increment(recovery_info_.truncated_records);
     recovery_checkpoints->Increment(recovery_info_.checkpoints_loaded);
@@ -521,9 +499,6 @@ Status CloakDbService::RecoverFromDisk() {
 
 Status CloakDbService::Checkpoint() {
   for (auto& shard : shards_) {
-    // Fold spilled overlay/tombstones back into the sealed tree first, so
-    // the sidecar written below serializes the whole live set.
-    CLOAKDB_RETURN_IF_ERROR(shard->CompactPublicIndex());
     CLOAKDB_RETURN_IF_ERROR(shard->WriteCheckpoint());
   }
   return Status::OK();
@@ -571,7 +546,6 @@ void CloakDbService::WorkerLoop(uint32_t worker) {
       if (!durability_.empty() && options_.checkpoint_interval > 0 &&
           durability_[s]->records_since_checkpoint() >=
               options_.checkpoint_interval) {
-        (void)shards_[s]->CompactPublicIndex();
         (void)shards_[s]->WriteCheckpoint();
       }
     }

@@ -128,10 +128,6 @@ struct CloakDbServiceOptions {
   /// compaction back into the sealed tree.
   size_t static_index_compact_limit = 1024;
 
-  /// Testing: force the sealed-tree sidecar open to take the MmapFile
-  /// read() fallback instead of mmap.
-  bool index_mmap_read_fallback = false;
-
   // --- Durability ----------------------------------------------------------
 
   /// kOff (default): the historical in-memory service, no files touched.
@@ -160,8 +156,9 @@ struct RecoveryInfo {
   uint64_t checkpoints_loaded = 0;
   uint64_t replayed_records = 0;   ///< WAL records re-applied.
   uint64_t skipped_records = 0;    ///< Stale records a checkpoint covered.
-  uint64_t static_indexes_adopted = 0;  ///< Sealed trees mmap-adopted.
-  uint64_t static_indexes_rebuilt = 0;  ///< Sidecar failures STR-rebuilt.
+  /// Always 0: recovery re-seals every category from the snapshot. Read
+  /// only by perfbench/src/workloads.cc:891.
+  uint64_t static_indexes_adopted = 0;
   uint64_t truncated_records = 0;  ///< Torn/corrupt records dropped.
   uint64_t cq_reregistered = 0;    ///< Standing queries re-registered.
   std::vector<uint64_t> shard_last_lsn;  ///< Per-shard recovered LSN.
@@ -546,10 +543,9 @@ class CloakDbService {
   RobustnessObs robustness_obs_;
   /// Continuous-query metric handles, shared with every shard registry.
   ContinuousObs cq_obs_;
-  /// Static public index + sidecar lifecycle counters, shared by every
-  /// shard's PublicCategoryIndex instances.
+  /// Static public index lifecycle counters, shared by every shard's
+  /// PublicCategoryIndex instances.
   StaticIndexObs static_index_obs_;
-  IndexSidecarObs sidecar_obs_;
   /// Directory of standing queries: id -> kind + home shard. Guarded by
   /// cq_mu_; lookups are O(1) and the critical sections tiny.
   mutable std::mutex cq_mu_;

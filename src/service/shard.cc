@@ -591,28 +591,8 @@ Status Shard::WriteCheckpoint() {
     cq.window = spec.window;
     snap.cqs.push_back(cq);
   }
-  CLOAKDB_RETURN_IF_ERROR(config_.durability->WriteCheckpoint(
-      storage::EncodeShardSnapshot(snap)));
-  // Refresh the sealed-tree sidecar under the same shared hold, so the
-  // blobs match the snapshot just written. The sidecar is an accelerator,
-  // not a source of truth: a write failure (e.g. more categories than the
-  // directory holds) degrades recovery to an STR rebuild, never fails the
-  // checkpoint.
-  if (!config_.index_blob_path.empty()) {
-    std::vector<std::pair<uint32_t, std::string>> blobs;
-    for (Category category : server_.store().Categories()) {
-      auto index = server_.store().CategoryIndex(category);
-      if (index.ok())
-        blobs.emplace_back(category, index.value()->SerializeSealedBlob());
-    }
-    (void)storage::WriteIndexBlobFile(config_.index_blob_path, blobs);
-  }
-  return Status::OK();
-}
-
-Status Shard::CompactPublicIndex() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  return server_.store().CompactPublicIndexes();
+  return config_.durability->WriteCheckpoint(
+      storage::EncodeShardSnapshot(snap));
 }
 
 Status Shard::RestoreSnapshot(const storage::ShardSnapshot& snapshot) {
@@ -621,52 +601,9 @@ Status Shard::RestoreSnapshot(const storage::ShardSnapshot& snapshot) {
   std::map<Category, std::vector<PublicObject>> by_category;
   for (const PublicObject& o : snapshot.public_objects)
     by_category[o.category].push_back(o);
-  // Try to adopt each category's sealed tree straight out of the mmap'd
-  // sidecar. The sidecar is untrusted: open, parse, and per-entry
-  // verification against the snapshot can each fail, and every failure
-  // falls back to the historical STR rebuild below.
-  std::shared_ptr<util::MmapFile> sidecar;
-  std::map<Category, storage::IndexBlobEntry> sidecar_entries;
-  if (!config_.index_blob_path.empty()) {
-    auto opened = storage::OpenIndexBlobFile(
-        config_.index_blob_path, config_.index_blob_force_read_fallback);
-    if (opened.ok()) {
-      sidecar = opened.value().file;
-      for (const storage::IndexBlobEntry& e : opened.value().entries)
-        sidecar_entries[e.category] = e;
-      if (config_.sidecar_obs.opens_total != nullptr)
-        config_.sidecar_obs.opens_total->Increment();
-      if (sidecar->mapped()) {
-        if (config_.sidecar_obs.bytes_mapped_total != nullptr)
-          config_.sidecar_obs.bytes_mapped_total->Increment(sidecar->size());
-      } else if (config_.sidecar_obs.read_fallbacks_total != nullptr) {
-        config_.sidecar_obs.read_fallbacks_total->Increment();
-      }
-    }
-  }
   for (auto& [category, objects] : by_category) {
-    bool adopted = false;
-    auto entry = sidecar_entries.find(category);
-    if (entry != sidecar_entries.end()) {
-      auto tree = StaticRTree::FromMapped(sidecar, entry->second.offset,
-                                          entry->second.length);
-      if (tree.ok() &&
-          server_.store()
-              .AdoptCategorySealed(category, std::move(tree).value(), objects)
-              .ok()) {
-        adopted = true;
-      } else {
-        if (config_.sidecar_obs.verify_failures_total != nullptr)
-          config_.sidecar_obs.verify_failures_total->Increment();
-        if (config_.public_index.obs != nullptr &&
-            config_.public_index.obs->rebuilds_total != nullptr)
-          config_.public_index.obs->rebuilds_total->Increment();
-      }
-    }
-    if (!adopted) {
-      CLOAKDB_RETURN_IF_ERROR(
-          server_.store().BulkLoadCategory(category, std::move(objects)));
-    }
+    CLOAKDB_RETURN_IF_ERROR(
+        server_.store().BulkLoadCategory(category, std::move(objects)));
   }
   for (const auto& [pseudonym, region] : snapshot.private_regions)
     CLOAKDB_RETURN_IF_ERROR(server_.ApplyCloakedUpdate(pseudonym, region));

@@ -28,7 +28,6 @@
 #include "service/fault_injector.h"
 #include "service/service_stats.h"
 #include "service/update_queue.h"
-#include "storage/index_blob.h"
 #include "storage/shard_durability.h"
 #include "storage/shard_snapshot.h"
 
@@ -52,18 +51,6 @@ struct ShardObs {
   obs::Counter* fault_stalls = nullptr;
   /// Queue observability, forwarded to the BoundedUpdateQueue.
   UpdateQueueObs queue;
-};
-
-/// Sidecar/mmap lifecycle counters (service-owned; all optional).
-struct IndexSidecarObs {
-  /// Sidecar files opened during recovery.
-  obs::Counter* opens_total = nullptr;
-  /// Opens that took the read() fallback instead of a mapping.
-  obs::Counter* read_fallbacks_total = nullptr;
-  /// Sidecar blobs rejected (corrupt, truncated, or snapshot-divergent).
-  obs::Counter* verify_failures_total = nullptr;
-  /// Bytes mapped from sidecar files.
-  obs::Counter* bytes_mapped_total = nullptr;
 };
 
 /// Per-shard construction parameters (derived by CloakDbService from its
@@ -106,13 +93,6 @@ struct ShardConfig {
   /// Per-category public-data index knobs (compaction limit, lifecycle
   /// counters).
   PublicCategoryIndex::Config public_index;
-  /// Sealed-tree sidecar file of this shard ("" = none). Written after
-  /// each checkpoint; mmap-adopted by RestoreSnapshot instead of STR
-  /// rebuilding.
-  std::string index_blob_path;
-  /// Testing: force the read() fallback when opening the sidecar.
-  bool index_blob_force_read_fallback = false;
-  IndexSidecarObs sidecar_obs;
 };
 
 /// One anonymizer + server pair owning a hash-slice of the users.
@@ -224,16 +204,11 @@ class Shard {
   /// No-op when durability is off.
   Status WriteCheckpoint();
 
-  /// Folds each category's spill overlay + tombstones back into its sealed
-  /// StaticRTree (exclusive lock). The service calls this before a
-  /// checkpoint so the serialized sidecar matches the live set; no-op when
-  /// nothing spilled.
-  Status CompactPublicIndex();
-
   /// Replaces the shard's state with a decoded checkpoint (exclusive
   /// lock). The anonymizer, object store and private regions are restored
-  /// here; standing-query registrations (`snapshot.cqs`) are re-registered
-  /// by the service, which owns cross-shard CQ evaluation.
+  /// here, each public category re-sealed by one bulk load; standing-query
+  /// registrations (`snapshot.cqs`) are re-registered by the service,
+  /// which owns cross-shard CQ evaluation.
   Status RestoreSnapshot(const storage::ShardSnapshot& snapshot);
 
   /// Re-applies one recovered WAL record through the normal apply paths

@@ -9,7 +9,6 @@
 
 #include "util/atomic_file.h"
 #include "util/byte_codec.h"
-#include "util/mmap_file.h"
 
 namespace cloakdb {
 namespace storage {
@@ -142,11 +141,9 @@ Result<std::unique_ptr<ShardDurability>> ShardDurability::Open(
   // or absent (a leftover checkpoint.db.tmp is never read).
   // A damaged checkpoint.db fails Open: it is the source of truth, so it
   // must stop recovery rather than be skipped.
-  auto file = util::MmapFile::Open(engine->checkpoint_path_);
+  auto file = util::ReadFile(engine->checkpoint_path_);
   if (file.ok()) {
-    auto checkpoint = DecodeCheckpointFile(
-        {reinterpret_cast<const char*>(file.value()->data()),
-         file.value()->size()});
+    auto checkpoint = DecodeCheckpointFile(file.value());
     if (!checkpoint.ok()) {
       return Status::FailedPrecondition(checkpoint.status().message() +
                                         ": " + engine->checkpoint_path_);

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "util/atomic_file.h"
 #include "util/byte_codec.h"
 
 namespace cloakdb {
@@ -53,25 +54,16 @@ Result<uint64_t> WalPayloadLsn(const std::string& payload) {
 
 Result<WalScan> ScanWal(const std::string& path) {
   WalScan scan;
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) return scan;  // no log yet: empty scan
-    return Status::Internal(ErrnoMessage("open", path));
-  }
-  scan.exists = true;
-
   // Read the whole file; shard WALs are bounded by the checkpoint interval,
   // and recovery wants every record in memory anyway.
-  std::string contents;
-  {
-    char buf[1 << 16];
-    ssize_t n;
-    while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
-      contents.append(buf, static_cast<size_t>(n));
-    }
-    ::close(fd);
-    if (n < 0) return Status::Internal(ErrnoMessage("read", path));
+  auto file = util::ReadFile(path);
+  if (!file.ok()) {
+    if (file.status().code() == StatusCode::kNotFound)
+      return scan;  // no log yet: empty scan
+    return file.status();
   }
+  scan.exists = true;
+  const std::string& contents = file.value();
 
   if (contents.size() < kWalHeaderBytes) {
     // Header itself torn (crash during file creation): treat as an empty

@@ -1,6 +1,7 @@
 #include "util/atomic_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -53,6 +54,34 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
   if (::fsync(dfd) != 0) st = Errno("fsync failed on directory", dir);
   ::close(dfd);
   return st;
+}
+
+Result<std::string> ReadFile(const std::string& path) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    const bool missing = errno == ENOENT;
+    Status st = Errno("cannot open", path);
+    return missing ? Status::NotFound(st.message()) : st;
+  }
+  std::string out;
+  struct stat info;
+  if (::fstat(fd, &info) == 0 && info.st_size > 0)
+    out.reserve(static_cast<size_t>(info.st_size));
+  char buf[1 << 16];
+  for (;;) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n > 0) {
+      out.append(buf, static_cast<size_t>(n));
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      Status st = Errno("read failed on", path);
+      ::close(fd);
+      return st;
+    }
+  }
+  ::close(fd);
+  return out;
 }
 
 }  // namespace util

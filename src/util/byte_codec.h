@@ -1,5 +1,5 @@
-// The one byte codec: every wire frame, WAL record, checkpoint and index
-// file in CloakDB is written and read through this header.
+// The one byte codec: every wire frame, WAL record and checkpoint in
+// CloakDB is written and read through this header.
 //
 // Encoding: fixed-width little-endian integers, doubles as IEEE-754 bit
 // patterns (bit-exact round trips, NaN payloads included), strings as a
@@ -17,10 +17,9 @@
 // Callers whose data must not be clipped (object names) reject over-cap
 // values before encoding (CheckPublicObject).
 //
-// Load/Store are the fixed-offset accessors of the mmap'd layouts
-// (StaticRTree blob, index sidecar), and Crc32 is the one checksum: WAL
-// frames, checkpoint.db, the sidecar directory and the StaticRTree blob
-// all check with it.
+// Load/Store are the fixed-offset accessors of the file headers and WAL
+// frames, and Crc32 is the one checksum: WAL frames and checkpoint.db both
+// check with it.
 
 #ifndef CLOAKDB_UTIL_BYTE_CODEC_H_
 #define CLOAKDB_UTIL_BYTE_CODEC_H_

@@ -1,5 +1,5 @@
 // Generated-value round trips for the durable file codecs: the shard
-// snapshot, the checkpoint file and the index sidecar. Each case draws a
+// snapshot and the checkpoint file. Each case draws a
 // random value from a seeded generator, encodes it, decodes the bytes and
 // requires the decoded value to equal the original field by field. Doubles
 // are compared by bit pattern, so signed zeros, infinities, subnormals and
@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "storage/index_blob.h"
 #include "storage/shard_durability.h"
 #include "storage/shard_snapshot.h"
 #include "util/random.h"
@@ -264,32 +263,6 @@ TEST(CodecRoundTripTest, CheckpointFileRoundTrips) {
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded.value().lsn, lsn);
     EXPECT_EQ(decoded.value().blob, blob);
-  }
-}
-
-TEST(CodecRoundTripTest, IndexSidecarRoundTrips) {
-  Rng rng(2103);
-  for (int i = 0; i < kCases; ++i) {
-    SCOPED_TRACE(testing::Message() << "case " << i);
-    std::vector<std::pair<uint32_t, std::string>> blobs(rng.NextBelow(9));
-    std::vector<std::pair<uint32_t, std::string>> kept;
-    for (auto& [category, blob] : blobs) {
-      category = RandomU32(&rng);
-      // Empty blobs are legal input and are skipped by the encoder; the
-      // others straddle the 4096-byte block size.
-      blob = rng.NextBelow(4) == 0 ? std::string() : RandomBytes(&rng, 9000);
-      if (!blob.empty()) kept.emplace_back(category, blob);
-    }
-    const std::string file = EncodeIndexBlobFile(blobs);
-    auto entries = DecodeIndexBlobDirectory(file);
-    ASSERT_TRUE(entries.ok()) << entries.status().ToString();
-    ASSERT_EQ(entries.value().size(), kept.size());
-    for (size_t e = 0; e < kept.size(); ++e) {
-      const IndexBlobEntry& entry = entries.value()[e];
-      EXPECT_EQ(entry.category, kept[e].first);
-      EXPECT_EQ(entry.offset % 4096, 0u);
-      EXPECT_EQ(file.substr(entry.offset, entry.length), kept[e].second);
-    }
   }
 }
 

@@ -1,6 +1,6 @@
 // Mutation suite over every decoder of the byte codec: wire frames (with
-// admin payloads), WAL records, the WAL file, the shard snapshot, the
-// checkpoint file, the StaticRTree blob and the index sidecar. Seeds are
+// admin payloads), WAL records, the WAL file, the shard snapshot and the
+// checkpoint file. Seeds are
 // the golden fixtures under tests/corpus/; each decoder is driven through
 // truncations, byte flips, boundary values written over every 4-byte
 // window, random multi-byte corruption, trailing garbage and random
@@ -28,9 +28,7 @@
 #include <vector>
 
 #include "corpus.h"
-#include "index/static_rtree.h"
 #include "net/protocol.h"
-#include "storage/index_blob.h"
 #include "storage/shard_durability.h"
 #include "storage/shard_snapshot.h"
 #include "storage/wal.h"
@@ -150,50 +148,10 @@ Result<std::string> ReencodeCheckpoint(const std::string& bytes) {
   return storage::EncodeCheckpointFile(file.value().lsn, file.value().blob);
 }
 
-/// A StaticRTree blob's value is its entry set; rebuilding from it must
-/// reproduce the blob.
-Result<std::string> RebuildTree(std::string blob) {
-  auto tree = StaticRTree::FromBlob(std::move(blob));
-  if (!tree.ok()) return tree.status();
-  std::vector<PointEntry> entries;
-  tree.value().ForEachEntry([&](ObjectId id, const Point& p) {
-    entries.push_back({id, p});
-  });
-  auto rebuilt = StaticRTree::Build(std::move(entries));
-  if (!rebuilt.ok()) return rebuilt.status();
-  return rebuilt.value().SerializeBlob();
-}
-
-Result<std::string> ReencodeTree(const std::string& bytes) {
-  return RebuildTree(bytes);
-}
-
-Result<std::string> ReencodeSidecar(const std::string& bytes) {
-  auto entries = storage::DecodeIndexBlobDirectory(bytes);
-  if (!entries.ok()) return entries.status();
-  std::vector<std::pair<uint32_t, std::string>> blobs;
-  for (const storage::IndexBlobEntry& e : entries.value()) {
-    auto blob = RebuildTree(bytes.substr(e.offset, e.length));
-    if (!blob.ok()) return blob.status();
-    blobs.emplace_back(e.category, std::move(blob).value());
-  }
-  return storage::EncodeIndexBlobFile(blobs);
-}
-
 std::vector<std::string> Fixtures(std::vector<std::string> names) {
   std::vector<std::string> out;
   for (const std::string& name : names) out.push_back(ReadHexFixture(name));
   return out;
-}
-
-/// The sidecar fixture pins the header and directory; the seed adds the
-/// padding and the StaticRTree fixture as its one blob.
-std::vector<std::string> SidecarSeeds() {
-  std::string file = ReadHexFixture("index_sidecar_header");
-  file.resize(4096, '\0');
-  file += ReadHexFixture("static_rtree");
-  file.resize(8192, '\0');
-  return {file};
 }
 
 struct DecoderCase {
@@ -233,8 +191,6 @@ const DecoderCase kCases[] = {
      [] { return Fixtures({"shard_snapshot"}); }},
     {"checkpoint_file", ReencodeCheckpoint,
      [] { return Fixtures({"checkpoint_file"}); }},
-    {"static_rtree", ReencodeTree, [] { return Fixtures({"static_rtree"}); }},
-    {"index_sidecar", ReencodeSidecar, SidecarSeeds},
 };
 
 class DecoderMutationTest : public ::testing::TestWithParam<DecoderCase> {

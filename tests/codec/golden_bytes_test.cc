@@ -1,9 +1,9 @@
 // Golden bytes: every wire frame, admin payload, WAL record, WAL file,
-// snapshot blob, checkpoint file, StaticRTree blob and index-sidecar
-// header is encoded from a fixed value and compared with the hex fixture
-// committed under tests/corpus/. A codec change that moves a single byte
-// fails here; an intended format change bumps its version and rewrites
-// the fixtures (run with CLOAKDB_WRITE_GOLDEN=1, then review the diff).
+// snapshot blob and checkpoint file is encoded from a fixed value and
+// compared with the hex fixture committed under tests/corpus/. A codec
+// change that moves a single byte fails here; an intended format change
+// bumps its version and rewrites the fixtures (run with
+// CLOAKDB_WRITE_GOLDEN=1, then review the diff).
 
 #include <unistd.h>
 
@@ -17,9 +17,7 @@
 #include <vector>
 
 #include "corpus.h"
-#include "index/static_rtree.h"
 #include "net/protocol.h"
-#include "storage/index_blob.h"
 #include "storage/shard_durability.h"
 #include "storage/shard_snapshot.h"
 #include "storage/wal.h"
@@ -292,39 +290,6 @@ TEST(GoldenBytesTest, CheckpointFile) {
     ASSERT_TRUE(engine->WriteCheckpoint("snapshot-bytes").ok());
   }
   ExpectGolden("checkpoint_file", ReadFile(dir + "/checkpoint.db"));
-}
-
-// --- Index files ------------------------------------------------------------
-
-std::string GoldenTreeBlob() {
-  std::vector<PointEntry> entries = {{3, Point(1.0, 1.0)},
-                                     {1, Point(4.0, 2.0)},
-                                     {2, Point(2.5, 7.0)},
-                                     {5, Point(-1.0, 3.0)},
-                                     {4, Point(9.0, 9.0)}};
-  return StaticRTree::Build(std::move(entries)).value().SerializeBlob();
-}
-
-TEST(GoldenBytesTest, StaticRTreeBlob) {
-  ExpectGolden("static_rtree", GoldenTreeBlob());
-  EXPECT_TRUE(StaticRTree::FromBlob(ReadHexFixture("static_rtree")).ok());
-}
-
-TEST(GoldenBytesTest, IndexSidecarHeader) {
-  const std::string path = TempDir("sidecar") + "/static_index.blob";
-  const std::string tree = GoldenTreeBlob();
-  ASSERT_TRUE(storage::WriteIndexBlobFile(path, {{3, tree}, {4, ""}}).ok());
-  const std::string file = ReadFile(path);
-  // The header and one directory entry; the rest of block 0 is padding
-  // and the tree blob sits at the next 4096-byte boundary.
-  constexpr size_t kPrefix = 24 + 24;
-  ASSERT_EQ(file.size(), 8192u);
-  ExpectGolden("index_sidecar_header", file.substr(0, kPrefix));
-  EXPECT_EQ(file.substr(kPrefix, 4096 - kPrefix),
-            std::string(4096 - kPrefix, '\0'));
-  EXPECT_EQ(file.substr(4096, tree.size()), tree);
-  EXPECT_EQ(file.substr(4096 + tree.size()),
-            std::string(4096 - tree.size(), '\0'));
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // PublicCategoryIndex facade oracle: the facade (sealed tree + overlay +
 // tombstones) fed a randomized op stream must answer exactly like a
-// brute-force scan of the same live set — before and after compactions,
-// and across the AdoptSealed recovery path.
+// brute-force scan of the same live set — before and after compactions.
 
 #include "index/public_index.h"
 
@@ -73,7 +72,6 @@ TEST(PublicCategoryIndexTest, NeverSealedIndexIsItsOverlay) {
   ASSERT_TRUE(facade.Remove(1).ok());
   EXPECT_EQ(facade.Remove(1).code(), StatusCode::kNotFound);
   EXPECT_FALSE(facade.HasSealedTree());
-  EXPECT_TRUE(facade.SerializeSealedBlob().empty());
 }
 
 TEST(PublicCategoryIndexTest, RandomOpStreamMatchesOracle) {
@@ -152,64 +150,6 @@ TEST(PublicCategoryIndexTest, InlineCompactionKeepsSpillBounded) {
   EXPECT_EQ(facade.size(), 300u);
 }
 
-TEST(PublicCategoryIndexTest, AdoptSealedReconcilesOverlayAndTombstones) {
-  // The sealed tree from "before the crash"...
-  std::vector<PointEntry> sealed_set;
-  for (ObjectId id = 1; id <= 50; ++id) {
-    sealed_set.push_back({id, {static_cast<double>(id), 5.0}});
-  }
-  auto sealed = StaticRTree::Build(sealed_set);
-  ASSERT_TRUE(sealed.ok());
-
-  // ...and the authoritative snapshot set: ids 3 and 7 were removed after
-  // the seal, ids 100 and 101 were added.
-  std::vector<PointEntry> snapshot;
-  for (const auto& e : sealed_set) {
-    if (e.id == 3 || e.id == 7) continue;
-    snapshot.push_back(e);
-  }
-  snapshot.push_back({100, {90.0, 90.0}});
-  snapshot.push_back({101, {91.0, 91.0}});
-
-  PublicCategoryIndex facade{StaticConfig()};
-  ASSERT_TRUE(facade.AdoptSealed(std::move(sealed).value(), snapshot).ok());
-  EXPECT_EQ(facade.size(), snapshot.size());
-  EXPECT_EQ(facade.tombstone_count(), 2u);
-  EXPECT_EQ(facade.overlay_size(), 2u);
-  EXPECT_FALSE(facade.Locate(3).ok());
-  EXPECT_TRUE(facade.Locate(100).ok());
-
-  const testing::PointModel oracle = testing::ModelOf(snapshot);
-  ASSERT_EQ(oracle.size(), snapshot.size());
-  Rng rng(77);
-  ExpectSameAnswers(facade, oracle, &rng);
-}
-
-TEST(PublicCategoryIndexTest, AdoptSealedKeepsSpillBounded) {
-  // A sealed blob of 10 points and a snapshot holding those 10 plus 20 ids
-  // added after the seal: 20 spill entries would pass the limit of 8.
-  std::vector<PointEntry> sealed_set;
-  for (ObjectId id = 1; id <= 10; ++id) {
-    sealed_set.push_back({id, {static_cast<double>(id) * 9.0, 5.0}});
-  }
-  auto sealed = StaticRTree::Build(sealed_set);
-  ASSERT_TRUE(sealed.ok());
-  std::vector<PointEntry> snapshot = sealed_set;
-  for (ObjectId id = 100; id < 120; ++id) {
-    snapshot.push_back({id, {static_cast<double>(id - 100) * 4.5, 60.0}});
-  }
-
-  PublicCategoryIndex facade{StaticConfig(8)};
-  ASSERT_TRUE(facade.AdoptSealed(std::move(sealed).value(), snapshot).ok());
-  EXPECT_LE(facade.overlay_size() + facade.tombstone_count(), 8u);
-  EXPECT_EQ(facade.size(), snapshot.size());
-  EXPECT_TRUE(facade.Locate(100).ok());
-
-  const testing::PointModel oracle = testing::ModelOf(snapshot);
-  Rng rng(78);
-  ExpectSameAnswers(facade, oracle, &rng);
-}
-
 TEST(PublicCategoryIndexTest, HandlesDuplicateLocations) {
   // Equal x everywhere: the overlay's (x, id) order falls back to ids.
   PublicCategoryIndex facade;
@@ -242,32 +182,15 @@ TEST(PublicCategoryIndexTest, RemoveAllThenReuse) {
   EXPECT_DOUBLE_EQ(facade.NearestDistance({0, 0}), 5.0);
 }
 
-TEST(PublicCategoryIndexTest, AdoptSealedRejectsDivergedLocations) {
-  std::vector<PointEntry> sealed_set{{1, {1, 1}}, {2, {2, 2}}};
-  auto sealed = StaticRTree::Build(sealed_set);
-  ASSERT_TRUE(sealed.ok());
-
-  // Same id, different stored location: the sidecar lies — reject.
-  std::vector<PointEntry> snapshot{{1, {1, 1}}, {2, {2.5, 2}}};
-  PublicCategoryIndex facade{StaticConfig()};
-  EXPECT_EQ(facade.AdoptSealed(std::move(sealed).value(), snapshot).code(),
-            StatusCode::kInternal);
-  // Failure left the facade untouched.
-  EXPECT_EQ(facade.size(), 0u);
-  EXPECT_FALSE(facade.HasSealedTree());
-}
-
 TEST(PublicCategoryIndexTest, ObsCountersTrackLifecycle) {
   obs::Counter seals, sealed_objects, overlay_inserts, tombstones,
-      compactions, adoptions, rebuilds;
+      compactions;
   StaticIndexObs obs;
   obs.seals_total = &seals;
   obs.sealed_objects_total = &sealed_objects;
   obs.overlay_inserts_total = &overlay_inserts;
   obs.tombstones_total = &tombstones;
   obs.compactions_total = &compactions;
-  obs.adoptions_total = &adoptions;
-  obs.rebuilds_total = &rebuilds;
 
   PublicCategoryIndex::Config config = StaticConfig();
   config.obs = &obs;
@@ -282,29 +205,6 @@ TEST(PublicCategoryIndexTest, ObsCountersTrackLifecycle) {
   ASSERT_TRUE(facade.Compact().ok());
   EXPECT_EQ(compactions.Value(), 1u);
   EXPECT_EQ(facade.size(), 3u);
-}
-
-TEST(PublicCategoryIndexTest, SerializedBlobSurvivesSealGenerations) {
-  PublicCategoryIndex facade{StaticConfig()};
-  ASSERT_TRUE(facade.BulkLoad({{1, {1, 1}}, {2, {2, 2}}}).ok());
-  const uint64_t gen0 = facade.seal_generation();
-  const std::string blob0 = facade.SerializeSealedBlob();
-  EXPECT_FALSE(blob0.empty());
-
-  ASSERT_TRUE(facade.Insert(3, {3, 3}).ok());
-  // The sealed blob does not include the overlay...
-  EXPECT_EQ(facade.SerializeSealedBlob(), blob0);
-  // ...until a compaction folds it in and bumps the generation.
-  ASSERT_TRUE(facade.Compact().ok());
-  EXPECT_GT(facade.seal_generation(), gen0);
-  EXPECT_NE(facade.SerializeSealedBlob(), blob0);
-  auto parsed = StaticRTree::FromBlob(facade.SerializeSealedBlob());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().size(), 3u);
-
-  // Everything-window sanity after the round trip.
-  Rect everything(-kInf, -kInf, kInf, kInf);
-  EXPECT_EQ(facade.RangeSearch(everything).size(), 3u);
 }
 
 }  // namespace

@@ -1,20 +1,14 @@
 // StaticRTree oracle suite: every query on the packed tree must agree with
-// a brute-force scan of the same points over randomized worlds, across
-// the serialize -> FromBlob -> FromMapped round trips, at sizes that cover
-// the page-boundary edge cases (0, 1, 63, 64, 65, ..., 20k).
+// a brute-force scan of the same points over randomized worlds, at sizes
+// that cover the page-boundary edge cases (0, 1, 63, 64, 65, ..., 20k).
 
 #include "index/static_rtree.h"
-
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <limits>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "geom/distance.h"
@@ -127,7 +121,6 @@ TEST(StaticRTreeTest, EmptyTree) {
   EXPECT_TRUE(StaticRange(tree, Rect(-kInf, -kInf, kInf, kInf)).empty());
   EXPECT_TRUE(tree.KNearest({0, 0}, 5, nullptr).empty());
   EXPECT_EQ(tree.NearestDistance({0, 0}, nullptr), kInf);
-  EXPECT_EQ(tree.SerializeBlob(), "");
 
   auto built = StaticRTree::Build({});
   ASSERT_TRUE(built.ok());
@@ -209,80 +202,6 @@ TEST(StaticRTreeTest, IdFilterHidesEntries) {
   auto knn = tree.value().KNearest(points[2].location, 1, &skip);
   ASSERT_EQ(knn.size(), 1u);
   EXPECT_NE(knn[0].id, 3u);
-}
-
-TEST(StaticRTreeTest, BlobRoundTripIsIdentical) {
-  auto points = RandomPoints(1000, 41);
-  auto built = StaticRTree::Build(points);
-  ASSERT_TRUE(built.ok());
-  const std::string blob = built.value().SerializeBlob();
-  ASSERT_GE(blob.size(), 128u);
-  EXPECT_EQ(blob.size(), built.value().blob_bytes());
-  EXPECT_EQ(blob.compare(0, 8, "CDBSRT01"), 0);
-
-  auto parsed = StaticRTree::FromBlob(blob);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  EXPECT_FALSE(parsed.value().memory_mapped());
-  EXPECT_EQ(parsed.value().SerializeBlob(), blob);
-  ExpectMatchesOracle(parsed.value(), points, 42);
-}
-
-TEST(StaticRTreeTest, CorruptionIsRejected) {
-  auto built = StaticRTree::Build(RandomPoints(300, 51));
-  ASSERT_TRUE(built.ok());
-  const std::string blob = built.value().SerializeBlob();
-
-  // Any single flipped byte must fail the CRC (or a structural check).
-  for (size_t pos : {size_t{0}, size_t{12}, size_t{200}, blob.size() - 1}) {
-    std::string bad = blob;
-    bad[pos] = static_cast<char>(bad[pos] ^ 0x40);
-    EXPECT_FALSE(StaticRTree::FromBlob(bad).ok()) << "pos=" << pos;
-  }
-  // Truncation.
-  EXPECT_FALSE(StaticRTree::FromBlob(blob.substr(0, blob.size() - 8)).ok());
-  EXPECT_FALSE(StaticRTree::FromBlob(blob.substr(0, 64)).ok());
-  EXPECT_FALSE(StaticRTree::FromBlob("").ok());
-  // Trailing garbage.
-  EXPECT_FALSE(StaticRTree::FromBlob(blob + "x").ok());
-}
-
-TEST(StaticRTreeTest, MappedTreeAnswersIdentically) {
-  auto points = RandomPoints(2000, 61);
-  auto built = StaticRTree::Build(points);
-  ASSERT_TRUE(built.ok());
-  const std::string blob = built.value().SerializeBlob();
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("cloakdb_srt_" + std::to_string(::getpid()) + ".blob"))
-          .string();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(blob.data(), 1, blob.size(), f), blob.size());
-    std::fclose(f);
-  }
-
-  for (bool force_read : {false, true}) {
-    auto file = util::MmapFile::Open(path, force_read);
-    ASSERT_TRUE(file.ok());
-    EXPECT_EQ(file.value()->mapped(), !force_read);
-    auto mapped =
-        StaticRTree::FromMapped(std::move(file).value(), 0, blob.size());
-    ASSERT_TRUE(mapped.ok()) << mapped.status().message();
-    EXPECT_TRUE(mapped.value().memory_mapped() || force_read);
-    EXPECT_EQ(mapped.value().SerializeBlob(), blob);
-    ExpectMatchesOracle(mapped.value(), points, 62);
-  }
-
-  // Bad offsets and lengths are rejected, not crashed on.
-  auto file = util::MmapFile::Open(path, false);
-  ASSERT_TRUE(file.ok());
-  EXPECT_FALSE(StaticRTree::FromMapped(file.value(), 4, blob.size() - 4).ok());
-  EXPECT_FALSE(StaticRTree::FromMapped(file.value(), 0, blob.size() - 8).ok());
-  EXPECT_FALSE(
-      StaticRTree::FromMapped(file.value(), 0, blob.size() + 4096).ok());
-  std::filesystem::remove(path);
 }
 
 TEST(StaticRTreeTest, ForEachEntryVisitsEverythingOnce) {

@@ -99,7 +99,11 @@ TEST(ObjectStoreTest, BulkLoadEmptyClearsCategory) {
 TEST(ObjectStoreTest, NonFinitePublicLocationsAreRejected) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  ObjectStore store(Rect(0, 0, 100, 100));
+  // A compact limit of 0: the first spill folds back into the sealed tree
+  // at once.
+  PublicCategoryIndex::Config compact_at_once;
+  compact_at_once.overlay_compact_limit = 0;
+  ObjectStore store(Rect(0, 0, 100, 100), 64, compact_at_once);
   std::vector<PublicObject> pois;
   for (ObjectId id = 1; id <= 100; ++id) pois.push_back(Poi(id, id % 97, id));
   ASSERT_TRUE(store.BulkLoadCategory(1, pois).ok());
@@ -119,8 +123,7 @@ TEST(ObjectStoreTest, NonFinitePublicLocationsAreRejected) {
   // also after a compaction re-enumerates the index.
   EXPECT_EQ(store.num_public(), 100u);
   EXPECT_EQ(store.GetPublicObject(500).status().code(), StatusCode::kNotFound);
-  ASSERT_TRUE(store.MovePublicObject(7, {7, 7}).ok());  // a spill to fold
-  ASSERT_TRUE(store.CompactPublicIndexes().ok());
+  ASSERT_TRUE(store.MovePublicObject(7, {7, 7}).ok());  // a spill, folded
   EXPECT_EQ(store.CategoryIndex(1).value()->size(), 100u);
   EXPECT_EQ(store.AllPublicObjects().size(), 100u);
   EXPECT_EQ(store.CategoryIndex(1).value()->overlay_size(), 0u);

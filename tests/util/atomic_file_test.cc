@@ -21,7 +21,7 @@ std::string TempDir(const std::string& tag) {
   return dir.string();
 }
 
-std::string ReadFile(const std::string& path) {
+std::string ReadWithStream(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(f),
                      std::istreambuf_iterator<char>());
@@ -33,7 +33,7 @@ TEST(AtomicFileTest, RoundTripsBytes) {
   for (size_t i = 0; i < bytes.size(); ++i)
     bytes[i] = static_cast<char>(i * 31);
   ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
-  EXPECT_EQ(ReadFile(path), bytes);
+  EXPECT_EQ(ReadWithStream(path), bytes);
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
@@ -41,7 +41,7 @@ TEST(AtomicFileTest, OverwriteReplacesTheWholeFile) {
   const std::string path = TempDir("overwrite") + "/file.txt";
   ASSERT_TRUE(WriteFileAtomic(path, "a much longer first version").ok());
   ASSERT_TRUE(WriteFileAtomic(path, "short").ok());
-  EXPECT_EQ(ReadFile(path), "short");
+  EXPECT_EQ(ReadWithStream(path), "short");
   ASSERT_TRUE(WriteFileAtomic(path, "").ok());
   EXPECT_EQ(std::filesystem::file_size(path), 0u);
 }
@@ -64,6 +64,40 @@ TEST(AtomicFileTest, FailedRenameKeepsTargetAndRemovesTempFile) {
   EXPECT_FALSE(WriteFileAtomic(path, "bytes").ok());
   EXPECT_TRUE(std::filesystem::is_directory(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(AtomicFileTest, ReadFileReturnsEveryByte) {
+  // Past the 64 KiB read chunk, with NUL bytes in the payload.
+  const std::string path = TempDir("read") + "/file.bin";
+  std::string bytes(200000, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<char>(i * 7);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+  auto read = ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().message();
+  EXPECT_EQ(read.value(), bytes);
+}
+
+TEST(AtomicFileTest, ReadFileOfMissingFileIsNotFound) {
+  auto read = ReadFile(TempDir("read_missing") + "/absent");
+  EXPECT_EQ(read.status().code(), StatusCode::kNotFound);
+}
+
+TEST(AtomicFileTest, ReadFileOtherOpenErrorsAreNotNotFound) {
+  // A path through a regular file fails with ENOTDIR: the file is not
+  // "missing", so callers must not mistake it for one never written.
+  const std::string file = TempDir("read_notdir") + "/file";
+  ASSERT_TRUE(WriteFileAtomic(file, "x").ok());
+  auto read = ReadFile(file + "/child");
+  EXPECT_EQ(read.status().code(), StatusCode::kInternal);
+}
+
+TEST(AtomicFileTest, ReadFileOfEmptyFileIsEmpty) {
+  const std::string path = TempDir("read_empty") + "/file";
+  ASSERT_TRUE(WriteFileAtomic(path, "").ok());
+  auto read = ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().message();
+  EXPECT_TRUE(read.value().empty());
 }
 
 }  // namespace

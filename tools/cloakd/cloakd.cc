@@ -211,9 +211,6 @@ Status Run(const Args& args) {
                  static_cast<unsigned long long>(info.replayed_records),
                  static_cast<unsigned long long>(info.skipped_records),
                  static_cast<unsigned long long>(info.truncated_records));
-    std::fprintf(stderr, "cloakd: static index adopted=%llu rebuilt=%llu\n",
-                 static_cast<unsigned long long>(info.static_indexes_adopted),
-                 static_cast<unsigned long long>(info.static_indexes_rebuilt));
   } else {
     // Seed the world: POIs for the private kinds, cloaked users for the
     // public aggregates.

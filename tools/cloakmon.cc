@@ -36,6 +36,7 @@
 
 #include "net/client.h"
 #include "net/protocol.h"
+#include "util/atomic_file.h"
 #include "util/minijson.h"
 
 namespace cloakdb {
@@ -96,18 +97,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   }
   if (args->interval_ms < 50) args->interval_ms = 50;
   return true;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out->clear();
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
 }
 
 void RenderStage(const util::JsonValue& stages, const char* name) {
@@ -195,9 +184,13 @@ bool FetchStatus(const Args& args,
                  std::unique_ptr<net::CloakClient>* client,
                  std::string* text, std::string* error) {
   if (!args.status_path.empty()) {
-    if (ReadFile(args.status_path, text)) return true;
-    *error = "cannot read " + args.status_path;
-    return false;
+    auto file = util::ReadFile(args.status_path);
+    if (!file.ok()) {
+      *error = file.status().ToString();
+      return false;
+    }
+    *text = std::move(file).value();
+    return true;
   }
   if (*client == nullptr) {
     auto connected =
