@@ -3,6 +3,7 @@
 // Its records and answers must equal a never-restarted twin's, whatever
 // the spill held at the checkpoint, and a stray static_index.blob in a
 // shard directory (the sidecar file older builds wrote) is never read.
+// The re-seal lays each category's records out in its new slot order.
 
 #include <unistd.h>
 
@@ -12,9 +13,12 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "server/object_store.h"
+#include "server/private_queries.h"
 #include "service/cloak_db_service.h"
 #include "sim/poi.h"
 #include "storage/shard_durability.h"
@@ -239,6 +243,148 @@ TEST(StaticIndexRecoveryTest, PostCheckpointWritesAreReconstructed) {
 
 TEST(StaticIndexRecoveryTest, LeftoverSidecarIsIgnored) {
   CheckRecovery("junk", /*junk_sidecar=*/true);
+}
+
+// A checkpoint and nothing after it: the reopen reads the snapshot alone
+// (no WAL record to replay, no index file written or looked for) and must
+// still hold the twin's records and give its answers.
+TEST(StaticIndexRecoveryTest, MissingSidecarStillRecovers) {
+  const std::string data_dir = TempDataDir("missing");
+  const std::string twin_dir = TempDataDir("missing_twin");
+  {
+    auto db = MakeService(BaseOptions(data_dir));
+    SeedWorld(db.get());
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  const std::vector<std::string> sidecars = {
+      data_dir + "/shard-0/static_index.blob",
+      data_dir + "/shard-1/static_index.blob"};
+  for (const std::string& path : sidecars)
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+
+  auto twin = MakeService(BaseOptions(twin_dir));
+  SeedWorld(twin.get());
+
+  auto recovered = MakeService(BaseOptions(data_dir));
+  EXPECT_TRUE(recovered->recovery_info().performed);
+  EXPECT_EQ(recovered->recovery_info().checkpoints_loaded, 2u);
+  EXPECT_EQ(recovered->recovery_info().replayed_records, 0u);
+  EXPECT_EQ(recovered->recovery_info().static_indexes_adopted, 0u);
+  ExpectSameAnswers(recovered.get(), twin.get());
+  const std::vector<PublicObject> all = AllPublicObjects(twin.get(), twin_dir);
+  EXPECT_EQ(all.size(), 600u + 50 + 30);
+  ExpectSameRecords(AllPublicObjects(recovered.get(), data_dir), all);
+  for (const std::string& path : sidecars)
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+  std::filesystem::remove_all(data_dir);
+  std::filesystem::remove_all(twin_dir);
+}
+
+// --- Record tables of re-sealed categories ---------------------------------
+//
+// A store keeps each category's records in index-row order, and a sealed
+// row is a leaf slot. Shard::RestoreSnapshot re-seals each category of
+// the snapshot with one BulkLoadCategory, so the tombstones, moves and
+// spill the checkpointed store carried must all land in fresh slots whose
+// rows hold the right records. The oracle is the checkpointed store.
+
+TEST(StaticIndexRecoveryTest, AdoptionLaysRecordsOutInSlotOrder) {
+  ObjectStore checkpointed(Rect(0, 0, 100, 100));
+  const std::vector<PublicObject> sealed_pois = MakePois(600, 21);
+  ASSERT_TRUE(checkpointed.BulkLoadCategory(kCat, sealed_pois).ok());
+
+  // 40 sealed objects gone (tombstones), 20 moved, 30 added (spill), and
+  // a second category with a spill only.
+  std::vector<ObjectId> gone;
+  Rng rng(22);
+  for (size_t i = 0; i < sealed_pois.size(); ++i) {
+    if (i % 15 == 7) {
+      gone.push_back(sealed_pois[i].id);
+      ASSERT_TRUE(checkpointed.RemovePublicObject(sealed_pois[i].id).ok());
+    } else if (i % 30 == 11) {
+      ASSERT_TRUE(checkpointed
+                      .MovePublicObject(sealed_pois[i].id,
+                                        Point{rng.Uniform(0, 100),
+                                              rng.Uniform(0, 100)})
+                      .ok());
+    }
+  }
+  for (ObjectId id = 70000; id < 70030; ++id) {
+    PublicObject o;
+    o.id = id;
+    o.category = id < 70020 ? kCat : kOtherCat;
+    o.location = Point{rng.Uniform(0, 100), rng.Uniform(0, 100)};
+    o.name = "spill" + std::to_string(id);
+    ASSERT_TRUE(checkpointed.AddPublicObject(o).ok());
+  }
+  ASSERT_EQ(gone.size(), 40u);
+  const PublicCategoryIndex& before = *checkpointed.CategoryIndex(kCat).value();
+  EXPECT_GT(before.overlay_size(), 0u);
+  EXPECT_GT(before.tombstone_count(), 0u);
+
+  // The snapshot a checkpoint writes, through its codec, re-sealed the way
+  // Shard::RestoreSnapshot does it.
+  storage::ShardSnapshot written;
+  written.public_objects = checkpointed.AllPublicObjects();
+  auto snapshot =
+      storage::DecodeShardSnapshot(storage::EncodeShardSnapshot(written));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().message();
+  std::vector<PublicObject> cat_objects, other_objects;
+  for (const PublicObject& o : snapshot.value().public_objects)
+    (o.category == kCat ? cat_objects : other_objects).push_back(o);
+  ObjectStore resealed(Rect(0, 0, 100, 100));
+  ASSERT_TRUE(resealed.BulkLoadCategory(kCat, cat_objects).ok());
+  ASSERT_TRUE(resealed.BulkLoadCategory(kOtherCat, other_objects).ok());
+
+  EXPECT_EQ(resealed.num_public(), checkpointed.num_public());
+  EXPECT_EQ(resealed.num_public(), 600u - 40 + 30);
+  ExpectSameRecords(resealed.AllPublicObjects(),
+                    checkpointed.AllPublicObjects());
+  for (Category category : {kCat, kOtherCat}) {
+    const ObjectStore::PublicTable& table =
+        *resealed.CategoryTable(category).value();
+    const PublicCategoryIndex& index = table.index;
+    EXPECT_TRUE(index.HasSealedTree());
+    EXPECT_EQ(index.overlay_size(), 0u);
+    EXPECT_EQ(index.tombstone_count(), 0u);
+    // Every slot is a live row, and row r holds the record of the entry
+    // sealed in slot r.
+    ASSERT_EQ(index.row_count(), index.size());
+    ASSERT_EQ(table.rows.size(), index.row_count());
+    for (uint64_t r = 0; r < index.row_count(); ++r) {
+      ASSERT_TRUE(table.live[r]) << "row " << r;
+      const PublicObject& record = table.rows[r];
+      EXPECT_EQ(index.RowOf(record.id), std::optional<uint64_t>(r));
+      EXPECT_EQ(index.Locate(record.id).value(), record.location);
+      ExpectSameRecords({record},
+                        {checkpointed.GetPublicObject(record.id).value()});
+    }
+  }
+  for (ObjectId id : gone) {
+    EXPECT_EQ(resealed.GetPublicObject(id).status().code(),
+              StatusCode::kNotFound);
+  }
+
+  for (int trial = 0; trial < 40; ++trial) {
+    const Category category = trial % 4 == 3 ? kOtherCat : kCat;
+    const Point c{rng.Uniform(5, 95), rng.Uniform(5, 95)};
+    const Rect cloaked = Rect::CenteredSquare(c, rng.Uniform(0.5, 6.0));
+    auto range = PrivateRangeQuery(resealed, cloaked, 6.0, category);
+    auto range_want = PrivateRangeQuery(checkpointed, cloaked, 6.0, category);
+    ASSERT_TRUE(range.ok() && range_want.ok());
+    ExpectSameRecords(ById(range.value().candidates),
+                      ById(range_want.value().candidates));
+    auto nn = PrivateNnQuery(resealed, cloaked, category);
+    auto nn_want = PrivateNnQuery(checkpointed, cloaked, category);
+    ASSERT_TRUE(nn.ok() && nn_want.ok());
+    ExpectSameRecords(ById(nn.value().candidates),
+                      ById(nn_want.value().candidates));
+    auto knn = PrivateKnnQuery(resealed, cloaked, 5, category);
+    auto knn_want = PrivateKnnQuery(checkpointed, cloaked, 5, category);
+    ASSERT_TRUE(knn.ok() && knn_want.ok());
+    ExpectSameRecords(ById(knn.value().candidates),
+                      ById(knn_want.value().candidates));
+  }
 }
 
 }  // namespace
