@@ -14,6 +14,7 @@
 
 #include "bench_common.h"
 #include "geom/distance.h"
+#include "server/id_order.h"
 #include "server/private_queries.h"
 
 namespace cloakdb {
@@ -183,14 +184,15 @@ BENCHMARK(BM_Fig5_DominancePruningAblation)
     ->Unit(benchmark::kMicrosecond);
 
 // One isolated private query split into the parts the server runs: the
-// window probe (PublicCategoryIndex::RangeSearch), the Fig. 5 kernel
-// (RefineHits plus the id sort of the survivors) and Materialize, which
-// copies the kept records. 100k uniform POIs; 4,000 cloaks of side 1-3
-// (range radius 0.5-2, kNN k = 5), one query per cloak. Before each query
-// an 8 MB sweep evicts the caches, as the server's other work does between
-// two queries of one user. Each part is timed on its own (counters, us per
-// query); the row's time is their sum. The NN/kNN plan's corner probes and
-// the sweep run untimed. Arg: 0 = range, 1 = NN, 2 = kNN.
+// plan (for NN/kNN the joint corner probe that fixes the reach), the window
+// probe (PublicCategoryIndex::RangeSearch), the Fig. 5 kernel (RefineHits),
+// the id sort of the survivors (SortById) and Materialize, which copies the
+// kept records. 100k uniform POIs; 4,000 cloaks of side 1-3 (range radius
+// 0.5-2, kNN k = 5), one query per cloak. Before each query an 8 MB sweep
+// evicts the caches, as the server's other work does between two queries
+// of one user. Each part is timed on its own (counters reach_us, probe_us,
+// refine_us, sort_us, materialize_us: us per query); the row's time is
+// their sum. The sweep runs untimed. Arg: 0 = range, 1 = NN, 2 = kNN.
 void BM_Fig5_QueryParts(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   const int64_t kind = state.range(0);
@@ -213,44 +215,48 @@ void BM_Fig5_QueryParts(benchmark::State& state) {
     return std::chrono::duration<double, std::micro>(d).count();
   };
 
-  double probe_us = 0.0, refine_us = 0.0, materialize_us = 0.0;
+  double reach_us = 0.0, probe_us = 0.0, refine_us = 0.0, sort_us = 0.0,
+         materialize_us = 0.0;
   double hits = 0.0, kept = 0.0;
   size_t idx = 0;
   for (auto _ : state) {
     const Query& q = queries[idx++ % queries.size()];
+    for (size_t i = 0; i < sweep.size(); i += 8) ++sweep[i];  // 1 per line
+    benchmark::ClobberMemory();
+
+    const auto t0 = Clock::now();
     const RefineQuery refine =
         kind == 0   ? PlanPrivateRange(store, q.cloaked, q.radius, 1)
                           .value()
                           .refine
         : kind == 1 ? PlanPrivateNn(store, q.cloaked, 1).value().refine
                     : PlanPrivateKnn(store, q.cloaked, 5, 1).value().refine;
-    for (size_t i = 0; i < sweep.size(); i += 8) ++sweep[i];  // 1 per line
-    benchmark::ClobberMemory();
-
-    const auto t0 = Clock::now();
+    const auto t1 = Clock::now();
     const auto probed =
         index.RangeSearch(refine.cloaked.Expanded(refine.reach));
-    const auto t1 = Clock::now();
-    auto refined = RefineHits(refine, probed);
-    std::sort(refined.survivors.begin(), refined.survivors.end(),
-              [](const IndexHit* a, const IndexHit* b) {
-                return a->id < b->id;
-              });
     const auto t2 = Clock::now();
-    auto candidates = Materialize(store, 1, refined.survivors);
+    auto refined = RefineHits(refine, probed);
     const auto t3 = Clock::now();
+    SortById(&refined.survivors);
+    const auto t4 = Clock::now();
+    auto candidates = Materialize(store, 1, refined.survivors);
+    const auto t5 = Clock::now();
     benchmark::DoNotOptimize(candidates);
 
-    probe_us += us(t1 - t0);
-    refine_us += us(t2 - t1);
-    materialize_us += us(t3 - t2);
+    reach_us += us(t1 - t0);
+    probe_us += us(t2 - t1);
+    refine_us += us(t3 - t2);
+    sort_us += us(t4 - t3);
+    materialize_us += us(t5 - t4);
     hits += static_cast<double>(probed.size());
     kept += static_cast<double>(candidates.value().size());
-    state.SetIterationTime(std::chrono::duration<double>(t3 - t0).count());
+    state.SetIterationTime(std::chrono::duration<double>(t5 - t0).count());
   }
   const auto per_query = benchmark::Counter::kAvgIterations;
+  state.counters["reach_us"] = benchmark::Counter(reach_us, per_query);
   state.counters["probe_us"] = benchmark::Counter(probe_us, per_query);
   state.counters["refine_us"] = benchmark::Counter(refine_us, per_query);
+  state.counters["sort_us"] = benchmark::Counter(sort_us, per_query);
   state.counters["materialize_us"] =
       benchmark::Counter(materialize_us, per_query);
   state.counters["hits"] = benchmark::Counter(hits, per_query);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace cloakdb {
 
@@ -22,18 +23,19 @@ double MaxDist(const Point& p, const Rect& r) {
   return std::sqrt(MaxDistSquared(p, r));
 }
 
+double SquaredBound(double r) {
+  if (!(r > 0.0) || std::isinf(r)) return r;
+  // r * r is within an ulp or two of the bound; step onto it. sqrt is
+  // monotone, so {x : sqrt(x) <= r} is an interval starting at 0.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double t = r * r;
+  while (std::sqrt(t) > r) t = std::nextafter(t, 0.0);
+  while (std::sqrt(std::nextafter(t, kInf)) <= r) t = std::nextafter(t, kInf);
+  return t;
+}
+
 double MinDist(const Rect& a, const Rect& b) {
-  double dx = 0.0;
-  if (a.max_x < b.min_x)
-    dx = b.min_x - a.max_x;
-  else if (b.max_x < a.min_x)
-    dx = a.min_x - b.max_x;
-  double dy = 0.0;
-  if (a.max_y < b.min_y)
-    dy = b.min_y - a.max_y;
-  else if (b.max_y < a.min_y)
-    dy = a.min_y - b.max_y;
-  return std::sqrt(dx * dx + dy * dy);
+  return std::sqrt(MinDistSquared(a, b));
 }
 
 double MaxDist(const Rect& a, const Rect& b) {

@@ -48,6 +48,29 @@ inline double MaxDistSquared(const Point& p, const Rect& r) {
   return dx * dx + dy * dy;
 }
 
+/// The largest double whose std::sqrt is at most `r` (`r` itself when `r`
+/// is not positive or is +inf or NaN). For any d2, `d2 > SquaredBound(r)`
+/// iff `std::sqrt(d2) > r`, so a filter that compares squared distances
+/// against it keeps exactly what one comparing distances against `r`
+/// keeps, boundary included, with no square root per distance.
+double SquaredBound(double r);
+
+/// Squared smallest distance between any point of `a` and any point of `b`
+/// (0 if they intersect).
+inline double MinDistSquared(const Rect& a, const Rect& b) {
+  double dx = 0.0;
+  if (a.max_x < b.min_x)
+    dx = b.min_x - a.max_x;
+  else if (b.max_x < a.min_x)
+    dx = a.min_x - b.max_x;
+  double dy = 0.0;
+  if (a.max_y < b.min_y)
+    dy = b.min_y - a.max_y;
+  else if (b.max_y < a.min_y)
+    dy = a.min_y - b.max_y;
+  return dx * dx + dy * dy;
+}
+
 /// Smallest distance between any point of `a` and any point of `b`
 /// (0 if they intersect).
 double MinDist(const Rect& a, const Rect& b);

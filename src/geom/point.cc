@@ -14,10 +14,4 @@ double Distance(const Point& a, const Point& b) {
   return std::sqrt(DistanceSquared(a, b));
 }
 
-double DistanceSquared(const Point& a, const Point& b) {
-  double dx = a.x - b.x;
-  double dy = a.y - b.y;
-  return dx * dx + dy * dy;
-}
-
 }  // namespace cloakdb

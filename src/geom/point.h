@@ -34,8 +34,13 @@ struct Point {
 /// Euclidean distance between two points.
 double Distance(const Point& a, const Point& b);
 
-/// Squared Euclidean distance (avoids the sqrt for comparisons).
-double DistanceSquared(const Point& a, const Point& b);
+/// Squared Euclidean distance (avoids the sqrt for comparisons). Inline,
+/// as the kNN probes call it once per leaf entry and point.
+inline double DistanceSquared(const Point& a, const Point& b) {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  return dx * dx + dy * dy;
+}
 
 }  // namespace cloakdb
 

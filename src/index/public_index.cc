@@ -14,6 +14,10 @@ namespace cloakdb {
 
 namespace {
 
+/// Heap doubles a thread keeps between MaxKthDistanceSquared calls: four
+/// points at k = 4,096 (128 KB). A call over more frees them on return.
+constexpr size_t kHeapScratchKeep = size_t{1} << 14;
+
 void BumpCounter(obs::Counter* c, uint64_t delta = 1) {
   if (c != nullptr && delta > 0) c->Increment(delta);
 }
@@ -202,6 +206,41 @@ double PublicCategoryIndex::NearestDistance(const Point& from) const {
   std::vector<PointEntry> nearest = KNearest(from, 1);
   if (nearest.empty()) return std::numeric_limits<double>::infinity();
   return Distance(from, nearest.front().location);
+}
+
+double PublicCategoryIndex::MaxKthDistanceSquared(std::span<const Point> from,
+                                                  size_t k) const {
+  if (k == 0 || from.empty()) return 0.0;
+  // Per-thread scratch: the k doubles of each point's heap.
+  thread_local std::vector<double> storage;
+  thread_local std::vector<KSmallest> heaps;
+  storage.resize(from.size() * k);
+  heaps.clear();
+  for (size_t i = 0; i < from.size(); ++i)
+    heaps.emplace_back(storage.data() + i * k, k);
+  sealed_.NearestSquaresInto(from, Skip(), heaps);
+  double max_kth = 0.0;
+  for (size_t i = 0; i < from.size(); ++i) {
+    const Point& p = from[i];
+    KSmallest& heap = heaps[i];
+    // Folds the spill in as KNearest does: outward from p's x on each
+    // side, stopping once the x gap alone passes the heap's bound.
+    const auto fold = [&](const IndexHit& e) {
+      const double dx = e.location.x - p.x;
+      if (dx * dx > heap.Bound()) return false;
+      heap.Offer(DistanceSquared(p, e.location));
+      return true;
+    };
+    const auto pivot = FirstAtX(overlay_, p.x);
+    for (auto it = pivot; it != overlay_.end() && fold(*it); ++it) {
+    }
+    for (auto it = pivot; it != overlay_.begin() && fold(*std::prev(it));
+         --it) {
+    }
+    max_kth = std::max(max_kth, heap.Bound());
+  }
+  if (storage.capacity() > kHeapScratchKeep) std::vector<double>().swap(storage);
+  return max_kth;
 }
 
 std::vector<PointEntry> PublicCategoryIndex::LiveEntries() const {

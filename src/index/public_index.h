@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -110,6 +111,13 @@ class PublicCategoryIndex {
   /// Sorted by (distance, id).
   std::vector<PointEntry> KNearest(const Point& from, size_t k) const;
   double NearestDistance(const Point& from) const;
+  /// The largest, over the points p of `from`, of the squared distance
+  /// from p to its k-th nearest entry, from one joint traversal of the
+  /// sealed tree and one spill fold per point. Its std::sqrt equals the
+  /// largest Distance(p, KNearest(p, k).back().location) bit for bit.
+  /// +inf when fewer than k entries are live; 0 when k = 0 or `from` is
+  /// empty.
+  double MaxKthDistanceSquared(std::span<const Point> from, size_t k) const;
 
   // --- Seal lifecycle (service/storage layer) ----------------------------
 

@@ -1,6 +1,7 @@
 #include "index/static_rtree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -15,6 +16,10 @@ namespace {
 
 constexpr double kQMaxD = 4294967295.0;  // 2^32 - 1
 constexpr uint32_t kQMax = 0xFFFFFFFFu;
+
+/// Pending nodes a thread keeps between NearestSquaresInto calls (96 KB);
+/// a traversal that queued more frees them on return.
+constexpr size_t kPendingKeep = size_t{1} << 12;
 
 /// Floor-quantization with clamping. Monotone in `v`, so quantizing both a
 /// stored coordinate and a window edge with the same function preserves
@@ -332,6 +337,83 @@ double StaticRTree::NearestDistance(const Point& from,
   std::vector<PointEntry> nearest = KNearest(from, 1, skip);
   if (nearest.empty()) return std::numeric_limits<double>::infinity();
   return Distance(from, nearest[0].location);
+}
+
+void StaticRTree::NearestSquaresInto(std::span<const Point> from,
+                                     const IdFilter* skip,
+                                     std::span<KSmallest> heaps) const {
+  // A node's users are a 64-bit mask: probe 64 points at a time.
+  constexpr size_t kMaxPoints = 64;
+  if (from.size() > kMaxPoints) {
+    NearestSquaresInto(from.first(kMaxPoints), skip, heaps.first(kMaxPoints));
+    NearestSquaresInto(from.subspan(kMaxPoints), skip,
+                       heaps.subspan(kMaxPoints));
+    return;
+  }
+  if (leaves_.empty() || from.empty()) return;
+  // Nodes wait in a min-heap (per-thread scratch) keyed by their squared
+  // MinDist to the points' bounding box, a lower bound on every point's
+  // own: one test per child, not one per point. Which points can use a
+  // node is asked when it comes off the heap.
+  Rect hull;
+  for (const Point& p : from) hull = hull.Union(p);
+  struct NodeItem {
+    double key;
+    uint32_t level;
+    uint64_t idx;
+  };
+  const auto later = [](const NodeItem& a, const NodeItem& b) {
+    return a.key > b.key;
+  };
+  thread_local std::vector<NodeItem> pending;
+  pending.clear();
+  const uint32_t root = static_cast<uint32_t>(levels_.size() - 1);
+  pending.push_back({0.0, root, 0});
+  while (!pending.empty()) {
+    std::pop_heap(pending.begin(), pending.end(), later);
+    const NodeItem item = pending.back();
+    pending.pop_back();
+    // Bounds only shrink. Past the loosest no point can use this node or
+    // any after it; below it, find the points that still can.
+    double loosest = 0.0;
+    for (const KSmallest& heap : heaps)
+      loosest = std::max(loosest, heap.Bound());
+    if (item.key > loosest) break;
+    const Rect node = DequantRect(levels_[item.level][item.idx]);
+    uint64_t mask = 0;
+    for (size_t i = 0; i < from.size(); ++i) {
+      if (MinDistSquared(from[i], node) <= heaps[i].Bound())
+        mask |= uint64_t{1} << i;
+    }
+    if (mask == 0) continue;
+    if (item.level == 0) {
+      // Only the points that can use the page scan it.
+      const uint64_t first = item.idx * kLeafCapacity;
+      const uint64_t last =
+          first + std::min<uint64_t>(kLeafCapacity, leaves_.size() - first);
+      for (uint64_t m = mask; m != 0; m &= m - 1) {
+        const size_t i = static_cast<size_t>(std::countr_zero(m));
+        for (uint64_t slot = first; slot < last; ++slot) {
+          const double d = DistanceSquared(from[i], exact_[slot]);
+          if (d >= heaps[i].Bound()) continue;
+          if (skip != nullptr && skip->count(leaves_[slot].id) != 0) continue;
+          heaps[i].Offer(d);
+        }
+      }
+      continue;
+    }
+    const uint64_t begin = item.idx * kBranching;
+    const uint64_t end =
+        std::min<uint64_t>(levels_[item.level - 1].size(), begin + kBranching);
+    for (uint64_t c = begin; c < end; ++c) {
+      const double key =
+          MinDistSquared(DequantRect(levels_[item.level - 1][c]), hull);
+      if (key > loosest) continue;
+      pending.push_back({key, item.level - 1, c});
+      std::push_heap(pending.begin(), pending.end(), later);
+    }
+  }
+  if (pending.capacity() > kPendingKeep) std::vector<NodeItem>().swap(pending);
 }
 
 const StaticRTree::IdSlot* StaticRTree::FindId(ObjectId id) const {

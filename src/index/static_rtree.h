@@ -26,9 +26,12 @@
 #ifndef CLOAKDB_INDEX_STATIC_RTREE_H_
 #define CLOAKDB_INDEX_STATIC_RTREE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -46,6 +49,36 @@ struct IndexHit {
   ObjectId id = 0;
   Point location;
   uint64_t row = 0;
+};
+
+/// The k >= 1 smallest values offered so far, kept as a max-heap in k
+/// doubles the caller lends, so a probe for several points allocates
+/// nothing of its own.
+class KSmallest {
+ public:
+  KSmallest(double* storage, size_t k) : heap_(storage), k_(k) {}
+
+  /// What an offer must be below to enter: +inf until k values are held,
+  /// then the largest held (the k-th smallest offered).
+  double Bound() const {
+    return size_ < k_ ? std::numeric_limits<double>::infinity() : heap_[0];
+  }
+
+  void Offer(double v) {
+    if (size_ < k_) {
+      heap_[size_++] = v;
+      std::push_heap(heap_, heap_ + size_);
+    } else if (v < heap_[0]) {
+      std::pop_heap(heap_, heap_ + k_);
+      heap_[k_ - 1] = v;
+      std::push_heap(heap_, heap_ + k_);
+    }
+  }
+
+ private:
+  double* heap_;
+  size_t k_;
+  size_t size_ = 0;
 };
 
 /// Immutable STR-packed R-tree. Build once, query freely.
@@ -118,6 +151,15 @@ class StaticRTree {
 
   /// Distance from `from` to its nearest visible object; +inf when none.
   double NearestDistance(const Point& from, const IdFilter* skip) const;
+
+  /// Offers the squared distance from `from[i]` to every visible object to
+  /// `heaps[i]` (one heap per point), in one best-first traversal for all
+  /// the points: a node or page is opened only while some point's heap
+  /// could take an object under it. Each heap ends holding its point's k
+  /// smallest squared distances: std::sqrt of its Bound() is the distance
+  /// of KNearest's k-th entry.
+  void NearestSquaresInto(std::span<const Point> from, const IdFilter* skip,
+                          std::span<KSmallest> heaps) const;
 
   /// The stored (exact) location of `id`; NotFound when absent.
   Result<Point> Locate(ObjectId id) const;

@@ -230,17 +230,19 @@ template <typename T>
 Refined<T> RefineHits(const RefineQuery& q, const std::vector<T>& hits) {
   Refined<T> out;
   const Rect window = q.cloaked.Expanded(q.reach);
+  // MinDistSquared > reach2 iff MinDist > reach, with no root per hit.
+  const double reach2 = SquaredBound(q.reach);
   for (const T& h : hits) {
     const Point& p = h.location;
     if (q.kind == RefineKind::kRange) {
       if (!window.Contains(p)) continue;
       // The exact region is the Minkowski sum of R and a radius disc (the
       // paper's rounded rectangle): MinDist(o, R) <= r.
-      if (q.exact_rounded_rect && MinDist(p, q.cloaked) > q.reach) {
+      if (q.exact_rounded_rect && MinDistSquared(p, q.cloaked) > reach2) {
         ++out.rounded_rect_pruned;
         continue;
       }
-    } else if (MinDist(p, q.cloaked) > q.reach) {
+    } else if (MinDistSquared(p, q.cloaked) > reach2) {
       // The window over-approximates the disc sum; drop its corners.
       continue;
     }

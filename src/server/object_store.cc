@@ -269,13 +269,6 @@ Result<const ObjectStore::PublicTable*> ObjectStore::CategoryTable(
   return &it->second;
 }
 
-std::vector<Category> ObjectStore::Categories() const {
-  std::vector<Category> out;
-  out.reserve(public_tables_.size());
-  for (const auto& [category, table] : public_tables_) out.push_back(category);
-  return out;
-}
-
 size_t ObjectStore::num_public() const {
   size_t n = 0;
   for (const auto& [category, table] : public_tables_) n += table.index.size();

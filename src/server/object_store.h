@@ -128,9 +128,6 @@ class ObjectStore {
   /// the category has no objects.
   Result<const PublicTable*> CategoryTable(Category category) const;
 
-  /// All categories currently populated.
-  std::vector<Category> Categories() const;
-
   size_t num_public() const;
 
   /// Every public object across all categories, sorted by id — the

@@ -1,11 +1,13 @@
 #include "server/private_queries.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <type_traits>
 
 #include "geom/distance.h"
+#include "server/id_order.h"
 
 namespace cloakdb {
 
@@ -15,9 +17,12 @@ namespace {
 // query: for any p in R and its nearest corner c, the k objects nearest to
 // c all lie within d(p, c) + d(c, kth-NN(c)), and d(p, c) is at most half
 // the diagonal, so every possible answer object o has MinDist(o, R) <=
-// half_diag + max_c d(c, kth-NN(c)). A k-NN query over at most k objects
-// gets +infinity: every object is a candidate by pigeonhole, and no
-// bounded probe can serve it.
+// half_diag + max_c d(c, kth-NN(c)). The four corners share one probe
+// (PublicCategoryIndex::MaxKthDistanceSquared); Distance is the root of
+// DistanceSquared, so the root of the largest squared k-th is the largest
+// k-th distance. A k-NN query over at most k objects gets +infinity:
+// every object is a candidate by pigeonhole, and no bounded probe can
+// serve it.
 Result<double> FetchReach(const ObjectStore& store, const Rect& cloaked,
                           size_t k, Category category, bool nn) {
   if (cloaked.IsEmpty())
@@ -29,14 +34,9 @@ Result<double> FetchReach(const ObjectStore& store, const Rect& cloaked,
   if (index.size() == 0)
     return Status::NotFound("no public objects in category");
   if (!nn && index.size() <= k) return std::numeric_limits<double>::infinity();
-  double max_corner_kth = 0.0;
-  for (const Point& corner : cloaked.Corners()) {
-    max_corner_kth = std::max(
-        max_corner_kth,
-        nn ? index.NearestDistance(corner)
-           : Distance(corner, index.KNearest(corner, k).back().location));
-  }
-  return max_corner_kth + cloaked.HalfDiagonal();
+  const std::array<Point, 4> corners = cloaked.Corners();
+  return std::sqrt(index.MaxKthDistanceSquared(corners, k)) +
+         cloaked.HalfDiagonal();
 }
 
 }  // namespace
@@ -99,8 +99,7 @@ Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch,
   }
   Refined<IndexHit> refined = RefineHits(fetch.refine, *hits);
   // Hits come in index order; every answer goes out sorted by id.
-  std::sort(refined.survivors.begin(), refined.survivors.end(),
-            [](const IndexHit* a, const IndexHit* b) { return a->id < b->id; });
+  SortById(&refined.survivors);
   auto candidates = Materialize(store, fetch.category, refined.survivors);
   if (!candidates.ok()) return candidates.status();
   R result;

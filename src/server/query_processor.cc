@@ -5,6 +5,7 @@
 #include "obs/scoped_timer.h"
 #include "obs/trace.h"
 #include "server/dominance.h"
+#include "server/id_order.h"
 
 namespace cloakdb {
 
@@ -220,35 +221,36 @@ void QueryProcessor::ResetStats() {
 
 namespace {
 
-// Deduplicates by id and sorts — shards hold disjoint objects, so the sort
-// is what makes merged lists deterministic across shard counts.
-void SortUniqueById(std::vector<PublicObject>* objects) {
-  std::sort(objects->begin(), objects->end(),
-            [](const PublicObject& a, const PublicObject& b) {
-              return a.id < b.id;
-            });
-  objects->erase(std::unique(objects->begin(), objects->end(),
-                             [](const PublicObject& a, const PublicObject& b) {
-                               return a.id == b.id;
-                             }),
-                 objects->end());
+// Both candidate merges: a single part comes back as it is (it is already
+// an id-sorted answer); more have `fold` sum their counters into the merged
+// result and their id-sorted candidate lists merged (id_order.h). Shards
+// hold disjoint objects, so the id order is what makes merged lists
+// deterministic across shard counts.
+template <typename R, typename Fold>
+R MergeCandidates(std::vector<R> parts, const Fold& fold) {
+  if (parts.size() == 1) return std::move(parts.front());
+  R merged;
+  std::vector<std::vector<PublicObject>> lists;
+  lists.reserve(parts.size());
+  for (R& part : parts) {
+    fold(&merged, part);
+    lists.push_back(std::move(part.candidates));
+  }
+  merged.candidates = MergeSortedById(std::move(lists));
+  return merged;
 }
 
 }  // namespace
 
 PrivateRangeResult MergePrivateRangeResults(
     std::vector<PrivateRangeResult> parts) {
-  PrivateRangeResult merged;
-  for (auto& part : parts) {
-    if (merged.candidates.empty() && merged.extended_region.IsEmpty())
-      merged.extended_region = part.extended_region;
-    merged.rounded_rect_pruned += part.rounded_rect_pruned;
-    merged.candidates.insert(merged.candidates.end(),
-                             std::make_move_iterator(part.candidates.begin()),
-                             std::make_move_iterator(part.candidates.end()));
-  }
-  SortUniqueById(&merged.candidates);
-  return merged;
+  return MergeCandidates(
+      std::move(parts),
+      [](PrivateRangeResult* merged, const PrivateRangeResult& part) {
+        if (merged->extended_region.IsEmpty())
+          merged->extended_region = part.extended_region;
+        merged->rounded_rect_pruned += part.rounded_rect_pruned;
+      });
 }
 
 namespace {
@@ -260,17 +262,13 @@ namespace {
 // change nothing: each tile's threshold comes from objects its shard kept.
 template <typename R>
 R MergeNearest(const Rect& cloaked, size_t k, std::vector<R> parts) {
-  R merged;
-  for (auto& part : parts) {
-    merged.fetch_radius = std::max(merged.fetch_radius, part.fetch_radius);
-    merged.dominance_pruned += part.dominance_pruned;
-    merged.candidates.insert(merged.candidates.end(),
-                             std::make_move_iterator(part.candidates.begin()),
-                             std::make_move_iterator(part.candidates.end()));
-  }
-  if (parts.size() < 2) return merged;
-  SortUniqueById(&merged.candidates);
-  merged.dominance_pruned += KDominancePrune(&merged.candidates, cloaked, k);
+  const bool several = parts.size() > 1;
+  R merged = MergeCandidates(std::move(parts), [](R* merged, const R& part) {
+    merged->fetch_radius = std::max(merged->fetch_radius, part.fetch_radius);
+    merged->dominance_pruned += part.dominance_pruned;
+  });
+  if (several)
+    merged.dominance_pruned += KDominancePrune(&merged.candidates, cloaked, k);
   return merged;
 }
 

@@ -186,8 +186,9 @@ class QueryProcessor {
 // location survives the merge).
 
 /// Merges private-range partials: candidate union (sorted by id), summed
-/// prune counters. `parts` must stem from the same (cloaked, radius) query
-/// over disjoint object sets.
+/// prune counters; a single part is returned as is. `parts` must stem from
+/// the same (cloaked, radius) query over disjoint object sets, each with
+/// its candidates sorted by id.
 PrivateRangeResult MergePrivateRangeResults(
     std::vector<PrivateRangeResult> parts);
 

@@ -314,8 +314,10 @@ std::set<std::string> DocumentedToolFlags(const std::string& markdown) {
 TEST(OperationsDocTest, FlagsNamedInNewDocsParseInTheTools) {
   // Every cloaksim/cloakd flag the new docs name must exist in a tool's
   // argument parser — flags appear there as the quoted literal passed to
-  // ParseArg (e.g. "kill-cycles"). A doc naming a dropped or misspelled
-  // flag fails here; CI additionally smoke-runs `--help` on both tools.
+  // ParseArg (e.g. "kill-cycles") or, for a bare switch, as the whole
+  // argument a tool compares with std::strcmp (e.g. "--recover"). A doc
+  // naming a dropped or misspelled flag fails here; CI additionally
+  // smoke-runs `--help` on both tools.
   const std::string root(CLOAKDB_SOURCE_DIR);
   const std::string tool_sources =
       ReadFileOrDie(root + "/tools/cloaksim.cc") +
@@ -328,9 +330,11 @@ TEST(OperationsDocTest, FlagsNamedInNewDocsParseInTheTools) {
   EXPECT_FALSE(flags.empty())
       << "expected the new docs to name at least one tool flag";
   for (const auto& flag : flags) {
-    EXPECT_NE(tool_sources.find("\"" + flag + "\""), std::string::npos)
-        << "docs name `--" << flag
-        << "` but neither cloaksim nor cloakd parses it";
+    const bool parsed =
+        tool_sources.find("\"" + flag + "\"") != std::string::npos ||
+        tool_sources.find("\"--" + flag + "\"") != std::string::npos;
+    EXPECT_TRUE(parsed) << "docs name `--" << flag
+                        << "` but neither cloaksim nor cloakd parses it";
   }
 }
 

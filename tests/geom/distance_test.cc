@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "util/random.h"
 
@@ -34,6 +36,45 @@ TEST(DistanceTest, SquaredVariantsConsistent) {
   Point p{-2, 7};
   EXPECT_DOUBLE_EQ(MinDistSquared(p, r), MinDist(p, r) * MinDist(p, r));
   EXPECT_DOUBLE_EQ(MaxDistSquared(p, r), MaxDist(p, r) * MaxDist(p, r));
+}
+
+TEST(DistanceTest, SquaredBoundGivesTheDistanceVerdict) {
+  // d2 > SquaredBound(r) iff std::sqrt(d2) > r: checked at the bound's two
+  // neighbouring doubles for reaches of every scale, and on squared
+  // MinDists of points placed at exactly the reach from a cloak, where
+  // rounding decides.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(5);
+  std::vector<double> reaches = {1.0, 2.0, 0.5, 1e-300, 1e-160, 3e-162,
+                                 1e154, 1.5e154, 1e300, 4.9e-324};
+  for (int i = 0; i < 2000; ++i)
+    reaches.push_back(std::ldexp(rng.Uniform(1.0, 2.0), -60 + i % 120));
+  for (double r : reaches) {
+    const double t = SquaredBound(r);
+    EXPECT_LE(std::sqrt(t), r) << r;
+    EXPECT_GT(std::sqrt(std::nextafter(t, kInf)), r) << r;
+    for (double d2 : {std::nextafter(t, 0.0), t, std::nextafter(t, kInf),
+                      r * r, std::nextafter(r * r, 0.0),
+                      std::nextafter(r * r, kInf)}) {
+      EXPECT_EQ(d2 > t, std::sqrt(d2) > r) << r << " " << d2;
+    }
+  }
+  const Rect cloak(0.1, 0.2, 0.7, 0.9);
+  for (int i = 0; i < 2000; ++i) {
+    const double r = rng.Uniform(0.01, 3.0);
+    const double angle = rng.Uniform(0.0, 6.283185307179586);
+    const Point p{cloak.max_x + r * std::cos(angle) * (i % 2),
+                  cloak.max_y + r * std::sin(angle)};
+    EXPECT_EQ(MinDistSquared(p, cloak) > SquaredBound(r),
+              MinDist(p, cloak) > r);
+  }
+  // Not positive, infinite or NaN: the reach itself.
+  EXPECT_EQ(SquaredBound(0.0), 0.0);
+  EXPECT_EQ(SquaredBound(-2.0), -2.0);
+  EXPECT_EQ(SquaredBound(kInf), kInf);
+  EXPECT_TRUE(std::isnan(SquaredBound(std::nan(""))));
+  EXPECT_FALSE(0.0 > SquaredBound(0.0));
+  EXPECT_TRUE(1e-320 > SquaredBound(0.0));
 }
 
 TEST(DistanceTest, RectRectMinDist) {

@@ -48,7 +48,10 @@ TEST(ObjectStoreTest, CategoryIndexesAreSeparate) {
   ASSERT_TRUE(cat2.ok());
   EXPECT_EQ(cat2.value()->size(), 1u);
   EXPECT_EQ(store.CategoryIndex(3).status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(store.Categories(), (std::vector<Category>{1, 2}));
+  // Categories 1 and 2 hold every stored object, each in its own table.
+  EXPECT_TRUE(store.CategoryTable(1).ok());
+  EXPECT_TRUE(store.CategoryTable(2).ok());
+  EXPECT_EQ(store.num_public(), cat1.value()->size() + cat2.value()->size());
 }
 
 TEST(ObjectStoreTest, RemovingLastObjectDropsCategory) {
@@ -56,7 +59,8 @@ TEST(ObjectStoreTest, RemovingLastObjectDropsCategory) {
   ASSERT_TRUE(store.AddPublicObject(Poi(1, 10, 10, 7)).ok());
   ASSERT_TRUE(store.RemovePublicObject(1).ok());
   EXPECT_EQ(store.CategoryIndex(7).status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(store.Categories().empty());
+  EXPECT_EQ(store.CategoryTable(7).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.num_public(), 0u);
 }
 
 TEST(ObjectStoreTest, MovePublicObject) {
