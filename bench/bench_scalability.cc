@@ -274,11 +274,12 @@ BENCHMARK(BM_Service_FanOutQueries)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-// Shared-execution payoff under a temporally-local query workload: a hot
-// pool of cloaked regions is queried over and over (the locality real LBS
-// traffic exhibits, cf. WorkloadOptions::repeat_probability). Arg(0) runs
-// the isolated planner every time; Arg(1) serves repeats from the
-// candidate cache. The CI perf gate compares the two.
+// Shared-execution payoff under a temporally-local count workload: a hot
+// pool of public-count windows is counted over and over (the locality real
+// LBS traffic exhibits, cf. WorkloadOptions::repeat_probability) through
+// the query envelope, on a service holding 20k reported users. Arg(0)
+// scans every shard's private index on every count; Arg(1) serves repeats
+// from each shard's count-part cache. The CI perf gate compares the two.
 void BM_Service_RepeatedQueryCache(benchmark::State& state) {
   const bool shared = state.range(0) != 0;
   CloakDbServiceOptions options;
@@ -286,44 +287,40 @@ void BM_Service_RepeatedQueryCache(benchmark::State& state) {
   options.num_shards = 4;
   options.enable_shared_execution = shared;
   options.cache_capacity = 4096;
-  options.signature_grid_cells = 32;
   auto service = CloakDbService::Create(options);
   if (!service.ok()) {
     state.SkipWithError("service setup failed");
     return;
   }
   CloakDbService& db = *service.value();
-  Rng poi_rng(bench::kSeed ^ 0x7777);
-  PoiOptions poi;
-  poi.count = 20000;
-  poi.category = poi_category::kGasStation;
-  (void)db.BulkLoadCategory(poi_category::kGasStation,
-                            GeneratePois(bench::Space(), poi, &poi_rng)
-                                .value());
+  const PrivacyProfile profile =
+      PrivacyProfile::Uniform({20, 0.0, kInf}).value();
+  for (const auto& u : bench::MakeUsers(20000)) {
+    (void)db.RegisterUser(u.id, profile);
+    if (!db.EnqueueUpdate(u.id, u.location, bench::Noon()).ok()) {
+      state.SkipWithError("enqueue failed");
+      return;
+    }
+  }
+  if (!db.Flush().ok()) {
+    state.SkipWithError("flush failed");
+    return;
+  }
 
-  // The hot set: 48 cloaked regions, revisited uniformly.
+  // The hot set: 48 count windows, revisited uniformly.
   Rng rng(86);
-  std::vector<Rect> hot;
+  std::vector<QueryRequest> hot;
   for (int i = 0; i < 48; ++i) {
     double x = rng.Uniform(0, 88), y = rng.Uniform(0, 88);
-    hot.push_back(Rect(x, y, x + rng.Uniform(2, 8), y + rng.Uniform(2, 8)));
+    hot.push_back(QueryRequest::Count(
+        Rect(x, y, x + rng.Uniform(4, 12), y + rng.Uniform(4, 12))));
   }
   // Prime the cache so short --quick runs measure the steady state (the
   // hit path) instead of the one-off cold misses.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const Rect& cloaked : hot) {
-      benchmark::DoNotOptimize(
-          db.PrivateRange(cloaked, 3.0, poi_category::kGasStation));
-      benchmark::DoNotOptimize(
-          db.PrivateNn(cloaked, poi_category::kGasStation));
-    }
-  }
+  for (const QueryRequest& q : hot)
+    benchmark::DoNotOptimize(db.ExecuteQuery(q));
   for (auto _ : state) {
-    const Rect& cloaked = hot[rng.NextBelow(hot.size())];
-    benchmark::DoNotOptimize(
-        db.PrivateRange(cloaked, 3.0, poi_category::kGasStation));
-    benchmark::DoNotOptimize(
-        db.PrivateNn(cloaked, poi_category::kGasStation));
+    benchmark::DoNotOptimize(db.ExecuteQuery(hot[rng.NextBelow(hot.size())]));
   }
   state.counters["shared"] = shared ? 1.0 : 0.0;
   const double hits =
@@ -332,11 +329,10 @@ void BM_Service_RepeatedQueryCache(benchmark::State& state) {
       db.metrics().counter("cache.misses_total")->Value());
   state.counters["cache_hit_rate"] =
       hits + misses == 0.0 ? 0.0 : hits / (hits + misses);
-  state.counters["range_p95_us"] =
-      db.metrics().SnapshotHistogram("query.private_range.latency_us").p95();
+  state.counters["count_p95_us"] =
+      db.metrics().SnapshotHistogram("query.public_count.latency_us").p95();
   state.counters["queries_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * 2),
-      benchmark::Counter::kIsRate);
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Service_RepeatedQueryCache)
     ->Arg(0)->Arg(1)

@@ -100,16 +100,33 @@ FlightRecorder::FlightRecorder(size_t capacity)
   mask_ = slots_.size() - 1;
 }
 
-void FlightRecorder::Record(FlightEventKind kind, uint64_t a, uint64_t b,
-                            const char* detail) {
-  const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[seq & mask_];
-  // Claim the slot: readers seeing an odd stamp skip it.
-  slot.stamp.store(2 * seq + 1, std::memory_order_release);
-  slot.unix_us.store(NowUnixMicros(), std::memory_order_relaxed);
-  slot.kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
+FlightRecorder::Slot* FlightRecorder::Claim(uint64_t* seq) {
+  *seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
+  Slot& slot = slots_[*seq & mask_];
+  const uint64_t claimed = 2 * *seq + 1;
+  // Only a stamp an earlier lap published (0 before the first) may be
+  // taken over. An odd stamp is a writer a lap or more behind, still
+  // storing; a newer stamp means this writer is the one left behind.
+  // Either way the event is dropped: overwriting would interleave two
+  // payloads under one stamp. Acquire on success orders the previous
+  // occupant's payload stores before this writer's.
+  uint64_t stamp = slot.stamp.load(std::memory_order_relaxed);
+  if (stamp % 2 != 0 || stamp > claimed ||
+      !slot.stamp.compare_exchange_strong(stamp, claimed,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed))
+    return nullptr;
+  // Seqlock writer: the odd stamp is visible before any payload store.
+  std::atomic_thread_fence(std::memory_order_release);
+  return &slot;
+}
+
+void FlightRecorder::Publish(Slot* slot, uint64_t seq, FlightEventKind kind,
+                             uint64_t a, uint64_t b, const char* detail) {
+  slot->unix_us.store(NowUnixMicros(), std::memory_order_relaxed);
+  slot->kind.store(static_cast<uint8_t>(kind), std::memory_order_relaxed);
+  slot->a.store(a, std::memory_order_relaxed);
+  slot->b.store(b, std::memory_order_relaxed);
   // Pack detail (NUL-padded) into the slot's words, little-endian.
   char packed[sizeof(uint64_t) * 5] = {0};
   if (detail != nullptr) {
@@ -117,13 +134,21 @@ void FlightRecorder::Record(FlightEventKind kind, uint64_t a, uint64_t b,
     if (len > sizeof(packed) - 1) len = sizeof(packed) - 1;
     std::memcpy(packed, detail, len);
   }
-  for (size_t w = 0; w < slot.detail.size(); ++w) {
+  for (size_t w = 0; w < slot->detail.size(); ++w) {
     uint64_t word = 0;
     std::memcpy(&word, packed + w * sizeof(uint64_t), sizeof(uint64_t));
-    slot.detail[w].store(word, std::memory_order_relaxed);
+    slot->detail[w].store(word, std::memory_order_relaxed);
   }
   // Publish: an even stamp matching 2*seq+2 marks the payload complete.
-  slot.stamp.store(2 * seq + 2, std::memory_order_release);
+  slot->stamp.store(2 * seq + 2, std::memory_order_release);
+}
+
+void FlightRecorder::Record(FlightEventKind kind, uint64_t a, uint64_t b,
+                            const char* detail) {
+  uint64_t seq = 0;
+  Slot* slot = Claim(&seq);
+  if (slot == nullptr) return;
+  Publish(slot, seq, kind, a, b, detail);
   if (counter_ != nullptr) counter_->Increment();
 }
 
@@ -143,8 +168,10 @@ bool FlightRecorder::ReadSlot(size_t index, uint64_t seq,
     uint64_t word = slot.detail[w].load(std::memory_order_relaxed);
     std::memcpy(packed + w * sizeof(uint64_t), &word, sizeof(uint64_t));
   }
-  // Re-check the stamp: if a writer reused the slot mid-copy, discard.
-  if (slot.stamp.load(std::memory_order_acquire) != want) return false;
+  // Seqlock reader: the payload loads complete before the re-check, so a
+  // writer that reused the slot mid-copy changes the stamp seen here.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (slot.stamp.load(std::memory_order_relaxed) != want) return false;
   std::memcpy(out->detail, packed, sizeof(out->detail));
   out->detail[sizeof(out->detail) - 1] = '\0';
   return true;

@@ -3,13 +3,16 @@
 // trips) kept so that every crash or brown-out leaves a self-contained
 // "what happened in the last few seconds" record.
 //
-// Recording is one atomic increment plus a handful of relaxed stores into
-// a per-slot seqlock — cheap enough to sit on the admission path. Readers
-// (the admin channel, the fatal-signal dump) never block writers: a slot
-// overwritten mid-read fails its stamp check and is skipped. Every field
-// of a slot is an atomic, so concurrent record/snapshot is race-free under
-// TSan, and the dump path uses only async-signal-safe calls (relaxed
-// atomic loads + write(2)), so it can run from a SIGSEGV handler.
+// Recording is one atomic increment, one compare-exchange and a handful of
+// relaxed stores into a per-slot seqlock — cheap enough to sit on the
+// admission path. A writer claims its slot only from a published stamp of
+// an earlier lap; when a lapped writer still holds the slot, the newer
+// event is dropped rather than interleaved with it. Readers (the admin
+// channel, the fatal-signal dump) never block writers: a slot overwritten
+// mid-read fails its stamp check and is skipped. Every field of a slot is
+// an atomic, so concurrent record/snapshot is race-free under TSan, and
+// the dump path uses only async-signal-safe calls (atomic loads, fences
+// and write(2)), so it can run from a SIGSEGV handler.
 
 #ifndef CLOAKDB_OBS_FLIGHT_RECORDER_H_
 #define CLOAKDB_OBS_FLIGHT_RECORDER_H_
@@ -67,7 +70,8 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   /// Records one event. Lock-free; truncates `detail` to fit the slot.
-  /// `detail == nullptr` means empty.
+  /// `detail == nullptr` means empty. The event is dropped when a writer a
+  /// whole lap older still holds its slot.
   void Record(FlightEventKind kind, uint64_t a = 0, uint64_t b = 0,
               const char* detail = nullptr);
 
@@ -76,14 +80,16 @@ class FlightRecorder {
   /// otherwise the newest `max_events` are returned.
   std::vector<FlightEvent> Snapshot(size_t max_events = 0) const;
 
-  /// Total events ever recorded (including ones the ring has dropped).
+  /// Total events ever offered (including ones the ring has dropped or
+  /// overwritten).
   uint64_t events_total() const {
     return next_seq_.load(std::memory_order_relaxed);
   }
 
   size_t capacity() const { return slots_.size(); }
 
-  /// Optional registry counter bumped on every Record (recorder.events_total).
+  /// Optional registry counter bumped on every event a Record publishes
+  /// (recorder.events_total).
   void set_counter(Counter* counter) { counter_ = counter; }
 
   /// Writes a plain-text dump of the ring to `fd`, oldest first, one event
@@ -93,8 +99,11 @@ class FlightRecorder {
   void DumpToFd(int fd) const;
 
  private:
+  friend class FlightRecorderTestPeer;
+
   /// One ring slot. stamp = 2*seq+1 while the writer owns it, 2*seq+2 once
-  /// the payload for `seq` is fully published, 0 when never written.
+  /// the payload for `seq` is fully published, 0 when never written. A
+  /// slot's stamp never decreases.
   struct alignas(64) Slot {
     std::atomic<uint64_t> stamp{0};
     std::atomic<int64_t> unix_us{0};
@@ -105,6 +114,14 @@ class FlightRecorder {
     /// it with relaxed atomic loads (race-free under TSan).
     std::array<std::atomic<uint64_t>, 5> detail{};
   };
+
+  /// Takes the next sequence number and claims its slot (odd stamp); null
+  /// when the slot is held by an older writer, which drops the event.
+  Slot* Claim(uint64_t* seq);
+
+  /// Stores the payload into a claimed slot and publishes it (even stamp).
+  static void Publish(Slot* slot, uint64_t seq, FlightEventKind kind,
+                      uint64_t a, uint64_t b, const char* detail);
 
   /// Reads slot `index` expecting sequence `seq`; false when the slot was
   /// reused or mid-write.

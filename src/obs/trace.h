@@ -10,7 +10,7 @@
 //     the only reader, so recording never takes a lock and never contends;
 //   - a TraceContext travels with the request through a thread-local
 //     scope, so the layers below the service facade (fan-out, shard
-//     probes, candidate cache, index probes) parent their spans under the
+//     probes, index probes) parent their spans under the
 //     request's root without threading it through every signature;
 //   - sampling is hybrid: a head decision (probabilistic, by trace id) is
 //     made at admission, and a tail decision at completion keeps every
@@ -290,7 +290,7 @@ class Tracer {
 
 /// The thread's current trace context (inactive when no scope is open).
 /// This is how layers without an explicit context parameter (shards, the
-/// candidate cache, the query processor) find the active trace.
+/// query processor) find the active trace.
 const TraceContext& CurrentTraceContext();
 
 /// Installs `context` as the thread's current trace context for the scope

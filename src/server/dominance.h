@@ -26,10 +26,10 @@
 // equals the one-shard list: a tile's k smallest MaxDist always survive
 // their shard, so the merge sees the same per-tile thresholds.
 //
-// Header-only and templated over the hit type, so the isolated and
-// cache-served queries (IndexHit hits), standing queries (PublicObject
-// fetches) and the cross-shard merge (PublicObject candidates) all run one
-// predicate by construction rather than by review.
+// Header-only and templated over the hit type, so the one-shot queries
+// (IndexHit hits), standing queries (PublicObject fetches) and the
+// cross-shard merge (PublicObject candidates) all run one predicate by
+// construction rather than by review.
 
 #ifndef CLOAKDB_SERVER_DOMINANCE_H_
 #define CLOAKDB_SERVER_DOMINANCE_H_
@@ -223,9 +223,9 @@ struct Refined {
 };
 
 /// Filters `hits` to the query's fetch and prunes them. Any hits outside
-/// the fetch are dropped uncounted, so a superset of the fetch (a cached
-/// widened probe, a standing coverage fetch) refines to the same survivors
-/// and counts as a fetch of exactly the query's window.
+/// the fetch are dropped uncounted, so a superset of the fetch (a standing
+/// coverage fetch) refines to the same survivors and counts as a fetch of
+/// exactly the query's window.
 template <typename T>
 Refined<T> RefineHits(const RefineQuery& q, const std::vector<T>& hits) {
   Refined<T> out;

@@ -88,16 +88,14 @@ Result<double> KnnFetchRadius(const ObjectStore& store, const Rect& cloaked,
 }
 
 template <typename R>
-Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch,
-                        const std::vector<IndexHit>* hits) {
-  std::vector<IndexHit> probed;
-  if (hits == nullptr) {
-    auto index = store.CategoryIndex(fetch.category);
-    if (!index.ok()) return index.status();
-    probed = index.value()->RangeSearch(fetch.Window());
-    hits = &probed;
-  }
-  Refined<IndexHit> refined = RefineHits(fetch.refine, *hits);
+Result<R> AnswerPrivate(const ObjectStore& store,
+                        const PrivateFetch<R>& fetch) {
+  auto index = store.CategoryIndex(fetch.category);
+  if (!index.ok()) return index.status();
+  // Survivors point into the hits, which must outlive them.
+  const std::vector<IndexHit> hits =
+      index.value()->RangeSearch(fetch.Window());
+  Refined<IndexHit> refined = RefineHits(fetch.refine, hits);
   // Hits come in index order; every answer goes out sorted by id.
   SortById(&refined.survivors);
   auto candidates = Materialize(store, fetch.category, refined.survivors);
@@ -117,14 +115,11 @@ Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch,
 }
 
 template Result<PrivateRangeResult> AnswerPrivate(
-    const ObjectStore&, const PrivateFetch<PrivateRangeResult>&,
-    const std::vector<IndexHit>*);
+    const ObjectStore&, const PrivateFetch<PrivateRangeResult>&);
 template Result<PrivateNnResult> AnswerPrivate(
-    const ObjectStore&, const PrivateFetch<PrivateNnResult>&,
-    const std::vector<IndexHit>*);
+    const ObjectStore&, const PrivateFetch<PrivateNnResult>&);
 template Result<PrivateKnnResult> AnswerPrivate(
-    const ObjectStore&, const PrivateFetch<PrivateKnnResult>&,
-    const std::vector<IndexHit>*);
+    const ObjectStore&, const PrivateFetch<PrivateKnnResult>&);
 
 Result<PrivateRangeResult> PrivateRangeQuery(
     const ObjectStore& store, const Rect& cloaked, double radius,

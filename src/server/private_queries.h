@@ -111,13 +111,9 @@ Result<PrivateKnnResult> PrivateKnnQuery(const ObjectStore& store,
 // Every private range/NN/kNN answer runs the Fig. 5 kernel of
 // server/dominance.h. A Plan* call validates the query and fixes its fetch
 // (NN/kNN probe the cloak's corners for the conservative reach);
-// AnswerPrivate refines hits through the kernel, sorts the survivors by id
-// and materializes them from the category's record table by row. The hits
-// come from one index probe of the fetch window or from a caller holding a
-// superset of it (a cached widened probe), in any order. The kernel drops
-// every hit outside the window uncounted, so both sources give the same
-// candidates, prune counts and fetch radius. Sharing can only widen what is
-// *fetched*, never shrink what is *kept*.
+// AnswerPrivate probes the index over the fetch window, refines the hits
+// through the kernel, sorts the survivors by id and materializes them from
+// the category's record table by row.
 
 /// One planned private query; `R` is the result type it answers with.
 template <typename R>
@@ -144,14 +140,11 @@ Result<PrivateFetch<PrivateKnnResult>> PlanPrivateKnn(
     const ObjectStore& store, const Rect& cloaked, size_t k,
     Category category);
 
-/// Answers a planned query from `hits`, which must hold every category
-/// object inside fetch.Window() with rows of the category's current record
-/// table, or, when null, from one index probe of that window. Candidates
-/// come sorted by id. Fails with Internal when a kept hit's row does not
-/// hold its id.
+/// Answers a planned query from one index probe of fetch.Window().
+/// Candidates come sorted by id. Fails with Internal when a kept hit's row
+/// does not hold its id.
 template <typename R>
-Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch,
-                        const std::vector<IndexHit>* hits = nullptr);
+Result<R> AnswerPrivate(const ObjectStore& store, const PrivateFetch<R>& fetch);
 
 /// The conservative k-NN fetch radius; returns 0.0 when the category holds
 /// at most k objects (the probe is bypassed: everything is a candidate).

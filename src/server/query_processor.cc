@@ -67,20 +67,16 @@ constexpr PrivateBooking kBooking<PrivateKnnResult> = {
 }  // namespace
 
 template <typename R>
-Result<R> QueryProcessor::Answer(const PrivateFetch<R>& fetch,
-                                 const std::vector<IndexHit>* hits) const {
+Result<R> QueryProcessor::Answer(const PrivateFetch<R>& fetch) const {
   constexpr PrivateBooking book = kBooking<R>;
-  auto answer = [&]() -> Result<R> {
-    if (hits != nullptr) return AnswerPrivate(store_, fetch, hits);
-    obs::ScopedTimer probe(obs_.*book.probe_us);
-    obs::TraceSpan span(obs::CurrentTraceContext(), "index.probe");
-    auto result = AnswerPrivate(store_, fetch);
-    if (result.ok())
-      span.AddAttr("candidates",
-                   static_cast<double>(result.value().candidates.size()));
-    return result;
-  };
-  Result<R> result = answer();
+  obs::ScopedTimer probe(obs_.*book.probe_us);
+  obs::TraceSpan span(obs::CurrentTraceContext(), "index.probe");
+  Result<R> result = AnswerPrivate(store_, fetch);
+  if (result.ok())
+    span.AddAttr("candidates",
+                 static_cast<double>(result.value().candidates.size()));
+  span.End();
+  probe.Stop();
   // Only an accepted query books its kind counter, candidate-count stream
   // and modeled wire bytes.
   if (result.ok()) {
@@ -92,15 +88,6 @@ Result<R> QueryProcessor::Answer(const PrivateFetch<R>& fetch,
   }
   return result;
 }
-
-template Result<PrivateRangeResult> QueryProcessor::Answer(
-    const PrivateFetch<PrivateRangeResult>&,
-    const std::vector<IndexHit>*) const;
-template Result<PrivateNnResult> QueryProcessor::Answer(
-    const PrivateFetch<PrivateNnResult>&, const std::vector<IndexHit>*) const;
-template Result<PrivateKnnResult> QueryProcessor::Answer(
-    const PrivateFetch<PrivateKnnResult>&,
-    const std::vector<IndexHit>*) const;
 
 Result<PrivateRangeResult> QueryProcessor::PrivateRange(
     const Rect& cloaked, double radius, Category category,
@@ -127,8 +114,7 @@ Result<PrivateKnnResult> QueryProcessor::PrivateKnn(const Rect& cloaked,
 
 Result<std::vector<IndexHit>> QueryProcessor::SharedProbe(
     const Rect& probe_region, Category category) const {
-  // Not a client-visible query: no stats. Probe latency is recorded by the
-  // service's shared-execution histogram around this call.
+  // Not a client-visible query: no stats.
   obs::TraceSpan span(obs::CurrentTraceContext(), "index.shared_probe");
   if (probe_region.IsEmpty())
     return Status::InvalidArgument("probe region must be non-empty");

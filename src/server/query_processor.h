@@ -107,24 +107,13 @@ class QueryProcessor {
   Result<PrivateKnnResult> PrivateKnn(const Rect& cloaked, size_t k,
                                       Category category) const;
 
-  /// Answers a planned private query (server/private_queries.h) from
-  /// `hits`, a superset of the fetch window's category objects such as a
-  /// cached widened probe, or, when null, from one index probe of the
-  /// window. Runs the same kernel and books the same ServerStats as the
-  /// isolated entry points above, which are a plan plus Answer(fetch).
-  /// Only the index probe is timed and traced as `index.probe`.
-  template <typename R>
-  Result<R> Answer(const PrivateFetch<R>& fetch,
-                   const std::vector<IndexHit>* hits = nullptr) const;
-
   /// Index hits (id + point + row) of every `category` object inside
-  /// `probe_region`, in index order: one widened probe serving many
-  /// queries. No stats.
+  /// `probe_region`, in index order: a standing query's fetch. No stats.
   Result<std::vector<IndexHit>> SharedProbe(const Rect& probe_region,
                                             Category category) const;
 
   /// Counts a public-count query served verbatim from the service's
-  /// candidate cache, so ServerStats stays comparable with uncached runs.
+  /// count cache, so ServerStats stays comparable with uncached runs.
   void NotePublicCountFromCache() const;
 
   /// Private range query over private data (both sides cloaked).
@@ -164,6 +153,12 @@ class QueryProcessor {
   void SetObs(const QueryProcessorObs& obs) { obs_ = obs; }
 
  private:
+  /// Answers a planned private query (server/private_queries.h) from one
+  /// index probe of its window, timed and traced as `index.probe`, and
+  /// books the query's ServerStats.
+  template <typename R>
+  Result<R> Answer(const PrivateFetch<R>& fetch) const;
+
   ObjectStore store_;
   WireCostModel wire_cost_;
   QueryProcessorObs obs_;

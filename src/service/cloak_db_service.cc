@@ -161,8 +161,6 @@ Result<std::unique_ptr<CloakDbService>> CloakDbService::Create(
         "max_batch must be in [1, " +
         std::to_string(storage::kMaxBatchUpdates) +
         "] (one drained batch is one WAL record)");
-  if (options.signature_grid_cells == 0)
-    return Status::InvalidArgument("signature_grid_cells must be >= 1");
   if (options.overload.query_deadline_us < 0)
     return Status::InvalidArgument("query_deadline_us must be >= 0");
   if (options.overload.max_queries_per_s < 0.0)
@@ -359,9 +357,7 @@ Status CloakDbService::Start() {
     config.obs = shard_obs;
     config.server_obs = server_obs;
     config.cache_capacity = per_shard_cache;
-    config.signature_cells = options_.signature_grid_cells;
     config.cache_obs = cache_obs;
-    config.shared_probe_us = metrics_.histogram("query.shared.probe_us");
     config.tracer = tracer_.get();
     config.fault_injector = fault_injector_.get();
     config.continuous = options_.continuous;

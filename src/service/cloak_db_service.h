@@ -79,20 +79,16 @@ struct CloakDbServiceOptions {
 
   // --- Shared execution --------------------------------------------------
 
-  /// Turns on the shared-execution engine: private queries are snapped to
-  /// the signature grid and served from each shard's candidate cache, so
-  /// overlapping queries share one widened index probe per shard. Off by
-  /// default: every query is planned and probed in isolation.
+  /// Caches each shard's count parts: a public count whose exact window a
+  /// shard has counted since the last cloaked update touching it is served
+  /// from that shard's cache instead of a scan. Off by default: every
+  /// count scans.
   bool enable_shared_execution = false;
 
-  /// Total candidate-cache entries across the service (split evenly over
-  /// the shards, at least one per shard); 0 disables caching. Only
-  /// meaningful with enable_shared_execution.
+  /// Total cached count parts across the service (split evenly over the
+  /// shards, at least one per shard); 0 disables caching. Only meaningful
+  /// with enable_shared_execution.
   size_t cache_capacity = 4096;
-
-  /// Signature-grid resolution per side (>= 1) used to snap cloaked
-  /// regions to cache keys. Coarser grids share more but probe wider.
-  uint32_t signature_grid_cells = 32;
 
   // --- Tracing -----------------------------------------------------------
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <map>
 #include <thread>
 #include <utility>
@@ -26,7 +25,6 @@ Shard::Shard(const ShardConfig& config,
       anonymizer_(std::move(anonymizer)),
       server_(config.anonymizer.space, config.rect_grid_cells,
               config.wire_cost, config.public_index),
-      signature_(config.anonymizer.space, config.signature_cells),
       continuous_(config.anonymizer.space, config.continuous, config.cq_obs),
       cache_(config.cache_capacity),
       queue_(config.queue_capacity) {
@@ -375,15 +373,11 @@ Status Shard::AddPublicObject(const PublicObject& object) {
   // count it, and a long name would poison every record after it. So the
   // store logs it between its checks and the change.
   return server_.store().AddPublicObject(object, [&]() -> Status {
-    if (config_.durability != nullptr) {
-      storage::WalRecord rec;
-      rec.type = storage::WalRecordType::kAddPublicObject;
-      rec.object = object;
-      CLOAKDB_RETURN_IF_ERROR(LogDurable(std::move(rec)));
-    }
-    // Only probe supersets that could have fetched this point go stale.
-    cache_.InvalidatePublicRegion(Rect::FromPoint(object.location));
-    return Status::OK();
+    if (config_.durability == nullptr) return Status::OK();
+    storage::WalRecord rec;
+    rec.type = storage::WalRecordType::kAddPublicObject;
+    rec.object = object;
+    return LogDurable(std::move(rec));
   });
 }
 
@@ -397,14 +391,8 @@ Status Shard::BulkLoadCategory(Category category,
     rec.objects = objects;
   }
   return server_.store().BulkLoadCategory(
-      category, std::move(objects), [&]() -> Status {
-        if (config_.durability != nullptr)
-          CLOAKDB_RETURN_IF_ERROR(LogDurable(std::move(rec)));
-        // A bulk load replaces the category wholesale; no probe of it
-        // survives.
-        cache_.InvalidateCategory(category);
-        return Status::OK();
-      });
+      category, std::move(objects),
+      [&]() -> Status { return LogDurable(std::move(rec)); });
 }
 
 bool Shard::HasCategory(Category category) const {
@@ -417,114 +405,34 @@ Result<HeatmapResult> Shard::Heatmap(uint32_t resolution) const {
   return server_.Heatmap(resolution);
 }
 
-namespace {
-
-// Snapping + reach quantization widen the shared probe beyond what the
-// query alone would fetch. Past this area ratio a cold miss costs more
-// than cache reuse can recover (and the entry crowds out denser keys), so
-// such outliers are served from the index — the answer is identical
-// either way.
-constexpr double kMaxProbeBloat = 2.5;
-
-}  // namespace
-
-Result<std::shared_ptr<const CacheEntry>> Shard::CachedHits(
-    CacheKind kind, const RefineQuery& refine, Category category) const {
-  const std::shared_ptr<const CacheEntry> from_index;
-  // No bounded probe covers the whole category of the pigeonhole fetch.
-  if (!cache_.enabled() || std::isinf(refine.reach)) return from_index;
-  CacheKey key;
-  key.kind = kind;
-  key.category = category;
-  key.region = signature_.SnapToCells(refine.cloaked);
-  key.reach = signature_.QuantizeReach(refine.reach);
-  const Rect probe = key.region.Expanded(key.reach);
-  const Rect window = refine.cloaked.Expanded(refine.reach);
-  if (probe.Area() > kMaxProbeBloat * window.Area()) return from_index;
-
-  // The plan found the category under this same shared lock.
-  const uint64_t generation =
-      server_.store().CategoryIndex(category).value()->seal_generation();
-  obs::TraceSpan span(obs::CurrentTraceContext(), "cache.lookup");
-  span.AddAttr("shard", static_cast<double>(config_.index));
-  // An entry probed before the last seal names rows that have moved since;
-  // it is a miss, and the fresh probe below replaces it.
-  if (auto entry = cache_.Lookup(key, generation); entry != nullptr) {
-    span.AddAttr("hit", 1.0);
-    return entry;
-  }
-  span.AddAttr("hit", 0.0);  // Span covers the widened probe below.
-  obs::ScopedTimer probe_timer(config_.shared_probe_us);
-  auto hits = server_.SharedProbe(probe, category);
-  if (!hits.ok()) {
-    probe_timer.Cancel();
-    return hits.status();
-  }
-  probe_timer.Stop();
-  CacheEntry entry;
-  entry.superset = std::move(hits).value();
-  entry.seal_generation = generation;
-  entry.coverage = probe;
-  auto shared = std::make_shared<const CacheEntry>(std::move(entry));
-  // Still under the caller's shared lock, so no writer can have slipped a
-  // conflicting update between the probe and this insert.
-  cache_.Insert(key, shared);
-  return shared;
-}
-
-template <typename R>
-Result<R> Shard::Serve(CacheKind kind,
-                       const Result<PrivateFetch<R>>& fetch) const {
-  if (!fetch.ok()) return fetch.status();
-  auto entry = CachedHits(kind, fetch.value().refine, fetch.value().category);
-  if (!entry.ok()) return entry.status();
-  return server_.Answer(fetch.value(), entry.value() == nullptr
-                                           ? nullptr
-                                           : &entry.value()->superset);
-}
-
 Result<PrivateRangeResult> Shard::PrivateRange(
     const Rect& cloaked, double radius, Category category,
     const PrivateRangeOptions& opts) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return Serve(
-      CacheKind::kRange,
-      PlanPrivateRange(server_.store(), cloaked, radius, category, opts));
+  return server_.PrivateRange(cloaked, radius, category, opts);
 }
 
 Result<PrivateNnResult> Shard::PrivateNn(const Rect& cloaked,
                                          Category category) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  // The NN reach depends on this shard's data, so the key is computed here
-  // under the lock (queries with similar regions quantize to the same
-  // reach and still share the probe).
-  return Serve(CacheKind::kNn,
-               PlanPrivateNn(server_.store(), cloaked, category));
+  return server_.PrivateNn(cloaked, category);
 }
 
 Result<PrivateKnnResult> Shard::PrivateKnn(const Rect& cloaked, size_t k,
                                            Category category) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  return Serve(CacheKind::kKnn,
-               PlanPrivateKnn(server_.store(), cloaked, k, category));
+  return server_.PrivateKnn(cloaked, k, category);
 }
 
 Result<PublicCountPart> Shard::PublicCount(const Rect& window) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (!cache_.enabled()) return server_.ScanPublicCount(window);
-  CacheKey key;
-  key.kind = CacheKind::kCount;
-  key.region = window;
-  if (auto entry = cache_.Lookup(key); entry != nullptr) {
+  if (auto cached = cache_.Lookup(window); cached != nullptr) {
     server_.NotePublicCountFromCache();
-    return entry->count;
+    return *cached;
   }
   auto part = server_.ScanPublicCount(window);
-  if (!part.ok()) return part;
-  CacheEntry entry;
-  entry.count = part.value();
-  entry.coverage = window;
-  cache_.Insert(key, std::move(entry));
+  if (part.ok()) cache_.Insert(window, part.value());
   return part;
 }
 

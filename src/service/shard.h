@@ -66,17 +66,11 @@ struct ShardConfig {
   /// Probe sinks installed into the shard's QueryProcessor.
   QueryProcessorObs server_obs;
 
-  /// Candidate-cache entries this shard may hold; 0 disables caching (every
-  /// query method then probes the index in isolation).
+  /// Count parts this shard may cache; 0 disables caching (every count
+  /// then scans).
   size_t cache_capacity = 0;
-  /// Signature-grid resolution per side used to snap cloaked regions to
-  /// cache keys.
-  uint32_t signature_cells = 32;
   /// Cache counters (hits/misses/insertions/evictions/invalidations).
   CandidateCacheObs cache_obs;
-  /// Wall time of the cache-miss probe on the snapped cover
-  /// (microseconds).
-  obs::ShardedHistogram* shared_probe_us = nullptr;
   /// Service-wide tracer; null = tracing off. Cloak sites emit audit spans
   /// into it, the ingest drain opens its own per-batch traces.
   obs::Tracer* tracer = nullptr;
@@ -147,14 +141,11 @@ class Shard {
   bool HasCategory(Category category) const;
 
   // --- Queries (shared) --------------------------------------------------
-  // With the candidate cache enabled, the private kinds serve the widened
-  // probe from the cache when possible and then refine exactly like an
-  // isolated query — results are identical, only the fetch is shared — and
-  // a count part is cached whole, keyed by its exact window. Probe + cache
-  // insert happen under one shared lock, and
-  // writers invalidate under the exclusive lock, so a stale entry can never
-  // be inserted over a concurrent update. With the cache disabled every
-  // call is an isolated probe.
+  // The private kinds run the QueryProcessor's entry points. With the
+  // cache enabled a count part is cached whole, keyed by its exact window;
+  // scan + cache insert happen under one shared lock, and writers
+  // invalidate under the exclusive lock, so a stale part can never be
+  // inserted over a concurrent update.
   Result<PrivateRangeResult> PrivateRange(
       const Rect& cloaked, double radius, Category category,
       const PrivateRangeOptions& opts = {}) const;
@@ -163,13 +154,10 @@ class Shard {
   Result<PrivateKnnResult> PrivateKnn(const Rect& cloaked, size_t k,
                                       Category category) const;
   /// This shard's part of a one-shot count: the scan, no answer (the
-  /// one-shot twin of StandingCount). The service merges the parts and
-  /// summarizes once.
+  /// one-shot twin of StandingCount), served from the cache when it holds
+  /// the window. The service merges the parts and summarizes once.
   Result<PublicCountPart> PublicCount(const Rect& window) const;
   Result<HeatmapResult> Heatmap(uint32_t resolution) const;
-
-  /// The shard's candidate cache (for diagnostics and tests).
-  const CandidateCache& cache() const { return cache_; }
 
   // --- Continuous queries ------------------------------------------------
   /// The standing-query registry homed on this shard. Registry methods
@@ -262,20 +250,6 @@ class Shard {
   /// entries its last region overlaps. Caller holds the exclusive lock.
   void DropServerRecord(ObjectId pseudonym);
 
-  /// The cached widened probe holding a planned query's fetch window
-  /// (probed and inserted on a miss), keyed by the snapped cloaked region,
-  /// or null when the index serves the query: cache off, the kNN pigeonhole
-  /// fetch, or a probe bloated past its window. Caller holds at least the
-  /// shared lock.
-  Result<std::shared_ptr<const CacheEntry>> CachedHits(
-      CacheKind kind, const RefineQuery& refine, Category category) const;
-
-  /// One private query: its hits come from CachedHits or the index, then
-  /// one QueryProcessor::Answer call refines them. Caller holds at least
-  /// the shared lock.
-  template <typename R>
-  Result<R> Serve(CacheKind kind, const Result<PrivateFetch<R>>& fetch) const;
-
   /// Builds the privacy-audit payload of one cloak (constraint
   /// satisfaction plus the deterministic center/boundary attack checks
   /// against the user's true location) and attaches it to `span`. Reports
@@ -288,7 +262,6 @@ class Shard {
   ShardConfig config_;
   std::unique_ptr<Anonymizer> anonymizer_;
   QueryProcessor server_;
-  CellSignature signature_;
   ContinuousShardRegistry continuous_;
   mutable CandidateCache cache_;
   BoundedUpdateQueue queue_;

@@ -70,7 +70,7 @@ struct WorkloadOptions {
   /// Probability that a draw re-issues the previous spec verbatim instead
   /// of sampling a fresh one. Models the temporal locality real LBS
   /// workloads exhibit (the same hot queries recur), which is what the
-  /// service's candidate cache exploits. 0 disables repetition.
+  /// service's count cache exploits. 0 disables repetition.
   double repeat_probability = 0.0;
 };
 

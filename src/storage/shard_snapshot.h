@@ -7,8 +7,8 @@
 // standing-query registrations. Deliberately NOT serialized: derived
 // structures that are rebuilt deterministically from this state on
 // restore — the user snapshot grids/pyramid, the per-category R-trees,
-// the private-region RectGrid, the candidate cache (starts cold; PR 3's
-// oracle proved caching answer-invisible), and standing-query snapshots
+// the private-region RectGrid, the count cache (starts cold; caching is
+// answer-invisible), and standing-query snapshots
 // (PR 7's oracle proved full re-evaluation ≡ incremental maintenance).
 //
 // All vectors are sorted by id so the encoding of a given logical state is

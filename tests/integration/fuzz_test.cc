@@ -292,7 +292,11 @@ std::vector<std::string> ReplayTrace(CloakDbService* db, uint64_t seed) {
                                  ? QuerySignature(result.value().candidates)
                                  : result.status().ToString());
       } else {
-        auto result = db->PublicCount(Rect(x, y, x + 20, y + 20));
+        // Counts revisit 16 hot windows, so the count cache hits between
+        // the updates that invalidate it.
+        const double wx = 20.0 * rng.NextBelow(4);
+        const double wy = 20.0 * rng.NextBelow(4);
+        auto result = db->PublicCount(Rect(wx, wy, wx + 20, wy + 20));
         std::ostringstream out;
         if (result.ok()) {
           out << result.value().naive_count << '/'
@@ -325,7 +329,6 @@ TEST(FuzzTest, SharedExecutionConfigSweepMatchesIsolatedReplay) {
         auto options = base;
         options.enable_shared_execution = true;
         options.cache_capacity = cache_capacity;
-        options.signature_grid_cells = 8;
         auto db = CloakDbService::Create(options).value();
         const std::vector<std::string> got = ReplayTrace(db.get(), seed);
         ASSERT_EQ(got.size(), baseline.size());
@@ -333,6 +336,12 @@ TEST(FuzzTest, SharedExecutionConfigSweepMatchesIsolatedReplay) {
           EXPECT_EQ(got[i], baseline[i])
               << "seed " << seed << " shards " << shards << " cache "
               << cache_capacity << " query " << i;
+        }
+        if (cache_capacity >= 32) {
+          EXPECT_GT(db->metrics().counter("cache.hits_total")->Value(), 0u);
+          EXPECT_GT(
+              db->metrics().counter("cache.invalidations_total")->Value(),
+              0u);
         }
       }
     }

@@ -129,7 +129,86 @@ TEST(FlightRecorderTest, ConcurrentRecordAndSnapshotNeverTear) {
   reader.join();
 
   EXPECT_EQ(recorder.events_total(), kWriters * kPerWriter);
+  // A claim that finds its slot held drops only its own event: with the
+  // writers done every slot claims again, so one more lap fills the ring.
+  for (size_t i = 0; i < recorder.capacity(); ++i)
+    recorder.Record(FlightEventKind::kQueryShed, 10, 20);
   EXPECT_EQ(recorder.Snapshot().size(), recorder.capacity());
+}
+
+}  // namespace
+
+// Splits Record into its claim and its publish, so a test can hold a
+// claimed slot while other writers lap the ring.
+class FlightRecorderTestPeer {
+ public:
+  using Slot = FlightRecorder::Slot;
+  static Slot* Claim(FlightRecorder* recorder, uint64_t* seq) {
+    return recorder->Claim(seq);
+  }
+  /// The first payload store of a writer caught mid-publish.
+  static void StoreA(Slot* slot, uint64_t a) {
+    slot->a.store(a, std::memory_order_relaxed);
+  }
+  static void Publish(Slot* slot, uint64_t seq, uint64_t a, uint64_t b) {
+    FlightRecorder::Publish(slot, seq, FlightEventKind::kQueryShed, a, b,
+                            nullptr);
+  }
+  static std::vector<uint64_t> Stamps(const FlightRecorder& recorder) {
+    std::vector<uint64_t> stamps;
+    for (const Slot& slot : recorder.slots_)
+      stamps.push_back(slot.stamp.load(std::memory_order_relaxed));
+    return stamps;
+  }
+};
+
+namespace {
+
+// Every snapshot event pairs its own a and b (each writer stores b = a + 1)
+// and every slot's stamp is at least what it was.
+void ExpectConsistent(const FlightRecorder& recorder,
+                      std::vector<uint64_t>* stamps) {
+  for (const FlightEvent& event : recorder.Snapshot())
+    EXPECT_EQ(event.b, event.a + 1) << "seq " << event.seq;
+  const std::vector<uint64_t> now = FlightRecorderTestPeer::Stamps(recorder);
+  for (size_t i = 0; i < now.size(); ++i)
+    EXPECT_GE(now[i], (*stamps)[i]) << "slot " << i;
+  *stamps = now;
+}
+
+// A writer stalls between claim and publish while the others lap the ring
+// twice over its slot, then stores its payload. The laps' events for that
+// slot are dropped, never interleaved with the stalled payload, and no
+// stamp ever moves back. With an unconditional claim, seqs 8 and 16 took
+// slot 0 over, the stalled writer's `a` landed under seq 16's published
+// stamp, and its publish rewound the stamp.
+TEST(FlightRecorderTest, LappedWriterNeverTearsAHeldSlot) {
+  FlightRecorder recorder(8);
+  std::vector<uint64_t> stamps = FlightRecorderTestPeer::Stamps(recorder);
+  uint64_t held_seq = 0;
+  auto* held = FlightRecorderTestPeer::Claim(&recorder, &held_seq);
+  ASSERT_NE(held, nullptr);
+  ASSERT_EQ(held_seq, 0u);
+  for (uint64_t a = 100; a < 123; ++a) {  // seqs 1..23: slot 0 at 8 and 16.
+    recorder.Record(FlightEventKind::kQueryShed, a, a + 1);
+    ExpectConsistent(recorder, &stamps);
+  }
+  EXPECT_EQ(recorder.Snapshot().size(), recorder.capacity() - 1);
+  FlightRecorderTestPeer::StoreA(held, 7);
+  ExpectConsistent(recorder, &stamps);
+  FlightRecorderTestPeer::Publish(held, held_seq, 7, 8);
+  ExpectConsistent(recorder, &stamps);
+  // The stalled event is older than the ring's window now.
+  for (const FlightEvent& event : recorder.Snapshot())
+    EXPECT_NE(event.seq, held_seq);
+
+  // The slot is free again: the next lap claims and publishes it.
+  recorder.Record(FlightEventKind::kQueryShed, 500, 501);
+  ExpectConsistent(recorder, &stamps);
+  const std::vector<FlightEvent> events = recorder.Snapshot();
+  ASSERT_EQ(events.size(), recorder.capacity());
+  EXPECT_EQ(events.back().seq, 24u);
+  EXPECT_EQ(events.back().a, 500u);
 }
 
 std::string ReadWholeFile(const std::string& path) {

@@ -118,26 +118,22 @@ TEST(QueryProcessorTest, FailedQueriesDoNotCountInStats) {
   EXPECT_EQ(server.stats().private_nn_queries, 0u);
 }
 
-// Regression: only accepted queries may count, on every entry point —
-// including the cache-served one. A rejected query must leave all of
-// query count, candidate moments and wire bytes untouched.
+// Regression: only accepted queries may count, on every entry point. A
+// rejected query must leave all of query count, candidate moments and
+// wire bytes untouched.
 TEST(QueryProcessorTest, RejectedQueriesLeaveAllStatsUntouched) {
   QueryProcessor server(Rect(0, 0, 100, 100));
   Populate(&server, 50);
 
   EXPECT_FALSE(server.PrivateRange(Rect(1, 1, 2, 2), -1.0, 1).ok());
+  EXPECT_FALSE(server.PrivateNn(Rect(), 1).ok());
   EXPECT_FALSE(server.PrivateKnn(Rect(1, 1, 2, 2), 0, 1).ok());
-  // A cache-served query is planned like an isolated one, so it is
-  // rejected before any hits are refined.
+  // The plans reject what the entry points reject.
   EXPECT_FALSE(PlanPrivateRange(server.store(), Rect(), 5.0, 1).ok());
   EXPECT_FALSE(PlanPrivateNn(server.store(), Rect(), 1).ok());
   EXPECT_FALSE(PlanPrivateKnn(server.store(), Rect(1, 1, 2, 2), 0, 1).ok());
-  // An answer that fails while refining cached hits books nothing either.
-  auto fetch = PlanPrivateNn(server.store(), Rect(1, 1, 2, 2), 1);
-  ASSERT_TRUE(fetch.ok());
-  const std::vector<IndexHit> unknown = {{999999, {1.5, 1.5}}};
-  EXPECT_FALSE(server.Answer(fetch.value(), &unknown).ok());
   EXPECT_FALSE(server.PublicCount(Rect()).ok());
+  EXPECT_FALSE(server.ScanPublicCount(Rect()).ok());
 
   const ServerStats& stats = server.stats();
   EXPECT_EQ(stats.private_range_queries, 0u);
@@ -149,35 +145,42 @@ TEST(QueryProcessorTest, RejectedQueriesLeaveAllStatsUntouched) {
   EXPECT_EQ(stats.bytes_to_clients, 0u);
 }
 
-// A query answered from a shared probe's hits counts through the same
-// counters as an isolated one, so ServerStats stays comparable whether a
-// query was answered from the cache or its own probe.
+// A count the service serves from its count cache books through
+// NotePublicCountFromCache, so ServerStats stays comparable whether a
+// count was answered from the cache or its own scan. The private kinds
+// book one candidate moment each (NN and kNN share theirs).
 TEST(QueryProcessorTest, SharedQueriesCountLikeIsolatedOnes) {
   QueryProcessor server(Rect(0, 0, 100, 100));
   QueryProcessor isolated(Rect(0, 0, 100, 100));
   Populate(&server, 200);
   Populate(&isolated, 200);
-  const Rect cloaked(40, 40, 50, 50);
+  for (ObjectId pseudonym = 1001; pseudonym <= 1010; ++pseudonym) {
+    const double x = static_cast<double>(pseudonym - 1000) * 8.0;
+    ASSERT_TRUE(server.ApplyCloakedUpdate(pseudonym, Rect(x, x, x + 6, x + 6))
+                    .ok());
+    ASSERT_TRUE(
+        isolated.ApplyCloakedUpdate(pseudonym, Rect(x, x, x + 6, x + 6))
+            .ok());
+  }
+  const Rect window(20, 20, 70, 70);
+  ASSERT_TRUE(server.ScanPublicCount(window).ok());
+  server.NotePublicCountFromCache();  // The repeat, served from the cache.
+  ASSERT_TRUE(isolated.ScanPublicCount(window).ok());
+  ASSERT_TRUE(isolated.ScanPublicCount(window).ok());
 
-  auto superset = server.SharedProbe(Rect(20, 20, 70, 70), 1);
-  ASSERT_TRUE(superset.ok());
-  auto range_fetch = PlanPrivateRange(server.store(), cloaked, 5.0, 1);
-  auto nn_fetch = PlanPrivateNn(server.store(), cloaked, 1);
-  auto knn_fetch = PlanPrivateKnn(server.store(), cloaked, 3, 1);
-  ASSERT_TRUE(range_fetch.ok());
-  ASSERT_TRUE(nn_fetch.ok());
-  ASSERT_TRUE(knn_fetch.ok());
-  auto range = server.Answer(range_fetch.value(), &superset.value());
+  const Rect cloaked(40, 40, 50, 50);
+  auto range = server.PrivateRange(cloaked, 5.0, 1);
   ASSERT_TRUE(range.ok());
-  auto nn = server.Answer(nn_fetch.value(), &superset.value());
+  auto nn = server.PrivateNn(cloaked, 1);
   ASSERT_TRUE(nn.ok());
-  auto knn = server.Answer(knn_fetch.value(), &superset.value());
+  auto knn = server.PrivateKnn(cloaked, 3, 1);
   ASSERT_TRUE(knn.ok());
   ASSERT_TRUE(isolated.PrivateRange(cloaked, 5.0, 1).ok());
   ASSERT_TRUE(isolated.PrivateNn(cloaked, 1).ok());
   ASSERT_TRUE(isolated.PrivateKnn(cloaked, 3, 1).ok());
 
   const ServerStats& stats = server.stats();
+  EXPECT_EQ(stats.public_count_queries, 2u);
   EXPECT_EQ(stats.private_range_queries, 1u);
   EXPECT_EQ(stats.private_nn_queries, 1u);
   EXPECT_EQ(stats.private_knn_queries, 1u);
@@ -190,6 +193,7 @@ TEST(QueryProcessorTest, SharedQueriesCountLikeIsolatedOnes) {
   EXPECT_EQ(stats.bytes_to_clients, expected_bytes);
 
   const ServerStats& twin = isolated.stats();
+  EXPECT_EQ(stats.public_count_queries, twin.public_count_queries);
   EXPECT_EQ(stats.private_range_queries, twin.private_range_queries);
   EXPECT_EQ(stats.private_nn_queries, twin.private_nn_queries);
   EXPECT_EQ(stats.private_knn_queries, twin.private_knn_queries);
@@ -203,54 +207,39 @@ TEST(QueryProcessorTest, SharedQueriesCountLikeIsolatedOnes) {
   EXPECT_EQ(stats.bytes_to_clients, twin.bytes_to_clients);
 }
 
-// Index and record table are maintained together, so a kept hit whose row
-// does not hold its id is a broken invariant: the answer fails with
-// Internal rather than ship a shorter or wrong candidate list. A stray hit
-// outside the fetch window is dropped by the kernel and never looked up.
+// Index and record table are maintained together, so a hit whose row does
+// not hold its id is a broken invariant: Materialize fails with Internal
+// rather than ship a shorter or wrong candidate list.
 TEST(QueryProcessorTest, UnknownHitFailsTheAnswerLoudly) {
   QueryProcessor server(Rect(0, 0, 100, 100));
   Populate(&server, 50);
-  const Rect cloaked(40, 40, 50, 50);
-  auto fetch = PlanPrivateRange(server.store(), cloaked, 5.0, 1);
-  ASSERT_TRUE(fetch.ok());
-  auto hits = server.SharedProbe(fetch.value().Window(), 1);
+  auto hits = server.SharedProbe(Rect(30, 30, 60, 60), 1);
   ASSERT_TRUE(hits.ok());
-  auto baseline = AnswerPrivate(server.store(), fetch.value(), &hits.value());
+  ASSERT_GE(hits.value().size(), 2u);
+  auto baseline = Materialize(server.store(), 1, hits.value());
   ASSERT_TRUE(baseline.ok());
+  ASSERT_EQ(baseline.value().size(), hits.value().size());
+  for (size_t i = 0; i < hits.value().size(); ++i)
+    EXPECT_EQ(baseline.value()[i].id, hits.value()[i].id);
 
-  std::vector<IndexHit> stray = hits.value();
-  stray.push_back({999999, {99.0, 99.0}});
-  auto outside = AnswerPrivate(server.store(), fetch.value(), &stray);
-  ASSERT_TRUE(outside.ok());
-  EXPECT_EQ(outside.value().candidates.size(),
-            baseline.value().candidates.size());
-
+  auto code = [&](const std::vector<IndexHit>& bad) {
+    return Materialize(server.store(), 1, bad).status().code();
+  };
+  // An id no row holds, named through a live row and past the table.
   std::vector<IndexHit> unknown = hits.value();
-  unknown.push_back({999999, {45.0, 45.0}});
-  auto failed = AnswerPrivate(server.store(), fetch.value(), &unknown);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
-  EXPECT_EQ(server.Answer(fetch.value(), &unknown).status().code(),
-            StatusCode::kInternal);
+  unknown.push_back({999999, {45.0, 45.0}, hits.value()[0].row});
+  EXPECT_EQ(code(unknown), StatusCode::kInternal);
+  EXPECT_EQ(code({{999999, {45.0, 45.0}, 1u << 30}}), StatusCode::kInternal);
 
   // A stored id read through another object's row.
-  ASSERT_GE(hits.value().size(), 2u);
   std::vector<IndexHit> misrowed = hits.value();
   std::swap(misrowed[0].row, misrowed[1].row);
-  EXPECT_EQ(AnswerPrivate(server.store(), fetch.value(), &misrowed)
-                .status()
-                .code(),
-            StatusCode::kInternal);
+  EXPECT_EQ(code(misrowed), StatusCode::kInternal);
 
   // Id 0 read through a dead row, which holds an empty record of id 0.
   const IndexHit gone = hits.value()[0];
   ASSERT_TRUE(server.store().RemovePublicObject(gone.id).ok());
-  std::vector<IndexHit> dead = {{0, {45.0, 45.0}, gone.row}};
-  EXPECT_EQ(AnswerPrivate(server.store(), fetch.value(), &dead)
-                .status()
-                .code(),
-            StatusCode::kInternal);
-  EXPECT_EQ(server.stats().private_range_queries, 0u);
+  EXPECT_EQ(code({{0, {45.0, 45.0}, gone.row}}), StatusCode::kInternal);
 }
 
 // Regression for the stats miscount: Heatmap used to increment

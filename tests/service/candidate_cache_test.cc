@@ -1,5 +1,5 @@
 // CandidateCache unit tests plus the cache-coherence property suite: no
-// stale candidate list or count may survive an overlapping update, while
+// stale count part may survive an overlapping update, while
 // non-overlapping entries stay resident. The concurrency stress at the
 // bottom runs under TSan in CI.
 
@@ -29,28 +29,18 @@ PrivacyProfile KProfile(uint32_t k) {
   return PrivacyProfile::Uniform({k, 0.0, kInf}).value();
 }
 
-CacheKey ProbeKey(double min_x, double min_y, double max_x, double max_y,
-                  CacheKind kind = CacheKind::kRange, double reach = 1.0) {
-  CacheKey key;
-  key.kind = kind;
-  key.category = kCat;
-  key.region = Rect(min_x, min_y, max_x, max_y);
-  key.reach = reach;
-  return key;
-}
-
-CacheEntry EntryCovering(const Rect& coverage) {
-  CacheEntry entry;
-  entry.coverage = coverage;
-  return entry;
+PublicCountPart PartOf(size_t contributions) {
+  PublicCountPart part;
+  part.contributions.resize(contributions);
+  return part;
 }
 
 TEST(CandidateCacheTest, ZeroCapacityDisablesEverything) {
   CandidateCache cache(0);
   EXPECT_FALSE(cache.enabled());
-  cache.Insert(ProbeKey(0, 0, 1, 1), EntryCovering(Rect(0, 0, 2, 2)));
+  cache.Insert(Rect(0, 0, 1, 1), PartOf(1));
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Lookup(ProbeKey(0, 0, 1, 1)), nullptr);
+  EXPECT_EQ(cache.Lookup(Rect(0, 0, 1, 1)), nullptr);
 }
 
 TEST(CandidateCacheTest, LruEvictsLeastRecentlyUsed) {
@@ -62,94 +52,31 @@ TEST(CandidateCacheTest, LruEvictsLeastRecentlyUsed) {
   CandidateCache cache(2);
   cache.SetObs(obs);
 
-  CacheKey k1 = ProbeKey(0, 0, 1, 1);
-  CacheKey k2 = ProbeKey(2, 2, 3, 3);
-  CacheKey k3 = ProbeKey(4, 4, 5, 5);
-  cache.Insert(k1, EntryCovering(Rect(0, 0, 2, 2)));
-  cache.Insert(k2, EntryCovering(Rect(2, 2, 4, 4)));
-  ASSERT_NE(cache.Lookup(k1), nullptr);  // refresh k1 -> k2 is now LRU
-  cache.Insert(k3, EntryCovering(Rect(4, 4, 6, 6)));
+  const Rect w1(0, 0, 1, 1), w2(2, 2, 3, 3), w3(4, 4, 5, 5);
+  cache.Insert(w1, PartOf(1));
+  cache.Insert(w2, PartOf(2));
+  ASSERT_NE(cache.Lookup(w1), nullptr);  // refresh w1 -> w2 is now LRU
+  cache.Insert(w3, PartOf(3));
 
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(evictions.Value(), 1u);
-  EXPECT_NE(cache.Lookup(k1), nullptr);
-  EXPECT_EQ(cache.Lookup(k2), nullptr);
-  EXPECT_NE(cache.Lookup(k3), nullptr);
+  EXPECT_NE(cache.Lookup(w1), nullptr);
+  EXPECT_EQ(cache.Lookup(w2), nullptr);
+  EXPECT_NE(cache.Lookup(w3), nullptr);
   EXPECT_EQ(hits.Value(), 3u);
   EXPECT_EQ(misses.Value(), 1u);
 }
 
 TEST(CandidateCacheTest, InsertSameKeyReplacesInPlace) {
   CandidateCache cache(2);
-  CacheKey key = ProbeKey(0, 0, 1, 1);
-  CacheEntry first = EntryCovering(Rect(0, 0, 2, 2));
-  first.superset.resize(1);
-  cache.Insert(key, first);
-  CacheEntry second = EntryCovering(Rect(0, 0, 2, 2));
-  second.superset.resize(5);
-  cache.Insert(key, second);
+  const Rect window(0, 0, 1, 1);
+  cache.Insert(window, PartOf(1));
+  cache.Insert(window, PartOf(5));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.Lookup(key)->superset.size(), 5u);
+  EXPECT_EQ(cache.Lookup(window)->contributions.size(), 5u);
+  // Keys are exact windows: a window inside a cached one is a miss.
+  EXPECT_EQ(cache.Lookup(Rect(0, 0, 0.5, 0.5)), nullptr);
 }
-
-TEST(CandidateCacheTest, InvalidationIsRegionAndGroupPrecise) {
-  obs::Counter invalidations;
-  CandidateCacheObs obs;
-  obs.invalidations = &invalidations;
-  CandidateCache cache(16);
-  cache.SetObs(obs);
-
-  CacheKey probe_west = ProbeKey(0, 0, 10, 10);
-  CacheKey probe_east = ProbeKey(80, 80, 90, 90);
-  CacheKey count_west = ProbeKey(0, 0, 10, 10, CacheKind::kCount, 0.0);
-  CacheKey count_east = ProbeKey(80, 80, 90, 90, CacheKind::kCount, 0.0);
-  cache.Insert(probe_west, EntryCovering(Rect(0, 0, 12, 12)));
-  cache.Insert(probe_east, EntryCovering(Rect(78, 78, 92, 92)));
-  cache.Insert(count_west, EntryCovering(Rect(0, 0, 10, 10)));
-  cache.Insert(count_east, EntryCovering(Rect(80, 80, 90, 90)));
-
-  // A public mutation in the west kills only the west probe entry: the
-  // east probe and both count entries (different group) survive.
-  cache.InvalidatePublicRegion(Rect(5, 5, 6, 6));
-  EXPECT_EQ(cache.Lookup(probe_west), nullptr);
-  EXPECT_NE(cache.Lookup(probe_east), nullptr);
-  EXPECT_NE(cache.Lookup(count_west), nullptr);
-  EXPECT_NE(cache.Lookup(count_east), nullptr);
-  EXPECT_EQ(invalidations.Value(), 1u);
-
-  // A private (cloaked) update in the east kills only the east count.
-  cache.InvalidatePrivateRegion(Rect(85, 85, 86, 86));
-  EXPECT_NE(cache.Lookup(probe_east), nullptr);
-  EXPECT_NE(cache.Lookup(count_west), nullptr);
-  EXPECT_EQ(cache.Lookup(count_east), nullptr);
-  EXPECT_EQ(invalidations.Value(), 2u);
-
-  // Category invalidation clears the remaining probe entry of kCat.
-  cache.InvalidateCategory(kCat);
-  EXPECT_EQ(cache.Lookup(probe_east), nullptr);
-  EXPECT_NE(cache.Lookup(count_west), nullptr);
-}
-
-TEST(CandidateCacheTest, SignatureSnapAndReachQuantization) {
-  CellSignature signature(Rect(0, 0, 100, 100), 10);  // 10x10 cells
-  EXPECT_DOUBLE_EQ(signature.cell_size(), 10.0);
-  Rect snapped = signature.SnapToCells(Rect(12, 27, 18, 33));
-  EXPECT_TRUE(snapped.Contains(Rect(12, 27, 18, 33)));
-  EXPECT_DOUBLE_EQ(snapped.min_x, 10.0);
-  EXPECT_DOUBLE_EQ(snapped.min_y, 20.0);
-  EXPECT_DOUBLE_EQ(snapped.max_x, 20.0);
-  EXPECT_DOUBLE_EQ(snapped.max_y, 40.0);
-  // Nearby regions inside the same cell block snap identically — that is
-  // what makes drifting queries collide on one cache key.
-  EXPECT_EQ(signature.SnapToCells(Rect(11, 21, 19, 39)), snapped);
-  // Quantized reach is monotone and never below the true reach.
-  EXPECT_DOUBLE_EQ(signature.QuantizeReach(3.0), 10.0);
-  EXPECT_DOUBLE_EQ(signature.QuantizeReach(10.0), 10.0);
-  EXPECT_DOUBLE_EQ(signature.QuantizeReach(10.5), 20.0);
-  EXPECT_DOUBLE_EQ(signature.QuantizeReach(35.0), 40.0);
-}
-
-// --- Coherence through the service ---------------------------------------
 
 CloakDbServiceOptions SharedOptions(uint32_t shards, size_t cache_capacity) {
   CloakDbServiceOptions options;
@@ -157,7 +84,6 @@ CloakDbServiceOptions SharedOptions(uint32_t shards, size_t cache_capacity) {
   options.num_shards = shards;
   options.enable_shared_execution = true;
   options.cache_capacity = cache_capacity;
-  options.signature_grid_cells = 16;
   return options;
 }
 
@@ -171,6 +97,61 @@ std::vector<PublicObject> MakePois(size_t count, uint64_t seed) {
   EXPECT_TRUE(pois.ok());
   return std::move(pois).value();
 }
+
+// Only a cloaked update whose region touches a cached window evicts it;
+// public writes never do (no public object enters a count), even one
+// inside the window — while the private queries see that object at once.
+TEST(CandidateCacheTest, InvalidationIsRegionAndGroupPrecise) {
+  obs::Counter invalidations;
+  CandidateCacheObs obs;
+  obs.invalidations = &invalidations;
+  CandidateCache cache(16);
+  cache.SetObs(obs);
+  const Rect west(0, 0, 10, 10), east(80, 80, 90, 90);
+  cache.Insert(west, PartOf(1));
+  cache.Insert(east, PartOf(1));
+  cache.InvalidatePrivateRegion(Rect(85, 85, 86, 86));
+  EXPECT_NE(cache.Lookup(west), nullptr);
+  EXPECT_EQ(cache.Lookup(east), nullptr);
+  EXPECT_EQ(invalidations.Value(), 1u);
+  cache.InvalidatePrivateRegion(Rect(50, 50, 60, 60));
+  EXPECT_NE(cache.Lookup(west), nullptr);
+  cache.InvalidatePrivateRegion(Rect(10, 10, 12, 12));  // Shares a corner.
+  EXPECT_EQ(cache.Lookup(west), nullptr);
+  EXPECT_EQ(invalidations.Value(), 2u);
+
+  auto db = CloakDbService::Create(SharedOptions(1, 64)).value();
+  ASSERT_TRUE(db->BulkLoadCategory(kCat, MakePois(100, 7)).ok());
+  for (UserId user = 1; user <= 10; ++user) {
+    ASSERT_TRUE(db->RegisterUser(user, KProfile(2)).ok());
+    ASSERT_TRUE(
+        db->UpdateLocation(user, {20.0 + user, 20.0 + user}, Noon()).ok());
+  }
+  const Rect window(15, 15, 35, 35);
+  auto first = db->PublicCount(window);
+  ASSERT_TRUE(first.ok());
+  obs::Counter* hits = db->metrics().counter("cache.hits_total");
+  PublicObject inside;
+  inside.id = 100002;
+  inside.category = kCat;
+  inside.location = {25, 25};
+  inside.name = "inside";
+  ASSERT_TRUE(db->AddPublicObject(inside).ok());
+  const uint64_t hits_before = hits->Value();
+  auto again = db->PublicCount(window);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(hits->Value(), hits_before + 1);
+  EXPECT_EQ(again.value().answer.expected, first.value().answer.expected);
+  EXPECT_EQ(again.value().naive_count, first.value().naive_count);
+  auto range = db->PrivateRange(Rect(20, 20, 30, 30), 5.0, kCat);
+  ASSERT_TRUE(range.ok());
+  bool found = false;
+  for (const auto& o : range.value().candidates)
+    found = found || o.id == inside.id;
+  EXPECT_TRUE(found) << "a public insert is missing from the next query";
+}
+
+// --- Coherence through the service ---------------------------------------
 
 // Interleaves cloaked location updates with cached public counts: after
 // every Flush, the cached count must equal the count of a shared-off twin
@@ -225,55 +206,9 @@ TEST(CandidateCacheTest, NoStaleCountSurvivesOverlappingUpdates) {
             0u);
 }
 
-// A public insert inside a cached probe's coverage must show up in the
-// next query (entry invalidated); an insert far away must leave the entry
-// resident (served as a hit, unchanged).
-TEST(CandidateCacheTest, PublicInsertInvalidatesOnlyOverlappingProbes) {
-  auto db = CloakDbService::Create(SharedOptions(1, 64)).value();
-  ASSERT_TRUE(db->BulkLoadCategory(kCat, MakePois(100, 7)).ok());
-
-  const Rect cloaked(20, 20, 30, 30);
-  const double radius = 5.0;
-  auto first = db->PrivateRange(cloaked, radius, kCat);
-  ASSERT_TRUE(first.ok());
-  const uint64_t hits_before =
-      db->metrics().counter("cache.hits_total")->Value();
-  ASSERT_TRUE(db->PrivateRange(cloaked, radius, kCat).ok());
-  EXPECT_GT(db->metrics().counter("cache.hits_total")->Value(), hits_before);
-
-  // Far-away insert: the cached probe for (20..30) survives.
-  PublicObject far;
-  far.id = 100001;
-  far.category = kCat;
-  far.location = {95, 95};
-  far.name = "far";
-  ASSERT_TRUE(db->AddPublicObject(far).ok());
-  const uint64_t hits_mid = db->metrics().counter("cache.hits_total")->Value();
-  auto after_far = db->PrivateRange(cloaked, radius, kCat);
-  ASSERT_TRUE(after_far.ok());
-  EXPECT_GT(db->metrics().counter("cache.hits_total")->Value(), hits_mid);
-  EXPECT_EQ(after_far.value().candidates.size(),
-            first.value().candidates.size());
-
-  // Insert inside the cloaked region itself: the stale superset must not
-  // be served — the new object is a legal exact answer and must appear.
-  PublicObject inside;
-  inside.id = 100002;
-  inside.category = kCat;
-  inside.location = {25, 25};
-  inside.name = "inside";
-  ASSERT_TRUE(db->AddPublicObject(inside).ok());
-  auto after_inside = db->PrivateRange(cloaked, radius, kCat);
-  ASSERT_TRUE(after_inside.ok());
-  bool found = false;
-  for (const auto& o : after_inside.value().candidates)
-    found = found || o.id == inside.id;
-  EXPECT_TRUE(found) << "stale candidate list served after overlapping insert";
-}
-
-// Concurrent cached queries racing location updates, public inserts and
-// LRU evictions (tiny capacity). Run under TSan in CI; the invariant
-// checks are done by the racing readers themselves.
+// Concurrent cached counts and private queries racing location updates,
+// public inserts and LRU evictions (tiny capacity). Run under TSan in CI;
+// the invariant checks are done by the racing readers themselves.
 TEST(CandidateCacheTest, ConcurrentHitEvictInvalidateStress) {
   auto options = SharedOptions(2, 8);  // tiny: constant LRU churn
   options.worker_threads = 2;
@@ -294,12 +229,15 @@ TEST(CandidateCacheTest, ConcurrentHitEvictInvalidateStress) {
         Rect cloaked(x, y, x + 8, y + 8);
         auto range = db->PrivateRange(cloaked, 3.0, kCat);
         ASSERT_TRUE(range.ok());
-        // Candidate lists out of the cache are never empty here: the
-        // extended region always overlaps a dense 150-POI field.
+        // Candidate lists are never empty here: the extended region
+        // always overlaps a dense 150-POI field.
         auto nn = db->PrivateNn(cloaked, kCat);
         ASSERT_TRUE(nn.ok());
         ASSERT_FALSE(nn.value().candidates.empty());
-        ASSERT_TRUE(db->PublicCount(Rect(x, y, x + 20, y + 20)).ok());
+        // Counts over 16 hot windows: hits race evictions and updates.
+        const double cx = 10.0 * rng.NextBelow(4);
+        const double cy = 10.0 * rng.NextBelow(4);
+        ASSERT_TRUE(db->PublicCount(Rect(cx, cy, cx + 20, cy + 20)).ok());
       }
     });
   }

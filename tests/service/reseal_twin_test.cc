@@ -1,11 +1,9 @@
-// A cached probe superset against a re-sealed index. Shared execution keeps
-// the index hits of widened probes, and a public write only evicts the
-// entries whose coverage it touches. A write far from a cached coverage can
-// still re-seal the category (an inline compaction past
-// static_index_compact_limit), and a re-seal renumbers every record row the
-// cached hits name. The cached service must then answer exactly like a
-// cache-off twin fed the same writes: same ids, names, categories and
-// order.
+// Records across inline re-seals. A public write past
+// static_index_compact_limit folds the category's overlay back into a
+// fresh sealed tree, and that renumbers every record row the index hits
+// name. A service re-sealing that way must answer exactly like a twin that
+// never re-seals after its bulk load: same ids, locations, categories,
+// names and order, same prune counts and fetch radii.
 
 #include <gtest/gtest.h>
 
@@ -22,13 +20,11 @@ namespace {
 constexpr Category kCat = poi_category::kGasStation;
 constexpr size_t kCompactLimit = 8;
 
-std::unique_ptr<CloakDbService> MakeService(bool shared) {
+std::unique_ptr<CloakDbService> MakeService(size_t compact_limit) {
   CloakDbServiceOptions options;
   options.space = Rect(0, 0, 100, 100);
   options.num_shards = 2;
-  options.enable_shared_execution = shared;
-  options.signature_grid_cells = 16;
-  options.static_index_compact_limit = kCompactLimit;
+  options.static_index_compact_limit = compact_limit;
   auto service = CloakDbService::Create(options);
   EXPECT_TRUE(service.ok()) << service.status().message();
   return std::move(service).value();
@@ -45,10 +41,7 @@ void ExpectSameCandidates(const std::vector<PublicObject>& got,
   }
 }
 
-// The cached queries: cloaks in the lower-left of stripe 0, aligned with
-// the 6.25-wide signature cells. With 8,000 POIs every NN and kNN (k = 3)
-// reach stays under one cell, so each widened probe stays within the
-// shard's bloat bound and is cached.
+// Cloaks in the lower-left of stripe 0, away from the added POIs.
 const std::vector<Rect>& Cloaks() {
   static const std::vector<Rect> cloaks = {Rect(6.25, 6.25, 12.5, 12.5),
                                            Rect(12.5, 18.75, 18.75, 25),
@@ -56,10 +49,10 @@ const std::vector<Rect>& Cloaks() {
   return cloaks;
 }
 
-void ExpectSameAnswers(const CloakDbService& cached,
+void ExpectSameAnswers(const CloakDbService& resealed,
                        const CloakDbService& twin) {
   for (const Rect& cloaked : Cloaks()) {
-    auto range = cached.PrivateRange(cloaked, 6.25, kCat);
+    auto range = resealed.PrivateRange(cloaked, 6.25, kCat);
     auto range_twin = twin.PrivateRange(cloaked, 6.25, kCat);
     ASSERT_TRUE(range.ok()) << range.status().message();
     ASSERT_TRUE(range_twin.ok());
@@ -68,7 +61,7 @@ void ExpectSameAnswers(const CloakDbService& cached,
     EXPECT_EQ(range.value().rounded_rect_pruned,
               range_twin.value().rounded_rect_pruned);
 
-    auto nn = cached.PrivateNn(cloaked, kCat);
+    auto nn = resealed.PrivateNn(cloaked, kCat);
     auto nn_twin = twin.PrivateNn(cloaked, kCat);
     ASSERT_TRUE(nn.ok()) << nn.status().message();
     ASSERT_TRUE(nn_twin.ok());
@@ -76,7 +69,7 @@ void ExpectSameAnswers(const CloakDbService& cached,
     EXPECT_EQ(nn.value().fetch_radius, nn_twin.value().fetch_radius);
     EXPECT_EQ(nn.value().dominance_pruned, nn_twin.value().dominance_pruned);
 
-    auto knn = cached.PrivateKnn(cloaked, 3, kCat);
+    auto knn = resealed.PrivateKnn(cloaked, 3, kCat);
     auto knn_twin = twin.PrivateKnn(cloaked, 3, kCat);
     ASSERT_TRUE(knn.ok()) << knn.status().message();
     ASSERT_TRUE(knn_twin.ok());
@@ -89,10 +82,9 @@ void ExpectSameAnswers(const CloakDbService& cached,
 }
 
 // Adds `count` POIs to both services in the upper part of stripe 0, far
-// from every cached coverage, so region-precise invalidation keeps the
-// cached entries.
-void AddFarPois(CloakDbService* cached, CloakDbService* twin, ObjectId first,
-                size_t count) {
+// from the queried cloaks: only the row numbers of their answers move.
+void AddFarPois(CloakDbService* resealed, CloakDbService* twin,
+                ObjectId first, size_t count) {
   Rng rng(first);
   for (ObjectId id = first; id < first + count; ++id) {
     PublicObject o;
@@ -100,54 +92,42 @@ void AddFarPois(CloakDbService* cached, CloakDbService* twin, ObjectId first,
     o.category = kCat;
     o.location = Point{rng.Uniform(20, 45), rng.Uniform(80, 95)};
     o.name = "far" + std::to_string(id);
-    ASSERT_TRUE(cached->AddPublicObject(o).ok());
+    ASSERT_TRUE(resealed->AddPublicObject(o).ok());
     ASSERT_TRUE(twin->AddPublicObject(o).ok());
   }
 }
 
-TEST(CacheResealTest, CachedSupersetSurvivesReseal) {
-  auto cached = MakeService(/*shared=*/true);
-  auto twin = MakeService(/*shared=*/false);
+uint64_t Compactions(const CloakDbService& db) {
+  return db.metrics().CounterValue("index.static.compactions_total");
+}
+
+TEST(ResealTwinTest, RecordsMatchANeverResealedTwin) {
+  auto resealed = MakeService(kCompactLimit);
+  auto twin = MakeService(/*compact_limit=*/1024);
   Rng rng(12);
   PoiOptions poi;
   poi.count = 8000;
   poi.category = kCat;
   auto pois = GeneratePois(Rect(0, 0, 100, 100), poi, &rng).value();
-  ASSERT_TRUE(cached->BulkLoadCategory(kCat, pois).ok());
+  ASSERT_TRUE(resealed->BulkLoadCategory(kCat, pois).ok());
   ASSERT_TRUE(twin->BulkLoadCategory(kCat, pois).ok());
-
-  // Warm a range, NN and kNN entry per cloak; the second pass hits them.
-  ExpectSameAnswers(*cached, *twin);
-  const uint64_t hits_before =
-      cached->metrics().counter("cache.hits_total")->Value();
-  ExpectSameAnswers(*cached, *twin);
-  ASSERT_EQ(cached->metrics().counter("cache.hits_total")->Value() -
-                hits_before,
-            3 * Cloaks().size());
+  ExpectSameAnswers(*resealed, *twin);
 
   // Past the compact limit: the overlay folds back into a fresh sealed
   // tree inline, and every row moves.
-  const uint64_t compactions_before =
-      cached->metrics().counter("index.static.compactions_total")->Value();
-  AddFarPois(cached.get(), twin.get(), 900000, 3 * kCompactLimit);
-  EXPECT_GT(
-      cached->metrics().counter("index.static.compactions_total")->Value(),
-      compactions_before);
-  ExpectSameAnswers(*cached, *twin);
-  ExpectSameAnswers(*cached, *twin);
+  AddFarPois(resealed.get(), twin.get(), 900000, 3 * kCompactLimit);
+  const uint64_t compactions_mid = Compactions(*resealed);
+  EXPECT_GT(compactions_mid, 0u);
+  ExpectSameAnswers(*resealed, *twin);
 
-  // A spill below the limit, answered from the cache, then adds past the
-  // limit re-seal again.
-  AddFarPois(cached.get(), twin.get(), 910000, kCompactLimit / 2);
-  ExpectSameAnswers(*cached, *twin);
-  const uint64_t compactions_mid =
-      cached->metrics().counter("index.static.compactions_total")->Value();
-  AddFarPois(cached.get(), twin.get(), 920000, 2 * kCompactLimit);
-  EXPECT_GT(
-      cached->metrics().counter("index.static.compactions_total")->Value(),
-      compactions_mid);
-  ExpectSameAnswers(*cached, *twin);
-  ExpectSameAnswers(*cached, *twin);
+  // A spill below the limit, then adds past the limit re-seal again.
+  AddFarPois(resealed.get(), twin.get(), 910000, kCompactLimit / 2);
+  ExpectSameAnswers(*resealed, *twin);
+  AddFarPois(resealed.get(), twin.get(), 920000, 2 * kCompactLimit);
+  EXPECT_GT(Compactions(*resealed), compactions_mid);
+  ExpectSameAnswers(*resealed, *twin);
+  // The twin answered from its bulk-load seal plus a spill throughout.
+  EXPECT_EQ(Compactions(*twin), 0u);
 }
 
 }  // namespace

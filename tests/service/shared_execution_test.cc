@@ -1,7 +1,8 @@
-// Oracle equivalence suite for the shared-execution engine: across many
-// seeded workloads, the candidate lists produced with shared execution on
-// (snapped cache keys + the per-shard candidate cache) must be set-equal to
-// the isolated
+// Oracle equivalence suite for shared execution (each shard caching its
+// public-count parts): across many seeded workloads, a shared service must
+// answer every query — private range/NN/kNN, and public counts issued
+// between waves of cloaked updates — exactly like a shared-off twin fed the
+// same stream. The private candidate lists must also match the isolated
 // single-shard QueryProcessor's, and both paths must uphold the paper's
 // containment guarantee (the exact answer for every possible true location
 // inside the cloaked region is in the candidate list).
@@ -31,7 +32,6 @@ CloakDbServiceOptions SharedOptions(uint32_t shards, size_t cache_capacity) {
   options.num_shards = shards;
   options.enable_shared_execution = true;
   options.cache_capacity = cache_capacity;
-  options.signature_grid_cells = 16;
   return options;
 }
 
@@ -167,6 +167,90 @@ bool ContainsAll(const std::vector<ObjectId>& haystack_sorted,
   return true;
 }
 
+// --- Counts between update waves ------------------------------------------
+
+constexpr UserId kUsers = 30;
+
+void RegisterUsers(CloakDbService* db, CloakDbService* twin) {
+  const PrivacyProfile profile =
+      PrivacyProfile::Uniform({3, 0.0, std::numeric_limits<double>::infinity()})
+          .value();
+  for (UserId user = 1; user <= kUsers; ++user) {
+    ASSERT_TRUE(db->RegisterUser(user, profile).ok());
+    ASSERT_TRUE(twin->RegisterUser(user, profile).ok());
+  }
+}
+
+// `moves` random users report a fresh location to both services. Through
+// the synchronous path: batch cloaking depends on batch boundaries, so only
+// the serial path gives both services identical cloaked regions.
+void UpdateWave(CloakDbService* db, CloakDbService* twin, int moves, Rng* rng,
+                TimeOfDay* now) {
+  for (int move = 0; move < moves; ++move) {
+    const UserId user = 1 + rng->NextBelow(kUsers);
+    const Point location{rng->Uniform(0, 100), rng->Uniform(0, 100)};
+    ASSERT_TRUE(db->UpdateLocation(user, location, *now).ok());
+    ASSERT_TRUE(twin->UpdateLocation(user, location, *now).ok());
+  }
+  *now = now->Plus(60);
+}
+
+// Every user reports once.
+void FirstWave(CloakDbService* db, CloakDbService* twin, Rng* rng,
+               TimeOfDay* now) {
+  for (UserId user = 1; user <= kUsers; ++user) {
+    const Point location{rng->Uniform(0, 100), rng->Uniform(0, 100)};
+    ASSERT_TRUE(db->UpdateLocation(user, location, *now).ok());
+    ASSERT_TRUE(twin->UpdateLocation(user, location, *now).ok());
+  }
+  *now = now->Plus(60);
+}
+
+// The hot count windows: large ones a wave nearly always touches, small
+// ones it often misses.
+const std::vector<Rect>& CountWindows() {
+  static const std::vector<Rect> windows = {
+      Rect(0, 0, 50, 50),    Rect(25, 25, 75, 75), Rect(50, 50, 100, 100),
+      Rect(0, 0, 100, 100),  Rect(10, 60, 25, 75), Rect(70, 5, 85, 20)};
+  return windows;
+}
+
+void ExpectSameCount(const PublicCountResult& got,
+                     const PublicCountResult& want) {
+  EXPECT_EQ(got.answer.expected, want.answer.expected);
+  EXPECT_EQ(got.answer.variance, want.answer.variance);
+  EXPECT_EQ(got.answer.min_count, want.answer.min_count);
+  EXPECT_EQ(got.answer.max_count, want.answer.max_count);
+  EXPECT_EQ(got.answer.pmf, want.answer.pmf);
+  EXPECT_EQ(got.naive_count, want.naive_count);
+  ASSERT_EQ(got.contributions.size(), want.contributions.size());
+  for (size_t i = 0; i < got.contributions.size(); ++i) {
+    EXPECT_EQ(got.contributions[i].pseudonym, want.contributions[i].pseudonym);
+    EXPECT_EQ(got.contributions[i].probability,
+              want.contributions[i].probability);
+  }
+}
+
+// Counts every hot window twice on `db` (the repeat hits the cache) and
+// expects the twin's answer both times.
+void ExpectSameCounts(const CloakDbService& db, const CloakDbService& twin) {
+  for (const Rect& window : CountWindows()) {
+    auto want = twin.PublicCount(window);
+    ASSERT_TRUE(want.ok());
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      auto got = db.PublicCount(window);
+      ASSERT_TRUE(got.ok());
+      ExpectSameCount(got.value(), want.value());
+    }
+  }
+}
+
+// The cache served counts, and update waves evicted some.
+void ExpectHitsAndInvalidations(const CloakDbService& db) {
+  EXPECT_GT(db.metrics().CounterValue("cache.hits_total"), 0u);
+  EXPECT_GT(db.metrics().CounterValue("cache.invalidations_total"), 0u);
+}
+
 // The tentpole acceptance check, across >= 10 seeded workloads:
 //  - private range candidate lists are set-equal to the single-shard
 //    isolated QueryProcessor oracle's (the range filter is exact, so the
@@ -175,8 +259,9 @@ bool ContainsAll(const std::vector<ObjectId>& haystack_sorted,
 //    with the identical shard count (the multi-shard NN merge is by design
 //    a conservative superset of a single-shard plan, so the twin — not the
 //    single-shard processor — is the "isolated" oracle sharing must not
-//    perturb), and refine to the single-shard oracle's exact answer.
-// Each query is issued twice so the second hit is served from the cache.
+//    perturb), and refine to the single-shard oracle's exact answer;
+//  - after every trial an update wave moves users, and every hot count
+//    window, counted twice, equals the twin's.
 TEST(SharedExecutionTest, CandidateListsMatchIsolatedOracleAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     auto pois = MakePois(180, seed);
@@ -200,107 +285,105 @@ TEST(SharedExecutionTest, CandidateListsMatchIsolatedOracleAcrossSeeds) {
     }
 
     Rng rng(seed * 7919 + 1);
+    TimeOfDay now = TimeOfDay::FromHms(9, 0).value();
+    RegisterUsers(db.get(), twin.get());
+    FirstWave(db.get(), twin.get(), &rng, &now);
     for (int trial = 0; trial < 12; ++trial) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " trial " << trial);
       Rect cloaked = RandomCloak(&rng);
       double radius = rng.Uniform(0.5, 8.0);
       size_t k = 1 + rng.NextBelow(5);
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        auto range = db->PrivateRange(cloaked, radius, kCat);
-        auto range_truth = oracle.PrivateRange(cloaked, radius, kCat);
-        ASSERT_TRUE(range.ok());
-        ASSERT_TRUE(range_truth.ok());
-        EXPECT_EQ(SortedIds(range.value().candidates),
-                  SortedIds(range_truth.value().candidates))
-            << "seed " << seed << " trial " << trial << " repeat " << repeat;
-        EXPECT_EQ(range.value().extended_region,
-                  range_truth.value().extended_region);
+      auto range = db->PrivateRange(cloaked, radius, kCat);
+      auto range_truth = oracle.PrivateRange(cloaked, radius, kCat);
+      ASSERT_TRUE(range.ok());
+      ASSERT_TRUE(range_truth.ok());
+      EXPECT_EQ(SortedIds(range.value().candidates),
+                SortedIds(range_truth.value().candidates));
+      EXPECT_EQ(range.value().extended_region,
+                range_truth.value().extended_region);
 
-        auto nn = db->PrivateNn(cloaked, kCat);
-        auto nn_twin = twin->PrivateNn(cloaked, kCat);
-        auto nn_truth = oracle.PrivateNn(cloaked, kCat);
-        ASSERT_TRUE(nn.ok());
-        ASSERT_TRUE(nn_twin.ok());
-        ASSERT_TRUE(nn_truth.ok());
-        EXPECT_EQ(SortedIds(nn.value().candidates),
-                  SortedIds(nn_twin.value().candidates))
-            << "seed " << seed << " trial " << trial;
+      auto nn = db->PrivateNn(cloaked, kCat);
+      auto nn_twin = twin->PrivateNn(cloaked, kCat);
+      auto nn_truth = oracle.PrivateNn(cloaked, kCat);
+      ASSERT_TRUE(nn.ok());
+      ASSERT_TRUE(nn_twin.ok());
+      ASSERT_TRUE(nn_truth.ok());
+      EXPECT_EQ(SortedIds(nn.value().candidates),
+                SortedIds(nn_twin.value().candidates));
 
-        auto knn = db->PrivateKnn(cloaked, k, kCat);
-        auto knn_twin = twin->PrivateKnn(cloaked, k, kCat);
-        auto knn_truth = oracle.PrivateKnn(cloaked, k, kCat);
-        ASSERT_TRUE(knn.ok());
-        ASSERT_TRUE(knn_twin.ok());
-        ASSERT_TRUE(knn_truth.ok());
-        EXPECT_EQ(SortedIds(knn.value().candidates),
-                  SortedIds(knn_twin.value().candidates))
-            << "seed " << seed << " trial " << trial << " k " << k;
+      auto knn = db->PrivateKnn(cloaked, k, kCat);
+      auto knn_twin = twin->PrivateKnn(cloaked, k, kCat);
+      auto knn_truth = oracle.PrivateKnn(cloaked, k, kCat);
+      ASSERT_TRUE(knn.ok());
+      ASSERT_TRUE(knn_twin.ok());
+      ASSERT_TRUE(knn_truth.ok());
+      EXPECT_EQ(SortedIds(knn.value().candidates),
+                SortedIds(knn_twin.value().candidates))
+          << "k " << k;
 
-        // Both shared lists still refine to the single-shard oracle's
-        // exact answer everywhere in the cloaked region.
-        for (double fx = 0.1; fx < 1.0; fx += 0.2) {
-          for (double fy = 0.1; fy < 1.0; fy += 0.2) {
-            Point p{cloaked.min_x + fx * cloaked.Width(),
-                    cloaked.min_y + fy * cloaked.Height()};
-            EXPECT_EQ(RefineNnCandidates(nn.value().candidates, p).value().id,
-                      RefineNnCandidates(nn_truth.value().candidates, p)
-                          .value()
-                          .id);
-            EXPECT_EQ(
-                SortedIds(RefineKnnCandidates(knn.value().candidates, p, k)),
-                SortedIds(
-                    RefineKnnCandidates(knn_truth.value().candidates, p, k)));
-          }
+      // Both shared lists still refine to the single-shard oracle's exact
+      // answer everywhere in the cloaked region.
+      for (double fx = 0.1; fx < 1.0; fx += 0.2) {
+        for (double fy = 0.1; fy < 1.0; fy += 0.2) {
+          Point p{cloaked.min_x + fx * cloaked.Width(),
+                  cloaked.min_y + fy * cloaked.Height()};
+          EXPECT_EQ(RefineNnCandidates(nn.value().candidates, p).value().id,
+                    RefineNnCandidates(nn_truth.value().candidates, p)
+                        .value()
+                        .id);
+          EXPECT_EQ(
+              SortedIds(RefineKnnCandidates(knn.value().candidates, p, k)),
+              SortedIds(
+                  RefineKnnCandidates(knn_truth.value().candidates, p, k)));
         }
-
-        // The cached answers equal their isolated twins in every field.
-        auto range_twin = twin->PrivateRange(cloaked, radius, kCat);
-        ASSERT_TRUE(range_twin.ok());
-        ExpectSameRange(range.value(), range_twin.value());
-        ExpectSameNearest(nn.value(), nn_twin.value());
-        ExpectSameNearest(knn.value(), knn_twin.value());
       }
+
+      // The shared answers equal their isolated twins in every field.
+      auto range_twin = twin->PrivateRange(cloaked, radius, kCat);
+      ASSERT_TRUE(range_twin.ok());
+      ExpectSameRange(range.value(), range_twin.value());
+      ExpectSameNearest(nn.value(), nn_twin.value());
+      ExpectSameNearest(knn.value(), knn_twin.value());
 
       // Point and segment cloaks, lattice ties, the one-object and the
       // pigeonhole (<= k objects) categories, and the MBR-only range
-      // filter, each issued twice so the repeat is a cache hit.
+      // filter.
       for (const Rect& shape : DerivedCloaks(cloaked)) {
         for (Category cat : {kCat, kLatticeCat, kSoloCat, kFewCat}) {
-          for (int repeat = 0; repeat < 2; ++repeat) {
-            SCOPED_TRACE(testing::Message()
-                         << "seed " << seed << " trial " << trial << " cat "
-                         << cat << " shape " << shape.min_x << ","
-                         << shape.min_y << "," << shape.max_x << ","
-                         << shape.max_y << " repeat " << repeat);
-            for (bool exact : {true, false}) {
-              PrivateRangeOptions opts;
-              opts.exact_rounded_rect = exact;
-              auto r = db->PrivateRange(shape, radius, cat, opts);
-              auto r_twin = twin->PrivateRange(shape, radius, cat, opts);
-              auto r_truth = oracle.PrivateRange(shape, radius, cat, opts);
-              ASSERT_TRUE(r.ok());
-              ASSERT_TRUE(r_twin.ok());
-              ASSERT_TRUE(r_truth.ok());
-              ExpectSameRange(r.value(), r_twin.value());
-              EXPECT_EQ(SortedIds(r.value().candidates),
-                        SortedIds(r_truth.value().candidates));
-            }
-            auto n = db->PrivateNn(shape, cat);
-            auto n_twin = twin->PrivateNn(shape, cat);
-            ASSERT_TRUE(n.ok());
-            ASSERT_TRUE(n_twin.ok());
-            ExpectSameNearest(n.value(), n_twin.value());
-            auto kn = db->PrivateKnn(shape, k, cat);
-            auto kn_twin = twin->PrivateKnn(shape, k, cat);
-            ASSERT_TRUE(kn.ok());
-            ASSERT_TRUE(kn_twin.ok());
-            ExpectSameNearest(kn.value(), kn_twin.value());
+          SCOPED_TRACE(testing::Message()
+                       << "cat " << cat << " shape " << shape.min_x << ","
+                       << shape.min_y << "," << shape.max_x << ","
+                       << shape.max_y);
+          for (bool exact : {true, false}) {
+            PrivateRangeOptions opts;
+            opts.exact_rounded_rect = exact;
+            auto r = db->PrivateRange(shape, radius, cat, opts);
+            auto r_twin = twin->PrivateRange(shape, radius, cat, opts);
+            auto r_truth = oracle.PrivateRange(shape, radius, cat, opts);
+            ASSERT_TRUE(r.ok());
+            ASSERT_TRUE(r_twin.ok());
+            ASSERT_TRUE(r_truth.ok());
+            ExpectSameRange(r.value(), r_twin.value());
+            EXPECT_EQ(SortedIds(r.value().candidates),
+                      SortedIds(r_truth.value().candidates));
           }
+          auto n = db->PrivateNn(shape, cat);
+          auto n_twin = twin->PrivateNn(shape, cat);
+          ASSERT_TRUE(n.ok());
+          ASSERT_TRUE(n_twin.ok());
+          ExpectSameNearest(n.value(), n_twin.value());
+          auto kn = db->PrivateKnn(shape, k, cat);
+          auto kn_twin = twin->PrivateKnn(shape, k, cat);
+          ASSERT_TRUE(kn.ok());
+          ASSERT_TRUE(kn_twin.ok());
+          ExpectSameNearest(kn.value(), kn_twin.value());
         }
       }
+
+      UpdateWave(db.get(), twin.get(), 10, &rng, &now);
+      ExpectSameCounts(*db, *twin);
     }
-    // The repeats above must have been served out of the cache.
-    EXPECT_GT(db->metrics().counter("cache.hits_total")->Value(), 0u)
-        << "seed " << seed;
+    ExpectHitsAndInvalidations(*db);
   }
 }
 
@@ -347,8 +430,9 @@ TEST(SharedExecutionTest, ContainmentGuaranteeHoldsOnBothPaths) {
 }
 
 // Envelope queries one by one: a hot set of overlapping queries around one
-// anchor plus independent singles, of all three private kinds, each
-// through ExecuteQuery; every result still equals the isolated oracle's.
+// anchor plus independent singles, of all three private kinds, then an
+// update wave and the hot count windows (each twice), all through
+// ExecuteQuery; every result still equals the isolated twin's.
 TEST(SharedExecutionTest, EnvelopeQueriesMatchIsolatedOracle) {
   auto pois = MakePois(200, 77);
   auto shared_opts = SharedOptions(4, 256);
@@ -360,6 +444,9 @@ TEST(SharedExecutionTest, EnvelopeQueriesMatchIsolatedOracle) {
   ASSERT_TRUE(twin->BulkLoadCategory(kCat, pois).ok());
 
   Rng rng(78);
+  TimeOfDay now = TimeOfDay::FromHms(9, 0).value();
+  RegisterUsers(db.get(), twin.get());
+  FirstWave(db.get(), twin.get(), &rng, &now);
   for (int round = 0; round < 6; ++round) {
     std::vector<QueryRequest> requests;
     // Overlapping queries around one anchor (kept clear of the space
@@ -389,11 +476,6 @@ TEST(SharedExecutionTest, EnvelopeQueriesMatchIsolatedOracle) {
       q.category = kCat;
       requests.push_back(q);
     }
-    // Jittered copies need not share a snapped key, so the round's first
-    // query is repeated verbatim: the repeat looks up the key its first
-    // issue cached.
-    requests.push_back(requests.front());
-
     for (const QueryRequest& q : requests) {
       const QueryResponse response = db->ExecuteQuery(q);
       ASSERT_TRUE(response.ok()) << response.status().ToString();
@@ -424,13 +506,31 @@ TEST(SharedExecutionTest, EnvelopeQueriesMatchIsolatedOracle) {
           FAIL() << "unexpected kind";
       }
     }
+
+    UpdateWave(db.get(), twin.get(), 10, &rng, &now);
+    for (const Rect& window : CountWindows()) {
+      auto truth = twin->PublicCount(window);
+      ASSERT_TRUE(truth.ok());
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const QueryResponse response =
+            db->ExecuteQuery(QueryRequest::Count(window));
+        ASSERT_TRUE(response.ok()) << response.status().ToString();
+        EXPECT_EQ(response.kind, QueryKind::kPublicCount);
+        EXPECT_EQ(response.expected_count, truth.value().answer.expected);
+        EXPECT_EQ(response.count_min,
+                  static_cast<uint64_t>(truth.value().answer.min_count));
+        EXPECT_EQ(response.count_max,
+                  static_cast<uint64_t>(truth.value().answer.max_count));
+      }
+    }
   }
-  // Some query was served from a probe an earlier one cached.
-  EXPECT_GT(db->metrics().counter("cache.hits_total")->Value(), 0u);
+  ExpectHitsAndInvalidations(*db);
 }
 
 // Concurrent submitters through the plain query API share each shard's
-// candidate cache and must all receive the isolated twin's answer.
+// count cache and must all receive the isolated twin's answer. Update
+// waves land between the concurrent rounds, so every round reads one
+// settled state on both services.
 TEST(SharedExecutionTest, ConcurrentQueriesMatchIsolatedTwin) {
   auto pois = MakePois(150, 31);
   auto shared_opts = SharedOptions(2, 256);
@@ -441,34 +541,58 @@ TEST(SharedExecutionTest, ConcurrentQueriesMatchIsolatedTwin) {
   ASSERT_TRUE(db->BulkLoadCategory(kCat, pois).ok());
   ASSERT_TRUE(twin->BulkLoadCategory(kCat, pois).ok());
 
+  Rng wave_rng(32);
+  TimeOfDay now = TimeOfDay::FromHms(9, 0).value();
+  RegisterUsers(db.get(), twin.get());
+  FirstWave(db.get(), twin.get(), &wave_rng, &now);
+  constexpr int kRounds = 3;
   constexpr int kThreads = 6;
   constexpr int kQueriesPerThread = 40;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(1000 + t);
-      for (int i = 0; i < kQueriesPerThread; ++i) {
-        Rect cloaked = RandomCloak(&rng);
-        if (rng.NextBelow(2) == 0) {
-          double radius = rng.Uniform(1.0, 5.0);
-          auto ours = db->PrivateRange(cloaked, radius, kCat);
-          auto truth = twin->PrivateRange(cloaked, radius, kCat);
-          ASSERT_TRUE(ours.ok());
-          ASSERT_TRUE(truth.ok());
-          EXPECT_EQ(SortedIds(ours.value().candidates),
-                    SortedIds(truth.value().candidates));
-        } else {
-          auto ours = db->PrivateNn(cloaked, kCat);
-          auto truth = twin->PrivateNn(cloaked, kCat);
-          ASSERT_TRUE(ours.ok());
-          ASSERT_TRUE(truth.ok());
-          EXPECT_EQ(SortedIds(ours.value().candidates),
-                    SortedIds(truth.value().candidates));
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(1000 + 10 * round + t);
+        for (int i = 0; i < kQueriesPerThread; ++i) {
+          Rect cloaked = RandomCloak(&rng);
+          switch (rng.NextBelow(3)) {
+            case 0: {
+              double radius = rng.Uniform(1.0, 5.0);
+              auto ours = db->PrivateRange(cloaked, radius, kCat);
+              auto truth = twin->PrivateRange(cloaked, radius, kCat);
+              ASSERT_TRUE(ours.ok());
+              ASSERT_TRUE(truth.ok());
+              EXPECT_EQ(SortedIds(ours.value().candidates),
+                        SortedIds(truth.value().candidates));
+              break;
+            }
+            case 1: {
+              auto ours = db->PrivateNn(cloaked, kCat);
+              auto truth = twin->PrivateNn(cloaked, kCat);
+              ASSERT_TRUE(ours.ok());
+              ASSERT_TRUE(truth.ok());
+              EXPECT_EQ(SortedIds(ours.value().candidates),
+                        SortedIds(truth.value().candidates));
+              break;
+            }
+            default: {
+              const Rect& window =
+                  CountWindows()[rng.NextBelow(CountWindows().size())];
+              auto ours = db->PublicCount(window);
+              auto truth = twin->PublicCount(window);
+              ASSERT_TRUE(ours.ok());
+              ASSERT_TRUE(truth.ok());
+              ExpectSameCount(ours.value(), truth.value());
+            }
+          }
         }
-      }
-    });
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    UpdateWave(db.get(), twin.get(), 10, &wave_rng, &now);
   }
-  for (auto& thread : threads) thread.join();
+  ExpectSameCounts(*db, *twin);
+  ExpectHitsAndInvalidations(*db);
   // Error statuses still come back typed on the shared path.
   EXPECT_EQ(db->PrivateRange(Rect(), 1.0, kCat).status().code(),
             StatusCode::kInvalidArgument);
@@ -476,29 +600,26 @@ TEST(SharedExecutionTest, ConcurrentQueriesMatchIsolatedTwin) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(db->PrivateNn(Rect(1, 1, 2, 2), 777).status().code(),
             StatusCode::kNotFound);
+  EXPECT_EQ(db->PublicCount(Rect()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
-// Degenerate shared configurations stay correct: cache disabled, capacity 1
-// (constant eviction), and a single signature cell (everything snaps to one
-// probe cover).
+// Degenerate shared configurations stay correct: cache disabled and
+// capacity 1 (constant eviction), beside a roomy one.
 TEST(SharedExecutionTest, DegenerateConfigurationsStayExact) {
   auto pois = MakePois(120, 59);
-  auto twin_opts = SharedOptions(3, 0);
-  twin_opts.enable_shared_execution = false;
-  auto twin = CloakDbService::Create(twin_opts).value();
-  ASSERT_TRUE(twin->BulkLoadCategory(kCat, pois).ok());
-
-  struct Config {
-    size_t cache_capacity;
-    uint32_t cells;
-  };
-  for (const Config& config :
-       {Config{0, 16}, Config{1, 16}, Config{64, 1}}) {
-    auto options = SharedOptions(3, config.cache_capacity);
-    options.signature_grid_cells = config.cells;
-    auto db = CloakDbService::Create(options).value();
+  for (size_t cache_capacity : {size_t{0}, size_t{1}, size_t{64}}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << cache_capacity);
+    auto db = CloakDbService::Create(SharedOptions(3, cache_capacity)).value();
+    auto twin_opts = SharedOptions(3, cache_capacity);
+    twin_opts.enable_shared_execution = false;
+    auto twin = CloakDbService::Create(twin_opts).value();
     ASSERT_TRUE(db->BulkLoadCategory(kCat, pois).ok());
+    ASSERT_TRUE(twin->BulkLoadCategory(kCat, pois).ok());
     Rng rng(60);
+    TimeOfDay now = TimeOfDay::FromHms(9, 0).value();
+    RegisterUsers(db.get(), twin.get());
+    FirstWave(db.get(), twin.get(), &rng, &now);
     for (int trial = 0; trial < 10; ++trial) {
       Rect cloaked = RandomCloak(&rng);
       double radius = rng.Uniform(1.0, 5.0);
@@ -507,14 +628,15 @@ TEST(SharedExecutionTest, DegenerateConfigurationsStayExact) {
       ASSERT_TRUE(range.ok());
       ASSERT_TRUE(truth.ok());
       EXPECT_EQ(SortedIds(range.value().candidates),
-                SortedIds(truth.value().candidates))
-          << "capacity " << config.cache_capacity << " cells " << config.cells;
+                SortedIds(truth.value().candidates));
       auto knn = db->PrivateKnn(cloaked, 3, kCat);
       auto knn_truth = twin->PrivateKnn(cloaked, 3, kCat);
       ASSERT_TRUE(knn.ok());
       ASSERT_TRUE(knn_truth.ok());
       EXPECT_EQ(SortedIds(knn.value().candidates),
                 SortedIds(knn_truth.value().candidates));
+      ExpectSameCounts(*db, *twin);
+      UpdateWave(db.get(), twin.get(), 5, &rng, &now);
     }
   }
 }

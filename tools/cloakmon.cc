@@ -15,7 +15,7 @@
 //                        so the poll never stalls query traffic.
 //
 // Either way the screen shows uptime and ingest state, per-stage latency
-// digests (p50/p95/p99), candidate-cache hit rate, robustness counters,
+// digests (p50/p95/p99), count-cache hit rate, robustness counters,
 // tracer accounting, and the most recent privacy-audit violations.
 //
 // Usage:

@@ -23,10 +23,10 @@
 //            [--checkpoint-interval=N] [--chaos-kill] [--kill-cycles=N]
 //            [--help]
 //
-// --shared-exec turns on the service's shared-execution engine (the
-// per-shard candidate cache); cloaked regions snap to grid cells, so nearby
-// users naturally repeat cache keys. Accuracy columns must stay 1.0 either
-// way — sharing is answer-invisible.
+// --shared-exec turns on the service's per-shard count-part cache (a count
+// repeating a window no cloaked update has touched since is served without
+// a scan). Accuracy columns must stay 1.0 either way — the cache is
+// answer-invisible.
 //
 // --trace-out / --trace-jsonl enable end-to-end tracing and export the kept
 // span trees at exit (Chrome trace-event JSON for chrome://tracing /
@@ -106,7 +106,6 @@ struct Args {
   uint64_t seed = 42;
   bool shared_exec = false;
   size_t cache_capacity = 4096;
-  uint32_t signature_cells = 0;  // 0 = service default
   std::string profile;       // optional Parse()-format profile
   std::string metrics_json;  // optional JSON dump path
   std::string trace_out;     // Chrome trace-event JSON export path
@@ -174,9 +173,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
       args.shared_exec = true;
     } else if (ParseArg(argv[i], "cache-capacity", &value)) {
       args.cache_capacity = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseArg(argv[i], "signature-cells", &value)) {
-      args.signature_cells =
-          static_cast<uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
     } else if (ParseArg(argv[i], "profile", &value)) {
       args.profile = value;
     } else if (ParseArg(argv[i], "metrics-json", &value)) {
@@ -778,8 +774,6 @@ int Run(const Args& args) {
   options.durability_mode = args.durability;
   options.data_dir = args.data_dir;
   options.checkpoint_interval = args.checkpoint_interval;
-  if (args.signature_cells > 0)
-    options.signature_grid_cells = args.signature_cells;
   const bool tracing = !args.trace_out.empty() || !args.trace_jsonl.empty() ||
                        !args.monitor_json.empty();
   if (tracing) {
@@ -1046,7 +1040,7 @@ int Run(const Args& args) {
     PrintHistogramRow(metrics, name);
   }
   if (args.shared_exec) {
-    std::printf("# --- candidate cache ---\n");
+    std::printf("# --- count cache ---\n");
     for (const char* name :
          {"cache.hits_total", "cache.misses_total", "cache.insertions_total",
           "cache.lru_evictions_total", "cache.invalidations_total"}) {
@@ -1054,7 +1048,6 @@ int Run(const Args& args) {
                   static_cast<unsigned long long>(
                       metrics.CounterValue(name)));
     }
-    PrintHistogramRow(metrics, "query.shared.probe_us");
   }
   auto stats = db.Stats();
   for (const auto& q : stats.slow_queries) {
