@@ -95,9 +95,9 @@ struct Fig1World {
     const ServiceStats stats = db->Stats();
     return {static_cast<double>(stats.ingest.updates_enqueued) *
                 kLocationReportBytes,
-            static_cast<double>(stats.server.cloaked_updates) *
+            static_cast<double>(stats.ingest.updates_applied) *
                 kCloakedUpdateBytes,
-            static_cast<double>(stats.server.bytes_to_clients)};
+            static_cast<double>(stats.bytes_to_clients)};
   }
 
   std::unique_ptr<CloakDbService> db;
@@ -157,7 +157,8 @@ void BM_Fig1_MixedWorkload(benchmark::State& state) {
   state.counters["range_accuracy"] =
       rate(world.range_exact, world.range_queries);
   state.counters["avg_nn_candidates"] =
-      world.db->Stats().server.nn_candidates.mean();
+      world.db->metrics().SnapshotHistogram("query.private_nn.candidates")
+          .mean();
   state.counters["bytes_per_query"] =
       loop_bytes / static_cast<double>(state.iterations());
 }

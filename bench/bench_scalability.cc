@@ -191,7 +191,7 @@ void BM_Service_ShardedUpdateRounds(benchmark::State& state) {
   }
   ServiceStats stats = db.Stats();
   state.counters["shards"] = static_cast<double>(shards);
-  state.counters["avg_batch"] = stats.ingest.batch_size.mean();
+  state.counters["avg_batch"] = stats.ingest.mean_batch_size;
   state.counters["updates_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations() * users),
       benchmark::Counter::kIsRate);

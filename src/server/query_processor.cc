@@ -9,83 +9,32 @@
 
 namespace cloakdb {
 
-void MergeServerStats(ServerStats* into, const ServerStats& from) {
-  into->cloaked_updates += from.cloaked_updates;
-  into->private_range_queries += from.private_range_queries;
-  into->private_nn_queries += from.private_nn_queries;
-  into->private_knn_queries += from.private_knn_queries;
-  into->private_private_queries += from.private_private_queries;
-  into->public_count_queries += from.public_count_queries;
-  into->public_nn_queries += from.public_nn_queries;
-  into->heatmap_queries += from.heatmap_queries;
-  into->range_candidates.Merge(from.range_candidates);
-  into->nn_candidates.Merge(from.nn_candidates);
-  into->bytes_to_clients += from.bytes_to_clients;
-}
-
 QueryProcessor::QueryProcessor(const Rect& space, uint32_t rect_grid_cells,
-                               const WireCostModel& wire_cost,
+                               const WireCostModel& /*unused*/,
                                const PublicCategoryIndex::Config& public_index)
-    : store_(space, rect_grid_cells, public_index), wire_cost_(wire_cost) {}
+    : store_(space, rect_grid_cells, public_index) {}
 
 Status QueryProcessor::ApplyCloakedUpdate(ObjectId pseudonym,
                                           const Rect& region) {
-  CLOAKDB_RETURN_IF_ERROR(store_.UpsertPrivateRegion(pseudonym, region));
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.cloaked_updates;
-  return Status::OK();
+  return store_.UpsertPrivateRegion(pseudonym, region);
 }
 
 Status QueryProcessor::DropPseudonym(ObjectId pseudonym) {
   return store_.RemovePrivateRegion(pseudonym);
 }
 
-namespace {
-
-// Where an accepted private query of one result type is booked.
-struct PrivateBooking {
-  uint64_t ServerStats::*counter;
-  RunningStats ServerStats::*candidates;
-  obs::ShardedHistogram* QueryProcessorObs::*probe_us;
-};
-
 template <typename R>
-constexpr PrivateBooking kBooking = {};
-template <>
-constexpr PrivateBooking kBooking<PrivateRangeResult> = {
-    &ServerStats::private_range_queries, &ServerStats::range_candidates,
-    &QueryProcessorObs::range_probe_us};
-template <>
-constexpr PrivateBooking kBooking<PrivateNnResult> = {
-    &ServerStats::private_nn_queries, &ServerStats::nn_candidates,
-    &QueryProcessorObs::nn_probe_us};
-template <>
-constexpr PrivateBooking kBooking<PrivateKnnResult> = {
-    &ServerStats::private_knn_queries, &ServerStats::nn_candidates,
-    &QueryProcessorObs::knn_probe_us};
-
-}  // namespace
-
-template <typename R>
-Result<R> QueryProcessor::Answer(const PrivateFetch<R>& fetch) const {
-  constexpr PrivateBooking book = kBooking<R>;
-  obs::ScopedTimer probe(obs_.*book.probe_us);
+Result<R> QueryProcessor::Answer(const PrivateFetch<R>& fetch,
+                                 obs::ShardedHistogram* probe_us) const {
+  obs::ScopedTimer probe(probe_us);
   obs::TraceSpan span(obs::CurrentTraceContext(), "index.probe");
   Result<R> result = AnswerPrivate(store_, fetch);
   if (result.ok())
     span.AddAttr("candidates",
                  static_cast<double>(result.value().candidates.size()));
   span.End();
+  if (!result.ok()) probe.Cancel();  // Only an accepted query is timed.
   probe.Stop();
-  // Only an accepted query books its kind counter, candidate-count stream
-  // and modeled wire bytes.
-  if (result.ok()) {
-    const size_t n = result.value().candidates.size();
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++(stats_.*book.counter);
-    (stats_.*book.candidates).Add(static_cast<double>(n));
-    stats_.bytes_to_clients += n * wire_cost_.bytes_per_object;
-  }
   return result;
 }
 
@@ -94,14 +43,14 @@ Result<PrivateRangeResult> QueryProcessor::PrivateRange(
     const PrivateRangeOptions& opts) const {
   auto fetch = PlanPrivateRange(store_, cloaked, radius, category, opts);
   if (!fetch.ok()) return fetch.status();
-  return Answer(fetch.value());
+  return Answer(fetch.value(), obs_.range_probe_us);
 }
 
 Result<PrivateNnResult> QueryProcessor::PrivateNn(const Rect& cloaked,
                                                   Category category) const {
   auto fetch = PlanPrivateNn(store_, cloaked, category);
   if (!fetch.ok()) return fetch.status();
-  return Answer(fetch.value());
+  return Answer(fetch.value(), obs_.nn_probe_us);
 }
 
 Result<PrivateKnnResult> QueryProcessor::PrivateKnn(const Rect& cloaked,
@@ -109,12 +58,12 @@ Result<PrivateKnnResult> QueryProcessor::PrivateKnn(const Rect& cloaked,
                                                     Category category) const {
   auto fetch = PlanPrivateKnn(store_, cloaked, k, category);
   if (!fetch.ok()) return fetch.status();
-  return Answer(fetch.value());
+  return Answer(fetch.value(), obs_.knn_probe_us);
 }
 
 Result<std::vector<IndexHit>> QueryProcessor::SharedProbe(
     const Rect& probe_region, Category category) const {
-  // Not a client-visible query: no stats.
+  // Not a client-visible query: not timed.
   obs::TraceSpan span(obs::CurrentTraceContext(), "index.shared_probe");
   if (probe_region.IsEmpty())
     return Status::InvalidArgument("probe region must be non-empty");
@@ -123,30 +72,15 @@ Result<std::vector<IndexHit>> QueryProcessor::SharedProbe(
   return index.value()->RangeSearch(probe_region);
 }
 
-void QueryProcessor::NotePublicCountFromCache() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.public_count_queries;
-}
-
 Result<PrivatePrivateRangeResult> QueryProcessor::PrivatePrivateRange(
     const Rect& querier, double radius,
     const PrivatePrivateOptions& opts) const {
-  auto result = PrivatePrivateRangeQuery(store_, querier, radius, opts);
-  if (result.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.private_private_queries;
-  }
-  return result;
+  return PrivatePrivateRangeQuery(store_, querier, radius, opts);
 }
 
 Result<PrivatePrivateNnResult> QueryProcessor::PrivatePrivateNn(
     const Rect& querier, const PrivatePrivateOptions& opts) const {
-  auto result = PrivatePrivateNnQuery(store_, querier, opts);
-  if (result.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.private_private_queries;
-  }
-  return result;
+  return PrivatePrivateNnQuery(store_, querier, opts);
 }
 
 Result<PublicCountPart> QueryProcessor::ScanPublicCount(
@@ -155,11 +89,8 @@ Result<PublicCountPart> QueryProcessor::ScanPublicCount(
   obs::TraceSpan span(obs::CurrentTraceContext(), "index.probe");
   auto part = cloakdb::ScanPublicCount(store_, window);
   span.End();
+  if (!part.ok()) probe.Cancel();
   probe.Stop();
-  if (part.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.public_count_queries;
-  }
   return part;
 }
 
@@ -172,12 +103,7 @@ Result<PublicCountResult> QueryProcessor::PublicCount(
 
 Result<PublicNnResult> QueryProcessor::PublicNn(
     const Point& from, const PublicNnOptions& opts) const {
-  auto result = PublicNnQuery(store_, from, opts);
-  if (result.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.public_nn_queries;
-  }
-  return result;
+  return PublicNnQuery(store_, from, opts);
 }
 
 Result<HeatmapResult> QueryProcessor::Heatmap(uint32_t resolution) const {
@@ -185,24 +111,9 @@ Result<HeatmapResult> QueryProcessor::Heatmap(uint32_t resolution) const {
   obs::TraceSpan span(obs::CurrentTraceContext(), "index.probe");
   auto result = PublicHeatmapQuery(store_, resolution);
   span.End();
+  if (!result.ok()) probe.Cancel();
   probe.Stop();
-  if (result.ok()) {
-    // Heatmaps used to inflate public_count_queries; they have their own
-    // counter so the count-query stream stays an honest workload signal.
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.heatmap_queries;
-  }
   return result;
-}
-
-ServerStats QueryProcessor::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
-void QueryProcessor::ResetStats() {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_ = ServerStats{};
 }
 
 namespace {

@@ -2,21 +2,20 @@
 //
 // Receives cloaked updates from the Location Anonymizer, stores public
 // objects, and dispatches the two novel query classes (private-over-public,
-// public-over-private) while keeping per-query cost statistics (candidate
-// counts and an estimate of bytes shipped to mobile clients — the
-// transmission-cost side of the paper's privacy/QoS trade-off).
+// public-over-private). Per-query cost (candidates, bytes shipped to mobile
+// clients) is counted once per merged query by the service's metrics
+// registry, not here.
 //
 // Thread safety: data-management entry points (ApplyCloakedUpdate,
 // DropPseudonym, store() mutation) require exclusive access. All query
 // methods are const and touch only immutable store state plus the
-// internally-locked stats block, so any number of threads may run queries
-// concurrently as long as no writer is in flight — the read path the
-// sharded service layer (src/service/) relies on.
+// internally-synchronized probe histograms, so any number of threads may
+// run queries concurrently as long as no writer is in flight — the read
+// path the sharded service layer (src/service/) relies on.
 
 #ifndef CLOAKDB_SERVER_QUERY_PROCESSOR_H_
 #define CLOAKDB_SERVER_QUERY_PROCESSOR_H_
 
-#include <mutex>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -24,46 +23,26 @@
 #include "server/private_private.h"
 #include "server/private_queries.h"
 #include "server/public_queries.h"
-#include "util/stats.h"
 #include "util/status.h"
 
 namespace cloakdb {
 
-/// Wire-size model for the candidate lists shipped to mobile clients.
-/// Experiments vary payload size (richer records, compression) by passing a
-/// different model to the QueryProcessor constructor instead of
-/// recompiling.
+/// Wire-size model for the candidate lists shipped to mobile clients. The
+/// service prices each merged candidate list with it
+/// (CloakDbServiceOptions::wire_cost).
 struct WireCostModel {
   /// Bytes to ship one public object (id + location + category by default,
   /// ignoring names).
   size_t bytes_per_object = 8 + 16 + 4;
 };
 
-/// Query-processing counters.
-struct ServerStats {
-  uint64_t cloaked_updates = 0;
-  uint64_t private_range_queries = 0;
-  uint64_t private_nn_queries = 0;
-  uint64_t private_knn_queries = 0;
-  uint64_t private_private_queries = 0;
-  uint64_t public_count_queries = 0;
-  uint64_t public_nn_queries = 0;
-  uint64_t heatmap_queries = 0;
-  RunningStats range_candidates;   ///< Candidates per private range query.
-  RunningStats nn_candidates;      ///< Candidates per private NN query.
-  uint64_t bytes_to_clients = 0;   ///< Modeled candidate-list traffic.
-};
-
-/// Folds `from` into `into` (counter sums; candidate stats merged) — the
-/// reduction used to aggregate per-shard stats into ServiceStats.
-void MergeServerStats(ServerStats* into, const ServerStats& from);
-
 /// Optional per-query-kind index-probe latency sinks (microseconds). The
 /// sharded service points every shard's processor at one set of shared
 /// histograms from its MetricsRegistry; standalone processors leave them
 /// null and pay nothing. "Probe" covers an index-served private query's
 /// window fetch, refine and materialize (the NN/kNN corner probes belong to
-/// its plan), and the whole of a count or heatmap query.
+/// its plan), and the whole of a count or heatmap query. Only an accepted
+/// query books its probe time.
 struct QueryProcessorObs {
   obs::ShardedHistogram* range_probe_us = nullptr;
   obs::ShardedHistogram* nn_probe_us = nullptr;
@@ -75,12 +54,12 @@ struct QueryProcessorObs {
 /// The location-based database server.
 class QueryProcessor {
  public:
-  /// `space` bounds the private-region index; `wire_cost` prices the
-  /// candidate lists charged to bytes_to_clients; `public_index`
-  /// configures every category's sealed tree + spill facade — its compact
-  /// limit and lifecycle counters (index/public_index.h).
+  /// `space` bounds the private-region index; `public_index` configures
+  /// every category's sealed tree + spill facade — its compact limit and
+  /// lifecycle counters (index/public_index.h). The WireCostModel is
+  /// unused: it stays for callers that still pass one.
   explicit QueryProcessor(const Rect& space, uint32_t rect_grid_cells = 64,
-                          const WireCostModel& wire_cost = {},
+                          const WireCostModel& /*unused*/ = {},
                           const PublicCategoryIndex::Config& public_index = {});
 
   /// Data management (delegates to the ObjectStore).
@@ -108,13 +87,9 @@ class QueryProcessor {
                                       Category category) const;
 
   /// Index hits (id + point + row) of every `category` object inside
-  /// `probe_region`, in index order: a standing query's fetch. No stats.
+  /// `probe_region`, in index order: a standing query's fetch. Not timed.
   Result<std::vector<IndexHit>> SharedProbe(const Rect& probe_region,
                                             Category category) const;
-
-  /// Counts a public-count query served verbatim from the service's
-  /// count cache, so ServerStats stays comparable with uncached runs.
-  void NotePublicCountFromCache() const;
 
   /// Private range query over private data (both sides cloaked).
   Result<PrivatePrivateRangeResult> PrivatePrivateRange(
@@ -126,8 +101,8 @@ class QueryProcessor {
       const Rect& querier, const PrivatePrivateOptions& opts = {}) const;
 
   /// The scan of a public count query, without an answer: what a shard
-  /// contributes to a sharded count. Books the count's stats, probe time
-  /// and `index.probe` span.
+  /// contributes to a sharded count. Books the count's probe time and
+  /// `index.probe` span.
   Result<PublicCountPart> ScanPublicCount(const Rect& window) const;
 
   /// Public count query over private data (Fig. 6a): ScanPublicCount plus
@@ -141,12 +116,6 @@ class QueryProcessor {
   /// Expected-density heatmap over private data (Fig. 6a generalized).
   Result<HeatmapResult> Heatmap(uint32_t resolution) const;
 
-  const WireCostModel& wire_cost() const { return wire_cost_; }
-
-  /// Snapshot of the counters (copied under the stats lock).
-  ServerStats stats() const;
-  void ResetStats();
-
   /// Installs probe-latency sinks (histograms are internally synchronized,
   /// so concurrent const queries may record freely). Call before queries
   /// start; the handles must outlive the processor.
@@ -154,18 +123,14 @@ class QueryProcessor {
 
  private:
   /// Answers a planned private query (server/private_queries.h) from one
-  /// index probe of its window, timed and traced as `index.probe`, and
-  /// books the query's ServerStats.
+  /// index probe of its window, timed into `probe_us` and traced as
+  /// `index.probe`.
   template <typename R>
-  Result<R> Answer(const PrivateFetch<R>& fetch) const;
+  Result<R> Answer(const PrivateFetch<R>& fetch,
+                   obs::ShardedHistogram* probe_us) const;
 
   ObjectStore store_;
-  WireCostModel wire_cost_;
   QueryProcessorObs obs_;
-  /// Query methods are logically read-only; the counters they bump live
-  /// behind this lock so concurrent const queries stay race-free.
-  mutable std::mutex stats_mu_;
-  mutable ServerStats stats_;
 };
 
 // --- Fan-in merge helpers -------------------------------------------------

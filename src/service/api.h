@@ -35,6 +35,10 @@ enum class QueryKind : uint8_t {
   kHeatmap = 4,       ///< Expected-density grid over the whole space.
 };
 
+/// Number of QueryKind values (they run 0 .. kNumQueryKinds - 1).
+inline constexpr size_t kNumQueryKinds =
+    static_cast<size_t>(QueryKind::kHeatmap) + 1;
+
 /// "private_range", "private_nn", ... (metric/trace/log segment).
 const char* QueryKindName(QueryKind kind);
 

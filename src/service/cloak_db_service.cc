@@ -204,14 +204,16 @@ Status CloakDbService::Start() {
   for (uint8_t kind = 0; IsValidQueryKind(kind); ++kind)
     init_kind(&kind_obs_[kind], static_cast<QueryKind>(kind));
 
-  ShardObs shard_obs;
-  shard_obs.queue_wait_us = metrics_.histogram("ingest.queue_wait_us");
-  shard_obs.cloak_us = metrics_.histogram("ingest.cloak_us");
-  shard_obs.batch_size = metrics_.histogram("ingest.batch_size");
-  shard_obs.rotations = metrics_.counter("ingest.rotations_total");
-  shard_obs.rejected = metrics_.counter("ingest.rejected_total");
-  shard_obs.queue.depth_hwm = metrics_.gauge("queue.depth_hwm");
-  shard_obs.queue.blocked_push_us = metrics_.histogram("queue.blocked_push_us");
+  ingest_obs_.enqueued = metrics_.counter("ingest.enqueued_total");
+  ingest_obs_.applied = metrics_.counter("ingest.applied_total");
+  ingest_obs_.queue_wait_us = metrics_.histogram("ingest.queue_wait_us");
+  ingest_obs_.cloak_us = metrics_.histogram("ingest.cloak_us");
+  ingest_obs_.batch_size = metrics_.histogram("ingest.batch_size");
+  ingest_obs_.rotations = metrics_.counter("ingest.rotations_total");
+  ingest_obs_.rejected = metrics_.counter("ingest.rejected_total");
+  ingest_obs_.queue.depth_hwm = metrics_.gauge("queue.depth_hwm");
+  ingest_obs_.queue.blocked_push_us =
+      metrics_.histogram("queue.blocked_push_us");
 
   QueryProcessorObs server_obs;
   server_obs.range_probe_us = metrics_.histogram("query.private_range.probe_us");
@@ -242,7 +244,7 @@ Status CloakDbService::Start() {
       metrics_.counter("fault.probe_failures_total");
   robustness_obs_.probe_delays = metrics_.counter("fault.probe_delays_total");
   robustness_obs_.queue_stalls = metrics_.counter("fault.queue_stalls_total");
-  shard_obs.fault_stalls = robustness_obs_.queue_stalls;
+  ingest_obs_.fault_stalls = robustness_obs_.queue_stalls;
 
   // Flight recorder: every notable-event producer below records through
   // this ring; the counter keeps the metric catalog aware of it.
@@ -352,9 +354,8 @@ Status CloakDbService::Start() {
     config.anonymizer.pseudonym_seed =
         options_.anonymizer.pseudonym_seed ^ Mix64(i + 1);
     config.rect_grid_cells = options_.rect_grid_cells;
-    config.wire_cost = options_.wire_cost;
     config.queue_capacity = options_.queue_capacity;
-    config.obs = shard_obs;
+    config.obs = ingest_obs_;
     config.server_obs = server_obs;
     config.cache_capacity = per_shard_cache;
     config.cache_obs = cache_obs;
@@ -1106,7 +1107,29 @@ QueryResponse CloakDbService::ExecuteOne(const BatchQuery& query) const {
 }
 
 ServiceStats CloakDbService::Stats() const {
-  ServiceStats stats = AggregateShardStats(PerShardStats(), worker_count_);
+  ServiceStats stats;
+  stats.num_shards = num_shards();
+  stats.worker_threads = worker_count_;
+  for (const auto& shard : shards_) {
+    const ShardStats s = shard->Stats();
+    MergeAnonymizerStats(&stats.anonymizer, s.anonymizer);
+    stats.queue_depth += s.queue_depth;
+    stats.num_users += s.num_users;
+  }
+  const ShardObs& in = ingest_obs_;
+  const obs::HistogramSnapshot batches = in.batch_size->Snapshot();
+  stats.ingest.updates_enqueued = in.enqueued->Value();
+  stats.ingest.updates_applied = in.applied->Value();
+  stats.ingest.updates_rejected = in.rejected->Value();
+  stats.ingest.batches_drained = batches.count;
+  stats.ingest.mean_batch_size = batches.mean();
+  stats.ingest.pseudonym_rotations = in.rotations->Value();
+  for (size_t kind = 0; kind < kNumQueryKinds; ++kind) {
+    const QueryKindObs& o = kind_obs_[kind];
+    stats.queries[kind] = o.latency_us->Snapshot().count;
+    if (o.wire_bytes != nullptr)
+      stats.bytes_to_clients += o.wire_bytes->Value();
+  }
   stats.version = BuildInfoString();
   stats.durability_mode =
       storage::DurabilityModeName(options_.durability_mode);
@@ -1135,13 +1158,6 @@ ServiceStats CloakDbService::Stats() const {
     stats.robustness.injected_probe_delays = fault_injector_->probe_delays();
     stats.robustness.injected_queue_stalls = fault_injector_->queue_stalls();
   }
-  return stats;
-}
-
-std::vector<ShardStats> CloakDbService::PerShardStats() const {
-  std::vector<ShardStats> stats;
-  stats.reserve(shards_.size());
-  for (const auto& shard : shards_) stats.push_back(shard->Stats());
   return stats;
 }
 

@@ -70,7 +70,7 @@ struct CloakDbServiceOptions {
   /// Private-region index granularity of each shard's server.
   uint32_t rect_grid_cells = 64;
 
-  /// Wire-cost model applied by every shard's server.
+  /// Prices each merged candidate list into `query.<kind>.wire_bytes`.
   WireCostModel wire_cost;
 
   /// Retained slowest queries (kind, latency, region area, fan-out width,
@@ -319,7 +319,8 @@ class CloakDbService {
   const RecoveryInfo& recovery_info() const { return recovery_info_; }
 
   // --- Introspection -----------------------------------------------------
-  /// Cross-shard aggregate counters, including the slow-query log.
+  /// Cross-shard aggregate counters, including the slow-query log. Query
+  /// and ingest counters are read from metrics().
   ServiceStats Stats() const;
   /// The service's metric registry (latency/queue-wait histograms, wire
   /// counters, ...). Safe to export concurrently with traffic.
@@ -339,9 +340,6 @@ class CloakDbService {
   /// Total updates currently waiting across all shard queues (the lock-free
   /// admission-control signal; momentarily stale by design).
   size_t AggregateQueueDepth() const;
-  /// Per-shard counters, for imbalance diagnosis.
-  std::vector<ShardStats> PerShardStats() const;
-  void ResetStats() = delete;  // per-shard stats are monotonic by design
 
   uint32_t num_shards() const {
     return static_cast<uint32_t>(shards_.size());
@@ -535,7 +533,9 @@ class CloakDbService {
   std::unique_ptr<obs::Tracer> tracer_;
   mutable obs::SlowQueryLog slow_log_;
   /// Per-kind query metrics, indexed by QueryKind.
-  QueryKindObs kind_obs_[static_cast<size_t>(QueryKind::kHeatmap) + 1];
+  QueryKindObs kind_obs_[kNumQueryKinds];
+  /// Ingest metric handles, shared with every shard.
+  ShardObs ingest_obs_;
   RobustnessObs robustness_obs_;
   /// Continuous-query metric handles, shared with every shard registry.
   ContinuousObs cq_obs_;

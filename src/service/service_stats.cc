@@ -12,30 +12,6 @@ void MergeAnonymizerStats(AnonymizerStats* into, const AnonymizerStats& from) {
   into->unsatisfied += from.unsatisfied;
 }
 
-void MergeIngestStats(ShardIngestStats* into, const ShardIngestStats& from) {
-  into->updates_enqueued += from.updates_enqueued;
-  into->updates_applied += from.updates_applied;
-  into->updates_rejected += from.updates_rejected;
-  into->batches_drained += from.batches_drained;
-  into->pseudonym_rotations += from.pseudonym_rotations;
-  into->batch_size.Merge(from.batch_size);
-}
-
-ServiceStats AggregateShardStats(const std::vector<ShardStats>& shards,
-                                 uint32_t worker_threads) {
-  ServiceStats total;
-  total.num_shards = static_cast<uint32_t>(shards.size());
-  total.worker_threads = worker_threads;
-  for (const ShardStats& s : shards) {
-    MergeAnonymizerStats(&total.anonymizer, s.anonymizer);
-    MergeServerStats(&total.server, s.server);
-    MergeIngestStats(&total.ingest, s.ingest);
-    total.queue_depth += s.queue_depth;
-    total.num_users += s.num_users;
-  }
-  return total;
-}
-
 std::string ServiceStats::ToString() const {
   char buf[512];
   std::string out;
@@ -54,28 +30,29 @@ std::string ServiceStats::ToString() const {
       "avg_batch=%.1f rotations=%llu\n"
       "anonymizer: updates=%llu computed=%llu incremental=%llu shared=%llu "
       "unsatisfied=%llu\n"
-      "server: cloaked=%llu range=%llu nn=%llu knn=%llu count=%llu "
-      "heatmap=%llu bytes=%llu\n",
+      "queries:",
       num_shards, worker_threads, num_users, queue_depth,
       static_cast<double>(uptime_us) / 1e6,
       static_cast<unsigned long long>(ingest.updates_enqueued),
       static_cast<unsigned long long>(ingest.updates_applied),
       static_cast<unsigned long long>(ingest.updates_rejected),
       static_cast<unsigned long long>(ingest.batches_drained),
-      ingest.batch_size.mean(),
+      ingest.mean_batch_size,
       static_cast<unsigned long long>(ingest.pseudonym_rotations),
       static_cast<unsigned long long>(anonymizer.updates),
       static_cast<unsigned long long>(anonymizer.cloaks_computed),
       static_cast<unsigned long long>(anonymizer.incremental_reuses),
       static_cast<unsigned long long>(anonymizer.shared_reuses),
-      static_cast<unsigned long long>(anonymizer.unsatisfied),
-      static_cast<unsigned long long>(server.cloaked_updates),
-      static_cast<unsigned long long>(server.private_range_queries),
-      static_cast<unsigned long long>(server.private_nn_queries),
-      static_cast<unsigned long long>(server.private_knn_queries),
-      static_cast<unsigned long long>(server.public_count_queries),
-      static_cast<unsigned long long>(server.heatmap_queries),
-      static_cast<unsigned long long>(server.bytes_to_clients));
+      static_cast<unsigned long long>(anonymizer.unsatisfied));
+  out += buf;
+  for (size_t kind = 0; kind < queries.size(); ++kind) {
+    std::snprintf(buf, sizeof(buf), " %s=%llu",
+                  QueryKindName(static_cast<QueryKind>(kind)),
+                  static_cast<unsigned long long>(queries[kind]));
+    out += buf;
+  }
+  std::snprintf(buf, sizeof(buf), " bytes=%llu\n",
+                static_cast<unsigned long long>(bytes_to_clients));
   out += buf;
   std::snprintf(
       buf, sizeof(buf),

@@ -1,43 +1,40 @@
 // Aggregated self-instrumentation of the sharded CloakDB service.
 //
-// Every shard keeps its own AnonymizerStats / ServerStats plus ingestion
-// counters; ServiceStats is the cross-shard reduction handed to operators
-// (the per-shard partials stay available for imbalance diagnosis).
+// Every shard keeps its own AnonymizerStats; ServiceStats sums them and
+// reads every query and ingest counter from the service's metrics
+// registry, where each is counted once (a query after its merge, not per
+// shard probe).
 
 #ifndef CLOAKDB_SERVICE_SERVICE_STATS_H_
 #define CLOAKDB_SERVICE_SERVICE_STATS_H_
 
+#include <array>
 #include <string>
 #include <vector>
 
 #include "core/anonymizer.h"
 #include "obs/slow_query_log.h"
-#include "server/query_processor.h"
-#include "util/stats.h"
+#include "service/api.h"
 
 namespace cloakdb {
 
 /// Folds `from` into `into` — the anonymizer-side reduction.
 void MergeAnonymizerStats(AnonymizerStats* into, const AnonymizerStats& from);
 
-/// Per-shard ingestion counters maintained by the drain loop.
-struct ShardIngestStats {
-  uint64_t updates_enqueued = 0;   ///< Accepted into the shard queue.
+/// Service-wide ingestion counters, read from the `ingest.*` metrics.
+struct IngestStats {
+  uint64_t updates_enqueued = 0;   ///< Accepted into a shard queue.
   uint64_t updates_applied = 0;    ///< Cloaked and forwarded to the server.
   uint64_t updates_rejected = 0;   ///< Dropped (invalid user / location).
   uint64_t batches_drained = 0;    ///< UpdateLocationsBatch invocations.
   uint64_t pseudonym_rotations = 0; ///< Retired pseudonyms forwarded.
-  RunningStats batch_size;         ///< Updates per drained batch.
+  double mean_batch_size = 0.0;    ///< Updates per drained batch.
 };
 
-void MergeIngestStats(ShardIngestStats* into, const ShardIngestStats& from);
-
-/// One shard's full counter snapshot.
+/// One shard's counter snapshot.
 struct ShardStats {
   uint32_t shard = 0;
   AnonymizerStats anonymizer;
-  ServerStats server;
-  ShardIngestStats ingest;
   size_t queue_depth = 0;   ///< Updates waiting in the shard queue.
   size_t num_users = 0;     ///< Users routed to this shard.
 };
@@ -74,8 +71,13 @@ struct ServiceStats {
   /// labels the snapshot for dashboards and artifacts.
   int64_t snapshot_unix_us = 0;
   AnonymizerStats anonymizer;  ///< Sum over shards.
-  ServerStats server;          ///< Sum over shards.
-  ShardIngestStats ingest;     ///< Sum over shards.
+  IngestStats ingest;
+  /// Accepted one-shot queries per kind (indexed by QueryKind): the sample
+  /// count of `query.<kind>.latency_us`.
+  std::array<uint64_t, kNumQueryKinds> queries{};
+  /// Modeled candidate-list bytes sent to clients: the sum of
+  /// `query.<kind>.wire_bytes`.
+  uint64_t bytes_to_clients = 0;
   size_t queue_depth = 0;      ///< Total updates currently queued.
   size_t num_users = 0;        ///< Total registered users.
   RobustnessStats robustness;  ///< Overload + chaos counters.
@@ -86,10 +88,6 @@ struct ServiceStats {
   /// Multi-line human-readable summary for logs and CLI output.
   std::string ToString() const;
 };
-
-/// Reduces per-shard snapshots into the service-wide aggregate.
-ServiceStats AggregateShardStats(const std::vector<ShardStats>& shards,
-                                 uint32_t worker_threads);
 
 }  // namespace cloakdb
 

@@ -23,8 +23,8 @@ Shard::Shard(const ShardConfig& config,
              std::unique_ptr<Anonymizer> anonymizer)
     : config_(config),
       anonymizer_(std::move(anonymizer)),
-      server_(config.anonymizer.space, config.rect_grid_cells,
-              config.wire_cost, config.public_index),
+      server_(config.anonymizer.space, config.rect_grid_cells, {},
+              config.public_index),
       continuous_(config.anonymizer.space, config.continuous, config.cq_obs),
       cache_(config.cache_capacity),
       queue_(config.queue_capacity) {
@@ -94,7 +94,7 @@ Status Shard::Enqueue(const PendingUpdate& update, bool block) {
     pending_.fetch_sub(1, std::memory_order_acq_rel);
     return status;
   }
-  enqueued_.fetch_add(1, std::memory_order_relaxed);
+  if (config_.obs.enqueued != nullptr) config_.obs.enqueued->Increment();
   return Status::OK();
 }
 
@@ -183,7 +183,6 @@ void Shard::ApplyBatch(const std::vector<PendingUpdate>& batch,
       // Write-ahead means no apply without the record: the whole batch is
       // refused, so what the server shows never outruns what recovery
       // replays.
-      ingest_.updates_rejected += batch.size();
       if (config_.obs.rejected != nullptr)
         config_.obs.rejected->Increment(batch.size());
       CLOAKDB_LOG(kError) << "shard " << config_.index << ": dropped a batch of "
@@ -228,7 +227,6 @@ bool Shard::ApplyBatchLocked(const std::vector<PendingUpdate>& batch,
       // used to force the whole run through the serial fallback below.
       if (!anonymizer_->IsRegistered(batch[j].user) ||
           !config_.anonymizer.space.Contains(batch[j].location)) {
-        ++ingest_.updates_rejected;
         if (config_.obs.rejected != nullptr) config_.obs.rejected->Increment();
         ++j;
         continue;
@@ -246,8 +244,6 @@ bool Shard::ApplyBatchLocked(const std::vector<PendingUpdate>& batch,
     auto results = anonymizer_->UpdateLocationsBatch(updates, batch[i].time);
     cloak_span.End();
     cloak_timer.Stop();
-    ++ingest_.batches_drained;
-    ingest_.batch_size.Add(static_cast<double>(updates.size()));
     if (config_.obs.batch_size != nullptr)
       config_.obs.batch_size->Record(static_cast<double>(updates.size()));
     // Every applied cloak gets an audit-carrying span (duration ~0: the
@@ -266,7 +262,8 @@ bool Shard::ApplyBatchLocked(const std::vector<PendingUpdate>& batch,
         ForwardCloaked(results.value()[u], updates[u].first);
         audit_one(updates[u].first, results.value()[u]);
       }
-      ingest_.updates_applied += updates.size();
+      if (config_.obs.applied != nullptr)
+        config_.obs.applied->Increment(updates.size());
     } else {
       // The batch refused atomically for a reason pre-validation could not
       // see; retry one by one so the failure sheds only itself.
@@ -276,9 +273,8 @@ bool Shard::ApplyBatchLocked(const std::vector<PendingUpdate>& batch,
         if (result.ok()) {
           ForwardCloaked(result.value(), user);
           audit_one(user, result.value());
-          ++ingest_.updates_applied;
+          if (config_.obs.applied != nullptr) config_.obs.applied->Increment();
         } else {
-          ++ingest_.updates_rejected;
           if (config_.obs.rejected != nullptr)
             config_.obs.rejected->Increment();
         }
@@ -292,7 +288,6 @@ bool Shard::ApplyBatchLocked(const std::vector<PendingUpdate>& batch,
 void Shard::ForwardCloaked(const CloakedUpdate& update, UserId user) {
   if (update.retired_pseudonym != 0) {
     DropServerRecord(update.retired_pseudonym);
-    ++ingest_.pseudonym_rotations;
     if (config_.obs.rotations != nullptr) config_.obs.rotations->Increment();
   }
   // The old region drives region-precise cache invalidation and the
@@ -345,7 +340,7 @@ Result<CloakedUpdate> Shard::UpdateLocation(UserId user,
   auto update = anonymizer_->UpdateLocation(user, location, now);
   if (!update.ok()) return update.status();
   ForwardCloaked(update.value(), user);
-  ++ingest_.updates_applied;
+  if (config_.obs.applied != nullptr) config_.obs.applied->Increment();
   if (span.active())
     EmitCloakAudit(&span, user, update.value(),
                    obs::CurrentTraceContext().trace_id);
@@ -427,10 +422,7 @@ Result<PrivateKnnResult> Shard::PrivateKnn(const Rect& cloaked, size_t k,
 Result<PublicCountPart> Shard::PublicCount(const Rect& window) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   if (!cache_.enabled()) return server_.ScanPublicCount(window);
-  if (auto cached = cache_.Lookup(window); cached != nullptr) {
-    server_.NotePublicCountFromCache();
-    return *cached;
-  }
+  if (auto cached = cache_.Lookup(window); cached != nullptr) return *cached;
   auto part = server_.ScanPublicCount(window);
   if (part.ok()) cache_.Insert(window, part.value());
   return part;
@@ -603,9 +595,6 @@ ShardStats Shard::Stats() const {
   ShardStats stats;
   stats.shard = config_.index;
   stats.anonymizer = anonymizer_->stats();
-  stats.server = server_.stats();
-  stats.ingest = ingest_;
-  stats.ingest.updates_enqueued = enqueued_.load(std::memory_order_relaxed);
   stats.queue_depth = queue_.size();
   stats.num_users = anonymizer_->num_users();
   return stats;

@@ -8,8 +8,8 @@
 //     synchronous update path, CloakForQuery (it refreshes caches, stats
 //     and pseudonym rotation), public-data mutation;
 //   - shared lock: every query method and stats snapshotting, which only
-//     touch const paths (QueryProcessor queries synchronize their own
-//     counters internally).
+//     touch const paths (query and ingest counters live in the service's
+//     metrics registry, which synchronizes itself).
 
 #ifndef CLOAKDB_SERVICE_SHARD_H_
 #define CLOAKDB_SERVICE_SHARD_H_
@@ -36,7 +36,12 @@ namespace cloakdb {
 /// Optional ingest-path observability hooks of one shard. All handles are
 /// shared across shards (ShardedHistogram/Counter stripe internally), live
 /// in the service's MetricsRegistry, and may be null (measurement off).
+/// They are the only ingest counters: ServiceStats::ingest reads them.
 struct ShardObs {
+  /// Updates accepted into the shard queue.
+  obs::Counter* enqueued = nullptr;
+  /// Updates cloaked and forwarded to the server (drained or synchronous).
+  obs::Counter* applied = nullptr;
   /// Enqueue -> batch-apply wall time per update (microseconds).
   obs::ShardedHistogram* queue_wait_us = nullptr;
   /// Anonymizer::UpdateLocationsBatch wall time per batch (microseconds).
@@ -60,7 +65,6 @@ struct ShardConfig {
   uint32_t index = 0;
   AnonymizerOptions anonymizer;
   uint32_t rect_grid_cells = 64;
-  WireCostModel wire_cost;
   size_t queue_capacity = 4096;
   ShardObs obs;
   /// Probe sinks installed into the shard's QueryProcessor.
@@ -266,10 +270,6 @@ class Shard {
   mutable CandidateCache cache_;
   BoundedUpdateQueue queue_;
   mutable std::shared_mutex mu_;
-  ShardIngestStats ingest_;  ///< Guarded by mu_ (written under exclusive).
-  /// Lock-free so producers never contend with the shard lock; folded into
-  /// ingest_.updates_enqueued when stats are snapshotted.
-  std::atomic<uint64_t> enqueued_{0};
   /// Queued + popped-but-not-yet-applied updates; lets Flush observe
   /// completion without holding any lock.
   std::atomic<size_t> pending_{0};

@@ -5,13 +5,13 @@
 #include <algorithm>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace cloakdb {
 namespace {
 
-// QueryProcessor is pinned in place (it owns a stats lock), so the fixture
-// populates an instance the caller constructed.
+// Populates an instance the caller constructed.
 void Populate(QueryProcessor* server, size_t pois, uint64_t seed = 41) {
   Rng rng(seed);
   for (ObjectId id = 1; id <= pois; ++id) {
@@ -36,6 +36,33 @@ std::vector<PublicObject> MakePois(size_t count, ObjectId first_id,
   }
   return pois;
 }
+
+// Probe sinks in a registry of the test's own, installed into `server`.
+// Count(kind) reads how many probes of that kind were booked.
+class ProbeSinks {
+ public:
+  explicit ProbeSinks(QueryProcessor* server) {
+    QueryProcessorObs obs;
+    obs.range_probe_us = registry_.histogram("range");
+    obs.nn_probe_us = registry_.histogram("nn");
+    obs.knn_probe_us = registry_.histogram("knn");
+    obs.count_probe_us = registry_.histogram("count");
+    obs.heatmap_probe_us = registry_.histogram("heatmap");
+    server->SetObs(obs);
+  }
+  uint64_t Count(const char* kind) const {
+    return registry_.SnapshotHistogram(kind).count;
+  }
+  uint64_t Total() const {
+    uint64_t total = 0;
+    for (const char* kind : {"range", "nn", "knn", "count", "heatmap"})
+      total += Count(kind);
+    return total;
+  }
+
+ private:
+  obs::MetricsRegistry registry_;
+};
 
 std::vector<ObjectId> CandidateIds(const PrivateNnResult& answer) {
   std::vector<ObjectId> ids;
@@ -81,48 +108,46 @@ TEST(QueryProcessorTest, CloakedUpdateLifecycle) {
   Populate(&server, 10);
   ASSERT_TRUE(server.ApplyCloakedUpdate(1001, Rect(10, 10, 20, 20)).ok());
   EXPECT_EQ(server.store().num_private(), 1u);
-  EXPECT_EQ(server.stats().cloaked_updates, 1u);
   // Update replaces (a moving user).
   ASSERT_TRUE(server.ApplyCloakedUpdate(1001, Rect(30, 30, 40, 40)).ok());
   EXPECT_EQ(server.store().num_private(), 1u);
-  EXPECT_EQ(server.stats().cloaked_updates, 2u);
   ASSERT_TRUE(server.DropPseudonym(1001).ok());
   EXPECT_EQ(server.store().num_private(), 0u);
   EXPECT_EQ(server.DropPseudonym(1001).code(), StatusCode::kNotFound);
 }
 
+// Each private kind books one probe into its own sink; query counts,
+// candidates and wire bytes are the service's, booked after the merge.
 TEST(QueryProcessorTest, PrivateQueriesUpdateStats) {
   QueryProcessor server(Rect(0, 0, 100, 100));
+  ProbeSinks sinks(&server);
   Populate(&server, 200);
   Rect cloaked(40, 40, 50, 50);
-  auto range = server.PrivateRange(cloaked, 5.0, 1);
-  ASSERT_TRUE(range.ok());
-  auto nn = server.PrivateNn(cloaked, 1);
-  ASSERT_TRUE(nn.ok());
-  EXPECT_EQ(server.stats().private_range_queries, 1u);
-  EXPECT_EQ(server.stats().private_nn_queries, 1u);
-  EXPECT_EQ(server.stats().range_candidates.count(), 1u);
-  EXPECT_EQ(server.stats().nn_candidates.count(), 1u);
-  size_t expected_bytes =
-      (range.value().candidates.size() + nn.value().candidates.size()) *
-      server.wire_cost().bytes_per_object;
-  EXPECT_EQ(server.stats().bytes_to_clients, expected_bytes);
+  ASSERT_TRUE(server.PrivateRange(cloaked, 5.0, 1).ok());
+  ASSERT_TRUE(server.PrivateNn(cloaked, 1).ok());
+  ASSERT_TRUE(server.PrivateKnn(cloaked, 3, 1).ok());
+  ASSERT_TRUE(server.PrivateKnn(cloaked, 4, 1).ok());
+  EXPECT_EQ(sinks.Count("range"), 1u);
+  EXPECT_EQ(sinks.Count("nn"), 1u);
+  EXPECT_EQ(sinks.Count("knn"), 2u);
+  EXPECT_EQ(sinks.Total(), 4u);
 }
 
 TEST(QueryProcessorTest, FailedQueriesDoNotCountInStats) {
   QueryProcessor server(Rect(0, 0, 100, 100));
+  ProbeSinks sinks(&server);
   Populate(&server, 10);
   EXPECT_FALSE(server.PrivateRange(Rect(), 5.0, 1).ok());
   EXPECT_FALSE(server.PrivateNn(Rect(1, 1, 2, 2), 99).ok());
-  EXPECT_EQ(server.stats().private_range_queries, 0u);
-  EXPECT_EQ(server.stats().private_nn_queries, 0u);
+  EXPECT_EQ(sinks.Total(), 0u);
 }
 
 // Regression: only accepted queries may count, on every entry point. A
-// rejected query must leave all of query count, candidate moments and
-// wire bytes untouched.
+// rejected query must leave every probe sink untouched, including the
+// count's, whose scan validates its window after the timer starts.
 TEST(QueryProcessorTest, RejectedQueriesLeaveAllStatsUntouched) {
   QueryProcessor server(Rect(0, 0, 100, 100));
+  ProbeSinks sinks(&server);
   Populate(&server, 50);
 
   EXPECT_FALSE(server.PrivateRange(Rect(1, 1, 2, 2), -1.0, 1).ok());
@@ -134,77 +159,8 @@ TEST(QueryProcessorTest, RejectedQueriesLeaveAllStatsUntouched) {
   EXPECT_FALSE(PlanPrivateKnn(server.store(), Rect(1, 1, 2, 2), 0, 1).ok());
   EXPECT_FALSE(server.PublicCount(Rect()).ok());
   EXPECT_FALSE(server.ScanPublicCount(Rect()).ok());
-
-  const ServerStats& stats = server.stats();
-  EXPECT_EQ(stats.private_range_queries, 0u);
-  EXPECT_EQ(stats.private_nn_queries, 0u);
-  EXPECT_EQ(stats.private_knn_queries, 0u);
-  EXPECT_EQ(stats.public_count_queries, 0u);
-  EXPECT_EQ(stats.range_candidates.count(), 0u);
-  EXPECT_EQ(stats.nn_candidates.count(), 0u);
-  EXPECT_EQ(stats.bytes_to_clients, 0u);
-}
-
-// A count the service serves from its count cache books through
-// NotePublicCountFromCache, so ServerStats stays comparable whether a
-// count was answered from the cache or its own scan. The private kinds
-// book one candidate moment each (NN and kNN share theirs).
-TEST(QueryProcessorTest, SharedQueriesCountLikeIsolatedOnes) {
-  QueryProcessor server(Rect(0, 0, 100, 100));
-  QueryProcessor isolated(Rect(0, 0, 100, 100));
-  Populate(&server, 200);
-  Populate(&isolated, 200);
-  for (ObjectId pseudonym = 1001; pseudonym <= 1010; ++pseudonym) {
-    const double x = static_cast<double>(pseudonym - 1000) * 8.0;
-    ASSERT_TRUE(server.ApplyCloakedUpdate(pseudonym, Rect(x, x, x + 6, x + 6))
-                    .ok());
-    ASSERT_TRUE(
-        isolated.ApplyCloakedUpdate(pseudonym, Rect(x, x, x + 6, x + 6))
-            .ok());
-  }
-  const Rect window(20, 20, 70, 70);
-  ASSERT_TRUE(server.ScanPublicCount(window).ok());
-  server.NotePublicCountFromCache();  // The repeat, served from the cache.
-  ASSERT_TRUE(isolated.ScanPublicCount(window).ok());
-  ASSERT_TRUE(isolated.ScanPublicCount(window).ok());
-
-  const Rect cloaked(40, 40, 50, 50);
-  auto range = server.PrivateRange(cloaked, 5.0, 1);
-  ASSERT_TRUE(range.ok());
-  auto nn = server.PrivateNn(cloaked, 1);
-  ASSERT_TRUE(nn.ok());
-  auto knn = server.PrivateKnn(cloaked, 3, 1);
-  ASSERT_TRUE(knn.ok());
-  ASSERT_TRUE(isolated.PrivateRange(cloaked, 5.0, 1).ok());
-  ASSERT_TRUE(isolated.PrivateNn(cloaked, 1).ok());
-  ASSERT_TRUE(isolated.PrivateKnn(cloaked, 3, 1).ok());
-
-  const ServerStats& stats = server.stats();
-  EXPECT_EQ(stats.public_count_queries, 2u);
-  EXPECT_EQ(stats.private_range_queries, 1u);
-  EXPECT_EQ(stats.private_nn_queries, 1u);
-  EXPECT_EQ(stats.private_knn_queries, 1u);
-  EXPECT_EQ(stats.range_candidates.count(), 1u);
-  EXPECT_EQ(stats.nn_candidates.count(), 2u);  // NN + kNN share the moment
-  size_t expected_bytes = (range.value().candidates.size() +
-                           nn.value().candidates.size() +
-                           knn.value().candidates.size()) *
-                          server.wire_cost().bytes_per_object;
-  EXPECT_EQ(stats.bytes_to_clients, expected_bytes);
-
-  const ServerStats& twin = isolated.stats();
-  EXPECT_EQ(stats.public_count_queries, twin.public_count_queries);
-  EXPECT_EQ(stats.private_range_queries, twin.private_range_queries);
-  EXPECT_EQ(stats.private_nn_queries, twin.private_nn_queries);
-  EXPECT_EQ(stats.private_knn_queries, twin.private_knn_queries);
-  EXPECT_EQ(stats.range_candidates.count(), twin.range_candidates.count());
-  EXPECT_EQ(stats.range_candidates.mean(), twin.range_candidates.mean());
-  EXPECT_EQ(stats.range_candidates.variance(),
-            twin.range_candidates.variance());
-  EXPECT_EQ(stats.nn_candidates.count(), twin.nn_candidates.count());
-  EXPECT_EQ(stats.nn_candidates.mean(), twin.nn_candidates.mean());
-  EXPECT_EQ(stats.nn_candidates.variance(), twin.nn_candidates.variance());
-  EXPECT_EQ(stats.bytes_to_clients, twin.bytes_to_clients);
+  EXPECT_FALSE(server.Heatmap(0).ok());
+  EXPECT_EQ(sinks.Total(), 0u);
 }
 
 // Index and record table are maintained together, so a hit whose row does
@@ -242,23 +198,23 @@ TEST(QueryProcessorTest, UnknownHitFailsTheAnswerLoudly) {
   EXPECT_EQ(code({{0, {45.0, 45.0}, gone.row}}), StatusCode::kInternal);
 }
 
-// Regression for the stats miscount: Heatmap used to increment
-// public_count_queries, inflating the count-query rate. It now has its own
-// counter.
+// Regression for the stats miscount: Heatmap used to count as a public
+// count query. It books its own probe sink.
 TEST(QueryProcessorTest, HeatmapCountsItsOwnQueries) {
   QueryProcessor server(Rect(0, 0, 100, 100));
+  ProbeSinks sinks(&server);
   Populate(&server, 10);
   ASSERT_TRUE(server.ApplyCloakedUpdate(1, Rect(0, 0, 50, 50)).ok());
   ASSERT_TRUE(server.Heatmap(4).ok());
   ASSERT_TRUE(server.Heatmap(8).ok());
-  EXPECT_EQ(server.stats().heatmap_queries, 2u);
-  EXPECT_EQ(server.stats().public_count_queries, 0u);
+  EXPECT_EQ(sinks.Count("heatmap"), 2u);
+  EXPECT_EQ(sinks.Count("count"), 0u);
   ASSERT_TRUE(server.PublicCount(Rect(0, 0, 50, 50)).ok());
-  EXPECT_EQ(server.stats().heatmap_queries, 2u);
-  EXPECT_EQ(server.stats().public_count_queries, 1u);
+  EXPECT_EQ(sinks.Count("heatmap"), 2u);
+  EXPECT_EQ(sinks.Count("count"), 1u);
   // A rejected heatmap does not count either.
   EXPECT_FALSE(server.Heatmap(0).ok());
-  EXPECT_EQ(server.stats().heatmap_queries, 2u);
+  EXPECT_EQ(sinks.Count("heatmap"), 2u);
 }
 
 TEST(QueryProcessorTest, PublicQueriesRouted) {
@@ -271,8 +227,6 @@ TEST(QueryProcessorTest, PublicQueriesRouted) {
   auto nn = server.PublicNn({0, 0});
   ASSERT_TRUE(nn.ok());
   EXPECT_EQ(nn.value().most_likely, 1001u);
-  EXPECT_EQ(server.stats().public_count_queries, 1u);
-  EXPECT_EQ(server.stats().public_nn_queries, 1u);
 }
 
 TEST(QueryProcessorTest, KnnAndPrivatePrivateRouted) {
@@ -284,7 +238,6 @@ TEST(QueryProcessorTest, KnnAndPrivatePrivateRouted) {
   auto knn = server.PrivateKnn(Rect(40, 40, 50, 50), 3, 1);
   ASSERT_TRUE(knn.ok());
   EXPECT_GE(knn.value().candidates.size(), 3u);
-  EXPECT_EQ(server.stats().private_knn_queries, 1u);
 
   PrivatePrivateOptions options;
   options.exclude = 1001;
@@ -295,7 +248,6 @@ TEST(QueryProcessorTest, KnnAndPrivatePrivateRouted) {
   auto pp_nn = server.PrivatePrivateNn(Rect(10, 10, 20, 20), options);
   ASSERT_TRUE(pp_nn.ok());
   EXPECT_EQ(pp_nn.value().most_likely, 1002u);
-  EXPECT_EQ(server.stats().private_private_queries, 2u);
 }
 
 TEST(QueryProcessorTest, HeatmapFacade) {
@@ -306,17 +258,6 @@ TEST(QueryProcessorTest, HeatmapFacade) {
   ASSERT_TRUE(map.ok());
   EXPECT_NEAR(map.value().TotalMass(), 1.0, 1e-9);
   EXPECT_FALSE(server.Heatmap(0).ok());
-}
-
-TEST(QueryProcessorTest, ResetStatsClearsEverything) {
-  QueryProcessor server(Rect(0, 0, 100, 100));
-  Populate(&server, 50);
-  ASSERT_TRUE(server.ApplyCloakedUpdate(1, Rect(1, 1, 2, 2)).ok());
-  ASSERT_TRUE(server.PrivateNn(Rect(10, 10, 20, 20), 1).ok());
-  server.ResetStats();
-  EXPECT_EQ(server.stats().cloaked_updates, 0u);
-  EXPECT_EQ(server.stats().private_nn_queries, 0u);
-  EXPECT_EQ(server.stats().bytes_to_clients, 0u);
 }
 
 }  // namespace

@@ -176,10 +176,11 @@ TEST(CountTwinTest, ShardPartBooksStatsProbeTimeAndSpan) {
           db->ExecuteQuery(QueryRequest::Count(window));
       ASSERT_TRUE(response.ok());
     }
-    // Every shard books each count, served from its cache or not; only a
-    // scan is timed and traced as a probe.
+    // Each count is booked once, served from the shards' caches or not;
+    // only a shard scan is timed and traced as a probe.
     const size_t scans = cache ? kShards : 2 * kShards;
-    EXPECT_EQ(db->Stats().server.public_count_queries, 2u * kShards);
+    EXPECT_EQ(db->Stats().queries[static_cast<size_t>(QueryKind::kPublicCount)],
+              2u);
     EXPECT_EQ(
         db->metrics().SnapshotHistogram("query.public_count.probe_us").count,
         scans);

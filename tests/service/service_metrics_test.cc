@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <limits>
 #include <string>
@@ -90,6 +91,7 @@ TEST(ServiceMetricsTest, PoisonedUpdatesAreSkippedAndCounted) {
   ASSERT_TRUE(db->Flush().ok());
 
   auto stats = db->Stats();
+  EXPECT_EQ(stats.ingest.updates_enqueued, 14u);
   EXPECT_EQ(stats.ingest.updates_applied, 10u);
   EXPECT_EQ(stats.ingest.updates_rejected, 4u);
   EXPECT_EQ(db->metrics().counter("ingest.rejected_total")->Value(), 4u);
@@ -141,6 +143,95 @@ TEST(ServiceMetricsTest, RequestPathPopulatesMetricTaxonomy) {
   EXPECT_GT(latency.p50(), 0.0);
   EXPECT_LE(latency.p50(), latency.p95());
   EXPECT_LE(latency.p95(), latency.p99());
+
+  // A rejected query books neither a latency sample nor wire bytes.
+  const ServiceStats before = db->Stats();
+  EXPECT_FALSE(db->PrivateRange(Rect(), 10.0, poi_category::kGasStation).ok());
+  EXPECT_FALSE(db->PrivateRange(region, -1.0, poi_category::kGasStation).ok());
+  EXPECT_FALSE(db->PrivateNn(Rect(), poi_category::kGasStation).ok());
+  EXPECT_FALSE(db->PrivateKnn(region, 0, poi_category::kGasStation).ok());
+  EXPECT_FALSE(db->PublicCount(Rect()).ok());
+  EXPECT_FALSE(db->Heatmap(0).ok());
+  const ServiceStats after = db->Stats();
+  EXPECT_EQ(after.queries, before.queries);
+  EXPECT_EQ(after.bytes_to_clients, before.bytes_to_clients);
+
+  // Nor does a query that fails because every shard probe failed.
+  auto options = DefaultOptions(2);
+  options.fault_injection.enabled = true;
+  options.fault_injection.probe_failure_probability = 1.0;
+  auto failing = CloakDbService::Create(options).value();
+  ASSERT_TRUE(
+      failing->BulkLoadCategory(poi_category::kGasStation, MakePois(50)).ok());
+  EXPECT_FALSE(
+      failing->PrivateRange(region, 10.0, poi_category::kGasStation).ok());
+  EXPECT_FALSE(failing->PrivateNn(region, poi_category::kGasStation).ok());
+  const ServiceStats failed = failing->Stats();
+  EXPECT_EQ(failed.queries, (std::array<uint64_t, kNumQueryKinds>{}));
+  EXPECT_EQ(failed.bytes_to_clients, 0u);
+}
+
+// Each query is counted once, after its merge, however many shards it
+// touched: Stats() and ToString report the issued per-kind counts, and the
+// bytes sent to clients are the sum of the per-kind wire-byte counters.
+TEST(ServiceMetricsTest, StatsCountEachQueryOnceAcrossShards) {
+  auto db = MakeService(4);
+  ASSERT_TRUE(
+      db->BulkLoadCategory(poi_category::kGasStation, MakePois(400)).ok());
+  Rng rng(17);
+  for (UserId user = 1; user <= 60; ++user) {
+    ASSERT_TRUE(db->RegisterUser(user, KProfile(4)).ok());
+    ASSERT_TRUE(db->EnqueueUpdate(
+                      user, {rng.Uniform(0, 100), rng.Uniform(0, 100)},
+                      Noon())
+                    .ok());
+  }
+  ASSERT_TRUE(db->Flush().ok());
+
+  // Wide regions and windows so most queries fan out to several shards.
+  constexpr size_t kRange = 12, kNn = 10, kKnn = 8, kCount = 6, kHeatmap = 3;
+  auto region = [&] {
+    const double x = rng.Uniform(0, 60), y = rng.Uniform(0, 60);
+    return Rect(x, y, x + 40, y + 40);
+  };
+  for (size_t i = 0; i < kRange; ++i)
+    ASSERT_TRUE(
+        db->PrivateRange(region(), 8.0, poi_category::kGasStation).ok());
+  for (size_t i = 0; i < kNn; ++i)
+    ASSERT_TRUE(db->PrivateNn(region(), poi_category::kGasStation).ok());
+  for (size_t i = 0; i < kKnn; ++i)
+    ASSERT_TRUE(db->PrivateKnn(region(), 5, poi_category::kGasStation).ok());
+  for (size_t i = 0; i < kCount; ++i)
+    ASSERT_TRUE(db->PublicCount(region()).ok());
+  for (size_t i = 0; i < kHeatmap; ++i) ASSERT_TRUE(db->Heatmap(8).ok());
+
+  const ServiceStats stats = db->Stats();
+  const std::array<uint64_t, kNumQueryKinds> issued = {kRange, kNn, kKnn,
+                                                       kCount, kHeatmap};
+  EXPECT_EQ(stats.queries, issued);
+  const std::string text = stats.ToString();
+  for (size_t kind = 0; kind < kNumQueryKinds; ++kind) {
+    const std::string field = std::string(" ") +
+                              QueryKindName(static_cast<QueryKind>(kind)) +
+                              "=" + std::to_string(issued[kind]) + " ";
+    EXPECT_NE(text.find(field), std::string::npos) << field << "\n" << text;
+  }
+  const auto& metrics = db->metrics();
+  const uint64_t wire = metrics.CounterValue("query.private_range.wire_bytes") +
+                        metrics.CounterValue("query.private_nn.wire_bytes") +
+                        metrics.CounterValue("query.private_knn.wire_bytes");
+  EXPECT_GT(wire, 0u);
+  EXPECT_EQ(stats.bytes_to_clients, wire);
+  EXPECT_NE(text.find(" bytes=" + std::to_string(wire) + "\n"),
+            std::string::npos)
+      << text;
+  // The queries reached several shards each, so a per-shard-probe count
+  // would have read high.
+  EXPECT_GT(metrics.SnapshotHistogram("query.private_range.shards_touched")
+                .sum,
+            static_cast<double>(kRange));
+  EXPECT_EQ(stats.ingest.updates_enqueued, 60u);
+  EXPECT_EQ(stats.ingest.updates_applied, 60u);
 }
 
 TEST(ServiceMetricsTest, SlowQueryLogSurfacesSlowestQueries) {

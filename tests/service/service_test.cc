@@ -326,10 +326,14 @@ TEST(CloakDbServiceTest, FlushDrainsEveryQueuedUpdate) {
 }
 
 TEST(CloakDbServiceTest, ShardBackpressureIsObservable) {
-  // Exercised on a bare shard so no worker races the queue-full condition.
+  // Exercised on a bare shard so no worker races the queue-full condition;
+  // its ingest counters live in a registry of the test's own.
+  obs::MetricsRegistry metrics;
   ShardConfig config;
   config.anonymizer.space = Rect(0, 0, 100, 100);
   config.queue_capacity = 2;
+  config.obs.enqueued = metrics.counter("ingest.enqueued_total");
+  config.obs.applied = metrics.counter("ingest.applied_total");
   auto shard = Shard::Create(config).value();
   ASSERT_TRUE(shard->RegisterUser(1, KProfile(1)).ok());
   ASSERT_TRUE(shard->Enqueue({1, {1, 1}, Noon()}, /*block=*/false).ok());
@@ -339,9 +343,8 @@ TEST(CloakDbServiceTest, ShardBackpressureIsObservable) {
   EXPECT_FALSE(shard->Idle());
   EXPECT_EQ(shard->DrainOnce(16), 2u);
   EXPECT_TRUE(shard->Idle());
-  ShardStats stats = shard->Stats();
-  EXPECT_EQ(stats.ingest.updates_enqueued, 2u);
-  EXPECT_EQ(stats.ingest.updates_applied, 2u);
+  EXPECT_EQ(metrics.CounterValue("ingest.enqueued_total"), 2u);
+  EXPECT_EQ(metrics.CounterValue("ingest.applied_total"), 2u);
 }
 
 TEST(CloakDbServiceTest, ConcurrentUpdatesAndQueriesStayConsistent) {
@@ -417,6 +420,10 @@ TEST(CloakDbServiceTest, CloakForQueryRotatesThroughTheService) {
   EXPECT_EQ(cloak.value().retired_pseudonym, before);
   EXPECT_EQ(db->PseudonymOf(1).value(), cloak.value().pseudonym);
   EXPECT_GE(db->Stats().ingest.pseudonym_rotations, 1u);
+  // The synchronous update is applied without a queue; the query-time
+  // cloak re-keys the server record but is no applied update.
+  EXPECT_EQ(db->Stats().ingest.updates_enqueued, 0u);
+  EXPECT_EQ(db->Stats().ingest.updates_applied, 1u);
 }
 
 }  // namespace

@@ -25,8 +25,10 @@
 //
 // --shared-exec turns on the service's per-shard count-part cache (a count
 // repeating a window no cloaked update has touched since is served without
-// a scan). Accuracy columns must stay 1.0 either way — the cache is
-// answer-invisible.
+// a scan). Only --continuous issues one-shot counts (its verification
+// re-asks every sampled standing count), so --shared-exec and
+// --cache-capacity are refused without it. The cache is answer-invisible:
+// the verification must pass either way.
 //
 // --trace-out / --trace-jsonl enable end-to-end tracing and export the kept
 // span trees at exit (Chrome trace-event JSON for chrome://tracing /
@@ -106,6 +108,7 @@ struct Args {
   uint64_t seed = 42;
   bool shared_exec = false;
   size_t cache_capacity = 4096;
+  bool cache_capacity_given = false;
   std::string profile;       // optional Parse()-format profile
   std::string metrics_json;  // optional JSON dump path
   std::string trace_out;     // Chrome trace-event JSON export path
@@ -173,6 +176,7 @@ Result<Args> ParseArgs(int argc, char** argv) {
       args.shared_exec = true;
     } else if (ParseArg(argv[i], "cache-capacity", &value)) {
       args.cache_capacity = std::strtoull(value.c_str(), nullptr, 10);
+      args.cache_capacity_given = true;
     } else if (ParseArg(argv[i], "profile", &value)) {
       args.profile = value;
     } else if (ParseArg(argv[i], "metrics-json", &value)) {
@@ -250,6 +254,10 @@ Result<Args> ParseArgs(int argc, char** argv) {
     return Status::InvalidArgument("trace-sample must be in [0, 1]");
   if (args.continuous && args.standing == 0)
     return Status::InvalidArgument("standing must be >= 1");
+  if ((args.shared_exec || args.cache_capacity_given) && !args.continuous)
+    return Status::InvalidArgument(
+        "--shared-exec and --cache-capacity need --continuous, the only "
+        "workload that issues public counts");
   if (args.chaos_kill) {
     if (args.durability == storage::DurabilityMode::kOff)
       args.durability = storage::DurabilityMode::kFsync;
@@ -545,6 +553,16 @@ int RunContinuous(const Args& args, CloakDbService& db,
           metrics.CounterValue("cq.stale_marked_total")),
       static_cast<unsigned long long>(
           metrics.CounterValue("cq.count_delta_updates_total")));
+  if (args.shared_exec) {
+    std::printf("# --- count cache ---\n");
+    for (const char* name :
+         {"cache.hits_total", "cache.misses_total", "cache.insertions_total",
+          "cache.lru_evictions_total", "cache.invalidations_total"}) {
+      std::printf("# %-32s %llu\n", name,
+                  static_cast<unsigned long long>(
+                      metrics.CounterValue(name)));
+    }
+  }
   if (!args.metrics_json.empty()) {
     std::FILE* f = std::fopen(args.metrics_json.c_str(), "w");
     if (f == nullptr) {
@@ -1038,16 +1056,6 @@ int Run(const Args& args) {
         "query.private_knn.merge_us", "ingest.queue_wait_us",
         "ingest.cloak_us", "queue.blocked_push_us"}) {
     PrintHistogramRow(metrics, name);
-  }
-  if (args.shared_exec) {
-    std::printf("# --- count cache ---\n");
-    for (const char* name :
-         {"cache.hits_total", "cache.misses_total", "cache.insertions_total",
-          "cache.lru_evictions_total", "cache.invalidations_total"}) {
-      std::printf("# %-32s %llu\n", name,
-                  static_cast<unsigned long long>(
-                      metrics.CounterValue(name)));
-    }
   }
   auto stats = db.Stats();
   for (const auto& q : stats.slow_queries) {
