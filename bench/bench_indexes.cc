@@ -1,5 +1,5 @@
 // Experiment IDX — substrate ablation: the spatial index structures that
-// everything above is built on (uniform grid, pyramid, PR quadtree,
+// everything above is built on (uniform grid, count pyramid,
 // static R-tree and its post-seal facade, rect grid). Not a paper figure;
 // justifies the structure choices recorded in DESIGN.md.
 
@@ -9,7 +9,6 @@
 #include "index/grid_index.h"
 #include "index/public_index.h"
 #include "index/pyramid.h"
-#include "index/quadtree.h"
 #include "index/rect_grid.h"
 #include "index/static_rtree.h"
 
@@ -19,15 +18,6 @@ namespace {
 template <typename Index>
 Index MakeLoaded(size_t n) {
   Index index(bench::Space(), 64);
-  for (const auto& u : bench::MakeUsers(n)) {
-    (void)index.Insert(u.id, u.location);
-  }
-  return index;
-}
-
-template <>
-Quadtree MakeLoaded<Quadtree>(size_t n) {
-  Quadtree index(bench::Space(), 32);
   for (const auto& u : bench::MakeUsers(n)) {
     (void)index.Insert(u.id, u.location);
   }
@@ -55,36 +45,21 @@ void BM_IDX_PyramidMove(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   Pyramid index(bench::Space(), 8);
   auto users = bench::MakeUsers(n);
-  for (const auto& u : users) (void)index.Insert(u.id, u.location);
+  for (const auto& u : users) index.Insert(u.location);
   Rng rng(2);
   size_t idx = 0;
   for (auto _ : state) {
     auto& u = users[idx % users.size()];
     ++idx;
+    const Point from = u.location;
     u.location.x = std::clamp(u.location.x + rng.Uniform(-1, 1), 0.0, 100.0);
     u.location.y = std::clamp(u.location.y + rng.Uniform(-1, 1), 0.0, 100.0);
-    benchmark::DoNotOptimize(index.Move(u.id, u.location));
+    index.Move(from, u.location);
+    benchmark::ClobberMemory();
   }
   state.counters["n"] = static_cast<double>(n);
 }
 BENCHMARK(BM_IDX_PyramidMove)->Arg(10000)->Arg(100000);
-
-void BM_IDX_QuadtreeMove(benchmark::State& state) {
-  const auto n = static_cast<size_t>(state.range(0));
-  auto index = MakeLoaded<Quadtree>(n);
-  auto users = bench::MakeUsers(n);
-  Rng rng(3);
-  size_t idx = 0;
-  for (auto _ : state) {
-    auto& u = users[idx % users.size()];
-    ++idx;
-    u.location.x = std::clamp(u.location.x + rng.Uniform(-1, 1), 0.0, 100.0);
-    u.location.y = std::clamp(u.location.y + rng.Uniform(-1, 1), 0.0, 100.0);
-    benchmark::DoNotOptimize(index.Move(u.id, u.location));
-  }
-  state.counters["n"] = static_cast<double>(n);
-}
-BENCHMARK(BM_IDX_QuadtreeMove)->Arg(10000)->Arg(100000);
 
 void BM_IDX_GridRangeCount(benchmark::State& state) {
   auto index = MakeLoaded<GridIndex>(100000);
@@ -96,17 +71,6 @@ void BM_IDX_GridRangeCount(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IDX_GridRangeCount);
-
-void BM_IDX_QuadtreeRangeCount(benchmark::State& state) {
-  auto index = MakeLoaded<Quadtree>(100000);
-  Rng rng(4);
-  for (auto _ : state) {
-    Point c{rng.Uniform(10, 90), rng.Uniform(10, 90)};
-    benchmark::DoNotOptimize(
-        index.CountInRect(Rect::CenteredSquare(c, 10.0)));
-  }
-}
-BENCHMARK(BM_IDX_QuadtreeRangeCount);
 
 void BM_IDX_GridKnn(benchmark::State& state) {
   const auto k = static_cast<size_t>(state.range(0));

@@ -104,7 +104,9 @@ BENCHMARK(BM_S53_SharedVsIndividual)
     ->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Population scaling of one full cloaking round, per algorithm family.
+// Population scaling of one full cloaking round, per algorithm family
+// (kQuadtree runs the multi-level grid cloaker, so ScaleMultiLevel is its
+// row too).
 void RunPopulationScaling(benchmark::State& state, CloakingKind kind) {
   const auto users = static_cast<size_t>(state.range(0));
   auto anonymizer = bench::MakeAnonymizer(kind, users, 20);
@@ -125,9 +127,6 @@ void BM_S53_ScaleGrid(benchmark::State& state) {
 void BM_S53_ScaleMultiLevel(benchmark::State& state) {
   RunPopulationScaling(state, CloakingKind::kMultiLevelGrid);
 }
-void BM_S53_ScaleQuadtree(benchmark::State& state) {
-  RunPopulationScaling(state, CloakingKind::kQuadtree);
-}
 void BM_S53_ScaleMbr(benchmark::State& state) {
   RunPopulationScaling(state, CloakingKind::kMbr);
 }
@@ -135,9 +134,6 @@ BENCHMARK(BM_S53_ScaleGrid)
     ->Arg(1000)->Arg(10000)->Arg(50000)->Arg(200000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_S53_ScaleMultiLevel)
-    ->Arg(1000)->Arg(10000)->Arg(50000)->Arg(200000)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_S53_ScaleQuadtree)
     ->Arg(1000)->Arg(10000)->Arg(50000)->Arg(200000)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_S53_ScaleMbr)

@@ -8,7 +8,6 @@
 #include "core/mbr_cloaking.h"
 #include "core/multilevel_grid_cloaking.h"
 #include "core/naive_cloaking.h"
-#include "core/quadtree_cloaking.h"
 
 namespace cloakdb {
 
@@ -37,13 +36,25 @@ const char* CloakingKindName(CloakingKind kind) {
   return "unknown";
 }
 
-Anonymizer::Anonymizer(const AnonymizerOptions& options)
-    : options_(options), pseudonym_rng_(options.pseudonym_seed) {
-  snapshot_ = std::make_unique<UserSnapshot>(options.space, options.snapshot);
-  BuildAlgorithm();
+namespace {
+
+// The multi-level grid cloaker, which serves both pyramid kinds, is the
+// pyramid's only reader; every other algorithm runs on the grid alone.
+bool ReadsPyramid(CloakingKind kind) {
+  return kind == CloakingKind::kQuadtree ||
+         kind == CloakingKind::kMultiLevelGrid;
 }
 
-void Anonymizer::BuildAlgorithm() {
+}  // namespace
+
+Anonymizer::Anonymizer(const AnonymizerOptions& options)
+    : options_(options), pseudonym_rng_(options.pseudonym_seed) {
+  ResetSnapshot();
+}
+
+void Anonymizer::ResetSnapshot() {
+  snapshot_ = std::make_unique<UserSnapshot>(
+      options_.space, options_.snapshot, ReadsPyramid(options_.algorithm));
   switch (options_.algorithm) {
     case CloakingKind::kNaive:
       algorithm_ =
@@ -53,14 +64,11 @@ void Anonymizer::BuildAlgorithm() {
       algorithm_ =
           std::make_unique<MbrCloaking>(snapshot_.get(), options_.policy);
       break;
-    case CloakingKind::kQuadtree:
-      algorithm_ =
-          std::make_unique<QuadtreeCloaking>(snapshot_.get(), options_.policy);
-      break;
     case CloakingKind::kGrid:
       algorithm_ =
           std::make_unique<GridCloaking>(snapshot_.get(), options_.policy);
       break;
+    case CloakingKind::kQuadtree:
     case CloakingKind::kMultiLevelGrid:
       algorithm_ = std::make_unique<MultiLevelGridCloaking>(snapshot_.get(),
                                                             options_.policy);
@@ -239,20 +247,19 @@ Result<std::vector<CloakedUpdate>> Anonymizer::UpdateLocationsBatch(
   }
 
   // Phase 2: cloak against the settled snapshot, sharing per-group work.
+  const bool reads_pyramid = ReadsPyramid(options_.algorithm);
   const bool share =
       options_.enable_shared_execution &&
-      ((options_.algorithm == CloakingKind::kGrid && snapshot_->has_grid()) ||
-       (options_.algorithm == CloakingKind::kMultiLevelGrid &&
-        snapshot_->has_pyramid()));
+      (options_.algorithm == CloakingKind::kGrid || reads_pyramid);
 
   // Group key: (algorithm base cell, requirement) -> the group's region.
   // The base cell must come from the structure the algorithm partitions by
-  // (grid cell for kGrid, finest pyramid cell for kMultiLevelGrid) so the
+  // (grid cell for kGrid, finest pyramid cell for the pyramid kinds) so the
   // shared region is guaranteed to contain every group member.
   using GroupKey = std::tuple<uint32_t, uint32_t, uint32_t, double, double>;
   std::map<GroupKey, CloakedRegion> groups;
   auto base_cell = [&](const Point& p) -> std::pair<uint32_t, uint32_t> {
-    if (options_.algorithm == CloakingKind::kMultiLevelGrid) {
+    if (reads_pyramid) {
       PyramidCell c =
           snapshot_->pyramid().CellAt(snapshot_->pyramid().height(), p);
       return {c.cx, c.cy};
@@ -355,8 +362,7 @@ Status Anonymizer::RestoreState(const AnonymizerState& state) {
   // Start from scratch: restore replaces, never merges.
   users_.clear();
   used_pseudonyms_.clear();
-  snapshot_ = std::make_unique<UserSnapshot>(options_.space, options_.snapshot);
-  BuildAlgorithm();
+  ResetSnapshot();
   for (const ExportedUserState& e : state.users) {
     auto profile = PrivacyProfile::Create(e.profile);
     if (!profile.ok()) return profile.status();

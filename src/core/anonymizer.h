@@ -9,8 +9,9 @@
 // Scalability features of paper Section 5.3 are built in:
 //   - incremental evaluation: a user's previous region is reused while it
 //     still covers her and still satisfies her (time-resolved) requirement;
-//   - shared execution: batch updates group users by grid cell and compute
-//     one region per (cell, requirement) group for the space-dependent
+//   - shared execution: batch updates group users by cell (the grid cell,
+//     or the finest pyramid cell for the pyramid kinds) and compute one
+//     region per (cell, requirement) group for the space-dependent
 //     algorithms.
 
 #ifndef CLOAKDB_CORE_ANONYMIZER_H_
@@ -35,6 +36,11 @@ namespace cloakdb {
 using UserId = ObjectId;
 
 /// Selection of the cloaking algorithm plugged into the anonymizer.
+///
+/// kQuadtree and kMultiLevelGrid name one rule: both run the multi-level
+/// grid cloaker over the count pyramid, a complete quadtree whose deepest
+/// cell holding k users is paper Fig. 4a's quadrant. kQuadtree keeps its
+/// name and value because audit events carry the kind as this byte.
 enum class CloakingKind {
   kNaive,
   kMbr,
@@ -200,12 +206,11 @@ class Anonymizer {
   /// Replaces ALL mutable state with a previously exported one and
   /// rebuilds the live snapshot by inserting users in ascending-id order.
   /// After a successful restore the anonymizer behaves bit-exactly like
-  /// the instance that exported (for the deterministic grid-family
-  /// cloakers, whose regions are pure functions of the location multiset;
-  /// the quadtree cloaker's index shape is insertion-order dependent, so
-  /// only constraint satisfaction — not region geometry — is preserved
-  /// for it). Fails (leaving the anonymizer empty) on invalid state, e.g.
-  /// an unparsable profile or an out-of-space location.
+  /// the instance that exported: the grid and the pyramid are pure
+  /// functions of the location multiset, so every algorithm's regions are
+  /// independent of the insertion order. Fails (leaving the anonymizer
+  /// empty) on invalid state, e.g. an unparsable profile or an
+  /// out-of-space location.
   Status RestoreState(const AnonymizerState& state);
 
  private:
@@ -225,9 +230,10 @@ class Anonymizer {
 
   explicit Anonymizer(const AnonymizerOptions& options);
 
-  /// (Re)creates the cloaking algorithm against the current snapshot_;
-  /// called from the ctor and after RestoreState replaces the snapshot.
-  void BuildAlgorithm();
+  /// Replaces snapshot_ with an empty one (with the pyramid only when the
+  /// configured algorithm reads it) and rebuilds the cloaking algorithm
+  /// against it; called from the ctor and by RestoreState.
+  void ResetSnapshot();
 
   ObjectId NewPseudonym();
   /// Returns the current population of the cached region when it can be

@@ -6,72 +6,32 @@
 
 namespace cloakdb {
 
-UserSnapshot::UserSnapshot(const Rect& space, const Options& options)
-    : space_(space) {
-  assert(!space.IsEmpty());
-  if (options.maintain_grid) {
-    grid_ = std::make_unique<GridIndex>(space, options.grid_cells_per_side);
-  }
-  if (options.maintain_pyramid) {
+UserSnapshot::UserSnapshot(const Rect& space, const Options& options,
+                           bool with_pyramid)
+    : grid_(space, options.grid_cells_per_side) {
+  if (with_pyramid) {
     pyramid_ = std::make_unique<Pyramid>(space, options.pyramid_height);
-  }
-  if (options.maintain_quadtree) {
-    quadtree_ = std::make_unique<Quadtree>(space,
-                                           options.quadtree_leaf_capacity);
   }
 }
 
 Status UserSnapshot::Insert(ObjectId id, const Point& location) {
-  if (grid_) CLOAKDB_RETURN_IF_ERROR(grid_->Insert(id, location));
-  if (pyramid_) CLOAKDB_RETURN_IF_ERROR(pyramid_->Insert(id, location));
-  if (quadtree_) CLOAKDB_RETURN_IF_ERROR(quadtree_->Insert(id, location));
+  CLOAKDB_RETURN_IF_ERROR(grid_.Insert(id, location));
+  if (pyramid_) pyramid_->Insert(location);
   return Status::OK();
 }
 
 Status UserSnapshot::Remove(ObjectId id) {
-  if (grid_) CLOAKDB_RETURN_IF_ERROR(grid_->Remove(id));
-  if (pyramid_) CLOAKDB_RETURN_IF_ERROR(pyramid_->Remove(id));
-  if (quadtree_) CLOAKDB_RETURN_IF_ERROR(quadtree_->Remove(id));
+  Point old;
+  CLOAKDB_RETURN_IF_ERROR(grid_.Remove(id, &old));
+  if (pyramid_) pyramid_->Remove(old);
   return Status::OK();
 }
 
 Status UserSnapshot::Move(ObjectId id, const Point& new_location) {
-  if (grid_) CLOAKDB_RETURN_IF_ERROR(grid_->Move(id, new_location));
-  if (pyramid_) CLOAKDB_RETURN_IF_ERROR(pyramid_->Move(id, new_location));
-  if (quadtree_) CLOAKDB_RETURN_IF_ERROR(quadtree_->Move(id, new_location));
+  Point old;
+  CLOAKDB_RETURN_IF_ERROR(grid_.Move(id, new_location, &old));
+  if (pyramid_) pyramid_->Move(old, new_location);
   return Status::OK();
-}
-
-Result<Point> UserSnapshot::Locate(ObjectId id) const {
-  if (grid_) return grid_->Locate(id);
-  if (pyramid_) return pyramid_->Locate(id);
-  if (quadtree_) {
-    // Quadtree has no id map accessor beyond membership; fall back to the
-    // pyramid/grid. Maintain at least one of them for Locate support.
-    return Status::FailedPrecondition(
-        "UserSnapshot::Locate requires the grid or pyramid structure");
-  }
-  return Status::FailedPrecondition("UserSnapshot maintains no structure");
-}
-
-bool UserSnapshot::Contains(ObjectId id) const {
-  if (grid_) return grid_->Contains(id);
-  auto loc = Locate(id);
-  return loc.ok();
-}
-
-size_t UserSnapshot::size() const {
-  if (grid_) return grid_->size();
-  if (pyramid_) return pyramid_->size();
-  if (quadtree_) return quadtree_->size();
-  return 0;
-}
-
-size_t UserSnapshot::CountInRect(const Rect& window) const {
-  if (grid_) return grid_->CountInRect(window);
-  if (quadtree_) return quadtree_->CountInRect(window);
-  assert(false && "CountInRect requires the grid or quadtree structure");
-  return 0;
 }
 
 namespace {

@@ -17,7 +17,6 @@
 #include "geom/rect.h"
 #include "index/grid_index.h"
 #include "index/pyramid.h"
-#include "index/quadtree.h"
 #include "util/status.h"
 
 namespace cloakdb {
@@ -66,49 +65,49 @@ struct CloakedRegion {
 /// A consistent view of all registered active users' exact locations,
 /// maintained by the Anonymizer and consumed by cloaking algorithms.
 ///
-/// All three structures (uniform grid, count pyramid, PR quadtree) are kept
-/// in sync so any algorithm can be plugged in; maintenance flags let
-/// benchmarks pay only for the structure under test.
+/// The uniform grid is always built: it is the only id -> location map and
+/// answers Locate, Contains, size and window counts. The count pyramid is
+/// built beside it only for the multi-level grid cloaker, its only reader;
+/// the grid validates every update before the pyramid's counts move.
 class UserSnapshot {
  public:
   struct Options {
     uint32_t grid_cells_per_side = 64;
     uint32_t pyramid_height = 8;
-    size_t quadtree_leaf_capacity = 32;
-    bool maintain_grid = true;
-    bool maintain_pyramid = true;
-    bool maintain_quadtree = true;
   };
 
-  UserSnapshot(const Rect& space, const Options& options);
+  /// `with_pyramid` also maintains the count pyramid (the Anonymizer asks
+  /// for it only when its algorithm reads it).
+  UserSnapshot(const Rect& space, const Options& options,
+               bool with_pyramid = true);
 
   /// Space covered by the snapshot.
-  const Rect& space() const { return space_; }
+  const Rect& space() const { return grid_.bounds(); }
 
+  /// Each fails with the grid's AlreadyExists / NotFound / OutOfRange and
+  /// then changes nothing.
   Status Insert(ObjectId id, const Point& location);
   Status Remove(ObjectId id);
   Status Move(ObjectId id, const Point& new_location);
 
   /// Current location of a user.
-  Result<Point> Locate(ObjectId id) const;
-  bool Contains(ObjectId id) const;
-  size_t size() const;
+  Result<Point> Locate(ObjectId id) const { return grid_.Locate(id); }
+  bool Contains(ObjectId id) const { return grid_.Contains(id); }
+  size_t size() const { return grid_.size(); }
 
-  /// Number of users inside `window` (uses the cheapest live structure).
-  size_t CountInRect(const Rect& window) const;
+  /// Number of users inside `window`.
+  size_t CountInRect(const Rect& window) const {
+    return grid_.CountInRect(window);
+  }
 
-  const GridIndex& grid() const { return *grid_; }
+  const GridIndex& grid() const { return grid_; }
+  /// Requires has_pyramid().
   const Pyramid& pyramid() const { return *pyramid_; }
-  const Quadtree& quadtree() const { return *quadtree_; }
-  bool has_grid() const { return grid_ != nullptr; }
   bool has_pyramid() const { return pyramid_ != nullptr; }
-  bool has_quadtree() const { return quadtree_ != nullptr; }
 
  private:
-  Rect space_;
-  std::unique_ptr<GridIndex> grid_;
+  GridIndex grid_;
   std::unique_ptr<Pyramid> pyramid_;
-  std::unique_ptr<Quadtree> quadtree_;
 };
 
 /// Base class of all cloaking algorithms.

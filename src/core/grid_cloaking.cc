@@ -70,9 +70,6 @@ Rect GridCloaking::BlockFor(uint32_t cx, uint32_t cy,
 
 Result<CloakedRegion> GridCloaking::Cloak(ObjectId user, const Point& location,
                                           const PrivacyRequirement& req) const {
-  if (!snapshot_->has_grid())
-    return Status::FailedPrecondition(
-        "grid cloaking requires the grid snapshot structure");
   if (!snapshot_->Contains(user))
     return Status::NotFound("user not present in the anonymizer snapshot");
   CLOAKDB_RETURN_IF_ERROR(ValidateRequirement(req));

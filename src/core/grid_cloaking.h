@@ -16,7 +16,7 @@ namespace cloakdb {
 /// Fixed-grid cloaking with adjacent-cell merging.
 class GridCloaking : public CloakingAlgorithm {
  public:
-  /// `snapshot` must outlive this object and maintain the grid.
+  /// `snapshot` must outlive this object.
   explicit GridCloaking(const UserSnapshot* snapshot,
                         ConflictPolicy policy = ConflictPolicy::kPreferPrivacy)
       : snapshot_(snapshot), policy_(policy) {}

@@ -7,9 +7,6 @@ namespace cloakdb {
 
 Result<CloakedRegion> MbrCloaking::Cloak(ObjectId user, const Point& location,
                                          const PrivacyRequirement& req) const {
-  if (!snapshot_->has_grid())
-    return Status::FailedPrecondition(
-        "MBR cloaking requires the grid snapshot structure");
   if (!snapshot_->Contains(user))
     return Status::NotFound("user not present in the anonymizer snapshot");
   CLOAKDB_RETURN_IF_ERROR(ValidateRequirement(req));

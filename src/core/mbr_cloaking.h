@@ -16,8 +16,8 @@ namespace cloakdb {
 /// k-nearest-neighbor MBR cloaking.
 class MbrCloaking : public CloakingAlgorithm {
  public:
-  /// `snapshot` must outlive this object and maintain the grid structure
-  /// (used for the k-NN search).
+  /// `snapshot` must outlive this object (its grid serves the k-NN
+  /// search).
   explicit MbrCloaking(const UserSnapshot* snapshot,
                        ConflictPolicy policy = ConflictPolicy::kPreferPrivacy)
       : snapshot_(snapshot), policy_(policy) {}

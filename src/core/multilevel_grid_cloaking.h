@@ -7,6 +7,12 @@
 // pyramid cell containing the user that still satisfies (k, A_min). This
 // both avoids cell merging and answers the "cell already over-satisfies the
 // profile" case by sub-partitioning into finer fixed grids.
+//
+// The pyramid is a complete quadtree, so the same walk is also paper
+// Fig. 4a's quadtree rule (the smallest quadrant holding k users, after
+// Gruteser & Grunwald): the anonymizer serves CloakingKind::kQuadtree with
+// this class too. The region depends only on which cell the user occupies,
+// never on the exact point inside it.
 
 #ifndef CLOAKDB_CORE_MULTILEVEL_GRID_CLOAKING_H_
 #define CLOAKDB_CORE_MULTILEVEL_GRID_CLOAKING_H_

@@ -77,22 +77,25 @@ void GridIndex::BucketErase(size_t cell, ObjectId id) {
   assert(false && "object missing from its grid bucket");
 }
 
-Status GridIndex::Remove(ObjectId id) {
+Status GridIndex::Remove(ObjectId id, Point* old_location) {
   auto it = locations_.find(id);
   if (it == locations_.end())
     return Status::NotFound("object id not in grid index");
+  if (old_location != nullptr) *old_location = it->second;
   BucketErase(CellIndexFor(it->second), id);
   locations_.erase(it);
   return Status::OK();
 }
 
-Status GridIndex::Move(ObjectId id, const Point& new_location) {
+Status GridIndex::Move(ObjectId id, const Point& new_location,
+                       Point* old_location) {
   auto it = locations_.find(id);
   if (it == locations_.end())
     return Status::NotFound("object id not in grid index");
   if (!bounds_.Contains(new_location))
     return Status::OutOfRange("location outside indexed space: " +
                               new_location.ToString());
+  if (old_location != nullptr) *old_location = it->second;
   size_t old_cell = CellIndexFor(it->second);
   size_t new_cell = CellIndexFor(new_location);
   it->second = new_location;

@@ -38,12 +38,17 @@ class GridIndex {
   /// OutOfRange when `location` lies outside the managed space.
   Status Insert(ObjectId id, const Point& location);
 
-  /// Removes an object. Fails with NotFound when the id is unknown.
-  Status Remove(ObjectId id);
+  /// Removes an object. Fails with NotFound when the id is unknown. On
+  /// success stores the object's last location in `*old_location` when
+  /// given.
+  Status Remove(ObjectId id, Point* old_location = nullptr);
 
   /// Moves an existing object (Fails with NotFound / OutOfRange). O(1)
-  /// expected: the bucket is only touched when the cell changes.
-  Status Move(ObjectId id, const Point& new_location);
+  /// expected: the bucket is only touched when the cell changes. On
+  /// success stores the location it moved from in `*old_location` when
+  /// given.
+  Status Move(ObjectId id, const Point& new_location,
+              Point* old_location = nullptr);
 
   /// The stored location of `id`.
   Result<Point> Locate(ObjectId id) const;

@@ -61,51 +61,25 @@ void Pyramid::Apply(const Point& p, int64_t delta) {
   }
 }
 
-Status Pyramid::Insert(ObjectId id, const Point& location) {
-  if (locations_.count(id) > 0)
-    return Status::AlreadyExists("object id already in pyramid");
-  if (!bounds_.Contains(location))
-    return Status::OutOfRange("location outside pyramid space");
-  locations_.emplace(id, location);
-  Apply(location, +1);
-  return Status::OK();
+void Pyramid::Insert(const Point& p) {
+  assert(bounds_.Contains(p));
+  Apply(p, +1);
 }
 
-Status Pyramid::Remove(ObjectId id) {
-  auto it = locations_.find(id);
-  if (it == locations_.end())
-    return Status::NotFound("object id not in pyramid");
-  Apply(it->second, -1);
-  locations_.erase(it);
-  return Status::OK();
-}
+void Pyramid::Remove(const Point& p) { Apply(p, -1); }
 
-Status Pyramid::Move(ObjectId id, const Point& new_location) {
-  auto it = locations_.find(id);
-  if (it == locations_.end())
-    return Status::NotFound("object id not in pyramid");
-  if (!bounds_.Contains(new_location))
-    return Status::OutOfRange("location outside pyramid space");
+void Pyramid::Move(const Point& from, const Point& to) {
+  assert(bounds_.Contains(to));
   // Only touch the levels where the cell actually changes.
-  Point old = it->second;
-  it->second = new_location;
   for (uint32_t l = 0; l <= height_; ++l) {
-    PyramidCell from = CellAt(l, old);
-    PyramidCell to = CellAt(l, new_location);
-    if (from == to) continue;
-    auto& fv = counts_[l][CellIndex(from)];
-    assert(fv > 0);
-    --fv;
-    ++counts_[l][CellIndex(to)];
+    PyramidCell old_cell = CellAt(l, from);
+    PyramidCell new_cell = CellAt(l, to);
+    if (old_cell == new_cell) continue;
+    auto& from_count = counts_[l][CellIndex(old_cell)];
+    assert(from_count > 0);
+    --from_count;
+    ++counts_[l][CellIndex(new_cell)];
   }
-  return Status::OK();
-}
-
-Result<Point> Pyramid::Locate(ObjectId id) const {
-  auto it = locations_.find(id);
-  if (it == locations_.end())
-    return Status::NotFound("object id not in pyramid");
-  return it->second;
 }
 
 }  // namespace cloakdb

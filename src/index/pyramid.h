@@ -1,23 +1,25 @@
 // Pyramid: a complete multi-level grid with per-cell occupancy counts.
 //
 // Level l partitions the space into 2^l x 2^l cells; level 0 is the whole
-// space. The paper's Fig. 4b optimization ("keeping fixed multi-level grids")
-// is exactly this structure: the multi-level grid cloaking algorithm walks
-// the pyramid to pick the smallest aligned cell that satisfies a profile.
-// Counts at every level are maintained incrementally on insert/remove/move
-// (O(height) per update).
+// space, so the pyramid is a complete quadtree of quadrants. The paper's
+// Fig. 4a rule (the smallest quadrant holding k users) and its Fig. 4b
+// optimization ("keeping fixed multi-level grids") are both a walk over
+// this structure. Counts at every level are maintained incrementally on
+// insert/remove/move (O(height) per update).
+//
+// The pyramid holds counts only, not ids: its owner (the anonymizer's
+// UserSnapshot) keeps the id -> location map in its grid, rejects
+// duplicate ids, unknown ids and out-of-space points there, and hands the
+// pyramid only valid points.
 
 #ifndef CLOAKDB_INDEX_PYRAMID_H_
 #define CLOAKDB_INDEX_PYRAMID_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/point.h"
 #include "geom/rect.h"
-#include "index/grid_index.h"
-#include "util/status.h"
 
 namespace cloakdb {
 
@@ -32,7 +34,7 @@ struct PyramidCell {
   }
 };
 
-/// Multi-level count grid over moving point objects.
+/// Multi-level count grid over points.
 class Pyramid {
  public:
   /// Creates a pyramid over `bounds` with levels 0..`height` (height >= 0;
@@ -40,15 +42,18 @@ class Pyramid {
   /// the count arrays at ~22 MB).
   Pyramid(const Rect& bounds, uint32_t height);
 
-  Status Insert(ObjectId id, const Point& location);
-  Status Remove(ObjectId id);
-  Status Move(ObjectId id, const Point& new_location);
+  /// Counts one point at `p`, which must lie inside bounds().
+  void Insert(const Point& p);
+  /// Uncounts one point at `p`, which must have been inserted there.
+  void Remove(const Point& p);
+  /// Moves one counted point from `from` to `to` (inside bounds()); only
+  /// the levels where its cell changes are touched.
+  void Move(const Point& from, const Point& to);
 
-  size_t size() const { return locations_.size(); }
   uint32_t height() const { return height_; }
   const Rect& bounds() const { return bounds_; }
 
-  /// Number of objects inside cell (level, cx, cy). Requires a valid cell.
+  /// Number of points inside cell (level, cx, cy). Requires a valid cell.
   size_t CellCount(const PyramidCell& cell) const;
 
   /// Geometric extent of a cell.
@@ -60,9 +65,6 @@ class Pyramid {
   /// The parent cell (one level up). Requires cell.level > 0.
   static PyramidCell Parent(const PyramidCell& cell);
 
-  /// The stored location of an id.
-  Result<Point> Locate(ObjectId id) const;
-
  private:
   size_t LevelCells(uint32_t level) const { return 1ULL << level; }
   size_t CellIndex(const PyramidCell& cell) const;
@@ -72,7 +74,6 @@ class Pyramid {
   uint32_t height_;
   // counts_[level] is a flat 2^level x 2^level array.
   std::vector<std::vector<uint32_t>> counts_;
-  std::unordered_map<ObjectId, Point> locations_;
 };
 
 }  // namespace cloakdb

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <set>
 
+#include "sim/population.h"
 #include "util/random.h"
 
 namespace cloakdb {
@@ -398,6 +402,234 @@ TEST(AnonymizerTest, AllAlgorithmsWorkThroughTheAnonymizer) {
     EXPECT_TRUE(u.value().cloaked.region.Contains(Point{33, 66}))
         << CloakingKindName(kind);
     EXPECT_TRUE(u.value().cloaked.k_satisfied) << CloakingKindName(kind);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One crowd index: kQuadtree and kMultiLevelGrid share the pyramid rule.
+// ---------------------------------------------------------------------------
+
+constexpr CloakingKind kAllKinds[] = {
+    CloakingKind::kNaive, CloakingKind::kMbr, CloakingKind::kQuadtree,
+    CloakingKind::kGrid, CloakingKind::kMultiLevelGrid};
+
+// Everything a forwarded update carries except the `shared` marker.
+void ExpectSameUpdate(const CloakedUpdate& a, const CloakedUpdate& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.pseudonym, b.pseudonym) << what;
+  EXPECT_EQ(a.cloaked.region, b.cloaked.region) << what;
+  EXPECT_EQ(a.cloaked.achieved_k, b.cloaked.achieved_k) << what;
+  EXPECT_EQ(a.cloaked.requirement, b.cloaked.requirement) << what;
+  EXPECT_EQ(a.cloaked.k_satisfied, b.cloaked.k_satisfied) << what;
+  EXPECT_EQ(a.cloaked.min_area_satisfied, b.cloaked.min_area_satisfied)
+      << what;
+  EXPECT_EQ(a.cloaked.max_area_satisfied, b.cloaked.max_area_satisfied)
+      << what;
+  EXPECT_EQ(a.reused_previous, b.reused_previous) << what;
+  EXPECT_EQ(a.retired_pseudonym, b.retired_pseudonym) << what;
+}
+
+std::vector<PointEntry> Crowd(PopulationModel model, size_t n, uint64_t seed,
+                              double cluster_stddev_fraction = 0.03) {
+  PopulationOptions options;
+  options.num_users = n;
+  options.model = model;
+  options.cluster_stddev_fraction = cluster_stddev_fraction;
+  Rng rng(seed);
+  return GeneratePopulation(Rect(0, 0, 100, 100), options, &rng).value();
+}
+
+// Paper Fig. 4a by brute force over the crowd: the smallest quadrant of
+// the 100 x 100 space, at most `height` halvings deep, that contains `p`
+// and holds at least k users and A_min of area (the whole space when even
+// that falls short).
+Rect ReferenceQuadrant(const std::vector<PointEntry>& crowd, const Point& p,
+                       const PrivacyRequirement& req, uint32_t height) {
+  auto cell_of = [](double v, uint32_t n) {
+    return std::min(static_cast<uint32_t>(std::floor(v / 100.0 * n)), n - 1);
+  };
+  Rect best(0, 0, 100, 100);
+  for (uint32_t level = 1; level <= height; ++level) {
+    const uint32_t n = 1u << level;
+    const uint32_t cx = cell_of(p.x, n), cy = cell_of(p.y, n);
+    const double side = 100.0 / n;
+    size_t count = 0;
+    for (const auto& u : crowd) {
+      if (cell_of(u.location.x, n) == cx && cell_of(u.location.y, n) == cy)
+        ++count;
+    }
+    if (count < req.k || side * side < req.min_area) break;
+    best = Rect(cx * side, cy * side, (cx + 1) * side, (cy + 1) * side);
+  }
+  return best;
+}
+
+TEST(AnonymizerTest, QuadtreeAndMultiLevelGridShareOneRule) {
+  const std::vector<PrivacyRequirement> requirements = {
+      {10, 0.0, kInf}, {10, 40.0, kInf}, {60, 0.0, 20.0}};
+  for (PopulationModel model :
+       {PopulationModel::kUniform, PopulationModel::kGaussianClusters}) {
+    const auto crowd = Crowd(model, 800, 41);
+    for (ConflictPolicy policy :
+         {ConflictPolicy::kPreferPrivacy, ConflictPolicy::kPreferQos}) {
+      for (const PrivacyRequirement& req : requirements) {
+        std::unique_ptr<Anonymizer> by_kind[2];
+        const CloakingKind kinds[2] = {CloakingKind::kQuadtree,
+                                       CloakingKind::kMultiLevelGrid};
+        for (int i = 0; i < 2; ++i) {
+          auto opts = DefaultOptions();
+          opts.algorithm = kinds[i];
+          opts.policy = policy;
+          opts.enable_incremental = false;  // cloak the final crowd
+          by_kind[i] = MakeAnonymizer(opts);
+          std::vector<std::pair<UserId, Point>> batch;
+          for (const auto& u : crowd) {
+            ASSERT_TRUE(
+                by_kind[i]
+                    ->RegisterUser(u.id, PrivacyProfile::Uniform(req).value())
+                    .ok());
+            batch.push_back({u.id, u.location});
+          }
+          ASSERT_TRUE(by_kind[i]->UpdateLocationsBatch(batch, Noon()).ok());
+        }
+        const uint32_t height = by_kind[0]->snapshot().pyramid().height();
+        for (const auto& u : crowd) {
+          auto quad = by_kind[0]->CloakForQuery(u.id, Noon());
+          auto multi = by_kind[1]->CloakForQuery(u.id, Noon());
+          ASSERT_TRUE(quad.ok());
+          ASSERT_TRUE(multi.ok());
+          const std::string what =
+              "user " + std::to_string(u.id) + " model " +
+              std::to_string(static_cast<int>(model)) + " policy " +
+              std::to_string(static_cast<int>(policy)) + " k " +
+              std::to_string(req.k);
+          ExpectSameUpdate(quad.value(), multi.value(), what);
+          if (policy == ConflictPolicy::kPreferPrivacy) {
+            EXPECT_EQ(quad.value().cloaked.region,
+                      ReferenceQuadrant(crowd, u.location, req, height))
+                << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AnonymizerTest, SharedExecutionMatchesPerUserCloaking) {
+  // Tight clusters, so that some regions are pyramid cells finer than a
+  // grid cell and grouping the pyramid kinds by grid cell would show.
+  const auto crowd =
+      Crowd(PopulationModel::kGaussianClusters, 1500, 43, 0.01);
+  for (CloakingKind kind : {CloakingKind::kGrid, CloakingKind::kQuadtree,
+                            CloakingKind::kMultiLevelGrid}) {
+    for (ConflictPolicy policy :
+         {ConflictPolicy::kPreferPrivacy, ConflictPolicy::kPreferQos}) {
+      std::unique_ptr<Anonymizer> shared_on, shared_off;
+      for (bool share : {true, false}) {
+        auto opts = DefaultOptions();
+        opts.algorithm = kind;
+        opts.policy = policy;
+        opts.enable_shared_execution = share;
+        auto a = MakeAnonymizer(opts);
+        for (const auto& u : crowd) {
+          const PrivacyRequirement req{3u + static_cast<uint32_t>(u.id % 3) * 9,
+                                       u.id % 2 == 0 ? 0.0 : 30.0,
+                                       u.id % 5 == 0 ? 50.0 : kInf};
+          ASSERT_TRUE(
+              a->RegisterUser(u.id, PrivacyProfile::Uniform(req).value())
+                  .ok());
+        }
+        (share ? shared_on : shared_off) = std::move(a);
+      }
+      // One batch that places everyone, then waves in which a random
+      // third of the crowd jitters (some stay inside their previous
+      // region, so incremental reuse runs beside the sharing).
+      Rng rng(44);
+      std::vector<Point> where;
+      for (const auto& u : crowd) where.push_back(u.location);
+      for (int wave = 0; wave < 4; ++wave) {
+        std::vector<std::pair<UserId, Point>> batch;
+        for (size_t i = 0; i < crowd.size(); ++i) {
+          if (wave > 0 && rng.NextBelow(3) != 0) continue;
+          if (wave > 0) {
+            where[i].x = std::clamp(where[i].x + rng.Uniform(-2, 2), 0.0,
+                                    100.0);
+            where[i].y = std::clamp(where[i].y + rng.Uniform(-2, 2), 0.0,
+                                    100.0);
+          }
+          batch.push_back({crowd[i].id, where[i]});
+        }
+        auto on = shared_on->UpdateLocationsBatch(batch, Noon());
+        auto off = shared_off->UpdateLocationsBatch(batch, Noon());
+        ASSERT_TRUE(on.ok());
+        ASSERT_TRUE(off.ok());
+        ASSERT_EQ(on.value().size(), off.value().size());
+        for (size_t i = 0; i < on.value().size(); ++i) {
+          ExpectSameUpdate(on.value()[i], off.value()[i],
+                           std::string(CloakingKindName(kind)) + " wave " +
+                               std::to_string(wave) + " entry " +
+                               std::to_string(i));
+        }
+      }
+      EXPECT_GT(shared_on->stats().shared_reuses, 0u)
+          << CloakingKindName(kind);
+      EXPECT_EQ(shared_off->stats().shared_reuses, 0u);
+    }
+  }
+}
+
+TEST(AnonymizerTest, RestoreReproducesEveryRegionBitExactly) {
+  for (CloakingKind kind : kAllKinds) {
+    auto opts = DefaultOptions();
+    opts.algorithm = kind;
+    opts.enable_incremental = false;  // cloak against the restored snapshot
+    auto exporter = MakeAnonymizer(opts);
+    // Users arrive in shuffled id order, then move and partly leave, so
+    // the exporter's history differs from the restore's ascending-id
+    // inserts.
+    Rng rng(45);
+    std::vector<UserId> ids(300);
+    std::iota(ids.begin(), ids.end(), UserId{1});
+    for (size_t i = ids.size() - 1; i > 0; --i) {
+      std::swap(ids[i], ids[rng.NextBelow(i + 1)]);
+    }
+    for (UserId id : ids) {
+      ASSERT_TRUE(exporter->RegisterUser(id, KProfile(2 + id % 25)).ok());
+      ASSERT_TRUE(exporter
+                      ->UpdateLocation(id, {rng.Uniform(0, 100),
+                                            rng.Uniform(0, 100)},
+                                       Noon())
+                      .ok());
+    }
+    for (int i = 0; i < 600; ++i) {
+      const UserId id = 1 + rng.NextBelow(ids.size());
+      if (!exporter->IsRegistered(id)) continue;
+      ASSERT_TRUE(exporter
+                      ->UpdateLocation(id, {rng.Uniform(0, 100),
+                                            rng.Uniform(0, 100)},
+                                       Noon())
+                      .ok());
+      if (i % 9 == 0) {
+        ASSERT_TRUE(exporter->UnregisterUser(id).ok());
+      }
+    }
+
+    auto restored = MakeAnonymizer(opts);
+    ASSERT_TRUE(restored->RestoreState(exporter->ExportState()).ok());
+    ASSERT_EQ(restored->num_users(), exporter->num_users());
+    size_t compared = 0;
+    for (UserId id : ids) {
+      if (!exporter->IsRegistered(id)) continue;
+      auto want = exporter->CloakForQuery(id, Noon());
+      auto got = restored->CloakForQuery(id, Noon());
+      ASSERT_TRUE(want.ok());
+      ASSERT_TRUE(got.ok());
+      ExpectSameUpdate(want.value(), got.value(),
+                       std::string(CloakingKindName(kind)) + " user " +
+                           std::to_string(id));
+      ++compared;
+    }
+    EXPECT_GT(compared, 200u) << CloakingKindName(kind);
   }
 }
 

@@ -10,7 +10,6 @@
 #include "core/mbr_cloaking.h"
 #include "core/multilevel_grid_cloaking.h"
 #include "core/naive_cloaking.h"
-#include "core/quadtree_cloaking.h"
 #include "geom/distance.h"
 #include "util/random.h"
 
@@ -27,10 +26,9 @@ std::unique_ptr<CloakingAlgorithm> MakeAlgorithm(
       return std::make_unique<NaiveCloaking>(snapshot, policy);
     case CloakingKind::kMbr:
       return std::make_unique<MbrCloaking>(snapshot, policy);
-    case CloakingKind::kQuadtree:
-      return std::make_unique<QuadtreeCloaking>(snapshot, policy);
     case CloakingKind::kGrid:
       return std::make_unique<GridCloaking>(snapshot, policy);
+    case CloakingKind::kQuadtree:  // one rule, as in the Anonymizer
     case CloakingKind::kMultiLevelGrid:
       return std::make_unique<MultiLevelGridCloaking>(snapshot, policy);
   }
@@ -293,27 +291,32 @@ TEST(MbrCloakingTest, PadsToMinAreaExactly) {
   }
 }
 
-TEST(MbrCloakingTest, RequiresGridStructure) {
-  UserSnapshot::Options opts;
-  opts.maintain_grid = false;
-  UserSnapshot snapshot(Rect(0, 0, 10, 10), opts);
+TEST(MultiLevelGridCloakingTest, RequiresPyramidStructure) {
+  UserSnapshot snapshot(Rect(0, 0, 10, 10), UserSnapshot::Options{},
+                        /*with_pyramid=*/false);
   ASSERT_TRUE(snapshot.Insert(1, {5, 5}).ok());
-  MbrCloaking algo(&snapshot);
+  MultiLevelGridCloaking algo(&snapshot);
   auto r = algo.Cloak(1, {5, 5}, PrivacyRequirement{2, 0.0, kInf});
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// Quadtree cloaking (paper Fig. 4a) is the multi-level grid cloaker: the
+// pyramid is a complete quadtree, and its cells on the user's path are the
+// quadrants a quadtree descent would visit.
 TEST(QuadtreeCloakingTest, RegionIsAQuadtreeNode) {
   SnapshotFixture fx(400);
-  QuadtreeCloaking algo(&fx.snapshot());
+  MultiLevelGridCloaking algo(&fx.snapshot());
   const auto& user = fx.users()[33];
   auto r = algo.Cloak(user.id, user.location,
                       PrivacyRequirement{30, 0.0, kInf});
   ASSERT_TRUE(r.ok());
-  auto path = fx.snapshot().quadtree().DescendPath(user.location);
+  const Pyramid& pyramid = fx.snapshot().pyramid();
   bool is_node = false;
-  for (const auto& node : path) {
-    if (node.extent == r.value().region) is_node = true;
+  for (uint32_t level = 0; level <= pyramid.height(); ++level) {
+    if (pyramid.CellRect(pyramid.CellAt(level, user.location)) ==
+        r.value().region) {
+      is_node = true;
+    }
   }
   EXPECT_TRUE(is_node);
   EXPECT_TRUE(algo.IsSpaceDependent());
@@ -331,7 +334,7 @@ TEST(QuadtreeCloakingTest, SameCellUsersGetSameRegion) {
   }
   ASSERT_TRUE(snapshot.Insert(100, {62.0, 62.0}).ok());
   ASSERT_TRUE(snapshot.Insert(101, {63.5, 60.5}).ok());
-  QuadtreeCloaking algo(&snapshot);
+  MultiLevelGridCloaking algo(&snapshot);
   auto a = algo.Cloak(100, {62.0, 62.0}, PrivacyRequirement{2, 0.0, kInf});
   auto b = algo.Cloak(101, {63.5, 60.5}, PrivacyRequirement{2, 0.0, kInf});
   ASSERT_TRUE(a.ok());
@@ -508,24 +511,60 @@ TEST(UserSnapshotTest, StructuresStayInSync) {
     ASSERT_TRUE(snapshot.Remove(id).ok());
   }
   EXPECT_EQ(snapshot.size(), 80u);
-  Rect w(10, 10, 60, 60);
-  EXPECT_EQ(snapshot.grid().CountInRect(w),
-            snapshot.quadtree().CountInRect(w));
-  EXPECT_EQ(snapshot.grid().size(), snapshot.pyramid().size());
-  EXPECT_EQ(snapshot.pyramid().CellCount({0, 0, 0}), 80u);
+  // Every pyramid cell counts exactly the grid's users inside it.
+  const Pyramid& pyramid = snapshot.pyramid();
+  for (uint32_t level = 0; level <= 4; ++level) {
+    for (uint32_t cy = 0; cy < (1u << level); ++cy) {
+      for (uint32_t cx = 0; cx < (1u << level); ++cx) {
+        const PyramidCell cell{level, cx, cy};
+        size_t want = 0;
+        for (ObjectId id = 1; id <= 100; ++id) {
+          auto loc = snapshot.Locate(id);
+          if (loc.ok() && pyramid.CellAt(level, loc.value()) == cell) ++want;
+        }
+        EXPECT_EQ(pyramid.CellCount(cell), want)
+            << "cell " << level << "/" << cx << "/" << cy;
+      }
+    }
+  }
+  EXPECT_EQ(pyramid.CellCount({0, 0, 0}), 80u);
 }
 
 TEST(UserSnapshotTest, SelectiveMaintenance) {
-  UserSnapshot::Options opts;
-  opts.maintain_pyramid = false;
-  opts.maintain_quadtree = false;
-  UserSnapshot snapshot(Rect(0, 0, 10, 10), opts);
+  UserSnapshot snapshot(Rect(0, 0, 10, 10), UserSnapshot::Options{},
+                        /*with_pyramid=*/false);
   ASSERT_TRUE(snapshot.Insert(1, {5, 5}).ok());
-  EXPECT_TRUE(snapshot.has_grid());
   EXPECT_FALSE(snapshot.has_pyramid());
-  EXPECT_FALSE(snapshot.has_quadtree());
   EXPECT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot.CountInRect(Rect(0, 0, 10, 10)), 1u);
+  ASSERT_TRUE(snapshot.Move(1, {9, 9}).ok());
+  EXPECT_EQ(snapshot.Locate(1).value(), Point(9, 9));
+  ASSERT_TRUE(snapshot.Remove(1).ok());
+  EXPECT_EQ(snapshot.size(), 0u);
+}
+
+// The grid is the snapshot's only validator: a rejected insert, move or
+// remove must leave every pyramid count where it was.
+TEST(UserSnapshotTest, RejectedUpdatesLeavePyramidCountsUnchanged) {
+  UserSnapshot snapshot(Rect(0, 0, 16, 16), UserSnapshot::Options{});
+  ASSERT_TRUE(snapshot.Insert(1, {1, 1}).ok());
+  EXPECT_EQ(snapshot.Insert(1, {15, 15}).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(snapshot.Insert(2, {99, 1}).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(snapshot.Remove(2).code(), StatusCode::kNotFound);
+  EXPECT_EQ(snapshot.Move(2, {15, 15}).code(), StatusCode::kNotFound);
+  EXPECT_EQ(snapshot.Move(1, {-1, 0}).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(snapshot.Locate(2).status().code(), StatusCode::kNotFound);
+
+  const Pyramid& pyramid = snapshot.pyramid();
+  EXPECT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(snapshot.Locate(1).value(), Point(1, 1));
+  for (uint32_t level = 0; level <= pyramid.height(); ++level) {
+    EXPECT_EQ(pyramid.CellCount(pyramid.CellAt(level, {1, 1})), 1u)
+        << "level " << level;
+    EXPECT_EQ(pyramid.CellCount(pyramid.CellAt(level, {15, 15})),
+              level == 0 ? 1u : 0u)
+        << "level " << level;
+  }
 }
 
 }  // namespace

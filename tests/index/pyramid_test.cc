@@ -9,17 +9,16 @@ namespace {
 
 TEST(PyramidTest, RootCountsEverything) {
   Pyramid p(Rect(0, 0, 16, 16), 4);
-  ASSERT_TRUE(p.Insert(1, {1, 1}).ok());
-  ASSERT_TRUE(p.Insert(2, {15, 15}).ok());
+  p.Insert({1, 1});
+  p.Insert({15, 15});
   EXPECT_EQ(p.CellCount({0, 0, 0}), 2u);
-  EXPECT_EQ(p.size(), 2u);
 }
 
 TEST(PyramidTest, LevelCountsArePartitions) {
   Pyramid p(Rect(0, 0, 16, 16), 3);
   Rng rng(5);
-  for (ObjectId id = 1; id <= 200; ++id) {
-    ASSERT_TRUE(p.Insert(id, {rng.Uniform(0, 16), rng.Uniform(0, 16)}).ok());
+  for (int i = 0; i < 200; ++i) {
+    p.Insert({rng.Uniform(0, 16), rng.Uniform(0, 16)});
   }
   for (uint32_t level = 0; level <= 3; ++level) {
     size_t n = 1u << level;
@@ -34,8 +33,8 @@ TEST(PyramidTest, LevelCountsArePartitions) {
 TEST(PyramidTest, ParentCountIsSumOfChildren) {
   Pyramid p(Rect(0, 0, 16, 16), 3);
   Rng rng(6);
-  for (ObjectId id = 1; id <= 128; ++id) {
-    ASSERT_TRUE(p.Insert(id, {rng.Uniform(0, 16), rng.Uniform(0, 16)}).ok());
+  for (int i = 0; i < 128; ++i) {
+    p.Insert({rng.Uniform(0, 16), rng.Uniform(0, 16)});
   }
   for (uint32_t level = 1; level <= 3; ++level) {
     size_t n = 1u << level;
@@ -73,36 +72,29 @@ TEST(PyramidTest, ParentRelation) {
 
 TEST(PyramidTest, MoveOnlyTouchesChangedLevels) {
   Pyramid p(Rect(0, 0, 16, 16), 2);
-  ASSERT_TRUE(p.Insert(1, {1, 1}).ok());
+  p.Insert({1, 1});
   // Move within the same finest cell: counts unchanged everywhere.
-  ASSERT_TRUE(p.Move(1, {1.5, 1.5}).ok());
+  p.Move({1, 1}, {1.5, 1.5});
   EXPECT_EQ(p.CellCount({2, 0, 0}), 1u);
   // Move to the far corner.
-  ASSERT_TRUE(p.Move(1, {15, 15}).ok());
+  p.Move({1.5, 1.5}, {15, 15});
   EXPECT_EQ(p.CellCount({2, 0, 0}), 0u);
+  EXPECT_EQ(p.CellCount({1, 0, 0}), 0u);
   EXPECT_EQ(p.CellCount({2, 3, 3}), 1u);
+  EXPECT_EQ(p.CellCount({1, 1, 1}), 1u);
   EXPECT_EQ(p.CellCount({0, 0, 0}), 1u);
-  EXPECT_EQ(p.Locate(1).value(), Point(15, 15));
 }
 
 TEST(PyramidTest, RemoveDecrementsAllLevels) {
   Pyramid p(Rect(0, 0, 16, 16), 2);
-  ASSERT_TRUE(p.Insert(1, {3, 3}).ok());
-  ASSERT_TRUE(p.Remove(1).ok());
-  EXPECT_EQ(p.size(), 0u);
+  p.Insert({3, 3});
+  p.Insert({3.5, 3.5});
+  p.Remove({3, 3});
+  EXPECT_EQ(p.CellCount({0, 0, 0}), 1u);
+  EXPECT_EQ(p.CellCount({2, 0, 0}), 1u);
+  p.Remove({3.5, 3.5});
   EXPECT_EQ(p.CellCount({0, 0, 0}), 0u);
   EXPECT_EQ(p.CellCount({2, 0, 0}), 0u);
-}
-
-TEST(PyramidTest, ErrorPaths) {
-  Pyramid p(Rect(0, 0, 16, 16), 2);
-  EXPECT_EQ(p.Remove(1).code(), StatusCode::kNotFound);
-  EXPECT_EQ(p.Move(1, {1, 1}).code(), StatusCode::kNotFound);
-  EXPECT_EQ(p.Insert(1, {99, 1}).code(), StatusCode::kOutOfRange);
-  ASSERT_TRUE(p.Insert(1, {1, 1}).ok());
-  EXPECT_EQ(p.Insert(1, {2, 2}).code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(p.Move(1, {-1, 0}).code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(p.Locate(2).status().code(), StatusCode::kNotFound);
 }
 
 TEST(PyramidTest, HeightCapped) {
@@ -112,8 +104,11 @@ TEST(PyramidTest, HeightCapped) {
 
 TEST(PyramidTest, BoundaryPointsClampToLastCell) {
   Pyramid p(Rect(0, 0, 16, 16), 2);
-  ASSERT_TRUE(p.Insert(1, {16, 16}).ok());
+  p.Insert({16, 16});
   EXPECT_EQ(p.CellCount({2, 3, 3}), 1u);
+  p.Move({16, 16}, {0, 16});
+  EXPECT_EQ(p.CellCount({2, 3, 3}), 0u);
+  EXPECT_EQ(p.CellCount({2, 0, 3}), 1u);
 }
 
 }  // namespace

@@ -12,10 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "core/cloaking.h"
 #include "geom/distance.h"
 #include "index/grid_index.h"
 #include "index/public_index.h"
-#include "index/quadtree.h"
 #include "index/rect_grid.h"
 #include "service/cloak_db_service.h"
 #include "sim/poi.h"
@@ -92,10 +92,71 @@ TEST(FuzzTest, GridIndexAgainstReference) {
   }
 }
 
-TEST(FuzzTest, QuadtreeAgainstReference) {
+// The anonymizer's snapshot: the grid validates every update and the
+// pyramid follows with point-in / point-out counts, so after any mix of
+// valid and rejected updates each pyramid cell must count exactly the
+// model's points inside it.
+TEST(FuzzTest, UserSnapshotPyramidAgainstReference) {
   for (uint64_t seed : {4u, 5u, 6u}) {
-    Quadtree index(kSpace, 8);
-    RunPointIndexFuzz(&index, seed, 3000);
+    UserSnapshot::Options options;
+    options.pyramid_height = 4;
+    UserSnapshot snapshot(kSpace, options);
+    RunPointIndexFuzz(&snapshot, seed, 3000);
+
+    // Continue from the state the generic fuzz left (its ids are 1..3000).
+    Rng rng(seed + 100);
+    PointModel model;
+    for (ObjectId id = 1; id <= 3000; ++id) {
+      if (snapshot.Contains(id)) model.emplace(id, snapshot.Locate(id).value());
+    }
+    ObjectId next_id = 1000000;
+    for (size_t op = 0; op < 3000; ++op) {
+      const double dice = rng.NextDouble();
+      if (dice < 0.3 || model.empty()) {
+        ObjectId id = next_id++;
+        Point p = RandomPoint(&rng);
+        ASSERT_TRUE(snapshot.Insert(id, p).ok()) << "op " << op;
+        model.emplace(id, p);
+      } else if (dice < 0.6) {
+        auto it = model.begin();
+        std::advance(it, rng.NextBelow(model.size()));
+        Point p = RandomPoint(&rng);
+        ASSERT_TRUE(snapshot.Move(it->first, p).ok()) << "op " << op;
+        it->second = p;
+      } else if (dice < 0.75) {
+        auto it = model.begin();
+        std::advance(it, rng.NextBelow(model.size()));
+        ASSERT_TRUE(snapshot.Remove(it->first).ok()) << "op " << op;
+        model.erase(it);
+      } else {
+        // Rejected updates: duplicate id, unknown id, out of space.
+        const ObjectId known = model.begin()->first;
+        ASSERT_FALSE(snapshot.Insert(known, RandomPoint(&rng)).ok());
+        ASSERT_FALSE(snapshot.Move(next_id, RandomPoint(&rng)).ok());
+        ASSERT_FALSE(snapshot.Remove(next_id).ok());
+        ASSERT_FALSE(
+            snapshot.Move(known, {rng.Uniform(101, 200), 50}).ok());
+        ASSERT_FALSE(snapshot.Insert(next_id, {50, -1}).ok());
+      }
+      if (op % 97 != 0) continue;
+      const Pyramid& pyramid = snapshot.pyramid();
+      for (uint32_t level = 0; level <= pyramid.height(); ++level) {
+        std::map<std::pair<uint32_t, uint32_t>, size_t> want;
+        for (const auto& [id, p] : model) {
+          PyramidCell c = pyramid.CellAt(level, p);
+          ++want[{c.cx, c.cy}];
+        }
+        for (uint32_t cy = 0; cy < (1u << level); ++cy) {
+          for (uint32_t cx = 0; cx < (1u << level); ++cx) {
+            auto it = want.find({cx, cy});
+            ASSERT_EQ(pyramid.CellCount({level, cx, cy}),
+                      it == want.end() ? 0u : it->second)
+                << "op " << op << " cell " << level << "/" << cx << "/"
+                << cy;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -466,8 +466,11 @@ int RunContinuous(const Args& args, CloakDbService& db,
       }
       ++verified;
       if (ref.kind == QueryKind::kPublicCount) {
+        // Asked twice: with --shared-exec the second ask is served by the
+        // count cache, and must equal the first (computed) answer exactly.
         auto oneshot = db.PublicCount(ref.window);
-        if (!oneshot.ok() ||
+        auto again = db.PublicCount(ref.window);
+        if (!oneshot.ok() || !again.ok() ||
             std::abs(answer.value().count.expected -
                      oneshot.value().answer.expected) > 1e-6 ||
             answer.value().count.min_count !=
@@ -475,6 +478,18 @@ int RunContinuous(const Args& args, CloakDbService& db,
             answer.value().count.max_count !=
                 oneshot.value().answer.max_count) {
           std::fprintf(stderr, "standing count %llu drifted from one-shot\n",
+                       static_cast<unsigned long long>(ref.id));
+          ++mismatches;
+        } else if (again.value().naive_count != oneshot.value().naive_count ||
+                   again.value().answer.expected !=
+                       oneshot.value().answer.expected ||
+                   again.value().answer.min_count !=
+                       oneshot.value().answer.min_count ||
+                   again.value().answer.max_count !=
+                       oneshot.value().answer.max_count ||
+                   again.value().answer.pmf != oneshot.value().answer.pmf) {
+          std::fprintf(stderr,
+                       "count %llu's repeated one-shot answer differs\n",
                        static_cast<unsigned long long>(ref.id));
           ++mismatches;
         }
