@@ -3,10 +3,14 @@
 // be done incrementally") plus the Section 2.1 trajectory-linkage threat.
 //
 // Series: the per-tick cost of the service's standing-query registry as the
-// number of standing queries grows; and the exposure rate of the linkage
-// adversary vs. privacy level k.
+// number of standing queries grows; the cost of one standing full
+// re-evaluation; and the exposure rate of the linkage adversary vs.
+// privacy level k.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/linkage.h"
@@ -80,6 +84,75 @@ void BM_S53b_ServiceStandingScale(benchmark::State& state) {
 BENCHMARK(BM_S53b_ServiceStandingScale)
     ->Arg(1000)->Arg(10000)->Arg(50000)
     ->Unit(benchmark::kMillisecond);
+
+// One standing full re-evaluation (Section 5.3), the work registration and
+// every stale repair share (CloakDbService::EvaluateStanding): the k-NN
+// reach probe, one ProbeRegion per stripe the coverage overlaps, the merge
+// of the id-sorted parts and the answer filter. Each iteration registers
+// one standing query and unregisters it (a hash erase). The world is
+// fixed: 20,000 POIs, 20,000 users at k = 5, and specs cycling range
+// (r = 1), NN and 3-NN over 64 issuers. `rows_fetched` is the mean
+// number of POIs an evaluation fetches, from one pass over the 192 specs
+// outside the timed loop, so it repeats exactly between runs.
+// BM_S53b_ServiceStandingScale times no repair: its Flush is outside the
+// loop.
+void BM_S53b_StandingFullReeval(benchmark::State& state) {
+  constexpr size_t kIssuers = 64;
+  CloakDbServiceOptions options;
+  options.space = bench::Space();
+  options.num_shards = static_cast<uint32_t>(state.range(0));
+  auto service = CloakDbService::Create(options).value();
+  CloakDbService& db = *service;
+  auto profile = PrivacyProfile::Uniform({5, 0.0, kInf}).value();
+  std::vector<UserId> issuers;
+  for (const auto& entry : bench::MakeUsers(20000)) {
+    (void)db.RegisterUser(entry.id, profile);
+    (void)db.UpdateLocation(entry.id, entry.location, bench::Noon());
+    issuers.push_back(entry.id);
+  }
+  // The last users to report: cloaked against the whole crowd.
+  issuers.erase(issuers.begin(), issuers.end() - kIssuers);
+  Rng rng(bench::kSeed ^ 0x53b);
+  PoiOptions poi;
+  poi.count = 20000;
+  poi.category = 1;
+  const std::vector<PublicObject> pois =
+      GeneratePois(bench::Space(), poi, &rng).value();
+  (void)db.BulkLoadCategory(1, pois);
+  const auto register_spec = [&](size_t i) {
+    const UserId user = issuers[i % kIssuers];
+    switch (i % 3) {
+      case 0: return db.RegisterContinuousRange(user, 1.0, 1);
+      case 1: return db.RegisterContinuousNn(user, 1);
+      default: return db.RegisterContinuousKnn(user, 3, 1);
+    }
+  };
+  constexpr size_t kSpecs = 3 * kIssuers;
+  double rows = 0.0;
+  for (size_t i = 0; i < kSpecs; ++i) {
+    const ContinuousQueryId id = register_spec(i).value();
+    const Rect coverage = db.ContinuousInfo(id).value().coverage;
+    rows += static_cast<double>(
+        std::count_if(pois.begin(), pois.end(), [&](const PublicObject& o) {
+          return coverage.Contains(o.location);
+        }));
+    (void)db.UnregisterContinuous(id);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    auto id = register_spec(i++);
+    if (!id.ok()) {
+      state.SkipWithError("registration failed");
+      break;
+    }
+    (void)db.UnregisterContinuous(id.value());
+  }
+  state.counters["shards"] = static_cast<double>(state.range(0));
+  state.counters["rows_fetched"] = rows / kSpecs;
+}
+BENCHMARK(BM_S53b_StandingFullReeval)
+    ->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMicrosecond);
 
 // Linkage exposure vs. privacy level (Section 2.1 "avoid location
 // tracking"): moving users, consecutive anonymized batches, reachability

@@ -20,57 +20,15 @@ using bench::kInf;
 
 constexpr size_t kUsers = 20000;
 
-template <typename Algo>
-void RunCloakBench(benchmark::State& state) {
-  const auto k = static_cast<uint32_t>(state.range(0));
-  UserSnapshot snapshot(bench::Space(), UserSnapshot::Options{});
-  auto users = bench::MakeUsers(kUsers);
-  for (const auto& u : users) (void)snapshot.Insert(u.id, u.location);
-  Algo algo(&snapshot);
-
-  double total_area = 0.0, total_rel_k = 0.0;
-  size_t cloaks = 0, idx = 0;
-  std::vector<CloakObservation> observations;
-  for (auto _ : state) {
-    const auto& u = users[(idx * 7919) % users.size()];
-    ++idx;
-    auto region = algo.Cloak(u.id, u.location,
-                             PrivacyRequirement{k, 0.0, kInf});
-    benchmark::DoNotOptimize(region);
-    total_area += region.value().region.Area();
-    total_rel_k += region.value().RelativeAnonymity();
-    observations.push_back({region.value().region, u.location});
-    ++cloaks;
-  }
-  state.counters["k"] = k;
-  state.counters["avg_area"] = total_area / static_cast<double>(cloaks);
-  state.counters["avg_rel_anonymity"] =
-      total_rel_k / static_cast<double>(cloaks);
-
-  // Leakage: normalized guess error and near-exact hit rate per adversary
-  // (error 0 / hit rate 1 = full recovery; the uniform row is the
-  // no-knowledge baseline).
-  Rng rng(1);
-  auto center = EvaluateLeakage(CenterAttack(), observations, &rng, 0.1);
-  auto boundary = EvaluateLeakage(BoundaryAttack(), observations, &rng, 0.1);
-  auto uniform = EvaluateLeakage(UniformAttack(), observations, &rng, 0.1);
-  state.counters["err_center"] = center.normalized_error.mean();
-  state.counters["err_boundary"] = boundary.normalized_error.mean();
-  state.counters["err_uniform_baseline"] = uniform.normalized_error.mean();
-  state.counters["center_hit_rate"] = center.hit_rate;
-  state.counters["boundary_hit_rate"] = boundary.hit_rate;
-  state.counters["uniform_hit_rate"] = uniform.hit_rate;
-}
-
 void BM_Fig3a_NaiveCloaking(benchmark::State& state) {
-  RunCloakBench<NaiveCloaking>(state);
+  bench::RunCloakBench<NaiveCloaking>(state);
 }
 BENCHMARK(BM_Fig3a_NaiveCloaking)
     ->Arg(5)->Arg(25)->Arg(50)->Arg(100)->Arg(250)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_Fig3b_MbrCloaking(benchmark::State& state) {
-  RunCloakBench<MbrCloaking>(state);
+  bench::RunCloakBench<MbrCloaking>(state);
 }
 BENCHMARK(BM_Fig3b_MbrCloaking)
     ->Arg(5)->Arg(25)->Arg(50)->Arg(100)->Arg(250)

@@ -2,12 +2,12 @@
 // sorted by object id, whatever order the index produced it in and however
 // many shards contributed, so one answer has one byte form.
 //
-// SortById sorts one shard's survivors. Ids within a cloak's reach are
-// usually dense, so they differ in only their low two or three bytes: an
-// LSD byte radix over just those bytes, run on packed (digits, position)
-// keys, reads each id once and never chases a pointer in its passes.
-// MergeSortedById joins shard lists that are each already sorted, so it
-// merges instead of sorting their concatenation.
+// SortById sorts each shard's part where the shard makes it (survivors,
+// standing-fetch hits, and count contributions keyed by pseudonym). Ids in
+// a cloak's reach are usually dense, differing only in their low two or
+// three bytes: an LSD byte radix over just those bytes, on packed (digits,
+// position) keys, reads each id once and never chases a pointer. Every
+// fan-in then merges sorted parts (MergeSorted) instead of re-sorting.
 
 #ifndef CLOAKDB_SERVER_ID_ORDER_H_
 #define CLOAKDB_SERVER_ID_ORDER_H_
@@ -44,15 +44,20 @@ inline std::vector<uint64_t>& Scratch() {
 
 }  // namespace id_order_internal
 
-/// Sorts `items` (values or pointers that HitOf reads an id from) by id,
-/// into the order std::sort by id gives when the ids are distinct. An LSD
-/// byte radix over the id bytes that vary within the list; a list shorter
-/// than kRadixMin, or whose ids vary in more than kMaxPasses bytes, takes
+/// The default key: the id of a hit or object, by value or by pointer.
+struct ById {
+  template <typename T>
+  uint64_t operator()(const T& t) const { return HitOf(t).id; }
+};
+
+/// Sorts `items` by `id(item)`, a 64-bit key (ById by default), into the
+/// order std::sort by that key gives when the keys are distinct. An LSD
+/// byte radix over the key bytes that vary within the list; a list shorter
+/// than kRadixMin, or whose keys vary in more than kMaxPasses bytes, takes
 /// std::sort.
-template <typename T>
-void SortById(std::vector<T>* items) {
+template <typename T, typename Key = ById>
+void SortById(std::vector<T>* items, Key id = {}) {
   namespace io = id_order_internal;
-  const auto id = [](const T& t) { return HitOf(t).id; };
   const size_t n = items->size();
   const auto comparison_sort = [&] {
     std::sort(items->begin(), items->end(),
@@ -109,14 +114,13 @@ void SortById(std::vector<T>* items) {
     std::vector<uint64_t>().swap(scratch);
 }
 
-/// The union of id-sorted lists, sorted by id with repeated ids dropped. A
-/// single list comes back as it is. More are merged neighbour with
-/// neighbour, each merge linear, then made unique by id; among equal ids
-/// the element of the earlier list stays.
-template <typename T>
-std::vector<T> MergeSortedById(std::vector<std::vector<T>> lists) {
+/// Lists each sorted by `key`, merged into one sorted by `key`: neighbour
+/// with neighbour, each merge linear and stable (among equal keys the
+/// earlier list's element comes first). One list comes back as it is.
+template <typename T, typename Key>
+std::vector<T> MergeSorted(std::vector<std::vector<T>> lists, Key key) {
   if (lists.empty()) return {};
-  const auto by_id = [](const T& a, const T& b) { return a.id < b.id; };
+  const auto by_key = [&](const T& a, const T& b) { return key(a) < key(b); };
   for (size_t width = 1; width < lists.size(); width *= 2) {
     for (size_t i = 0; i + width < lists.size(); i += 2 * width) {
       std::vector<T>& a = lists[i];
@@ -127,16 +131,21 @@ std::vector<T> MergeSortedById(std::vector<std::vector<T>> lists) {
                  std::make_move_iterator(a.end()),
                  std::make_move_iterator(b.begin()),
                  std::make_move_iterator(b.end()), std::back_inserter(both),
-                 by_id);
+                 by_key);
       a = std::move(both);
     }
   }
-  std::vector<T> out = std::move(lists.front());
-  if (lists.size() > 1) {
-    out.erase(std::unique(out.begin(), out.end(),
-                          [](const T& a, const T& b) { return a.id == b.id; }),
-              out.end());
-  }
+  return std::move(lists.front());
+}
+
+/// The union of id-sorted lists: MergeSorted by id, then repeated ids
+/// dropped (the element of the earlier list stays).
+template <typename T>
+std::vector<T> MergeSortedById(std::vector<std::vector<T>> lists) {
+  std::vector<T> out = MergeSorted(std::move(lists), ById{});
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const T& a, const T& b) { return a.id == b.id; }),
+            out.end());
   return out;
 }
 

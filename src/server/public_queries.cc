@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "geom/distance.h"
+#include "server/id_order.h"
 
 namespace cloakdb {
 
@@ -23,10 +24,10 @@ double CountContributionOf(const Rect& region, const Rect& window) {
 std::vector<CountContribution> ScanCountContributions(const ObjectStore& store,
                                                       const Rect& window) {
   std::vector<CountContribution> contributions;
-  for (const auto& entry : store.private_index().IntersectingRects(window)) {
+  for (const auto& entry : store.private_index().IntersectingRects(window))
     contributions.push_back(
         {entry.id, CountContributionOf(entry.rect, window)});
-  }
+  SortById(&contributions, ByPseudonym{});
   return contributions;
 }
 

@@ -26,6 +26,11 @@ struct CountContribution {
   double probability = 0.0;
 };
 
+/// The key count parts are sorted and merged by (server/id_order.h).
+struct ByPseudonym {
+  ObjectId operator()(const CountContribution& c) const { return c.pseudonym; }
+};
+
 /// Result of a public range-count query (Fig. 6a).
 struct PublicCountResult {
   /// All three paper answer formats (expected value, [min, max], PMF).
@@ -52,8 +57,8 @@ struct PublicCountResult {
 double CountContributionOf(const Rect& region, const Rect& window);
 
 /// Every private region intersecting `window` with its contribution (0.0
-/// on a measure-zero touch), in index order: the scan behind both the
-/// one-shot count and the standing count windows.
+/// on a measure-zero touch), sorted by pseudonym once, here, so every count
+/// merge is linear: the scan behind the one-shot and standing counts.
 std::vector<CountContribution> ScanCountContributions(const ObjectStore& store,
                                                       const Rect& window);
 
@@ -66,7 +71,7 @@ std::vector<double> CountProbabilities(
 /// sharded count merges parts and answers once
 /// (MergePublicCountResults).
 struct PublicCountPart {
-  std::vector<CountContribution> contributions;  ///< In index order.
+  std::vector<CountContribution> contributions;  ///< Sorted by pseudonym.
   size_t naive_count = 0;  ///< Regions intersecting the window.
 };
 

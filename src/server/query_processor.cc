@@ -69,7 +69,9 @@ Result<std::vector<IndexHit>> QueryProcessor::SharedProbe(
     return Status::InvalidArgument("probe region must be non-empty");
   auto index = store_.CategoryIndex(category);
   if (!index.ok()) return index.status();
-  return index.value()->RangeSearch(probe_region);
+  std::vector<IndexHit> hits = index.value()->RangeSearch(probe_region);
+  SortById(&hits);
+  return hits;
 }
 
 Result<PrivatePrivateRangeResult> QueryProcessor::PrivatePrivateRange(
@@ -184,17 +186,12 @@ PrivateKnnResult MergePrivateKnnResults(const Rect& cloaked, size_t k,
 Result<PublicCountResult> MergePublicCountResults(
     std::vector<PublicCountPart> parts) {
   PublicCountResult merged;
+  std::vector<std::vector<CountContribution>> lists;
   for (auto& part : parts) {
     merged.naive_count += part.naive_count;
-    merged.contributions.insert(
-        merged.contributions.end(),
-        std::make_move_iterator(part.contributions.begin()),
-        std::make_move_iterator(part.contributions.end()));
+    lists.push_back(std::move(part.contributions));
   }
-  std::sort(merged.contributions.begin(), merged.contributions.end(),
-            [](const CountContribution& a, const CountContribution& b) {
-              return a.pseudonym < b.pseudonym;
-            });
+  merged.contributions = MergeSorted(std::move(lists), ByPseudonym{});
   auto answer = SummarizeCount(CountProbabilities(merged.contributions));
   if (!answer.ok()) return answer.status();
   merged.answer = std::move(answer).value();

@@ -87,7 +87,7 @@ class QueryProcessor {
                                       Category category) const;
 
   /// Index hits (id + point + row) of every `category` object inside
-  /// `probe_region`, in index order: a standing query's fetch. Not timed.
+  /// `probe_region`, sorted by id: a standing query's fetch. Not timed.
   Result<std::vector<IndexHit>> SharedProbe(const Rect& probe_region,
                                             Category category) const;
 
@@ -163,11 +163,11 @@ PrivateNnResult MergePrivateNnResults(const Rect& cloaked,
 PrivateKnnResult MergePrivateKnnResults(const Rect& cloaked, size_t k,
                                         std::vector<PrivateKnnResult> parts);
 
-/// Merges public-count parts: contributions concatenated (sorted by
-/// pseudonym) and the O(n) answer formats (expected value, variance,
-/// [min, max]) summarized from them. The PMF is left empty: the wire drops
-/// it, and a caller that returns it builds it with MakeCountAnswer over
-/// the merged contributions.
+/// Merges public-count parts: their pseudonym-sorted contributions merged
+/// linearly (id_order.h) and the O(n) answer formats (expected value,
+/// variance, [min, max]) summarized from them. The PMF is left empty: the
+/// wire drops it, and a caller that returns it builds it with
+/// MakeCountAnswer over the merged contributions.
 Result<PublicCountResult> MergePublicCountResults(
     std::vector<PublicCountPart> parts);
 

@@ -82,7 +82,7 @@ struct ContinuousSpec {
 struct StandingSnapshot {
   Rect coverage;                        ///< Extent of `fetched`.
   std::vector<PublicObject> fetched;    ///< Category objects in coverage,
-                                        ///< sorted by id.
+                                        ///< sorted by id (parts merged).
   std::vector<PublicObject> current;    ///< Current answer, sorted by id.
   double fetch_radius = 0.0;            ///< NN/kNN conservative reach used.
   bool degraded = false;                ///< Fan-out was cut short.

@@ -7,10 +7,10 @@
 // same locking rules (shard lock before registry mutex, sweep evaluates
 // with no locks held).
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/scoped_timer.h"
+#include "server/id_order.h"
 #include "service/cloak_db_service.h"
 #include "service/root_trace.h"
 #include "util/poisson_binomial.h"
@@ -173,7 +173,7 @@ Result<StandingSnapshot> CloakDbService::EvaluateStanding(
   // Fan out over the stripes the coverage overlaps; stripes beyond it hold
   // nothing the standing answer can ever need (their x-distance exceeds
   // the fetch reach), so they count as covered.
-  bool any_category = false;
+  std::vector<std::vector<PublicObject>> parts;  // Id-sorted, per stripe.
   const FanoutGuard guard = FanOut(
       StripeRangeOf(snap.coverage), deadline, shard_budget,
       [&](uint32_t s, obs::TraceSpan* probe_span) -> Status {
@@ -181,12 +181,10 @@ Result<StandingSnapshot> CloakDbService::EvaluateStanding(
         if (!part.ok()) return part.status();
         probe_span->AddAttr("candidates",
                             static_cast<double>(part.value().size()));
-        any_category = true;
-        snap.fetched.insert(snap.fetched.end(), part.value().begin(),
-                            part.value().end());
+        parts.push_back(std::move(part).value());
         return Status::OK();
       });
-  if (!any_category) {
+  if (parts.empty()) {
     if (guard.degraded) return guard.EmptyError();
     // Every probed stripe lacks the category; it may still exist beyond
     // the coverage (range queries with a short radius).
@@ -199,10 +197,9 @@ Result<StandingSnapshot> CloakDbService::EvaluateStanding(
     }
     if (!exists_elsewhere) return Status::NotFound("unknown category");
   }
-  std::sort(snap.fetched.begin(), snap.fetched.end(),
-            [](const PublicObject& a, const PublicObject& b) {
-              return a.id < b.id;
-            });
+  // Each part is id-sorted and the stripes hold disjoint objects, so the
+  // merge equals the sorted concatenation.
+  snap.fetched = MergeSortedById(std::move(parts));
   snap.degraded = guard.degraded;
   snap.covered_shards = guard.covered;
   snap.current = ComputeStandingAnswer(spec, region, snap.fetched, nullptr);
@@ -224,20 +221,15 @@ Result<StandingAnswer> CloakDbService::AnswerContinuous(
 
   StandingAnswer answer;
   answer.kind = QueryKind::kPublicCount;
+  std::vector<std::vector<CountContribution>> parts;
   for (const auto& shard : shards_) {
     auto part = shard->StandingCount(id);
     if (!part.ok()) return part.status();
-    answer.contributions.insert(answer.contributions.end(),
-                                part.value().contributions.begin(),
-                                part.value().contributions.end());
+    parts.push_back(std::move(part.value().contributions));
     answer.generation += part.value().generation;
   }
-  // Per-shard parts are pseudonym-sorted; the merge re-sorts so the answer
-  // is bit-identical to a one-shot count over the same applied updates.
-  std::sort(answer.contributions.begin(), answer.contributions.end(),
-            [](const CountContribution& a, const CountContribution& b) {
-              return a.pseudonym < b.pseudonym;
-            });
+  // Merged in pseudonym order, like a one-shot count over the same state.
+  answer.contributions = MergeSorted(std::move(parts), ByPseudonym{});
   auto count = MakeCountAnswer(CountProbabilities(answer.contributions));
   if (!count.ok()) return count.status();
   answer.count = std::move(count).value();

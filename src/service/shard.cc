@@ -461,10 +461,6 @@ Result<StandingCountPart> Shard::StandingCount(ContinuousQueryId id) const {
        ScanCountContributions(server_.store(), info.value().spec.window)) {
     if (c.probability > 0.0) part.contributions.push_back(c);
   }
-  std::sort(part.contributions.begin(), part.contributions.end(),
-            [](const CountContribution& a, const CountContribution& b) {
-              return a.pseudonym < b.pseudonym;
-            });
   return part;
 }
 

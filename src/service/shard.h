@@ -178,7 +178,7 @@ class Shard {
   Result<double> KnnReach(const Rect& cloaked, size_t k,
                           Category category) const;
 
-  /// Materializes every `category` object inside `probe` (shared lock).
+  /// Every `category` object inside `probe`, sorted by id (shared lock).
   Result<std::vector<PublicObject>> ProbeRegion(const Rect& probe,
                                                 Category category) const;
 

@@ -3,6 +3,9 @@
 // differ only in their high bytes, random 64-bit ids (the comparison
 // fallback) and lists below the radix cutoff — and MergeSortedById (the
 // candidate merge) against the sort-and-unique of the concatenated parts.
+// Count parts take the same sort and merge keyed by pseudonym: SortById
+// against std::sort, MergeSorted against a stable sort of the
+// concatenation, repeats kept.
 
 #include "server/id_order.h"
 
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "server/object_store.h"
+#include "server/public_queries.h"
 #include "util/random.h"
 
 namespace cloakdb {
@@ -187,6 +191,70 @@ TEST(IdOrderTest, MergeOfSortedPartsEqualsSortUniqueById) {
   }
   EXPECT_TRUE(MergeSortedById(std::vector<std::vector<PublicObject>>{})
                   .empty());
+}
+
+/// Count contributions with the given pseudonyms; the probability records
+/// the position, so a test can tell equal keys apart.
+std::vector<CountContribution> Contributions(
+    const std::vector<ObjectId>& pseudonyms) {
+  std::vector<CountContribution> out;
+  for (size_t i = 0; i < pseudonyms.size(); ++i)
+    out.push_back({pseudonyms[i], static_cast<double>(i) / 1024.0});
+  return out;
+}
+
+bool ByPseudonymLess(const CountContribution& a, const CountContribution& b) {
+  return a.pseudonym < b.pseudonym;
+}
+
+TEST(IdOrderTest, PseudonymKeySortsCountPartsLikeStdSort) {
+  Rng rng(17);
+  for (size_t n : {size_t{0}, size_t{10}, size_t{64}, size_t{700},
+                   size_t{5000}}) {
+    std::vector<ObjectId> dense = ShuffledIds(n, 77, 3 * n + 1, &rng);
+    std::vector<ObjectId> random;
+    for (size_t i = 0; i < n; ++i) random.push_back(rng.Next());
+    for (const std::vector<ObjectId>& keys : {dense, random}) {
+      std::vector<CountContribution> want = Contributions(keys);
+      std::vector<CountContribution> got = want;
+      std::sort(want.begin(), want.end(), ByPseudonymLess);
+      SortById(&got, ByPseudonym{});
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].pseudonym, want[i].pseudonym);
+        EXPECT_EQ(got[i].probability, want[i].probability);
+      }
+    }
+  }
+}
+
+TEST(IdOrderTest, MergeSortedIsAStableSortOfTheConcatenation) {
+  Rng rng(19);
+  for (size_t parts : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                       size_t{7}}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Keys repeat within and across parts; nothing may be dropped.
+      std::vector<std::vector<CountContribution>> lists(parts);
+      std::vector<CountContribution> want;
+      for (auto& list : lists) {
+        std::vector<ObjectId> keys;
+        const size_t n = trial % 4 == 0 ? 0 : rng.NextBelow(150);
+        for (size_t i = 0; i < n; ++i) keys.push_back(rng.NextBelow(60));
+        std::sort(keys.begin(), keys.end());
+        list = Contributions(keys);
+        for (CountContribution& c : list) c.probability += want.size();
+        want.insert(want.end(), list.begin(), list.end());
+      }
+      std::stable_sort(want.begin(), want.end(), ByPseudonymLess);
+      const std::vector<CountContribution> got =
+          MergeSorted(std::move(lists), ByPseudonym{});
+      ASSERT_EQ(got.size(), want.size()) << parts << " parts";
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].pseudonym, want[i].pseudonym);
+        EXPECT_EQ(got[i].probability, want[i].probability);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <set>
+#include <vector>
 
 #include "geom/distance.h"
+#include "server/query_processor.h"
 #include "util/random.h"
 
 namespace cloakdb {
@@ -138,6 +143,97 @@ TEST(PublicCountQueryTest, DegeneratePointRegionCountsAsCertain) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().answer.min_count, 1);
   EXPECT_DOUBLE_EQ(r.value().answer.expected, 1.0);
+}
+
+/// `count` stores of `per_store` cloaked regions each, under distinct
+/// random 64-bit pseudonyms (so index order is not pseudonym order).
+std::vector<std::unique_ptr<ObjectStore>> FilledStores(size_t count,
+                                                       size_t per_store,
+                                                       Rng* rng) {
+  std::set<ObjectId> used;
+  std::vector<std::unique_ptr<ObjectStore>> stores;
+  for (size_t s = 0; s < count; ++s) {
+    stores.push_back(std::make_unique<ObjectStore>(Rect(0, 0, 100, 100)));
+    for (size_t i = 0; i < per_store; ++i) {
+      ObjectId pseudonym = 0;
+      while (pseudonym == 0 || !used.insert(pseudonym).second)
+        pseudonym = rng->Next();
+      const Point p{rng->Uniform(0, 100), rng->Uniform(0, 100)};
+      EXPECT_TRUE(stores.back()
+                      ->UpsertPrivateRegion(
+                          pseudonym, Rect::CenteredSquare(p, rng->Uniform(0, 12)))
+                      .ok());
+    }
+  }
+  return stores;
+}
+
+bool SortedByPseudonym(const std::vector<CountContribution>& contributions) {
+  return std::is_sorted(contributions.begin(), contributions.end(),
+                        [](const CountContribution& a,
+                           const CountContribution& b) {
+                          return a.pseudonym <= b.pseudonym;
+                        });
+}
+
+TEST(PublicCountQueryTest, ScanComesBackSortedByPseudonym) {
+  Rng rng(41);
+  const auto stores = FilledStores(1, 400, &rng);
+  for (int trial = 0; trial < 30; ++trial) {
+    const double x = rng.Uniform(0, 80);
+    const double y = rng.Uniform(0, 80);
+    const Rect window(x, y, x + rng.Uniform(1, 60), y + rng.Uniform(1, 60));
+    const std::vector<CountContribution> scan =
+        ScanCountContributions(*stores[0], window);
+    EXPECT_TRUE(SortedByPseudonym(scan));
+    size_t intersecting = 0;
+    for (const auto& [pseudonym, region] : stores[0]->AllPrivateRegions())
+      intersecting += region.Intersects(window);
+    EXPECT_EQ(scan.size(), intersecting);
+  }
+}
+
+TEST(PublicCountQueryTest, MergeOfSortedPartsIsBitIdenticalToConcatAndSort) {
+  Rng rng(43);
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
+    const auto stores = FilledStores(shards, 150, &rng);
+    for (int trial = 0; trial < 20; ++trial) {
+      const double x = rng.Uniform(0, 80);
+      const double y = rng.Uniform(0, 80);
+      const Rect window(x, y, x + rng.Uniform(1, 60), y + rng.Uniform(1, 60));
+      std::vector<PublicCountPart> parts;
+      // The reference: the parts concatenated, sorted, then summarized.
+      std::vector<CountContribution> want;
+      size_t naive = 0;
+      for (const auto& store : stores) {
+        auto part = ScanPublicCount(*store, window);
+        ASSERT_TRUE(part.ok());
+        want.insert(want.end(), part.value().contributions.begin(),
+                    part.value().contributions.end());
+        naive += part.value().naive_count;
+        parts.push_back(std::move(part).value());
+      }
+      std::sort(want.begin(), want.end(),
+                [](const CountContribution& a, const CountContribution& b) {
+                  return a.pseudonym < b.pseudonym;
+                });
+      auto reference = SummarizeCount(CountProbabilities(want));
+      auto merged = MergePublicCountResults(std::move(parts));
+      ASSERT_TRUE(reference.ok());
+      ASSERT_TRUE(merged.ok());
+      const PublicCountResult& got = merged.value();
+      EXPECT_EQ(got.naive_count, naive);
+      EXPECT_EQ(got.answer.expected, reference.value().expected);
+      EXPECT_EQ(got.answer.variance, reference.value().variance);
+      EXPECT_EQ(got.answer.min_count, reference.value().min_count);
+      EXPECT_EQ(got.answer.max_count, reference.value().max_count);
+      ASSERT_EQ(got.contributions.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.contributions[i].pseudonym, want[i].pseudonym);
+        EXPECT_EQ(got.contributions[i].probability, want[i].probability);
+      }
+    }
+  }
 }
 
 TEST(PublicNnQueryTest, FailsWithoutPrivateData) {

@@ -16,22 +16,12 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "service/cloak_db_service.h"
+#include "service_test_peer.h"
 #include "sim/poi.h"
 #include "util/deadline.h"
 #include "util/random.h"
 
 namespace cloakdb {
-
-class CloakDbServiceTestPeer {
- public:
-  static QueryResponse ExecuteExpired(const CloakDbService& db,
-                                      const QueryRequest& request) {
-    CloakDbService::BatchQuery query;
-    query.request = request;
-    query.deadline = Deadline::After(0);
-    return db.ExecuteOne(query);
-  }
-};
 
 namespace {
 
