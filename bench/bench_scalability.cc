@@ -15,9 +15,11 @@
 #include <filesystem>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "service/cloak_db_service.h"
+#include "sim/movement.h"
 
 namespace cloakdb {
 namespace {
@@ -332,6 +334,78 @@ void BM_Service_RepeatedQueryCache(benchmark::State& state) {
 }
 BENCHMARK(BM_Service_RepeatedQueryCache)
     ->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+// Per-update upkeep of the count windows (the cache's side of an applied
+// cloaked update): one shard with the cache on holds N count parts, each
+// window counted once, while the timed loop applies synchronous location
+// updates of 2,000 users walking by random waypoint. Every 256 updates the
+// loop re-counts the windows (untimed) so about N parts stay cached. Arg 0
+// has no window, so the update takes no lookup at all. Every run applies
+// the same 10,000 updates (five rounds), so the
+// `invalidations_per_update` counter (cache.invalidations_total per
+// update: the parts an update's region change dropped) repeats exactly.
+void BM_Service_CountWindowUpkeep(benchmark::State& state) {
+  const size_t num_windows = static_cast<size_t>(state.range(0));
+  CloakDbServiceOptions options;
+  options.space = bench::Space();
+  options.num_shards = 1;
+  options.enable_shared_execution = true;
+  options.cache_capacity = 4096;
+  auto service = CloakDbService::Create(options);
+  if (!service.ok()) {
+    state.SkipWithError("service setup failed");
+    return;
+  }
+  CloakDbService& db = *service.value();
+  const PrivacyProfile profile =
+      PrivacyProfile::Uniform({5, 0.0, kInf}).value();
+  RandomWaypointModel::Options move_options;
+  move_options.seed = bench::kSeed ^ 0xc0de;
+  RandomWaypointModel movement(bench::Space(), move_options);
+  std::vector<UserId> users;
+  for (const auto& u : bench::MakeUsers(2000)) {
+    (void)db.RegisterUser(u.id, profile);
+    (void)movement.AddUser(u.id, u.location);
+    (void)db.UpdateLocation(u.id, u.location, bench::Noon());
+    users.push_back(u.id);
+  }
+  Rng rng(bench::kSeed ^ 0x0c0de);
+  std::vector<QueryRequest> windows;
+  for (size_t i = 0; i < num_windows; ++i) {
+    const Point c{rng.Uniform(5, 95), rng.Uniform(5, 95)};
+    windows.push_back(
+        QueryRequest::Count(Rect::CenteredSquare(c, rng.Uniform(2, 10))));
+  }
+  const auto count_windows = [&] {
+    for (const QueryRequest& q : windows)
+      benchmark::DoNotOptimize(db.ExecuteQuery(q));
+  };
+  count_windows();
+  const uint64_t invalidations_before =
+      db.metrics().CounterValue("cache.invalidations_total");
+  size_t next = 0;
+  for (auto _ : state) {
+    if (next % users.size() == 0) movement.Step(1.0);
+    const UserId user = users[next % users.size()];
+    benchmark::DoNotOptimize(db.UpdateLocation(
+        user, movement.LocationOf(user).value(), bench::Noon()));
+    if (++next % 256 == 0) {
+      state.PauseTiming();
+      count_windows();
+      state.ResumeTiming();
+    }
+  }
+  state.counters["windows"] = static_cast<double>(num_windows);
+  state.counters["invalidations_per_update"] =
+      static_cast<double>(
+          db.metrics().CounterValue("cache.invalidations_total") -
+          invalidations_before) /
+      static_cast<double>(std::max<size_t>(next, 1));
+}
+BENCHMARK(BM_Service_CountWindowUpkeep)
+    ->Arg(0)->Arg(256)->Arg(2048)
+    ->Iterations(10000)
     ->Unit(benchmark::kMicrosecond);
 
 // Tracing overhead on the fan-out query path: the same mixed private-query

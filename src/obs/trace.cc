@@ -4,20 +4,11 @@
 #include <utility>
 
 #include "obs/flight_recorder.h"
+#include "util/random.h"
 
 namespace cloakdb::obs {
 
 namespace {
-
-// splitmix64 — mixes the sequential trace ids into the head-sampling
-// decision so "every 100th trace" biases cannot correlate with workload
-// periodicity.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 std::atomic<uint64_t> g_next_tracer_uid{1};
 

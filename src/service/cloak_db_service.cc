@@ -13,6 +13,7 @@
 #include "service/root_trace.h"
 #include "storage/shard_snapshot.h"
 #include "util/build_info.h"
+#include "util/random.h"
 
 namespace cloakdb {
 
@@ -22,17 +23,6 @@ namespace {
 // before an idle worker forces the group commit. Acknowledged work (Flush)
 // never waits on this — the flush barrier fsyncs immediately.
 constexpr int64_t kGroupCommitDeadlineUs = 10'000;
-
-// splitmix64: cheap, well-mixed hash for id -> shard routing and for
-// perturbing per-shard pseudonym seeds (sequential user ids must not all
-// land on one shard, and two shards must not draw the same pseudonym
-// stream).
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 /// Root-span / metric-family name of one envelope kind.
 const char* RootSpanName(QueryKind kind) {
@@ -222,12 +212,14 @@ Status CloakDbService::Start() {
   server_obs.count_probe_us = metrics_.histogram("query.public_count.probe_us");
   server_obs.heatmap_probe_us = metrics_.histogram("query.heatmap.probe_us");
 
-  CandidateCacheObs cache_obs;
-  cache_obs.hits = metrics_.counter("cache.hits_total");
-  cache_obs.misses = metrics_.counter("cache.misses_total");
-  cache_obs.insertions = metrics_.counter("cache.insertions_total");
-  cache_obs.lru_evictions = metrics_.counter("cache.lru_evictions_total");
-  cache_obs.invalidations = metrics_.counter("cache.invalidations_total");
+  CountWindowsObs count_obs;
+  count_obs.hits = metrics_.counter("cache.hits_total");
+  count_obs.misses = metrics_.counter("cache.misses_total");
+  count_obs.insertions = metrics_.counter("cache.insertions_total");
+  count_obs.lru_evictions = metrics_.counter("cache.lru_evictions_total");
+  count_obs.invalidations = metrics_.counter("cache.invalidations_total");
+  count_obs.generation_bumps =
+      metrics_.counter("cq.count_delta_updates_total");
 
   // Robustness counters are created eagerly (not on first use) so a metrics
   // export always lists them — the doc-drift guard test depends on the full
@@ -270,11 +262,10 @@ Status CloakDbService::Start() {
   cq_obs_.full_reevals = metrics_.counter("cq.full_reevals_total");
   cq_obs_.stale_marked = metrics_.counter("cq.stale_marked_total");
   cq_obs_.delta_candidates = metrics_.counter("cq.delta_candidates_total");
-  cq_obs_.count_delta_updates =
-      metrics_.counter("cq.count_delta_updates_total");
   cq_obs_.affected_per_update = metrics_.histogram("cq.affected_per_update");
   cq_obs_.register_latency_us = metrics_.histogram("cq.register_latency_us");
   cq_obs_.registered = metrics_.gauge("cq.registered");
+  count_obs.registered = cq_obs_.registered;
 
   if (options_.trace.enabled) {
     tracer_ = std::make_unique<obs::Tracer>(options_.trace);
@@ -358,7 +349,7 @@ Status CloakDbService::Start() {
     config.obs = ingest_obs_;
     config.server_obs = server_obs;
     config.cache_capacity = per_shard_cache;
-    config.cache_obs = cache_obs;
+    config.count_obs = count_obs;
     config.tracer = tracer_.get();
     config.fault_injector = fault_injector_.get();
     config.continuous = options_.continuous;
@@ -462,16 +453,8 @@ Status CloakDbService::RecoverFromDisk() {
   // an operator would see had the crash landed a breath earlier.
   for (const auto& [id, spec] : live_cqs) {
     if (spec.kind == QueryKind::kPublicCount) {
-      bool ok = true;
-      for (uint32_t s = 0; s < shards_.size(); ++s) {
-        if (!shards_[s]->continuous().InsertCount(id, spec.window).ok()) {
-          for (uint32_t r = 0; r < s; ++r)
-            (void)shards_[r]->continuous().Remove(id);
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
+      for (const auto& shard : shards_)
+        (void)shard->count_windows().Register(id, spec.window);
       cq_routes_[id] = CqRoute{QueryKind::kPublicCount, 0};
     } else {
       const uint32_t home = ShardOfUser(spec.issuer);

@@ -79,10 +79,10 @@ struct CloakDbServiceOptions {
 
   // --- Shared execution --------------------------------------------------
 
-  /// Caches each shard's count parts: a public count whose exact window a
-  /// shard has counted since the last cloaked update touching it is served
-  /// from that shard's cache instead of a scan. Off by default: every
-  /// count scans.
+  /// Caches each shard's count parts: a public count (one-shot or
+  /// standing) whose exact window a shard has counted since the last
+  /// cloaked update that changed the window's scan is served from that
+  /// shard's cache instead of a scan. Off by default: every count scans.
   bool enable_shared_execution = false;
 
   /// Total cached count parts across the service (split evenly over the

@@ -13,9 +13,6 @@ namespace cloakdb {
 
 namespace {
 
-/// Count-window grid resolution per side (affected-window lookup).
-constexpr uint32_t kWindowGridCells = 64;
-
 /// The closed ball around `center` lies inside `rect` (a ball is inside a
 /// rectangle iff its bounding square is).
 bool BallInside(const Point& center, double radius, const Rect& rect) {
@@ -152,11 +149,8 @@ std::vector<PublicObject> ComputeStandingAnswer(
 }
 
 ContinuousShardRegistry::ContinuousShardRegistry(
-    const Rect& space, const ContinuousRegistryOptions& options,
-    const ContinuousObs& obs)
-    : options_(options),
-      obs_(obs),
-      window_grid_(space, kWindowGridCells) {}
+    const ContinuousRegistryOptions& options, const ContinuousObs& obs)
+    : options_(options), obs_(obs) {}
 
 void ContinuousShardRegistry::MarkStaleLocked(ContinuousQueryId id) {
   auto it = private_.find(id);
@@ -175,7 +169,7 @@ Status ContinuousShardRegistry::InsertPrivate(ContinuousQueryId id,
                                               StandingSnapshot snap,
                                               uint64_t expected_version) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (private_.count(id) != 0 || counts_.count(id) != 0)
+  if (private_.count(id) != 0)
     return Status::AlreadyExists("continuous query id already registered");
   PrivateEntry entry;
   entry.spec = spec;
@@ -206,39 +200,18 @@ Status ContinuousShardRegistry::RefreshRegion(ContinuousQueryId id,
   return Status::OK();
 }
 
-Status ContinuousShardRegistry::InsertCount(ContinuousQueryId id,
-                                            const Rect& window) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (private_.count(id) != 0 || counts_.count(id) != 0)
-    return Status::AlreadyExists("continuous query id already registered");
-  CountEntry entry;
-  entry.window = window;
-  entry.in_grid = window_grid_.Upsert(id, window).ok();
-  counts_.emplace(id, std::move(entry));
-  total_.fetch_add(1, std::memory_order_relaxed);
-  if (obs_.registered != nullptr) obs_.registered->Add(1.0);
-  return Status::OK();
-}
-
 Status ContinuousShardRegistry::Remove(ContinuousQueryId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (auto it = private_.find(id); it != private_.end()) {
-    auto& ids = by_user_[it->second.spec.issuer];
-    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-    if (ids.empty()) by_user_.erase(it->second.spec.issuer);
-    private_.erase(it);
-    total_.fetch_sub(1, std::memory_order_relaxed);
-    if (obs_.registered != nullptr) obs_.registered->Add(-1.0);
-    return Status::OK();
-  }
-  if (auto it = counts_.find(id); it != counts_.end()) {
-    if (it->second.in_grid) (void)window_grid_.Remove(id);
-    counts_.erase(it);
-    total_.fetch_sub(1, std::memory_order_relaxed);
-    if (obs_.registered != nullptr) obs_.registered->Add(-1.0);
-    return Status::OK();
-  }
-  return Status::NotFound("unknown continuous query");
+  auto it = private_.find(id);
+  if (it == private_.end())
+    return Status::NotFound("unknown continuous query");
+  auto& ids = by_user_[it->second.spec.issuer];
+  ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
+  if (ids.empty()) by_user_.erase(it->second.spec.issuer);
+  private_.erase(it);
+  total_.fetch_sub(1, std::memory_order_relaxed);
+  if (obs_.registered != nullptr) obs_.registered->Add(-1.0);
+  return Status::OK();
 }
 
 bool ContinuousShardRegistry::TouchPrivateLocked(ContinuousQueryId id,
@@ -272,12 +245,12 @@ bool ContinuousShardRegistry::TouchPrivateLocked(ContinuousQueryId id,
   return true;
 }
 
-void ContinuousShardRegistry::OnLocationUpdate(
-    UserId user, const std::optional<Rect>& old_region,
-    const Rect& new_region) {
+void ContinuousShardRegistry::OnLocationUpdate(UserId user,
+                                               const Rect& new_region,
+                                               size_t count_bumps) {
   std::lock_guard<std::mutex> lock(mu_);
   if (obs_.updates_seen != nullptr) obs_.updates_seen->Increment();
-  uint64_t affected = 0;
+  uint64_t affected = count_bumps;
   size_t refiltered = 0;
   size_t staled = 0;
   if (auto it = by_user_.find(user); it != by_user_.end()) {
@@ -292,32 +265,6 @@ void ContinuousShardRegistry::OnLocationUpdate(
       }
     }
   }
-  if (!counts_.empty()) {
-    // Only windows the move touches can change: look up the hull of the
-    // old and new region in the window grid.
-    Rect hull = new_region;
-    if (old_region.has_value()) {
-      hull = Rect{std::min(hull.min_x, old_region->min_x),
-                  std::min(hull.min_y, old_region->min_y),
-                  std::max(hull.max_x, old_region->max_x),
-                  std::max(hull.max_y, old_region->max_y)};
-    }
-    // The server held `old_region` until this update, so its contribution
-    // is what the window's answer held for this record.
-    for (const auto& w : window_grid_.IntersectingRects(hull)) {
-      auto entry = counts_.find(w.id);
-      if (entry == counts_.end()) continue;
-      const double p = CountContributionOf(new_region, w.rect);
-      const double old_p = old_region.has_value()
-                               ? CountContributionOf(*old_region, w.rect)
-                               : 0.0;
-      if (p == old_p) continue;
-      ++entry->second.generation;
-      ++affected;
-      if (obs_.count_delta_updates != nullptr)
-        obs_.count_delta_updates->Increment();
-    }
-  }
   if (obs_.affected_per_update != nullptr)
     obs_.affected_per_update->Record(static_cast<double>(affected));
   if (affected > 0) {
@@ -326,20 +273,6 @@ void ContinuousShardRegistry::OnLocationUpdate(
       span.AddAttr("affected", static_cast<double>(affected));
       span.AddAttr("refiltered", static_cast<double>(refiltered));
       span.AddAttr("staled", static_cast<double>(staled));
-    }
-  }
-}
-
-void ContinuousShardRegistry::OnLocationRemoved(const Rect& old_region) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (counts_.empty()) return;
-  for (const auto& w : window_grid_.IntersectingRects(old_region)) {
-    auto entry = counts_.find(w.id);
-    if (entry == counts_.end()) continue;
-    if (CountContributionOf(old_region, w.rect) > 0.0) {
-      ++entry->second.generation;
-      if (obs_.count_delta_updates != nullptr)
-        obs_.count_delta_updates->Increment();
     }
   }
 }
@@ -382,40 +315,26 @@ Result<StandingAnswer> ContinuousShardRegistry::Answer(
 Result<ContinuousQueryInfo> ContinuousShardRegistry::Info(
     ContinuousQueryId id) const {
   std::lock_guard<std::mutex> lock(mu_);
+  auto it = private_.find(id);
+  if (it == private_.end())
+    return Status::NotFound("unknown continuous query");
   ContinuousQueryInfo info;
-  if (auto it = private_.find(id); it != private_.end()) {
-    info.spec = it->second.spec;
-    info.region = it->second.region;
-    info.coverage = it->second.snap.coverage;
-    info.stale = it->second.stale;
-    info.degraded = it->second.snap.degraded;
-    info.generation = it->second.generation;
-    info.answer_size = it->second.snap.current.size();
-    return info;
-  }
-  if (auto it = counts_.find(id); it != counts_.end()) {
-    info.spec.kind = QueryKind::kPublicCount;
-    info.spec.window = it->second.window;
-    info.generation = it->second.generation;
-    return info;
-  }
-  return Status::NotFound("unknown continuous query");
+  info.spec = it->second.spec;
+  info.region = it->second.region;
+  info.coverage = it->second.snap.coverage;
+  info.stale = it->second.stale;
+  info.degraded = it->second.snap.degraded;
+  info.generation = it->second.generation;
+  info.answer_size = it->second.snap.current.size();
+  return info;
 }
 
 std::vector<std::pair<ContinuousQueryId, ContinuousSpec>>
 ContinuousShardRegistry::RegisteredSpecs() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<ContinuousQueryId, ContinuousSpec>> specs;
-  specs.reserve(private_.size() + counts_.size());
+  specs.reserve(private_.size());
   for (const auto& [id, entry] : private_) specs.emplace_back(id, entry.spec);
-  for (const auto& [id, entry] : counts_) {
-    ContinuousSpec spec;
-    spec.kind = QueryKind::kPublicCount;
-    spec.window = entry.window;
-    specs.emplace_back(id, spec);
-  }
-  std::sort(specs.begin(), specs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return specs;
 }
 

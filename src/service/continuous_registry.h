@@ -1,22 +1,19 @@
 // Per-shard standing-query registry: the service-layer home of continuous
-// queries (paper Section 5.3, "processing the continuous queries at the
-// location-based server should be done incrementally").
+// private queries (paper Section 5.3, "processing the continuous queries at
+// the location-based server should be done incrementally").
 //
 // Each shard owns one registry. Standing private range/NN/kNN queries live
 // on the issuer's home shard (hash-routed like the user) and keep a cached
 // fetch superset; only the issuer's own updates re-filter it — a delta
 // notification, not a re-execution. A query whose cached coverage no
 // longer bounds the answer is marked stale and repaired asynchronously by a
-// service-level full re-evaluation sweep. Standing public counts are
-// registered on every shard as a bare window plus a generation: the answer
-// is read from the shard's private index at answer time (the one-shot
-// count's own scan), and a window grid bumps the generation of exactly the
-// windows whose contribution an update changed. Counts never go stale.
+// service-level full re-evaluation sweep. Standing public counts are not
+// kept here: they are windows of the shard's count-window table
+// (service/count_windows.h), which the one-shot count shares.
 //
 // Locking: the registry has its own mutex, always acquired *after* the
 // owning shard's lock (drain notifications arrive under the shard's
-// exclusive lock, count reads under its shared lock; private reads take
-// only the registry mutex). The stale sweep
+// exclusive lock; reads take only the registry mutex). The stale sweep
 // evaluates with no locks held and restores under an epoch check, so a
 // repair never clobbers state that moved while it was being computed.
 
@@ -24,20 +21,16 @@
 #define CLOAKDB_SERVICE_CONTINUOUS_REGISTRY_H_
 
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/anonymizer.h"
-#include "index/rect_grid.h"
 #include "obs/metrics.h"
 #include "server/public_queries.h"
 #include "service/api.h"
+#include "service/count_windows.h"
 
 namespace cloakdb {
-
-/// Identifier of a registered standing query (service-wide, never reused).
-using ContinuousQueryId = uint64_t;
 
 /// Tuning knobs of the service-level continuous-query subsystem.
 struct ContinuousRegistryOptions {
@@ -60,7 +53,6 @@ struct ContinuousObs {
   obs::Counter* full_reevals = nullptr;       ///< Sweep repairs.
   obs::Counter* stale_marked = nullptr;
   obs::Counter* delta_candidates = nullptr;   ///< Candidates entered/left.
-  obs::Counter* count_delta_updates = nullptr;
   obs::ShardedHistogram* affected_per_update = nullptr;
   obs::ShardedHistogram* register_latency_us = nullptr;
   obs::Gauge* registered = nullptr;
@@ -128,12 +120,6 @@ struct StaleEntry {
   uint64_t epoch = 0;
 };
 
-/// Per-shard part of a standing count answer, scanned at answer time.
-struct StandingCountPart {
-  std::vector<CountContribution> contributions;  ///< p > 0, by pseudonym.
-  uint64_t generation = 0;
-};
-
 // --- Shared evaluation kernels --------------------------------------------
 // The incremental re-filter and the full re-evaluation both answer from a
 // fetched superset with these functions, which is what makes the two paths
@@ -158,14 +144,13 @@ std::vector<PublicObject> ComputeStandingAnswer(
     const ContinuousSpec& spec, const Rect& region,
     const std::vector<PublicObject>& fetched, double* fetch_radius);
 
-/// Registry of the standing queries homed on one shard.
+/// Registry of the standing private queries homed on one shard.
 class ContinuousShardRegistry {
  public:
-  ContinuousShardRegistry(const Rect& space,
-                          const ContinuousRegistryOptions& options,
+  ContinuousShardRegistry(const ContinuousRegistryOptions& options,
                           const ContinuousObs& obs);
 
-  /// Lock-free interest check for the drain hot path: total standing
+  /// Lock-free interest check for the drain hot path: standing private
   /// queries homed here.
   size_t size() const { return total_.load(std::memory_order_relaxed); }
 
@@ -190,25 +175,16 @@ class ContinuousShardRegistry {
   /// notified), the entry adopts it and is marked stale.
   Status RefreshRegion(ContinuousQueryId id, const Rect& region);
 
-  /// Installs a standing count window. It holds no contributions: the
-  /// answer is scanned from the shard's private index when read.
-  Status InsertCount(ContinuousQueryId id, const Rect& window);
-
-  /// Drops any standing query homed here.
+  /// Drops a standing query homed here.
   Status Remove(ContinuousQueryId id);
 
   // --- Drain notifications (caller holds the shard's exclusive lock) -----
 
   /// One applied cloaked update: re-filters or stales the issuer's private
-  /// queries and bumps the generation of every count window whose
-  /// contribution from this record changed (`old_region` is the record's
-  /// server-side region before the update, absent for a new pseudonym).
-  void OnLocationUpdate(UserId user, const std::optional<Rect>& old_region,
-                        const Rect& new_region);
-
-  /// A pseudonym's record was dropped (rotation retire / unregister):
-  /// bumps the windows its last region contributed to.
-  void OnLocationRemoved(const Rect& old_region);
+  /// queries. `count_bumps` standing count windows were bumped by the same
+  /// update (CountWindows::OnRegionChanged); they count as affected.
+  void OnLocationUpdate(UserId user, const Rect& new_region,
+                        size_t count_bumps);
 
   /// One public object appeared at `location`: stales the standing private
   /// queries of that category whose coverage holds the object (a scan of
@@ -224,13 +200,10 @@ class ContinuousShardRegistry {
   Result<StandingAnswer> Answer(ContinuousQueryId id) const;
 
   /// Spec, region, coverage and generation of a standing query homed here.
-  /// For a count window `answer_size` is 0: its contributions live in the
-  /// shard's private index (see Shard::StandingCount).
   Result<ContinuousQueryInfo> Info(ContinuousQueryId id) const;
 
-  /// Deterministic enumeration of every standing query homed here (private
-  /// entries plus this shard's count windows as kPublicCount specs),
-  /// sorted by id — the checkpoint writer's view.
+  /// Every standing query homed here, in no particular order (the
+  /// checkpoint writer sorts them with the shard's count windows).
   std::vector<std::pair<ContinuousQueryId, ContinuousSpec>> RegisteredSpecs()
       const;
 
@@ -272,11 +245,6 @@ class ContinuousShardRegistry {
     uint64_t epoch = 0;  ///< Bumped on every mutation; guards restores.
     bool stale = false;
   };
-  struct CountEntry {
-    Rect window;
-    uint64_t generation = 1;
-    bool in_grid = false;  ///< Window intersects the space (else inert).
-  };
 
   /// Marks a private entry stale and queues it (locked).
   void MarkStaleLocked(ContinuousQueryId id);
@@ -293,9 +261,6 @@ class ContinuousShardRegistry {
   mutable std::mutex mu_;
   std::unordered_map<ContinuousQueryId, PrivateEntry> private_;
   std::unordered_map<UserId, std::vector<ContinuousQueryId>> by_user_;
-  std::unordered_map<ContinuousQueryId, CountEntry> counts_;
-  /// Count windows (affected-query lookup for location updates).
-  RectGrid window_grid_;
   /// Stale queue; entries carry a flag so re-marks do not duplicate.
   std::vector<ContinuousQueryId> stale_queue_;
 };

@@ -108,16 +108,11 @@ Result<ContinuousQueryId> CloakDbService::RegisterContinuousCount(
   const ContinuousQueryId id =
       next_cq_id_.fetch_add(1, std::memory_order_relaxed);
   trace.AddAttr("cq_id", static_cast<double>(id));
-  // Users are hash-scattered, so the window is registered on every shard
-  // and each shard's scan merges exactly at read time.
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
-    Status status = shards_[s]->continuous().InsertCount(id, window);
-    if (!status.ok()) {
-      for (uint32_t r = 0; r < s; ++r)
-        (void)shards_[r]->continuous().Remove(id);
-      return status;
-    }
-  }
+  // Users are hash-scattered, so the window is held on every shard and
+  // each shard's part merges exactly at read time. Ids are never reused,
+  // so no shard can refuse it.
+  for (const auto& shard : shards_)
+    (void)shard->count_windows().Register(id, window);
   // Logged on every shard so recovery of any one shard's WAL resurrects
   // the window there; the service-level union dedupes across shards.
   ContinuousSpec spec;
@@ -253,12 +248,10 @@ Result<ContinuousQueryInfo> CloakDbService::ContinuousInfo(
   for (const auto& shard : shards_) {
     auto part = shard->StandingCount(id);
     if (!part.ok()) return part.status();
+    merged.spec.window = part.value().window;
     merged.generation += part.value().generation;
     merged.answer_size += part.value().contributions.size();
   }
-  auto window = shards_.front()->continuous().Info(id);
-  if (!window.ok()) return window.status();
-  merged.spec.window = window.value().spec.window;
   return merged;
 }
 
@@ -274,7 +267,7 @@ Status CloakDbService::UnregisterContinuous(ContinuousQueryId id) {
   }
   if (route.kind == QueryKind::kPublicCount) {
     for (const auto& shard : shards_) {
-      (void)shard->continuous().Remove(id);
+      (void)shard->count_windows().Unregister(id);
       (void)shard->LogCqUnregister(id);
     }
   } else {

@@ -1,22 +1,11 @@
 #include "service/fault_injector.h"
 
+#include "util/random.h"
+
 namespace cloakdb {
 
-namespace {
-
-// splitmix64 finalizer: a cheap, well-mixed hash from (seed ^ index) to a
-// 64-bit value. The same mix the service uses for user->shard routing.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 double FaultInjector::DrawAt(uint64_t n) const {
-  const uint64_t bits = SplitMix64(options_.seed ^ (n * 0x2545f4914f6cdd1dULL));
+  const uint64_t bits = Mix64(options_.seed ^ (n * 0x2545f4914f6cdd1dULL));
   // Top 53 bits -> uniform double in [0, 1).
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }

@@ -25,12 +25,12 @@ Shard::Shard(const ShardConfig& config,
       anonymizer_(std::move(anonymizer)),
       server_(config.anonymizer.space, config.rect_grid_cells, {},
               config.public_index),
-      continuous_(config.anonymizer.space, config.continuous, config.cq_obs),
-      cache_(config.cache_capacity),
+      continuous_(config.continuous, config.cq_obs),
+      count_windows_(config.anonymizer.space, config.cache_capacity,
+                     config.count_obs),
       queue_(config.queue_capacity) {
   queue_.SetObs(config.obs.queue);
   server_.SetObs(config.server_obs);
-  cache_.SetObs(config.cache_obs);
 }
 
 Status Shard::LogDurable(storage::WalRecord record, bool sync_now) {
@@ -290,38 +290,28 @@ void Shard::ForwardCloaked(const CloakedUpdate& update, UserId user) {
     DropServerRecord(update.retired_pseudonym);
     if (config_.obs.rotations != nullptr) config_.obs.rotations->Increment();
   }
-  // The old region drives region-precise cache invalidation and the
-  // standing-count generation; read it once when either consumer is live.
-  const bool standing = continuous_.size() > 0;
-  std::optional<Rect> old_region;
-  if (cache_.enabled() || standing) {
-    auto old = server_.store().GetPrivateRegion(update.pseudonym);
-    if (old.ok()) old_region = old.value();
-  }
-  if (cache_.enabled()) {
-    // Region-precise invalidation: only count answers whose window touches
-    // where the user was or now is can have changed.
-    if (old_region.has_value())
-      cache_.InvalidatePrivateRegion(old_region.value());
-    cache_.InvalidatePrivateRegion(update.cloaked.region);
-  }
+  const size_t count_bumps =
+      KeepCountWindows(update.pseudonym, update.cloaked.region);
   (void)server_.ApplyCloakedUpdate(update.pseudonym, update.cloaked.region);
-  if (standing)
-    continuous_.OnLocationUpdate(user, old_region, update.cloaked.region);
+  if (continuous_.size() > 0 || count_windows_.num_standing() > 0)
+    continuous_.OnLocationUpdate(user, update.cloaked.region, count_bumps);
 }
 
 void Shard::DropServerRecord(ObjectId pseudonym) {
-  const bool standing = continuous_.size() > 0;
-  std::optional<Rect> old_region;
-  if (cache_.enabled() || standing) {
-    auto old = server_.store().GetPrivateRegion(pseudonym);
-    if (old.ok()) old_region = old.value();
-  }
-  if (cache_.enabled() && old_region.has_value())
-    cache_.InvalidatePrivateRegion(old_region.value());
+  (void)KeepCountWindows(pseudonym, std::nullopt);
   (void)server_.DropPseudonym(pseudonym);
-  if (standing && old_region.has_value())
-    continuous_.OnLocationRemoved(old_region.value());
+}
+
+size_t Shard::KeepCountWindows(ObjectId pseudonym,
+                               const std::optional<Rect>& new_region) {
+  // Lock-free when no window is held: the update path stays as it is.
+  if (count_windows_.size() == 0) return 0;
+  // The server held the old region until this change, so it is what every
+  // count part and standing generation read for this record.
+  std::optional<Rect> old_region;
+  if (auto old = server_.store().GetPrivateRegion(pseudonym); old.ok())
+    old_region = old.value();
+  return count_windows_.OnRegionChanged(old_region, new_region);
 }
 
 Result<CloakedUpdate> Shard::UpdateLocation(UserId user,
@@ -419,13 +409,19 @@ Result<PrivateKnnResult> Shard::PrivateKnn(const Rect& cloaked, size_t k,
   return server_.PrivateKnn(cloaked, k, category);
 }
 
+Result<PublicCountPart> Shard::ReadCountPart(const Rect& window,
+                                             bool one_shot) const {
+  if (auto cached = count_windows_.Lookup(window); cached != nullptr)
+    return *cached;
+  auto part = one_shot ? server_.ScanPublicCount(window)
+                       : ScanPublicCount(server_.store(), window);
+  if (part.ok()) count_windows_.Insert(window, part.value());
+  return part;
+}
+
 Result<PublicCountPart> Shard::PublicCount(const Rect& window) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  if (!cache_.enabled()) return server_.ScanPublicCount(window);
-  if (auto cached = cache_.Lookup(window); cached != nullptr) return *cached;
-  auto part = server_.ScanPublicCount(window);
-  if (part.ok()) cache_.Insert(window, part.value());
-  return part;
+  return ReadCountPart(window, /*one_shot=*/true);
 }
 
 Result<Rect> Shard::CurrentRegionOfUser(UserId user) const {
@@ -451,14 +447,12 @@ Result<std::vector<PublicObject>> Shard::ProbeRegion(
 
 Result<StandingCountPart> Shard::StandingCount(ContinuousQueryId id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto info = continuous_.Info(id);
-  if (!info.ok()) return info.status();
-  if (info.value().spec.kind != QueryKind::kPublicCount)
-    return Status::NotFound("not a standing count");
-  StandingCountPart part;
-  part.generation = info.value().generation;
-  for (const CountContribution& c :
-       ScanCountContributions(server_.store(), info.value().spec.window)) {
+  auto standing = count_windows_.Standing(id);
+  if (!standing.ok()) return standing.status();
+  StandingCountPart part = std::move(standing).value();
+  auto read = ReadCountPart(part.window, /*one_shot=*/false);
+  if (!read.ok()) return read.status();
+  for (const CountContribution& c : read.value().contributions) {
     if (c.probability > 0.0) part.contributions.push_back(c);
   }
   return part;
@@ -474,7 +468,12 @@ Status Shard::WriteCheckpoint() {
   snap.anonymizer = anonymizer_->ExportState();
   snap.public_objects = server_.store().AllPublicObjects();
   snap.private_regions = server_.store().AllPrivateRegions();
+  // Standing private queries and count windows, in id order.
   auto specs = continuous_.RegisteredSpecs();
+  for (const auto& [id, window] : count_windows_.StandingWindows())
+    specs.push_back({id, {.kind = QueryKind::kPublicCount, .window = window}});
+  std::sort(specs.begin(), specs.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   snap.cqs.reserve(specs.size());
   for (const auto& [id, spec] : specs) {
     storage::SnapshotCq cq;

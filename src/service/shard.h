@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <vector>
 
@@ -23,8 +24,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/query_processor.h"
-#include "service/candidate_cache.h"
 #include "service/continuous_registry.h"
+#include "service/count_windows.h"
 #include "service/fault_injector.h"
 #include "service/service_stats.h"
 #include "service/update_queue.h"
@@ -73,8 +74,9 @@ struct ShardConfig {
   /// Count parts this shard may cache; 0 disables caching (every count
   /// then scans).
   size_t cache_capacity = 0;
-  /// Cache counters (hits/misses/insertions/evictions/invalidations).
-  CandidateCacheObs cache_obs;
+  /// Count-window counters (cache hits/misses/insertions/evictions/
+  /// invalidations, standing generation bumps and registrations).
+  CountWindowsObs count_obs;
   /// Service-wide tracer; null = tracing off. Cloak sites emit audit spans
   /// into it, the ingest drain opens its own per-batch traces.
   obs::Tracer* tracer = nullptr;
@@ -145,11 +147,11 @@ class Shard {
   bool HasCategory(Category category) const;
 
   // --- Queries (shared) --------------------------------------------------
-  // The private kinds run the QueryProcessor's entry points. With the
-  // cache enabled a count part is cached whole, keyed by its exact window;
-  // scan + cache insert happen under one shared lock, and writers
-  // invalidate under the exclusive lock, so a stale part can never be
-  // inserted over a concurrent update.
+  // The private kinds run the QueryProcessor's entry points. Counts, one-shot
+  // and standing, read one path: the count-window table's cached part, or a
+  // scan cached there when the cache is on. Scan + insert happen under one
+  // shared lock and writers drop changed parts under the exclusive lock, so
+  // a stale part can never be inserted over a concurrent update.
   Result<PrivateRangeResult> PrivateRange(
       const Rect& cloaked, double radius, Category category,
       const PrivateRangeOptions& opts = {}) const;
@@ -158,16 +160,21 @@ class Shard {
   Result<PrivateKnnResult> PrivateKnn(const Rect& cloaked, size_t k,
                                       Category category) const;
   /// This shard's part of a one-shot count: the scan, no answer (the
-  /// one-shot twin of StandingCount), served from the cache when it holds
-  /// the window. The service merges the parts and summarizes once.
+  /// one-shot twin of StandingCount), served from the count-window table
+  /// when it caches the window. The service merges the parts and
+  /// summarizes once.
   Result<PublicCountPart> PublicCount(const Rect& window) const;
   Result<HeatmapResult> Heatmap(uint32_t resolution) const;
 
   // --- Continuous queries ------------------------------------------------
-  /// The standing-query registry homed on this shard. Registry methods
+  /// The standing private queries homed on this shard. Registry methods
   /// take the registry's own mutex; no shard lock is needed to read it.
   ContinuousShardRegistry& continuous() { return continuous_; }
-  const ContinuousShardRegistry& continuous() const { return continuous_; }
+
+  /// This shard's count windows: cached count parts and the standing
+  /// counts, registered here on every shard. Registration needs no shard
+  /// lock.
+  CountWindows& count_windows() { return count_windows_; }
 
   /// The current cloaked region of a registered user (shared lock); fails
   /// with NotFound when the user never reported.
@@ -182,10 +189,10 @@ class Shard {
   Result<std::vector<PublicObject>> ProbeRegion(const Rect& probe,
                                                 Category category) const;
 
-  /// This shard's part of a standing count: the window's generation and
-  /// the one-shot count's scan of the private index (p > 0 entries, sorted
-  /// by pseudonym), read under one shared-lock hold so the generation
-  /// matches the scanned state.
+  /// This shard's part of a standing count: its window, its generation
+  /// and the p > 0 entries of the window's count part (sorted by
+  /// pseudonym), read under one shared-lock hold so the generation matches
+  /// the part.
   Result<StandingCountPart> StandingCount(ContinuousQueryId id) const;
 
   // --- Durability ----------------------------------------------------------
@@ -244,15 +251,27 @@ class Shard {
   Status LogDurable(storage::WalRecord record, bool sync_now = true);
 
   /// Forwards one cloaked update (and any retired pseudonym) to the
-  /// server, invalidating cached count entries the update's old or new
-  /// region overlaps and notifying the standing-query registry. Caller
-  /// holds the exclusive lock; `user` is the reporting user (standing
-  /// private queries are keyed by issuer).
+  /// server, keeping the count windows its old or new region meets and
+  /// notifying the standing-query registry. Caller holds the exclusive
+  /// lock; `user` is the reporting user (standing private queries are
+  /// keyed by issuer).
   void ForwardCloaked(const CloakedUpdate& update, UserId user);
 
-  /// Drops a pseudonym's server record after invalidating cached count
-  /// entries its last region overlaps. Caller holds the exclusive lock.
+  /// Drops a pseudonym's server record and keeps the count windows its
+  /// last region meets. Caller holds the exclusive lock.
   void DropServerRecord(ObjectId pseudonym);
+
+  /// Hands a record's region change (absent = dropped) to the count
+  /// windows before the server applies it; returns the standing windows
+  /// bumped. Caller holds the exclusive lock.
+  size_t KeepCountWindows(ObjectId pseudonym,
+                          const std::optional<Rect>& new_region);
+
+  /// The count part of `window`, cached or scanned (only a one-shot scan
+  /// books the query's probe metric and span). Caller holds the shared
+  /// lock.
+  Result<PublicCountPart> ReadCountPart(const Rect& window,
+                                        bool one_shot) const;
 
   /// Builds the privacy-audit payload of one cloak (constraint
   /// satisfaction plus the deterministic center/boundary attack checks
@@ -267,7 +286,7 @@ class Shard {
   std::unique_ptr<Anonymizer> anonymizer_;
   QueryProcessor server_;
   ContinuousShardRegistry continuous_;
-  mutable CandidateCache cache_;
+  mutable CountWindows count_windows_;
   BoundedUpdateQueue queue_;
   mutable std::shared_mutex mu_;
   /// Queued + popped-but-not-yet-applied updates; lets Flush observe

@@ -8,21 +8,14 @@ namespace cloakdb {
 
 namespace {
 
-// SplitMix64: expands one 64-bit seed into the xoshiro state.
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& s : s_) s = SplitMix64(&sm);
+  // splitmix64 steps: word i is Mix64(seed + i * golden ratio).
+  for (auto& s : s_)
+    s = Mix64(std::exchange(seed, seed + 0x9E3779B97F4A7C15ULL));
 }
 
 uint64_t Rng::Next() {

@@ -14,6 +14,16 @@
 
 namespace cloakdb {
 
+/// splitmix64 (golden-ratio step plus finalizer): a cheap, well-mixed hash.
+/// It seeds Rng and routes users to shards, so a data directory's layout
+/// depends on its values (pinned by a golden test).
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// Full serializable state of an Rng: the four xoshiro256++ words plus the
 /// Box-Muller spare. Saving and restoring this reproduces the generator's
 /// future stream bit-exactly — the durability layer checkpoints the
@@ -28,7 +38,7 @@ struct RngState {
 /// xoshiro256++ pseudo-random generator.
 ///
 /// Fast, high-quality, and fully deterministic from its 64-bit seed (seeded
-/// via SplitMix64 as the algorithm's authors recommend). Not cryptographic.
+/// via Mix64, splitmix64 as the algorithm's authors recommend). Not cryptographic.
 class Rng {
  public:
   /// Creates a generator whose whole stream is determined by `seed`.

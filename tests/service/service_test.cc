@@ -87,6 +87,20 @@ TEST(CloakDbServiceTest, ShardRoutingIsDeterministicAndBalanced) {
   }
 }
 
+TEST(CloakDbServiceTest, ShardRoutingIsPinned) {
+  // Users are hash-routed by Mix64(user) % shards; a recovered data
+  // directory finds its users only while these stay put.
+  auto four = MakeService(4);
+  auto seven = MakeService(7);
+  const std::vector<std::pair<UserId, std::pair<uint32_t, uint32_t>>> pinned =
+      {{1, {1, 2}}, {2, {2, 4}}, {4, {2, 6}}, {1000, {0, 0}},
+       {123456789, {1, 5}}};
+  for (const auto& [user, shards] : pinned) {
+    EXPECT_EQ(four->ShardOfUser(user), shards.first) << user;
+    EXPECT_EQ(seven->ShardOfUser(user), shards.second) << user;
+  }
+}
+
 TEST(CloakDbServiceTest, UserLifecycleRoutesToOwningShard) {
   auto db = MakeService(4);
   ASSERT_TRUE(db->RegisterUser(1, KProfile(1)).ok());

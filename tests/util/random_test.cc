@@ -169,6 +169,21 @@ TEST(RngTest, GoldenValuesAreStable) {
   EXPECT_EQ(rng.Next(), 0x34059223c31f8bd0ULL);
 }
 
+TEST(Mix64Test, GoldenValuesAreStable) {
+  // Mix64 routes users to shards, so a data directory's layout depends on
+  // these exact values (CloakDbServiceTest.ShardRoutingIsPinned).
+  EXPECT_EQ(Mix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(Mix64(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(Mix64(42), 0xbdd732262feb6e95ULL);
+  EXPECT_EQ(Mix64(~uint64_t{0}), 0xe4d971771b652c20ULL);
+  // Rng seeds its words with splitmix64 steps: word 0 is Mix64(seed).
+  Rng rng(0);
+  EXPECT_EQ(rng.SaveState().s[0], Mix64(0));
+  EXPECT_EQ(rng.SaveState().s[3], 0xf88bb8a8724c81ecULL);
+  EXPECT_EQ(rng.Next(), 0x53175d61490b23dfULL);
+  EXPECT_EQ(rng.Next(), 0x61da6f3dc380d507ULL);
+}
+
 TEST(ZipfTest, SingleRankAlwaysZero) {
   Rng rng(35);
   ZipfSampler zipf(1, 1.5);
